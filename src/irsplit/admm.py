@@ -20,7 +20,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .dr import SplitTriple
+from .dr import SplitTriple, reset_procedure
 from .errors import BudgetExceeded, ParameterError, ZeroVectorError
 from .hpp import InertiaRelaxParams, validate_params
 from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
@@ -104,11 +104,17 @@ class ADMMParams:
 class FProcedure(Protocol):
     """Iterative solver family for min_x f(x) + <p, x> + (c/2)||x - z||^2.
 
-    ``open_session(p, z, c, x_bar)`` starts a fresh solve warm started at
+    ``open_session(p, z, c, x_bar)`` starts a solve warm started at
     ``x_bar``; ``session.next()`` yields trial pairs ``(x_l, y_l)`` where
     ``y_l`` is a subgradient of the augmented subobjective at ``x_l`` and
     y_l -> 0.  A session may expose ``exact = True``, asserting each trial
     is an exact minimizer (emitted with y_l = 0).
+
+    The sessions of one run may share state that steers the search, such as
+    curvature memory, but never the certificate: each ``y_l`` is evaluated
+    at its own ``x_l``.  A procedure holding such state exposes
+    ``reset()``, which the drivers call at run entry, so a run does not
+    depend on the runs before it.
     """
 
     def open_session(self, p: np.ndarray, z: np.ndarray, c: float,
@@ -235,6 +241,9 @@ class FToBAdapter:
     def __init__(self, fproc: FProcedure):
         self.fproc = fproc
 
+    def reset(self) -> None:
+        reset_procedure(self.fproc)
+
     def open_session(self, r, b, gamma, s_bar, b_bar):
         fsession = self.fproc.open_session(-b, r, 1.0 / gamma, s_bar)
         return _AdaptedSession(fsession, r, b, gamma)
@@ -312,6 +321,7 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     sigma = params.core.sigma
     alpha = params.core.alpha
     rho = params.core.rho_hi
+    reset_procedure(problem.fproc)
     cur = init
     prev = init
     inner_total = 0
@@ -320,12 +330,15 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     status = BUDGET_EXCEEDED
     outer = params.max_outer
     solution = cur.z
+    final_kkt = None
     for k in range(params.max_outer):
         if k % params.kkt_stride == 0:
-            if float(problem.kkt_residual(cur.z)) <= params.epsilon:
+            kkt = float(problem.kkt_residual(cur.z))
+            if kkt <= params.epsilon:
                 status = "converged"
                 outer = k
                 solution = cur.z
+                final_kkt = kkt
                 break
         hat = admm_extrapolate(cur, prev, alpha)
         session = problem.fproc.open_session(hat.p, hat.z, c, hat.x)
@@ -366,7 +379,8 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         prev, cur = cur, nxt
         solution = cur.z
     wall = time.perf_counter() - started
-    final_kkt = float(problem.kkt_residual(solution))
+    if final_kkt is None:
+        final_kkt = float(problem.kkt_residual(solution))
     obj = float(problem.objective(solution)) if problem.objective else math.nan
     rec_status = CONVERGED if status in ("converged", "solved") else BUDGET_EXCEEDED
     record = RunRecord(outer, inner_total, wall, final_kkt, obj, rec_status)

@@ -39,6 +39,7 @@ __all__ = [
     "InnerSolve",
     "DRStep",
     "DRResult",
+    "reset_procedure",
     "run_dr",
     "classical_dr_step",
     "embed_to_hpp",
@@ -83,13 +84,14 @@ class DRParams:
 class BProcedure(Protocol):
     """Iterative solver family for the B half-step ``s + gamma B(s) = r + gamma b``.
 
-    ``open_session(r, b, gamma, s_bar, b_bar)`` starts a fresh solve warm
+    ``open_session(r, b, gamma, s_bar, b_bar)`` starts a solve warm
     started at ``(s_bar, b_bar)``; successive ``session.next()`` calls yield
     trial pairs ``(s_l, b_l)`` with ``b_l in B(s_l)``, the sequence
     convergent and ``s_l + gamma b_l -> r + gamma b``.  Convergence is a
     producer contract the interface cannot enforce.  A session may expose
     ``exact = True`` to assert each trial solves the equation exactly by
-    construction.
+    construction.  A procedure whose sessions share state within a run
+    exposes ``reset()``, called at run entry (see :func:`reset_procedure`).
     """
 
     def open_session(self, r: np.ndarray, b: np.ndarray, gamma: float,
@@ -172,6 +174,17 @@ def dr_update(hat: SplitTriple, s: np.ndarray, r: np.ndarray, theta_val: float,
     return SplitTriple(s, hat.b - bracket / gamma, r)
 
 
+def reset_procedure(procedure) -> None:
+    """Clear the state a procedure's sessions share, if it has any.
+
+    Calls the optional ``reset()`` of a B- or F-procedure, so that a run
+    starts from the same procedure state whatever ran before it.
+    """
+    reset = getattr(procedure, "reset", None)
+    if reset is not None:
+        reset()
+
+
 @dataclass
 class InnerSolve:
     """Accepted inner trial: the pair, the exact A half-step, trials used."""
@@ -246,6 +259,7 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     give a positive ``sr_tolerance`` for runs expected to go that far.
     """
     params.validate()
+    reset_procedure(bproc)
     cur = init
     prev = init
     alpha = params.core.alpha

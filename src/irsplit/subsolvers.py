@@ -101,17 +101,20 @@ def make_quadratic_fprocedure(design, b, c: float) -> QuadraticFProcedure:
 class LBFGSSession:
     """Limited-memory BFGS with Armijo backtracking, one step per ``next``.
 
-    Curvature pairs with nonpositive <step, grad-diff> are skipped.  At a
-    stationary point the session keeps returning it.
+    ``pairs`` is the curvature memory the session reads and extends: a
+    bounded deque of ``(s, y, 1/<s, y>)`` secant pairs, a fresh one of
+    length 10 when omitted.  Curvature pairs with nonpositive
+    <step, grad-diff> are skipped.  At a stationary point the session
+    keeps returning it.
     """
 
-    def __init__(self, value_and_grad, x0: np.ndarray, memory: int = 10,
-                 armijo: float = 1e-4, backtrack: float = 0.5,
-                 max_backtracks: int = 50):
+    def __init__(self, value_and_grad, x0: np.ndarray,
+                 pairs: Optional[deque] = None, armijo: float = 1e-4,
+                 backtrack: float = 0.5, max_backtracks: int = 50):
         self._fg = value_and_grad
         self.x = np.asarray(x0, dtype=float).copy()
         self.f, self.g = value_and_grad(self.x)
-        self._pairs: deque = deque(maxlen=memory)
+        self._pairs = deque(maxlen=10) if pairs is None else pairs
         self._armijo = armijo
         self._backtrack = backtrack
         self._max_backtracks = max_backtracks
@@ -159,15 +162,36 @@ class LBFGSSession:
 
 
 class LBFGSFProcedure:
-    """F-procedure for a smooth f given by a value-and-gradient callable."""
+    """F-procedure for a smooth f given by a value-and-gradient callable.
+
+    The procedure owns one curvature memory of ``memory`` secant pairs that
+    every session it opens reads and extends, so the first step of a
+    session already uses the curvature learned by the earlier ones.  The
+    augmented subobjective f + <p, .> + (c/2)||. - z||^2 has Hessian
+    grad^2 f + c I whatever (p, z) are, so a stored pair stays a true
+    secant pair while c is unchanged; a session opened with another c
+    starts from empty memory.  ``reset()`` clears the memory; the drivers
+    call it at run entry so that runs do not depend on each other.  Every
+    trial's gradient is still evaluated fresh, so the certificate is the
+    same as with a memoryless session.
+    """
 
     def __init__(self, value_and_grad, memory: int = 10, armijo: float = 1e-4,
                  backtrack: float = 0.5, max_backtracks: int = 50):
         self._fg = value_and_grad
-        self._opts = dict(memory=memory, armijo=armijo, backtrack=backtrack,
+        self._pairs: deque = deque(maxlen=memory)
+        self._c: Optional[float] = None
+        self._opts = dict(armijo=armijo, backtrack=backtrack,
                           max_backtracks=max_backtracks)
 
+    def reset(self) -> None:
+        """Forget every stored curvature pair."""
+        self._pairs.clear()
+
     def open_session(self, p, z, c, x_bar) -> LBFGSSession:
+        if c != self._c:
+            self._pairs.clear()
+            self._c = c
         base = self._fg
 
         def augmented(x):
@@ -175,7 +199,7 @@ class LBFGSFProcedure:
             dxz = x - z
             return (f + p @ x + 0.5 * c * (dxz @ dxz), g + p + c * dxz)
 
-        return LBFGSSession(augmented, x_bar, **self._opts)
+        return LBFGSSession(augmented, x_bar, self._pairs, **self._opts)
 
 
 def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:

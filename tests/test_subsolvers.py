@@ -169,6 +169,33 @@ def test_lbfgs_gradient_matches_differences_on_logistic():
         assert np.linalg.norm(y - fd) / (1.0 + np.linalg.norm(fd)) <= 1e-6
 
 
+def test_lbfgs_memory_shared_while_c_is_unchanged():
+    """Sessions of one procedure share curvature memory at one c; a new c
+    or ``reset()`` makes the next session start like a fresh procedure's."""
+    prob = ir.synthetic_logistic(12, 6, seed=1)
+    rng = np.random.default_rng(37)
+    p, z, x_bar = (rng.standard_normal(6) for _ in range(3))
+
+    def trials(fproc, c, count=4):
+        session = fproc.open_session(p, z, c, x_bar)
+        return [session.next() for _ in range(count)]
+
+    def same(a, b):
+        return all(np.array_equal(xa, xb) and np.array_equal(ya, yb)
+                   for (xa, ya), (xb, yb) in zip(a, b))
+
+    shared = LBFGSFProcedure(prob.value_gradient)
+    trials(shared, 1.0)
+    # the memory from the first session steers the second one
+    assert not same(trials(shared, 1.0),
+                    trials(LBFGSFProcedure(prob.value_gradient), 1.0))
+    assert same(trials(shared, 2.0),
+                trials(LBFGSFProcedure(prob.value_gradient), 2.0))
+    shared.reset()
+    assert same(trials(shared, 2.0),
+                trials(LBFGSFProcedure(prob.value_gradient), 2.0))
+
+
 def test_lbfgs_stationary_start_accepted_immediately():
     rng = np.random.default_rng(36)
     a = rng.standard_normal((6, 4))
