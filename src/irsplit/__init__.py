@@ -17,11 +17,10 @@ from .dr import (DRParams, DRResult, SplitTriple, a_step, classical_dr_step,
 from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
                    PrimalDualTriple, admm_acceptance, admm_extrapolate,
                    embed_to_dr, f_to_b_adapter, multiplier_candidate,
-                   p_update, run_admm, theta_admm, z_subproblem)
+                   p_update, run_admm, theta_admm)
 from .subsolvers import (CGSession, CompositeProblem, FistaConfig,
                          LBFGSFProcedure, LBFGSSession, QuadraticFProcedure,
-                         fista_solve, make_quadratic_fprocedure,
-                         soft_threshold)
+                         fista_solve, soft_threshold)
 from .problems import (DesignMatrix, LassoProblem, LogisticProblem,
                        l1_kkt_dist_inf, lasso_admm_problem, lasso_composite,
                        lasso_make_solvers, load_dense_csv, load_libsvm,

@@ -35,7 +35,6 @@ __all__ = [
     "admm_extrapolate",
     "multiplier_candidate",
     "admm_acceptance",
-    "z_subproblem",
     "theta_admm",
     "p_update",
     "f_to_b_adapter",
@@ -56,7 +55,14 @@ class Criterion(enum.Enum):
 
 @dataclass
 class PrimalDualTriple:
-    """Primal pair (x, z) and multiplier p."""
+    """Primal pair (x, z) and multiplier p.
+
+    Construction converts the components to float arrays and checks that
+    they share one shape and are finite.  :func:`run_admm` applies that
+    check to its starting triple and carries its iterates as plain arrays;
+    it builds triples only for its result, a ``BudgetExceeded`` state and
+    the trace rows.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -140,6 +146,11 @@ class AdmmProblem:
     dim: Optional[int] = None
 
 
+def _extrapolate(cur: np.ndarray, prev: np.ndarray,
+                 alpha_k: float) -> np.ndarray:
+    return cur + alpha_k * (cur - prev)
+
+
 def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,
                      alpha_k: float) -> PrimalDualTriple:
     """Componentwise inertial extrapolation of the triple."""
@@ -148,9 +159,9 @@ def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,
     if cur.x.shape != prev.x.shape:
         raise ValueError("dimension mismatch between current and previous triples")
     return PrimalDualTriple(
-        cur.x + alpha_k * (cur.x - prev.x),
-        cur.z + alpha_k * (cur.z - prev.z),
-        cur.p + alpha_k * (cur.p - prev.p),
+        _extrapolate(cur.x, prev.x, alpha_k),
+        _extrapolate(cur.z, prev.z, alpha_k),
+        _extrapolate(cur.p, prev.p, alpha_k),
     )
 
 
@@ -178,12 +189,14 @@ def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
         math.sqrt(t @ t), c * math.sqrt(d @ d))
 
 
-def z_subproblem(p_l: np.ndarray, x_l: np.ndarray, c: float,
-                 prox: ShiftedProxG) -> np.ndarray:
-    """Exact g half-step via the problem's shifted prox."""
-    if not c > 0.0:
-        raise ParameterError("c > 0 violated")
-    return prox.solve(p_l, x_l, c)
+def _theta(z_hat: np.ndarray, p_hat: np.ndarray, x_l: np.ndarray,
+           z_l: np.ndarray, p_l: np.ndarray, c: float) -> float:
+    d = x_l - z_l
+    dd = d @ d
+    if dd == 0.0:
+        raise ZeroVectorError("x = z: solution found")
+    t = c * (z_hat - z_l) - (p_hat - p_l)
+    return float((t @ d) / (c * dd))
 
 
 def theta_admm(hat: PrimalDualTriple, x_l: np.ndarray, z_l: np.ndarray,
@@ -193,12 +206,7 @@ def theta_admm(hat: PrimalDualTriple, x_l: np.ndarray, z_l: np.ndarray,
 
     Raises ``ZeroVectorError`` when x_l = z_l (solution found).
     """
-    d = x_l - z_l
-    dd = d @ d
-    if dd == 0.0:
-        raise ZeroVectorError("x = z: solution found")
-    t = c * (hat.z - z_l) - (hat.p - p_l)
-    return float((t @ d) / (c * dd))
+    return _theta(hat.z, hat.p, x_l, z_l, p_l, c)
 
 
 def p_update(p_hat: np.ndarray, z_hat: np.ndarray, z_next: np.ndarray,
@@ -311,46 +319,61 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     after ``max_outer`` iterations.  The inner budget raises
     ``BudgetExceeded``: with sigma > 0 a conforming F-procedure is always
     accepted eventually.
+
+    Inputs are validated once, at entry: ``params`` (c > 0, alpha and the
+    other engine parameters) and the starting triple (one shape, of length
+    ``problem.dim`` when that is set, finite entries).  The iterates are
+    then carried as plain arrays.  The projection coefficient theta reads
+    the extrapolated z and p and the accepted trial's x, z and p, so a NaN
+    or inf entering through the F-procedure or the prox makes it
+    non-finite; that raises ``ValueError`` naming the outer iteration.
     """
     params.validate()
     if init is None:
         if problem.dim is None:
             raise ValueError("problem.dim required for the default zero start")
         init = PrimalDualTriple.zeros(problem.dim)
+    else:
+        init = PrimalDualTriple(init.x, init.z, init.p)
+        if problem.dim is not None and init.x.shape != (problem.dim,):
+            raise ValueError(f"init has shape {init.x.shape}, "
+                             f"expected ({problem.dim},)")
     c = params.c
     sigma = params.core.sigma
     alpha = params.core.alpha
     rho = params.core.rho_hi
     reset_procedure(problem.fproc)
-    cur = init
-    prev = init
+    x, z, p = init.x, init.z, init.p
+    x_prev, z_prev, p_prev = x, z, p
     inner_total = 0
     trace: list = []
     started = time.perf_counter()
     status = BUDGET_EXCEEDED
     outer = params.max_outer
-    solution = cur.z
+    solution = z
     final_kkt = None
     for k in range(params.max_outer):
         if k % params.kkt_stride == 0:
-            kkt = float(problem.kkt_residual(cur.z))
+            kkt = float(problem.kkt_residual(z))
             if kkt <= params.epsilon:
                 status = "converged"
                 outer = k
-                solution = cur.z
+                solution = z
                 final_kkt = kkt
                 break
-        hat = admm_extrapolate(cur, prev, alpha)
-        session = problem.fproc.open_session(hat.p, hat.z, c, hat.x)
+        x_hat = _extrapolate(x, x_prev, alpha)
+        z_hat = _extrapolate(z, z_prev, alpha)
+        p_hat = _extrapolate(p, p_prev, alpha)
+        session = problem.fproc.open_session(p_hat, z_hat, c, x_hat)
         exact = bool(getattr(session, "exact", False))
         inner_rows: list = []
         accepted = False
         for trial in range(1, params.inner_budget + 1):
             x_l, y_l = session.next()
-            p_l = multiplier_candidate(hat.p, x_l, hat.z, y_l, c)
-            z_l = z_subproblem(p_l, x_l, c, problem.prox_g)
+            p_l = multiplier_candidate(p_hat, x_l, z_hat, y_l, c)
+            z_l = problem.prox_g.solve(p_l, x_l, c)
             accepted = exact or admm_acceptance(
-                y_l, p_l, hat.p, z_l, hat.z, x_l, c, sigma, params.criterion)
+                y_l, p_l, p_hat, z_l, z_hat, x_l, c, sigma, params.criterion)
             if keep_trace:
                 inner_rows.append(InnerTrial(x_l, y_l, p_l, z_l, accepted))
             if accepted:
@@ -358,34 +381,38 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         if not accepted:
             raise BudgetExceeded(
                 f"F-procedure not accepted within {params.inner_budget} trials",
-                state=cur)
+                state=PrimalDualTriple(x, z, p))
         inner_total += trial
         if np.array_equal(x_l, z_l):
             status = "solved"
             outer = k
             solution = z_l
             break
-        th = theta_admm(hat, x_l, z_l, p_l, c)
+        th = _theta(z_hat, p_hat, x_l, z_l, p_l, c)
+        if not math.isfinite(th):
+            raise ValueError(f"non-finite iterate at outer iteration {k} "
+                             f"(theta = {th})")
         if th <= 0.0:
             raise RuntimeError("nonpositive projection coefficient: "
                                "the F-procedure violated its contract")
-        p_next = p_update(hat.p, hat.z, z_l, x_l, th, rho, c)
-        nxt = PrimalDualTriple(x_l, z_l, p_next)
+        p_next = p_update(p_hat, z_hat, z_l, x_l, th, rho, c)
         if keep_trace:
-            gap_vec = p_l - hat.p - c * (z_l - hat.z)
-            trace.append(ADMMStep(hat, x_l, y_l, p_l, z_l, trial, th, rho,
-                                  alpha, nxt, float(np.linalg.norm(gap_vec)),
-                                  inner_rows))
-        prev, cur = cur, nxt
-        solution = cur.z
+            gap_vec = p_l - p_hat - c * (z_l - z_hat)
+            trace.append(ADMMStep(
+                PrimalDualTriple(x_hat, z_hat, p_hat), x_l, y_l, p_l, z_l,
+                trial, th, rho, alpha, PrimalDualTriple(x_l, z_l, p_next),
+                float(np.linalg.norm(gap_vec)), inner_rows))
+        x_prev, z_prev, p_prev = x, z, p
+        x, z, p = x_l, z_l, p_next
+        solution = z
     wall = time.perf_counter() - started
     if final_kkt is None:
         final_kkt = float(problem.kkt_residual(solution))
     obj = float(problem.objective(solution)) if problem.objective else math.nan
     rec_status = CONVERGED if status in ("converged", "solved") else BUDGET_EXCEEDED
     record = RunRecord(outer, inner_total, wall, final_kkt, obj, rec_status)
-    return ADMMResult(solution, cur, status, outer, inner_total,
-                      record, trace if keep_trace else None)
+    return ADMMResult(solution, PrimalDualTriple(x, z, p), status, outer,
+                      inner_total, record, trace if keep_trace else None)
 
 
 def embed_to_dr(triple: PrimalDualTriple, c: float) -> SplitTriple:

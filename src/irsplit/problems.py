@@ -80,6 +80,10 @@ class DesignMatrix:
     def toarray(self) -> np.ndarray:
         return self._mat.toarray() if self.is_sparse else self._mat.copy()
 
+    def tocsr(self) -> sp.csr_matrix:
+        """A CSR copy, built without a dense intermediate when sparse."""
+        return self._mat.copy() if self.is_sparse else sp.csr_matrix(self._mat)
+
 
 def l1_kkt_dist_inf(grad: np.ndarray, x: np.ndarray, nu: float,
                     regularized: Optional[np.ndarray] = None) -> float:
@@ -407,10 +411,16 @@ def save_dense_csv(prob: LassoProblem, path_a, path_b) -> None:
 
 
 def save_libsvm(prob: LogisticProblem, path) -> None:
-    mat = prob.features.toarray()
+    """Write LIBSVM text row by row from the CSR form, never densified;
+    duplicate entries are summed and stored zeros skipped, so each line
+    lists the nonzeros in column order, one per column."""
+    mat = prob.features.tocsr()
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
     with open(path, "w", encoding="utf-8") as handle:
-        for label, row in zip(prob.labels, mat):
+        for i, label in enumerate(prob.labels):
             cells = [f"{int(label):+d}"]
-            for j in np.nonzero(row)[0]:
-                cells.append(f"{j + 1}:{row[j]:.17g}")
+            for k in range(indptr[i], indptr[i + 1]):
+                cells.append(f"{indices[k] + 1}:{data[k]:.17g}")
             handle.write(" ".join(cells) + "\n")

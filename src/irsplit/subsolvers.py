@@ -24,7 +24,6 @@ from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
 __all__ = [
     "CGSession",
     "QuadraticFProcedure",
-    "make_quadratic_fprocedure",
     "LBFGSSession",
     "LBFGSFProcedure",
     "soft_threshold",
@@ -92,10 +91,6 @@ class QuadraticFProcedure:
             return design.apply_transpose(design.apply(u)) + c * u
 
         return CGSession(gram, rhs, x_bar)
-
-
-def make_quadratic_fprocedure(design, b, c: float) -> QuadraticFProcedure:
-    return QuadraticFProcedure(design, b, c)
 
 
 class LBFGSSession:

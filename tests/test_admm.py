@@ -7,9 +7,10 @@ import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, PrimalDualTriple,
                           admm_acceptance, admm_extrapolate, embed_to_dr,
                           f_to_b_adapter, multiplier_candidate, p_update,
-                          run_admm, theta_admm, z_subproblem)
+                          run_admm, theta_admm)
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr, theta
 from irsplit.errors import BudgetExceeded, LineSearchFailure, ZeroVectorError
+from irsplit.hpp import rho_bar_of_beta
 from irsplit.operators import ExactQuadraticFProcedure, L1Resolvent
 from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (LBFGSFProcedure, QuadraticFProcedure,
@@ -98,10 +99,10 @@ def test_max_form_implies_sum_squares():
 
 def test_z_subproblem_closed_forms():
     prox = L1ShiftedProx(0.0)
-    out = z_subproblem(np.array([2.0]), np.array([1.0]), 2.0, prox)
+    out = prox.solve(np.array([2.0]), np.array([1.0]), 2.0)
     assert out[0] == pytest.approx(2.0)  # x + p/c with no shrink
     prox1 = L1ShiftedProx(1.0)
-    assert z_subproblem(np.zeros(1), np.array([3.0]), 1.0, prox1)[0] == \
+    assert prox1.solve(np.zeros(1), np.array([3.0]), 1.0)[0] == \
         pytest.approx(2.0)
 
 
@@ -323,6 +324,190 @@ def test_inner_budget_exhaustion_raises(lasso_20x50, inertial_core):
                         epsilon=1e-6, max_outer=50, inner_budget=30)
     with pytest.raises(BudgetExceeded):
         run_admm(aprob, params)  # sigma = 0 with iterative CG never lands
+
+
+# ---------------------------------------------------------------------------
+# the run against a straight-line reference, and its non-finite guard
+# ---------------------------------------------------------------------------
+
+def published_params(criterion=Criterion.MAX_FORM):
+    """The benchmark setting: c = 1, epsilon 1e-6, the published inertial
+    parameters with rho at the cap implied by beta."""
+    rho = rho_bar_of_beta(0.18976)
+    core = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, rho, rho)
+    return ADMMParams(c=1.0, core=core, criterion=criterion, epsilon=1e-6,
+                      max_outer=10_000)
+
+
+def reference_admm(problem, params):
+    """Straight-line inexact inertial-relaxed ADMM from the public helpers
+    on validated triples (KKT test every outer iteration).  Returns the
+    triple after each outer iteration and the trials each one took."""
+    c, core = params.c, params.core
+    cur = prev = PrimalDualTriple.zeros(problem.dim)
+    triples, trials = [], []
+    for _ in range(params.max_outer):
+        if problem.kkt_residual(cur.z) <= params.epsilon:
+            break
+        hat = admm_extrapolate(cur, prev, core.alpha)
+        session = problem.fproc.open_session(hat.p, hat.z, c, hat.x)
+        for trial in range(1, params.inner_budget + 1):
+            x_l, y_l = session.next()
+            p_l = multiplier_candidate(hat.p, x_l, hat.z, y_l, c)
+            z_l = problem.prox_g.solve(p_l, x_l, c)
+            if admm_acceptance(y_l, p_l, hat.p, z_l, hat.z, x_l, c,
+                               core.sigma, params.criterion):
+                break
+        else:
+            raise BudgetExceeded("reference: no accepted trial")
+        th = theta_admm(hat, x_l, z_l, p_l, c)
+        assert th > 0.0
+        p_next = p_update(hat.p, hat.z, z_l, x_l, th, core.rho_hi, c)
+        prev, cur = cur, PrimalDualTriple(x_l, z_l, p_next)
+        triples.append(cur)
+        trials.append(trial)
+    return triples, trials
+
+
+def make_instance(kind):
+    if kind == "lasso":
+        return ir.lasso_admm_problem(ir.synthetic_lasso(20, 50, seed=7), 1.0)
+    return ir.logistic_admm_problem(ir.synthetic_logistic(30, 11, seed=1),
+                                    1.0)
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("kind", ["lasso", "logistic"])
+def test_run_matches_straight_line_reference(kind, criterion, keep_trace):
+    """The run's iterates are bit-identical to the reference's and every
+    outer iteration takes the same number of trials, on the CG path
+    (LASSO) and the L-BFGS path (logistic)."""
+    params = published_params(criterion)
+    triples, trials = reference_admm(make_instance(kind), params)
+    res = run_admm(make_instance(kind), params, keep_trace=keep_trace)
+    assert res.status == "converged"
+    assert res.outer_iters == len(trials) > 10
+    assert res.inner_iters_total == sum(trials)
+    last = triples[-1]
+    for got, want in ((res.triple.x, last.x), (res.triple.z, last.z),
+                      (res.triple.p, last.p), (res.x, last.z)):
+        assert np.array_equal(got, want)
+    if keep_trace:
+        assert [step.trials for step in res.trace] == trials
+        for step, want in zip(res.trace, triples):
+            assert len(step.inner) == step.trials
+            for got, ref in ((step.next.x, want.x), (step.next.z, want.z),
+                             (step.next.p, want.p)):
+                assert np.array_equal(got, ref)
+    else:
+        assert res.trace is None
+
+
+@pytest.mark.parametrize("instance, counts", [
+    (lambda: ir.lasso_admm_problem(ir.synthetic_lasso(100, 300, seed=0),
+                                   1.0), (71, 125)),
+    (lambda: ir.logistic_admm_problem(ir.synthetic_logistic(50, 31, seed=0),
+                                      1.0), (88, 127)),
+], ids=["lasso_100x300", "logistic_50x31"])
+def test_benchmark_setting_counts(instance, counts):
+    """Outer and inner counts at the benchmark setting, pinned."""
+    res = run_admm(instance(), published_params())
+    assert res.status == "converged"
+    assert (res.outer_iters, res.inner_iters_total) == counts
+
+
+class BrokenAtOuter:
+    """Wraps an F-procedure; the session opened at outer iteration ``at``
+    claims exactness and emits one trial corrupted by ``corrupt``, so the
+    run accepts it.  ``opened`` counts the sessions."""
+
+    def __init__(self, fproc, at, corrupt):
+        self.fproc = fproc
+        self.at = at
+        self.corrupt = corrupt
+        self.opened = 0
+
+    def open_session(self, p, z, c, x_bar):
+        session = self.fproc.open_session(p, z, c, x_bar)
+        self.opened += 1
+        if self.opened - 1 == self.at:
+            step = session.next
+            session.next = lambda: self.corrupt(*step())
+            session.exact = True
+        return session
+
+
+def nan_x(x, y):
+    x = x.copy()
+    x[0] = np.nan
+    return x, y
+
+
+def inf_y(x, y):
+    y = y.copy()
+    y[1] = np.inf
+    return x, y
+
+
+class NaNProx:
+    """Shifted prox that returns NaN in one coordinate from call ``at``."""
+
+    def __init__(self, prox, at):
+        self.prox = prox
+        self.at = at
+        self.calls = 0
+
+    def solve(self, p, x, c):
+        z = self.prox.solve(p, x, c)
+        self.calls += 1
+        if self.calls > self.at:
+            z[2] = np.nan
+        return z
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("source", ["x", "y", "prox"])
+def test_nonfinite_iterate_error_names_outer_iteration(lasso_20x50,
+                                                       inertial_core, source):
+    """A NaN or inf entering through x, y or the prox output makes theta
+    non-finite; the run stops there with the outer index in the message."""
+    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+    if source == "prox":
+        aprob.prox_g = NaNProx(aprob.prox_g, 0)
+        aprob.fproc = BrokenAtOuter(aprob.fproc, 0, lambda x, y: (x, y))
+        at = 0
+    else:
+        aprob.fproc = BrokenAtOuter(aprob.fproc, 3,
+                                    nan_x if source == "x" else inf_y)
+        at = 3
+    params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
+                        max_outer=5000)
+    with pytest.raises(ValueError, match=f"outer iteration {at} "):
+        run_admm(aprob, params)
+    assert aprob.fproc.opened == at + 1
+
+
+def test_nan_in_init_raises_at_entry(lasso_20x50, inertial_core):
+    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+    aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only
+    params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
+                        max_outer=5000)
+    init = PrimalDualTriple.zeros(lasso_20x50.n)
+    init.p[4] = np.nan  # after construction, so the triple's check passed
+    with pytest.raises(ValueError):
+        run_admm(aprob, params, init=init)
+    assert aprob.fproc.opened == 0
+
+
+def test_init_of_wrong_length_raises_at_entry(lasso_20x50, inertial_core):
+    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+    aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only
+    params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
+                        max_outer=5000)
+    with pytest.raises(ValueError, match="shape"):
+        run_admm(aprob, params, init=PrimalDualTriple.zeros(lasso_20x50.n - 1))
+    assert aprob.fproc.opened == 0
 
 
 # ---------------------------------------------------------------------------

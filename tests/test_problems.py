@@ -295,6 +295,44 @@ def test_libsvm_round_trip(tmp_path):
     assert np.array_equal(back.labels, prob.labels)
 
 
+def test_libsvm_round_trip_sparse_is_never_densified(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    mat = sp.random(200, 1000, density=0.01, format="csr", random_state=rng)
+    mat.data = rng.standard_normal(mat.nnz)
+    empty = [0, 17, 199]
+    for i in empty:
+        mat.data[mat.indptr[i]:mat.indptr[i + 1]] = 0.0
+    mat.eliminate_zeros()
+    # store the first entry of row 1 twice: LIBSVM output must sum the pair
+    k = mat.indptr[1]
+    assert mat.indptr[2] > k
+    dup = sp.csr_matrix((np.insert(mat.data, k, mat.data[k]),
+                         np.insert(mat.indices, k, mat.indices[k]),
+                         np.concatenate([mat.indptr[:2], mat.indptr[2:] + 1])),
+                        shape=mat.shape)
+    mat.data[k] *= 2.0
+    labels = np.where(rng.random(200) < 0.5, -1.0, 1.0)
+    prob = ir.LogisticProblem(DesignMatrix(dup), labels, 0.5)
+    assert prob.features.tocsr().nnz == mat.nnz + 1
+
+    def refuse(self):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(DesignMatrix, "toarray", refuse)
+    path = tmp_path / "sparse.libsvm"
+    save_libsvm(prob, path)
+    back = load_libsvm(path, nu=prob.nu, n_features=1000)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 200
+    assert all(len(lines[i].split()) == 1 for i in empty)
+    for line in lines:
+        cols = [tok.split(":")[0] for tok in line.split()[1:]]
+        assert len(cols) == len(set(cols))
+    assert back.features.is_sparse
+    assert (back.features.tocsr() != mat).nnz == 0  # bitwise, .17g
+    assert np.array_equal(back.labels, labels)
+
+
 def test_dense_csv_round_trip(tmp_path):
     prob = ir.synthetic_lasso(6, 4, seed=12)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
