@@ -195,6 +195,9 @@ def _theta(z_hat: np.ndarray, p_hat: np.ndarray, x_l: np.ndarray,
     dd = d @ d
     if dd == 0.0:
         raise ZeroVectorError("x = z: solution found")
+    if not math.isfinite(dd):
+        # an inf in x_l or z_l: the subtractions below would be inf - inf
+        return math.nan
     t = c * (z_hat - z_l) - (p_hat - p_l)
     return float((t @ d) / (c * dd))
 

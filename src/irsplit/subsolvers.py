@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,6 +23,7 @@ from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
 __all__ = [
     "CGSession",
     "QuadraticFProcedure",
+    "CurvatureMemory",
     "LBFGSSession",
     "LBFGSFProcedure",
     "soft_threshold",
@@ -93,65 +93,125 @@ class QuadraticFProcedure:
         return CGSession(gram, rhs, x_bar)
 
 
+class CurvatureMemory:
+    """The last ``size`` L-BFGS secant pairs, oldest first, as array rows.
+
+    Pair ``i`` is row ``i`` of two ``(size, n)`` arrays ``S`` and ``Y``,
+    with ``rho[i] = 1/<s_i, y_i>`` kept in a list.  ``add`` keeps a pair
+    only when its curvature <s, y> is positive relative to ||s|| ||y||, and
+    drops the oldest pair when the memory is full.  ``direction`` is the
+    standard two-loop recursion with the <s, y>/<y, y> scaling of the
+    newest pair, written in matrix form: the inner products it needs come
+    from one Gram matrix ``S Y^T`` and a few matrix-vector products, and
+    the two scalar recursions run on that m x m matrix instead of on
+    n-vectors.
+    """
+
+    def __init__(self, size: int = 10):
+        self.size = size
+        self._s = self._y = np.empty((size, 0))
+        self._rho: list[float] = []
+        self._gamma = 1.0
+
+    def __len__(self) -> int:
+        return len(self._rho)
+
+    def clear(self) -> None:
+        self._rho.clear()
+
+    def add(self, s: np.ndarray, y: np.ndarray) -> None:
+        sy = float(s @ y)
+        yy = float(y @ y)
+        if not self.size or not sy > 1e-12 * math.sqrt(float(s @ s) * yy):
+            return
+        k = len(self._rho)
+        if k == self.size:
+            self._s[:-1] = self._s[1:]
+            self._y[:-1] = self._y[1:]
+            del self._rho[0]
+            k -= 1
+        elif k == 0 and self._s.shape[1] != s.size:
+            self._s = np.empty((self.size, s.size))
+            self._y = np.empty((self.size, s.size))
+        self._s[k] = s
+        self._y[k] = y
+        self._rho.append(1.0 / sy)
+        self._gamma = sy / yy
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """Return -H g, H the L-BFGS inverse-Hessian approximation."""
+        k = len(self._rho)
+        if k == 0:
+            return -g
+        S, Y, rho = self._s[:k], self._y[:k], self._rho
+        gram = (S @ Y.T).tolist()  # gram[i][j] = <s_i, y_j>
+        alpha = (S @ g).tolist()
+        for i in range(k - 1, -1, -1):
+            row = gram[i]
+            a = alpha[i]
+            for j in range(i + 1, k):
+                a -= alpha[j] * row[j]
+            alpha[i] = rho[i] * a
+        q = (g - np.dot(alpha, Y)) * self._gamma
+        coef = (Y @ q).tolist()
+        for i in range(k):
+            b = coef[i]
+            for j in range(i):
+                b += coef[j] * gram[j][i]
+            coef[i] = alpha[i] - rho[i] * b
+        return -(q + np.dot(coef, S))
+
+
 class LBFGSSession:
     """Limited-memory BFGS with Armijo backtracking, one step per ``next``.
 
-    ``pairs`` is the curvature memory the session reads and extends: a
-    bounded deque of ``(s, y, 1/<s, y>)`` secant pairs, a fresh one of
-    length 10 when omitted.  Curvature pairs with nonpositive
-    <step, grad-diff> are skipped.  At a stationary point the session
-    keeps returning it.
+    ``memory`` is the :class:`CurvatureMemory` the session reads and
+    extends, a fresh one of 10 pairs when omitted.  A trial step is
+    accepted by the Armijo test on f.  Near the optimum the decrease that
+    test asks for can fall below the round-off of f, so when f_new and f
+    agree to within ``1e-12 (1 + |f|)`` (the slack ``fista_solve`` uses)
+    the step is also accepted on the gradient form of the Armijo test,
+    ``<g_new, d> <= (2 armijo - 1) <g, d>`` (the approximate Wolfe test of
+    Hager and Zhang).  At a stationary point the session keeps returning
+    it.
     """
 
     def __init__(self, value_and_grad, x0: np.ndarray,
-                 pairs: Optional[deque] = None, armijo: float = 1e-4,
-                 backtrack: float = 0.5, max_backtracks: int = 50):
+                 memory: Optional[CurvatureMemory] = None,
+                 armijo: float = 1e-4, backtrack: float = 0.5,
+                 max_backtracks: int = 50):
         self._fg = value_and_grad
         self.x = np.asarray(x0, dtype=float).copy()
         self.f, self.g = value_and_grad(self.x)
-        self._pairs = deque(maxlen=10) if pairs is None else pairs
+        self._memory = CurvatureMemory() if memory is None else memory
         self._armijo = armijo
         self._backtrack = backtrack
         self._max_backtracks = max_backtracks
 
-    def _direction(self) -> np.ndarray:
-        # standard two-loop recursion with <s,y>/<y,y> initial scaling
-        q = self.g.copy()
-        alphas = []
-        for s, y, rho in reversed(self._pairs):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        if self._pairs:
-            s, y, _ = self._pairs[-1]
-            q *= (s @ y) / (y @ y)
-        for (s, y, rho), a in zip(self._pairs, reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
-        return -q
-
     def next(self) -> tuple[np.ndarray, np.ndarray]:
         if not np.any(self.g):
             return self.x.copy(), self.g.copy()
-        d = self._direction()
+        d = self._memory.direction(self.g)
         slope = float(self.g @ d)
         if slope >= 0.0:
             d = -self.g
             slope = -float(self.g @ self.g)
+        f = self.f
+        armijo = self._armijo
+        slack = 1e-12 * (1.0 + abs(f))
         step = 1.0
         for _ in range(self._max_backtracks):
             x_new = self.x + step * d
             f_new, g_new = self._fg(x_new)
-            if f_new <= self.f + self._armijo * step * slope:
+            if f_new <= f + armijo * step * slope:
+                break
+            if (abs(f_new - f) <= slack
+                    and g_new @ d <= (2.0 * armijo - 1.0) * slope):
                 break
             step *= self._backtrack
         else:
             raise LineSearchFailure("no Armijo step within the backtrack budget")
-        s = x_new - self.x
-        y = g_new - self.g
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            self._pairs.append((s, y, 1.0 / sy))
+        self._memory.add(x_new - self.x, g_new - self.g)
         self.x, self.f, self.g = x_new, f_new, g_new
         return self.x.copy(), self.g.copy()
 
@@ -159,33 +219,34 @@ class LBFGSSession:
 class LBFGSFProcedure:
     """F-procedure for a smooth f given by a value-and-gradient callable.
 
-    The procedure owns one curvature memory of ``memory`` secant pairs that
-    every session it opens reads and extends, so the first step of a
-    session already uses the curvature learned by the earlier ones.  The
-    augmented subobjective f + <p, .> + (c/2)||. - z||^2 has Hessian
+    The procedure owns one :class:`CurvatureMemory` of ``memory`` secant
+    pairs that every session it opens reads and extends, so the first step
+    of a session already uses the curvature learned by the earlier ones.
+    The augmented subobjective f + <p, .> + (c/2)||. - z||^2 has Hessian
     grad^2 f + c I whatever (p, z) are, so a stored pair stays a true
     secant pair while c is unchanged; a session opened with another c
     starts from empty memory.  ``reset()`` clears the memory; the drivers
     call it at run entry so that runs do not depend on each other.  Every
     trial's gradient is still evaluated fresh, so the certificate is the
-    same as with a memoryless session.
+    same as with a memoryless session.  The line search and its round-off
+    fallback are described on :class:`LBFGSSession`.
     """
 
     def __init__(self, value_and_grad, memory: int = 10, armijo: float = 1e-4,
                  backtrack: float = 0.5, max_backtracks: int = 50):
         self._fg = value_and_grad
-        self._pairs: deque = deque(maxlen=memory)
+        self._memory = CurvatureMemory(memory)
         self._c: Optional[float] = None
         self._opts = dict(armijo=armijo, backtrack=backtrack,
                           max_backtracks=max_backtracks)
 
     def reset(self) -> None:
         """Forget every stored curvature pair."""
-        self._pairs.clear()
+        self._memory.clear()
 
     def open_session(self, p, z, c, x_bar) -> LBFGSSession:
         if c != self._c:
-            self._pairs.clear()
+            self._memory.clear()
             self._c = c
         base = self._fg
 
@@ -194,7 +255,7 @@ class LBFGSFProcedure:
             dxz = x - z
             return (f + p @ x + 0.5 * c * (dxz @ dxz), g + p + c * dxz)
 
-        return LBFGSSession(augmented, x_bar, self._pairs, **self._opts)
+        return LBFGSSession(augmented, x_bar, self._memory, **self._opts)
 
 
 def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:

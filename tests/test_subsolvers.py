@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.errors import CGBreakdown, ParameterError
-from irsplit.subsolvers import (CGSession, FistaConfig, LBFGSFProcedure,
-                                LBFGSSession, QuadraticFProcedure,
-                                fista_solve, soft_threshold)
+from irsplit.subsolvers import (CGSession, CurvatureMemory, FistaConfig,
+                                LBFGSFProcedure, LBFGSSession,
+                                QuadraticFProcedure, fista_solve,
+                                soft_threshold)
 
 
 def spd_matrix(rng, n, spread=10.0):
@@ -194,6 +196,64 @@ def test_lbfgs_memory_shared_while_c_is_unchanged():
     shared.reset()
     assert same(trials(shared, 2.0),
                 trials(LBFGSFProcedure(prob.value_gradient), 2.0))
+
+
+def two_loop_reference(pairs, g):
+    """Textbook L-BFGS two-loop recursion on (s, y) pairs, oldest first."""
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = (s @ q) / (s @ y)
+        alphas.append(a)
+        q -= a * y
+    if pairs:
+        s, y = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        b = (y @ q) / (s @ y)
+        q += (a - b) * s
+    return -q
+
+
+def secant_memory(n, flips, seed):
+    """A memory fed secant pairs of a random SPD matrix, one per entry of
+    ``flips``; a flipped pair has negative curvature and must be skipped.
+    Returns the memory, the pairs it should hold and the generator."""
+    rng = np.random.default_rng(seed)
+    h = spd_matrix(rng, n, spread=100.0)
+    memory = CurvatureMemory()
+    kept = []
+    for flip in flips:
+        s = rng.standard_normal(n)
+        y = -(h @ s) if flip else h @ s
+        memory.add(s, y)
+        if not flip:
+            kept.append((s, y))
+    return memory, kept[-10:], rng
+
+
+lbfgs_pairs = dict(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+                   flips=st.lists(st.booleans(), max_size=13))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**lbfgs_pairs)
+def test_lbfgs_direction_matches_two_loop_reference(n, flips, seed):
+    memory, pairs, rng = secant_memory(n, flips, seed)
+    assert len(memory) == len(pairs)
+    g = rng.standard_normal(n)
+    ref = two_loop_reference(pairs, g)
+    assert np.linalg.norm(memory.direction(g) - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**lbfgs_pairs)
+def test_lbfgs_direction_satisfies_newest_secant_equation(n, flips, seed):
+    """H y = s for the newest stored pair (s, y)."""
+    memory, pairs, _ = secant_memory(n, flips + [False], seed)
+    s, y = pairs[-1]
+    assert np.linalg.norm(memory.direction(y) + s) <= 1e-12 * np.linalg.norm(s)
 
 
 def test_lbfgs_stationary_start_accepted_immediately():
