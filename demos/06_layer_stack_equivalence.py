@@ -26,7 +26,7 @@ admm_res = run_admm(ir.lasso_admm_problem(prob, c),
                                epsilon=0.0, max_outer=100),
                     keep_trace=True)
 
-bproc = f_to_b_adapter(QuadraticFProcedure(prob.A, prob.b, c))
+bproc = f_to_b_adapter(QuadraticFProcedure(prob.A, prob.b))
 try:
     dr_res = run_dr(SplitTriple(np.zeros(50), np.zeros(50), np.zeros(50)),
                     DRParams(gamma=1.0 / c, core=core), bproc,

@@ -23,7 +23,7 @@ from .subsolvers import (CGSession, CompositeProblem, FistaConfig,
                          fista_solve, soft_threshold)
 from .problems import (DesignMatrix, LassoProblem, LogisticProblem,
                        l1_kkt_dist_inf, lasso_admm_problem, lasso_composite,
-                       lasso_make_solvers, load_dense_csv, load_libsvm,
+                       load_dense_csv, load_libsvm,
                        logistic_admm_problem, logistic_composite,
                        logistic_make_solvers, reference_minimizer,
                        synthetic_lasso, synthetic_logistic)

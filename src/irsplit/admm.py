@@ -119,8 +119,17 @@ class FProcedure(Protocol):
     The sessions of one run may share state that steers the search, such as
     curvature memory, but never the certificate: each ``y_l`` is evaluated
     at its own ``x_l``.  A procedure holding such state exposes
-    ``reset()``, which the drivers call at run entry, so a run does not
-    depend on the runs before it.
+    ``reset()``, which the drivers call at run entry and on every exit,
+    normal or raised, so a run does not depend on the runs before it and
+    leaves no vectors behind.
+
+    A procedure that declares ``accepts_anchor = True`` takes a fifth
+    argument, ``anchor = (x, x_prev, alpha)``: :func:`run_admm` passes the
+    current and previous accepted trials it extrapolated ``x_bar = x +
+    alpha (x - x_prev)`` from, so the procedure can reuse work done at those
+    points.  The procedure must check that it knows both points and fall
+    back to computing at ``x_bar`` otherwise; callers that pass no anchor,
+    such as the splitting-layer adapter, get that fallback.
     """
 
     def open_session(self, p: np.ndarray, z: np.ndarray, c: float,
@@ -330,6 +339,11 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     the extrapolated z and p and the accepted trial's x, z and p, so a NaN
     or inf entering through the F-procedure or the prox makes it
     non-finite; that raises ``ValueError`` naming the outer iteration.
+
+    When the F-procedure accepts an anchor (see :class:`FProcedure`), each
+    session is opened with the two points ``x_hat`` was extrapolated from.
+    The procedure's ``reset()`` runs at entry and on every exit, including
+    a raised one.
     """
     params.validate()
     if init is None:
@@ -341,11 +355,21 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         if problem.dim is not None and init.x.shape != (problem.dim,):
             raise ValueError(f"init has shape {init.x.shape}, "
                              f"expected ({problem.dim},)")
+    reset_procedure(problem.fproc)
+    try:
+        return _run(problem, params, init, keep_trace)
+    finally:
+        reset_procedure(problem.fproc)
+
+
+def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
+         keep_trace: bool) -> ADMMResult:
     c = params.c
     sigma = params.core.sigma
     alpha = params.core.alpha
     rho = params.core.rho_hi
-    reset_procedure(problem.fproc)
+    open_session = problem.fproc.open_session
+    anchored = bool(getattr(problem.fproc, "accepts_anchor", False))
     x, z, p = init.x, init.z, init.p
     x_prev, z_prev, p_prev = x, z, p
     inner_total = 0
@@ -367,7 +391,10 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         x_hat = _extrapolate(x, x_prev, alpha)
         z_hat = _extrapolate(z, z_prev, alpha)
         p_hat = _extrapolate(p, p_prev, alpha)
-        session = problem.fproc.open_session(p_hat, z_hat, c, x_hat)
+        if anchored:
+            session = open_session(p_hat, z_hat, c, x_hat, (x, x_prev, alpha))
+        else:
+            session = open_session(p_hat, z_hat, c, x_hat)
         exact = bool(getattr(session, "exact", False))
         inner_rows: list = []
         accepted = False

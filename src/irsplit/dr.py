@@ -91,7 +91,8 @@ class BProcedure(Protocol):
     producer contract the interface cannot enforce.  A session may expose
     ``exact = True`` to assert each trial solves the equation exactly by
     construction.  A procedure whose sessions share state within a run
-    exposes ``reset()``, called at run entry (see :func:`reset_procedure`).
+    exposes ``reset()``, called at run entry and on every exit, including a
+    raised one (see :func:`reset_procedure`).
     """
 
     def open_session(self, r: np.ndarray, b: np.ndarray, gamma: float,
@@ -177,8 +178,10 @@ def dr_update(hat: SplitTriple, s: np.ndarray, r: np.ndarray, theta_val: float,
 def reset_procedure(procedure) -> None:
     """Clear the state a procedure's sessions share, if it has any.
 
-    Calls the optional ``reset()`` of a B- or F-procedure, so that a run
-    starts from the same procedure state whatever ran before it.
+    Calls the optional ``reset()`` of a B- or F-procedure.  The drivers
+    call it at run entry, so that a run starts from the same procedure
+    state whatever ran before it, and on every exit, so that no vectors of
+    a finished run stay alive with the procedure.
     """
     reset = getattr(procedure, "reset", None)
     if reset is not None:
@@ -260,6 +263,16 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     """
     params.validate()
     reset_procedure(bproc)
+    try:
+        return _run(init, params, bproc, resolvent, max_outer, sr_tolerance,
+                    keep_trace)
+    finally:
+        reset_procedure(bproc)
+
+
+def _run(init: SplitTriple, params: DRParams, bproc: BProcedure,
+         resolvent: ResolventMap, max_outer: int, sr_tolerance: float,
+         keep_trace: bool) -> DRResult:
     cur = init
     prev = init
     alpha = params.core.alpha

@@ -30,7 +30,6 @@ __all__ = [
     "LogisticProblem",
     "l1_kkt_dist_inf",
     "L1ShiftedProx",
-    "lasso_make_solvers",
     "logistic_make_solvers",
     "lasso_admm_problem",
     "logistic_admm_problem",
@@ -47,7 +46,15 @@ __all__ = [
 
 
 class DesignMatrix:
-    """m x n design matrix, dense ndarray or CSR, with matvec interface."""
+    """m x n design matrix, dense ndarray or CSR, with matvec interface.
+
+    The transpose operator is built once, by the first ``apply_transpose``
+    call, and kept: the zero-copy ``.T`` view of the stored matrix (a CSC
+    view sharing the CSR arrays when sparse, a strided view when dense).
+    Every transpose product then runs the same kernel, in the same
+    summation order, as ``A.T @ u`` built afresh would, without scipy
+    re-checking the index arrays on each call.
+    """
 
     def __init__(self, data):
         if sp.issparse(data):
@@ -62,6 +69,7 @@ class DesignMatrix:
                 raise ValueError("expected a 2-d array")
             if not np.all(np.isfinite(self._mat)):
                 raise ValueError("matrix has non-finite entries")
+        self._mat_t = None
 
     @property
     def shape(self):
@@ -75,7 +83,10 @@ class DesignMatrix:
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
         if u.shape[0] != self.shape[0]:
             raise ValueError(f"dimension mismatch: {u.shape[0]} vs {self.shape[0]}")
-        return np.asarray(self._mat.T @ u).ravel()
+        mat_t = self._mat_t
+        if mat_t is None:
+            mat_t = self._mat_t = self._mat.T
+        return np.asarray(mat_t @ u).ravel()
 
     def toarray(self) -> np.ndarray:
         return self._mat.toarray() if self.is_sparse else self._mat.copy()
@@ -206,11 +217,6 @@ class L1ShiftedProx:
         return z
 
 
-def lasso_make_solvers(prob: LassoProblem, c: float):
-    """CG-backed F-procedure plus the shrink prox for a LASSO instance."""
-    return QuadraticFProcedure(prob.A, prob.b, c), L1ShiftedProx(prob.nu)
-
-
 def logistic_make_solvers(prob: LogisticProblem, c: float):
     """L-BFGS F-procedure plus the bias-skipping shrink prox."""
     return (LBFGSFProcedure(prob.value_gradient),
@@ -218,8 +224,11 @@ def logistic_make_solvers(prob: LogisticProblem, c: float):
 
 
 def lasso_admm_problem(prob: LassoProblem, c: float) -> AdmmProblem:
-    fproc, prox = lasso_make_solvers(prob, c)
-    return AdmmProblem(fproc, prox, prob.kkt_dist_inf, prob.objective, prob.n)
+    """CG-backed F-procedure plus the shrink prox for a LASSO instance.
+    Neither depends on ``c``, which each session receives from the run."""
+    return AdmmProblem(QuadraticFProcedure(prob.A, prob.b),
+                       L1ShiftedProx(prob.nu), prob.kkt_dist_inf,
+                       prob.objective, prob.n)
 
 
 def logistic_admm_problem(prob: LogisticProblem, c: float) -> AdmmProblem:

@@ -40,21 +40,40 @@ class CGSession:
     ``next()`` returns ``(x, y)`` with y = H x - rhs maintained by the usual
     residual recurrence.  Once the residual is exactly zero the session
     keeps returning the current point.  Nonpositive curvature raises
-    ``CGBreakdown``.
+    ``CGBreakdown``.  A caller that already knows ``H x0`` passes it as
+    ``h_x0``, and the session starts without applying the operator.
+    ``last`` is the array the latest ``next()`` returned (None before the
+    first), and ``applied()`` is H at the current point, read off the
+    residual.
     """
 
     def __init__(self, operator_apply: Callable[[np.ndarray], np.ndarray],
-                 rhs: np.ndarray, x0: np.ndarray):
+                 rhs: np.ndarray, x0: np.ndarray,
+                 h_x0: Optional[np.ndarray] = None):
         self._apply = operator_apply
         self.x = np.asarray(x0, dtype=float).copy()
-        self._resid = np.asarray(rhs, dtype=float) - operator_apply(self.x)
+        self._rhs = np.asarray(rhs, dtype=float)
+        if h_x0 is None:
+            h_x0 = operator_apply(self.x)
+        self._resid = self._rhs - h_x0
         self._direction = self._resid.copy()
         self._rs = float(self._resid @ self._resid)
         self.steps = 0
+        self.last: Optional[np.ndarray] = None
+
+    @property
+    def residual(self) -> np.ndarray:
+        """rhs - H x at the current point, as the recurrence carries it."""
+        return self._resid
+
+    def applied(self) -> np.ndarray:
+        """H x at the current point, as rhs minus the carried residual."""
+        return self._rhs - self._resid
 
     def next(self) -> tuple[np.ndarray, np.ndarray]:
         if self._rs == 0.0:
-            return self.x.copy(), -self._resid
+            self.last = self.x.copy()
+            return self.last, -self._resid
         h_d = self._apply(self._direction)
         curvature = float(self._direction @ h_d)
         if curvature <= 0.0:
@@ -66,7 +85,8 @@ class CGSession:
         self._direction = self._resid + (rs_new / self._rs) * self._direction
         self._rs = rs_new
         self.steps += 1
-        return self.x.copy(), -self._resid
+        self.last = self.x.copy()
+        return self.last, -self._resid
 
 
 class QuadraticFProcedure:
@@ -74,23 +94,69 @@ class QuadraticFProcedure:
 
     Sessions solve (A^T A + c I) x = A^T b - p + c z warm started at x_bar;
     the normal matrix is never formed, each step applies A then A^T.
+
+    Opening a session needs H x_bar, H = A^T A + c I.  Computed afresh that
+    costs two design-matrix products.  With ``anchor = (x, x_prev, alpha)``,
+    the caller states that x_bar = x + alpha (x - x_prev); when both points
+    are arrays that this procedure's sessions emitted since the last
+    ``reset()``, the procedure forms
+
+        H x_bar = G(x) + alpha (G(x) - G(x_prev)) + c x_bar
+
+    from G(u) = A^T A u, and the session starts with no product.  G at an
+    emitted point comes from its session's residual, A^T A x_l = rhs - r_l
+    - c x_l, and is kept for the newest two such points; it does not
+    depend on c, so a change of c cannot make it stale.  Otherwise, or
+    with no anchor, the two products are computed as before.  The stored G
+    differs from a fresh product by the round-off the CG recurrence
+    carries, which stays at that level because the extrapolation weights
+    (1 + alpha, -alpha) sum to one.  An emitted array must not be modified
+    in place while it can still be named in an anchor.  ``reset()``
+    releases the stored vectors; the drivers call it at run entry and exit.
     """
 
-    def __init__(self, design, b: np.ndarray, c: float):
-        if not c > 0.0:
-            raise ParameterError("c > 0 violated")
-        self.design = design
-        self.c = c
-        self._at_b = design.apply_transpose(np.asarray(b, dtype=float))
+    accepts_anchor = True
 
-    def open_session(self, p, z, c, x_bar) -> CGSession:
+    def __init__(self, design, b: np.ndarray):
+        self.design = design
+        self._at_b = design.apply_transpose(np.asarray(b, dtype=float))
+        self.reset()
+
+    def reset(self) -> None:
+        """Release the latest session and the stored Gram products."""
+        self._session: Optional[CGSession] = None
+        self._session_c = 0.0
+        self._grams: list = []  # (point, A^T A point), newest last
+
+    def _gram(self, point: np.ndarray) -> Optional[np.ndarray]:
+        """A^T A point without a product, or None when it is not known."""
+        for known, gram in self._grams:
+            if known is point:
+                return gram
+        session = self._session
+        if session is None or session.last is not point:
+            return None
+        gram = session.applied() - self._session_c * point
+        self._grams = self._grams[-1:] + [(point, gram)]
+        return gram
+
+    def open_session(self, p, z, c, x_bar, anchor=None) -> CGSession:
         design = self.design
         rhs = self._at_b - p + c * z
 
         def gram(u):
             return design.apply_transpose(design.apply(u)) + c * u
 
-        return CGSession(gram, rhs, x_bar)
+        h_x_bar = None
+        if anchor is not None:
+            x, x_prev, alpha = anchor
+            g_x = self._gram(x)
+            g_prev = None if g_x is None else self._gram(x_prev)
+            if g_prev is not None:
+                h_x_bar = g_x + alpha * (g_x - g_prev) + c * x_bar
+        session = CGSession(gram, rhs, x_bar, h_x0=h_x_bar)
+        self._session, self._session_c = session, c
+        return session
 
 
 class CurvatureMemory:
@@ -226,10 +292,10 @@ class LBFGSFProcedure:
     grad^2 f + c I whatever (p, z) are, so a stored pair stays a true
     secant pair while c is unchanged; a session opened with another c
     starts from empty memory.  ``reset()`` clears the memory; the drivers
-    call it at run entry so that runs do not depend on each other.  Every
-    trial's gradient is still evaluated fresh, so the certificate is the
-    same as with a memoryless session.  The line search and its round-off
-    fallback are described on :class:`LBFGSSession`.
+    call it at run entry and exit so that runs do not depend on each other.
+    Every trial's gradient is still evaluated fresh, so the certificate is
+    the same as with a memoryless session.  The line search and its
+    round-off fallback are described on :class:`LBFGSSession`.
     """
 
     def __init__(self, value_and_grad, memory: int = 10, armijo: float = 1e-4,

@@ -1,5 +1,9 @@
 """ADMM layer: elementary steps, adapters, runs, and the splitting embedding."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -194,7 +198,7 @@ def test_adapter_exact_step_is_resolvent_of_grad_f():
 
 def test_adapter_cg_membership_and_convergence():
     a, b, _ = small_lasso(m=12, n=7, seed=3)
-    fproc = QuadraticFProcedure(ir.DesignMatrix(a), b, 1.0)
+    fproc = QuadraticFProcedure(ir.DesignMatrix(a), b)
     adapter = f_to_b_adapter(fproc)
     rng = np.random.default_rng(27)
     r, bb = rng.standard_normal(7), rng.standard_normal(7)
@@ -213,11 +217,11 @@ def test_adapter_multiplier_consistency():
     # -(adapter slope) coincides with the multiplier candidate trial by trial
     a, b, _ = small_lasso(m=10, n=6, seed=4)
     c = 1.0
-    fproc = QuadraticFProcedure(ir.DesignMatrix(a), b, c)
+    fproc = QuadraticFProcedure(ir.DesignMatrix(a), b)
     rng = np.random.default_rng(28)
     p_hat, z_hat, x_bar = (rng.standard_normal(6) for _ in range(3))
     fsession = fproc.open_session(p_hat, z_hat, c, x_bar)
-    adapter = f_to_b_adapter(QuadraticFProcedure(ir.DesignMatrix(a), b, c))
+    adapter = f_to_b_adapter(QuadraticFProcedure(ir.DesignMatrix(a), b))
     bsession = adapter.open_session(z_hat, -p_hat, 1.0 / c, x_bar, -p_hat)
     for _ in range(6):
         x_l, y_l = fsession.next()
@@ -341,16 +345,20 @@ def published_params(criterion=Criterion.MAX_FORM):
 
 def reference_admm(problem, params):
     """Straight-line inexact inertial-relaxed ADMM from the public helpers
-    on validated triples (KKT test every outer iteration).  Returns the
-    triple after each outer iteration and the trials each one took."""
+    on validated triples (KKT test every outer iteration).  Sessions are
+    opened as the driver opens them: with the anchor ``(x, x_prev, alpha)``
+    when the F-procedure accepts one.  Returns the triple after each outer
+    iteration and the trials each one took."""
     c, core = params.c, params.core
+    anchored = getattr(problem.fproc, "accepts_anchor", False)
     cur = prev = PrimalDualTriple.zeros(problem.dim)
     triples, trials = [], []
     for _ in range(params.max_outer):
         if problem.kkt_residual(cur.z) <= params.epsilon:
             break
         hat = admm_extrapolate(cur, prev, core.alpha)
-        session = problem.fproc.open_session(hat.p, hat.z, c, hat.x)
+        anchor = ((cur.x, prev.x, core.alpha),) if anchored else ()
+        session = problem.fproc.open_session(hat.p, hat.z, c, hat.x, *anchor)
         for trial in range(1, params.inner_budget + 1):
             x_l, y_l = session.next()
             p_l = multiplier_candidate(hat.p, x_l, hat.z, y_l, c)
@@ -415,6 +423,135 @@ def test_benchmark_setting_counts(instance, counts):
     res = run_admm(instance(), published_params())
     assert res.status == "converged"
     assert (res.outer_iters, res.inner_iters_total) == counts
+
+
+def count_lasso_products(prob):
+    """Build the LASSO ADMM problem with the design-matrix products counted
+    by caller: ``open`` inside ``fproc.open_session``, ``step`` inside a
+    session's ``next`` and ``other`` elsewhere.  Returns
+    ``(problem, counts)``."""
+    counts = {"open": 0, "step": 0, "other": 0}
+    phase = ["other"]
+    design = prob.A
+
+    def counted(product):
+        def apply(v):
+            counts[phase[0]] += 1
+            return product(v)
+        return apply
+
+    def in_phase(name, fn):
+        def call(*args):
+            phase[0] = name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = "other"
+        return call
+
+    design.apply = counted(design.apply)
+    design.apply_transpose = counted(design.apply_transpose)
+    aprob = ir.lasso_admm_problem(prob, 1.0)
+    open_session = aprob.fproc.open_session
+
+    def counted_open(*args):
+        session = in_phase("open", open_session)(*args)
+        session.next = in_phase("step", session.next)
+        return session
+
+    aprob.fproc.open_session = counted_open
+    return aprob, counts
+
+
+def test_lasso_products_at_session_start():
+    """Count gate: a CG session opened by ``run_admm`` builds its starting
+    residual from the Gram products of the two accepted trials it was
+    extrapolated from, so only the first two sessions of a run (whose
+    anchors name the starting point) spend products on it; every CG step
+    spends two.  About 134 session-start products per solve without the
+    reuse."""
+    aprob, counts = count_lasso_products(ir.synthetic_lasso(100, 300, seed=0))
+    res = run_admm(aprob, published_params())
+    assert res.status == "converged"
+    assert (res.outer_iters, res.inner_iters_total) == (71, 125)
+    assert counts["open"] <= 4
+    assert counts["step"] == 2 * res.inner_iters_total
+
+
+def test_certificates_do_not_drift_with_reused_gram_products():
+    """Every emitted y is the augmented gradient at its x, A^T (A x - b) +
+    p_hat + c (x - z_hat), to round-off, over a long run in which each
+    session's starting residual comes from the previous sessions'."""
+    prob = ir.synthetic_lasso(200, 1000, density=0.05, seed=3)
+    params = dataclasses.replace(published_params(), epsilon=1e-10)
+    res = run_admm(ir.lasso_admm_problem(prob, params.c), params,
+                   keep_trace=True)
+    assert res.status == "converged"
+    assert res.outer_iters == 167
+    a = prob.A.toarray()
+    worst = 0.0
+    for step in res.trace:
+        for trial in step.inner:
+            gram_x = a.T @ (a @ trial.x)
+            grad = gram_x - a.T @ prob.b + step.hat.p \
+                + params.c * (trial.x - step.hat.z)
+            worst = max(worst, np.max(np.abs(trial.y - grad))
+                        / (1.0 + np.max(np.abs(gram_x))))
+    assert worst <= 1e-12
+
+
+def held_state(fproc):
+    """The arrays and sessions a procedure holds beyond its set-up."""
+    held, stack = [], [v for k, v in vars(fproc).items() if k != "_at_b"]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif isinstance(v, (np.ndarray, ir.CGSession)):
+            held.append(v)
+    return held
+
+
+@pytest.mark.parametrize("case", ["admm_returns", "admm_raises",
+                                  "dr_raises"])
+def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
+                                              case):
+    """A run resets its F-procedure on every exit, so no session or stored
+    vector of the run stays alive with the procedure."""
+    fproc = QuadraticFProcedure(lasso_20x50.A, lasso_20x50.b)
+    opened = []
+    open_session = fproc.open_session
+
+    def tracked_open(*args):
+        session = open_session(*args)
+        opened.append(weakref.ref(session))
+        return session
+
+    fproc.open_session = tracked_open
+    if case == "dr_raises":
+        n = lasso_20x50.n
+        with pytest.raises(BudgetExceeded):
+            run_dr(SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n)),
+                   DRParams(gamma=1.0, core=inertial_core),
+                   f_to_b_adapter(fproc), L1Resolvent(lasso_20x50.nu),
+                   max_outer=20)
+    else:
+        aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+        aprob.fproc = fproc
+        if case == "admm_returns":
+            params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
+                                max_outer=5000)
+            assert run_admm(aprob, params).status == "converged"
+        else:
+            params = ADMMParams(c=1.0,
+                                core=ir.InertiaRelaxParams.plain(sigma=0.0),
+                                epsilon=1e-6, max_outer=50, inner_budget=30)
+            with pytest.raises(BudgetExceeded):
+                run_admm(aprob, params)
+    assert len(opened) >= 1
+    assert held_state(fproc) == []
+    gc.collect()
+    assert all(ref() is None for ref in opened)
 
 
 class BrokenAtOuter:
@@ -534,7 +671,7 @@ def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
     admm_res = run_admm(aprob, params, keep_trace=True)
     assert admm_res.outer_iters == 110
 
-    fproc = QuadraticFProcedure(prob.A, prob.b, c)
+    fproc = QuadraticFProcedure(prob.A, prob.b)
     bproc = f_to_b_adapter(fproc)
     res_a = L1Resolvent(prob.nu)
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)

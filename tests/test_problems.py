@@ -52,6 +52,20 @@ def test_dense_and_sparse_backends_agree():
         1e-13 * (1 + np.linalg.norm(dense.apply_transpose(u)))
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_transpose_products_match_a_fresh_transpose(sparse):
+    """The transpose operator is built once and kept; every product is
+    bit-identical to ``A.T @ u`` built for that call."""
+    rng = np.random.default_rng(40)
+    mat = sp.random(40, 90, density=0.1, format="csr", random_state=rng) \
+        if sparse else rng.standard_normal((40, 90))
+    design = ir.DesignMatrix(mat)
+    for _ in range(3):
+        u = rng.standard_normal(40)
+        assert np.array_equal(design.apply_transpose(u),
+                              np.asarray(mat.T @ u).ravel())
+
+
 def test_design_matrix_shape_checks():
     d = DesignMatrix(np.ones((3, 2)))
     with pytest.raises(ValueError, match="dimension"):
