@@ -10,7 +10,7 @@ equations with unit proximal stepsize.
 import numpy as np
 
 import irsplit as ir
-from irsplit.admm import ADMMParams, Criterion, f_to_b_adapter, run_admm
+from irsplit.admm import ADMMParams, Criterion, FToBAdapter, run_admm
 from irsplit.dr import DRParams, SplitTriple, run_dr
 from irsplit.errors import BudgetExceeded
 from irsplit.operators import L1Resolvent
@@ -26,7 +26,7 @@ admm_res = run_admm(ir.lasso_admm_problem(prob, c),
                                epsilon=0.0, max_outer=100),
                     keep_trace=True)
 
-bproc = f_to_b_adapter(QuadraticFProcedure(prob.A, prob.b))
+bproc = FToBAdapter(QuadraticFProcedure(prob.A, prob.b))
 try:
     dr_res = run_dr(SplitTriple(np.zeros(50), np.zeros(50), np.zeros(50)),
                     DRParams(gamma=1.0 / c, core=core), bproc,

@@ -11,13 +11,13 @@ from .hpp import (HPPResult, HPPState, InertiaRelaxParams,
                   extrapolate, fejer_check, gauss_bounds_hold, hpp_iterate,
                   q_eval, relaxed_projection, rho_bar_of_beta, run_hpp,
                   smallest_positive_root, validate_params)
-from .dr import (DRParams, DRResult, SplitTriple, a_step, classical_dr_step,
-                 dr_acceptance, dr_extrapolate, dr_update, embed_to_hpp,
-                 inner_loop, run_dr, theta)
 from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
-                   PrimalDualTriple, admm_acceptance, admm_extrapolate,
-                   embed_to_dr, f_to_b_adapter, multiplier_candidate,
-                   p_update, run_admm, theta_admm)
+                   FToBAdapter, PrimalDualTriple, admm_acceptance,
+                   admm_extrapolate, multiplier_candidate, p_update, run_admm,
+                   theta_admm)
+from .dr import (DRParams, DRResult, SplitTriple, a_step, classical_dr_step,
+                 dr_acceptance, dr_update, embed_to_dr, embed_to_hpp, run_dr,
+                 theta)
 from .subsolvers import (CGSession, CompositeProblem, FistaConfig,
                          LBFGSFProcedure, LBFGSSession, QuadraticFProcedure,
                          fista_solve, soft_threshold)

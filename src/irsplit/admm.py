@@ -7,7 +7,8 @@ Acceptance uses either the summed-squares test or the strictly stronger
 max-form test.  Under the change of variables ``(s, b, r) = (x, -p, z)``
 with scaling ``gamma = 1/c`` the recursion coincides with the inexact
 Douglas-Rachford layer applied to A = subdiff(g), B = subdiff(f); the
-F-procedure becomes a B-procedure through :func:`f_to_b_adapter`.
+F-procedure becomes a B-procedure through :class:`FToBAdapter`, and
+:func:`irsplit.dr.run_dr` drives the loop here under that change.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .dr import SplitTriple, reset_procedure
 from .errors import BudgetExceeded, ParameterError, ZeroVectorError
 from .hpp import InertiaRelaxParams, validate_params
 from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
@@ -37,12 +37,12 @@ __all__ = [
     "admm_acceptance",
     "theta_admm",
     "p_update",
-    "f_to_b_adapter",
+    "FToBAdapter",
     "InnerTrial",
     "ADMMStep",
     "ADMMResult",
+    "reset_procedure",
     "run_admm",
-    "embed_to_dr",
 ]
 
 
@@ -93,7 +93,6 @@ class ADMMParams:
     epsilon: float = 1e-6
     inner_budget: int = 10_000
     max_outer: int = 10_000
-    kkt_stride: int = 1
 
     def validate(self):
         if not self.c > 0.0:
@@ -102,8 +101,6 @@ class ADMMParams:
             raise ParameterError("epsilon >= 0 violated")
         if self.inner_budget < 1 or self.max_outer < 0:
             raise ParameterError("budgets must be positive")
-        if self.kkt_stride < 1:
-            raise ParameterError("kkt_stride must be positive")
         validate_params(self.core)
 
 
@@ -129,7 +126,7 @@ class FProcedure(Protocol):
     alpha (x - x_prev)`` from, so the procedure can reuse work done at those
     points.  The procedure must check that it knows both points and fall
     back to computing at ``x_bar`` otherwise; callers that pass no anchor,
-    such as the splitting-layer adapter, get that fallback.
+    such as a direct user of :class:`FToBAdapter`, get that fallback.
     """
 
     def open_session(self, p: np.ndarray, z: np.ndarray, c: float,
@@ -198,12 +195,9 @@ def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
         math.sqrt(t @ t), c * math.sqrt(d @ d))
 
 
-def _theta(z_hat: np.ndarray, p_hat: np.ndarray, x_l: np.ndarray,
-           z_l: np.ndarray, p_l: np.ndarray, c: float) -> float:
-    d = x_l - z_l
-    dd = d @ d
-    if dd == 0.0:
-        raise ZeroVectorError("x = z: solution found")
+def _theta(z_hat: np.ndarray, p_hat: np.ndarray, z_l: np.ndarray,
+           p_l: np.ndarray, d: np.ndarray, dd: float, c: float) -> float:
+    """theta from d = x_l - z_l and dd = d @ d > 0."""
     if not math.isfinite(dd):
         # an inf in x_l or z_l: the subtractions below would be inf - inf
         return math.nan
@@ -218,7 +212,11 @@ def theta_admm(hat: PrimalDualTriple, x_l: np.ndarray, z_l: np.ndarray,
 
     Raises ``ZeroVectorError`` when x_l = z_l (solution found).
     """
-    return _theta(hat.z, hat.p, x_l, z_l, p_l, c)
+    d = x_l - z_l
+    dd = d @ d
+    if dd == 0.0:
+        raise ZeroVectorError("x = z: solution found")
+    return _theta(hat.z, hat.p, z_l, p_l, d, dd, c)
 
 
 def p_update(p_hat: np.ndarray, z_hat: np.ndarray, z_next: np.ndarray,
@@ -261,16 +259,9 @@ class FToBAdapter:
     def __init__(self, fproc: FProcedure):
         self.fproc = fproc
 
-    def reset(self) -> None:
-        reset_procedure(self.fproc)
-
     def open_session(self, r, b, gamma, s_bar, b_bar):
         fsession = self.fproc.open_session(-b, r, 1.0 / gamma, s_bar)
         return _AdaptedSession(fsession, r, b, gamma)
-
-
-def f_to_b_adapter(fproc: FProcedure) -> FToBAdapter:
-    return FToBAdapter(fproc)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +283,6 @@ class ADMMStep:
 
     hat: PrimalDualTriple
     x: np.ndarray
-    y: np.ndarray
     p_l: np.ndarray
     z_l: np.ndarray
     trials: int
@@ -300,7 +290,6 @@ class ADMMStep:
     rho_k: float
     alpha_k: float
     next: PrimalDualTriple
-    p_gap: float
     inner: Optional[list] = None
 
 
@@ -320,14 +309,28 @@ class ADMMResult:
     trace: Optional[list] = None
 
 
+def reset_procedure(procedure) -> None:
+    """Clear the state a procedure's sessions share, if it has any.
+
+    Calls the optional ``reset()`` of an F- or B-procedure.  The loop
+    calls it at run entry, so that a run starts from the same procedure
+    state whatever ran before it, and on every exit, so that no vectors of
+    a finished run stay alive with the procedure.
+    """
+    reset = getattr(procedure, "reset", None)
+    if reset is not None:
+        reset()
+
+
 def run_admm(problem: AdmmProblem, params: ADMMParams,
              init: Optional[PrimalDualTriple] = None,
              keep_trace: bool = False) -> ADMMResult:
     """Run the inexact inertial-relaxed ADMM until the outer residual test.
 
     Stops when the KKT residual at the g-side iterate falls to
-    ``params.epsilon`` (checked every ``kkt_stride`` outer iterations), on
-    the exact coincidence x_l = z_l, or with status ``budget_exceeded``
+    ``params.epsilon`` (checked every outer iteration), on the exact
+    coincidence x_l = z_l of an accepted trial, which is then returned as
+    ``triple`` with status ``solved``, or with status ``budget_exceeded``
     after ``max_outer`` iterations.  The inner budget raises
     ``BudgetExceeded``: with sigma > 0 a conforming F-procedure is always
     accepted eventually.
@@ -355,102 +358,105 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         if problem.dim is not None and init.x.shape != (problem.dim,):
             raise ValueError(f"init has shape {init.x.shape}, "
                              f"expected ({problem.dim},)")
-    reset_procedure(problem.fproc)
-    try:
-        return _run(problem, params, init, keep_trace)
-    finally:
-        reset_procedure(problem.fproc)
+    return _run(problem, params, init, keep_trace)
 
 
 def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
-         keep_trace: bool) -> ADMMResult:
-    c = params.c
-    sigma = params.core.sigma
-    alpha = params.core.alpha
-    rho = params.core.rho_hi
-    open_session = problem.fproc.open_session
-    anchored = bool(getattr(problem.fproc, "accepts_anchor", False))
-    x, z, p = init.x, init.z, init.p
-    x_prev, z_prev, p_prev = x, z, p
-    inner_total = 0
-    trace: list = []
-    started = time.perf_counter()
-    status = BUDGET_EXCEEDED
-    outer = params.max_outer
-    solution = z
-    final_kkt = None
-    for k in range(params.max_outer):
-        if k % params.kkt_stride == 0:
-            kkt = float(problem.kkt_residual(z))
-            if kkt <= params.epsilon:
-                status = "converged"
-                outer = k
-                solution = z
-                final_kkt = kkt
-                break
-        x_hat = _extrapolate(x, x_prev, alpha)
-        z_hat = _extrapolate(z, z_prev, alpha)
-        p_hat = _extrapolate(p, p_prev, alpha)
-        if anchored:
-            session = open_session(p_hat, z_hat, c, x_hat, (x, x_prev, alpha))
-        else:
-            session = open_session(p_hat, z_hat, c, x_hat)
-        exact = bool(getattr(session, "exact", False))
-        inner_rows: list = []
-        accepted = False
-        for trial in range(1, params.inner_budget + 1):
-            x_l, y_l = session.next()
-            p_l = multiplier_candidate(p_hat, x_l, z_hat, y_l, c)
-            z_l = problem.prox_g.solve(p_l, x_l, c)
-            accepted = exact or admm_acceptance(
-                y_l, p_l, p_hat, z_l, z_hat, x_l, c, sigma, params.criterion)
-            if keep_trace:
-                inner_rows.append(InnerTrial(x_l, y_l, p_l, z_l, accepted))
-            if accepted:
-                break
-        if not accepted:
-            raise BudgetExceeded(
-                f"F-procedure not accepted within {params.inner_budget} trials",
-                state=PrimalDualTriple(x, z, p))
-        inner_total += trial
-        if np.array_equal(x_l, z_l):
-            status = "solved"
-            outer = k
-            solution = z_l
-            break
-        th = _theta(z_hat, p_hat, x_l, z_l, p_l, c)
-        if not math.isfinite(th):
-            raise ValueError(f"non-finite iterate at outer iteration {k} "
-                             f"(theta = {th})")
-        if th <= 0.0:
-            raise RuntimeError("nonpositive projection coefficient: "
-                               "the F-procedure violated its contract")
-        p_next = p_update(p_hat, z_hat, z_l, x_l, th, rho, c)
-        if keep_trace:
-            gap_vec = p_l - p_hat - c * (z_l - z_hat)
-            trace.append(ADMMStep(
-                PrimalDualTriple(x_hat, z_hat, p_hat), x_l, y_l, p_l, z_l,
-                trial, th, rho, alpha, PrimalDualTriple(x_l, z_l, p_next),
-                float(np.linalg.norm(gap_vec)), inner_rows))
-        x_prev, z_prev, p_prev = x, z, p
-        x, z, p = x_l, z_l, p_next
-        solution = z
-    wall = time.perf_counter() - started
-    if final_kkt is None:
-        final_kkt = float(problem.kkt_residual(solution))
-    obj = float(problem.objective(solution)) if problem.objective else math.nan
-    rec_status = CONVERGED if status in ("converged", "solved") else BUDGET_EXCEEDED
-    record = RunRecord(outer, inner_total, wall, final_kkt, obj, rec_status)
-    return ADMMResult(solution, PrimalDualTriple(x, z, p), status, outer,
-                      inner_total, record, trace if keep_trace else None)
+         keep_trace: bool, gap_tol: float = 0.0,
+         check_kkt: bool = True) -> ADMMResult:
+    """The outer loop of both drivers, on validated inputs.
 
-
-def embed_to_dr(triple: PrimalDualTriple, c: float) -> SplitTriple:
-    """Change of variables (s, b, r) = (x, -p, z) onto the splitting layer.
-
-    With scaling gamma = 1/c every run quantity maps onto the splitting
-    recursion; the implied exact half-step slope is a = c (s - r) - b.
+    Stops on a KKT residual at most ``params.epsilon`` when ``check_kkt``,
+    on an accepted trial with ||x_l - z_l|| <= ``gap_tol`` (status
+    ``solved``, the trial returned), or after ``params.max_outer``
+    iterations.  The record's ``final_kkt`` is the KKT residual at the
+    returned z, or ||x - z|| of the returned triple without the KKT test.
     """
-    if not c > 0.0:
-        raise ParameterError("c > 0 violated")
-    return SplitTriple(triple.x, -triple.p, triple.z)
+    reset_procedure(problem.fproc)
+    try:
+        c = params.c
+        sigma = params.core.sigma
+        alpha = params.core.alpha
+        rho = params.core.rho_hi
+        open_session = problem.fproc.open_session
+        anchored = bool(getattr(problem.fproc, "accepts_anchor", False))
+        x, z, p = init.x, init.z, init.p
+        x_prev, z_prev, p_prev = x, z, p
+        inner_total = 0
+        trace: list = []
+        started = time.perf_counter()
+        status = BUDGET_EXCEEDED
+        outer = params.max_outer
+        final_kkt = None
+        for k in range(params.max_outer):
+            if check_kkt:
+                kkt = float(problem.kkt_residual(z))
+                if kkt <= params.epsilon:
+                    status = "converged"
+                    outer = k
+                    final_kkt = kkt
+                    break
+            x_hat = _extrapolate(x, x_prev, alpha)
+            z_hat = _extrapolate(z, z_prev, alpha)
+            p_hat = _extrapolate(p, p_prev, alpha)
+            if anchored:
+                session = open_session(p_hat, z_hat, c, x_hat,
+                                       (x, x_prev, alpha))
+            else:
+                session = open_session(p_hat, z_hat, c, x_hat)
+            exact = bool(getattr(session, "exact", False))
+            inner_rows: list = []
+            accepted = False
+            for trial in range(1, params.inner_budget + 1):
+                x_l, y_l = session.next()
+                p_l = multiplier_candidate(p_hat, x_l, z_hat, y_l, c)
+                z_l = problem.prox_g.solve(p_l, x_l, c)
+                accepted = exact or admm_acceptance(
+                    y_l, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                    params.criterion)
+                if keep_trace:
+                    inner_rows.append(InnerTrial(x_l, y_l, p_l, z_l,
+                                                 accepted))
+                if accepted:
+                    break
+            if not accepted:
+                raise BudgetExceeded(
+                    f"F-procedure not accepted within "
+                    f"{params.inner_budget} trials",
+                    state=PrimalDualTriple(x, z, p))
+            inner_total += trial
+            d = x_l - z_l
+            dd = d @ d
+            if math.sqrt(dd) <= gap_tol:
+                status = "solved"
+                outer = k
+                x, z, p = x_l, z_l, p_l
+                break
+            th = _theta(z_hat, p_hat, z_l, p_l, d, dd, c)
+            if not math.isfinite(th):
+                raise ValueError(f"non-finite iterate at outer iteration {k} "
+                                 f"(theta = {th})")
+            if th <= 0.0:
+                raise RuntimeError("nonpositive projection coefficient: "
+                                   "the F-procedure violated its contract")
+            p_next = p_update(p_hat, z_hat, z_l, x_l, th, rho, c)
+            if keep_trace:
+                trace.append(ADMMStep(
+                    PrimalDualTriple(x_hat, z_hat, p_hat), x_l, p_l, z_l,
+                    trial, th, rho, alpha, PrimalDualTriple(x_l, z_l, p_next),
+                    inner_rows))
+            x_prev, z_prev, p_prev = x, z, p
+            x, z, p = x_l, z_l, p_next
+        wall = time.perf_counter() - started
+        if final_kkt is None:
+            final_kkt = (float(problem.kkt_residual(z)) if check_kkt
+                         else float(np.linalg.norm(x - z)))
+        obj = float(problem.objective(z)) if problem.objective else math.nan
+        rec_status = (CONVERGED if status in ("converged", "solved")
+                      else BUDGET_EXCEEDED)
+        record = RunRecord(outer, inner_total, wall, final_kkt, obj,
+                           rec_status)
+        return ADMMResult(z, PrimalDualTriple(x, z, p), status, outer,
+                          inner_total, record, trace if keep_trace else None)
+    finally:
+        reset_procedure(problem.fproc)

@@ -9,40 +9,40 @@ projective correction of the ``b`` component.
 The outer recursion is an instance of the proximal-projection engine in
 :mod:`irsplit.hpp` applied to the splitting operator of the pair (A, B)
 with unit stepsize; ``embed_to_hpp`` exposes that change of variables for
-verification.
+verification.  :func:`run_dr` is the loop of :mod:`irsplit.admm` under
+the change of variables of ``embed_to_dr``.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Protocol
 
 import numpy as np
 
+from .admm import (ADMMParams, AdmmProblem, Criterion, FToBAdapter,
+                   PrimalDualTriple, _run, reset_procedure)
 from .errors import BudgetExceeded, ParameterError, ZeroVectorError
 from .hpp import InertiaRelaxParams, validate_params
-from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
+from .records import BUDGET_EXCEEDED, RunRecord
 
 __all__ = [
     "SplitTriple",
     "DRParams",
     "BProcedure",
     "ResolventMap",
-    "dr_extrapolate",
     "a_step",
     "dr_acceptance",
     "theta",
     "dr_update",
-    "inner_loop",
     "InnerSolve",
     "DRStep",
     "DRResult",
-    "reset_procedure",
     "run_dr",
     "classical_dr_step",
     "embed_to_hpp",
+    "embed_to_dr",
 ]
 
 
@@ -92,7 +92,7 @@ class BProcedure(Protocol):
     ``exact = True`` to assert each trial solves the equation exactly by
     construction.  A procedure whose sessions share state within a run
     exposes ``reset()``, called at run entry and on every exit, including a
-    raised one (see :func:`reset_procedure`).
+    raised one (see :func:`irsplit.admm.reset_procedure`).
     """
 
     def open_session(self, r: np.ndarray, b: np.ndarray, gamma: float,
@@ -105,19 +105,6 @@ class ResolventMap(Protocol):
 
     def apply(self, gamma: float, u: np.ndarray) -> np.ndarray:
         ...
-
-
-def dr_extrapolate(cur: SplitTriple, prev: SplitTriple, alpha_k: float) -> SplitTriple:
-    """Componentwise inertial extrapolation of the triple."""
-    if alpha_k < 0.0:
-        raise ParameterError("alpha_k must be nonnegative")
-    if cur.s.shape != prev.s.shape:
-        raise ValueError("dimension mismatch between current and previous triples")
-    return SplitTriple(
-        cur.s + alpha_k * (cur.s - prev.s),
-        cur.b + alpha_k * (cur.b - prev.b),
-        cur.r + alpha_k * (cur.r - prev.r),
-    )
 
 
 def a_step(s: np.ndarray, b: np.ndarray, gamma: float,
@@ -175,49 +162,14 @@ def dr_update(hat: SplitTriple, s: np.ndarray, r: np.ndarray, theta_val: float,
     return SplitTriple(s, hat.b - bracket / gamma, r)
 
 
-def reset_procedure(procedure) -> None:
-    """Clear the state a procedure's sessions share, if it has any.
-
-    Calls the optional ``reset()`` of a B- or F-procedure.  The drivers
-    call it at run entry, so that a run starts from the same procedure
-    state whatever ran before it, and on every exit, so that no vectors of
-    a finished run stay alive with the procedure.
-    """
-    reset = getattr(procedure, "reset", None)
-    if reset is not None:
-        reset()
-
-
 @dataclass
 class InnerSolve:
-    """Accepted inner trial: the pair, the exact A half-step, trials used."""
+    """Accepted inner trial: the pair (s, b), the A half-step r, trials used."""
 
     s: np.ndarray
     b: np.ndarray
     r: np.ndarray
-    a: np.ndarray
     trials: int
-
-
-def inner_loop(hat: SplitTriple, params: DRParams, bproc: BProcedure,
-               resolvent: ResolventMap) -> InnerSolve:
-    """Advance the B-procedure one trial at a time until acceptance.
-
-    Raises ``BudgetExceeded`` after ``params.inner_budget`` trials; with
-    sigma > 0 a contract-conforming procedure is always accepted eventually,
-    so hitting the budget signals a configuration problem.
-    """
-    session = bproc.open_session(hat.r, hat.b, params.gamma, hat.s, hat.b)
-    exact = bool(getattr(session, "exact", False))
-    sigma = params.core.sigma
-    for trial in range(1, params.inner_budget + 1):
-        s_l, b_l = session.next()
-        r_l, a_l = a_step(s_l, b_l, params.gamma, resolvent)
-        if exact or dr_acceptance(hat, s_l, b_l, r_l, params.gamma, sigma):
-            return InnerSolve(s_l, b_l, r_l, a_l, trial)
-    raise BudgetExceeded(
-        f"B-procedure not accepted within {params.inner_budget} trials",
-        state=hat)
 
 
 @dataclass
@@ -246,6 +198,51 @@ class DRResult:
     trace: Optional[list] = None
 
 
+class _BToF:
+    """A B-procedure as the loop's F-procedure: the session for (p_hat,
+    z_hat, c) is the B-session for r = z_hat, b = -p_hat, and it emits a
+    trial (s_l, b_l) as (s_l, b_l + p_hat + c (s_l - z_hat)), whose
+    multiplier candidate is -b_l."""
+
+    def __init__(self, bproc: BProcedure, gamma: float):
+        self.bproc = bproc
+        self.gamma = gamma
+
+    def reset(self) -> None:
+        reset_procedure(self.bproc)
+
+    def open_session(self, p, z, c, x_bar):
+        bsession = self.bproc.open_session(z, -p, self.gamma, x_bar, -p)
+
+        def next_trial():
+            s_l, b_l = bsession.next()
+            return s_l, b_l + p + c * (s_l - z)
+
+        return SimpleNamespace(next=next_trial,
+                               exact=bool(getattr(bsession, "exact", False)))
+
+
+class _ResolventProx:
+    """The A half-step as the loop's shifted prox, J_{gamma A}(x + gamma p)."""
+
+    def __init__(self, resolvent: ResolventMap, gamma: float):
+        self.resolvent = resolvent
+        self.gamma = gamma
+
+    def solve(self, p, x, c):
+        return self.resolvent.apply(self.gamma, x + self.gamma * p)
+
+
+def _split(triple: PrimalDualTriple) -> SplitTriple:
+    return SplitTriple(triple.x, -triple.p, triple.z)
+
+
+def _dr_step(step) -> DRStep:
+    return DRStep(_split(step.hat),
+                  InnerSolve(step.x, -step.p_l, step.z_l, step.trials),
+                  step.theta, step.rho_k, step.alpha_k, _split(step.next))
+
+
 def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
            resolvent: ResolventMap, max_outer: int = 1000,
            sr_tolerance: float = 0.0, keep_trace: bool = False) -> DRResult:
@@ -254,7 +251,13 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     The default tolerance 0 stops only on the exact coincidence s = r, in
     which case that point solves the inclusion.  Constant schedules
     alpha_k = alpha and rho_k = rho_hi are used.  Raises ``BudgetExceeded``
-    (partial result in ``state``) when ``max_outer`` runs out.
+    (partial result in ``state``) when ``max_outer`` runs out, and with the
+    last triple in ``state`` when the inner budget does.
+
+    The run is the loop of :func:`irsplit.admm.run_admm` with the
+    summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,
+    1/gamma).  An :class:`FToBAdapter` is unwrapped: its F-procedure is
+    driven directly and gets the anchored session start of an ADMM run.
 
     Once the outer iterates reach the machine-precision floor the relative
     acceptance test has no room left (its right side vanishes while the
@@ -262,49 +265,28 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     give a positive ``sr_tolerance`` for runs expected to go that far.
     """
     params.validate()
-    reset_procedure(bproc)
+    gamma = params.gamma
+    fproc = (bproc.fproc if isinstance(bproc, FToBAdapter)
+             else _BToF(bproc, gamma))
+    problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
+    loop_params = ADMMParams(1.0 / gamma, params.core, Criterion.SUM_SQUARES,
+                             inner_budget=params.inner_budget,
+                             max_outer=max_outer)
     try:
-        return _run(init, params, bproc, resolvent, max_outer, sr_tolerance,
-                    keep_trace)
-    finally:
-        reset_procedure(bproc)
-
-
-def _run(init: SplitTriple, params: DRParams, bproc: BProcedure,
-         resolvent: ResolventMap, max_outer: int, sr_tolerance: float,
-         keep_trace: bool) -> DRResult:
-    cur = init
-    prev = init
-    alpha = params.core.alpha
-    rho = params.core.rho_hi
-    inner_total = 0
-    trace: list = []
-    started = time.perf_counter()
-    for k in range(max_outer):
-        hat = dr_extrapolate(cur, prev, alpha)
-        sol = inner_loop(hat, params, bproc, resolvent)
-        inner_total += sol.trials
-        gap = float(np.linalg.norm(sol.s - sol.r))
-        if gap <= sr_tolerance:
-            rec = RunRecord(k, inner_total, time.perf_counter() - started,
-                            gap, math.nan, CONVERGED)
-            return DRResult(SplitTriple(sol.s, sol.b, sol.r), sol.r, "solved",
-                            k, inner_total, rec, trace if keep_trace else None)
-        th = theta(hat, sol.s, sol.b, sol.r, params.gamma)
-        if th <= 0.0:
-            raise RuntimeError("nonpositive projection coefficient: "
-                               "the B-procedure violated its contract")
-        nxt = dr_update(hat, sol.s, sol.r, th, rho, params.gamma)
-        if keep_trace:
-            trace.append(DRStep(hat, sol, th, rho, alpha, nxt))
-        prev, cur = cur, nxt
-    rec = RunRecord(max_outer, inner_total, time.perf_counter() - started,
-                    float(np.linalg.norm(cur.s - cur.r)), math.nan,
-                    BUDGET_EXCEEDED)
-    raise BudgetExceeded(
-        f"no convergence within {max_outer} outer iterations",
-        state=DRResult(cur, cur.r, BUDGET_EXCEEDED, max_outer, inner_total,
-                       rec, trace if keep_trace else None))
+        res = _run(problem, loop_params,
+                   PrimalDualTriple(init.s, init.r, -init.b), keep_trace,
+                   gap_tol=sr_tolerance, check_kkt=False)
+    except BudgetExceeded as exc:
+        if isinstance(exc.state, PrimalDualTriple):
+            exc.state = _split(exc.state)
+        raise
+    trace = None if res.trace is None else [_dr_step(st) for st in res.trace]
+    out = DRResult(_split(res.triple), res.x, res.status, res.outer_iters,
+                   res.inner_iters_total, res.record, trace)
+    if res.status == BUDGET_EXCEEDED:
+        raise BudgetExceeded(
+            f"no convergence within {max_outer} outer iterations", state=out)
+    return out
 
 
 def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,
@@ -332,3 +314,14 @@ def embed_to_hpp(triple: SplitTriple, hat: SplitTriple, s_acc: np.ndarray,
     z_tilde = r_acc + gamma * b_acc
     v = s_acc - r_acc
     return z, w, z_tilde, v
+
+
+def embed_to_dr(triple: PrimalDualTriple, c: float) -> SplitTriple:
+    """Change of variables (s, b, r) = (x, -p, z) onto the splitting layer.
+
+    With scaling gamma = 1/c every run quantity maps onto the splitting
+    recursion; the implied exact half-step slope is a = c (s - r) - b.
+    """
+    if not c > 0.0:
+        raise ParameterError("c > 0 violated")
+    return _split(triple)

@@ -3,16 +3,18 @@
 import dataclasses
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import irsplit as ir
-from irsplit.admm import (ADMMParams, Criterion, PrimalDualTriple,
-                          admm_acceptance, admm_extrapolate, embed_to_dr,
-                          f_to_b_adapter, multiplier_candidate, p_update,
-                          run_admm, theta_admm)
-from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr, theta
+from irsplit.admm import (ADMMParams, Criterion, FToBAdapter,
+                          PrimalDualTriple, admm_acceptance, admm_extrapolate,
+                          multiplier_candidate, p_update, run_admm, theta_admm)
+from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
+                        run_dr, theta)
 from irsplit.errors import BudgetExceeded, ZeroVectorError
 from irsplit.hpp import rho_bar_of_beta
 from irsplit.operators import ExactQuadraticFProcedure, L1Resolvent
@@ -101,6 +103,33 @@ def test_max_form_implies_sum_squares():
                                    Criterion.SUM_SQUARES)
 
 
+accepted_trials = dict(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+                       c=st.floats(0.05, 20.0), sigma=st.floats(0.0, 0.99),
+                       reach=st.floats(0.0, 1.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(**accepted_trials)
+def test_accepted_trial_has_theta_at_least_half_one_minus_sigma_sq(
+        n, seed, c, sigma, reach):
+    """Summed-squares acceptance implies theta >= (1 - sigma^2)/2 > 0.  With
+    t = p_l - p_hat - c (z_l - z_hat), u = -t/c and d = x_l - z_l the
+    multiplier candidate gives y = c (u + d), the test reads ||u + d||^2 <=
+    sigma^2 (||u||^2 + ||d||^2) and theta = -<u, d>/||d||^2; expanding the
+    test gives the bound.  ``||y|| = reach sigma c ||d||``, so every draw
+    with reach <= 1 passes and the rest straddle the boundary, where n = 1
+    comes within a factor 1 + (1 - sigma^2)^2/4 of the bound."""
+    rng = np.random.default_rng(seed)
+    p_hat, z_hat, x_l, z_l, y = (rng.standard_normal(n) for _ in range(5))
+    d = x_l - z_l
+    y *= reach * sigma * c * np.linalg.norm(d) / np.linalg.norm(y)
+    p_l = multiplier_candidate(p_hat, x_l, z_hat, y, c)
+    assume(admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                           Criterion.SUM_SQUARES))
+    hat = PrimalDualTriple(np.zeros(n), z_hat, p_hat)
+    assert theta_admm(hat, x_l, z_l, p_l, c) >= 0.5 * (1.0 - sigma * sigma)
+
+
 def test_z_subproblem_closed_forms():
     prox = L1ShiftedProx(0.0)
     out = prox.solve(np.array([2.0]), np.array([1.0]), 2.0)
@@ -184,7 +213,7 @@ def test_p_update_cases_and_embedding():
 def test_adapter_exact_step_is_resolvent_of_grad_f():
     a, b, _ = small_lasso()
     fproc = ExactQuadraticFProcedure(a, b)
-    adapter = f_to_b_adapter(fproc)
+    adapter = FToBAdapter(fproc)
     rng = np.random.default_rng(26)
     r, bb = rng.standard_normal(5), rng.standard_normal(5)
     gamma = 0.8
@@ -199,7 +228,7 @@ def test_adapter_exact_step_is_resolvent_of_grad_f():
 def test_adapter_cg_membership_and_convergence():
     a, b, _ = small_lasso(m=12, n=7, seed=3)
     fproc = QuadraticFProcedure(ir.DesignMatrix(a), b)
-    adapter = f_to_b_adapter(fproc)
+    adapter = FToBAdapter(fproc)
     rng = np.random.default_rng(27)
     r, bb = rng.standard_normal(7), rng.standard_normal(7)
     gamma = 1.0
@@ -221,7 +250,7 @@ def test_adapter_multiplier_consistency():
     rng = np.random.default_rng(28)
     p_hat, z_hat, x_bar = (rng.standard_normal(6) for _ in range(3))
     fsession = fproc.open_session(p_hat, z_hat, c, x_bar)
-    adapter = f_to_b_adapter(QuadraticFProcedure(ir.DesignMatrix(a), b))
+    adapter = FToBAdapter(QuadraticFProcedure(ir.DesignMatrix(a), b))
     bsession = adapter.open_session(z_hat, -p_hat, 1.0 / c, x_bar, -p_hat)
     for _ in range(6):
         x_l, y_l = fsession.next()
@@ -301,6 +330,41 @@ def test_run_started_at_solution_stops_at_zero(lasso_20x50, inertial_core):
     assert res.status == "converged"
     assert res.outer_iters == 0
     assert res.record.final_kkt == 0.0
+
+
+class CoincideAt:
+    """An exact F-procedure and a shifted prox in one stub.  Session k emits
+    the one trial x = (k, ..., k) with y = 0; the prox returns x itself at
+    outer iteration ``at`` and x + 1/2 before it, so theta = 1 until then."""
+
+    def __init__(self, n, at):
+        self.n = n
+        self.at = at
+        self.opened = 0
+
+    def open_session(self, p, z, c, x_bar):
+        x = np.full(self.n, float(self.opened))
+        self.opened += 1
+        return SimpleNamespace(exact=True,
+                               next=lambda: (x.copy(), np.zeros(self.n)))
+
+    def solve(self, p, x, c):
+        return x.copy() if self.opened - 1 == self.at else x + 0.5
+
+
+def test_solved_exit_returns_the_accepted_trial(inertial_core):
+    """When an accepted trial has x_l = z_l the run stops as solved at that
+    outer iteration and returns the trial, not the iterate before it."""
+    stub = CoincideAt(4, at=2)
+    aprob = ir.AdmmProblem(stub, stub, lambda z: 1.0, None, 4)
+    params = ADMMParams(c=1.3, core=inertial_core, epsilon=1e-6, max_outer=50)
+    res = run_admm(aprob, params)
+    assert res.status == "solved" and res.outer_iters == 2
+    assert res.record.status == ir.records.CONVERGED
+    assert stub.opened == res.outer_iters + 1
+    assert np.array_equal(res.triple.z, res.x)
+    assert np.array_equal(res.triple.x, np.full(4, 2.0))
+    assert np.array_equal(res.triple.z, res.triple.x)
 
 
 def test_final_kkt_is_the_stopping_value(lasso_20x50, inertial_core):
@@ -478,6 +542,24 @@ def test_lasso_products_at_session_start():
     assert counts["step"] == 2 * res.inner_iters_total
 
 
+def test_dr_lasso_products_at_session_start():
+    """Count gate: ``run_dr`` unwraps ``FToBAdapter`` and drives its
+    F-procedure with the anchor, so its CG sessions start from the Gram
+    products as an ADMM run's do.  120 session-start products over these
+    60 outer iterations when the adapter hid the anchor."""
+    prob = ir.synthetic_lasso(100, 300, seed=0)
+    aprob, counts = count_lasso_products(prob)
+    zeros = np.zeros(prob.n)
+    with pytest.raises(BudgetExceeded) as exc:
+        run_dr(SplitTriple(zeros, zeros, zeros),
+               DRParams(gamma=1.0, core=published_params().core),
+               FToBAdapter(aprob.fproc), L1Resolvent(prob.nu), max_outer=60)
+    res = exc.value.state
+    assert (res.outer_iters, res.inner_iters_total) == (60, 64)
+    assert counts["open"] <= 4
+    assert counts["step"] == 2 * res.inner_iters_total
+
+
 def test_certificates_do_not_drift_with_reused_gram_products():
     """Every emitted y is the augmented gradient at its x, A^T (A x - b) +
     p_hat + c (x - z_hat), to round-off, over a long run in which each
@@ -533,7 +615,7 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
         with pytest.raises(BudgetExceeded):
             run_dr(SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n)),
                    DRParams(gamma=1.0, core=inertial_core),
-                   f_to_b_adapter(fproc), L1Resolvent(lasso_20x50.nu),
+                   FToBAdapter(fproc), L1Resolvent(lasso_20x50.nu),
                    max_outer=20)
     else:
         aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
@@ -672,7 +754,7 @@ def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
     assert admm_res.outer_iters == 110
 
     fproc = QuadraticFProcedure(prob.A, prob.b)
-    bproc = f_to_b_adapter(fproc)
+    bproc = FToBAdapter(fproc)
     res_a = L1Resolvent(prob.nu)
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.n))
@@ -799,7 +881,7 @@ def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
     splitting layer driven through the F -> B adapter agree step by step,
     and every emitted y is the augmented gradient at its x.  The splitting
     run reuses the ADMM run's F-procedure, so it also checks that the
-    adapter passes the run-entry reset of the curvature memory through."""
+    splitting run resets the curvature memory at entry."""
     prob = ir.synthetic_logistic(30, 11, seed=1)
     c = 1.0
     n = prob.n
@@ -811,7 +893,7 @@ def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
     admm_res = run_admm(aprob, params, keep_trace=True)
     assert admm_res.outer_iters == 80
 
-    bproc = f_to_b_adapter(aprob.fproc)
+    bproc = FToBAdapter(aprob.fproc)
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
     try:

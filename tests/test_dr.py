@@ -5,8 +5,7 @@ import pytest
 
 import irsplit as ir
 from irsplit.dr import (DRParams, SplitTriple, a_step, classical_dr_step,
-                        dr_acceptance, dr_extrapolate, dr_update, embed_to_hpp,
-                        inner_loop, run_dr, theta)
+                        dr_acceptance, dr_update, embed_to_hpp, run_dr, theta)
 from irsplit.errors import BudgetExceeded, ZeroVectorError
 from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
                                ExactBProcedure, IdentityResolvent, L1Resolvent)
@@ -30,25 +29,25 @@ def random_triple(rng, n):
                        rng.standard_normal(n))
 
 
+def run_to_budget(*args, **kwargs):
+    try:
+        return run_dr(*args, **kwargs)
+    except BudgetExceeded as exc:
+        return exc.state
+
+
+def first_step(init, params, bproc, resolvent):
+    """The one recorded outer iteration of a run limited to one.  With
+    alpha = 0 its extrapolated triple is ``init``."""
+    res = run_to_budget(init, params, bproc, resolvent, max_outer=1,
+                        keep_trace=True)
+    assert len(res.trace) == 1
+    return res.trace[0]
+
+
 # ---------------------------------------------------------------------------
 # elementary steps
 # ---------------------------------------------------------------------------
-
-def test_extrapolate_identity_cases():
-    cur = SplitTriple(np.ones(2), 2 * np.ones(2), 3 * np.ones(2))
-    hat = dr_extrapolate(cur, cur, 0.4)
-    assert np.array_equal(hat.s, cur.s) and np.array_equal(hat.r, cur.r)
-    hat0 = dr_extrapolate(cur, random_triple(np.random.default_rng(0), 2), 0.0)
-    assert np.array_equal(hat0.b, cur.b)
-
-
-def test_extrapolate_arithmetic():
-    cur = SplitTriple([1.0], [1.0], [1.0])
-    prev = SplitTriple([0.0], [0.0], [0.0])
-    hat = dr_extrapolate(cur, prev, 0.2)
-    for part in (hat.s, hat.b, hat.r):
-        assert part[0] == pytest.approx(1.2)
-
 
 def test_a_step_zero_operator():
     rng = np.random.default_rng(2)
@@ -108,9 +107,11 @@ def test_theta_exact_solve_is_one():
     _, res_a, _, res_b, _, _ = quad_l1_setup()
     rng = np.random.default_rng(4)
     hat = random_triple(rng, 10)
-    sol = inner_loop(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
-                     ExactBProcedure(res_b), res_a)
+    st = first_step(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
+                    ExactBProcedure(res_b), res_a)
+    sol = st.inner
     assert theta(hat, sol.s, sol.b, sol.r, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert st.theta == pytest.approx(1.0, abs=1e-10)
 
 
 def test_theta_hand_instance():
@@ -162,18 +163,18 @@ def test_update_projection_identity():
 
 
 # ---------------------------------------------------------------------------
-# inner loop
+# one outer iteration
 # ---------------------------------------------------------------------------
 
-def test_inner_loop_exact_takes_one_trial():
+def test_inner_solve_exact_takes_one_trial():
     _, res_a, _, res_b, _, _ = quad_l1_setup()
     hat = random_triple(np.random.default_rng(8), 10)
-    sol = inner_loop(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
-                     ExactBProcedure(res_b), res_a)
-    assert sol.trials == 1
+    st = first_step(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
+                    ExactBProcedure(res_b), res_a)
+    assert st.inner.trials == 1
 
 
-def test_inner_loop_cg_accepts_quickly():
+def test_inner_solve_cg_accepts_quickly():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((20, 20))
     q_mat = m @ m.T / 20.0 + np.eye(20)
@@ -181,32 +182,28 @@ def test_inner_loop_cg_accepts_quickly():
     res_a = L1Resolvent(0.3)
     core = ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.99, 1.0, 1.0)
     hat = random_triple(rng, 20)
-    sol = inner_loop(hat, DRParams(1.0, core), bproc, res_a)
+    sol = first_step(hat, DRParams(1.0, core), bproc, res_a).inner
     assert sol.trials <= 10
     assert dr_acceptance(hat, sol.s, sol.b, sol.r, 1.0, 0.99)
 
 
-def test_inner_loop_sigma_zero_iterative_exhausts_budget():
+def test_inner_solve_sigma_zero_iterative_exhausts_budget():
     rng = np.random.default_rng(10)
     q_mat = np.diag(rng.uniform(1.0, 3.0, size=8))
     bproc = CGBProcedure(q_mat)
     core = ir.InertiaRelaxParams.plain(sigma=0.0)
     hat = random_triple(rng, 8)
-    with pytest.raises(BudgetExceeded):
-        inner_loop(hat, DRParams(1.0, core, inner_budget=40), bproc,
-                   L1Resolvent(0.3))
+    with pytest.raises(BudgetExceeded) as exc:
+        run_dr(hat, DRParams(1.0, core, inner_budget=40), bproc,
+               L1Resolvent(0.3), max_outer=1)
+    # the inner budget, not the outer one: the state is the last triple
+    assert isinstance(exc.value.state, SplitTriple)
+    assert np.array_equal(exc.value.state.b, hat.b)
 
 
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
-
-def run_to_budget(*args, **kwargs):
-    try:
-        return run_dr(*args, **kwargs)
-    except BudgetExceeded as exc:
-        return exc.state
-
 
 def test_run_matches_classical_recursion():
     _, res_a, _, res_b, _, _ = quad_l1_setup(n=10, seed=1)
@@ -276,6 +273,8 @@ def test_embedding_reproduces_engine_equations():
         # by the componentwise triple extrapolation; acceptance with lam = 1
         cert = ir.ProxCertificate(z_tilde, v, 1.0)
         assert ir.error_criterion_holds(w, cert, core.sigma)
+        # accepted => theta >= (1 - sigma^2)/2, on the B -> F path
+        assert st.theta >= 0.5 * (1.0 - core.sigma ** 2)
         # projective correction: z_next = w - rho tau v
         tau = ((w - z_tilde) @ v) / (v @ v)
         z_next = st.next.r + st.next.b
