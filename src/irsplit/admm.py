@@ -111,7 +111,9 @@ class FProcedure(Protocol):
     ``x_bar``; ``session.next()`` yields trial pairs ``(x_l, y_l)`` where
     ``y_l`` is a subgradient of the augmented subobjective at ``x_l`` and
     y_l -> 0.  A session may expose ``exact = True``, asserting each trial
-    is an exact minimizer (emitted with y_l = 0).
+    is an exact minimizer (emitted with y_l = 0).  Emitted arrays belong to
+    the session and are read-only for callers: a session may emit its own
+    state without a copy, and never modifies an emitted array afterwards.
 
     The sessions of one run may share state that steers the search, such as
     curvature memory, but never the certificate: each ``y_l`` is evaluated
@@ -171,12 +173,26 @@ def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,
     )
 
 
+def _multiplier(p_hat, x_l, z_hat, y_l, c: float) -> np.ndarray:
+    return p_hat + c * (x_l - z_hat) - y_l
+
+
 def multiplier_candidate(p_hat: np.ndarray, x_l: np.ndarray, z_hat: np.ndarray,
                          y_l: np.ndarray, c: float) -> np.ndarray:
     """Trial multiplier p_l = p_hat + c (x_l - z_hat) - y_l."""
     if not c > 0.0:
         raise ParameterError("c > 0 violated")
-    return p_hat + c * (x_l - z_hat) - y_l
+    return _multiplier(p_hat, x_l, z_hat, y_l, c)
+
+
+def _accept(y_l, p_l, p_hat, z_l, z_hat, dd: float, c: float, sigma: float,
+            max_form: bool) -> bool:
+    """The acceptance test with dd = ||x_l - z_l||^2 given."""
+    t = p_l - p_hat - c * (z_l - z_hat)
+    if max_form:
+        return math.sqrt(y_l @ y_l) <= sigma * max(math.sqrt(t @ t),
+                                                   c * math.sqrt(dd))
+    return y_l @ y_l <= sigma * sigma * (t @ t + (c * c) * dd)
 
 
 def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
@@ -187,12 +203,9 @@ def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
     + c^2 ||x_l - z_l||^2).  MAX_FORM replaces the sum by the max of norms
     and implies SUM_SQUARES.
     """
-    t = p_l - p_hat - c * (z_l - z_hat)
     d = x_l - z_l
-    if criterion is Criterion.SUM_SQUARES:
-        return y_l @ y_l <= sigma * sigma * (t @ t + (c * c) * (d @ d))
-    return math.sqrt(y_l @ y_l) <= sigma * max(
-        math.sqrt(t @ t), c * math.sqrt(d @ d))
+    return _accept(y_l, p_l, p_hat, z_l, z_hat, d @ d, c, sigma,
+                   criterion is Criterion.MAX_FORM)
 
 
 def _theta(z_hat: np.ndarray, p_hat: np.ndarray, z_l: np.ndarray,
@@ -378,7 +391,9 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         sigma = params.core.sigma
         alpha = params.core.alpha
         rho = params.core.rho_hi
+        max_form = params.criterion is Criterion.MAX_FORM
         open_session = problem.fproc.open_session
+        prox = problem.prox_g.solve
         anchored = bool(getattr(problem.fproc, "accepts_anchor", False))
         x, z, p = init.x, init.z, init.p
         x_prev, z_prev, p_prev = x, z, p
@@ -409,11 +424,12 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
             accepted = False
             for trial in range(1, params.inner_budget + 1):
                 x_l, y_l = session.next()
-                p_l = multiplier_candidate(p_hat, x_l, z_hat, y_l, c)
-                z_l = problem.prox_g.solve(p_l, x_l, c)
-                accepted = exact or admm_acceptance(
-                    y_l, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
-                    params.criterion)
+                p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
+                z_l = prox(p_l, x_l, c)
+                d = x_l - z_l
+                dd = d @ d
+                accepted = exact or _accept(y_l, p_l, p_hat, z_l, z_hat, dd,
+                                            c, sigma, max_form)
                 if keep_trace:
                     inner_rows.append(InnerTrial(x_l, y_l, p_l, z_l,
                                                  accepted))
@@ -425,8 +441,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                     f"{params.inner_budget} trials",
                     state=PrimalDualTriple(x, z, p))
             inner_total += trial
-            d = x_l - z_l
-            dd = d @ d
             if math.sqrt(dd) <= gap_tol:
                 status = "solved"
                 outer = k

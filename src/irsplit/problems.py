@@ -22,7 +22,8 @@ from scipy.special import expit
 from .admm import AdmmProblem
 from .errors import ParseError
 from .subsolvers import (CompositeProblem, FistaConfig, LBFGSFProcedure,
-                         QuadraticFProcedure, fista_solve, soft_threshold)
+                         QuadraticFProcedure, _shrink, fista_solve,
+                         soft_threshold)
 
 __all__ = [
     "DesignMatrix",
@@ -105,13 +106,12 @@ def l1_kkt_dist_inf(grad: np.ndarray, x: np.ndarray, nu: float,
     plain |g_i|.
     """
     grad = np.asarray(grad, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r = np.where(x != 0.0,
-                 np.abs(grad + nu * np.sign(x)),
-                 np.maximum(np.abs(grad) - nu, 0.0))
+    s = np.sign(np.asarray(x, dtype=float))
+    r = np.abs(grad + nu * s)  # |g_i| where x_i = 0 ...
+    r -= nu * (s == 0.0)  # ... less nu; max(., 0) commutes with the max
     if regularized is not None:
         r = np.where(regularized, r, np.abs(grad))
-    return float(r.max())
+    return float(max(r.max(), 0.0))  # a NaN max stays NaN
 
 
 @dataclass
@@ -170,28 +170,31 @@ class LogisticProblem:
     def n(self) -> int:
         return self.features.shape[1] + 1
 
-    def _margins(self, x) -> np.ndarray:
-        return self.labels * (self.features.apply(x[1:]) + x[0])
+    def _neg_margins(self, x) -> np.ndarray:
+        return -(self.labels * (self.features.apply(x[1:]) + x[0]))
 
-    def value_gradient(self, x) -> tuple[float, np.ndarray]:
-        """Smooth part and its gradient over the packed (bias, weights)."""
-        t = self._margins(x)
-        value = float(np.logaddexp(0.0, -t).sum())
-        s = expit(-t)  # 1 / (1 + exp(t)), overflow safe
-        coeff = -self.labels * s
+    def _gradient(self, x, u) -> np.ndarray:
+        """The gradient at x from its negated margins u."""
+        coeff = -self.labels * expit(u)  # 1 / (1 + exp(-u)), overflow safe
         grad = np.empty_like(x)
         grad[0] = coeff.sum()
         grad[1:] = self.features.apply_transpose(coeff)
-        return value, grad
+        return grad
+
+    def value_gradient(self, x) -> tuple[float, np.ndarray]:
+        """Smooth part and its gradient over the packed (bias, weights)."""
+        u = self._neg_margins(x)
+        return float(np.logaddexp(0.0, u).sum()), self._gradient(x, u)
 
     def objective(self, x) -> float:
         return self.value_gradient(x)[0] + self.nu * float(np.abs(x[1:]).sum())
 
     def kkt_dist_inf(self, x) -> float:
-        grad = self.value_gradient(x)[1]
-        mask = np.ones(x.shape[0], dtype=bool)
-        mask[0] = False  # bias unregularized
-        return l1_kkt_dist_inf(grad, x, self.nu, regularized=mask)
+        """The l1 KKT residual, from the gradient alone; the bias, which is
+        unregularized, contributes |g_0|."""
+        grad = self._gradient(x, self._neg_margins(x))
+        return float(np.maximum(abs(grad[0]), l1_kkt_dist_inf(
+            grad[1:], x[1:], self.nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ class L1ShiftedProx:
 
     def solve(self, p, x, c):
         t = x + p / c
-        z = soft_threshold(t, self.nu / c)
+        z = _shrink(t, self.nu / c)
         if self.skip_first:
             z[0] = t[0]
         return z

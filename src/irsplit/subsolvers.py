@@ -37,14 +37,14 @@ __all__ = [
 class CGSession:
     """Conjugate gradient on an SPD system H x = rhs, one step per ``next``.
 
-    ``next()`` returns ``(x, y)`` with y = H x - rhs maintained by the usual
-    residual recurrence.  Once the residual is exactly zero the session
-    keeps returning the current point.  Nonpositive curvature raises
+    ``next()`` returns ``(x, y)`` with y = H x - rhs, carried by the usual
+    residual recurrence with its sign flipped.  Each step makes both arrays
+    afresh and emits them without a copy.  Once y is exactly zero the
+    session keeps returning the current pair.  Nonpositive curvature raises
     ``CGBreakdown``.  A caller that already knows ``H x0`` passes it as
     ``h_x0``, and the session starts without applying the operator.
     ``last`` is the array the latest ``next()`` returned (None before the
-    first), and ``applied()`` is H at the current point, read off the
-    residual.
+    first), and ``applied()`` is H at the current point, read off y.
     """
 
     def __init__(self, operator_apply: Callable[[np.ndarray], np.ndarray],
@@ -55,38 +55,36 @@ class CGSession:
         self._rhs = np.asarray(rhs, dtype=float)
         if h_x0 is None:
             h_x0 = operator_apply(self.x)
-        self._resid = self._rhs - h_x0
-        self._direction = self._resid.copy()
-        self._rs = float(self._resid @ self._resid)
+        self._y = h_x0 - self._rhs
+        self._direction = -self._y
+        self._rs = float(self._y @ self._y)
         self.steps = 0
         self.last: Optional[np.ndarray] = None
 
     @property
     def residual(self) -> np.ndarray:
         """rhs - H x at the current point, as the recurrence carries it."""
-        return self._resid
+        return -self._y
 
     def applied(self) -> np.ndarray:
-        """H x at the current point, as rhs minus the carried residual."""
-        return self._rhs - self._resid
+        """H x at the current point, as rhs plus the carried y."""
+        return self._rhs + self._y
 
     def next(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._rs == 0.0:
-            self.last = self.x.copy()
-            return self.last, -self._resid
-        h_d = self._apply(self._direction)
-        curvature = float(self._direction @ h_d)
-        if curvature <= 0.0:
-            raise CGBreakdown("nonpositive curvature: operator is not SPD")
-        step = self._rs / curvature
-        self.x = self.x + step * self._direction
-        self._resid = self._resid - step * h_d
-        rs_new = float(self._resid @ self._resid)
-        self._direction = self._resid + (rs_new / self._rs) * self._direction
-        self._rs = rs_new
-        self.steps += 1
-        self.last = self.x.copy()
-        return self.last, -self._resid
+        if self._rs != 0.0:
+            h_d = self._apply(self._direction)
+            curvature = float(self._direction @ h_d)
+            if curvature <= 0.0:
+                raise CGBreakdown("nonpositive curvature: operator is not SPD")
+            step = self._rs / curvature
+            self.x = self.x + step * self._direction
+            self._y = self._y + step * h_d
+            rs_new = float(self._y @ self._y)
+            self._direction = (rs_new / self._rs) * self._direction - self._y
+            self._rs = rs_new
+            self.steps += 1
+        self.last = self.x
+        return self.x, self._y
 
 
 class QuadraticFProcedure:
@@ -104,15 +102,14 @@ class QuadraticFProcedure:
         H x_bar = G(x) + alpha (G(x) - G(x_prev)) + c x_bar
 
     from G(u) = A^T A u, and the session starts with no product.  G at an
-    emitted point comes from its session's residual, A^T A x_l = rhs - r_l
-    - c x_l, and is kept for the newest two such points; it does not
+    emitted point comes from its session's certificate, A^T A x_l = rhs +
+    y_l - c x_l, and is kept for the newest two such points; it does not
     depend on c, so a change of c cannot make it stale.  Otherwise, or
     with no anchor, the two products are computed as before.  The stored G
     differs from a fresh product by the round-off the CG recurrence
     carries, which stays at that level because the extrapolation weights
-    (1 + alpha, -alpha) sum to one.  An emitted array must not be modified
-    in place while it can still be named in an anchor.  ``reset()``
-    releases the stored vectors; the drivers call it at run entry and exit.
+    (1 + alpha, -alpha) sum to one.  ``reset()`` releases the stored
+    vectors; the drivers call it at run entry and exit.
     """
 
     accepts_anchor = True
@@ -238,8 +235,9 @@ class LBFGSSession:
     agree to within ``1e-12 (1 + |f|)`` (the slack ``fista_solve`` uses)
     the step is also accepted on the gradient form of the Armijo test,
     ``<g_new, d> <= (2 armijo - 1) <g, d>`` (the approximate Wolfe test of
-    Hager and Zhang).  At a stationary point the session keeps returning
-    it.
+    Hager and Zhang).  Each step's point and gradient are fresh arrays,
+    emitted without a copy; at a stationary point the session keeps
+    returning them.
     """
 
     def __init__(self, value_and_grad, x0: np.ndarray,
@@ -255,8 +253,8 @@ class LBFGSSession:
         self._max_backtracks = max_backtracks
 
     def next(self) -> tuple[np.ndarray, np.ndarray]:
-        if not np.any(self.g):
-            return self.x.copy(), self.g.copy()
+        if not self.g.any():
+            return self.x, self.g
         d = self._memory.direction(self.g)
         slope = float(self.g @ d)
         if slope >= 0.0:
@@ -279,7 +277,7 @@ class LBFGSSession:
             raise LineSearchFailure("no Armijo step within the backtrack budget")
         self._memory.add(x_new - self.x, g_new - self.g)
         self.x, self.f, self.g = x_new, f_new, g_new
-        return self.x.copy(), self.g.copy()
+        return x_new, g_new
 
 
 class LBFGSFProcedure:
@@ -324,12 +322,17 @@ class LBFGSFProcedure:
         return LBFGSSession(augmented, x_bar, self._memory, **self._opts)
 
 
+def _shrink(t: np.ndarray, kappa: float) -> np.ndarray:
+    """t minus its clip to [-kappa, kappa]: sign(t) max(|t| - kappa, 0) in
+    every bit but the sign of a zero, in one fresh array."""
+    return t - np.minimum(np.maximum(t, -kappa), kappa)
+
+
 def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:
     """Componentwise shrink sign(t) max(|t| - kappa, 0), the prox of kappa*l1."""
     if kappa < 0.0:
         raise ParameterError("kappa >= 0 violated")
-    t = np.asarray(t, dtype=float)
-    return np.sign(t) * np.maximum(np.abs(t) - kappa, 0.0)
+    return _shrink(np.asarray(t, dtype=float), kappa)
 
 
 # ---------------------------------------------------------------------------

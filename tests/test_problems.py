@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 import irsplit as ir
 from irsplit.errors import ParseError
@@ -118,6 +120,87 @@ def test_lasso_kkt_at_origin_and_threshold():
     # at the threshold the origin is exactly optimal
     prob2 = ir.LassoProblem(DesignMatrix(a), b, float(np.abs(atb).max()))
     assert prob2.kkt_dist_inf(np.zeros(4)) == 0.0
+
+
+def kkt_reference(grad, x, nu, regularized=None):
+    """The sup-norm l1 KKT residual as a per-component ``where``."""
+    r = np.where(x != 0.0,
+                 np.abs(grad + nu * np.sign(x)),
+                 np.maximum(np.abs(grad) - nu, 0.0))
+    if regularized is not None:
+        r = np.where(regularized, r, np.abs(grad))
+    return float(r.max())
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+kkt_entries = dict(
+    grad=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
+    x_kind=st.lists(st.sampled_from(["0", "-0", "+", "-"]), min_size=16,
+                    max_size=16),
+    nu=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3),
+    mask=st.none() | st.lists(st.booleans(), min_size=16, max_size=16),
+    nan_at=st.none() | st.tuples(st.sampled_from(["grad", "x"]),
+                                 st.integers(0, 15)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(**kkt_entries)
+def test_l1_kkt_matches_where_form(grad, x_kind, nu, mask, nan_at):
+    """Exact zeros, -0.0, a ``regularized`` mask, and a NaN that must stay
+    NaN: the residual equals the per-component form in every bit."""
+    grad = np.array(grad)
+    n = grad.size
+    value = {"0": 0.0, "-0": -0.0, "+": 0.75, "-": -1.5}
+    x = np.array([value[k] for k in x_kind[:n]])
+    regularized = None if mask is None else np.array(mask[:n])
+    if nan_at is not None:
+        (grad if nan_at[0] == "grad" else x)[nan_at[1] % n] = np.nan
+    got = ir.l1_kkt_dist_inf(grad, x, nu, regularized)
+    assert same_float(got, kkt_reference(grad, x, nu, regularized))
+
+
+def logistic_instance(q, n, seed, nu_scale, zeros):
+    """A random logistic problem and a point with ``zeros`` exact zeros,
+    the bias among them when ``zeros`` is odd."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((q, n - 1))
+    labels = np.where(rng.random(q) < 0.5, -1.0, 1.0)
+    prob = ir.LogisticProblem(DesignMatrix(features), labels,
+                              nu_scale * q)
+    x = rng.standard_normal(n)
+    x[rng.permutation(n)[:zeros]] = 0.0
+    if zeros % 2:
+        x[0] = 0.0
+    return prob, x
+
+
+logistic_points = dict(q=st.integers(1, 20), n=st.integers(2, 12),
+                       seed=st.integers(0, 2**32 - 1),
+                       nu_scale=st.floats(1e-3, 2.0), zeros=st.integers(0, 12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**logistic_points)
+def test_logistic_value_gradient_and_kkt_match_reference(q, n, seed,
+                                                          nu_scale, zeros):
+    """value_gradient equals the margin formula bit for bit, the
+    gradient-only path the KKT test uses equals its gradient, and the KKT
+    residual equals the masked per-component form on that gradient."""
+    prob, x = logistic_instance(q, n, seed, nu_scale, zeros)
+    t = prob.labels * (prob.features.apply(x[1:]) + x[0])
+    coeff = -prob.labels * expit(-t)
+    want = np.concatenate(([coeff.sum()],
+                           prob.features.apply_transpose(coeff)))
+    value, grad = prob.value_gradient(x)
+    assert value == float(np.logaddexp(0.0, -t).sum())
+    assert np.array_equal(grad, want)
+    assert np.array_equal(prob._gradient(x, prob._neg_margins(x)), grad)
+    mask = np.ones(n, dtype=bool)
+    mask[0] = False
+    assert prob.kkt_dist_inf(x) == kkt_reference(grad, x, prob.nu, mask)
 
 
 def test_lasso_kkt_zero_at_reference(lasso_20x50, lasso_20x50_reference):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.errors import CGBreakdown, ParameterError
+from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (CGSession, CurvatureMemory, FistaConfig,
                                 LBFGSFProcedure, LBFGSSession,
                                 QuadraticFProcedure, fista_solve,
@@ -65,6 +66,58 @@ def test_cg_residual_orthogonality():
             ni, nj = np.linalg.norm(residuals[i]), np.linalg.norm(residuals[j])
             if ni > 1e-13 and nj > 1e-13:
                 assert abs(residuals[i] @ residuals[j]) <= 1e-10 * ni * nj
+
+
+def residual_form_cg(h, rhs, x0, steps):
+    """Straight-line CG in its textbook form, carrying the residual
+    r = rhs - H x.  Returns the (x, y = -r) of each step and the last
+    residual."""
+    x = x0.copy()
+    r = rhs - h @ x
+    direction = r.copy()
+    rs = float(r @ r)
+    emitted = []
+    for _ in range(steps):
+        if rs != 0.0:
+            h_d = h @ direction
+            curvature = float(direction @ h_d)
+            if curvature <= 0.0:
+                raise CGBreakdown("reference: nonpositive curvature")
+            step = rs / curvature
+            x = x + step * direction
+            r = r - step * h_d
+            rs_new = float(r @ r)
+            direction = r + (rs_new / rs) * direction
+            rs = rs_new
+        emitted.append((x.copy(), -r))
+    return emitted, r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(1.0, 1e4), warm=st.booleans())
+def test_cg_session_matches_residual_form_reference(n, seed, spread, warm):
+    """Over 20 steps the session's emitted x and y, its residual and H x
+    are bit-identical to the residual-form recurrence."""
+    rng = np.random.default_rng(seed)
+    h = spd_matrix(rng, n, spread)
+    rhs = rng.standard_normal(n)
+    x0 = rng.standard_normal(n) if warm else np.zeros(n)
+    try:
+        emitted, r = residual_form_cg(h, rhs, x0, 20)
+    except CGBreakdown:
+        emitted, r = None, None
+    session = CGSession(lambda u: h @ u, rhs, x0)
+    if emitted is None:
+        with pytest.raises(CGBreakdown):
+            for _ in range(20):
+                session.next()
+        return
+    for x_ref, y_ref in emitted:
+        x, y = session.next()
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+    assert np.array_equal(session.residual, r)
+    assert np.array_equal(session.applied(), rhs - r)
 
 
 def test_cg_breakdown_on_indefinite():
@@ -366,6 +419,33 @@ def test_lbfgs_stationary_start_accepted_immediately():
 # shrink
 # ---------------------------------------------------------------------------
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+                  | st.floats(-1e300, 1e300), min_size=1, max_size=20),
+       kappa=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e300),
+       c=st.floats(1e-3, 1e3))
+def test_shrink_matches_sign_form(t, kappa, c):
+    """soft_threshold and the shrink prox equal sign(t) max(|t| - kappa, 0)
+    in every entry (up to the sign of a zero) and return fresh arrays."""
+    t = np.array(t)
+
+    def reference(u, k):
+        return np.sign(u) * np.maximum(np.abs(u) - k, 0.0)
+
+    out = soft_threshold(t, kappa)
+    assert out is not t
+    assert np.array_equal(out, reference(t, kappa), equal_nan=True)
+    x = np.nan_to_num(t, posinf=1.0, neginf=-1.0) * 1e-3
+    p = c * np.linspace(-1.0, 1.0, t.size)
+    for skip in (False, True):
+        z = L1ShiftedProx(kappa, skip_first=skip).solve(p, x, c)
+        u = x + p / c
+        want = reference(u, kappa / c)
+        if skip:
+            want[0] = u[0]
+        assert np.array_equal(z, want)
+
+
 def test_soft_threshold_closed_forms():
     t = np.array([3.0, -0.5, 0.0])
     assert np.array_equal(soft_threshold(t, 0.0), t)
@@ -385,6 +465,29 @@ def test_soft_threshold_grid_oracle():
         vals = kappa * np.abs(grid) + 0.5 * (grid - t) ** 2
         oracle = grid[np.argmin(vals)]
         assert abs(soft_threshold(np.array([t]), kappa)[0] - oracle) <= 1e-4 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# emitted arrays are never modified by later steps
+# ---------------------------------------------------------------------------
+
+def test_sessions_never_modify_emitted_arrays():
+    """Copies of the (x_l, y_l) of 5 CG and 5 L-BFGS steps still equal the
+    emitted arrays after 10 more steps; sessions emit without copying, so
+    this pins the read-only contract of FProcedure from the session side."""
+    prob = ir.synthetic_lasso(15, 12, seed=3)
+    logistic = ir.synthetic_logistic(20, 8, seed=3)
+    rng = np.random.default_rng(50)
+    for fproc, n in ((QuadraticFProcedure(prob.A, prob.b), 12),
+                     (LBFGSFProcedure(logistic.value_gradient), 8)):
+        p, z = rng.standard_normal(n), rng.standard_normal(n)
+        session = fproc.open_session(p, z, 0.5, np.zeros(n))
+        emitted = [session.next() for _ in range(5)]
+        kept = [(x.copy(), y.copy()) for x, y in emitted]
+        later = [session.next() for _ in range(10)]
+        assert not np.array_equal(later[-1][0], emitted[-1][0])
+        for (x, y), (x_copy, y_copy) in zip(emitted, kept):
+            assert np.array_equal(x, x_copy) and np.array_equal(y, y_copy)
 
 
 # ---------------------------------------------------------------------------
