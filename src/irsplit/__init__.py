@@ -23,9 +23,8 @@ from .subsolvers import (CGSession, CompositeProblem, FistaConfig,
                          fista_solve, soft_threshold)
 from .problems import (DesignMatrix, LassoProblem, LogisticProblem,
                        l1_kkt_dist_inf, lasso_admm_problem, lasso_composite,
-                       load_dense_csv, load_libsvm,
-                       logistic_admm_problem, logistic_composite,
-                       logistic_make_solvers, reference_minimizer,
+                       load_dense_csv, load_libsvm, logistic_admm_problem,
+                       logistic_composite, reference_minimizer,
                        synthetic_lasso, synthetic_logistic)
 from .records import RunRecord
 

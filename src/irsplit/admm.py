@@ -145,11 +145,18 @@ class ShiftedProxG(Protocol):
 
 @dataclass
 class AdmmProblem:
-    """Everything a run needs: subproblem engines, stopping residual, objective."""
+    """Everything a run needs: subproblem engines, stopping residual, objective.
+
+    The run calls ``kkt_residual(z, floor)`` with two positional arguments.
+    It returns the KKT residual at z, except that a value above ``floor``
+    may instead be a lower bound on it (still above ``floor``): it then
+    proves only that the test ``residual <= floor`` fails.  A value at or
+    below ``floor``, and any value for ``floor = inf``, is the residual.
+    """
 
     fproc: FProcedure
     prox_g: ShiftedProxG
-    kkt_residual: Callable[[np.ndarray], float]
+    kkt_residual: Callable[[np.ndarray, float], float]
     objective: Optional[Callable[[np.ndarray], float]] = None
     dim: Optional[int] = None
 
@@ -341,7 +348,10 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     """Run the inexact inertial-relaxed ADMM until the outer residual test.
 
     Stops when the KKT residual at the g-side iterate falls to
-    ``params.epsilon`` (checked every outer iteration), on the exact
+    ``params.epsilon`` (checked every outer iteration, with
+    ``params.epsilon`` as the floor of ``problem.kkt_residual``, so a
+    failing test may see a lower bound; the record's ``final_kkt`` is
+    always the residual itself), on the exact
     coincidence x_l = z_l of an accepted trial, which is then returned as
     ``triple`` with status ``solved``, or with status ``budget_exceeded``
     after ``max_outer`` iterations.  The inner budget raises
@@ -403,10 +413,11 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         status = BUDGET_EXCEEDED
         outer = params.max_outer
         final_kkt = None
+        epsilon = params.epsilon
         for k in range(params.max_outer):
             if check_kkt:
-                kkt = float(problem.kkt_residual(z))
-                if kkt <= params.epsilon:
+                kkt = float(problem.kkt_residual(z, epsilon))
+                if kkt <= epsilon:
                     status = "converged"
                     outer = k
                     final_kkt = kkt
@@ -463,7 +474,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
             x, z, p = x_l, z_l, p_next
         wall = time.perf_counter() - started
         if final_kkt is None:
-            final_kkt = (float(problem.kkt_residual(z)) if check_kkt
+            final_kkt = (float(problem.kkt_residual(z, math.inf)) if check_kkt
                          else float(np.linalg.norm(x - z)))
         obj = float(problem.objective(z)) if problem.objective else math.nan
         rec_status = (CONVERGED if status in ("converged", "solved")

@@ -12,6 +12,7 @@ index 0; the bias is never regularized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +32,6 @@ __all__ = [
     "LogisticProblem",
     "l1_kkt_dist_inf",
     "L1ShiftedProx",
-    "logistic_make_solvers",
     "lasso_admm_problem",
     "logistic_admm_problem",
     "lasso_composite",
@@ -106,12 +106,73 @@ def l1_kkt_dist_inf(grad: np.ndarray, x: np.ndarray, nu: float,
     plain |g_i|.
     """
     grad = np.asarray(grad, dtype=float)
-    s = np.sign(np.asarray(x, dtype=float))
-    r = np.abs(grad + nu * s)  # |g_i| where x_i = 0 ...
-    r -= nu * (s == 0.0)  # ... less nu; max(., 0) commutes with the max
+    r = _l1_components(grad, np.asarray(x, dtype=float), nu)
     if regularized is not None:
         r = np.where(regularized, r, np.abs(grad))
     return float(max(r.max(), 0.0))  # a NaN max stays NaN
+
+
+def _l1_components(grad: np.ndarray, x: np.ndarray, nu: float) -> np.ndarray:
+    """Per component: |g_i + nu sign(x_i)|, or |g_i| - nu where x_i = 0;
+    the residual is max(max_i r_i, 0), as max(., 0) commutes with the max."""
+    s = np.sign(x)
+    r = np.abs(grad + nu * s)
+    r -= nu * (s == 0.0)
+    return r
+
+
+def _l1_component(g: float, xj: float, nu: float) -> float:
+    """One component of :func:`_l1_components`, on Python floats."""
+    if xj > 0.0:
+        return abs(g + nu)
+    if xj < 0.0:
+        return abs(g - nu)
+    return abs(g) - nu
+
+
+# unit round-off of float64
+_U = np.finfo(float).eps / 2.0
+
+
+@dataclass(frozen=True)
+class _Screen:
+    """What the KKT screen of :meth:`LassoProblem.kkt_dist_inf` and
+    :meth:`LogisticProblem.kkt_dist_inf` keeps for component j of one
+    design matrix: the column a_j (None for the logistic bias), for LASSO
+    the Gram row A^T a_j, and the coefficients c1, c2 of its round-off
+    bound S."""
+
+    design: DesignMatrix
+    fro: float  # ||A||_F over the stored entries
+    j: int
+    col: Optional[np.ndarray]
+    row: Optional[np.ndarray]
+    c1: float
+    c2: float
+
+
+def _stored_norm(screen: Optional[_Screen], design: DesignMatrix) -> float:
+    """||A||_F over the stored entries, for the KKT screens' round-off
+    bounds, taken from ``screen`` when it belongs to ``design``.  The
+    bounds take each row product as a sum over distinct columns, so a CSR
+    matrix that may hold duplicate entries gets inf, which turns its
+    screens off."""
+    if screen is not None and screen.design is design:
+        return screen.fro
+    mat = design._mat
+    if design.is_sparse:
+        if not mat.has_canonical_format:
+            return math.inf
+        mat = mat.data
+    return float(np.linalg.norm(mat))
+
+
+def _design_column(design: DesignMatrix, j: int) -> np.ndarray:
+    """Column j as the product A e_j, which is exact: every other term is a
+    signed zero."""
+    e = np.zeros(design.shape[1])
+    e[j] = 1.0
+    return design.apply(e)
 
 
 @dataclass
@@ -129,6 +190,7 @@ class LassoProblem:
             raise ValueError("b length must match the row count of A")
         if not self.nu > 0.0:
             raise ValueError("nu > 0 violated")
+        self._screen = None
 
     @property
     def n(self) -> int:
@@ -144,8 +206,52 @@ class LassoProblem:
     def objective(self, x) -> float:
         return self.f_value(x) + self.nu * float(np.abs(x).sum())
 
-    def kkt_dist_inf(self, x) -> float:
-        return l1_kkt_dist_inf(self.f_gradient(x), x, self.nu)
+    def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
+        """Sup-norm l1 KKT residual at x.
+
+        With a finite ``floor``, a value above it may be a lower bound on
+        the residual rather than the residual; a value at or below it is
+        always the residual, bit for bit.  A call whose full evaluation
+        exceeds ``floor`` keeps the worst component j; the next call with a
+        finite floor first computes only that component, r_j, with a bound
+        S on its distance from both the exact component and the one a full
+        evaluation computes, and returns r_j - S when that exceeds
+        ``floor``.  Otherwise it runs the full evaluation.  A NaN or inf in
+        x makes S non-finite, so such an x is always evaluated in full.
+
+        Here g_j = (A^T a_j) . x - a_j . b, from the column a_j = A e_j
+        and Gram row A^T a_j kept with j.  Only design-matrix data is kept,
+        so ``b`` and ``nu`` may be reassigned between calls, and ``A`` may
+        be replaced but not changed in place.  Against the
+        exact gradient, this and the full evaluation A^T (A x - b) are each
+        off by at most gamma_(m+n+1) ||a_j|| (||A||_F ||x|| + ||b||), with
+        gamma_k = k u / (1 - k u) and u the unit round-off (the
+        dot-product error bound and Cauchy-Schwarz); S is
+        4 (m + n + 2) u ||a_j|| (||A||_F ||x|| + ||b||), over twice that,
+        plus 4 u (|g_j| + |r_j|) for the last additions.
+        """
+        screen = self._screen
+        if floor < math.inf and screen is not None and screen.design is self.A:
+            b = self.b
+            g = float(screen.row @ x) - float(screen.col @ b)
+            r = _l1_component(g, float(x[screen.j]), self.nu)
+            lower = r - (screen.c2 * math.sqrt(x @ x)
+                         + screen.c1 * math.sqrt(b @ b)
+                         + 4.0 * _U * (abs(g) + abs(r)))
+            if lower > floor:
+                return lower
+        r = _l1_components(self.f_gradient(x), x, self.nu)
+        value = float(max(r.max(), 0.0))
+        if value > floor:
+            j = int(r.argmax())
+            if screen is None or screen.design is not self.A or screen.j != j:
+                fro = _stored_norm(screen, self.A)
+                col = _design_column(self.A, j)
+                c1 = 4.0 * (sum(self.A.shape) + 2) * _U * math.sqrt(col @ col)
+                self._screen = _Screen(self.A, fro, j, col,
+                                       self.A.apply_transpose(col),
+                                       c1, c1 * fro)
+        return value
 
 
 @dataclass
@@ -165,6 +271,7 @@ class LogisticProblem:
             raise ValueError("labels must be -1 or +1")
         if not self.nu > 0.0:
             raise ValueError("nu > 0 violated")
+        self._screen = None
 
     @property
     def n(self) -> int:
@@ -189,12 +296,61 @@ class LogisticProblem:
     def objective(self, x) -> float:
         return self.value_gradient(x)[0] + self.nu * float(np.abs(x[1:]).sum())
 
-    def kkt_dist_inf(self, x) -> float:
+    def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """The l1 KKT residual, from the gradient alone; the bias, which is
-        unregularized, contributes |g_0|."""
-        grad = self._gradient(x, self._neg_margins(x))
-        return float(np.maximum(abs(grad[0]), l1_kkt_dist_inf(
-            grad[1:], x[1:], self.nu)))
+        unregularized, contributes |g_0|.  ``floor`` is as for
+        :meth:`LassoProblem.kkt_dist_inf`.
+
+        The screen reads g_j = a_j . c for a weight, or sum_i c_i for the
+        bias (a_0 = 1), from fresh coefficients c_i = -b_i expit(u_i) and
+        the cached column a_j = A e_j.  Against the exact gradient, this
+        and the full evaluation are each off by at most (gamma_q + 9 u)
+        ||a_j||_1 + gamma_(p+1)/4 (||a_j|| ||A||_F ||w|| + ||a_j||_1 |v|)
+        for a q x p feature matrix, as expit is 1/4-Lipschitz and taken to
+        be within 8 u relative; S is K (||a_j||_1 (1 + |v|) + ||a_j||
+        ||A||_F ||w||) with K = 4 (q + p + 20) u, over twice that, plus
+        4 u (|g_j| + |r_j|).
+        """
+        screen = self._screen
+        u = None
+        if (floor < math.inf and screen is not None
+                and screen.design is self.features):
+            u = self._neg_margins(x)
+            coeff = -self.labels * expit(u)
+            if screen.col is None:
+                g = float(coeff.sum())
+                r = abs(g)
+            else:
+                g = float(screen.col @ coeff)
+                r = _l1_component(g, float(x[screen.j]), self.nu)
+            w = x[1:]
+            lower = r - (screen.c1 * (1.0 + abs(float(x[0])))
+                         + screen.c2 * math.sqrt(w @ w)
+                         + 4.0 * _U * (abs(g) + abs(r)))
+            if lower > floor:
+                return lower
+        if u is None:
+            u = self._neg_margins(x)
+        grad = self._gradient(x, u)
+        g0 = abs(grad[0])
+        r = _l1_components(grad[1:], x[1:], self.nu)
+        value = float(np.maximum(g0, float(max(r.max(), 0.0))))
+        if value > floor:
+            j = 0 if g0 >= r.max() else 1 + int(r.argmax())
+            if (screen is None or screen.design is not self.features
+                    or screen.j != j):
+                fro = _stored_norm(screen, self.features)
+                q, p = self.features.shape
+                if j == 0:
+                    col, norm1, norm2 = None, float(q), math.sqrt(q)
+                else:
+                    col = _design_column(self.features, j - 1)
+                    norm1 = float(np.abs(col).sum())
+                    norm2 = math.sqrt(col @ col)
+                k = 4.0 * (q + p + 20) * _U
+                self._screen = _Screen(self.features, fro, j, col, None,
+                                       k * norm1, k * norm2 * fro)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +376,6 @@ class L1ShiftedProx:
         return z
 
 
-def logistic_make_solvers(prob: LogisticProblem, c: float):
-    """L-BFGS F-procedure plus the bias-skipping shrink prox."""
-    return (LBFGSFProcedure(prob.value_gradient),
-            L1ShiftedProx(prob.nu, skip_first=True))
-
-
 def lasso_admm_problem(prob: LassoProblem, c: float) -> AdmmProblem:
     """CG-backed F-procedure plus the shrink prox for a LASSO instance.
     Neither depends on ``c``, which each session receives from the run."""
@@ -235,8 +385,12 @@ def lasso_admm_problem(prob: LassoProblem, c: float) -> AdmmProblem:
 
 
 def logistic_admm_problem(prob: LogisticProblem, c: float) -> AdmmProblem:
-    fproc, prox = logistic_make_solvers(prob, c)
-    return AdmmProblem(fproc, prox, prob.kkt_dist_inf, prob.objective, prob.n)
+    """L-BFGS F-procedure plus the bias-skipping shrink prox for a logistic
+    instance.  Neither depends on ``c``, which each session receives from
+    the run."""
+    return AdmmProblem(LBFGSFProcedure(prob.value_gradient),
+                       L1ShiftedProx(prob.nu, skip_first=True),
+                       prob.kkt_dist_inf, prob.objective, prob.n)
 
 
 def lasso_composite(prob: LassoProblem) -> CompositeProblem:

@@ -357,12 +357,17 @@ class FistaConfig:
 
 @dataclass
 class CompositeProblem:
-    """min F = f + g with smooth f (value and gradient) and proxable g."""
+    """min F = f + g with smooth f (value and gradient) and proxable g.
+
+    ``kkt_residual(x, floor)`` follows the contract of
+    :class:`irsplit.admm.AdmmProblem`: a value above ``floor`` may be a
+    lower bound on the residual, and ``floor = inf`` gives the residual.
+    """
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     prox: Callable[[np.ndarray, float], np.ndarray]  # prox of step*g at point
     g_value: Callable[[np.ndarray], float]
-    kkt_residual: Callable[[np.ndarray], float]
+    kkt_residual: Callable[[np.ndarray, float], float]
 
     def objective(self, x: np.ndarray) -> float:
         return float(self.value_grad(x)[0] + self.g_value(x))
@@ -382,8 +387,9 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
     The accepted point never increases the objective (the accelerated
     candidate is kept only when it improves), so the objective decreases
     after every accepted backtracking step.  Stops when the KKT residual
-    falls below ``config.tol``; returns status ``budget_exceeded``
-    otherwise.
+    falls below ``config.tol``, tested each iteration with ``config.tol``
+    as the floor; returns status ``budget_exceeded`` otherwise.  The
+    residuals at the start and in the record are exact.
     """
     config.validate()
     if x0 is None:
@@ -400,7 +406,7 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
     status = BUDGET_EXCEEDED
     outer = config.max_iters
     started = time.perf_counter()
-    if float(problem.kkt_residual(x)) <= config.tol:
+    if float(problem.kkt_residual(x, math.inf)) <= config.tol:
         status = CONVERGED
         outer = 0
     else:
@@ -425,7 +431,7 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
                 obj_x = obj_z
             # stopping looks at the fresh prox candidate: the guarded
             # iterate can sit still while the candidate keeps improving
-            if float(problem.kkt_residual(z)) <= config.tol:
+            if float(problem.kkt_residual(z, config.tol)) <= config.tol:
                 x = z
                 status = CONVERGED
                 outer = k
@@ -436,6 +442,7 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
             t = t_next
     wall = time.perf_counter() - started
     record = RunRecord(outer, prox_evals, wall,
-                       float(problem.kkt_residual(x)), problem.objective(x),
+                       float(problem.kkt_residual(x, math.inf)),
+                       problem.objective(x),
                        status)
     return FistaResult(x, status, record)

@@ -356,7 +356,7 @@ def test_solved_exit_returns_the_accepted_trial(inertial_core):
     """When an accepted trial has x_l = z_l the run stops as solved at that
     outer iteration and returns the trial, not the iterate before it."""
     stub = CoincideAt(4, at=2)
-    aprob = ir.AdmmProblem(stub, stub, lambda z: 1.0, None, 4)
+    aprob = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, None, 4)
     params = ADMMParams(c=1.3, core=inertial_core, epsilon=1e-6, max_outer=50)
     res = run_admm(aprob, params)
     assert res.status == "solved" and res.outer_iters == 2
@@ -370,7 +370,7 @@ def test_solved_exit_returns_the_accepted_trial(inertial_core):
 def test_final_kkt_is_the_stopping_value(lasso_20x50, inertial_core):
     evals = []
 
-    def kkt(x):
+    def kkt(x, floor):
         evals.append(x)
         return lasso_20x50.kkt_dist_inf(x)
 
@@ -492,9 +492,9 @@ def test_benchmark_setting_counts(instance, counts):
 def count_lasso_products(prob):
     """Build the LASSO ADMM problem with the design-matrix products counted
     by caller: ``open`` inside ``fproc.open_session``, ``step`` inside a
-    session's ``next`` and ``other`` elsewhere.  Returns
-    ``(problem, counts)``."""
-    counts = {"open": 0, "step": 0, "other": 0}
+    session's ``next``, ``kkt`` inside the stop test and ``other``
+    elsewhere.  Returns ``(problem, counts)``."""
+    counts = {"open": 0, "step": 0, "kkt": 0, "other": 0}
     phase = ["other"]
     design = prob.A
 
@@ -524,6 +524,7 @@ def count_lasso_products(prob):
         return session
 
     aprob.fproc.open_session = counted_open
+    aprob.kkt_residual = in_phase("kkt", aprob.kkt_residual)
     return aprob, counts
 
 
@@ -540,6 +541,22 @@ def test_lasso_products_at_session_start():
     assert (res.outer_iters, res.inner_iters_total) == (71, 125)
     assert counts["open"] <= 4
     assert counts["step"] == 2 * res.inner_iters_total
+
+
+@pytest.mark.parametrize("make, counts, bound", [
+    (lambda: ir.synthetic_lasso(100, 300, seed=0), (71, 125), 30),
+    (lambda: ir.synthetic_lasso(200, 1000, density=0.05, seed=3), (97, 230),
+     24),
+], ids=["dense_100x300", "csr_200x1000"])
+def test_lasso_products_in_the_stop_test(make, counts, bound):
+    """Count gate: the stop test proves most failures from one cached
+    Gram row, so its products stay far below two per test (144 and 196
+    here when every test evaluates the gradient; 26 and 18 measured)."""
+    aprob, products = count_lasso_products(make())
+    res = run_admm(aprob, published_params())
+    assert res.status == "converged"
+    assert (res.outer_iters, res.inner_iters_total) == counts
+    assert products["kkt"] <= bound
 
 
 def test_dr_lasso_products_at_session_start():

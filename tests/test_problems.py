@@ -1,9 +1,11 @@
 """Problem definitions: gradients, KKT residuals, generators, ingestion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
 import irsplit as ir
@@ -203,6 +205,117 @@ def test_logistic_value_gradient_and_kkt_match_reference(q, n, seed,
     assert prob.kkt_dist_inf(x) == kkt_reference(grad, x, prob.nu, mask)
 
 
+def screen_problem(kind):
+    """A small instance of each kind the KKT screen serves."""
+    if kind == "lasso_dense":
+        return ir.synthetic_lasso(12, 30, seed=3)
+    if kind == "lasso_csr":
+        return ir.synthetic_lasso(40, 60, density=0.2, seed=4)
+    return ir.synthetic_logistic(25, 9, seed=5)
+
+
+def kkt_components(prob, x):
+    """Per-component KKT residual (before the clip at 0), from dense
+    products; the logistic bias contributes |g_0|."""
+    if isinstance(prob, ir.LassoProblem):
+        a = prob.A.toarray()
+        grad = a.T @ (a @ x - prob.b)
+    else:
+        a = prob.features.toarray()
+        coeff = -prob.labels * expit(-prob.labels * (a @ x[1:] + x[0]))
+        grad = np.concatenate(([coeff.sum()], a.T @ coeff))
+    r = np.where(x != 0.0, np.abs(grad + prob.nu * np.sign(x)),
+                 np.abs(grad) - prob.nu)
+    if isinstance(prob, ir.LogisticProblem):
+        r[0] = abs(grad[0])
+    return r
+
+
+def screen_point(values, n):
+    return np.array([{"0": 0.0, "-0": -0.0}.get(v, v) for v in values[:n]],
+                    dtype=float)
+
+
+screen_entries = st.lists(st.sampled_from(["0", "-0"])
+                          | st.floats(-2.0, 2.0), min_size=60, max_size=60)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["lasso_dense", "lasso_csr", "logistic"]),
+       start=screen_entries, point=screen_entries,
+       scale=st.sampled_from([1.0, 1e3]), reassign=st.booleans(),
+       nan_at=st.none() | st.integers(0, 59))
+def test_kkt_screen_is_exact_at_or_below_the_floor(kind, start, point, scale,
+                                                   reassign, nan_at):
+    """The screened KKT residual: a value at or below the floor is the full
+    residual bit for bit, and a value above it is a lower bound on the
+    full residual, so the test ``value <= floor`` decides as the full one
+    would.  The screened component is within round-off of the exact one,
+    after ``b`` (labels) and ``nu`` are reassigned too, and a NaN in the
+    point is never screened."""
+    prob = screen_problem(kind)
+    n = prob.n
+    x0, x = screen_point(start, n), scale * screen_point(point, n)
+    if isinstance(prob, ir.LassoProblem):
+        prob.b = scale * prob.b  # large terms that cancel in the gradient
+    ref0 = kkt_components(prob, x0)
+    top = np.sort(ref0)
+    assume(top[-1] - top[-2] > 1e-6)  # the primed component is known
+    prob.kkt_dist_inf(x0, -np.inf)
+    j = int(np.argmax(ref0))
+    if reassign:
+        prob.nu *= 1.5
+        if isinstance(prob, ir.LassoProblem):
+            prob.b = prob.b + 0.25
+        else:
+            prob.labels = -prob.labels
+    if nan_at is not None:
+        x[nan_at % n] = np.nan
+        for floor in (-np.inf, 0.0, 1.0):
+            assert np.isnan(prob.kkt_dist_inf(x, floor))
+        return
+    ref = kkt_components(prob, x)
+    got = prob.kkt_dist_inf(x, -np.inf)  # component j, screened
+    assert ref[j] - 1e-8 * (1.0 + scale * scale) <= got <= ref[j]
+    full = prob.kkt_dist_inf(x)
+    assert full == prob.kkt_dist_inf(x, np.inf)
+    for floor in (np.nextafter(full, np.inf), full,
+                  np.nextafter(full, -np.inf), 0.5 * full, got, 0.0):
+        value = prob.kkt_dist_inf(x, floor)
+        if value <= floor:
+            assert np.float64(value).tobytes() == np.float64(full).tobytes()
+        else:
+            assert floor < value <= full
+
+
+@pytest.mark.parametrize("kind", ["lasso_dense", "lasso_csr", "bias"])
+def test_kkt_screen_bound_covers_cancellation_and_the_bias(kind):
+    """Screened components stay below the exact ones where round-off is at
+    its worst relative to the component: a LASSO b of norm 1e6 nearly
+    orthogonal to the primed column (the ||b|| term of the bound), and
+    the logistic bias, with gradients of both signs."""
+    for seed in range(20):
+        if kind == "bias":
+            prob = ir.synthetic_logistic(25, 9, nu_fraction=2.0, seed=seed)
+            points = [np.eye(prob.n)[0] * v for v in (-3.0, -0.5, 0.5, 3.0)]
+        else:
+            density = 1.0 if kind == "lasso_dense" else 0.2
+            prob = ir.synthetic_lasso(40, 60, density=density, seed=seed)
+            points = [np.zeros(prob.n)]
+        ref0 = kkt_components(prob, np.zeros(prob.n))
+        j = int(np.argmax(ref0))
+        assert (j == 0) == (kind == "bias")
+        prob.kkt_dist_inf(np.zeros(prob.n), -np.inf)
+        if kind != "bias":
+            col = prob.A.toarray()[:, j]
+            b = 1e6 * np.random.default_rng(seed).standard_normal(col.size)
+            prob.b = b - (col @ b) / (col @ col) * col
+        for x in points:
+            ref = kkt_components(prob, x)[j]
+            got = prob.kkt_dist_inf(x, -np.inf)
+            assert ref - 1e-6 <= got <= ref
+
+
 def test_lasso_kkt_zero_at_reference(lasso_20x50, lasso_20x50_reference):
     assert lasso_20x50.kkt_dist_inf(lasso_20x50_reference) <= 1e-10
 
@@ -295,7 +408,7 @@ def test_logistic_prox_skips_bias():
 
 def test_logistic_subproblem_membership(lasso_20x50):
     prob = ir.synthetic_logistic(12, 6, seed=5)
-    fproc, prox = ir.logistic_make_solvers(prob, 1.0)
+    fproc = ir.logistic_admm_problem(prob, 1.0).fproc
     rng = np.random.default_rng(47)
     p_hat = rng.standard_normal(6)
     z_hat = rng.standard_normal(6)
@@ -458,3 +571,27 @@ def test_dense_csv_header_skip(tmp_path):
 
 def test_reference_minimizer_accuracy(lasso_20x50, lasso_20x50_reference):
     assert lasso_20x50.kkt_dist_inf(lasso_20x50_reference) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["lasso", "logistic"])
+def test_fista_screened_stop_test_keeps_the_run(kind):
+    """``fista_solve`` passes its tolerance as the stop test's floor; it
+    stops at the same iteration, on the same point, as with every test
+    evaluated in full."""
+    if kind == "lasso":
+        prob = ir.synthetic_lasso(100, 300, seed=0)
+        composite = ir.lasso_composite(prob)
+    else:
+        prob = ir.synthetic_logistic(50, 31, seed=0)
+        composite = ir.logistic_composite(prob)
+    full = dataclasses.replace(
+        composite, kkt_residual=lambda x, floor: prob.kkt_dist_inf(x))
+    config = ir.FistaConfig(tol=1e-10)
+    got = ir.fista_solve(composite, config, n=prob.n)
+    want = ir.fista_solve(full, config, n=prob.n)
+    assert got.status == want.status == "converged"
+    assert np.array_equal(got.x, want.x)
+    assert (got.record.outer_iters, got.record.inner_iters_total,
+            got.record.final_kkt) == (want.record.outer_iters,
+                                      want.record.inner_iters_total,
+                                      want.record.final_kkt)
