@@ -102,6 +102,8 @@ class ADMMParams:
         if self.inner_budget < 1 or self.max_outer < 0:
             raise ParameterError("budgets must be positive")
         validate_params(self.core)
+        if self.core.lam != 1.0:
+            raise ParameterError("lam = 1 required by the splitting layers")
 
 
 class FProcedure(Protocol):
@@ -147,6 +149,8 @@ class ShiftedProxG(Protocol):
 class AdmmProblem:
     """Everything a run needs: subproblem engines, stopping residual, objective.
 
+    :func:`run_admm` requires ``kkt_residual``; the loop of
+    :func:`irsplit.dr.run_dr` runs with None there, and no KKT test.
     The run calls ``kkt_residual(z, floor)`` with two positional arguments.
     It returns the KKT residual at z, except that a value above ``floor``
     may instead be a lower bound on it (still above ``floor``): it then
@@ -156,7 +160,7 @@ class AdmmProblem:
 
     fproc: FProcedure
     prox_g: ShiftedProxG
-    kkt_residual: Callable[[np.ndarray, float], float]
+    kkt_residual: Optional[Callable[[np.ndarray, float], float]]
     objective: Optional[Callable[[np.ndarray], float]] = None
     dim: Optional[int] = None
 
@@ -358,10 +362,10 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     ``BudgetExceeded``: with sigma > 0 a conforming F-procedure is always
     accepted eventually.
 
-    Inputs are validated once, at entry: ``params`` (c > 0, alpha and the
-    other engine parameters) and the starting triple (one shape, of length
-    ``problem.dim`` when that is set, finite entries).  The iterates are
-    then carried as plain arrays.  The projection coefficient theta reads
+    Inputs are validated once, at entry: ``params`` (c > 0, lam = 1, alpha
+    and the other engine parameters), ``problem.kkt_residual`` (not None)
+    and the starting triple (one shape, of length ``problem.dim`` when that
+    is set, finite entries).  The iterates are then carried as plain arrays.  The projection coefficient theta reads
     the extrapolated z and p and the accepted trial's x, z and p, so a NaN
     or inf entering through the F-procedure or the prox makes it
     non-finite; that raises ``ValueError`` naming the outer iteration.
@@ -372,6 +376,8 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     a raised one.
     """
     params.validate()
+    if problem.kkt_residual is None:
+        raise ValueError("problem.kkt_residual required for the stop test")
     if init is None:
         if problem.dim is None:
             raise ValueError("problem.dim required for the default zero start")
@@ -385,15 +391,15 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
 
 
 def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
-         keep_trace: bool, gap_tol: float = 0.0,
-         check_kkt: bool = True) -> ADMMResult:
+         keep_trace: bool, gap_tol: float = 0.0) -> ADMMResult:
     """The outer loop of both drivers, on validated inputs.
 
-    Stops on a KKT residual at most ``params.epsilon`` when ``check_kkt``,
-    on an accepted trial with ||x_l - z_l|| <= ``gap_tol`` (status
-    ``solved``, the trial returned), or after ``params.max_outer``
-    iterations.  The record's ``final_kkt`` is the KKT residual at the
-    returned z, or ||x - z|| of the returned triple without the KKT test.
+    Stops on a KKT residual at most ``params.epsilon`` unless
+    ``problem.kkt_residual`` is None, on an accepted trial with
+    ||x_l - z_l|| <= ``gap_tol`` (status ``solved``, the trial returned),
+    or after ``params.max_outer`` iterations.  The record's ``final_kkt``
+    is the KKT residual at the returned z, or ||x - z|| of the returned
+    triple without the KKT test.
     """
     reset_procedure(problem.fproc)
     try:
@@ -405,6 +411,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         open_session = problem.fproc.open_session
         prox = problem.prox_g.solve
         anchored = bool(getattr(problem.fproc, "accepts_anchor", False))
+        kkt_residual = problem.kkt_residual
         x, z, p = init.x, init.z, init.p
         x_prev, z_prev, p_prev = x, z, p
         inner_total = 0
@@ -415,8 +422,8 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         final_kkt = None
         epsilon = params.epsilon
         for k in range(params.max_outer):
-            if check_kkt:
-                kkt = float(problem.kkt_residual(z, epsilon))
+            if kkt_residual is not None:
+                kkt = float(kkt_residual(z, epsilon))
                 if kkt <= epsilon:
                     status = "converged"
                     outer = k
@@ -474,8 +481,8 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
             x, z, p = x_l, z_l, p_next
         wall = time.perf_counter() - started
         if final_kkt is None:
-            final_kkt = (float(problem.kkt_residual(z, math.inf)) if check_kkt
-                         else float(np.linalg.norm(x - z)))
+            final_kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
+                         else float(kkt_residual(z, math.inf)))
         obj = float(problem.objective(z)) if problem.objective else math.nan
         rec_status = (CONVERGED if status in ("converged", "solved")
                       else BUDGET_EXCEEDED)

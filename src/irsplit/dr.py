@@ -79,6 +79,8 @@ class DRParams:
         if self.inner_budget < 1:
             raise ParameterError("inner_budget must be positive")
         validate_params(self.core)
+        if self.core.lam != 1.0:
+            raise ParameterError("lam = 1 required by the splitting layers")
 
 
 class BProcedure(Protocol):
@@ -233,14 +235,11 @@ class _ResolventProx:
         return self.resolvent.apply(self.gamma, x + self.gamma * p)
 
 
-def _split(triple: PrimalDualTriple) -> SplitTriple:
-    return SplitTriple(triple.x, -triple.p, triple.z)
-
-
 def _dr_step(step) -> DRStep:
-    return DRStep(_split(step.hat),
+    return DRStep(embed_to_dr(step.hat),
                   InnerSolve(step.x, -step.p_l, step.z_l, step.trials),
-                  step.theta, step.rho_k, step.alpha_k, _split(step.next))
+                  step.theta, step.rho_k, step.alpha_k,
+                  embed_to_dr(step.next))
 
 
 def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
@@ -275,14 +274,14 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     try:
         res = _run(problem, loop_params,
                    PrimalDualTriple(init.s, init.r, -init.b), keep_trace,
-                   gap_tol=sr_tolerance, check_kkt=False)
+                   gap_tol=sr_tolerance)
     except BudgetExceeded as exc:
         if isinstance(exc.state, PrimalDualTriple):
-            exc.state = _split(exc.state)
+            exc.state = embed_to_dr(exc.state)
         raise
     trace = None if res.trace is None else [_dr_step(st) for st in res.trace]
-    out = DRResult(_split(res.triple), res.x, res.status, res.outer_iters,
-                   res.inner_iters_total, res.record, trace)
+    out = DRResult(embed_to_dr(res.triple), res.x, res.status,
+                   res.outer_iters, res.inner_iters_total, res.record, trace)
     if res.status == BUDGET_EXCEEDED:
         raise BudgetExceeded(
             f"no convergence within {max_outer} outer iterations", state=out)
@@ -316,12 +315,10 @@ def embed_to_hpp(triple: SplitTriple, hat: SplitTriple, s_acc: np.ndarray,
     return z, w, z_tilde, v
 
 
-def embed_to_dr(triple: PrimalDualTriple, c: float) -> SplitTriple:
+def embed_to_dr(triple: PrimalDualTriple) -> SplitTriple:
     """Change of variables (s, b, r) = (x, -p, z) onto the splitting layer.
 
     With scaling gamma = 1/c every run quantity maps onto the splitting
     recursion; the implied exact half-step slope is a = c (s - r) - b.
     """
-    if not c > 0.0:
-        raise ParameterError("c > 0 violated")
-    return _split(triple)
+    return SplitTriple(triple.x, -triple.p, triple.z)

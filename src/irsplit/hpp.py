@@ -128,7 +128,7 @@ class InertiaRelaxParams:
     < 2, lam > 0, and the coupling alpha < beta_of_rho_bar(rho_hi) -- i.e.
     some admissible inertia bound above alpha pairs with the requested
     relaxation cap.  ``lam`` is the constant proximal stepsize; the
-    splitting layers built on top force lam = 1.
+    splitting layers built on top require lam = 1 and reject any other.
     """
 
     alpha: float

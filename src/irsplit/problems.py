@@ -49,6 +49,12 @@ __all__ = [
 class DesignMatrix:
     """m x n design matrix, dense ndarray or CSR, with matvec interface.
 
+    A sparse input is stored as a float CSR copy.  A dense float64 input is
+    kept by reference, not copied, and must not be changed in place
+    afterwards: ``stored_norm()`` and the KKT screens of the problems built
+    on this matrix keep values computed from it.  Both products return 1-D
+    arrays; numpy or scipy raises ``ValueError`` on a wrong length.
+
     The transpose operator is built once, by the first ``apply_transpose``
     call, and kept: the zero-copy ``.T`` view of the stored matrix (a CSC
     view sharing the CSR arrays when sparse, a strided view when dense).
@@ -71,23 +77,41 @@ class DesignMatrix:
             if not np.all(np.isfinite(self._mat)):
                 raise ValueError("matrix has non-finite entries")
         self._mat_t = None
+        self._norm: Optional[float] = None
 
     @property
     def shape(self):
         return self._mat.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"dimension mismatch: {x.shape[0]} vs {self.shape[1]}")
-        return np.asarray(self._mat @ x).ravel()
+        return self._mat @ x
 
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
-        if u.shape[0] != self.shape[0]:
-            raise ValueError(f"dimension mismatch: {u.shape[0]} vs {self.shape[0]}")
         mat_t = self._mat_t
         if mat_t is None:
             mat_t = self._mat_t = self._mat.T
-        return np.asarray(mat_t @ u).ravel()
+        return mat_t @ u
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j as the product A e_j, which is exact: every other term
+        is a signed zero."""
+        e = np.zeros(self.shape[1])
+        e[j] = 1.0
+        return self.apply(e)
+
+    def stored_norm(self) -> float:
+        """||A||_F over the stored entries, computed on the first call and
+        kept, for the KKT screens' round-off bounds.  The bounds take each
+        row product as a sum over distinct columns, so a CSR matrix that
+        may hold duplicate entries gets inf, which turns its screens off."""
+        if self._norm is None:
+            mat = self._mat
+            if self.is_sparse and not mat.has_canonical_format:
+                self._norm = math.inf
+            else:
+                self._norm = float(np.linalg.norm(
+                    mat.data if self.is_sparse else mat))
+        return self._norm
 
     def toarray(self) -> np.ndarray:
         return self._mat.toarray() if self.is_sparse else self._mat.copy()
@@ -143,36 +167,11 @@ class _Screen:
     bound S."""
 
     design: DesignMatrix
-    fro: float  # ||A||_F over the stored entries
     j: int
     col: Optional[np.ndarray]
     row: Optional[np.ndarray]
     c1: float
     c2: float
-
-
-def _stored_norm(screen: Optional[_Screen], design: DesignMatrix) -> float:
-    """||A||_F over the stored entries, for the KKT screens' round-off
-    bounds, taken from ``screen`` when it belongs to ``design``.  The
-    bounds take each row product as a sum over distinct columns, so a CSR
-    matrix that may hold duplicate entries gets inf, which turns its
-    screens off."""
-    if screen is not None and screen.design is design:
-        return screen.fro
-    mat = design._mat
-    if design.is_sparse:
-        if not mat.has_canonical_format:
-            return math.inf
-        mat = mat.data
-    return float(np.linalg.norm(mat))
-
-
-def _design_column(design: DesignMatrix, j: int) -> np.ndarray:
-    """Column j as the product A e_j, which is exact: every other term is a
-    signed zero."""
-    e = np.zeros(design.shape[1])
-    e[j] = 1.0
-    return design.apply(e)
 
 
 @dataclass
@@ -245,12 +244,11 @@ class LassoProblem:
         if value > floor:
             j = int(r.argmax())
             if screen is None or screen.design is not self.A or screen.j != j:
-                fro = _stored_norm(screen, self.A)
-                col = _design_column(self.A, j)
+                col = self.A.column(j)
                 c1 = 4.0 * (sum(self.A.shape) + 2) * _U * math.sqrt(col @ col)
-                self._screen = _Screen(self.A, fro, j, col,
+                self._screen = _Screen(self.A, j, col,
                                        self.A.apply_transpose(col),
-                                       c1, c1 * fro)
+                                       c1, c1 * self.A.stored_norm())
         return value
 
 
@@ -339,17 +337,16 @@ class LogisticProblem:
             j = 0 if g0 >= r.max() else 1 + int(r.argmax())
             if (screen is None or screen.design is not self.features
                     or screen.j != j):
-                fro = _stored_norm(screen, self.features)
                 q, p = self.features.shape
                 if j == 0:
                     col, norm1, norm2 = None, float(q), math.sqrt(q)
                 else:
-                    col = _design_column(self.features, j - 1)
+                    col = self.features.column(j - 1)
                     norm1 = float(np.abs(col).sum())
                     norm2 = math.sqrt(col @ col)
                 k = 4.0 * (q + p + 20) * _U
-                self._screen = _Screen(self.features, fro, j, col, None,
-                                       k * norm1, k * norm2 * fro)
+                self._screen = _Screen(self.features, j, col, None, k * norm1,
+                                       k * norm2 * self.features.stored_norm())
         return value
 
 
@@ -420,16 +417,16 @@ def logistic_composite(prob: LogisticProblem) -> CompositeProblem:
     )
 
 
-def reference_minimizer(prob, tol: float = 1e-10,
-                        max_iters: int = 500_000) -> np.ndarray:
-    """High-accuracy minimizer via the proximal-gradient baseline."""
+def reference_minimizer(prob, tol: float = 1e-10) -> np.ndarray:
+    """High-accuracy minimizer via the proximal-gradient baseline, within
+    500,000 iterations."""
     if isinstance(prob, LassoProblem):
         composite = lasso_composite(prob)
     elif isinstance(prob, LogisticProblem):
         composite = logistic_composite(prob)
     else:
         raise TypeError(f"unsupported problem type {type(prob)!r}")
-    result = fista_solve(composite, FistaConfig(tol=tol, max_iters=max_iters),
+    result = fista_solve(composite, FistaConfig(tol=tol, max_iters=500_000),
                          n=prob.n)
     if result.status != "converged":
         raise RuntimeError(f"reference solve stalled at kkt = "

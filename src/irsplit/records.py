@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 CONVERGED = "converged"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -29,6 +29,3 @@ class RunRecord:
             raise ValueError("iteration counts must be nonnegative")
         if self.wall_seconds < 0:
             raise ValueError("wall_seconds must be nonnegative")
-
-    def as_dict(self) -> dict:
-        return asdict(self)

@@ -58,7 +58,6 @@ class CGSession:
         self._y = h_x0 - self._rhs
         self._direction = -self._y
         self._rs = float(self._y @ self._y)
-        self.steps = 0
         self.last: Optional[np.ndarray] = None
 
     @property
@@ -82,7 +81,6 @@ class CGSession:
             rs_new = float(self._y @ self._y)
             self._direction = (rs_new / self._rs) * self._direction - self._y
             self._rs = rs_new
-            self.steps += 1
         self.last = self.x
         return self.x, self._y
 
@@ -156,10 +154,17 @@ class QuadraticFProcedure:
         return session
 
 
-class CurvatureMemory:
-    """The last ``size`` L-BFGS secant pairs, oldest first, as array rows.
+# the L-BFGS engine's one configuration
+_MEMORY = 10
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 50
 
-    Pair ``i`` is row ``i`` of two ``(size, n)`` arrays ``S`` and ``Y``,
+
+class CurvatureMemory:
+    """The last 10 L-BFGS secant pairs, oldest first, as array rows.
+
+    Pair ``i`` is row ``i`` of two ``(10, n)`` arrays ``S`` and ``Y``,
     with ``rho[i] = 1/<s_i, y_i>`` kept in a list.  ``add`` keeps a pair
     only when its curvature <s, y> is positive relative to ||s|| ||y||, and
     drops the oldest pair when the memory is full.  ``direction`` is the
@@ -170,9 +175,8 @@ class CurvatureMemory:
     n-vectors.
     """
 
-    def __init__(self, size: int = 10):
-        self.size = size
-        self._s = self._y = np.empty((size, 0))
+    def __init__(self):
+        self._s = self._y = np.empty((_MEMORY, 0))
         self._rho: list[float] = []
         self._gamma = 1.0
 
@@ -185,17 +189,17 @@ class CurvatureMemory:
     def add(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s @ y)
         yy = float(y @ y)
-        if not self.size or not sy > 1e-12 * math.sqrt(float(s @ s) * yy):
+        if not sy > 1e-12 * math.sqrt(float(s @ s) * yy):
             return
         k = len(self._rho)
-        if k == self.size:
+        if k == _MEMORY:
             self._s[:-1] = self._s[1:]
             self._y[:-1] = self._y[1:]
             del self._rho[0]
             k -= 1
         elif k == 0 and self._s.shape[1] != s.size:
-            self._s = np.empty((self.size, s.size))
-            self._y = np.empty((self.size, s.size))
+            self._s = np.empty((_MEMORY, s.size))
+            self._y = np.empty((_MEMORY, s.size))
         self._s[k] = s
         self._y[k] = y
         self._rho.append(1.0 / sy)
@@ -229,28 +233,23 @@ class LBFGSSession:
     """Limited-memory BFGS with Armijo backtracking, one step per ``next``.
 
     ``memory`` is the :class:`CurvatureMemory` the session reads and
-    extends, a fresh one of 10 pairs when omitted.  A trial step is
-    accepted by the Armijo test on f.  Near the optimum the decrease that
-    test asks for can fall below the round-off of f, so when f_new and f
-    agree to within ``1e-12 (1 + |f|)`` (the slack ``fista_solve`` uses)
-    the step is also accepted on the gradient form of the Armijo test,
-    ``<g_new, d> <= (2 armijo - 1) <g, d>`` (the approximate Wolfe test of
-    Hager and Zhang).  Each step's point and gradient are fresh arrays,
-    emitted without a copy; at a stationary point the session keeps
-    returning them.
+    extends.  A trial step is accepted by the Armijo test on f with
+    constant ``armijo = 1e-4``, over at most 50 steps, each half the last.
+    Near the optimum the decrease that test asks for can fall below the
+    round-off of f, so when f_new and f agree to within ``1e-12 (1 + |f|)``
+    (the slack ``fista_solve`` uses) the step is also accepted on the
+    gradient form of the Armijo test, ``<g_new, d> <= (2 armijo - 1) <g,
+    d>`` (the approximate Wolfe test of Hager and Zhang).  Each step's
+    point and gradient are fresh arrays, emitted without a copy; at a
+    stationary point the session keeps returning them.
     """
 
     def __init__(self, value_and_grad, x0: np.ndarray,
-                 memory: Optional[CurvatureMemory] = None,
-                 armijo: float = 1e-4, backtrack: float = 0.5,
-                 max_backtracks: int = 50):
+                 memory: CurvatureMemory):
         self._fg = value_and_grad
         self.x = np.asarray(x0, dtype=float).copy()
         self.f, self.g = value_and_grad(self.x)
-        self._memory = CurvatureMemory() if memory is None else memory
-        self._armijo = armijo
-        self._backtrack = backtrack
-        self._max_backtracks = max_backtracks
+        self._memory = memory
 
     def next(self) -> tuple[np.ndarray, np.ndarray]:
         if not self.g.any():
@@ -261,18 +260,17 @@ class LBFGSSession:
             d = -self.g
             slope = -float(self.g @ self.g)
         f = self.f
-        armijo = self._armijo
         slack = 1e-12 * (1.0 + abs(f))
         step = 1.0
-        for _ in range(self._max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_new = self.x + step * d
             f_new, g_new = self._fg(x_new)
-            if f_new <= f + armijo * step * slope:
+            if f_new <= f + _ARMIJO * step * slope:
                 break
             if (abs(f_new - f) <= slack
-                    and g_new @ d <= (2.0 * armijo - 1.0) * slope):
+                    and g_new @ d <= (2.0 * _ARMIJO - 1.0) * slope):
                 break
-            step *= self._backtrack
+            step *= _BACKTRACK
         else:
             raise LineSearchFailure("no Armijo step within the backtrack budget")
         self._memory.add(x_new - self.x, g_new - self.g)
@@ -283,9 +281,9 @@ class LBFGSSession:
 class LBFGSFProcedure:
     """F-procedure for a smooth f given by a value-and-gradient callable.
 
-    The procedure owns one :class:`CurvatureMemory` of ``memory`` secant
-    pairs that every session it opens reads and extends, so the first step
-    of a session already uses the curvature learned by the earlier ones.
+    The procedure owns one :class:`CurvatureMemory` that every session it
+    opens reads and extends, so the first step of a session already uses
+    the curvature learned by the earlier ones.
     The augmented subobjective f + <p, .> + (c/2)||. - z||^2 has Hessian
     grad^2 f + c I whatever (p, z) are, so a stored pair stays a true
     secant pair while c is unchanged; a session opened with another c
@@ -296,13 +294,10 @@ class LBFGSFProcedure:
     round-off fallback are described on :class:`LBFGSSession`.
     """
 
-    def __init__(self, value_and_grad, memory: int = 10, armijo: float = 1e-4,
-                 backtrack: float = 0.5, max_backtracks: int = 50):
+    def __init__(self, value_and_grad):
         self._fg = value_and_grad
-        self._memory = CurvatureMemory(memory)
+        self._memory = CurvatureMemory()
         self._c: Optional[float] = None
-        self._opts = dict(armijo=armijo, backtrack=backtrack,
-                          max_backtracks=max_backtracks)
 
     def reset(self) -> None:
         """Forget every stored curvature pair."""
@@ -319,7 +314,7 @@ class LBFGSFProcedure:
             dxz = x - z
             return (f + p @ x + 0.5 * c * (dxz @ dxz), g + p + c * dxz)
 
-        return LBFGSSession(augmented, x_bar, self._memory, **self._opts)
+        return LBFGSSession(augmented, x_bar, self._memory)
 
 
 def _shrink(t: np.ndarray, kappa: float) -> np.ndarray:

@@ -129,7 +129,7 @@ def test_criterion_3_layer_stack_equivalence(lasso_20x50, inertial_core):
         if not ir.error_criterion_holds(w, cert, inertial_core.sigma):
             verdict_mismatches += 1
         # verdicts of the two acceptance tests agree at every inner trial
-        hat_dr = ir.embed_to_dr(step.hat, c)
+        hat_dr = ir.embed_to_dr(step.hat)
         for trial in step.inner:
             mapped = dr_acceptance(hat_dr, trial.x, -trial.p_l, trial.z_l,
                                    1.0 / c, inertial_core.sigma)

@@ -15,7 +15,7 @@ from irsplit.admm import (ADMMParams, Criterion, FToBAdapter,
                           multiplier_candidate, p_update, run_admm, theta_admm)
 from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
                         run_dr, theta)
-from irsplit.errors import BudgetExceeded, ZeroVectorError
+from irsplit.errors import BudgetExceeded, ParameterError, ZeroVectorError
 from irsplit.hpp import rho_bar_of_beta
 from irsplit.operators import ExactQuadraticFProcedure, L1Resolvent
 from irsplit.problems import L1ShiftedProx
@@ -174,7 +174,7 @@ def test_theta_matches_splitting_layer():
         hat = PrimalDualTriple(*(rng.standard_normal(5) for _ in range(3)))
         x_l, z_l, p_l = (rng.standard_normal(5) for _ in range(3))
         th_a = theta_admm(hat, x_l, z_l, p_l, c)
-        hat_dr = embed_to_dr(hat, c)
+        hat_dr = embed_to_dr(hat)
         th_d = theta(hat_dr, x_l, -p_l, z_l, 1.0 / c)
         assert abs(th_a - th_d) <= 1e-12 * (1.0 + abs(th_d))
 
@@ -202,7 +202,7 @@ def test_p_update_cases_and_embedding():
     from irsplit.dr import dr_update
     th, rho = 0.8, 1.4
     p2 = p_update(hat.p, hat.z, z_n, x_n, th, rho, c)
-    nxt = dr_update(embed_to_dr(hat, c), x_n, z_n, th, rho, 1.0 / c)
+    nxt = dr_update(embed_to_dr(hat), x_n, z_n, th, rho, 1.0 / c)
     assert np.linalg.norm(nxt.b - (-p2)) <= 1e-12 * (1 + np.linalg.norm(p2))
 
 
@@ -745,13 +745,45 @@ def test_init_of_wrong_length_raises_at_entry(lasso_20x50, inertial_core):
     assert aprob.fproc.opened == 0
 
 
+@pytest.mark.parametrize("driver", ["admm", "dr"])
+def test_lam_other_than_one_raises_at_entry(lasso_20x50, inertial_core,
+                                            driver):
+    """The splitting layers run the engine at stepsize 1, their scaling
+    being c (gamma); another lam is rejected before any session opens
+    rather than ignored."""
+    core = dataclasses.replace(inertial_core, lam=0.5)
+    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+    aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only
+    n = lasso_20x50.n
+    with pytest.raises(ParameterError, match="lam"):
+        if driver == "admm":
+            run_admm(aprob, ADMMParams(c=1.0, core=core))
+        else:
+            run_dr(SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n)),
+                   DRParams(1.0, core), FToBAdapter(aprob.fproc),
+                   L1Resolvent(lasso_20x50.nu), max_outer=10)
+    assert aprob.fproc.opened == 0
+
+
+def test_problem_without_kkt_residual_raises_at_entry(lasso_20x50,
+                                                      inertial_core):
+    """run_admm stops on the KKT test, so a problem without a residual is
+    rejected at entry, before any session opens."""
+    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+    aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only
+    aprob.kkt_residual = None
+    with pytest.raises(ValueError, match="kkt_residual"):
+        run_admm(aprob, ADMMParams(c=1.0, core=inertial_core))
+    assert aprob.fproc.opened == 0
+
+
 # ---------------------------------------------------------------------------
 # embedding onto the splitting layer
 # ---------------------------------------------------------------------------
 
 def test_embed_sign_convention():
     triple = PrimalDualTriple(np.ones(2), 2 * np.ones(2), np.zeros(2))
-    mapped = embed_to_dr(triple, 2.0)
+    mapped = embed_to_dr(triple)
     assert np.array_equal(mapped.b, np.zeros(2))
     assert np.array_equal(mapped.s, triple.x)
     assert np.array_equal(mapped.r, triple.z)
@@ -806,7 +838,7 @@ def test_acceptance_verdicts_agree_under_embedding(lasso_20x50,
     from irsplit.dr import dr_acceptance
     checked = 0
     for step in res.trace:
-        hat_dr = embed_to_dr(step.hat, c)
+        hat_dr = embed_to_dr(step.hat)
         for trial in step.inner:
             verdict = dr_acceptance(hat_dr, trial.x, -trial.p_l, trial.z_l,
                                     1.0 / c, plain_core_sigma99.sigma)

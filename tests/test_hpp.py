@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.errors import (BudgetExceeded, OracleFailure, ParameterError,
                             ZeroVectorError)
-from irsplit.hpp import HPPState, Solution, error_ratio, hpp_iterate
+from irsplit.hpp import (HPPState, Solution, error_ratio, hpp_iterate,
+                         rho_bar_of_beta)
 from irsplit.operators import (AffineOperator, ExactResolventOracle,
                                PerturbedResolventOracle,
                                ScaledIdentityOperator)
@@ -239,6 +241,33 @@ def test_run_inertial_perturbed_descent_and_summability():
     for step in res.trace:
         assert step.diag.s_k >= 0.0
         assert step.diag.error_ratio <= 1.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       skew=st.floats(0.0, 5.0), beta=st.floats(0.02, 0.9),
+       frac=st.floats(0.0, 0.99), sigma=st.floats(0.0, 0.95))
+def test_run_traces_are_fejer_monotone(n, seed, skew, beta, frac, sigma):
+    """Fejer descent and the inertial partial-sum bound hold at every step
+    of an inexact run, for any admissible (alpha, beta, rho, sigma), on
+    monotone affine operators M z + q with a skew part of any size."""
+    rng = np.random.default_rng(seed)
+    b, k = rng.standard_normal((2, n, n))
+    mat = b @ b.T / n + 0.1 * np.eye(n) + skew * (k - k.T)
+    q = rng.standard_normal(n)
+    z_star = np.linalg.solve(mat, -q)
+    rho = rho_bar_of_beta(beta)
+    params = ir.InertiaRelaxParams(frac * beta, beta, sigma, rho, rho)
+    oracle = PerturbedResolventOracle(AffineOperator(mat, q), seed=seed)
+    z0 = rng.standard_normal(n)
+    try:
+        trace = ir.run_hpp(z0, oracle, params, max_iters=400,
+                           v_tolerance=1e-8, keep_trace=True).trace
+    except BudgetExceeded as exc:
+        trace = exc.state.trace
+    assert ir.fejer_check(trace, z_star, params, rel_tol=1e-9) is None
+    assert ir.alvarez_attouch_check(trace, z0, z_star, params,
+                                    rel_tol=1e-9) is None
 
 
 def test_stationary_start_is_solution():

@@ -78,6 +78,42 @@ def test_design_matrix_shape_checks():
         d.apply_transpose(np.ones(2))
 
 
+@pytest.mark.parametrize("store", [np.asarray, sp.csr_matrix, sp.csr_array],
+                         ids=["dense", "csr_matrix", "csr_array"])
+def test_products_are_1d_and_reject_a_wrong_length(store):
+    """Both products return 1-D arrays for every stored type, and numpy or
+    scipy rejects a vector of the wrong length with ``ValueError``."""
+    a = np.arange(6.0).reshape(3, 2)
+    design = DesignMatrix(store(a))
+    for wrong in (np.ones(1), np.ones(3)):
+        with pytest.raises(ValueError):
+            design.apply(wrong)
+    for wrong in (np.ones(2), np.ones(4)):
+        with pytest.raises(ValueError):
+            design.apply_transpose(wrong)
+    # array_equal also compares shapes: both results are 1-D
+    assert np.array_equal(design.apply(np.ones(2)), a @ np.ones(2))
+    assert np.array_equal(design.apply_transpose(np.ones(3)),
+                          a.T @ np.ones(3))
+
+
+def test_column_and_stored_norm():
+    """``column(j)`` is column j bit for bit; ``stored_norm()`` is the
+    Frobenius norm of the stored entries, and inf for a CSR matrix that
+    may hold duplicate entries."""
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((5, 4))
+    a[rng.random((5, 4)) < 0.4] = 0.0
+    for design in (DesignMatrix(a), DesignMatrix(sp.csr_matrix(a))):
+        for j in range(4):
+            assert np.array_equal(design.column(j), a[:, j])
+        assert design.stored_norm() == pytest.approx(np.linalg.norm(a),
+                                                     rel=1e-15)
+    dup = sp.csr_matrix((np.ones(2), np.zeros(2, dtype=int), [0, 2, 2]),
+                        shape=(2, 3))
+    assert DesignMatrix(dup).stored_norm() == np.inf
+
+
 # ---------------------------------------------------------------------------
 # LASSO
 # ---------------------------------------------------------------------------

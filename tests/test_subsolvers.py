@@ -284,7 +284,7 @@ def test_lbfgs_matches_cg_quality_on_quadratic():
     def fg(x):
         return 0.5 * x @ (h @ x) - rhs @ x, h @ x - rhs
 
-    session = LBFGSSession(fg, np.zeros(n))
+    session = LBFGSSession(fg, np.zeros(n), CurvatureMemory())
     y0 = np.linalg.norm(fg(np.zeros(n))[1])
     for _ in range(2 * n):
         _, y = session.next()
