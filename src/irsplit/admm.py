@@ -196,10 +196,18 @@ def multiplier_candidate(p_hat: np.ndarray, x_l: np.ndarray, z_hat: np.ndarray,
     return _multiplier(p_hat, x_l, z_hat, y_l, c)
 
 
-def _accept(y_l, p_l, p_hat, z_l, z_hat, dd: float, c: float, sigma: float,
+def _acceptance_vector(p_l, p_hat, z_l, z_hat, c: float) -> np.ndarray:
+    """t = p_l - p_hat - c (z_l - z_hat), which the acceptance test and
+    theta share.  It is bit for bit theta's c (z_hat - z_l) - (p_hat - p_l):
+    each operand is the exact negation of the other's, and rounding to
+    nearest is symmetric in sign."""
+    return p_l - p_hat - c * (z_l - z_hat)
+
+
+def _accept(y_l, t, dd: float, c: float, sigma: float,
             max_form: bool) -> bool:
-    """The acceptance test with dd = ||x_l - z_l||^2 given."""
-    t = p_l - p_hat - c * (z_l - z_hat)
+    """The acceptance test from t = :func:`_acceptance_vector` and dd =
+    ||x_l - z_l||^2."""
     if max_form:
         return math.sqrt(y_l @ y_l) <= sigma * max(math.sqrt(t @ t),
                                                    c * math.sqrt(dd))
@@ -215,17 +223,13 @@ def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
     and implies SUM_SQUARES.
     """
     d = x_l - z_l
-    return _accept(y_l, p_l, p_hat, z_l, z_hat, d @ d, c, sigma,
-                   criterion is Criterion.MAX_FORM)
+    return _accept(y_l, _acceptance_vector(p_l, p_hat, z_l, z_hat, c), d @ d,
+                   c, sigma, criterion is Criterion.MAX_FORM)
 
 
-def _theta(z_hat: np.ndarray, p_hat: np.ndarray, z_l: np.ndarray,
-           p_l: np.ndarray, d: np.ndarray, dd: float, c: float) -> float:
-    """theta from d = x_l - z_l and dd = d @ d > 0."""
-    if not math.isfinite(dd):
-        # an inf in x_l or z_l: the subtractions below would be inf - inf
-        return math.nan
-    t = c * (z_hat - z_l) - (p_hat - p_l)
+def _theta(t: np.ndarray, d: np.ndarray, dd: float, c: float) -> float:
+    """theta from t = :func:`_acceptance_vector`, d = x_l - z_l and a
+    finite dd = d @ d > 0."""
     return float((t @ d) / (c * dd))
 
 
@@ -240,7 +244,10 @@ def theta_admm(hat: PrimalDualTriple, x_l: np.ndarray, z_l: np.ndarray,
     dd = d @ d
     if dd == 0.0:
         raise ZeroVectorError("x = z: solution found")
-    return _theta(hat.z, hat.p, z_l, p_l, d, dd, c)
+    if not math.isfinite(dd):
+        # an inf in x_l or z_l: the subtractions below would be inf - inf
+        return math.nan
+    return _theta(c * (hat.z - z_l) - (hat.p - p_l), d, dd, c)
 
 
 def p_update(p_hat: np.ndarray, z_hat: np.ndarray, z_next: np.ndarray,
@@ -446,8 +453,11 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                 z_l = prox(p_l, x_l, c)
                 d = x_l - z_l
                 dd = d @ d
-                accepted = exact or _accept(y_l, p_l, p_hat, z_l, z_hat, dd,
-                                            c, sigma, max_form)
+                if exact:
+                    accepted = True
+                else:
+                    t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
+                    accepted = _accept(y_l, t, dd, c, sigma, max_form)
                 if keep_trace:
                     inner_rows.append(InnerTrial(x_l, y_l, p_l, z_l,
                                                  accepted))
@@ -464,7 +474,11 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                 outer = k
                 x, z, p = x_l, z_l, p_l
                 break
-            th = _theta(z_hat, p_hat, z_l, p_l, d, dd, c)
+            th = math.nan  # an inf in x_l or z_l makes dd inf
+            if math.isfinite(dd):
+                if exact:  # t is formed only now, past the guard
+                    t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
+                th = _theta(t, d, dd, c)
             if not math.isfinite(th):
                 raise ValueError(f"non-finite iterate at outer iteration {k} "
                                  f"(theta = {th})")

@@ -254,7 +254,12 @@ class LassoProblem:
 
 @dataclass
 class LogisticProblem:
-    """min sum_i log(1 + exp(-b_i (a_i^T w + v))) + nu ||w||_1, x = (v, w)."""
+    """min sum_i log(1 + exp(-b_i (a_i^T w + v))) + nu ||w||_1, x = (v, w).
+
+    ``labels`` is copied at construction.  The problem keeps their negation
+    -b, formed again whenever ``labels`` is reassigned, so ``labels`` may be
+    reassigned but not changed in place, as for :class:`DesignMatrix`.
+    """
 
     features: DesignMatrix  # q x (n - 1), rows a_i
     labels: np.ndarray      # in {-1, +1}
@@ -262,7 +267,7 @@ class LogisticProblem:
     w_true: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=float)
+        self.labels = np.array(self.labels, dtype=float)
         if self.labels.shape[0] != self.features.shape[0]:
             raise ValueError("label count must match the feature row count")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
@@ -270,17 +275,26 @@ class LogisticProblem:
         if not self.nu > 0.0:
             raise ValueError("nu > 0 violated")
         self._screen = None
+        self._neg_of = self._neg = None
 
     @property
     def n(self) -> int:
         return self.features.shape[1] + 1
 
+    def _neg_labels(self) -> np.ndarray:
+        """-labels, kept until ``labels`` is reassigned."""
+        labels = self.labels
+        if self._neg_of is not labels:
+            self._neg_of, self._neg = labels, -labels
+        return self._neg
+
     def _neg_margins(self, x) -> np.ndarray:
-        return -(self.labels * (self.features.apply(x[1:]) + x[0]))
+        # (-b) m is -(b m) bit for bit: rounding is symmetric in sign
+        return self._neg_labels() * (self.features.apply(x[1:]) + x[0])
 
     def _gradient(self, x, u) -> np.ndarray:
         """The gradient at x from its negated margins u."""
-        coeff = -self.labels * expit(u)  # 1 / (1 + exp(-u)), overflow safe
+        coeff = self._neg_labels() * expit(u)  # 1/(1 + exp(-u)), overflow safe
         grad = np.empty_like(x)
         grad[0] = coeff.sum()
         grad[1:] = self.features.apply_transpose(coeff)
@@ -292,7 +306,9 @@ class LogisticProblem:
         return float(np.logaddexp(0.0, u).sum()), self._gradient(x, u)
 
     def objective(self, x) -> float:
-        return self.value_gradient(x)[0] + self.nu * float(np.abs(x[1:]).sum())
+        """The value alone, by :meth:`value_gradient`'s operations."""
+        value = float(np.logaddexp(0.0, self._neg_margins(x)).sum())
+        return value + self.nu * float(np.abs(x[1:]).sum())
 
     def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """The l1 KKT residual, from the gradient alone; the bias, which is
@@ -314,7 +330,7 @@ class LogisticProblem:
         if (floor < math.inf and screen is not None
                 and screen.design is self.features):
             u = self._neg_margins(x)
-            coeff = -self.labels * expit(u)
+            coeff = self._neg_labels() * expit(u)
             if screen.col is None:
                 g = float(coeff.sum())
                 r = abs(g)

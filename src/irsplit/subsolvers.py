@@ -252,7 +252,7 @@ class LBFGSSession:
         self._memory = memory
 
     def next(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.g.any():
+        if not np.count_nonzero(self.g):  # g.any(), cheaper on short vectors
             return self.x, self.g
         d = self._memory.direction(self.g)
         slope = float(self.g @ d)
@@ -262,8 +262,8 @@ class LBFGSSession:
         f = self.f
         slack = 1e-12 * (1.0 + abs(f))
         step = 1.0
+        x_new = self.x + d  # step 1.0, and 1.0 * d is d exactly
         for _ in range(_MAX_BACKTRACKS):
-            x_new = self.x + step * d
             f_new, g_new = self._fg(x_new)
             if f_new <= f + _ARMIJO * step * slope:
                 break
@@ -271,6 +271,7 @@ class LBFGSSession:
                     and g_new @ d <= (2.0 * _ARMIJO - 1.0) * slope):
                 break
             step *= _BACKTRACK
+            x_new = self.x + step * d
         else:
             raise LineSearchFailure("no Armijo step within the backtrack budget")
         self._memory.add(x_new - self.x, g_new - self.g)

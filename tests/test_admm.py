@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import math
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -11,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, FToBAdapter,
-                          PrimalDualTriple, admm_acceptance, admm_extrapolate,
+                          PrimalDualTriple, _acceptance_vector, _theta,
+                          admm_acceptance, admm_extrapolate,
                           multiplier_candidate, p_update, run_admm, theta_admm)
 from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
                         run_dr, theta)
@@ -101,6 +104,67 @@ def test_max_form_implies_sum_squares():
                            Criterion.MAX_FORM):
             assert admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
                                    Criterion.SUM_SQUARES)
+
+
+# finite entries with signed zeros and subnormals drawn on purpose
+finite_entries = (st.floats(-1e3, 1e3)
+                  | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]))
+
+
+def vectors(data, n, elements=finite_entries):
+    return data.draw(st.lists(elements, min_size=n, max_size=n).map(np.array))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), data=st.data(), c=st.floats(1e-5, 1e5),
+       sigma=st.floats(0.0, 1.0, exclude_max=True))
+def test_max_form_verdict_implies_sum_squares_verdict(n, data, c, sigma):
+    """ROADMAP contract: a trial the max-form test accepts, the
+    summed-squares test accepts too, in floating point."""
+    y, p_l, p_hat, z_l, z_hat, x_l = (vectors(data, n) for _ in range(6))
+    if admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                       Criterion.MAX_FORM):
+        assert admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                               Criterion.SUM_SQUARES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), data=st.data(), c=st.floats(1e-5, 1e5))
+def test_loop_theta_from_the_acceptance_vector_is_theta_admm(n, data, c):
+    """The loop's theta, <t, d>/(c dd) from the acceptance test's t = p_l -
+    p_hat - c (z_l - z_hat), is theta_admm's c (z_hat - z_l) - (p_hat -
+    p_l) form bit for bit whenever dd is finite and nonzero (NaN where
+    both are NaN).  inf enters through p_l, and in half the draws x_l; the
+    extrapolated point is a finite triple.  An inf in x_l makes dd inf,
+    and theta_admm then returns NaN with no RuntimeWarning.  Otherwise the
+    loop's form warns exactly where theta_admm does: numpy's own warning
+    when an inf of t meets a zero of d (or an opposite inf) in the dot
+    product."""
+    with_inf = finite_entries | st.sampled_from([math.inf, -math.inf])
+    p_l = vectors(data, n, with_inf)
+    x_l = vectors(data, n, with_inf if data.draw(st.booleans())
+                  else finite_entries)
+    p_hat, z_l, z_hat = (vectors(data, n) for _ in range(3))
+    d = x_l - z_l
+    dd = d @ d
+    assume(dd != 0.0)
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = theta_admm(PrimalDualTriple(np.zeros(n), z_hat, p_hat),
+                          x_l, z_l, p_l, c)
+    if not math.isfinite(dd):
+        assert math.isnan(want) and not want_warned
+        return
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
+        got = _theta(t, d, dd, c)
+    assert ([str(w.message) for w in got_warned]
+            == [str(w.message) for w in want_warned])
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 accepted_trials = dict(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
