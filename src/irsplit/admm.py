@@ -113,9 +113,12 @@ class FProcedure(Protocol):
     ``x_bar``; ``session.next()`` yields trial pairs ``(x_l, y_l)`` where
     ``y_l`` is a subgradient of the augmented subobjective at ``x_l`` and
     y_l -> 0.  A session may expose ``exact = True``, asserting each trial
-    is an exact minimizer (emitted with y_l = 0).  Emitted arrays belong to
-    the session and are read-only for callers: a session may emit its own
-    state without a copy, and never modifies an emitted array afterwards.
+    is an exact minimizer (emitted with y_l = 0).  Emitted arrays are float
+    arrays that belong to the session and are read-only for callers: a
+    session may emit its own state without a copy, and never modifies an
+    emitted array afterwards.  The loop likewise never writes into an
+    emitted array, nor into the triple it starts from; it updates in place
+    only arrays it has just allocated.
 
     The sessions of one run may share state that steers the search, such as
     curvature memory, but never the certificate: each ``y_l`` is evaluated
@@ -139,7 +142,8 @@ class FProcedure(Protocol):
 
 
 class ShiftedProxG(Protocol):
-    """Exact solver for min_z g(z) - <p, z> + (c/2)||x - z||^2."""
+    """Exact solver for min_z g(z) - <p, z> + (c/2)||x - z||^2, returning
+    a float array that the loop only reads."""
 
     def solve(self, p: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
         ...
@@ -165,9 +169,22 @@ class AdmmProblem:
     dim: Optional[int] = None
 
 
+# The private kernels below form each result in one fresh array, by the
+# operations of the formula they state, in its order: a product or sum
+# written in place with its operands swapped is the same bit for bit.  They
+# take float arrays; the public wrappers convert their inputs first.
+
+def _floats(*arrays) -> list:
+    return [np.asarray(v, dtype=float) for v in arrays]
+
+
 def _extrapolate(cur: np.ndarray, prev: np.ndarray,
                  alpha_k: float) -> np.ndarray:
-    return cur + alpha_k * (cur - prev)
+    """cur + alpha_k (cur - prev)."""
+    out = cur - prev
+    out *= alpha_k
+    out += cur
+    return out
 
 
 def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,
@@ -185,7 +202,12 @@ def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,
 
 
 def _multiplier(p_hat, x_l, z_hat, y_l, c: float) -> np.ndarray:
-    return p_hat + c * (x_l - z_hat) - y_l
+    """p_hat + c (x_l - z_hat) - y_l."""
+    out = x_l - z_hat
+    out *= c
+    out += p_hat
+    out -= y_l
+    return out
 
 
 def multiplier_candidate(p_hat: np.ndarray, x_l: np.ndarray, z_hat: np.ndarray,
@@ -193,7 +215,7 @@ def multiplier_candidate(p_hat: np.ndarray, x_l: np.ndarray, z_hat: np.ndarray,
     """Trial multiplier p_l = p_hat + c (x_l - z_hat) - y_l."""
     if not c > 0.0:
         raise ParameterError("c > 0 violated")
-    return _multiplier(p_hat, x_l, z_hat, y_l, c)
+    return _multiplier(*_floats(p_hat, x_l, z_hat, y_l), c)
 
 
 def _acceptance_vector(p_l, p_hat, z_l, z_hat, c: float) -> np.ndarray:
@@ -201,7 +223,11 @@ def _acceptance_vector(p_l, p_hat, z_l, z_hat, c: float) -> np.ndarray:
     theta share.  It is bit for bit theta's c (z_hat - z_l) - (p_hat - p_l):
     each operand is the exact negation of the other's, and rounding to
     nearest is symmetric in sign."""
-    return p_l - p_hat - c * (z_l - z_hat)
+    out = p_l - p_hat
+    shift = z_l - z_hat
+    shift *= c
+    out -= shift
+    return out
 
 
 def _accept(y_l, t, dd: float, c: float, sigma: float,
@@ -222,6 +248,8 @@ def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
     + c^2 ||x_l - z_l||^2).  MAX_FORM replaces the sum by the max of norms
     and implies SUM_SQUARES.
     """
+    y_l, p_l, p_hat, z_l, z_hat, x_l = _floats(y_l, p_l, p_hat, z_l, z_hat,
+                                               x_l)
     d = x_l - z_l
     return _accept(y_l, _acceptance_vector(p_l, p_hat, z_l, z_hat, c), d @ d,
                    c, sigma, criterion is Criterion.MAX_FORM)
@@ -250,6 +278,17 @@ def theta_admm(hat: PrimalDualTriple, x_l: np.ndarray, z_l: np.ndarray,
     return _theta(c * (hat.z - z_l) - (hat.p - p_l), d, dd, c)
 
 
+def _p_update(p_hat, z_hat, z_next, x_next, rw: float,
+              c: float) -> np.ndarray:
+    """p_hat + c ((1 - rw) z_next + rw x_next - z_hat)."""
+    out = (1.0 - rw) * z_next
+    out += rw * x_next
+    out -= z_hat
+    out *= c
+    out += p_hat
+    return out
+
+
 def p_update(p_hat: np.ndarray, z_hat: np.ndarray, z_next: np.ndarray,
              x_next: np.ndarray, theta_val: float, rho_k: float,
              c: float) -> np.ndarray:
@@ -257,8 +296,8 @@ def p_update(p_hat: np.ndarray, z_hat: np.ndarray, z_next: np.ndarray,
 
     p_next = p_hat + c [(1 - rho theta) z_next + rho theta x_next - z_hat].
     """
-    rw = rho_k * theta_val
-    return p_hat + c * ((1.0 - rw) * z_next + rw * x_next - z_hat)
+    return _p_update(*_floats(p_hat, z_hat, z_next, x_next),
+                     rho_k * theta_val, c)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +524,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
             if th <= 0.0:
                 raise RuntimeError("nonpositive projection coefficient: "
                                    "the F-procedure violated its contract")
-            p_next = p_update(p_hat, z_hat, z_l, x_l, th, rho, c)
+            p_next = _p_update(p_hat, z_hat, z_l, x_l, rho * th, c)
             if keep_trace:
                 trace.append(ADMMStep(
                     PrimalDualTriple(x_hat, z_hat, p_hat), x_l, p_l, z_l,

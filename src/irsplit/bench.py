@@ -14,7 +14,6 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -190,13 +189,9 @@ def run_one(cfg: RunConfig) -> BenchResult:
         return result
 
 
-def run_benchmark(configs: Sequence[RunConfig], jobs: int = 1) -> list[BenchResult]:
-    """Execute a batch; independent configs in parallel when jobs > 1."""
-    configs = list(configs)
-    if jobs <= 1 or len(configs) <= 1:
-        return [run_one(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_one, configs))
+def run_benchmark(configs: Sequence[RunConfig]) -> list[BenchResult]:
+    """Execute a batch, one config after another."""
+    return [run_one(c) for c in configs]
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def _print_summary(summary: dict) -> None:
 def _cmd_run(args) -> int:
     configs = [_apply_overrides(_load_config(path), args)
                for path in args.config]
-    results = bench.run_benchmark(configs, jobs=args.jobs)
+    results = bench.run_benchmark(configs)
     summary = bench.summarize(results)
     out_dir = _default_out(args)
     csv_path, json_path = bench.emit(results, summary, out_dir,
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                           type=float, default=None)
     runp.add_argument("--seed", type=int)
     runp.add_argument("--repetitions", type=int)
-    runp.add_argument("--jobs", type=int, default=1)
     runp.add_argument("--out", default=None)
     runp.add_argument("--basename", default="bench")
     runp.set_defaults(func=_cmd_run)

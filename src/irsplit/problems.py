@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 from .admm import AdmmProblem
@@ -46,37 +47,74 @@ __all__ = [
 ]
 
 
+class _CompiledProduct:
+    """``A @ x``, or ``A.T @ x`` with ``transpose``, for a CSR matrix A and
+    a 1-D x, by the compiled kernel scipy itself runs: ``csr_matvec`` on
+    A's arrays, or ``csc_matvec`` on the same arrays, which are the CSC
+    arrays of A.T.  This skips scipy's per-call dispatch and, for A.T,
+    building the transpose object.  The kernel reads x without a bounds
+    check, so the length is checked here."""
+
+    __slots__ = ("_kernel", "_rows", "_cols", "_indptr", "_indices", "_data")
+
+    def __init__(self, csr, transpose: bool):
+        rows, cols = csr.shape
+        if transpose:
+            self._kernel, self._rows, self._cols = (_sparsetools.csc_matvec,
+                                                    cols, rows)
+        else:
+            self._kernel, self._rows, self._cols = (_sparsetools.csr_matvec,
+                                                    rows, cols)
+        self._indptr, self._indices, self._data = (csr.indptr, csr.indices,
+                                                   csr.data)
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape != (self._cols,):
+            raise ValueError(f"dimension mismatch: expected a vector of "
+                             f"length {self._cols}, got shape {x.shape}")
+        data = self._data
+        y = np.zeros(self._rows, np.promote_types(data.dtype, x.dtype))
+        self._kernel(self._rows, self._cols, self._indptr, self._indices,
+                     data, x, y)
+        return y
+
+
 class DesignMatrix:
     """m x n design matrix, dense ndarray or CSR, with matvec interface.
 
     A sparse input is stored as a float CSR copy.  A dense float64 input is
     kept by reference, not copied, and must not be changed in place
     afterwards: ``stored_norm()`` and the KKT screens of the problems built
-    on this matrix keep values computed from it.  Both products return 1-D
-    arrays; numpy or scipy raises ``ValueError`` on a wrong length.
+    on this matrix keep values computed from it.  Both products return a
+    fresh array and raise ``ValueError`` on a wrong length; the sparse ones
+    take 1-D vectors only.
 
-    The transpose operator is built once, by the first ``apply_transpose``
-    call, and kept: the zero-copy ``.T`` view of the stored matrix (a CSC
-    view sharing the CSR arrays when sparse, a strided view when dense).
-    Every transpose product then runs the same kernel, in the same
-    summation order, as ``A.T @ u`` built afresh would, without scipy
-    re-checking the index arrays on each call.
+    Both products are bound once, at construction.  A dense matrix uses
+    ``A @ x`` and ``A.T @ u`` on the stored array and its strided ``.T``
+    view.  A sparse one calls scipy's compiled ``csr_matvec`` on the stored
+    CSR arrays, and ``csc_matvec`` on the same arrays, read as the CSC
+    arrays of A^T: the kernels, summation order and result dtype of
+    ``A @ x`` and ``A.T @ u``, without scipy's per-call Python dispatch.
     """
 
     def __init__(self, data):
         if sp.issparse(data):
-            self._mat = data.tocsr().astype(float)
+            mat = data.tocsr().astype(float)
             self.is_sparse = True
-            if not np.all(np.isfinite(self._mat.data)):
+            if not np.all(np.isfinite(mat.data)):
                 raise ValueError("matrix has non-finite entries")
+            self._op = _CompiledProduct(mat, transpose=False)
+            self._op_t = _CompiledProduct(mat, transpose=True)
         else:
-            self._mat = np.asarray(data, dtype=float)
+            mat = np.asarray(data, dtype=float)
             self.is_sparse = False
-            if self._mat.ndim != 2:
+            if mat.ndim != 2:
                 raise ValueError("expected a 2-d array")
-            if not np.all(np.isfinite(self._mat)):
+            if not np.all(np.isfinite(mat)):
                 raise ValueError("matrix has non-finite entries")
-        self._mat_t = None
+            self._op, self._op_t = mat, mat.T
+        self._mat = mat
         self._norm: Optional[float] = None
 
     @property
@@ -84,13 +122,10 @@ class DesignMatrix:
         return self._mat.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._mat @ x
+        return self._op @ x
 
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
-        mat_t = self._mat_t
-        if mat_t is None:
-            mat_t = self._mat_t = self._mat.T
-        return mat_t @ u
+        return self._op_t @ u
 
     def column(self, j: int) -> np.ndarray:
         """Column j as the product A e_j, which is exact: every other term
@@ -258,7 +293,9 @@ class LogisticProblem:
 
     ``labels`` is copied at construction.  The problem keeps their negation
     -b, formed again whenever ``labels`` is reassigned, so ``labels`` may be
-    reassigned but not changed in place, as for :class:`DesignMatrix`.
+    reassigned but not changed in place, as for :class:`DesignMatrix`.  A
+    reassigned ``labels`` is checked as the constructor checks it, by the
+    next call that reads it.
     """
 
     features: DesignMatrix  # q x (n - 1), rows a_i
@@ -268,24 +305,28 @@ class LogisticProblem:
 
     def __post_init__(self):
         self.labels = np.array(self.labels, dtype=float)
-        if self.labels.shape[0] != self.features.shape[0]:
-            raise ValueError("label count must match the feature row count")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
+        self._neg_of = self._neg = None
+        self._neg_labels()  # checks the labels
         if not self.nu > 0.0:
             raise ValueError("nu > 0 violated")
         self._screen = None
-        self._neg_of = self._neg = None
 
     @property
     def n(self) -> int:
         return self.features.shape[1] + 1
 
     def _neg_labels(self) -> np.ndarray:
-        """-labels, kept until ``labels`` is reassigned."""
+        """-labels, kept until ``labels`` is reassigned.  Each new
+        ``labels`` is checked once, when it is first seen: one label in
+        {-1, +1} per feature row."""
         labels = self.labels
         if self._neg_of is not labels:
-            self._neg_of, self._neg = labels, -labels
+            neg = -np.asarray(labels, dtype=float)
+            if neg.shape != (self.features.shape[0],):
+                raise ValueError("label count must match the feature row count")
+            if not np.all(np.abs(neg) == 1.0):  # np.isin at a third the cost
+                raise ValueError("labels must be -1 or +1")
+            self._neg_of, self._neg = labels, neg
         return self._neg
 
     def _neg_margins(self, x) -> np.ndarray:
@@ -382,7 +423,8 @@ class L1ShiftedProx:
     skip_first: bool = False
 
     def solve(self, p, x, c):
-        t = x + p / c
+        t = p / c
+        t += x
         z = _shrink(t, self.nu / c)
         if self.skip_first:
             z[0] = t[0]

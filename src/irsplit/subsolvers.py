@@ -45,6 +45,12 @@ class CGSession:
     ``h_x0``, and the session starts without applying the operator.
     ``last`` is the array the latest ``next()`` returned (None before the
     first), and ``applied()`` is H at the current point, read off y.
+
+    ``operator_apply`` must return a new array on every call, one that
+    aliases neither its argument nor an earlier result: the session forms
+    the next y inside it, and raises ``ValueError`` when the operator
+    returns its argument or its previous result.  The search direction,
+    which is never emitted, is updated in place.
     """
 
     def __init__(self, operator_apply: Callable[[np.ndarray], np.ndarray],
@@ -72,14 +78,21 @@ class CGSession:
     def next(self) -> tuple[np.ndarray, np.ndarray]:
         if self._rs != 0.0:
             h_d = self._apply(self._direction)
+            if h_d is self._direction or h_d is self._y:
+                raise ValueError("operator_apply must return a new array")
             curvature = float(self._direction @ h_d)
             if curvature <= 0.0:
                 raise CGBreakdown("nonpositive curvature: operator is not SPD")
             step = self._rs / curvature
-            self.x = self.x + step * self._direction
-            self._y = self._y + step * h_d
-            rs_new = float(self._y @ self._y)
-            self._direction = (rs_new / self._rs) * self._direction - self._y
+            x = step * self._direction
+            x += self.x
+            self.x = x
+            h_d *= step
+            h_d += self._y
+            self._y = y = h_d
+            rs_new = float(y @ y)
+            self._direction *= rs_new / self._rs
+            self._direction -= y
             self._rs = rs_new
         self.last = self.x
         return self.x, self._y
@@ -89,7 +102,9 @@ class QuadraticFProcedure:
     """F-procedure for f(x) = (1/2)||A x - b||^2 backed by matrix-free CG.
 
     Sessions solve (A^T A + c I) x = A^T b - p + c z warm started at x_bar;
-    the normal matrix is never formed, each step applies A then A^T.
+    the normal matrix is never formed, each step applies A then A^T and
+    adds c u into that product, so ``design``'s products must return fresh
+    arrays, as :class:`irsplit.problems.DesignMatrix`'s do.
 
     Opening a session needs H x_bar, H = A^T A + c I.  Computed afresh that
     costs two design-matrix products.  With ``anchor = (x, x_prev, alpha)``,
@@ -131,16 +146,20 @@ class QuadraticFProcedure:
         session = self._session
         if session is None or session.last is not point:
             return None
-        gram = session.applied() - self._session_c * point
+        gram = session.applied()
+        gram -= self._session_c * point
         self._grams = self._grams[-1:] + [(point, gram)]
         return gram
 
     def open_session(self, p, z, c, x_bar, anchor=None) -> CGSession:
         design = self.design
-        rhs = self._at_b - p + c * z
+        rhs = self._at_b - p
+        rhs += c * z
 
         def gram(u):
-            return design.apply_transpose(design.apply(u)) + c * u
+            product = design.apply_transpose(design.apply(u))
+            product += c * u
+            return product
 
         h_x_bar = None
         if anchor is not None:
@@ -148,7 +167,10 @@ class QuadraticFProcedure:
             g_x = self._gram(x)
             g_prev = None if g_x is None else self._gram(x_prev)
             if g_prev is not None:
-                h_x_bar = g_x + alpha * (g_x - g_prev) + c * x_bar
+                h_x_bar = g_x - g_prev
+                h_x_bar *= alpha
+                h_x_bar += g_x
+                h_x_bar += c * x_bar
         session = CGSession(gram, rhs, x_bar, h_x0=h_x_bar)
         self._session, self._session_c = session, c
         return session
@@ -321,7 +343,9 @@ class LBFGSFProcedure:
 def _shrink(t: np.ndarray, kappa: float) -> np.ndarray:
     """t minus its clip to [-kappa, kappa]: sign(t) max(|t| - kappa, 0) in
     every bit but the sign of a zero, in one fresh array."""
-    return t - np.minimum(np.maximum(t, -kappa), kappa)
+    z = np.maximum(t, -kappa)
+    np.minimum(z, kappa, out=z)
+    return np.subtract(t, z, out=z)
 
 
 def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:

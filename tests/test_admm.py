@@ -72,6 +72,13 @@ def test_multiplier_candidate_cases():
     out = multiplier_candidate(np.zeros(1), np.array([1.0]), np.array([0.0]),
                                np.array([0.5]), 2.0)
     assert out[0] == pytest.approx(1.5)
+    # integer inputs still give the float result
+    ints = multiplier_candidate(np.zeros(1, int), np.ones(1, int),
+                                np.zeros(1, int), np.zeros(1, int), 2.5)
+    assert ints.dtype == float and ints[0] == 2.5
+    one = np.ones(2, int)
+    assert admm_acceptance(0 * one, one, 0 * one, 0 * one, 0 * one, one,
+                           0.5, 0.0)
 
 
 def test_acceptance_trivial_and_worked():

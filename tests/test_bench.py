@@ -99,15 +99,6 @@ def test_emit_empty_records_header_only(tmp_path):
     assert rows == [list(bench.CSV_COLUMNS)]
 
 
-def test_parallel_jobs_match_serial():
-    configs = [tiny_lasso_config(seed=3), tiny_lasso_config(seed=4)]
-    serial = bench.run_benchmark(configs, jobs=1)
-    parallel = bench.run_benchmark(configs, jobs=2)
-    for a, b in zip(serial, parallel):
-        assert a.record.outer_iters == b.record.outer_iters
-        assert a.record.final_kkt == b.record.final_kkt
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Coupling maps between the inertia cap and the relaxation cap."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.errors import ParameterError
@@ -56,6 +60,92 @@ def test_coupling_strictly_decreasing():
     grid = np.linspace(0.001, 0.999, 500)
     vals = [ir.rho_bar_of_beta(b) for b in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+# Tolerances of the properties below, from the maps' conditioning.
+#
+# R = rho_bar_of_beta: R(b) = t / D with t = 2 (1 - b)^2 and D = t + 3b - 1
+# = 2b^2 - b + 1 >= 7/8, so R'(b) = -2 (1 - b)(1 + 3b) / D^2 < 0 on (0, 1)
+# and |R''| <= 8 there (attained at b = 0).  B = beta_of_rho_bar is its
+# inverse, B'(r) = 1 / R'(B(r)).
+#
+# Each map takes at most eight roundings, and its one cancelling sum
+# (t + 3b - 1 in R, 16 - 7r in B) magnifies the earlier ones at most
+# 15-fold, so each evaluates within RELATIVE = 16 u of its exact value,
+# u the unit round-off (10^5 sampled points showed at most about 4 u).
+#
+# A round trip then errs by the inner map's error carried through the
+# outer map's derivative, plus the outer map's own error:
+#   |B(R(b)) - b| <= RELATIVE (R(b) / |R'(b)| + b)              (first order)
+#   |R(B(r)) - r| <= RELATIVE (b |R'(b)| + r) + 4 (RELATIVE b)^2,  b = B(r)
+# where the last term is |R''|/2 times the square of B's error.  The
+# first-order bounds are doubled to cover the products of two roundings.
+
+_U = np.finfo(float).eps / 2.0
+RELATIVE = 16.0 * _U
+
+
+def _slope(b: float) -> float:
+    """R'(b), in the closed form above."""
+    d = 2.0 * b * b - b + 1.0
+    return -2.0 * (1.0 - b) * (1.0 + 3.0 * b) / (d * d)
+
+
+def _exact_rho(b: float) -> Fraction:
+    """R(b) exactly: R is rational, and a float is a fraction."""
+    b = Fraction(b)
+    t = 2 * (1 - b) ** 2
+    return t / (t + 3 * b - 1)
+
+
+def _exact_beta(r: float) -> Fraction:
+    """B(r) to 1,200 digits, enough to hold 2 - r for the smallest
+    subnormal r and to order B at any two distinct floats."""
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        r = Decimal(r)
+        return Fraction(2 * (2 - r) / (4 - r + (r * (16 - 7 * r)).sqrt()))
+
+
+_betas = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_rhos = st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(b=_betas, r=_rhos)
+def test_coupling_maps_are_inverse(b, r):
+    """B(R(b)) = b on (0, 1) and R(B(r)) = r on (0, 2), within the
+    conditioning bounds above, wherever the inner value rounds to a point
+    inside the outer map's domain (it rounds to 2 for b below about 1e-16,
+    and to 1 for r below about 1e-32)."""
+    rho = ir.rho_bar_of_beta(b)
+    if rho < 2.0:
+        tol = 2.0 * RELATIVE * (rho / abs(_slope(b)) + b)
+        assert abs(ir.beta_of_rho_bar(rho) - b) <= tol
+    beta = ir.beta_of_rho_bar(r)
+    if beta < 1.0:
+        tol = (2.0 * RELATIVE * (beta * abs(_slope(beta)) + r)
+               + 4.0 * (RELATIVE * beta) ** 2)
+        assert abs(ir.rho_bar_of_beta(beta) - r) <= tol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(b=st.tuples(_betas, _betas), r=st.tuples(_rhos, _rhos))
+def test_coupling_maps_strictly_decreasing(b, r):
+    """Both maps are strictly decreasing: the exact values are, each
+    evaluation lies within RELATIVE of its exact value, so the
+    evaluated values decrease strictly wherever the exact gap exceeds the
+    two evaluations' error bounds."""
+    for (lo, hi), fn, exact in ((sorted(b), ir.rho_bar_of_beta, _exact_rho),
+                                (sorted(r), ir.beta_of_rho_bar, _exact_beta)):
+        assume(lo < hi)
+        e_lo, e_hi = exact(lo), exact(hi)
+        assert e_lo > e_hi
+        f_lo, f_hi = fn(lo), fn(hi)
+        for f, e in ((f_lo, e_lo), (f_hi, e_hi)):
+            assert abs(Fraction(f) - e) <= Fraction(RELATIVE) * e
+        if e_lo - e_hi > Fraction(RELATIVE) * (e_lo + e_hi):
+            assert f_lo > f_hi
 
 
 def test_domain_errors():

@@ -426,6 +426,28 @@ def test_logistic_labels_are_copied_at_construction():
     assert np.array_equal(after[1], before[1])
 
 
+def test_reassigned_labels_are_checked():
+    """A reassigned ``labels`` is checked as the constructor checks it,
+    once, by the next call that reads it; valid integer labels give the
+    bits of the float ones."""
+    prob = ir.synthetic_logistic(12, 5, seed=3)
+    x = np.random.default_rng(4).standard_normal(5)
+    want = prob.value_gradient(x)
+    for bad in (np.full(12, 0.5), np.append(prob.labels, 1.0),
+                np.where(prob.labels > 0, 1.0, np.nan)):
+        prob.labels = bad
+        with pytest.raises(ValueError, match="label"):
+            prob.value_gradient(x)
+        with pytest.raises(ValueError, match="label"):
+            prob.kkt_dist_inf(x)
+    prob.labels = np.full(12, 2.0)
+    with pytest.raises(ValueError, match="label"):
+        prob.objective(x)
+    prob.labels = ir.synthetic_logistic(12, 5, seed=3).labels.astype(int)
+    value, grad = prob.value_gradient(x)
+    assert value == want[0] and grad.tobytes() == want[1].tobytes()
+
+
 def test_logistic_objective_is_the_value_alone():
     """The objective equals the value-gradient's value plus the l1 term, bit
     for bit, from one forward product and no value-gradient call."""

@@ -34,7 +34,7 @@ def central_difference(fun, x, h):
 
 def test_cg_identity_one_step():
     rhs = np.array([1.0, -2.0, 0.5])
-    session = CGSession(lambda u: u, rhs, np.zeros(3))
+    session = CGSession(lambda u: u.copy(), rhs, np.zeros(3))
     x, y = session.next()
     assert np.allclose(x, rhs, atol=1e-15)
     assert np.linalg.norm(y) <= 1e-14
