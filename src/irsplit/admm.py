@@ -38,8 +38,6 @@ __all__ = [
     "theta_admm",
     "p_update",
     "FToBAdapter",
-    "InnerTrial",
-    "ADMMStep",
     "ADMMResult",
     "reset_procedure",
     "run_admm",
@@ -60,8 +58,7 @@ class PrimalDualTriple:
     Construction converts the components to float arrays and checks that
     they share one shape and are finite.  :func:`run_admm` applies that
     check to its starting triple and carries its iterates as plain arrays;
-    it builds triples only for its result, a ``BudgetExceeded`` state and
-    the trace rows.
+    it builds triples only for its result and a ``BudgetExceeded`` state.
     """
 
     x: np.ndarray
@@ -339,31 +336,6 @@ class FToBAdapter:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class InnerTrial:
-    x: np.ndarray
-    y: np.ndarray
-    p_l: np.ndarray
-    z_l: np.ndarray
-    accepted: bool
-
-
-@dataclass
-class ADMMStep:
-    """One recorded outer iteration, including every inner trial."""
-
-    hat: PrimalDualTriple
-    x: np.ndarray
-    p_l: np.ndarray
-    z_l: np.ndarray
-    trials: int
-    theta: float
-    rho_k: float
-    alpha_k: float
-    next: PrimalDualTriple
-    inner: Optional[list] = None
-
-
-@dataclass
 class ADMMResult:
     """``x`` is the solution estimate: the g-side iterate, whose exact
     shrink step can produce exact zeros; the smooth-side iterate never
@@ -376,7 +348,6 @@ class ADMMResult:
     outer_iters: int
     inner_iters_total: int
     record: RunRecord
-    trace: Optional[list] = None
 
 
 def reset_procedure(procedure) -> None:
@@ -394,7 +365,8 @@ def reset_procedure(procedure) -> None:
 
 def run_admm(problem: AdmmProblem, params: ADMMParams,
              init: Optional[PrimalDualTriple] = None,
-             keep_trace: bool = False) -> ADMMResult:
+             observer: Optional[Callable[[dict], None]] = None
+             ) -> ADMMResult:
     """Run the inexact inertial-relaxed ADMM until the outer residual test.
 
     Stops when the KKT residual at the g-side iterate falls to
@@ -411,15 +383,24 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     Inputs are validated once, at entry: ``params`` (c > 0, lam = 1, alpha
     and the other engine parameters), ``problem.kkt_residual`` (not None)
     and the starting triple (one shape, of length ``problem.dim`` when that
-    is set, finite entries).  The iterates are then carried as plain arrays.  The projection coefficient theta reads
-    the extrapolated z and p and the accepted trial's x, z and p, so a NaN
-    or inf entering through the F-procedure or the prox makes it
-    non-finite; that raises ``ValueError`` naming the outer iteration.
+    is set, finite entries).  The iterates are then carried as plain
+    arrays.  The projection coefficient theta reads the extrapolated z and
+    p and the accepted trial's x, z and p, so a NaN or inf entering through
+    the F-procedure or the prox makes it non-finite; that raises
+    ``ValueError`` naming the outer iteration.
 
     When the F-procedure accepts an anchor (see :class:`FProcedure`), each
     session is opened with the two points ``x_hat`` was extrapolated from.
     The procedure's ``reset()`` runs at entry and on every exit, including
     a raised one.
+
+    ``observer``, when given, is called once per completed outer iteration
+    with a dict: ``k``, ``trials``, ``theta``, ``alpha_k``, ``rho_k``, the
+    extrapolated ``x_hat``, ``z_hat``, ``p_hat``, the accepted trial's
+    ``x``, ``z`` and ``p_l``, and the corrected ``p``, so the next iterate
+    is ``(x, z, p)``.  The arrays are passed without a copy: the loop never
+    writes into them later, and the observer must not either.  An
+    exception the observer raises ends the run.
     """
     params.validate()
     if problem.kkt_residual is None:
@@ -433,11 +414,12 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         if problem.dim is not None and init.x.shape != (problem.dim,):
             raise ValueError(f"init has shape {init.x.shape}, "
                              f"expected ({problem.dim},)")
-    return _run(problem, params, init, keep_trace)
+    return _run(problem, params, init, observer)
 
 
 def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
-         keep_trace: bool, gap_tol: float = 0.0) -> ADMMResult:
+         observer: Optional[Callable[[dict], None]],
+         gap_tol: float = 0.0) -> ADMMResult:
     """The outer loop of both drivers, on validated inputs.
 
     Stops on a KKT residual at most ``params.epsilon`` unless
@@ -445,7 +427,8 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
     ||x_l - z_l|| <= ``gap_tol`` (status ``solved``, the trial returned),
     or after ``params.max_outer`` iterations.  The record's ``final_kkt``
     is the KKT residual at the returned z, or ||x - z|| of the returned
-    triple without the KKT test.
+    triple without the KKT test.  The iteration that stops as ``solved``
+    forms no corrected multiplier and reaches no observer.
     """
     reset_procedure(problem.fproc)
     try:
@@ -461,7 +444,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         x, z, p = init.x, init.z, init.p
         x_prev, z_prev, p_prev = x, z, p
         inner_total = 0
-        trace: list = []
         started = time.perf_counter()
         status = BUDGET_EXCEEDED
         outer = params.max_outer
@@ -484,7 +466,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
             else:
                 session = open_session(p_hat, z_hat, c, x_hat)
             exact = bool(getattr(session, "exact", False))
-            inner_rows: list = []
             accepted = False
             for trial in range(1, params.inner_budget + 1):
                 x_l, y_l = session.next()
@@ -497,9 +478,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                 else:
                     t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
                     accepted = _accept(y_l, t, dd, c, sigma, max_form)
-                if keep_trace:
-                    inner_rows.append(InnerTrial(x_l, y_l, p_l, z_l,
-                                                 accepted))
                 if accepted:
                     break
             if not accepted:
@@ -525,11 +503,11 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                 raise RuntimeError("nonpositive projection coefficient: "
                                    "the F-procedure violated its contract")
             p_next = _p_update(p_hat, z_hat, z_l, x_l, rho * th, c)
-            if keep_trace:
-                trace.append(ADMMStep(
-                    PrimalDualTriple(x_hat, z_hat, p_hat), x_l, p_l, z_l,
-                    trial, th, rho, alpha, PrimalDualTriple(x_l, z_l, p_next),
-                    inner_rows))
+            if observer is not None:
+                observer({"k": k, "trials": trial, "theta": th,
+                          "alpha_k": alpha, "rho_k": rho, "x_hat": x_hat,
+                          "z_hat": z_hat, "p_hat": p_hat, "x": x_l,
+                          "z": z_l, "p_l": p_l, "p": p_next})
             x_prev, z_prev, p_prev = x, z, p
             x, z, p = x_l, z_l, p_next
         wall = time.perf_counter() - started
@@ -542,6 +520,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         record = RunRecord(outer, inner_total, wall, final_kkt, obj,
                            rec_status)
         return ADMMResult(z, PrimalDualTriple(x, z, p), status, outer,
-                          inner_total, record, trace if keep_trace else None)
+                          inner_total, record)
     finally:
         reset_procedure(problem.fproc)

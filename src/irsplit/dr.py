@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
@@ -36,8 +36,6 @@ __all__ = [
     "dr_acceptance",
     "theta",
     "dr_update",
-    "InnerSolve",
-    "DRStep",
     "DRResult",
     "run_dr",
     "classical_dr_step",
@@ -165,28 +163,6 @@ def dr_update(hat: SplitTriple, s: np.ndarray, r: np.ndarray, theta_val: float,
 
 
 @dataclass
-class InnerSolve:
-    """Accepted inner trial: the pair (s, b), the A half-step r, trials used."""
-
-    s: np.ndarray
-    b: np.ndarray
-    r: np.ndarray
-    trials: int
-
-
-@dataclass
-class DRStep:
-    """One recorded outer iteration (for embedding and descent checks)."""
-
-    hat: SplitTriple
-    inner: InnerSolve
-    theta: float
-    rho_k: float
-    alpha_k: float
-    next: SplitTriple
-
-
-@dataclass
 class DRResult:
     """``x`` is the A-side iterate r (its resolvent is exact, so e.g. an l1
     operator yields exact sparsity there); s and r coincide in the limit."""
@@ -197,7 +173,6 @@ class DRResult:
     outer_iters: int
     inner_iters_total: int
     record: RunRecord
-    trace: Optional[list] = None
 
 
 class _BToF:
@@ -235,16 +210,10 @@ class _ResolventProx:
         return self.resolvent.apply(self.gamma, x + self.gamma * p)
 
 
-def _dr_step(step) -> DRStep:
-    return DRStep(embed_to_dr(step.hat),
-                  InnerSolve(step.x, -step.p_l, step.z_l, step.trials),
-                  step.theta, step.rho_k, step.alpha_k,
-                  embed_to_dr(step.next))
-
-
 def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
            resolvent: ResolventMap, max_outer: int = 1000,
-           sr_tolerance: float = 0.0, keep_trace: bool = False) -> DRResult:
+           sr_tolerance: float = 0.0,
+           observer: Optional[Callable[[dict], None]] = None) -> DRResult:
     """Drive the splitting from ``init`` until ||s - r|| <= sr_tolerance.
 
     The default tolerance 0 stops only on the exact coincidence s = r, in
@@ -262,6 +231,9 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     acceptance test has no room left (its right side vanishes while the
     left side is rounding noise), so the inner loop exhausts its budget;
     give a positive ``sr_tolerance`` for runs expected to go that far.
+
+    ``observer`` gets the events of :func:`irsplit.admm.run_admm`, in its
+    variables: ``(s, b, r) = (x, -p, z)``, as in :func:`embed_to_dr`.
     """
     params.validate()
     gamma = params.gamma
@@ -273,15 +245,14 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
                              max_outer=max_outer)
     try:
         res = _run(problem, loop_params,
-                   PrimalDualTriple(init.s, init.r, -init.b), keep_trace,
+                   PrimalDualTriple(init.s, init.r, -init.b), observer,
                    gap_tol=sr_tolerance)
     except BudgetExceeded as exc:
         if isinstance(exc.state, PrimalDualTriple):
             exc.state = embed_to_dr(exc.state)
         raise
-    trace = None if res.trace is None else [_dr_step(st) for st in res.trace]
     out = DRResult(embed_to_dr(res.triple), res.x, res.status,
-                   res.outer_iters, res.inner_iters_total, res.record, trace)
+                   res.outer_iters, res.inner_iters_total, res.record)
     if res.status == BUDGET_EXCEEDED:
         raise BudgetExceeded(
             f"no convergence within {max_outer} outer iterations", state=out)

@@ -71,21 +71,23 @@ def rho_bar_of_beta(beta: float) -> float:
     """Relaxation cap admissible for inertia bound ``beta``.
 
     Strictly decreasing from 2 (beta -> 0) to 0 (beta -> 1), with value 1
-    at beta = 1/3.
+    at beta = 1/3.  Clamped below 2, where it would round to 2 (beta below
+    about 1.1e-16), so it lies in the domain of :func:`beta_of_rho_bar`.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     t = 2.0 * (beta - 1.0) ** 2
-    return t / (t + 3.0 * beta - 1.0)
+    return min(t / (t + 3.0 * beta - 1.0), math.nextafter(2.0, 0.0))
 
 
 def beta_of_rho_bar(rho_bar: float) -> float:
-    """Inertia bound paired with relaxation cap ``rho_bar`` (inverse map)."""
+    """Inertia bound paired with relaxation cap ``rho_bar`` (inverse map),
+    clamped below 1 (rho_bar below about 1.2e-32 would round to 1)."""
     if not 0.0 < rho_bar < 2.0:
         raise ParameterError(f"rho_bar must lie in (0, 2), got {rho_bar}")
-    return 2.0 * (2.0 - rho_bar) / (
+    return min(2.0 * (2.0 - rho_bar) / (
         4.0 - rho_bar + math.sqrt(rho_bar * (16.0 - 7.0 * rho_bar))
-    )
+    ), math.nextafter(1.0, 0.0))
 
 
 def q_eval(nu: float, rho_bar: float) -> float:

@@ -1,4 +1,7 @@
-"""Shared fixtures: small seeded instances and cached high-accuracy references."""
+"""Shared fixtures: small seeded instances and cached high-accuracy
+references; the run observer and the inner-trial recorder."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,3 +48,44 @@ def accepted_certificate_sampler(rng, dim=4):
         cert = ir.ProxCertificate(z_tilde, v, lam)
         if np.any(v) and ir.error_criterion_holds(w, cert, sigma):
             yield w, cert, sigma
+
+
+class Collector(list):
+    """A run observer that keeps every event, in order, as a namespace with
+    the event's keys as attributes.  The list outlives a raised run."""
+
+    def __call__(self, event):
+        self.append(SimpleNamespace(**event))
+
+
+def record_trials(problem):
+    """Record every inner trial of the runs on ``problem`` from outside the
+    loop, by wrapping ``fproc.open_session`` -> ``session.next`` and
+    ``prox_g.solve``.  Returns a list with one list per session, of trials
+    with ``x`` and ``y`` (the session's pair) and ``p_l`` and ``z_l`` (the
+    prox's argument and result).  The last trial of a session is the
+    accepted one."""
+    sessions = []
+    open_session, solve = problem.fproc.open_session, problem.prox_g.solve
+
+    def recorded_open(*args):
+        session = open_session(*args)
+        step, trials = session.next, []
+        sessions.append(trials)
+
+        def recorded_next():
+            x, y = step()
+            trials.append(SimpleNamespace(x=x, y=y))
+            return x, y
+
+        session.next = recorded_next
+        return session
+
+    def recorded_solve(p, x, c):
+        z = solve(p, x, c)
+        sessions[-1][-1].p_l, sessions[-1][-1].z_l = p, z
+        return z
+
+    problem.fproc.open_session = recorded_open
+    problem.prox_g.solve = recorded_solve
+    return sessions

@@ -21,7 +21,7 @@ from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
                                ScaledIdentityOperator)
 from irsplit.subsolvers import soft_threshold
 
-from conftest import accepted_certificate_sampler
+from conftest import Collector, accepted_certificate_sampler, record_trials
 
 
 def report(name, ok, detail=""):
@@ -77,17 +77,18 @@ def test_criterion_2_classical_reduction():
     init = SplitTriple(rng.standard_normal(n), rng.standard_normal(n),
                        rng.standard_normal(n))
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
+    trace = Collector()
     try:
-        res = run_dr(init, params, ExactBProcedure(res_b), res_a,
-                     max_outer=50, keep_trace=True)
-        trace = res.trace
-    except BudgetExceeded as exc:
-        trace = exc.state.trace
+        run_dr(init, params, ExactBProcedure(res_b), res_a, max_outer=50,
+               observer=trace)
+    except BudgetExceeded:
+        pass
     z = init.r + init.b
     worst = 0.0
     for step in trace:
         z = classical_dr_step(z, 1.0, res_a, res_b)
-        worst = max(worst, float(np.max(np.abs(z - (step.next.r + step.next.b)))))
+        # r + b of the next triple, (s, b, r) = (x, -p, z)
+        worst = max(worst, float(np.max(np.abs(z - (step.z - step.p)))))
     elapsed = time.perf_counter() - started
     ok = len(trace) == 50 and worst <= 1e-10 and elapsed < 1.0
     report("criterion 2: classical splitting reduction", ok,
@@ -107,44 +108,49 @@ def test_criterion_3_layer_stack_equivalence(lasso_20x50, inertial_core):
     params = ADMMParams(c=c, core=inertial_core,
                         criterion=Criterion.SUM_SQUARES, epsilon=0.0,
                         max_outer=110)
-    res = run_admm(ir.lasso_admm_problem(lasso_20x50, c), params,
-                   keep_trace=True)
-    assert len(res.trace) >= 100
+    problem = ir.lasso_admm_problem(lasso_20x50, c)
+    sessions = record_trials(problem)
+    trace = Collector()
+    run_admm(problem, params, observer=trace)
+    assert len(trace) >= 100
+    assert len(sessions) == len(trace)
     worst = 0.0
     verdict_mismatches = 0
     cur = ir.PrimalDualTriple.zeros(lasso_20x50.n)
     prev = cur
-    for step in res.trace:
+    for step, trials in zip(trace, sessions):
         # mapped engine variables: z = z_admm - p/c etc. with lam = 1
         z_cur = cur.z - cur.p / c
         z_prev = prev.z - prev.p / c
-        w = step.hat.z - step.hat.p / c
+        w = step.z_hat - step.p_hat / c
         # (2.2) inertial extrapolation
         worst = max(worst, float(np.max(np.abs(
             w - (z_cur + step.alpha_k * (z_cur - z_prev))))))
         # (2.3) relative-error acceptance with lam = 1
-        z_tilde = step.z_l - step.p_l / c
-        v = step.x - step.z_l
+        z_tilde = step.z - step.p_l / c
+        v = step.x - step.z
         cert = ir.ProxCertificate(z_tilde, v, 1.0)
         if not ir.error_criterion_holds(w, cert, inertial_core.sigma):
             verdict_mismatches += 1
         # verdicts of the two acceptance tests agree at every inner trial
-        hat_dr = ir.embed_to_dr(step.hat)
-        for trial in step.inner:
+        # (the accepted trial is the last of its session)
+        hat_dr = ir.embed_to_dr(
+            ir.PrimalDualTriple(step.x_hat, step.z_hat, step.p_hat))
+        for i, trial in enumerate(trials, 1):
             mapped = dr_acceptance(hat_dr, trial.x, -trial.p_l, trial.z_l,
                                    1.0 / c, inertial_core.sigma)
-            if mapped != trial.accepted:
+            if mapped != (i == len(trials)):
                 verdict_mismatches += 1
         # (2.4) relaxed projection
         tau = ((w - z_tilde) @ v) / (v @ v)
-        z_next = step.next.z - step.next.p / c
+        z_next = step.z - step.p / c
         worst = max(worst, float(np.max(np.abs(
             z_next - (w - step.rho_k * tau * v)))))
-        prev, cur = cur, step.next
+        prev, cur = cur, step
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and verdict_mismatches == 0 and elapsed < 5.0
     report("criterion 3: layer-stack trace equivalence", ok,
-           f"max dev {worst:.2e}, {len(res.trace)} outer, {elapsed:.3f}s")
+           f"max dev {worst:.2e}, {len(trace)} outer, {elapsed:.3f}s")
     assert worst <= 1e-12
     assert verdict_mismatches == 0
     assert elapsed < 5.0
@@ -159,15 +165,16 @@ def _hpp_steps(trace):
 
 
 def _dr_steps(trace, gamma):
-    return [(st.hat.r + gamma * st.hat.b,
-             st.inner.r + gamma * st.inner.b,
-             st.next.r + gamma * st.next.b) for st in trace]
+    """r + gamma b of each event's triples, (s, b, r) = (x, -p, z)."""
+    return [(st.z_hat - gamma * st.p_hat,
+             st.z - gamma * st.p_l,
+             st.z - gamma * st.p) for st in trace]
 
 
 def _admm_steps(trace, c):
-    return [(st.hat.z - st.hat.p / c,
-             st.z_l - st.p_l / c,
-             st.next.z - st.next.p / c) for st in trace]
+    return [(st.z_hat - st.p_hat / c,
+             st.z - st.p_l / c,
+             st.z - st.p / c) for st in trace]
 
 
 def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
@@ -209,24 +216,26 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     res_b = AffineResolvent(AffineOperator(np.eye(n), -c0))
     init = SplitTriple(rng.standard_normal(n), rng.standard_normal(n),
                        rng.standard_normal(n))
-    dres = run_dr(init, DRParams(1.0, inertial_core), ExactBProcedure(res_b),
-                  res_a, max_outer=3000, sr_tolerance=1e-10, keep_trace=True)
-    runs.append(("splitting quad/l1 exact inertial", _dr_steps(dres.trace, 1.0),
+    dtrace = Collector()
+    run_dr(init, DRParams(1.0, inertial_core), ExactBProcedure(res_b),
+           res_a, max_outer=3000, sr_tolerance=1e-10, observer=dtrace)
+    runs.append(("splitting quad/l1 exact inertial", _dr_steps(dtrace, 1.0),
                  z_star_dr, inertial_core))
 
-    dres = run_dr(init, DRParams(1.0, inertial_core),
-                  CGBProcedure(np.eye(n), -c0), res_a, max_outer=3000,
-                  sr_tolerance=1e-8, keep_trace=True)
-    runs.append(("splitting quad/l1 cg inertial", _dr_steps(dres.trace, 1.0),
+    dtrace = Collector()
+    run_dr(init, DRParams(1.0, inertial_core),
+           CGBProcedure(np.eye(n), -c0), res_a, max_outer=3000,
+           sr_tolerance=1e-8, observer=dtrace)
+    runs.append(("splitting quad/l1 cg inertial", _dr_steps(dtrace, 1.0),
                  z_star_dr, inertial_core))
 
     c = 1.0
     params = ADMMParams(c=c, core=inertial_core, epsilon=1e-6, max_outer=5000)
-    ares = run_admm(ir.lasso_admm_problem(lasso_20x50, c), params,
-                    keep_trace=True)
+    atrace = Collector()
+    run_admm(ir.lasso_admm_problem(lasso_20x50, c), params, observer=atrace)
     grad_ref = lasso_20x50.f_gradient(lasso_20x50_reference)
     z_star_admm = lasso_20x50_reference + grad_ref / c
-    runs.append(("admm lasso inertial", _admm_steps(ares.trace, c),
+    runs.append(("admm lasso inertial", _admm_steps(atrace, c),
                  z_star_admm, inertial_core))
 
     failures = []

@@ -25,6 +25,8 @@ from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (LBFGSFProcedure, QuadraticFProcedure,
                                 soft_threshold)
 
+from conftest import Collector, record_trials
+
 # the published setting for l1-logistic (acceptance criterion 5b)
 LOGISTIC_CORE = ir.InertiaRelaxParams(0.1, 0.1001, 0.99, 1.7606, 1.7606)
 
@@ -345,16 +347,17 @@ def test_run_exact_follows_classical_splitting_recursion():
                            prob.objective, 5)
     params = ADMMParams(c=1.0, core=ir.InertiaRelaxParams.plain(sigma=0.0),
                         epsilon=0.0, max_outer=60)
-    res = run_admm(aprob, params, keep_trace=True)
+    events = Collector()
+    run_admm(aprob, params, observer=events)
     res_a = L1Resolvent(prob.nu)
     res_b = QuadFResolvent(a, b)
     zeta = np.zeros(5)
     worst = 0.0
-    for step in res.trace:
+    for step in events:
         zeta = classical_dr_step(zeta, 1.0, res_a, res_b)
-        zeta_run = step.next.z - step.next.p
+        zeta_run = step.z - step.p
         worst = max(worst, float(np.max(np.abs(zeta - zeta_run))))
-    assert len(res.trace) >= 50
+    assert len(events) >= 50
     assert worst <= 1e-12
 
 
@@ -519,16 +522,20 @@ def make_instance(kind):
                                     1.0)
 
 
-@pytest.mark.parametrize("keep_trace", [False, True])
+@pytest.mark.parametrize("observe", [False, True])
 @pytest.mark.parametrize("criterion", list(Criterion))
 @pytest.mark.parametrize("kind", ["lasso", "logistic"])
-def test_run_matches_straight_line_reference(kind, criterion, keep_trace):
+def test_run_matches_straight_line_reference(kind, criterion, observe):
     """The run's iterates are bit-identical to the reference's and every
     outer iteration takes the same number of trials, on the CG path
-    (LASSO) and the L-BFGS path (logistic)."""
+    (LASSO) and the L-BFGS path (logistic), with no observer and with a
+    collector, whose every event carries the reference's triple."""
     params = published_params(criterion)
     triples, trials = reference_admm(make_instance(kind), params)
-    res = run_admm(make_instance(kind), params, keep_trace=keep_trace)
+    problem = make_instance(kind)
+    events = Collector() if observe else None
+    sessions = record_trials(problem) if observe else None
+    res = run_admm(problem, params, observer=events)
     assert res.status == "converged"
     assert res.outer_iters == len(trials) > 10
     assert res.inner_iters_total == sum(trials)
@@ -536,15 +543,15 @@ def test_run_matches_straight_line_reference(kind, criterion, keep_trace):
     for got, want in ((res.triple.x, last.x), (res.triple.z, last.z),
                       (res.triple.p, last.p), (res.x, last.z)):
         assert np.array_equal(got, want)
-    if keep_trace:
-        assert [step.trials for step in res.trace] == trials
-        for step, want in zip(res.trace, triples):
-            assert len(step.inner) == step.trials
-            for got, ref in ((step.next.x, want.x), (step.next.z, want.z),
-                             (step.next.p, want.p)):
+    if observe:
+        assert [step.trials for step in events] == trials
+        assert [len(session) for session in sessions] == trials
+        for step, want in zip(events, triples):
+            for got, ref in ((step.x, want.x), (step.z, want.z),
+                             (step.p, want.p)):
                 assert np.array_equal(got, ref)
     else:
-        assert res.trace is None
+        assert not hasattr(res, "trace")
 
 
 @pytest.mark.parametrize("instance, counts", [
@@ -558,6 +565,35 @@ def test_benchmark_setting_counts(instance, counts):
     res = run_admm(instance(), published_params())
     assert res.status == "converged"
     assert (res.outer_iters, res.inner_iters_total) == counts
+
+
+EVENT_KEYS = {"k", "trials", "theta", "alpha_k", "rho_k", "x_hat", "z_hat",
+              "p_hat", "x", "z", "p_l", "p"}
+
+
+@pytest.mark.parametrize("kind", ["lasso", "logistic"])
+def test_observer_sees_every_outer_iteration_unchanged(kind):
+    """One event per outer iteration, whose trials add up to the run's
+    inner count, on the CG path (LASSO) and the L-BFGS path (logistic).
+    The arrays are passed without a copy, so each must still equal the
+    copy taken when its event arrived: the loop never writes into them."""
+    events, copies = [], []
+
+    def observer(event):
+        events.append(event)
+        copies.append({key: np.copy(value) for key, value in event.items()
+                       if isinstance(value, np.ndarray)})
+
+    res = run_admm(make_instance(kind), published_params(), observer=observer)
+    assert res.status == "converged"
+    assert len(events) == res.outer_iters > 10
+    assert sum(event["trials"] for event in events) == res.inner_iters_total
+    assert [event["k"] for event in events] == list(range(res.outer_iters))
+    for event, copied in zip(events, copies):
+        assert set(event) == EVENT_KEYS
+        assert len(copied) == 7
+        for key, value in copied.items():
+            assert np.array_equal(event[key], value), key
 
 
 def count_lasso_products(prob):
@@ -654,17 +690,20 @@ def test_certificates_do_not_drift_with_reused_gram_products():
     session's starting residual comes from the previous sessions'."""
     prob = ir.synthetic_lasso(200, 1000, density=0.05, seed=3)
     params = dataclasses.replace(published_params(), epsilon=1e-10)
-    res = run_admm(ir.lasso_admm_problem(prob, params.c), params,
-                   keep_trace=True)
+    problem = ir.lasso_admm_problem(prob, params.c)
+    sessions = record_trials(problem)
+    events = Collector()
+    res = run_admm(problem, params, observer=events)
     assert res.status == "converged"
     assert res.outer_iters == 167
+    assert len(sessions) == len(events)
     a = prob.A.toarray()
     worst = 0.0
-    for step in res.trace:
-        for trial in step.inner:
+    for step, session in zip(events, sessions):
+        for trial in session:
             gram_x = a.T @ (a @ trial.x)
-            grad = gram_x - a.T @ prob.b + step.hat.p \
-                + params.c * (trial.x - step.hat.z)
+            grad = gram_x - a.T @ prob.b + step.p_hat \
+                + params.c * (trial.x - step.z_hat)
             worst = max(worst, np.max(np.abs(trial.y - grad))
                         / (1.0 + np.max(np.abs(gram_x))))
     assert worst <= 1e-12
@@ -722,6 +761,31 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
     assert held_state(fproc) == []
     gc.collect()
     assert all(ref() is None for ref in opened)
+
+
+def test_raising_observer_ends_the_run_and_resets_the_procedure(
+        lasso_20x50, inertial_core):
+    """An exception the observer raises ends the run, and the F-procedure
+    is reset on that exit as on any other."""
+    fproc = QuadraticFProcedure(lasso_20x50.A, lasso_20x50.b)
+    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+    aprob.fproc = fproc
+    params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
+                        max_outer=5000)
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def observer(event):
+        seen.append(event["k"])
+        if event["k"] == 3:
+            raise Stop("stop at outer iteration 3")
+
+    with pytest.raises(Stop, match="outer iteration 3"):
+        run_admm(aprob, params, observer=observer)
+    assert seen == [0, 1, 2, 3]
+    assert held_state(fproc) == []
 
 
 class BrokenAtOuter:
@@ -870,7 +934,8 @@ def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
     params = ADMMParams(c=c, core=inertial_core,
                         criterion=Criterion.SUM_SQUARES, epsilon=0.0,
                         max_outer=110)
-    admm_res = run_admm(aprob, params, keep_trace=True)
+    admm_events = Collector()
+    admm_res = run_admm(aprob, params, observer=admm_events)
     assert admm_res.outer_iters == 110
 
     fproc = QuadraticFProcedure(prob.A, prob.b)
@@ -878,20 +943,22 @@ def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
     res_a = L1Resolvent(prob.nu)
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.n))
+    dr_events = Collector()
     try:
-        dr_res = run_dr(init, dr_params, bproc, res_a, max_outer=110,
-                        keep_trace=True)
-    except BudgetExceeded as exc:
-        dr_res = exc.state
-    assert len(dr_res.trace) == len(admm_res.trace) == 110
+        run_dr(init, dr_params, bproc, res_a, max_outer=110,
+               observer=dr_events)
+    except BudgetExceeded:
+        pass
+    assert len(dr_events) == len(admm_events) == 110
 
+    # the splitting run's events are in the variables (s, b, r) = (x, -p, z)
     worst = 0.0
-    for a_step_, d_step in zip(admm_res.trace, dr_res.trace):
-        assert a_step_.trials == d_step.inner.trials
+    for a_step_, d_step in zip(admm_events, dr_events):
+        assert a_step_.trials == d_step.trials
         worst = max(worst,
-                    float(np.max(np.abs(d_step.next.s - a_step_.next.x))),
-                    float(np.max(np.abs(d_step.next.b + a_step_.next.p))),
-                    float(np.max(np.abs(d_step.next.r - a_step_.next.z))))
+                    float(np.max(np.abs(d_step.x - a_step_.x))),
+                    float(np.max(np.abs(-d_step.p + a_step_.p))),
+                    float(np.max(np.abs(d_step.z - a_step_.z))))
     assert worst <= 1e-12
 
 
@@ -905,15 +972,20 @@ def test_acceptance_verdicts_agree_under_embedding(lasso_20x50,
     params = ADMMParams(c=c, core=plain_core_sigma99,
                         criterion=Criterion.SUM_SQUARES, epsilon=0.0,
                         max_outer=60)
-    res = run_admm(aprob, params, keep_trace=True)
+    sessions = record_trials(aprob)
+    events = Collector()
+    run_admm(aprob, params, observer=events)
+    assert len(sessions) == len(events)
     from irsplit.dr import dr_acceptance
     checked = 0
-    for step in res.trace:
-        hat_dr = embed_to_dr(step.hat)
-        for trial in step.inner:
+    for step, session in zip(events, sessions):
+        hat_dr = embed_to_dr(
+            PrimalDualTriple(step.x_hat, step.z_hat, step.p_hat))
+        # the accepted trial is the last of its session
+        for i, trial in enumerate(session, 1):
             verdict = dr_acceptance(hat_dr, trial.x, -trial.p_l, trial.z_l,
                                     1.0 / c, plain_core_sigma99.sigma)
-            assert verdict == trial.accepted
+            assert verdict == (i == len(session))
             checked += 1
     assert checked >= 60
 
@@ -1010,34 +1082,38 @@ def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
                         max_outer=80)
     aprob = ir.logistic_admm_problem(prob, c)
     assert isinstance(aprob.fproc, LBFGSFProcedure)
-    admm_res = run_admm(aprob, params, keep_trace=True)
+    sessions = record_trials(aprob)
+    admm_events = Collector()
+    admm_res = run_admm(aprob, params, observer=admm_events)
     assert admm_res.outer_iters == 80
+    assert len(sessions) == len(admm_events)
+    admm_sessions = list(sessions)  # the splitting run records more
 
     bproc = FToBAdapter(aprob.fproc)
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
+    dr_events = Collector()
     try:
-        dr_res = run_dr(init, dr_params, bproc,
-                        BiasFreeL1Resolvent(prob.nu), max_outer=80,
-                        keep_trace=True)
-    except BudgetExceeded as exc:
-        dr_res = exc.state
-    assert len(dr_res.trace) == len(admm_res.trace) == 80
+        run_dr(init, dr_params, bproc, BiasFreeL1Resolvent(prob.nu),
+               max_outer=80, observer=dr_events)
+    except BudgetExceeded:
+        pass
+    assert len(dr_events) == len(admm_events) == 80
 
+    # the splitting run's events are in the variables (s, b, r) = (x, -p, z)
     worst = 0.0
-    for a_step_, d_step in zip(admm_res.trace, dr_res.trace):
-        assert a_step_.trials == d_step.inner.trials
+    for a_step_, d_step in zip(admm_events, dr_events):
+        assert a_step_.trials == d_step.trials
         worst = max(worst,
-                    float(np.max(np.abs(d_step.next.s - a_step_.next.x))),
-                    float(np.max(np.abs(d_step.next.b + a_step_.next.p))),
-                    float(np.max(np.abs(d_step.next.r - a_step_.next.z))))
+                    float(np.max(np.abs(d_step.x - a_step_.x))),
+                    float(np.max(np.abs(-d_step.p + a_step_.p))),
+                    float(np.max(np.abs(d_step.z - a_step_.z))))
     assert worst <= 1e-12
 
-    for step in admm_res.trace:
-        hat = step.hat
-        for trial in step.inner:
+    for step, session in zip(admm_events, admm_sessions):
+        for trial in session:
             grad_f = prob.value_gradient(trial.x)[1]
-            shift = hat.p + c * (trial.x - hat.z)
+            shift = step.p_hat + c * (trial.x - step.z_hat)
             scale = 1.0 + np.max(np.abs(grad_f)) + np.max(np.abs(shift))
             assert np.max(np.abs(trial.y - (grad_f + shift))) <= 1e-14 * scale
 

@@ -11,6 +11,8 @@ from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
                                ExactBProcedure, IdentityResolvent, L1Resolvent)
 from irsplit.subsolvers import soft_threshold
 
+from conftest import Collector
+
 
 def quad_l1_setup(n=10, seed=1, nu=0.5):
     """A = subdiff(nu l1), B(x) = x - c0; solution soft(c0, nu) in closed form."""
@@ -37,12 +39,20 @@ def run_to_budget(*args, **kwargs):
 
 
 def first_step(init, params, bproc, resolvent):
-    """The one recorded outer iteration of a run limited to one.  With
+    """The one observed outer iteration of a run limited to one.  With
     alpha = 0 its extrapolated triple is ``init``."""
-    res = run_to_budget(init, params, bproc, resolvent, max_outer=1,
-                        keep_trace=True)
-    assert len(res.trace) == 1
-    return res.trace[0]
+    events = Collector()
+    run_to_budget(init, params, bproc, resolvent, max_outer=1,
+                  observer=events)
+    assert len(events) == 1
+    return events[0]
+
+
+def split_triples(ev):
+    """An event's extrapolated and next triples as splitting triples,
+    (s, b, r) = (x, -p, z)."""
+    return (SplitTriple(ev.x_hat, -ev.p_hat, ev.z_hat),
+            SplitTriple(ev.x, -ev.p, ev.z))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +119,8 @@ def test_theta_exact_solve_is_one():
     hat = random_triple(rng, 10)
     st = first_step(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
                     ExactBProcedure(res_b), res_a)
-    sol = st.inner
-    assert theta(hat, sol.s, sol.b, sol.r, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert theta(hat, st.x, -st.p_l, st.z, 1.0) == pytest.approx(1.0,
+                                                                abs=1e-10)
     assert st.theta == pytest.approx(1.0, abs=1e-10)
 
 
@@ -171,7 +181,7 @@ def test_inner_solve_exact_takes_one_trial():
     hat = random_triple(np.random.default_rng(8), 10)
     st = first_step(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
                     ExactBProcedure(res_b), res_a)
-    assert st.inner.trials == 1
+    assert st.trials == 1
 
 
 def test_inner_solve_cg_accepts_quickly():
@@ -182,9 +192,9 @@ def test_inner_solve_cg_accepts_quickly():
     res_a = L1Resolvent(0.3)
     core = ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.99, 1.0, 1.0)
     hat = random_triple(rng, 20)
-    sol = first_step(hat, DRParams(1.0, core), bproc, res_a).inner
-    assert sol.trials <= 10
-    assert dr_acceptance(hat, sol.s, sol.b, sol.r, 1.0, 0.99)
+    st = first_step(hat, DRParams(1.0, core), bproc, res_a)
+    assert st.trials <= 10
+    assert dr_acceptance(hat, st.x, -st.p_l, st.z, 1.0, 0.99)
 
 
 def test_inner_solve_sigma_zero_iterative_exhausts_budget():
@@ -210,15 +220,16 @@ def test_run_matches_classical_recursion():
     rng = np.random.default_rng(11)
     init = random_triple(rng, 10)
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
-    res = run_to_budget(init, params, ExactBProcedure(res_b), res_a,
-                        max_outer=50, keep_trace=True)
+    events = Collector()
+    run_to_budget(init, params, ExactBProcedure(res_b), res_a, max_outer=50,
+                  observer=events)
     z = init.r + init.b
     worst = 0.0
-    for step in res.trace:
+    for step in events:
         z = classical_dr_step(z, 1.0, res_a, res_b)
-        z_run = step.next.r + step.next.b
+        z_run = step.z - step.p
         worst = max(worst, float(np.max(np.abs(z - z_run))))
-    assert len(res.trace) == 50
+    assert len(events) == 50
     assert worst <= 1e-10
 
 
@@ -237,16 +248,17 @@ def test_run_inertial_relaxed_converges_and_embeds(inertial_core):
     params = DRParams(1.0, inertial_core)
     rng = np.random.default_rng(12)
     init = random_triple(rng, 10)
+    events = Collector()
     res = run_dr(init, params, ExactBProcedure(res_b), res_a,
-                 max_outer=3000, sr_tolerance=1e-11, keep_trace=True)
+                 max_outer=3000, sr_tolerance=1e-11, observer=events)
     assert res.status == "solved"
     assert np.linalg.norm(res.x - x_star) <= 1e-8
     z_star = x_star + b_star  # gamma = 1
-    steps = [(st.hat.r + st.hat.b,
-              st.inner.r + st.inner.b,
-              st.next.r + st.next.b) for st in res.trace]
+    # r + b in the run's variables (s, b, r) = (x, -p, z)
+    steps = [(st.z_hat - st.p_hat, st.z - st.p_l, st.z - st.p)
+             for st in events]
     assert ir.fejer_check(steps, z_star, inertial_core, rel_tol=1e-9) is None
-    for st in res.trace:
+    for st in events:
         assert st.theta > 0.0
 
 
@@ -261,14 +273,15 @@ def test_embedding_reproduces_engine_equations():
     init = random_triple(rng, 8)
     # the epsilon stop ends the run before the machine-precision floor,
     # where no trial could pass the relative test any more
+    events = Collector()
     res = run_dr(init, params, bproc, res_a, max_outer=40,
-                 sr_tolerance=1e-11, keep_trace=True)
+                 sr_tolerance=1e-11, observer=events)
     assert res.status == "solved"
-    assert len(res.trace) >= 10
+    assert len(events) >= 10
     cur = init
-    for st in res.trace:
-        z, w, z_tilde, v = embed_to_hpp(cur, st.hat, st.inner.s, st.inner.b,
-                                        st.inner.r, 1.0)
+    for st in events:
+        hat, nxt = split_triples(st)
+        z, w, z_tilde, v = embed_to_hpp(cur, hat, st.x, -st.p_l, st.z, 1.0)
         # extrapolation consistency: w = z + alpha (z - z_prev) is implied
         # by the componentwise triple extrapolation; acceptance with lam = 1
         cert = ir.ProxCertificate(z_tilde, v, 1.0)
@@ -277,9 +290,9 @@ def test_embedding_reproduces_engine_equations():
         assert st.theta >= 0.5 * (1.0 - core.sigma ** 2)
         # projective correction: z_next = w - rho tau v
         tau = ((w - z_tilde) @ v) / (v @ v)
-        z_next = st.next.r + st.next.b
+        z_next = nxt.r + nxt.b
         assert np.linalg.norm(z_next - (w - st.rho_k * tau * v)) <= 1e-12
-        cur = st.next
+        cur = nxt
 
 
 def test_embedding_exact_case_has_unit_tau():
@@ -287,17 +300,18 @@ def test_embedding_exact_case_has_unit_tau():
     rng = np.random.default_rng(14)
     init = random_triple(rng, 5)
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
-    res = run_to_budget(init, params, ExactBProcedure(res_b), res_a,
-                        max_outer=5, keep_trace=True)
+    events = Collector()
+    run_to_budget(init, params, ExactBProcedure(res_b), res_a, max_outer=5,
+                  observer=events)
     cur = init
-    for st in res.trace:
-        _, w, z_tilde, v = embed_to_hpp(cur, st.hat, st.inner.s, st.inner.b,
-                                        st.inner.r, 1.0)
-        assert np.linalg.norm(v - (st.inner.s - st.inner.r)) == 0.0
+    for st in events:
+        hat, nxt = split_triples(st)
+        _, w, z_tilde, v = embed_to_hpp(cur, hat, st.x, -st.p_l, st.z, 1.0)
+        assert np.linalg.norm(v - (st.x - st.z)) == 0.0
         assert np.linalg.norm((w - z_tilde) - v) <= 1e-12
         tau = ((w - z_tilde) @ v) / (v @ v)
         assert tau == pytest.approx(1.0, abs=1e-10)
-        cur = st.next
+        cur = nxt
 
 
 def test_classical_step_zero_operators_is_identity():

@@ -115,18 +115,31 @@ _rhos = st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
 @given(b=_betas, r=_rhos)
 def test_coupling_maps_are_inverse(b, r):
     """B(R(b)) = b on (0, 1) and R(B(r)) = r on (0, 2), within the
-    conditioning bounds above, wherever the inner value rounds to a point
-    inside the outer map's domain (it rounds to 2 for b below about 1e-16,
-    and to 1 for r below about 1e-32)."""
+    conditioning bounds above, everywhere: each map's value lies in the
+    other's domain, also where it is clamped (below 2 for b below about
+    1e-16, below 1 for r below about 1e-32)."""
     rho = ir.rho_bar_of_beta(b)
-    if rho < 2.0:
-        tol = 2.0 * RELATIVE * (rho / abs(_slope(b)) + b)
-        assert abs(ir.beta_of_rho_bar(rho) - b) <= tol
+    tol = 2.0 * RELATIVE * (rho / abs(_slope(b)) + b)
+    assert abs(ir.beta_of_rho_bar(rho) - b) <= tol
     beta = ir.beta_of_rho_bar(r)
-    if beta < 1.0:
-        tol = (2.0 * RELATIVE * (beta * abs(_slope(beta)) + r)
-               + 4.0 * (RELATIVE * beta) ** 2)
-        assert abs(ir.rho_bar_of_beta(beta) - r) <= tol
+    tol = (2.0 * RELATIVE * (beta * abs(_slope(beta)) + r)
+           + 4.0 * (RELATIVE * beta) ** 2)
+    assert abs(ir.rho_bar_of_beta(beta) - r) <= tol
+
+
+@pytest.mark.parametrize("small_beta, small_rho",
+                         [(1e-17, 1e-33), (1e-300, 1e-300), (5e-324, 5e-324)])
+def test_coupling_maps_stay_in_each_others_domain(small_beta, small_rho):
+    """Near 0 the exact values round to the other map's excluded endpoint
+    (2 and 1); the maps clamp them just inside, so round trips and the
+    parameters ``from_beta`` builds are valid."""
+    rho = ir.rho_bar_of_beta(small_beta)
+    assert rho == np.nextafter(2.0, 0.0)
+    assert 0.0 < ir.beta_of_rho_bar(rho) <= 2e-16
+    ir.validate_params(ir.InertiaRelaxParams.from_beta(0.0, small_beta))
+    beta = ir.beta_of_rho_bar(small_rho)
+    assert beta == np.nextafter(1.0, 0.0)
+    assert 0.0 < ir.rho_bar_of_beta(beta) <= 2e-32
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
