@@ -5,12 +5,12 @@ benchmark harness."""
 from .errors import (BudgetExceeded, CGBreakdown, LineSearchFailure,
                      OracleFailure, ParameterError, ParseError,
                      ZeroVectorError)
-from .hpp import (HPPResult, HPPState, InertiaRelaxParams,
-                  IterationDiagnostics, ProxCertificate, Solution,
-                  alvarez_attouch_check, beta_of_rho_bar, error_criterion_holds,
-                  extrapolate, fejer_check, gauss_bounds_hold, hpp_iterate,
-                  q_eval, relaxed_projection, rho_bar_of_beta, run_hpp,
-                  smallest_positive_root, validate_params)
+from .hpp import (HPPResult, HPPState, InertiaRelaxParams, ProxCertificate,
+                  Solution, alvarez_attouch_check, beta_of_rho_bar,
+                  error_criterion_holds, extrapolate, fejer_check,
+                  gauss_bounds_hold, hpp_iterate, q_eval, relaxed_projection,
+                  rho_bar_of_beta, run_hpp, smallest_positive_root,
+                  validate_params)
 from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
                    FToBAdapter, PrimalDualTriple, admm_acceptance,
                    admm_extrapolate, multiplier_candidate, p_update, run_admm,

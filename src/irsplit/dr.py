@@ -25,7 +25,7 @@ from .admm import (ADMMParams, AdmmProblem, Criterion, FToBAdapter,
                    PrimalDualTriple, _run, reset_procedure)
 from .errors import BudgetExceeded, ParameterError, ZeroVectorError
 from .hpp import InertiaRelaxParams, validate_params
-from .records import BUDGET_EXCEEDED, RunRecord
+from .records import RunRecord
 
 __all__ = [
     "SplitTriple",
@@ -218,9 +218,11 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
 
     The default tolerance 0 stops only on the exact coincidence s = r, in
     which case that point solves the inclusion.  Constant schedules
-    alpha_k = alpha and rho_k = rho_hi are used.  Raises ``BudgetExceeded``
-    (partial result in ``state``) when ``max_outer`` runs out, and with the
-    last triple in ``state`` when the inner budget does.
+    alpha_k = alpha and rho_k = rho_hi are used.  When ``max_outer`` runs
+    out the partial result is returned with status ``budget_exceeded``;
+    when the inner budget does, ``BudgetExceeded`` is raised with the last
+    triple in ``state``.  ``params``, a negative ``max_outer`` and a
+    negative or NaN ``sr_tolerance`` raise ``ParameterError`` at entry.
 
     The run is the loop of :func:`irsplit.admm.run_admm` with the
     summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,
@@ -236,6 +238,10 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     variables: ``(s, b, r) = (x, -p, z)``, as in :func:`embed_to_dr`.
     """
     params.validate()
+    if max_outer < 0:
+        raise ParameterError("max_outer >= 0 violated")
+    if not sr_tolerance >= 0.0:
+        raise ParameterError("sr_tolerance >= 0 violated")
     gamma = params.gamma
     fproc = (bproc.fproc if isinstance(bproc, FToBAdapter)
              else _BToF(bproc, gamma))
@@ -251,12 +257,8 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
         if isinstance(exc.state, PrimalDualTriple):
             exc.state = embed_to_dr(exc.state)
         raise
-    out = DRResult(embed_to_dr(res.triple), res.x, res.status,
-                   res.outer_iters, res.inner_iters_total, res.record)
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceeded(
-            f"no convergence within {max_outer} outer iterations", state=out)
-    return out
+    return DRResult(embed_to_dr(res.triple), res.x, res.status,
+                    res.outer_iters, res.inner_iters_total, res.record)
 
 
 def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,

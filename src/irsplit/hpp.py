@@ -10,6 +10,12 @@ The admissible inertia and relaxation caps are mutually constrained: for an
 inertia bound ``beta`` the relaxation cap is ``rho_bar_of_beta(beta)`` and
 conversely ``beta_of_rho_bar`` recovers ``beta``.  ``validate_params``
 enforces the full contract.
+
+:func:`run_hpp` follows the contract of the splitting drivers: an optional
+observer sees each completed iteration, and a spent budget is a returned
+``budget_exceeded`` status.  :func:`fejer_check` and
+:func:`alvarez_attouch_check` read a trajectory as ``(w, z_tilde,
+z_next)`` tuples, which the events of all three layers map to.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, OracleFailure, ParameterError, ZeroVectorError
+from .errors import OracleFailure, ParameterError, ZeroVectorError
 from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
 
 __all__ = [
@@ -34,7 +40,6 @@ __all__ = [
     "ProxCertificate",
     "ResolventOracle",
     "HPPState",
-    "IterationDiagnostics",
     "Solution",
     "extrapolate",
     "error_criterion_holds",
@@ -42,7 +47,6 @@ __all__ = [
     "gauss_bounds_hold",
     "relaxed_projection",
     "hpp_iterate",
-    "HPPStep",
     "HPPResult",
     "run_hpp",
     "fejer_check",
@@ -237,24 +241,6 @@ class HPPState:
 
 
 @dataclass
-class IterationDiagnostics:
-    """Per-iteration quantities used by the descent and summability checks.
-
-    ``s_k`` is the nonnegative slack of the Fejer-type inequality for the
-    step just taken (it involves the *next* iterate), ``increment_sq`` the
-    squared step between the two iterates at entry, ``delta_k`` the inertial
-    by-product alpha_k (1 + alpha_k) increment_sq.
-    """
-
-    w: np.ndarray
-    tau: float
-    s_k: float
-    error_ratio: float
-    increment_sq: float
-    delta_k: float
-
-
-@dataclass
 class Solution:
     """Exact zero of the operator discovered by the oracle (v = 0)."""
 
@@ -352,9 +338,11 @@ def hpp_iterate(state: HPPState, oracle: ResolventOracle,
                 rho_k: Optional[float] = None):
     """One engine step: extrapolate, certify, project.
 
-    Returns ``(next_state, diagnostics, accepted_certificate)`` or
-    ``Solution`` when the oracle reports v = 0.  Raises ``OracleFailure``
-    if the returned certificate fails the acceptance test.
+    ``alpha_k`` and ``rho_k`` default to ``params.alpha`` and
+    ``params.rho_hi``.  Returns ``(next_state, w, cert)``, the extrapolated
+    point and the accepted certificate with it, or ``Solution`` when the
+    oracle reports v = 0.  Raises ``OracleFailure`` if the returned
+    certificate fails the acceptance test.
     """
     alpha_k = params.alpha if alpha_k is None else alpha_k
     rho_k = params.rho_hi if rho_k is None else rho_k
@@ -369,36 +357,8 @@ def hpp_iterate(state: HPPState, oracle: ResolventOracle,
         return Solution(cert.z_tilde)
     if not (cert.exact or error_criterion_holds(w, cert, params.sigma)):
         raise OracleFailure("certificate fails the relative-error test")
-
-    vv = cert.v @ cert.v
-    tau = ((w - cert.z_tilde) @ cert.v) / vv
-    z_next = w - (rho_k * tau) * cert.v
-
-    inc = state.z_cur - state.z_prev
-    inc_sq = float(inc @ inc)
-    diag = IterationDiagnostics(
-        w=w,
-        tau=float(tau),
-        s_k=float(_s_bound(z_next, w, cert.z_tilde, params)),
-        error_ratio=error_ratio(w, cert, params.sigma),
-        increment_sq=inc_sq,
-        delta_k=alpha_k * (1.0 + alpha_k) * inc_sq,
-    )
-    new_state = HPPState(z_next, state.z_cur.copy(), state.k + 1)
-    return new_state, diag, cert
-
-
-@dataclass
-class HPPStep:
-    """One recorded engine step (for descent / embedding checks)."""
-
-    w: np.ndarray
-    z_tilde: np.ndarray
-    v: np.ndarray
-    z_next: np.ndarray
-    alpha_k: float
-    rho_k: float
-    diag: IterationDiagnostics
+    z_next = relaxed_projection(w, cert, rho_k)
+    return HPPState(z_next, state.z_cur.copy(), state.k + 1), w, cert
 
 
 @dataclass
@@ -407,54 +367,54 @@ class HPPResult:
     status: str
     v_norm: float
     record: RunRecord
-    trace: Optional[list] = None
 
 
 def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
             max_iters: int = 1000, v_tolerance: float = 0.0,
-            alpha_schedule: Optional[Callable[[int], float]] = None,
-            keep_trace: bool = False) -> HPPResult:
+            observer: Optional[Callable[[dict], None]] = None) -> HPPResult:
     """Drive the engine from ``z0`` until v = 0, ||v|| <= v_tolerance or budget.
 
-    The default schedule is constant alpha_k = alpha and rho_k = rho_hi.  A
-    per-step ``alpha_schedule(k)`` must be nondecreasing; this is checked.
-    Raises ``BudgetExceeded`` (carrying the partial result in ``state``)
-    when ``max_iters`` runs out.
+    The schedule is constant: alpha_k = alpha and rho_k = rho_hi.  Stops
+    with status ``solved`` when the oracle reports v = 0 (``z`` is then its
+    point), ``converged`` when ||v|| <= ``v_tolerance``, or
+    ``budget_exceeded`` with the last iterate after ``max_iters``
+    iterations.  ``params``, a negative ``max_iters`` and a negative or NaN
+    ``v_tolerance`` raise ``ParameterError`` at entry.
+
+    ``observer``, when given, is called once per completed iteration with a
+    dict: ``k``, ``alpha_k``, ``rho_k``, the extrapolated ``w``, the
+    accepted certificate ``cert`` and the next iterate ``z``.  The arrays
+    are passed without a copy and are read-only for the observer.  An
+    exception the observer raises ends the run.
     """
     validate_params(params)
+    if max_iters < 0:
+        raise ParameterError("max_iters >= 0 violated")
+    if not v_tolerance >= 0.0:
+        raise ParameterError("v_tolerance >= 0 violated")
     z0 = _vec(z0, "z0")
     state = HPPState(z0, z0.copy(), 0)
-    trace: list = []
+    alpha, rho = params.alpha, params.rho_hi
     started = time.perf_counter()
-    last_alpha = 0.0
+    z, status, v_norm, outer = z0, BUDGET_EXCEEDED, math.inf, max_iters
     for k in range(max_iters):
-        alpha_k = params.alpha if alpha_schedule is None else float(alpha_schedule(k))
-        if alpha_k < last_alpha:
-            raise ParameterError("alpha_k schedule must be nondecreasing")
-        last_alpha = alpha_k
-        out = hpp_iterate(state, oracle, params, alpha_k=alpha_k)
+        out = hpp_iterate(state, oracle, params, alpha, rho)
         if isinstance(out, Solution):
-            rec = RunRecord(k, 0, time.perf_counter() - started, 0.0,
-                            math.nan, CONVERGED)
-            return HPPResult(out.z, "solved", 0.0, rec, trace if keep_trace else None)
-        new_state, diag, cert = out
-        if keep_trace:
-            trace.append(HPPStep(diag.w, cert.z_tilde, cert.v,
-                                 new_state.z_cur, alpha_k, params.rho_hi, diag))
-        state = new_state
-        v_norm = float(np.linalg.norm(cert.v))
-        if v_norm <= v_tolerance:
-            rec = RunRecord(k + 1, 0, time.perf_counter() - started, v_norm,
-                            math.nan, CONVERGED)
-            return HPPResult(state.z_cur, "converged", v_norm, rec,
-                             trace if keep_trace else None)
-    raise BudgetExceeded(f"no convergence within {max_iters} iterations",
-                         state=HPPResult(state.z_cur, BUDGET_EXCEEDED, math.inf,
-                                         RunRecord(max_iters, 0,
-                                                   time.perf_counter() - started,
-                                                   math.inf, math.nan,
-                                                   BUDGET_EXCEEDED),
-                                         trace if keep_trace else None))
+            z, status, v_norm, outer = out.z, "solved", 0.0, k
+            break
+        state, w, cert = out
+        z = state.z_cur
+        if observer is not None:
+            observer({"k": k, "alpha_k": alpha, "rho_k": rho, "w": w,
+                      "cert": cert, "z": z})
+        norm = float(np.linalg.norm(cert.v))
+        if norm <= v_tolerance:
+            status, v_norm, outer = CONVERGED, norm, k + 1
+            break
+    rec_status = BUDGET_EXCEEDED if status == BUDGET_EXCEEDED else CONVERGED
+    rec = RunRecord(outer, 0, time.perf_counter() - started, v_norm,
+                    math.nan, rec_status)
+    return HPPResult(z, status, v_norm, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +425,12 @@ def fejer_check(steps: Sequence, z_star, params: InertiaRelaxParams,
                 rel_tol: float = 1e-9) -> Optional[int]:
     """First index violating the per-step Fejer-type inequality, else None.
 
-    Each step must expose (w, z_tilde, z_next) either as attributes or as a
-    tuple; the slack term is recomputed from the parameters.  The test is
-    ||z_next - z*||^2 + s <= ||w - z*||^2 (1 + rel_tol).
+    Each step is a tuple ``(w, z_tilde, z_next)``; the slack term is
+    recomputed from the parameters.  The test is ||z_next - z*||^2 + s <=
+    ||w - z*||^2 (1 + rel_tol).
     """
     z_star = _vec(z_star, "z_star")
-    for idx, step in enumerate(steps):
-        if hasattr(step, "w"):
-            w, z_tilde, z_next = step.w, step.z_tilde, step.z_next
-        else:
-            w, z_tilde, z_next = step[0], step[1], step[2]
+    for idx, (w, z_tilde, z_next) in enumerate(steps):
         s = _s_bound(z_next, w, z_tilde, params)
         dzn = z_next - z_star
         dw = w - z_star
@@ -485,13 +441,17 @@ def fejer_check(steps: Sequence, z_star, params: InertiaRelaxParams,
     return None
 
 
-def alvarez_attouch_check(trace: Sequence[HPPStep], z0, z_star,
+def alvarez_attouch_check(steps: Sequence, z0, z_star,
                           params: InertiaRelaxParams,
                           rel_tol: float = 1e-9) -> Optional[int]:
     """First index violating the inertial partial-sum bound, else None.
 
-    Checks phi_k + sum_{j<=k} s_j <= phi_0 + (1 - alpha)^{-1} sum_{j<k}
-    delta_j along a recorded trajectory, with phi_k = ||z^k - z*||^2.
+    Checks phi_k + sum_{j<=k} s_j <= phi_0 + (1 - alpha)^{-1} sum_{j<=k}
+    delta_j along a trajectory from ``z0`` given as ``(w, z_tilde,
+    z_next)`` tuples, as for :func:`fejer_check`, with phi_k = ||z^k -
+    z*||^2.  The slack s_k is recomputed from the parameters, and delta_k =
+    alpha (1 + alpha) ||z^k - z^{k-1}||^2 from consecutive iterates (z^{-1}
+    = z^0 = z0).
     """
     z0 = _vec(z0, "z0")
     z_star = _vec(z_star, "z_star")
@@ -499,12 +459,15 @@ def alvarez_attouch_check(trace: Sequence[HPPStep], z0, z_star,
     s_sum = 0.0
     delta_sum = 0.0
     scale = 1.0 / (1.0 - params.alpha)
-    for idx, step in enumerate(trace):
-        s_sum += step.diag.s_k
-        dz = step.z_next - z_star
-        lhs = float(dz @ dz) + s_sum
-        rhs = phi0 + scale * (delta_sum + step.diag.delta_k)
-        if lhs > rhs * (1.0 + rel_tol) + rel_tol:
+    coef = params.alpha * (1.0 + params.alpha)
+    z_prev = z_cur = z0
+    for idx, (w, z_tilde, z_next) in enumerate(steps):
+        s_sum += float(_s_bound(z_next, w, z_tilde, params))
+        inc = z_cur - z_prev
+        delta_sum += coef * float(inc @ inc)
+        dz = z_next - z_star
+        if float(dz @ dz) + s_sum > (phi0 + scale * delta_sum) * (
+                1.0 + rel_tol) + rel_tol:
             return idx
-        delta_sum += step.diag.delta_k
+        z_prev, z_cur = z_cur, z_next
     return None

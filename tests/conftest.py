@@ -1,5 +1,6 @@
 """Shared fixtures: small seeded instances and cached high-accuracy
-references; the run observer and the inner-trial recorder."""
+references; the run observer, its map to engine steps, and the inner-trial
+recorder."""
 
 from types import SimpleNamespace
 
@@ -56,6 +57,20 @@ class Collector(list):
 
     def __call__(self, event):
         self.append(SimpleNamespace(**event))
+
+
+def engine_steps(events, gamma=None):
+    """A run's events as engine-space ``(w, z_tilde, z_next)`` tuples, the
+    form ``fejer_check`` and ``alvarez_attouch_check`` read.  Events of
+    ``run_hpp`` (``gamma`` None) hold those points; for events of
+    ``run_admm`` and ``run_dr``, with ``gamma = 1/c``, each point is z -
+    gamma p, the engine point r + gamma b of the splitting triple (s, b, r)
+    = (x, -p, z)."""
+    if gamma is None:
+        return [(ev.w, ev.cert.z_tilde, ev.z) for ev in events]
+    return [(ev.z_hat - gamma * ev.p_hat,
+             ev.z - gamma * ev.p_l,
+             ev.z - gamma * ev.p) for ev in events]
 
 
 def record_trials(problem):

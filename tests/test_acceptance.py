@@ -14,14 +14,14 @@ import irsplit as ir
 import irsplit.bench as bench
 from irsplit.admm import ADMMParams, Criterion, run_admm
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, dr_acceptance, run_dr
-from irsplit.errors import BudgetExceeded
 from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
                                ExactBProcedure, ExactResolventOracle,
                                L1Resolvent, PerturbedResolventOracle,
                                ScaledIdentityOperator)
 from irsplit.subsolvers import soft_threshold
 
-from conftest import Collector, accepted_certificate_sampler, record_trials
+from conftest import (Collector, accepted_certificate_sampler, engine_steps,
+                      record_trials)
 
 
 def report(name, ok, detail=""):
@@ -78,11 +78,9 @@ def test_criterion_2_classical_reduction():
                        rng.standard_normal(n))
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
     trace = Collector()
-    try:
-        run_dr(init, params, ExactBProcedure(res_b), res_a, max_outer=50,
-               observer=trace)
-    except BudgetExceeded:
-        pass
+    res = run_dr(init, params, ExactBProcedure(res_b), res_a, max_outer=50,
+                 observer=trace)
+    assert (res.status, res.outer_iters) == ("budget_exceeded", 50)
     z = init.r + init.b
     worst = 0.0
     for step in trace:
@@ -157,25 +155,8 @@ def test_criterion_3_layer_stack_equivalence(lasso_20x50, inertial_core):
 
 
 # ---------------------------------------------------------------------------
-# 4. Fejer descent and the certificate bounds
+# 4. Fejer descent, the inertial partial-sum bound, the certificate bounds
 # ---------------------------------------------------------------------------
-
-def _hpp_steps(trace):
-    return [(s.w, s.z_tilde, s.z_next) for s in trace]
-
-
-def _dr_steps(trace, gamma):
-    """r + gamma b of each event's triples, (s, b, r) = (x, -p, z)."""
-    return [(st.z_hat - gamma * st.p_hat,
-             st.z - gamma * st.p_l,
-             st.z - gamma * st.p) for st in trace]
-
-
-def _admm_steps(trace, c):
-    return [(st.z_hat - st.p_hat / c,
-             st.z - st.p_l / c,
-             st.z - st.p / c) for st in trace]
-
 
 def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
                                                   lasso_20x50_reference,
@@ -183,29 +164,33 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     started = time.perf_counter()
     runs = []
 
+    # each run: its name, engine steps, engine start z0, z* and parameters
     plain = ir.InertiaRelaxParams.plain(sigma=0.0)
-    res = ir.run_hpp(np.array([1.0, -2.0]),
-                     ExactResolventOracle(ScaledIdentityOperator(1.0)),
-                     plain, max_iters=200, v_tolerance=1e-11, keep_trace=True)
-    runs.append(("engine scaling exact", _hpp_steps(res.trace), np.zeros(2),
-                 plain))
+    z0 = np.array([1.0, -2.0])
+    htrace = Collector()
+    ir.run_hpp(z0, ExactResolventOracle(ScaledIdentityOperator(1.0)), plain,
+               max_iters=200, v_tolerance=1e-11, observer=htrace)
+    runs.append(("engine scaling exact", engine_steps(htrace), z0,
+                 np.zeros(2), plain))
 
     rotation = AffineOperator(np.array([[0.1, 1.0], [-1.0, 0.1]]))
     inertial_engine = ir.InertiaRelaxParams.from_beta(0.18, 0.18976, sigma=0.0)
-    res = ir.run_hpp(np.array([3.0, -1.0]), ExactResolventOracle(rotation),
-                     inertial_engine, max_iters=4000, v_tolerance=1e-10,
-                     keep_trace=True)
-    runs.append(("engine rotation exact inertial", _hpp_steps(res.trace),
+    z0 = np.array([3.0, -1.0])
+    htrace = Collector()
+    ir.run_hpp(z0, ExactResolventOracle(rotation), inertial_engine,
+               max_iters=4000, v_tolerance=1e-10, observer=htrace)
+    runs.append(("engine rotation exact inertial", engine_steps(htrace), z0,
                  np.zeros(2), inertial_engine))
 
     perturbed_params = ir.InertiaRelaxParams.from_beta(0.18, 0.18976,
                                                        sigma=0.9)
-    res = ir.run_hpp(np.array([2.0, 1.0]),
-                     PerturbedResolventOracle(rotation, seed=5),
-                     perturbed_params, max_iters=4000, v_tolerance=1e-9,
-                     keep_trace=True)
-    runs.append(("engine rotation inexact inertial", _hpp_steps(res.trace),
-                 np.zeros(2), perturbed_params))
+    z0 = np.array([2.0, 1.0])
+    htrace = Collector()
+    ir.run_hpp(z0, PerturbedResolventOracle(rotation, seed=5),
+               perturbed_params, max_iters=4000, v_tolerance=1e-9,
+               observer=htrace)
+    runs.append(("engine rotation inexact inertial", engine_steps(htrace),
+                 z0, np.zeros(2), perturbed_params))
 
     rng = np.random.default_rng(2)
     n, nu = 10, 0.5
@@ -219,15 +204,16 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     dtrace = Collector()
     run_dr(init, DRParams(1.0, inertial_core), ExactBProcedure(res_b),
            res_a, max_outer=3000, sr_tolerance=1e-10, observer=dtrace)
-    runs.append(("splitting quad/l1 exact inertial", _dr_steps(dtrace, 1.0),
-                 z_star_dr, inertial_core))
+    z0_dr = init.r + init.b  # gamma = 1
+    runs.append(("splitting quad/l1 exact inertial", engine_steps(dtrace, 1.0),
+                 z0_dr, z_star_dr, inertial_core))
 
     dtrace = Collector()
     run_dr(init, DRParams(1.0, inertial_core),
            CGBProcedure(np.eye(n), -c0), res_a, max_outer=3000,
            sr_tolerance=1e-8, observer=dtrace)
-    runs.append(("splitting quad/l1 cg inertial", _dr_steps(dtrace, 1.0),
-                 z_star_dr, inertial_core))
+    runs.append(("splitting quad/l1 cg inertial", engine_steps(dtrace, 1.0),
+                 z0_dr, z_star_dr, inertial_core))
 
     c = 1.0
     params = ADMMParams(c=c, core=inertial_core, epsilon=1e-6, max_outer=5000)
@@ -235,16 +221,21 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     run_admm(ir.lasso_admm_problem(lasso_20x50, c), params, observer=atrace)
     grad_ref = lasso_20x50.f_gradient(lasso_20x50_reference)
     z_star_admm = lasso_20x50_reference + grad_ref / c
-    runs.append(("admm lasso inertial", _admm_steps(atrace, c),
-                 z_star_admm, inertial_core))
+    runs.append(("admm lasso inertial", engine_steps(atrace, 1.0 / c),
+                 np.zeros(lasso_20x50.n), z_star_admm, inertial_core))
 
     failures = []
     total_steps = 0
-    for name, steps, z_star, params_used in runs:
+    for name, steps, z0, z_star, params_used in runs:
         total_steps += len(steps)
         bad = ir.fejer_check(steps, z_star, params_used, rel_tol=1e-9)
         if bad is not None:
             failures.append(f"{name} violates descent at step {bad}")
+        bad = ir.alvarez_attouch_check(steps, z0, z_star, params_used,
+                                       rel_tol=1e-9)
+        if bad is not None:
+            failures.append(f"{name} violates the inertial partial-sum "
+                            f"bound at step {bad}")
 
     rng = np.random.default_rng(99)
     sampler = accepted_certificate_sampler(rng)

@@ -674,11 +674,10 @@ def test_dr_lasso_products_at_session_start():
     prob = ir.synthetic_lasso(100, 300, seed=0)
     aprob, counts = count_lasso_products(prob)
     zeros = np.zeros(prob.n)
-    with pytest.raises(BudgetExceeded) as exc:
-        run_dr(SplitTriple(zeros, zeros, zeros),
-               DRParams(gamma=1.0, core=published_params().core),
-               FToBAdapter(aprob.fproc), L1Resolvent(prob.nu), max_outer=60)
-    res = exc.value.state
+    res = run_dr(SplitTriple(zeros, zeros, zeros),
+                 DRParams(gamma=1.0, core=published_params().core),
+                 FToBAdapter(aprob.fproc), L1Resolvent(prob.nu), max_outer=60)
+    assert res.status == "budget_exceeded"
     assert (res.outer_iters, res.inner_iters_total) == (60, 64)
     assert counts["open"] <= 4
     assert counts["step"] == 2 * res.inner_iters_total
@@ -722,7 +721,7 @@ def held_state(fproc):
 
 
 @pytest.mark.parametrize("case", ["admm_returns", "admm_raises",
-                                  "dr_raises"])
+                                  "dr_returns", "dr_raises"])
 def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
                                               case):
     """A run resets its F-procedure on every exit, so no session or stored
@@ -737,13 +736,20 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
         return session
 
     fproc.open_session = tracked_open
-    if case == "dr_raises":
+    if case.startswith("dr"):
         n = lasso_20x50.n
-        with pytest.raises(BudgetExceeded):
-            run_dr(SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n)),
-                   DRParams(gamma=1.0, core=inertial_core),
-                   FToBAdapter(fproc), L1Resolvent(lasso_20x50.nu),
-                   max_outer=20)
+        init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
+        bproc, res_a = FToBAdapter(fproc), L1Resolvent(lasso_20x50.nu)
+        if case == "dr_returns":
+            res = run_dr(init, DRParams(gamma=1.0, core=inertial_core),
+                         bproc, res_a, max_outer=20)
+            assert res.status == "budget_exceeded"
+        else:  # the inner budget: sigma = 0 with iterative CG never lands
+            params = DRParams(gamma=1.0,
+                              core=ir.InertiaRelaxParams.plain(sigma=0.0),
+                              inner_budget=30)
+            with pytest.raises(BudgetExceeded):
+                run_dr(init, params, bproc, res_a, max_outer=50)
     else:
         aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
         aprob.fproc = fproc
@@ -944,11 +950,9 @@ def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.n))
     dr_events = Collector()
-    try:
-        run_dr(init, dr_params, bproc, res_a, max_outer=110,
-               observer=dr_events)
-    except BudgetExceeded:
-        pass
+    dr_res = run_dr(init, dr_params, bproc, res_a, max_outer=110,
+                    observer=dr_events)
+    assert dr_res.status == "budget_exceeded"
     assert len(dr_events) == len(admm_events) == 110
 
     # the splitting run's events are in the variables (s, b, r) = (x, -p, z)
@@ -1093,11 +1097,9 @@ def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
     dr_events = Collector()
-    try:
-        run_dr(init, dr_params, bproc, BiasFreeL1Resolvent(prob.nu),
-               max_outer=80, observer=dr_events)
-    except BudgetExceeded:
-        pass
+    dr_res = run_dr(init, dr_params, bproc, BiasFreeL1Resolvent(prob.nu),
+                    max_outer=80, observer=dr_events)
+    assert dr_res.status == "budget_exceeded"
     assert len(dr_events) == len(admm_events) == 80
 
     # the splitting run's events are in the variables (s, b, r) = (x, -p, z)

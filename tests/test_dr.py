@@ -6,12 +6,14 @@ import pytest
 import irsplit as ir
 from irsplit.dr import (DRParams, SplitTriple, a_step, classical_dr_step,
                         dr_acceptance, dr_update, embed_to_hpp, run_dr, theta)
-from irsplit.errors import BudgetExceeded, ZeroVectorError
+from irsplit.errors import BudgetExceeded, ParameterError, ZeroVectorError
 from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
-                               ExactBProcedure, IdentityResolvent, L1Resolvent)
+                               ExactBProcedure, ExactResolventOracle,
+                               IdentityResolvent, L1Resolvent,
+                               ScaledIdentityOperator)
 from irsplit.subsolvers import soft_threshold
 
-from conftest import Collector
+from conftest import Collector, engine_steps
 
 
 def quad_l1_setup(n=10, seed=1, nu=0.5):
@@ -32,10 +34,11 @@ def random_triple(rng, n):
 
 
 def run_to_budget(*args, **kwargs):
-    try:
-        return run_dr(*args, **kwargs)
-    except BudgetExceeded as exc:
-        return exc.state
+    """A run that spends its outer budget: it returns the partial result."""
+    res = run_dr(*args, **kwargs)
+    assert res.status == "budget_exceeded"
+    assert res.outer_iters == kwargs["max_outer"]
+    return res
 
 
 def first_step(init, params, bproc, resolvent):
@@ -254,12 +257,32 @@ def test_run_inertial_relaxed_converges_and_embeds(inertial_core):
     assert res.status == "solved"
     assert np.linalg.norm(res.x - x_star) <= 1e-8
     z_star = x_star + b_star  # gamma = 1
-    # r + b in the run's variables (s, b, r) = (x, -p, z)
-    steps = [(st.z_hat - st.p_hat, st.z - st.p_l, st.z - st.p)
-             for st in events]
+    steps = engine_steps(events, 1.0)
     assert ir.fejer_check(steps, z_star, inertial_core, rel_tol=1e-9) is None
     for st in events:
         assert st.theta > 0.0
+
+
+@pytest.mark.parametrize("driver, option, value", [
+    ("hpp", "max_iters", -1), ("hpp", "v_tolerance", -1.0),
+    ("hpp", "v_tolerance", float("nan")), ("dr", "max_outer", -1),
+    ("dr", "sr_tolerance", -1.0), ("dr", "sr_tolerance", float("nan")),
+])
+def test_budgets_and_tolerances_checked_at_entry(driver, option, value):
+    """A negative budget, or a negative or NaN tolerance, raises
+    ``ParameterError`` naming it, before the first iteration.  A negative
+    budget used to run no iteration and fail in the run record; a NaN
+    tolerance never stopped a run that had reached its solution."""
+    z = np.zeros(3)
+    params = ir.InertiaRelaxParams.plain(sigma=0.0)
+    with pytest.raises(ParameterError, match=option):
+        if driver == "hpp":
+            ir.run_hpp(z + 1.0, ExactResolventOracle(ScaledIdentityOperator(
+                1.0)), params, **{option: value})
+        else:
+            run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(1.0, params),
+                   ExactBProcedure(IdentityResolvent()), L1Resolvent(0.1),
+                   **{option: value})
 
 
 def test_embedding_reproduces_engine_equations():

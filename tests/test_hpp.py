@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
-from irsplit.errors import (BudgetExceeded, OracleFailure, ParameterError,
-                            ZeroVectorError)
-from irsplit.hpp import (HPPState, Solution, error_ratio, hpp_iterate,
-                         rho_bar_of_beta)
+from irsplit.errors import OracleFailure, ParameterError, ZeroVectorError
+from irsplit.hpp import (HPPState, Solution, _s_bound, error_ratio,
+                         hpp_iterate, rho_bar_of_beta)
 from irsplit.operators import (AffineOperator, ExactResolventOracle,
                                PerturbedResolventOracle,
                                ScaledIdentityOperator)
 
-from conftest import accepted_certificate_sampler
+from conftest import Collector, accepted_certificate_sampler, engine_steps
 
 
 def exact_identity_oracle():
@@ -139,10 +138,10 @@ def test_relaxed_projection_zero_v():
 def test_iterate_identity_operator_halves():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     state = HPPState(np.array([1.0]), np.array([1.0]), 0)
-    out = hpp_iterate(state, exact_identity_oracle(), params)
-    state, diag, _ = out
+    state, w, cert = hpp_iterate(state, exact_identity_oracle(), params)
     assert state.z_cur[0] == pytest.approx(0.5, abs=1e-15)
-    assert diag.tau == pytest.approx(1.0)
+    tau = ((w - cert.z_tilde) @ cert.v) / (cert.v @ cert.v)
+    assert tau == pytest.approx(1.0)
 
 
 def test_fifty_iterations_geometric():
@@ -208,39 +207,49 @@ def test_run_identity_converges_quickly():
 
 def test_run_budget_zero():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    with pytest.raises(BudgetExceeded) as excinfo:
-        ir.run_hpp(np.array([2.0]), exact_identity_oracle(), params,
-                   max_iters=0)
-    assert np.array_equal(excinfo.value.state.z, [2.0])
+    res = ir.run_hpp(np.array([2.0]), exact_identity_oracle(), params,
+                     max_iters=0)
+    assert res.status == "budget_exceeded"
+    assert res.record.status == "budget_exceeded"
+    assert res.record.outer_iters == 0
+    assert np.array_equal(res.z, [2.0])
 
 
 def test_run_rotation_converges_with_fejer():
     oracle = ExactResolventOracle(rotation_operator())
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
+    events = Collector()
     res = ir.run_hpp(np.array([3.0, -1.0]), oracle, params, max_iters=2000,
-                     v_tolerance=1e-10, keep_trace=True)
+                     v_tolerance=1e-10, observer=events)
     assert res.status == "converged"
     assert np.linalg.norm(res.z) <= 1e-8
-    assert ir.fejer_check(res.trace, np.zeros(2), params, rel_tol=0.0) is None
+    assert ir.fejer_check(engine_steps(events), np.zeros(2), params,
+                          rel_tol=0.0) is None
 
 
 def test_run_inertial_perturbed_descent_and_summability():
     oracle = PerturbedResolventOracle(rotation_operator(), seed=5)
     params = ir.InertiaRelaxParams.from_beta(alpha=0.18, beta=0.18976,
                                              sigma=0.9)
-    res = ir.run_hpp(np.array([2.0, 1.0]), oracle, params, max_iters=4000,
-                     v_tolerance=1e-9, keep_trace=True)
+    z0 = np.array([2.0, 1.0])
+    events = Collector()
+    res = ir.run_hpp(z0, oracle, params, max_iters=4000, v_tolerance=1e-9,
+                     observer=events)
     assert res.status == "converged"
     z_star = np.zeros(2)
-    assert ir.fejer_check(res.trace, z_star, params, rel_tol=1e-9) is None
-    assert ir.alvarez_attouch_check(res.trace, np.array([2.0, 1.0]), z_star,
-                                    params, rel_tol=1e-9) is None
-    increments = [s.diag.increment_sq for s in res.trace]
+    steps = engine_steps(events)
+    assert ir.fejer_check(steps, z_star, params, rel_tol=1e-9) is None
+    assert ir.alvarez_attouch_check(steps, z0, z_star, params,
+                                    rel_tol=1e-9) is None
+    # ||z^k - z^{k-1}||^2 at the entry of step k, with z^{-1} = z^0
+    iterates = [z0, z0] + [ev.z for ev in events[:-1]]
+    increments = [float((b - a) @ (b - a))
+                  for a, b in zip(iterates, iterates[1:])]
     assert sum(increments) < 1e3
     assert max(increments[-5:]) <= 1e-12
-    for step in res.trace:
-        assert step.diag.s_k >= 0.0
-        assert step.diag.error_ratio <= 1.0 + 1e-12
+    for ev in events:
+        assert _s_bound(ev.z, ev.w, ev.cert.z_tilde, params) >= 0.0
+        assert error_ratio(ev.w, ev.cert, params.sigma) <= 1.0 + 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -260,13 +269,13 @@ def test_run_traces_are_fejer_monotone(n, seed, skew, beta, frac, sigma):
     params = ir.InertiaRelaxParams(frac * beta, beta, sigma, rho, rho)
     oracle = PerturbedResolventOracle(AffineOperator(mat, q), seed=seed)
     z0 = rng.standard_normal(n)
-    try:
-        trace = ir.run_hpp(z0, oracle, params, max_iters=400,
-                           v_tolerance=1e-8, keep_trace=True).trace
-    except BudgetExceeded as exc:
-        trace = exc.state.trace
-    assert ir.fejer_check(trace, z_star, params, rel_tol=1e-9) is None
-    assert ir.alvarez_attouch_check(trace, z0, z_star, params,
+    events = Collector()
+    res = ir.run_hpp(z0, oracle, params, max_iters=400, v_tolerance=1e-8,
+                     observer=events)
+    assert len(events) == res.record.outer_iters
+    steps = engine_steps(events)
+    assert ir.fejer_check(steps, z_star, params, rel_tol=1e-9) is None
+    assert ir.alvarez_attouch_check(steps, z0, z_star, params,
                                     rel_tol=1e-9) is None
 
 
@@ -278,10 +287,58 @@ def test_stationary_start_is_solution():
     assert res.record.outer_iters == 0
 
 
-def test_alpha_schedule_must_be_nondecreasing():
-    oracle = exact_identity_oracle()
-    params = ir.InertiaRelaxParams.from_beta(alpha=0.3, beta=1.0 / 3.0,
-                                             sigma=0.0)
-    with pytest.raises(ParameterError, match="nondecreasing"):
-        ir.run_hpp(np.array([1.0]), oracle, params, max_iters=10,
-                   alpha_schedule=lambda k: 0.3 - 0.01 * k)
+def test_observer_sees_every_iteration_unchanged():
+    """One event per iteration, each holding the arrays the run went on
+    with: they still equal the copies taken when the event arrived, and
+    the iterates are bit for bit those of a hand loop of ``hpp_iterate``
+    on an oracle with the same seed."""
+    params = ir.InertiaRelaxParams.from_beta(alpha=0.18, beta=0.18976,
+                                             sigma=0.9)
+    z0 = np.array([2.0, 1.0])
+    events, copies = [], []
+
+    def observer(event):
+        events.append(event)
+        copies.append((np.copy(event["w"]), np.copy(event["cert"].z_tilde),
+                       np.copy(event["cert"].v), np.copy(event["z"])))
+
+    res = ir.run_hpp(z0, PerturbedResolventOracle(rotation_operator(), seed=5),
+                     params, max_iters=4000, v_tolerance=1e-9,
+                     observer=observer)
+    assert res.status == "converged"
+    assert len(events) == res.record.outer_iters > 10
+    assert [event["k"] for event in events] == list(range(len(events)))
+    assert np.array_equal(res.z, events[-1]["z"])
+    for event, copied in zip(events, copies):
+        assert set(event) == {"k", "alpha_k", "rho_k", "w", "cert", "z"}
+        assert (event["alpha_k"], event["rho_k"]) == (params.alpha,
+                                                      params.rho_hi)
+        now = (event["w"], event["cert"].z_tilde, event["cert"].v,
+               event["z"])
+        assert all(np.array_equal(a, b) for a, b in zip(now, copied))
+
+    oracle = PerturbedResolventOracle(rotation_operator(), seed=5)
+    state = HPPState(z0, z0.copy(), 0)
+    for event in events:
+        state, w, _ = hpp_iterate(state, oracle, params)
+        assert np.array_equal(w, event["w"])
+        assert np.array_equal(state.z_cur, event["z"])
+
+
+def test_raising_observer_ends_the_run():
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def observer(event):
+        seen.append(event["k"])
+        if event["k"] == 3:
+            raise Stop
+
+    with pytest.raises(Stop):
+        ir.run_hpp(np.array([3.0, -1.0]),
+                   ExactResolventOracle(rotation_operator()),
+                   ir.InertiaRelaxParams.plain(sigma=0.0), max_iters=100,
+                   observer=observer)
+    assert seen == [0, 1, 2, 3]
