@@ -377,9 +377,10 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     The schedule is constant: alpha_k = alpha and rho_k = rho_hi.  Stops
     with status ``solved`` when the oracle reports v = 0 (``z`` is then its
     point), ``converged`` when ||v|| <= ``v_tolerance``, or
-    ``budget_exceeded`` with the last iterate after ``max_iters``
-    iterations.  ``params``, a negative ``max_iters`` and a negative or NaN
-    ``v_tolerance`` raise ``ParameterError`` at entry.
+    ``budget_exceeded`` with the last iterate and the last ||v|| (inf
+    when ``max_iters`` is 0) after ``max_iters`` iterations.  ``params``,
+    a negative ``max_iters`` and a negative or NaN ``v_tolerance`` raise
+    ``ParameterError`` at entry.
 
     ``observer``, when given, is called once per completed iteration with a
     dict: ``k``, ``alpha_k``, ``rho_k``, the extrapolated ``w``, the
@@ -407,9 +408,9 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
         if observer is not None:
             observer({"k": k, "alpha_k": alpha, "rho_k": rho, "w": w,
                       "cert": cert, "z": z})
-        norm = float(np.linalg.norm(cert.v))
-        if norm <= v_tolerance:
-            status, v_norm, outer = CONVERGED, norm, k + 1
+        v_norm = float(np.linalg.norm(cert.v))
+        if v_norm <= v_tolerance:
+            status, outer = CONVERGED, k + 1
             break
     rec_status = BUDGET_EXCEEDED if status == BUDGET_EXCEEDED else CONVERGED
     rec = RunRecord(outer, 0, time.perf_counter() - started, v_norm,

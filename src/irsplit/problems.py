@@ -13,6 +13,7 @@ index 0; the bias is never regularized.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,50 +196,54 @@ _U = np.finfo(float).eps / 2.0
 
 @dataclass(frozen=True)
 class _Screen:
-    """What the KKT screen of :meth:`LassoProblem.kkt_dist_inf` and
-    :meth:`LogisticProblem.kkt_dist_inf` keeps for component j of one
-    design matrix: the column a_j (None for the logistic bias), for LASSO
-    the Gram row A^T a_j, and the coefficients c1, c2 of its round-off
-    bound S."""
+    """What the KKT screens of :class:`LassoProblem` and
+    :class:`LogisticProblem` keep for component j: the vector whose dot
+    product gives g_j (for LASSO the Gram row A^T a_j; for a logistic
+    weight the column a_j, None for the bias), the term a_j . b that LASSO
+    subtracts from it (0 for logistic), and the coefficients c1, c2 of the
+    round-off bound S."""
 
-    design: DesignMatrix
     j: int
-    col: Optional[np.ndarray]
-    row: Optional[np.ndarray]
+    vec: Optional[np.ndarray]
+    shift: float
     c1: float
     c2: float
 
 
-@dataclass
 class LassoProblem:
-    """min (1/2)||A x - b||^2 + nu ||x||_1."""
+    """min (1/2)||A x - b||^2 + nu ||x||_1, with ``A``, ``b`` and ``nu``
+    fixed at construction: assigning one raises ``AttributeError``.  ``b``
+    is copied into a read-only array; a dense ``A`` is kept by reference
+    and must not be changed in place (see :class:`DesignMatrix`)."""
 
-    A: DesignMatrix
-    b: np.ndarray
-    nu: float
-    x_true: Optional[np.ndarray] = None
+    A = property(operator.attrgetter("_A"))
+    b = property(operator.attrgetter("_b"))
+    nu = property(operator.attrgetter("_nu"))
 
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        if self.b.shape[0] != self.A.shape[0]:
+    def __init__(self, A: DesignMatrix, b, nu: float, x_true=None):
+        b = np.array(b, dtype=float)
+        if b.shape != (A.shape[0],):
             raise ValueError("b length must match the row count of A")
-        if not self.nu > 0.0:
+        if not nu > 0.0:
             raise ValueError("nu > 0 violated")
-        self._screen = None
+        b.setflags(write=False)
+        self._A, self._b, self._nu = A, b, float(nu)
+        self.x_true = x_true
+        self._screen: Optional[_Screen] = None
 
     @property
     def n(self) -> int:
-        return self.A.shape[1]
+        return self._A.shape[1]
 
     def f_value(self, x) -> float:
-        r = self.A.apply(x) - self.b
+        r = self._A.apply(x) - self._b
         return 0.5 * float(r @ r)
 
     def f_gradient(self, x) -> np.ndarray:
-        return self.A.apply_transpose(self.A.apply(x) - self.b)
+        return self._A.apply_transpose(self._A.apply(x) - self._b)
 
     def objective(self, x) -> float:
-        return self.f_value(x) + self.nu * float(np.abs(x).sum())
+        return self.f_value(x) + self._nu * float(np.abs(x).sum())
 
     def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """Sup-norm l1 KKT residual at x.
@@ -253,10 +258,8 @@ class LassoProblem:
         ``floor``.  Otherwise it runs the full evaluation.  A NaN or inf in
         x makes S non-finite, so such an x is always evaluated in full.
 
-        Here g_j = (A^T a_j) . x - a_j . b, from the column a_j = A e_j
-        and Gram row A^T a_j kept with j.  Only design-matrix data is kept,
-        so ``b`` and ``nu`` may be reassigned between calls, and ``A`` may
-        be replaced but not changed in place.  Against the
+        Here g_j = (A^T a_j) . x - a_j . b, with a_j = A e_j and both
+        A^T a_j and a_j . b kept with j, as the data are fixed.  Against the
         exact gradient, this and the full evaluation A^T (A x - b) are each
         off by at most gamma_(m+n+1) ||a_j|| (||A||_F ||x|| + ||b||), with
         gamma_k = k u / (1 - k u) and u the unit round-off (the
@@ -265,80 +268,68 @@ class LassoProblem:
         plus 4 u (|g_j| + |r_j|) for the last additions.
         """
         screen = self._screen
-        if floor < math.inf and screen is not None and screen.design is self.A:
-            b = self.b
-            g = float(screen.row @ x) - float(screen.col @ b)
-            r = _l1_component(g, float(x[screen.j]), self.nu)
-            lower = r - (screen.c2 * math.sqrt(x @ x)
-                         + screen.c1 * math.sqrt(b @ b)
+        if floor < math.inf and screen is not None:
+            g = float(screen.vec @ x) - screen.shift
+            r = _l1_component(g, float(x[screen.j]), self._nu)
+            lower = r - (screen.c2 * math.sqrt(x @ x) + screen.c1
                          + 4.0 * _U * (abs(g) + abs(r)))
             if lower > floor:
                 return lower
-        r = _l1_components(self.f_gradient(x), x, self.nu)
+        r = _l1_components(self.f_gradient(x), x, self._nu)
         value = float(max(r.max(), 0.0))
         if value > floor:
             j = int(r.argmax())
-            if screen is None or screen.design is not self.A or screen.j != j:
-                col = self.A.column(j)
-                c1 = 4.0 * (sum(self.A.shape) + 2) * _U * math.sqrt(col @ col)
-                self._screen = _Screen(self.A, j, col,
-                                       self.A.apply_transpose(col),
-                                       c1, c1 * self.A.stored_norm())
+            if screen is None or screen.j != j:
+                A, b = self._A, self._b
+                col = A.column(j)
+                k = 4.0 * (sum(A.shape) + 2) * _U * math.sqrt(col @ col)
+                self._screen = _Screen(j, A.apply_transpose(col),
+                                       float(col @ b), k * math.sqrt(b @ b),
+                                       k * A.stored_norm())
         return value
 
 
-@dataclass
 class LogisticProblem:
     """min sum_i log(1 + exp(-b_i (a_i^T w + v))) + nu ||w||_1, x = (v, w).
 
-    ``labels`` is copied at construction.  The problem keeps their negation
-    -b, formed again whenever ``labels`` is reassigned, so ``labels`` may be
-    reassigned but not changed in place, as for :class:`DesignMatrix`.  A
-    reassigned ``labels`` is checked as the constructor checks it, by the
-    next call that reads it.
+    ``features`` (q x (n - 1), rows a_i), ``labels`` (one b_i in {-1, +1}
+    per row, else ``ValueError``) and ``nu`` are fixed at construction, as
+    for :class:`LassoProblem`.  ``labels`` is copied into a read-only array
+    and checked once; its negation -b is formed once.
     """
 
-    features: DesignMatrix  # q x (n - 1), rows a_i
-    labels: np.ndarray      # in {-1, +1}
-    nu: float
-    w_true: Optional[np.ndarray] = None
+    features = property(operator.attrgetter("_features"))
+    labels = property(operator.attrgetter("_labels"))
+    nu = property(operator.attrgetter("_nu"))
 
-    def __post_init__(self):
-        self.labels = np.array(self.labels, dtype=float)
-        self._neg_of = self._neg = None
-        self._neg_labels()  # checks the labels
-        if not self.nu > 0.0:
+    def __init__(self, features: DesignMatrix, labels, nu: float, w_true=None):
+        labels = np.array(labels, dtype=float)
+        if labels.shape != (features.shape[0],):
+            raise ValueError("label count must match the feature row count")
+        if not np.all(np.abs(labels) == 1.0):  # np.isin at a third the cost
+            raise ValueError("labels must be -1 or +1")
+        if not nu > 0.0:
             raise ValueError("nu > 0 violated")
-        self._screen = None
+        labels.setflags(write=False)
+        self._features, self._labels, self._nu = features, labels, float(nu)
+        self._neg = -labels
+        self.w_true = w_true
+        self._screen: Optional[_Screen] = None
 
     @property
     def n(self) -> int:
-        return self.features.shape[1] + 1
-
-    def _neg_labels(self) -> np.ndarray:
-        """-labels, kept until ``labels`` is reassigned.  Each new
-        ``labels`` is checked once, when it is first seen: one label in
-        {-1, +1} per feature row."""
-        labels = self.labels
-        if self._neg_of is not labels:
-            neg = -np.asarray(labels, dtype=float)
-            if neg.shape != (self.features.shape[0],):
-                raise ValueError("label count must match the feature row count")
-            if not np.all(np.abs(neg) == 1.0):  # np.isin at a third the cost
-                raise ValueError("labels must be -1 or +1")
-            self._neg_of, self._neg = labels, neg
-        return self._neg
+        return self._features.shape[1] + 1
 
     def _neg_margins(self, x) -> np.ndarray:
         # (-b) m is -(b m) bit for bit: rounding is symmetric in sign
-        return self._neg_labels() * (self.features.apply(x[1:]) + x[0])
+        return self._neg * (self._features.apply(x[1:]) + x[0])
 
     def _gradient(self, x, u) -> np.ndarray:
         """The gradient at x from its negated margins u."""
-        coeff = self._neg_labels() * expit(u)  # 1/(1 + exp(-u)), overflow safe
+        coeff = self._neg * expit(u)  # 1/(1 + exp(-u)), overflow safe
         grad = np.empty_like(x)
         grad[0] = coeff.sum()
-        grad[1:] = self.features.apply_transpose(coeff)
+        grad[1:] = self._features.apply_transpose(coeff)
         return grad
 
     def value_gradient(self, x) -> tuple[float, np.ndarray]:
@@ -349,7 +340,7 @@ class LogisticProblem:
     def objective(self, x) -> float:
         """The value alone, by :meth:`value_gradient`'s operations."""
         value = float(np.logaddexp(0.0, self._neg_margins(x)).sum())
-        return value + self.nu * float(np.abs(x[1:]).sum())
+        return value + self._nu * float(np.abs(x[1:]).sum())
 
     def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """The l1 KKT residual, from the gradient alone; the bias, which is
@@ -368,16 +359,15 @@ class LogisticProblem:
         """
         screen = self._screen
         u = None
-        if (floor < math.inf and screen is not None
-                and screen.design is self.features):
+        if floor < math.inf and screen is not None:
             u = self._neg_margins(x)
-            coeff = self._neg_labels() * expit(u)
-            if screen.col is None:
+            coeff = self._neg * expit(u)
+            if screen.vec is None:
                 g = float(coeff.sum())
                 r = abs(g)
             else:
-                g = float(screen.col @ coeff)
-                r = _l1_component(g, float(x[screen.j]), self.nu)
+                g = float(screen.vec @ coeff)
+                r = _l1_component(g, float(x[screen.j]), self._nu)
             w = x[1:]
             lower = r - (screen.c1 * (1.0 + abs(float(x[0])))
                          + screen.c2 * math.sqrt(w @ w)
@@ -388,22 +378,22 @@ class LogisticProblem:
             u = self._neg_margins(x)
         grad = self._gradient(x, u)
         g0 = abs(grad[0])
-        r = _l1_components(grad[1:], x[1:], self.nu)
+        r = _l1_components(grad[1:], x[1:], self._nu)
         value = float(np.maximum(g0, float(max(r.max(), 0.0))))
         if value > floor:
             j = 0 if g0 >= r.max() else 1 + int(r.argmax())
-            if (screen is None or screen.design is not self.features
-                    or screen.j != j):
-                q, p = self.features.shape
+            if screen is None or screen.j != j:
+                features = self._features
+                q, p = features.shape
                 if j == 0:
                     col, norm1, norm2 = None, float(q), math.sqrt(q)
                 else:
-                    col = self.features.column(j - 1)
+                    col = features.column(j - 1)
                     norm1 = float(np.abs(col).sum())
                     norm2 = math.sqrt(col @ col)
                 k = 4.0 * (q + p + 20) * _U
-                self._screen = _Screen(self.features, j, col, None, k * norm1,
-                                       k * norm2 * self.features.stored_norm())
+                self._screen = _Screen(j, col, 0.0, k * norm1,
+                                       k * norm2 * features.stored_norm())
         return value
 
 

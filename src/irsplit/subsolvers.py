@@ -104,7 +104,8 @@ class QuadraticFProcedure:
     Sessions solve (A^T A + c I) x = A^T b - p + c z warm started at x_bar;
     the normal matrix is never formed, each step applies A then A^T and
     adds c u into that product, so ``design``'s products must return fresh
-    arrays, as :class:`irsplit.problems.DesignMatrix`'s do.
+    arrays, as :class:`irsplit.problems.DesignMatrix`'s do.  A^T b is
+    formed once, at construction, from ``design``, which is kept private.
 
     Opening a session needs H x_bar, H = A^T A + c I.  Computed afresh that
     costs two design-matrix products.  With ``anchor = (x, x_prev, alpha)``,
@@ -128,7 +129,7 @@ class QuadraticFProcedure:
     accepts_anchor = True
 
     def __init__(self, design, b: np.ndarray):
-        self.design = design
+        self._design = design
         self._at_b = design.apply_transpose(np.asarray(b, dtype=float))
         self.reset()
 
@@ -152,7 +153,7 @@ class QuadraticFProcedure:
         return gram
 
     def open_session(self, p, z, c, x_bar, anchor=None) -> CGSession:
-        design = self.design
+        design = self._design
         rhs = self._at_b - p
         rhs += c * z
 
@@ -361,7 +362,8 @@ def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FistaConfig:
-    """Backtracking configuration: initial Lipschitz guess and growth factor."""
+    """Backtracking configuration (initial Lipschitz guess, growth factor),
+    stop tolerance and iteration budget."""
 
     lipschitz0: float = 1.0
     eta: float = 2.0
@@ -373,6 +375,10 @@ class FistaConfig:
             raise ParameterError("lipschitz0 > 0 violated")
         if not self.eta > 1.0:
             raise ParameterError("eta > 1 violated")
+        if not self.tol >= 0.0:
+            raise ParameterError("tol >= 0 violated")
+        if self.max_iters < 0:
+            raise ParameterError("max_iters >= 0 violated")
 
 
 @dataclass

@@ -215,6 +215,19 @@ def test_run_budget_zero():
     assert np.array_equal(res.z, [2.0])
 
 
+def test_run_budget_reports_the_last_v_norm():
+    """A run that exhausts its budget reports the last certificate's ||v||
+    as ``v_norm`` and ``final_kkt``."""
+    params = ir.InertiaRelaxParams.plain(sigma=0.0)
+    events = Collector()
+    res = ir.run_hpp(np.array([3.0, -1.0]), ExactResolventOracle(
+        rotation_operator()), params, max_iters=5, observer=events)
+    assert res.status == res.record.status == "budget_exceeded"
+    assert len(events) == 5
+    last = float(np.linalg.norm(events[-1].cert.v))
+    assert 0.0 < res.v_norm == res.record.final_kkt == last
+
+
 def test_run_rotation_converges_with_fejer():
     oracle = ExactResolventOracle(rotation_operator())
     params = ir.InertiaRelaxParams.plain(sigma=0.0)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
 import irsplit as ir
+from irsplit.admm import ADMMParams
 from irsplit.errors import ParseError
 from irsplit.problems import (DesignMatrix, L1ShiftedProx, load_dense_csv,
                               load_libsvm, save_dense_csv, save_libsvm)
@@ -241,13 +242,16 @@ def test_logistic_value_gradient_and_kkt_match_reference(q, n, seed,
     assert prob.kkt_dist_inf(x) == kkt_reference(grad, x, prob.nu, mask)
 
 
-def screen_problem(kind):
-    """A small instance of each kind the KKT screen serves."""
+def screen_problem(kind, scale=1.0):
+    """A small instance of each kind the KKT screen serves; a LASSO ``b`` is
+    multiplied by ``scale``."""
+    if kind == "logistic":
+        return ir.synthetic_logistic(25, 9, seed=5)
     if kind == "lasso_dense":
-        return ir.synthetic_lasso(12, 30, seed=3)
-    if kind == "lasso_csr":
-        return ir.synthetic_lasso(40, 60, density=0.2, seed=4)
-    return ir.synthetic_logistic(25, 9, seed=5)
+        base = ir.synthetic_lasso(12, 30, seed=3)
+    else:
+        base = ir.synthetic_lasso(40, 60, density=0.2, seed=4)
+    return ir.LassoProblem(base.A, scale * base.b, base.nu)
 
 
 def kkt_components(prob, x):
@@ -279,32 +283,24 @@ screen_entries = st.lists(st.sampled_from(["0", "-0"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["lasso_dense", "lasso_csr", "logistic"]),
        start=screen_entries, point=screen_entries,
-       scale=st.sampled_from([1.0, 1e3]), reassign=st.booleans(),
+       scale=st.sampled_from([1.0, 1e3]),
        nan_at=st.none() | st.integers(0, 59))
 def test_kkt_screen_is_exact_at_or_below_the_floor(kind, start, point, scale,
-                                                   reassign, nan_at):
+                                                   nan_at):
     """The screened KKT residual: a value at or below the floor is the full
     residual bit for bit, and a value above it is a lower bound on the
     full residual, so the test ``value <= floor`` decides as the full one
     would.  The screened component is within round-off of the exact one,
-    after ``b`` (labels) and ``nu`` are reassigned too, and a NaN in the
-    point is never screened."""
-    prob = screen_problem(kind)
+    also with a LASSO ``b`` scaled by ``scale`` (large terms that cancel in
+    the gradient), and a NaN in the point is never screened."""
+    prob = screen_problem(kind, scale)
     n = prob.n
     x0, x = screen_point(start, n), scale * screen_point(point, n)
-    if isinstance(prob, ir.LassoProblem):
-        prob.b = scale * prob.b  # large terms that cancel in the gradient
     ref0 = kkt_components(prob, x0)
     top = np.sort(ref0)
     assume(top[-1] - top[-2] > 1e-6)  # the primed component is known
     prob.kkt_dist_inf(x0, -np.inf)
     j = int(np.argmax(ref0))
-    if reassign:
-        prob.nu *= 1.5
-        if isinstance(prob, ir.LassoProblem):
-            prob.b = prob.b + 0.25
-        else:
-            prob.labels = -prob.labels
     if nan_at is not None:
         x[nan_at % n] = np.nan
         for floor in (-np.inf, 0.0, 1.0):
@@ -329,23 +325,31 @@ def test_kkt_screen_bound_covers_cancellation_and_the_bias(kind):
     """Screened components stay below the exact ones where round-off is at
     its worst relative to the component: a LASSO b of norm 1e6 nearly
     orthogonal to the primed column (the ||b|| term of the bound), and
-    the logistic bias, with gradients of both signs."""
+    the logistic bias, with gradients of both signs.  The LASSO screen is
+    primed on the longest column j at t e_j: with t large, component j,
+    t ||a_j||^2 - a_j . b, dominates every t a_i . a_j - a_i . b, as
+    |a_i . a_j| < ||a_j||^2 by Cauchy-Schwarz."""
     for seed in range(20):
         if kind == "bias":
             prob = ir.synthetic_logistic(25, 9, nu_fraction=2.0, seed=seed)
             points = [np.eye(prob.n)[0] * v for v in (-3.0, -0.5, 0.5, 3.0)]
+            prime = np.zeros(prob.n)
         else:
             density = 1.0 if kind == "lasso_dense" else 0.2
-            prob = ir.synthetic_lasso(40, 60, density=density, seed=seed)
-            points = [np.zeros(prob.n)]
-        ref0 = kkt_components(prob, np.zeros(prob.n))
-        j = int(np.argmax(ref0))
-        assert (j == 0) == (kind == "bias")
-        prob.kkt_dist_inf(np.zeros(prob.n), -np.inf)
-        if kind != "bias":
-            col = prob.A.toarray()[:, j]
+            base = ir.synthetic_lasso(40, 60, density=density, seed=seed)
+            a = base.A.toarray()
+            longest = int(np.argmax(np.linalg.norm(a, axis=0)))
+            col = a[:, longest]
             b = 1e6 * np.random.default_rng(seed).standard_normal(col.size)
-            prob.b = b - (col @ b) / (col @ col) * col
+            prob = ir.LassoProblem(base.A, b - (col @ b) / (col @ col) * col,
+                                   base.nu)
+            points = [np.zeros(prob.n)]
+            prime = 1e9 * np.eye(prob.n)[longest]
+        ref0 = kkt_components(prob, prime)
+        j = int(np.argmax(ref0))
+        assert j == (0 if kind == "bias" else longest)
+        assert np.sort(ref0)[-2] < 0.5 * ref0[j]
+        prob.kkt_dist_inf(prime, -np.inf)
         for x in points:
             ref = kkt_components(prob, x)[j]
             got = prob.kkt_dist_inf(x, -np.inf)
@@ -390,17 +394,21 @@ def test_logistic_large_margins_vanish():
     assert np.linalg.norm(grad) <= 1e-200
 
 
-def test_reassigned_labels_are_read_afresh():
-    """The problem keeps -labels; after a value-gradient and a KKT test,
-    reassigning ``labels`` gives the value, gradient, objective and KKT
-    residual of a freshly built problem, bit for bit, and a screened KKT
-    value is still a lower bound on the residual."""
+def test_labels_are_fixed_at_construction():
+    """The problem forms -labels once; after a value-gradient and a KKT
+    test, neither assigning ``labels`` nor negating them in place gets
+    through, and the value, gradient, objective and KKT residual are those
+    of a freshly built problem, bit for bit, with a screened KKT value
+    still a lower bound on the residual."""
     prob = ir.synthetic_logistic(30, 8, seed=5)
     x = np.random.default_rng(8).standard_normal(8)
     prob.value_gradient(x)
     prob.kkt_dist_inf(x, 0.0)
-    prob.labels = -prob.labels
-    fresh = ir.LogisticProblem(prob.features, prob.labels, prob.nu)
+    with pytest.raises(AttributeError):
+        prob.labels = -prob.labels
+    with pytest.raises(ValueError, match="read-only"):
+        prob.labels *= -1.0
+    fresh = ir.LogisticProblem(prob.features, prob.labels.copy(), prob.nu)
     value, grad = prob.value_gradient(x)
     want_value, want_grad = fresh.value_gradient(x)
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
@@ -426,26 +434,84 @@ def test_logistic_labels_are_copied_at_construction():
     assert np.array_equal(after[1], before[1])
 
 
-def test_reassigned_labels_are_checked():
-    """A reassigned ``labels`` is checked as the constructor checks it,
-    once, by the next call that reads it; valid integer labels give the
-    bits of the float ones."""
-    prob = ir.synthetic_logistic(12, 5, seed=3)
+def test_labels_are_checked_at_construction():
+    """The constructor takes one label in {-1, +1} per feature row and
+    raises ``ValueError`` otherwise; valid integer labels give the bits of
+    the float ones."""
+    base = ir.synthetic_logistic(12, 5, seed=3)
     x = np.random.default_rng(4).standard_normal(5)
-    want = prob.value_gradient(x)
-    for bad in (np.full(12, 0.5), np.append(prob.labels, 1.0),
-                np.where(prob.labels > 0, 1.0, np.nan)):
-        prob.labels = bad
+    want = base.value_gradient(x)
+    for bad in (np.full(12, 0.5), np.append(base.labels, 1.0),
+                np.where(base.labels > 0, 1.0, np.nan), np.full(12, 2.0)):
         with pytest.raises(ValueError, match="label"):
-            prob.value_gradient(x)
-        with pytest.raises(ValueError, match="label"):
-            prob.kkt_dist_inf(x)
-    prob.labels = np.full(12, 2.0)
-    with pytest.raises(ValueError, match="label"):
-        prob.objective(x)
-    prob.labels = ir.synthetic_logistic(12, 5, seed=3).labels.astype(int)
+            ir.LogisticProblem(base.features, bad, base.nu)
+    prob = ir.LogisticProblem(base.features, base.labels.astype(int), base.nu)
     value, grad = prob.value_gradient(x)
     assert value == want[0] and grad.tobytes() == want[1].tobytes()
+
+
+def _doubled(design):
+    return DesignMatrix(2.0 * design.toarray())
+
+
+# a changed value for each data field
+DATA_CHANGES = {"A": _doubled, "features": _doubled, "b": lambda v: v + 0.25,
+                "labels": lambda v: -v, "nu": lambda v: 1.5 * v}
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("lasso", "A"), ("lasso", "b"), ("lasso", "nu"),
+    ("logistic", "features"), ("logistic", "labels"), ("logistic", "nu")])
+def test_problem_data_cannot_change_under_a_built_admm_problem(kind, name):
+    """The ADMM problem copies A^T b (LASSO) and nu when it is built, so
+    data changed afterwards would make the run solve a mix of two
+    problems.  Assigning any data field raises ``AttributeError``, and
+    changing ``b`` or ``labels`` in place raises ``ValueError``; the run
+    is then bit for bit that of a freshly built problem."""
+    if kind == "lasso":
+        prob, build = ir.synthetic_lasso(20, 50, seed=7), ir.lasso_admm_problem
+        fresh = ir.LassoProblem(prob.A, prob.b, prob.nu)
+    else:
+        prob, build = (ir.synthetic_logistic(30, 8, seed=5),
+                       ir.logistic_admm_problem)
+        fresh = ir.LogisticProblem(prob.features, prob.labels, prob.nu)
+    problem = build(prob, 1.0)
+    value = getattr(prob, name)
+    with pytest.raises(AttributeError):
+        setattr(prob, name, DATA_CHANGES[name](value))
+    if isinstance(value, np.ndarray):
+        with pytest.raises(ValueError, match="read-only"):
+            value *= -1.0
+    assert getattr(prob, name) is value
+    params = ADMMParams(c=1.0, core=ir.InertiaRelaxParams.plain(sigma=0.99),
+                        max_outer=2000)
+    got = ir.run_admm(problem, params)
+    want = ir.run_admm(build(fresh, 1.0), params)
+    assert got.status == want.status == "converged"
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.outer_iters, got.inner_iters_total, got.record.final_kkt) == \
+        (want.outer_iters, want.inner_iters_total, want.record.final_kkt)
+
+
+@pytest.mark.parametrize("b, nu", [
+    (np.zeros(4), 0.5), (np.zeros((5, 1)), 0.5), (np.zeros(5), 0.0),
+    (np.zeros(5), np.nan)])
+def test_lasso_constructor_checks_its_data(b, nu):
+    """``b`` is a vector with one entry per row of A, not an (m, 1) column
+    that would broadcast the residual to m x m, and nu > 0."""
+    with pytest.raises(ValueError):
+        ir.LassoProblem(DesignMatrix(np.ones((5, 3))), b, nu)
+
+
+def test_lasso_b_is_copied_at_construction():
+    """Changing the caller's ``b`` in place does not reach the problem."""
+    base = ir.synthetic_lasso(12, 30, seed=3)
+    b = base.b.copy()
+    prob = ir.LassoProblem(base.A, b, base.nu)
+    x = np.random.default_rng(10).standard_normal(30)
+    before = prob.f_gradient(x)
+    b += 1.0
+    assert np.array_equal(prob.f_gradient(x), before)
 
 
 def test_logistic_objective_is_the_value_alone():

@@ -504,6 +504,17 @@ def test_fista_identity_design_reaches_shrink_solution():
     assert np.linalg.norm(res.x - soft_threshold(b, 0.4)) <= 1e-8
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", -1), ("tol", -1e-3), ("tol", float("nan"))])
+def test_fista_rejects_a_bad_budget_or_tolerance_at_entry(lasso_20x50, field,
+                                                          value):
+    """A negative budget, or a negative or NaN tolerance, raises
+    ``ParameterError`` before any iteration, as in the other drivers."""
+    config = FistaConfig(**{"max_iters": 50, field: value})
+    with pytest.raises(ParameterError, match=field):
+        fista_solve(ir.lasso_composite(lasso_20x50), config, n=lasso_20x50.n)
+
+
 def test_fista_agrees_with_admm(lasso_20x50, inertial_core):
     comp = ir.lasso_composite(lasso_20x50)
     fres = fista_solve(comp, FistaConfig(tol=1e-8), n=lasso_20x50.n)
