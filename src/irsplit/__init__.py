@@ -2,9 +2,8 @@
 Douglas-Rachford and ADMM layers, subproblem engines, problem catalog and
 benchmark harness."""
 
-from .errors import (BudgetExceeded, CGBreakdown, LineSearchFailure,
-                     OracleFailure, ParameterError, ParseError,
-                     ZeroVectorError)
+from .errors import (CGBreakdown, LineSearchFailure, OracleFailure,
+                     ParameterError, ParseError, ZeroVectorError)
 from .hpp import (HPPResult, HPPState, InertiaRelaxParams, ProxCertificate,
                   Solution, alvarez_attouch_check, beta_of_rho_bar,
                   error_criterion_holds, extrapolate, fejer_check,

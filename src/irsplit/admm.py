@@ -21,9 +21,10 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParameterError, ZeroVectorError
+from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
+                     ZeroVectorError)
 from .hpp import InertiaRelaxParams, validate_params
-from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
+from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 
 __all__ = [
     "Criterion",
@@ -58,7 +59,7 @@ class PrimalDualTriple:
     Construction converts the components to float arrays and checks that
     they share one shape and are finite.  :func:`run_admm` applies that
     check to its starting triple and carries its iterates as plain arrays;
-    it builds triples only for its result and a ``BudgetExceeded`` state.
+    it builds a triple only for its result.
     """
 
     x: np.ndarray
@@ -227,14 +228,14 @@ def _acceptance_vector(p_l, p_hat, z_l, z_hat, c: float) -> np.ndarray:
     return out
 
 
-def _accept(y_l, t, dd: float, c: float, sigma: float,
+def _accept(y_l, tt: float, dd: float, c: float, sigma: float,
             max_form: bool) -> bool:
-    """The acceptance test from t = :func:`_acceptance_vector` and dd =
-    ||x_l - z_l||^2."""
+    """The acceptance test from tt = t @ t, t = :func:`_acceptance_vector`,
+    and dd = ||x_l - z_l||^2."""
     if max_form:
-        return math.sqrt(y_l @ y_l) <= sigma * max(math.sqrt(t @ t),
+        return math.sqrt(y_l @ y_l) <= sigma * max(math.sqrt(tt),
                                                    c * math.sqrt(dd))
-    return y_l @ y_l <= sigma * sigma * (t @ t + (c * c) * dd)
+    return y_l @ y_l <= sigma * sigma * (tt + (c * c) * dd)
 
 
 def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
@@ -248,8 +249,9 @@ def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
     y_l, p_l, p_hat, z_l, z_hat, x_l = _floats(y_l, p_l, p_hat, z_l, z_hat,
                                                x_l)
     d = x_l - z_l
-    return _accept(y_l, _acceptance_vector(p_l, p_hat, z_l, z_hat, c), d @ d,
-                   c, sigma, criterion is Criterion.MAX_FORM)
+    t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
+    return _accept(y_l, t @ t, d @ d, c, sigma,
+                   criterion is Criterion.MAX_FORM)
 
 
 def _theta(t: np.ndarray, d: np.ndarray, dd: float, c: float) -> float:
@@ -376,18 +378,18 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     always the residual itself), on the exact
     coincidence x_l = z_l of an accepted trial, which is then returned as
     ``triple`` with status ``solved``, or with status ``budget_exceeded``
-    after ``max_outer`` iterations.  The inner budget raises
-    ``BudgetExceeded``: with sigma > 0 a conforming F-procedure is always
-    accepted eventually.
+    after ``max_outer`` iterations.
 
     Inputs are validated once, at entry: ``params`` (c > 0, lam = 1, alpha
     and the other engine parameters), ``problem.kkt_residual`` (not None)
     and the starting triple (one shape, of length ``problem.dim`` when that
-    is set, finite entries).  The iterates are then carried as plain
-    arrays.  The projection coefficient theta reads the extrapolated z and
-    p and the accepted trial's x, z and p, so a NaN or inf entering through
-    the F-procedure or the prox makes it non-finite; that raises
-    ``ValueError`` naming the outer iteration.
+    is set, finite entries), else ``ParameterError`` or ``ValueError``.
+    After entry a failure returns the last completed iterate, its counts
+    and ``final_kkt``, with ``record.cause`` naming it, its layer and the
+    outer iteration: status ``stalled`` (record ``budget_exceeded``) when
+    the inner budget runs out, as at the round-off floor, and ``error``
+    on a ``LineSearchFailure`` or ``CGBreakdown`` out of a session, a
+    non-finite trial or a theta that is not finite and positive.
 
     When the F-procedure accepts an anchor (see :class:`FProcedure`), each
     session is opened with the two points ``x_hat`` was extrapolated from.
@@ -395,7 +397,9 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     a raised one.
 
     ``observer``, when given, is called once per completed outer iteration
-    with a dict: ``k``, ``trials``, ``theta``, ``alpha_k``, ``rho_k``, the
+    with a dict: ``k``, ``trials``, ``theta``, ``alpha_k``, ``rho_k``,
+    ``kkt`` (the stop-test value at the top of iteration k: a lower bound
+    when above ``epsilon``), ``gap`` (||x - z|| of the accepted trial), the
     extrapolated ``x_hat``, ``z_hat``, ``p_hat``, the accepted trial's
     ``x``, ``z`` and ``p_l``, and the corrected ``p``, so the next iterate
     is ``(x, z, p)``.  The arrays are passed without a copy: the loop never
@@ -425,10 +429,11 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
     Stops on a KKT residual at most ``params.epsilon`` unless
     ``problem.kkt_residual`` is None, on an accepted trial with
     ||x_l - z_l|| <= ``gap_tol`` (status ``solved``, the trial returned),
-    or after ``params.max_outer`` iterations.  The record's ``final_kkt``
-    is the KKT residual at the returned z, or ||x - z|| of the returned
-    triple without the KKT test.  The iteration that stops as ``solved``
-    forms no corrected multiplier and reaches no observer.
+    after ``params.max_outer`` iterations, or on a failure (see
+    :func:`run_admm`).  The record's ``final_kkt`` is the KKT residual at
+    the returned z, or ||x - z|| of the returned triple without the KKT
+    test.  The iteration that stops as ``solved`` forms no corrected
+    multiplier and reaches no observer.
     """
     reset_procedure(problem.fproc)
     try:
@@ -445,81 +450,78 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         x_prev, z_prev, p_prev = x, z, p
         inner_total = 0
         started = time.perf_counter()
-        status = BUDGET_EXCEEDED
-        outer = params.max_outer
-        final_kkt = None
+        status, cause = BUDGET_EXCEEDED, ""
         epsilon = params.epsilon
+        kkt = math.nan
         for k in range(params.max_outer):
             if kkt_residual is not None:
                 kkt = float(kkt_residual(z, epsilon))
                 if kkt <= epsilon:
                     status = "converged"
-                    outer = k
-                    final_kkt = kkt
                     break
             x_hat = _extrapolate(x, x_prev, alpha)
             z_hat = _extrapolate(z, z_prev, alpha)
             p_hat = _extrapolate(p, p_prev, alpha)
-            if anchored:
-                session = open_session(p_hat, z_hat, c, x_hat,
-                                       (x, x_prev, alpha))
-            else:
-                session = open_session(p_hat, z_hat, c, x_hat)
-            exact = bool(getattr(session, "exact", False))
-            accepted = False
-            for trial in range(1, params.inner_budget + 1):
-                x_l, y_l = session.next()
-                p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
-                z_l = prox(p_l, x_l, c)
-                d = x_l - z_l
-                dd = d @ d
-                if exact:
-                    accepted = True
+            try:
+                if anchored:
+                    session = open_session(p_hat, z_hat, c, x_hat,
+                                           (x, x_prev, alpha))
                 else:
+                    session = open_session(p_hat, z_hat, c, x_hat)
+                exact = bool(getattr(session, "exact", False))
+                for trial in range(1, params.inner_budget + 1):
+                    x_l, y_l = session.next()
+                    p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
+                    z_l = prox(p_l, x_l, c)
+                    d = x_l - z_l
+                    dd = d @ d
+                    if not math.isfinite(dd):  # before t meets inf - inf
+                        status = ERROR
+                        cause = f"non-finite trial (||x - z||^2 = {dd})"
+                        break
                     t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-                    accepted = _accept(y_l, t, dd, c, sigma, max_form)
-                if accepted:
+                    tt = t @ t
+                    if exact or _accept(y_l, tt, dd, c, sigma, max_form):
+                        break
+                else:
+                    status = "stalled"
+                    cause = "inner budget spent in a session"
+            except (CGBreakdown, LineSearchFailure) as exc:
+                status, cause = ERROR, f"{exc!r} out of a session"
+            if not cause:
+                inner_total += trial
+                gap = math.sqrt(dd)
+                if gap <= gap_tol:
+                    status = "solved"
+                    x, z, p = x_l, z_l, p_l
                     break
-            if not accepted:
-                raise BudgetExceeded(
-                    f"F-procedure not accepted within "
-                    f"{params.inner_budget} trials",
-                    state=PrimalDualTriple(x, z, p))
-            inner_total += trial
-            if math.sqrt(dd) <= gap_tol:
-                status = "solved"
-                outer = k
-                x, z, p = x_l, z_l, p_l
+                # an inf of t meeting a zero of d would make t @ d warn
+                th = _theta(t, d, dd, c) if math.isfinite(tt) else math.nan
+                if not 0.0 < th < math.inf:
+                    status, cause = ERROR, f"theta = {th} in the projection"
+            if cause:
+                cause += f" at outer iteration {k}"
                 break
-            th = math.nan  # an inf in x_l or z_l makes dd inf
-            if math.isfinite(dd):
-                if exact:  # t is formed only now, past the guard
-                    t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-                th = _theta(t, d, dd, c)
-            if not math.isfinite(th):
-                raise ValueError(f"non-finite iterate at outer iteration {k} "
-                                 f"(theta = {th})")
-            if th <= 0.0:
-                raise RuntimeError("nonpositive projection coefficient: "
-                                   "the F-procedure violated its contract")
             p_next = _p_update(p_hat, z_hat, z_l, x_l, rho * th, c)
             if observer is not None:
                 observer({"k": k, "trials": trial, "theta": th,
-                          "alpha_k": alpha, "rho_k": rho, "x_hat": x_hat,
-                          "z_hat": z_hat, "p_hat": p_hat, "x": x_l,
-                          "z": z_l, "p_l": p_l, "p": p_next})
+                          "alpha_k": alpha, "rho_k": rho, "kkt": kkt,
+                          "gap": gap, "x_hat": x_hat, "z_hat": z_hat,
+                          "p_hat": p_hat, "x": x_l, "z": z_l, "p_l": p_l,
+                          "p": p_next})
             x_prev, z_prev, p_prev = x, z, p
             x, z, p = x_l, z_l, p_next
+        else:
+            k = params.max_outer
         wall = time.perf_counter() - started
-        if final_kkt is None:
-            final_kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
-                         else float(kkt_residual(z, math.inf)))
+        if status != "converged":  # the residual itself, not a bound
+            kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
+                   else float(kkt_residual(z, math.inf)))
         obj = float(problem.objective(z)) if problem.objective else math.nan
-        rec_status = (CONVERGED if status in ("converged", "solved")
-                      else BUDGET_EXCEEDED)
-        record = RunRecord(outer, inner_total, wall, final_kkt, obj,
-                           rec_status)
-        return ADMMResult(z, PrimalDualTriple(x, z, p), status, outer,
+        rec_status = {"solved": CONVERGED,
+                      "stalled": BUDGET_EXCEEDED}.get(status, status)
+        record = RunRecord(k, inner_total, wall, kkt, obj, rec_status, cause)
+        return ADMMResult(z, PrimalDualTriple(x, z, p), status, k,
                           inner_total, record)
     finally:
         reset_procedure(problem.fproc)

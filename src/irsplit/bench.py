@@ -10,6 +10,7 @@ repetitions after one discarded warm-up run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -165,7 +166,7 @@ def _solve(cfg: RunConfig, prob) -> RunRecord:
 
 
 def run_one(cfg: RunConfig) -> BenchResult:
-    """Execute one configuration; failures become status 'error' rows."""
+    """Execute one configuration; a failure's cause is ``config["error"]``."""
     cfg.validate()
     label = cfg.label()
     try:
@@ -178,10 +179,12 @@ def run_one(cfg: RunConfig) -> BenchResult:
                 started = time.perf_counter()
                 record = _solve(cfg, prob)
                 times.append(time.perf_counter() - started)
-            record = RunRecord(record.outer_iters, record.inner_iters_total,
-                               statistics.median(times), record.final_kkt,
-                               record.final_objective, record.status)
-        return BenchResult(label, cfg.solver, record, cfg.as_dict())
+            record = dataclasses.replace(
+                record, wall_seconds=statistics.median(times))
+        result = BenchResult(label, cfg.solver, record, cfg.as_dict())
+        if record.cause:
+            result.config["error"] = record.cause
+        return result
     except Exception as exc:  # noqa: BLE001 - batch must continue
         record = RunRecord(0, 0, 0.0, math.inf, math.nan, ERROR)
         result = BenchResult(label, cfg.solver, record, cfg.as_dict())

@@ -23,7 +23,7 @@ import numpy as np
 
 from .admm import (ADMMParams, AdmmProblem, Criterion, FToBAdapter,
                    PrimalDualTriple, _run, reset_procedure)
-from .errors import BudgetExceeded, ParameterError, ZeroVectorError
+from .errors import ParameterError, ZeroVectorError
 from .hpp import InertiaRelaxParams, validate_params
 from .records import RunRecord
 
@@ -219,10 +219,11 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     The default tolerance 0 stops only on the exact coincidence s = r, in
     which case that point solves the inclusion.  Constant schedules
     alpha_k = alpha and rho_k = rho_hi are used.  When ``max_outer`` runs
-    out the partial result is returned with status ``budget_exceeded``;
-    when the inner budget does, ``BudgetExceeded`` is raised with the last
-    triple in ``state``.  ``params``, a negative ``max_outer`` and a
-    negative or NaN ``sr_tolerance`` raise ``ParameterError`` at entry.
+    out the partial result is returned with status ``budget_exceeded``.
+    ``params``, a negative ``max_outer`` and a negative or NaN
+    ``sr_tolerance`` raise ``ParameterError`` at entry; after entry a
+    failure returns the last completed triple with status ``stalled`` or
+    ``error`` and ``record.cause``, as :func:`irsplit.admm.run_admm` does.
 
     The run is the loop of :func:`irsplit.admm.run_admm` with the
     summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,
@@ -231,11 +232,12 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
 
     Once the outer iterates reach the machine-precision floor the relative
     acceptance test has no room left (its right side vanishes while the
-    left side is rounding noise), so the inner loop exhausts its budget;
-    give a positive ``sr_tolerance`` for runs expected to go that far.
+    left side is rounding noise), so the run ends ``stalled``; give a
+    positive ``sr_tolerance`` for runs expected to go that far.
 
     ``observer`` gets the events of :func:`irsplit.admm.run_admm`, in its
-    variables: ``(s, b, r) = (x, -p, z)``, as in :func:`embed_to_dr`.
+    variables: ``(s, b, r) = (x, -p, z)``, as in :func:`embed_to_dr`;
+    their ``kkt`` is NaN, as the run has no KKT test.
     """
     params.validate()
     if max_outer < 0:
@@ -249,14 +251,9 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     loop_params = ADMMParams(1.0 / gamma, params.core, Criterion.SUM_SQUARES,
                              inner_budget=params.inner_budget,
                              max_outer=max_outer)
-    try:
-        res = _run(problem, loop_params,
-                   PrimalDualTriple(init.s, init.r, -init.b), observer,
-                   gap_tol=sr_tolerance)
-    except BudgetExceeded as exc:
-        if isinstance(exc.state, PrimalDualTriple):
-            exc.state = embed_to_dr(exc.state)
-        raise
+    res = _run(problem, loop_params,
+               PrimalDualTriple(init.s, init.r, -init.b), observer,
+               gap_tol=sr_tolerance)
     return DRResult(embed_to_dr(res.triple), res.x, res.status,
                     res.outer_iters, res.inner_iters_total, res.record)
 

@@ -13,14 +13,6 @@ class OracleFailure(RuntimeError):
     """An inexact-resolvent oracle could not meet its acceptance test."""
 
 
-class BudgetExceeded(RuntimeError):
-    """An iteration budget ran out.  ``state`` carries the last state."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
-
 class CGBreakdown(RuntimeError):
     """Conjugate gradient hit nonpositive curvature (operator not SPD)."""
 

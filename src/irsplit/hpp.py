@@ -12,8 +12,8 @@ conversely ``beta_of_rho_bar`` recovers ``beta``.  ``validate_params``
 enforces the full contract.
 
 :func:`run_hpp` follows the contract of the splitting drivers: an optional
-observer sees each completed iteration, and a spent budget is a returned
-``budget_exceeded`` status.  :func:`fejer_check` and
+observer sees each completed iteration, and a spent budget or a failed
+certificate is a returned status.  :func:`fejer_check` and
 :func:`alvarez_attouch_check` read a trajectory as ``(w, z_tilde,
 z_next)`` tuples, which the events of all three layers map to.
 """
@@ -28,7 +28,7 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from .errors import OracleFailure, ParameterError, ZeroVectorError
-from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
+from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 
 __all__ = [
     "rho_bar_of_beta",
@@ -380,7 +380,8 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     ``budget_exceeded`` with the last iterate and the last ||v|| (inf
     when ``max_iters`` is 0) after ``max_iters`` iterations.  ``params``,
     a negative ``max_iters`` and a negative or NaN ``v_tolerance`` raise
-    ``ParameterError`` at entry.
+    ``ParameterError`` at entry.  After entry an ``OracleFailure`` ends
+    the run as the budget does, with status ``error`` and ``record.cause``.
 
     ``observer``, when given, is called once per completed iteration with a
     dict: ``k``, ``alpha_k``, ``rho_k``, the extrapolated ``w``, the
@@ -398,8 +399,13 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     alpha, rho = params.alpha, params.rho_hi
     started = time.perf_counter()
     z, status, v_norm, outer = z0, BUDGET_EXCEEDED, math.inf, max_iters
+    cause = ""
     for k in range(max_iters):
-        out = hpp_iterate(state, oracle, params, alpha, rho)
+        try:
+            out = hpp_iterate(state, oracle, params, alpha, rho)
+        except OracleFailure as exc:
+            status, outer, cause = ERROR, k, f"{exc!r} at outer iteration {k}"
+            break
         if isinstance(out, Solution):
             z, status, v_norm, outer = out.z, "solved", 0.0, k
             break
@@ -412,9 +418,9 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
         if v_norm <= v_tolerance:
             status, outer = CONVERGED, k + 1
             break
-    rec_status = BUDGET_EXCEEDED if status == BUDGET_EXCEEDED else CONVERGED
     rec = RunRecord(outer, 0, time.perf_counter() - started, v_norm,
-                    math.nan, rec_status)
+                    math.nan, CONVERGED if status == "solved" else status,
+                    cause)
     return HPPResult(z, status, v_norm, rec)
 
 

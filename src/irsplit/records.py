@@ -21,6 +21,7 @@ class RunRecord:
     final_kkt: float
     final_objective: float
     status: str = CONVERGED
+    cause: str = ""  # a failed run's failure, layer and outer iteration
 
     def __post_init__(self):
         if self.status not in _STATUSES:

@@ -18,9 +18,11 @@ from irsplit.admm import (ADMMParams, Criterion, FToBAdapter,
                           multiplier_candidate, p_update, run_admm, theta_admm)
 from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
                         run_dr, theta)
-from irsplit.errors import BudgetExceeded, ParameterError, ZeroVectorError
-from irsplit.hpp import rho_bar_of_beta
-from irsplit.operators import ExactQuadraticFProcedure, L1Resolvent
+from irsplit.errors import LineSearchFailure, ParameterError, ZeroVectorError
+from irsplit.hpp import rho_bar_of_beta, run_hpp
+from irsplit.operators import (AffineOperator, CGBProcedure,
+                               ExactQuadraticFProcedure, ExactResolventOracle,
+                               L1Resolvent)
 from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (LBFGSFProcedure, QuadraticFProcedure,
                                 soft_threshold)
@@ -459,15 +461,6 @@ def test_final_kkt_is_the_stopping_value(lasso_20x50, inertial_core):
     assert res.record.final_kkt == lasso_20x50.kkt_dist_inf(res.x)
 
 
-def test_inner_budget_exhaustion_raises(lasso_20x50, inertial_core):
-    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
-    params = ADMMParams(c=1.0,
-                        core=ir.InertiaRelaxParams.plain(sigma=0.0),
-                        epsilon=1e-6, max_outer=50, inner_budget=30)
-    with pytest.raises(BudgetExceeded):
-        run_admm(aprob, params)  # sigma = 0 with iterative CG never lands
-
-
 # ---------------------------------------------------------------------------
 # the run against a straight-line reference, and its non-finite guard
 # ---------------------------------------------------------------------------
@@ -505,7 +498,7 @@ def reference_admm(problem, params):
                                core.sigma, params.criterion):
                 break
         else:
-            raise BudgetExceeded("reference: no accepted trial")
+            raise AssertionError("reference: no accepted trial")
         th = theta_admm(hat, x_l, z_l, p_l, c)
         assert th > 0.0
         p_next = p_update(hat.p, hat.z, z_l, x_l, th, core.rho_hi, c)
@@ -567,8 +560,8 @@ def test_benchmark_setting_counts(instance, counts):
     assert (res.outer_iters, res.inner_iters_total) == counts
 
 
-EVENT_KEYS = {"k", "trials", "theta", "alpha_k", "rho_k", "x_hat", "z_hat",
-              "p_hat", "x", "z", "p_l", "p"}
+EVENT_KEYS = {"k", "trials", "theta", "alpha_k", "rho_k", "kkt", "gap",
+              "x_hat", "z_hat", "p_hat", "x", "z", "p_l", "p"}
 
 
 @pytest.mark.parametrize("kind", ["lasso", "logistic"])
@@ -576,24 +569,36 @@ def test_observer_sees_every_outer_iteration_unchanged(kind):
     """One event per outer iteration, whose trials add up to the run's
     inner count, on the CG path (LASSO) and the L-BFGS path (logistic).
     The arrays are passed without a copy, so each must still equal the
-    copy taken when its event arrived: the loop never writes into them."""
-    events, copies = [], []
+    copy taken when its event arrived: the loop never writes into them.
+    ``kkt`` is the value the stop test returned at the top of the
+    iteration, and ``gap`` is ||x - z|| of the accepted trial."""
+    events, copies, kkts = [], [], []
 
     def observer(event):
         events.append(event)
         copies.append({key: np.copy(value) for key, value in event.items()
                        if isinstance(value, np.ndarray)})
 
-    res = run_admm(make_instance(kind), published_params(), observer=observer)
+    problem = make_instance(kind)
+    kkt_residual = problem.kkt_residual
+
+    def recorded_kkt(z, floor):
+        kkts.append(kkt_residual(z, floor))
+        return kkts[-1]
+
+    problem.kkt_residual = recorded_kkt
+    res = run_admm(problem, published_params(), observer=observer)
     assert res.status == "converged"
     assert len(events) == res.outer_iters > 10
     assert sum(event["trials"] for event in events) == res.inner_iters_total
     assert [event["k"] for event in events] == list(range(res.outer_iters))
+    assert [event["kkt"] for event in events] == kkts[:-1]
     for event, copied in zip(events, copies):
         assert set(event) == EVENT_KEYS
         assert len(copied) == 7
         for key, value in copied.items():
             assert np.array_equal(event[key], value), key
+        assert event["gap"] == np.linalg.norm(event["x"] - event["z"])
 
 
 def count_lasso_products(prob):
@@ -720,12 +725,27 @@ def held_state(fproc):
     return held
 
 
-@pytest.mark.parametrize("case", ["admm_returns", "admm_raises",
-                                  "dr_returns", "dr_raises"])
+class Stop(Exception):
+    pass
+
+
+def stop_at(k):
+    """An observer that raises at outer iteration ``k``."""
+    def observer(event):
+        if event["k"] == k:
+            raise Stop(f"stop at outer iteration {k}")
+    return observer
+
+
+@pytest.mark.parametrize("case", ["admm_returns", "admm_stalls",
+                                  "admm_raises", "dr_returns", "dr_stalls",
+                                  "dr_raises"])
 def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
                                               case):
     """A run resets its F-procedure on every exit, so no session or stored
-    vector of the run stays alive with the procedure."""
+    vector of the run stays alive with the procedure: a normal return, a
+    returned ``stalled`` status (the inner budget: sigma = 0 with
+    iterative CG never lands) and an exception the observer raises."""
     fproc = QuadraticFProcedure(lasso_20x50.A, lasso_20x50.b)
     opened = []
     open_session = fproc.open_session
@@ -736,33 +756,34 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
         return session
 
     fproc.open_session = tracked_open
-    if case.startswith("dr"):
+    driver, exit_ = case.split("_")
+    core = (ir.InertiaRelaxParams.plain(sigma=0.0) if exit_ == "stalls"
+            else inertial_core)
+    observer = stop_at(3) if exit_ == "raises" else None
+    budget = 30 if exit_ == "stalls" else 10_000
+    if driver == "dr":
         n = lasso_20x50.n
         init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
         bproc, res_a = FToBAdapter(fproc), L1Resolvent(lasso_20x50.nu)
-        if case == "dr_returns":
-            res = run_dr(init, DRParams(gamma=1.0, core=inertial_core),
-                         bproc, res_a, max_outer=20)
-            assert res.status == "budget_exceeded"
-        else:  # the inner budget: sigma = 0 with iterative CG never lands
-            params = DRParams(gamma=1.0,
-                              core=ir.InertiaRelaxParams.plain(sigma=0.0),
-                              inner_budget=30)
-            with pytest.raises(BudgetExceeded):
-                run_dr(init, params, bproc, res_a, max_outer=50)
+
+        def run():
+            return run_dr(init, DRParams(1.0, core, inner_budget=budget),
+                          bproc, res_a, max_outer=20, observer=observer)
     else:
         aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
         aprob.fproc = fproc
-        if case == "admm_returns":
-            params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
-                                max_outer=5000)
-            assert run_admm(aprob, params).status == "converged"
-        else:
-            params = ADMMParams(c=1.0,
-                                core=ir.InertiaRelaxParams.plain(sigma=0.0),
-                                epsilon=1e-6, max_outer=50, inner_budget=30)
-            with pytest.raises(BudgetExceeded):
-                run_admm(aprob, params)
+
+        def run():
+            return run_admm(aprob, ADMMParams(c=1.0, core=core, epsilon=1e-6,
+                                              max_outer=5000,
+                                              inner_budget=budget),
+                            observer=observer)
+    if exit_ == "raises":
+        with pytest.raises(Stop, match="outer iteration 3"):
+            run()
+    else:
+        want = {"dr_returns": "budget_exceeded", "admm_returns": "converged"}
+        assert run().status == want.get(case, "stalled")
     assert len(opened) >= 1
     assert held_state(fproc) == []
     gc.collect()
@@ -780,9 +801,6 @@ def test_raising_observer_ends_the_run_and_resets_the_procedure(
                         max_outer=5000)
     seen = []
 
-    class Stop(Exception):
-        pass
-
     def observer(event):
         seen.append(event["k"])
         if event["k"] == 3:
@@ -796,13 +814,15 @@ def test_raising_observer_ends_the_run_and_resets_the_procedure(
 
 class BrokenAtOuter:
     """Wraps an F-procedure; the session opened at outer iteration ``at``
-    claims exactness and emits one trial corrupted by ``corrupt``, so the
-    run accepts it.  ``opened`` counts the sessions."""
+    emits trials corrupted by ``corrupt`` and, with ``exact``, claims
+    exactness, so the run accepts its first trial.  ``opened`` counts the
+    sessions."""
 
-    def __init__(self, fproc, at, corrupt):
+    def __init__(self, fproc, at, corrupt, exact=True):
         self.fproc = fproc
         self.at = at
         self.corrupt = corrupt
+        self.exact = exact
         self.opened = 0
 
     def open_session(self, p, z, c, x_bar):
@@ -811,7 +831,7 @@ class BrokenAtOuter:
         if self.opened - 1 == self.at:
             step = session.next
             session.next = lambda: self.corrupt(*step())
-            session.exact = True
+            session.exact = self.exact
         return session
 
 
@@ -846,8 +866,9 @@ class NaNProx:
 @pytest.mark.parametrize("source", ["x", "y", "prox"])
 def test_nonfinite_iterate_error_names_outer_iteration(lasso_20x50,
                                                        inertial_core, source):
-    """A NaN or inf entering through x, y or the prox output makes theta
-    non-finite; the run stops there with the outer index in the message."""
+    """A NaN or inf entering through x, y or the prox output makes the
+    trial non-finite; the run stops there with status ``error`` and the
+    outer index in ``record.cause``, returning the last finite iterate."""
     aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
     if source == "prox":
         aprob.prox_g = NaNProx(aprob.prox_g, 0)
@@ -859,9 +880,110 @@ def test_nonfinite_iterate_error_names_outer_iteration(lasso_20x50,
         at = 3
     params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
                         max_outer=5000)
-    with pytest.raises(ValueError, match=f"outer iteration {at} "):
-        run_admm(aprob, params)
+    res = run_admm(aprob, params)
+    assert (res.status, res.record.status) == ("error", "error")
+    assert res.outer_iters == at
+    assert res.record.cause.endswith(f"at outer iteration {at}")
+    assert "non-finite trial" in res.record.cause
     assert aprob.fproc.opened == at + 1
+
+
+def raise_line_search(x, y):
+    raise LineSearchFailure("no Armijo step within the backtrack budget")
+
+
+class InfToX:
+    """Shifted prox that maps an inf to a finite value: where the wrapped
+    prox's output is not finite it returns x, so there x - z = 0."""
+
+    def __init__(self, prox):
+        self.prox = prox
+
+    def solve(self, p, x, c):
+        z = self.prox.solve(p, x, c)
+        bad = ~np.isfinite(z)
+        z[bad] = x[bad]
+        return z
+
+
+class FailingOracle:
+    """Exact certificates of a monotone rotation until call ``at``, then a
+    certificate that fails the relative-error test."""
+
+    def __init__(self, at):
+        self.exact = ExactResolventOracle(
+            AffineOperator(np.array([[0.1, 1.0], [-1.0, 0.1]])))
+        self.at = at
+        self.calls = 0
+
+    def solve(self, w, lam, sigma):
+        self.calls += 1
+        if self.calls > self.at:
+            return ir.ProxCertificate(w + 10.0, np.ones_like(w), lam)
+        return self.exact.solve(w, lam, sigma)
+
+
+FAILURE_CASES = [("inner_budget", "stalled", "inner budget", 0),
+                 ("line_search", "error", "LineSearchFailure", 2),
+                 ("cg_breakdown", "error", "CGBreakdown", 0),
+                 ("exact_inf_y", "error", "theta = nan", 3),
+                 ("inexact_inf_y", "error", "non-finite trial", 3),
+                 ("oracle", "error", "OracleFailure", 2)]
+
+
+@pytest.mark.parametrize("case, status, failure, at", FAILURE_CASES,
+                         ids=[case[0] for case in FAILURE_CASES])
+def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
+                                                case, status, failure, at):
+    """After the entry checks every failure of the library's own making is
+    a returned status, with no exception and no numpy warning (the suite
+    turns RuntimeWarning into an error): the run returns the last completed
+    iterate, which is the last observer event's, or the start when it fails
+    at outer iteration 0, and ``record.cause`` names the failure and the
+    outer iteration.  An exact-claiming session with an inf in y, through a
+    prox that maps the inf to a finite value, makes t @ d meet inf * 0; an
+    inexact one makes the acceptance vector meet inf - inf."""
+    events = Collector()
+    n = lasso_20x50.n
+    if case == "oracle":
+        res = run_hpp(np.ones(2), FailingOracle(at),
+                      ir.InertiaRelaxParams.plain(sigma=0.1), max_iters=50,
+                      observer=events)
+        got, want = [res.z], [events[-1].z]
+    elif case == "cg_breakdown":
+        rng = np.random.default_rng(3)
+        init = SplitTriple(*(rng.standard_normal(n) for _ in range(3)))
+        res = run_dr(init, DRParams(1.0, inertial_core),
+                     CGBProcedure(-3.0 * np.eye(n)), L1Resolvent(0.3),
+                     max_outer=50, observer=events)
+        got = [res.triple.s, res.triple.b, res.triple.r]
+        want = [init.s, init.b, init.r]
+    else:
+        aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
+        core = (ir.InertiaRelaxParams.plain(sigma=0.0)
+                if case == "inner_budget" else inertial_core)
+        if case == "line_search":
+            aprob.fproc = BrokenAtOuter(aprob.fproc, at, raise_line_search)
+        elif case.endswith("inf_y"):
+            aprob.fproc = BrokenAtOuter(aprob.fproc, at, inf_y,
+                                        exact=case == "exact_inf_y")
+            if case == "exact_inf_y":
+                aprob.prox_g = InfToX(aprob.prox_g)
+        res = run_admm(aprob, ADMMParams(c=1.0, core=core, epsilon=1e-6,
+                                         max_outer=5000, inner_budget=30),
+                       observer=events)
+        got = [res.triple.x, res.triple.z, res.triple.p]
+        want = ([events[-1].x, events[-1].z, events[-1].p] if at
+                else [np.zeros(n)] * 3)
+    assert res.status == status
+    assert res.record.status == {"stalled": "budget_exceeded"}.get(status,
+                                                                   status)
+    assert len(events) == res.record.outer_iters == at
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g)) and np.array_equal(g, w)
+    assert failure in res.record.cause
+    assert res.record.cause.endswith(f"at outer iteration {at}")
+    assert math.isfinite(res.record.final_kkt)
 
 
 def test_nan_in_init_raises_at_entry(lasso_20x50, inertial_core):

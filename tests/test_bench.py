@@ -169,3 +169,36 @@ def test_cli_exit_code_on_failure(tmp_path):
     cfg.write_text(CONFIG_TEXT.replace("max_outer = 5000", "max_outer = 3"))
     code = cli.main(["run", "-c", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+STALLING_TEXT = """\
+[problem]
+kind = synthetic_lasso
+m = 20
+n = 50
+seed = 7
+
+[solver]
+name = admm_plain
+sigma = 0.0
+inner_budget = 30
+
+[run]
+repetitions = {repetitions}
+"""
+
+
+@pytest.mark.parametrize("repetitions", [1, 2])
+def test_returned_failure_keeps_its_cause(tmp_path, repetitions):
+    """A returned failure becomes a row as a raised one does: with sigma =
+    0 the iterative CG of admm_plain never lands within 30 trials, so the
+    run stalls; the row is ``budget_exceeded`` and its config's ``error``
+    is the record's cause, which names the inner budget, also when the
+    record is rebuilt for repetitions.  ``run`` exits 1 on it."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(STALLING_TEXT.format(repetitions=repetitions))
+    result = bench.run_one(cli._load_config(ini))
+    assert result.record.status == "budget_exceeded"
+    assert "inner budget" in result.record.cause
+    assert result.config["error"] == result.record.cause
+    assert cli.main(["run", "-c", str(ini), "--out", str(tmp_path / "o")]) == 1

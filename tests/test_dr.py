@@ -6,7 +6,7 @@ import pytest
 import irsplit as ir
 from irsplit.dr import (DRParams, SplitTriple, a_step, classical_dr_step,
                         dr_acceptance, dr_update, embed_to_hpp, run_dr, theta)
-from irsplit.errors import BudgetExceeded, ParameterError, ZeroVectorError
+from irsplit.errors import ParameterError, ZeroVectorError
 from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
                                ExactBProcedure, ExactResolventOracle,
                                IdentityResolvent, L1Resolvent,
@@ -206,12 +206,13 @@ def test_inner_solve_sigma_zero_iterative_exhausts_budget():
     bproc = CGBProcedure(q_mat)
     core = ir.InertiaRelaxParams.plain(sigma=0.0)
     hat = random_triple(rng, 8)
-    with pytest.raises(BudgetExceeded) as exc:
-        run_dr(hat, DRParams(1.0, core, inner_budget=40), bproc,
-               L1Resolvent(0.3), max_outer=1)
-    # the inner budget, not the outer one: the state is the last triple
-    assert isinstance(exc.value.state, SplitTriple)
-    assert np.array_equal(exc.value.state.b, hat.b)
+    res = run_dr(hat, DRParams(1.0, core, inner_budget=40), bproc,
+                 L1Resolvent(0.3), max_outer=1)
+    # the inner budget, not the outer one: the result is the last triple
+    assert (res.status, res.record.status) == ("stalled", "budget_exceeded")
+    assert "inner budget" in res.record.cause
+    assert isinstance(res.triple, SplitTriple)
+    assert np.array_equal(res.triple.b, hat.b)
 
 
 # ---------------------------------------------------------------------------
