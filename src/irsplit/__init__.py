@@ -4,10 +4,10 @@ benchmark harness."""
 
 from .errors import (CGBreakdown, LineSearchFailure, OracleFailure,
                      ParameterError, ParseError, ZeroVectorError)
-from .hpp import (HPPResult, HPPState, InertiaRelaxParams, ProxCertificate,
-                  Solution, alvarez_attouch_check, beta_of_rho_bar,
+from .hpp import (HPPResult, InertiaRelaxParams, ProxCertificate,
+                  alvarez_attouch_check, beta_of_rho_bar,
                   error_criterion_holds, extrapolate, fejer_check,
-                  gauss_bounds_hold, hpp_iterate, q_eval, relaxed_projection,
+                  gauss_bounds_hold, q_eval, relaxed_projection,
                   rho_bar_of_beta, run_hpp, smallest_positive_root,
                   validate_params)
 from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
                      ZeroVectorError)
-from .hpp import InertiaRelaxParams, validate_params
+from .hpp import InertiaRelaxParams, _extrapolate, validate_params
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 
 __all__ = [
@@ -174,15 +174,6 @@ class AdmmProblem:
 
 def _floats(*arrays) -> list:
     return [np.asarray(v, dtype=float) for v in arrays]
-
-
-def _extrapolate(cur: np.ndarray, prev: np.ndarray,
-                 alpha_k: float) -> np.ndarray:
-    """cur + alpha_k (cur - prev)."""
-    out = cur - prev
-    out *= alpha_k
-    out += cur
-    return out
 
 
 def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bench, problems
-from .records import CONVERGED
+from .records import CONVERGED, RunRecord
 
 
 def _coerce(value: str):
@@ -113,8 +113,6 @@ def _cmd_summarize(args) -> int:
     rows = payload["records"]
     results = []
     for row, config in zip(rows, payload.get("configs", [{}] * len(rows))):
-        from .records import RunRecord
-
         record = RunRecord(row["outer"], row["inner"], row["seconds"],
                            row["kkt"], row["objective"], row["status"])
         results.append(bench.BenchResult(row["problem"], row["solver"],

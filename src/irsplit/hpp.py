@@ -11,11 +11,14 @@ inertia bound ``beta`` the relaxation cap is ``rho_bar_of_beta(beta)`` and
 conversely ``beta_of_rho_bar`` recovers ``beta``.  ``validate_params``
 enforces the full contract.
 
-:func:`run_hpp` follows the contract of the splitting drivers: an optional
-observer sees each completed iteration, and a spent budget or a failed
-certificate is a returned status.  :func:`fejer_check` and
-:func:`alvarez_attouch_check` read a trajectory as ``(w, z_tilde,
-z_next)`` tuples, which the events of all three layers map to.
+:func:`run_hpp` is the engine's one loop: it checks its inputs at entry and
+runs on plain arrays, through the kernels of :func:`extrapolate` and
+:func:`relaxed_projection`.  As in the splitting drivers, an optional
+observer sees each completed iteration, and a spent budget, a rejected
+certificate or a non-finite iterate is a returned status.
+:func:`fejer_check` and :func:`alvarez_attouch_check` read a trajectory as
+``(w, z_tilde, z_next)`` tuples, which the events of all three layers map
+to.
 """
 
 from __future__ import annotations
@@ -39,14 +42,11 @@ __all__ = [
     "validate_params",
     "ProxCertificate",
     "ResolventOracle",
-    "HPPState",
-    "Solution",
     "extrapolate",
     "error_criterion_holds",
     "error_ratio",
     "gauss_bounds_hold",
     "relaxed_projection",
-    "hpp_iterate",
     "HPPResult",
     "run_hpp",
     "fejer_check",
@@ -217,46 +217,47 @@ class ResolventOracle(Protocol):
     ``solve(w, lam, sigma)`` returns a certificate whose pair satisfies the
     producer contract v in T(z_tilde) and, unless ``exact``, the
     relative-error acceptance test at tolerance sigma against ``w``.
-    A certificate with v = 0 announces that z_tilde solves the inclusion.
+    A certificate with ``v @ v == 0`` (v = 0, or a v whose squared norm
+    underflows) announces that z_tilde solves the inclusion.
     """
 
     def solve(self, w: np.ndarray, lam: float, sigma: float) -> ProxCertificate:
         ...
 
 
-@dataclass
-class HPPState:
-    """Current and previous iterate; at k = 0 both coincide."""
-
-    z_cur: np.ndarray
-    z_prev: np.ndarray
-    k: int = 0
-
-    def __post_init__(self):
-        self.z_cur = _vec(self.z_cur, "z_cur")
-        self.z_prev = _vec(self.z_prev, "z_prev")
-        _same_shape(self.z_cur, self.z_prev)
-        if self.k == 0 and not np.array_equal(self.z_cur, self.z_prev):
-            raise ValueError("at k = 0 the two iterates must coincide")
-
-
-@dataclass
-class Solution:
-    """Exact zero of the operator discovered by the oracle (v = 0)."""
-
-    z: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
 
+# Private kernels of the public steps and of the loops of run_hpp and
+# run_admm: float arrays of one shape in, nothing checked.  In-place
+# operations on a fresh array are the formula's bit for bit, as a product or
+# sum with its operands swapped rounds the same.
+
+def _extrapolate(cur: np.ndarray, prev: np.ndarray,
+                 alpha_k: float) -> np.ndarray:
+    """cur + alpha_k (cur - prev)."""
+    out = cur - prev
+    out *= alpha_k
+    out += cur
+    return out
+
+
+def _project(w: np.ndarray, z_tilde: np.ndarray, v: np.ndarray, vv: float,
+             rho_k: float) -> np.ndarray:
+    """w - rho_k tau v with tau = <w - z_tilde, v> / vv and vv = v @ v."""
+    tau = ((w - z_tilde) @ v) / vv
+    return w - (rho_k * tau) * v
+
+
 def extrapolate(z_cur: np.ndarray, z_prev: np.ndarray, alpha_k: float) -> np.ndarray:
     """Inertial extrapolation w = z_cur + alpha_k (z_cur - z_prev)."""
+    z_cur = np.asarray(z_cur, dtype=float)
+    z_prev = np.asarray(z_prev, dtype=float)
     _same_shape(z_cur, z_prev)
     if alpha_k < 0.0:
         raise ParameterError("alpha_k must be nonnegative")
-    return z_cur + alpha_k * (z_cur - z_prev)
+    return _extrapolate(z_cur, z_prev, alpha_k)
 
 
 def error_criterion_holds(w: np.ndarray, cert: ProxCertificate, sigma: float) -> bool:
@@ -308,18 +309,18 @@ def relaxed_projection(w: np.ndarray, cert: ProxCertificate, rho_k: float) -> np
     """Relaxed projection of ``w`` onto the separating hyperplane.
 
     Returns w - rho_k * (<w - z_tilde, v> / ||v||^2) v; with rho_k = 1 this
-    is the orthogonal projection onto {z : <z, v> = <z_tilde, v>}.
+    is the orthogonal projection onto {z : <z, v> = <z_tilde, v>}.  Raises
+    ``ZeroVectorError`` when ``v @ v == 0``.
     """
     _same_shape(w, cert.z_tilde)
     vv = cert.v @ cert.v
     if vv == 0.0:
         raise ZeroVectorError("v = 0: z_tilde already solves the inclusion")
-    tau = ((w - cert.z_tilde) @ cert.v) / vv
-    return w - (rho_k * tau) * cert.v
+    return _project(w, cert.z_tilde, cert.v, vv, rho_k)
 
 
 # ---------------------------------------------------------------------------
-# One iteration and the driver
+# The driver
 # ---------------------------------------------------------------------------
 
 def _s_bound(z_next, w, z_tilde, params) -> float:
@@ -331,34 +332,6 @@ def _s_bound(z_next, w, z_tilde, params) -> float:
         (dzw @ dzw) / params.rho_hi,
         params.rho_lo * one_minus * (dtw @ dtw),
     )
-
-
-def hpp_iterate(state: HPPState, oracle: ResolventOracle,
-                params: InertiaRelaxParams, alpha_k: Optional[float] = None,
-                rho_k: Optional[float] = None):
-    """One engine step: extrapolate, certify, project.
-
-    ``alpha_k`` and ``rho_k`` default to ``params.alpha`` and
-    ``params.rho_hi``.  Returns ``(next_state, w, cert)``, the extrapolated
-    point and the accepted certificate with it, or ``Solution`` when the
-    oracle reports v = 0.  Raises ``OracleFailure`` if the returned
-    certificate fails the acceptance test.
-    """
-    alpha_k = params.alpha if alpha_k is None else alpha_k
-    rho_k = params.rho_hi if rho_k is None else rho_k
-    if not 0.0 <= alpha_k <= params.alpha:
-        raise ParameterError(f"alpha_k = {alpha_k} outside [0, alpha]")
-    if not params.rho_lo <= rho_k <= params.rho_hi:
-        raise ParameterError(f"rho_k = {rho_k} outside [rho_lo, rho_hi]")
-
-    w = extrapolate(state.z_cur, state.z_prev, alpha_k)
-    cert = oracle.solve(w, params.lam, params.sigma)
-    if not np.any(cert.v):
-        return Solution(cert.z_tilde)
-    if not (cert.exact or error_criterion_holds(w, cert, params.sigma)):
-        raise OracleFailure("certificate fails the relative-error test")
-    z_next = relaxed_projection(w, cert, rho_k)
-    return HPPState(z_next, state.z_cur.copy(), state.k + 1), w, cert
 
 
 @dataclass
@@ -375,13 +348,17 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     """Drive the engine from ``z0`` until v = 0, ||v|| <= v_tolerance or budget.
 
     The schedule is constant: alpha_k = alpha and rho_k = rho_hi.  Stops
-    with status ``solved`` when the oracle reports v = 0 (``z`` is then its
-    point), ``converged`` when ||v|| <= ``v_tolerance``, or
-    ``budget_exceeded`` with the last iterate and the last ||v|| (inf
-    when ``max_iters`` is 0) after ``max_iters`` iterations.  ``params``,
-    a negative ``max_iters`` and a negative or NaN ``v_tolerance`` raise
-    ``ParameterError`` at entry.  After entry an ``OracleFailure`` ends
-    the run as the budget does, with status ``error`` and ``record.cause``.
+    with status ``solved`` when a certificate has ``v @ v == 0``, also by
+    underflow (``z`` is then its point, ``v_norm`` 0), ``converged`` when
+    ||v|| <= ``v_tolerance``, or ``budget_exceeded`` with the last iterate
+    and the last ||v|| (inf when ``max_iters`` is 0) after ``max_iters``
+    iterations.  Inputs are checked once, at entry, before any oracle call:
+    ``params``, a negative ``max_iters`` and a negative or NaN
+    ``v_tolerance`` raise ``ParameterError``, a non-finite ``z0``
+    ``ValueError``.  After entry a certificate that fails the relative-error
+    test or a non-finite projected iterate ends the run with status
+    ``error``, the last completed iterate and its ||v||, and a
+    ``record.cause`` that names the failure and the outer iteration.
 
     ``observer``, when given, is called once per completed iteration with a
     dict: ``k``, ``alpha_k``, ``rho_k``, the extrapolated ``w``, the
@@ -394,33 +371,41 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
         raise ParameterError("max_iters >= 0 violated")
     if not v_tolerance >= 0.0:
         raise ParameterError("v_tolerance >= 0 violated")
-    z0 = _vec(z0, "z0")
-    state = HPPState(z0, z0.copy(), 0)
+    z = z_prev = _vec(z0, "z0")
+    lam, sigma = params.lam, params.sigma
     alpha, rho = params.alpha, params.rho_hi
+    solve = oracle.solve
     started = time.perf_counter()
-    z, status, v_norm, outer = z0, BUDGET_EXCEEDED, math.inf, max_iters
-    cause = ""
+    status, v_norm, cause = BUDGET_EXCEEDED, math.inf, ""
     for k in range(max_iters):
-        try:
-            out = hpp_iterate(state, oracle, params, alpha, rho)
-        except OracleFailure as exc:
-            status, outer, cause = ERROR, k, f"{exc!r} at outer iteration {k}"
+        w = _extrapolate(z, z_prev, alpha)
+        cert = solve(w, lam, sigma)
+        vv = cert.v @ cert.v
+        if vv == 0.0:
+            z, status, v_norm = cert.z_tilde, "solved", 0.0
             break
-        if isinstance(out, Solution):
-            z, status, v_norm, outer = out.z, "solved", 0.0, k
+        if not (cert.exact or error_criterion_holds(w, cert, sigma)):
+            status, cause = ERROR, repr(OracleFailure(
+                "certificate fails the relative-error test"))
             break
-        state, w, cert = out
-        z = state.z_cur
+        z_next = _project(w, cert.z_tilde, cert.v, vv, rho)
+        if not np.isfinite(z_next).all():
+            status, cause = ERROR, "non-finite iterate in the projection"
+            break
         if observer is not None:
             observer({"k": k, "alpha_k": alpha, "rho_k": rho, "w": w,
-                      "cert": cert, "z": z})
-        v_norm = float(np.linalg.norm(cert.v))
+                      "cert": cert, "z": z_next})
+        z_prev, z = z, z_next
+        v_norm = math.sqrt(vv)
         if v_norm <= v_tolerance:
-            status, outer = CONVERGED, k + 1
+            status, k = CONVERGED, k + 1
             break
-    rec = RunRecord(outer, 0, time.perf_counter() - started, v_norm,
-                    math.nan, CONVERGED if status == "solved" else status,
-                    cause)
+    else:
+        k = max_iters
+    if cause:
+        cause += f" at outer iteration {k}"
+    rec = RunRecord(k, 0, time.perf_counter() - started, v_norm, math.nan,
+                    CONVERGED if status == "solved" else status, cause)
     return HPPResult(z, status, v_norm, rec)
 
 

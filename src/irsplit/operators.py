@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .hpp import ProxCertificate
+from .hpp import ProxCertificate, error_criterion_holds
 from .subsolvers import CGSession, soft_threshold
 
 __all__ = [
@@ -102,8 +102,6 @@ class PerturbedResolventOracle:
         self.max_shrinks = max_shrinks
 
     def solve(self, w, lam, sigma):
-        from .hpp import error_criterion_holds
-
         w = np.asarray(w, dtype=float)
         exact_point = self.operator.resolvent(lam, w)
         radius = self.scale * max(float(np.linalg.norm(w - exact_point)), 1e-12)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
-from irsplit.errors import OracleFailure, ParameterError, ZeroVectorError
-from irsplit.hpp import (HPPState, Solution, _s_bound, error_ratio,
-                         hpp_iterate, rho_bar_of_beta)
+from irsplit.errors import ZeroVectorError
+from irsplit.hpp import _s_bound, error_ratio, rho_bar_of_beta
 from irsplit.operators import (AffineOperator, ExactResolventOracle,
                                PerturbedResolventOracle,
                                ScaledIdentityOperator)
@@ -137,46 +136,59 @@ def test_relaxed_projection_zero_v():
 
 def test_iterate_identity_operator_halves():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    state = HPPState(np.array([1.0]), np.array([1.0]), 0)
-    state, w, cert = hpp_iterate(state, exact_identity_oracle(), params)
-    assert state.z_cur[0] == pytest.approx(0.5, abs=1e-15)
+    events = Collector()
+    res = ir.run_hpp(np.array([1.0]), exact_identity_oracle(), params,
+                     max_iters=1, observer=events)
+    assert res.status == "budget_exceeded"
+    assert res.z[0] == pytest.approx(0.5, abs=1e-15)
+    w, cert = events[0].w, events[0].cert
     tau = ((w - cert.z_tilde) @ cert.v) / (cert.v @ cert.v)
     assert tau == pytest.approx(1.0)
 
 
 def test_fifty_iterations_geometric():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    state = HPPState(np.array([1.0]), np.array([1.0]), 0)
-    oracle = exact_identity_oracle()
-    for _ in range(50):
-        state, _, _ = hpp_iterate(state, oracle, params)
-    assert state.z_cur[0] == pytest.approx(2.0 ** -50, rel=1e-12)
+    events = Collector()
+    res = ir.run_hpp(np.array([1.0]), exact_identity_oracle(), params,
+                     max_iters=50, observer=events)
+    assert (res.status, res.record.outer_iters, len(events)) == (
+        "budget_exceeded", 50, 50)
+    assert res.z[0] == pytest.approx(2.0 ** -50, rel=1e-12)
 
 
 def test_iterate_already_solved():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    state = HPPState(np.zeros(3), np.zeros(3), 0)
-    out = hpp_iterate(state, exact_identity_oracle(), params)
-    assert isinstance(out, Solution)
-    assert np.array_equal(out.z, np.zeros(3))
+    events = Collector()
+    res = ir.run_hpp(np.zeros(3), exact_identity_oracle(), params,
+                     max_iters=1, observer=events)
+    assert (res.status, res.record.status) == ("solved", "converged")
+    assert res.record.outer_iters == len(events) == 0
+    assert res.v_norm == 0.0
+    assert np.array_equal(res.z, np.zeros(3))
 
 
-def test_iterate_rejects_out_of_range_relaxation():
-    params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    state = HPPState(np.ones(2), np.ones(2), 0)
-    with pytest.raises(ParameterError):
-        hpp_iterate(state, exact_identity_oracle(), params, rho_k=0.0)
+class BogusOracle:
+    """Counts its calls and returns a certificate that fails the
+    relative-error test at any sigma below 1."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def solve(self, w, lam, sigma):
+        self.calls += 1
+        return ir.ProxCertificate(w + 10.0, np.ones_like(w), lam)
 
 
-def test_iterate_raises_on_bad_certificate():
-    class BogusOracle:
-        def solve(self, w, lam, sigma):
-            return ir.ProxCertificate(w + 10.0, np.ones_like(w), lam)
-
+def test_iterate_reports_bad_certificate():
     params = ir.InertiaRelaxParams.plain(sigma=0.1)
-    state = HPPState(np.ones(2), np.ones(2), 0)
-    with pytest.raises(OracleFailure):
-        hpp_iterate(state, BogusOracle(), params)
+    events = Collector()
+    res = ir.run_hpp(np.ones(2), BogusOracle(), params, max_iters=1,
+                     observer=events)
+    assert (res.status, res.record.status) == ("error", "error")
+    assert res.record.outer_iters == len(events) == 0
+    assert "OracleFailure" in res.record.cause
+    assert res.record.cause.endswith("at outer iteration 0")
+    assert np.array_equal(res.z, np.ones(2))
 
 
 def test_unit_relaxation_exact_is_proximal_step():
@@ -187,10 +199,75 @@ def test_unit_relaxation_exact_is_proximal_step():
     rng = np.random.default_rng(0)
     for _ in range(10):
         z = rng.standard_normal(2)
-        state = HPPState(z, z.copy(), 0)
-        state, _, _ = hpp_iterate(state, oracle, params)
+        res = ir.run_hpp(z, oracle, params, max_iters=1)
         expected = op.resolvent(0.7, z)
-        assert np.linalg.norm(state.z_cur - expected) <= 1e-12
+        assert np.linalg.norm(res.z - expected) <= 1e-12
+
+
+def test_nan_start_raises_before_any_oracle_call():
+    oracle = BogusOracle()
+    with pytest.raises(ValueError, match="non-finite"):
+        ir.run_hpp(np.array([0.0, np.nan]), oracle,
+                   ir.InertiaRelaxParams.plain(sigma=0.1), max_iters=10)
+    assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("operator, z0, outer", [
+    (ScaledIdentityOperator(1.0), [1.0], 537),
+    (rotation_operator(), [3.0, -1.0], 942),
+    (rotation_operator(), [1e-170, 0.0], 0),
+], ids=["identity", "rotation", "tiny_start"])
+def test_underflowing_v_ends_as_solved(operator, z0, outer):
+    """A nonzero v whose squared norm underflows to 0 leaves no hyperplane
+    to project onto: the run ends as ``solved`` at the certificate's point,
+    as the splitting drivers do when ||x - z||^2 underflows, and raises
+    nothing.  Without a stopping tolerance the first two runs get there
+    after hundreds of iterations; the tiny start at once."""
+    events = Collector()
+    res = ir.run_hpp(np.array(z0), ExactResolventOracle(operator),
+                     ir.InertiaRelaxParams.plain(sigma=0.0), max_iters=2000,
+                     observer=events)
+    assert (res.status, res.record.status) == ("solved", "converged")
+    assert res.record.outer_iters == len(events) == outer
+    assert res.v_norm == res.record.final_kkt == 0.0
+    assert res.record.cause == ""
+    assert np.all(res.z != 0.0)
+    assert np.linalg.norm(res.z) < 1e-160
+
+
+class OverflowingOracle:
+    """Exact certificates of the rotation until call ``at``, then an exact
+    certificate whose point is so far from w that the projection step
+    overflows to an infinite iterate."""
+
+    def __init__(self, at):
+        self.exact = ExactResolventOracle(rotation_operator())
+        self.at = at
+        self.calls = 0
+
+    def solve(self, w, lam, sigma):
+        self.calls += 1
+        if self.calls > self.at:
+            return ir.ProxCertificate(np.full_like(w, -1.5e308),
+                                      np.ones_like(w), lam, exact=True)
+        return self.exact.solve(w, lam, sigma)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nonfinite_iterate_is_an_error_status():
+    """An iterate that overflows in the projection ends the run with status
+    ``error``, the outer iteration in ``record.cause``, and the last
+    completed iterate and its ||v|| in the result."""
+    events = Collector()
+    res = ir.run_hpp(np.array([3.0, -1.0]), OverflowingOracle(3),
+                     ir.InertiaRelaxParams.plain(sigma=0.0), max_iters=50,
+                     observer=events)
+    assert (res.status, res.record.status) == ("error", "error")
+    assert res.record.outer_iters == len(events) == 3
+    assert "non-finite iterate" in res.record.cause
+    assert res.record.cause.endswith("at outer iteration 3")
+    assert np.array_equal(res.z, events[-1].z)
+    assert res.v_norm == float(np.linalg.norm(events[-1].cert.v)) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +377,26 @@ def test_stationary_start_is_solution():
     assert res.record.outer_iters == 0
 
 
+def reference_hpp(z0, oracle, params, iters):
+    """Straight-line engine from the public steps, with the constant
+    schedule alpha_k = alpha and rho_k = rho_hi.  Returns the extrapolated
+    point and the next iterate of each of ``iters`` iterations."""
+    z = z_prev = z0
+    steps = []
+    for _ in range(iters):
+        w = ir.extrapolate(z, z_prev, params.alpha)
+        cert = oracle.solve(w, params.lam, params.sigma)
+        assert cert.exact or ir.error_criterion_holds(w, cert, params.sigma)
+        z_prev, z = z, ir.relaxed_projection(w, cert, params.rho_hi)
+        steps.append((w, z))
+    return steps
+
+
 def test_observer_sees_every_iteration_unchanged():
     """One event per iteration, each holding the arrays the run went on
     with: they still equal the copies taken when the event arrived, and
-    the iterates are bit for bit those of a hand loop of ``hpp_iterate``
-    on an oracle with the same seed."""
+    the iterates are bit for bit those of :func:`reference_hpp` on an
+    oracle with the same seed."""
     params = ir.InertiaRelaxParams.from_beta(alpha=0.18, beta=0.18976,
                                              sigma=0.9)
     z0 = np.array([2.0, 1.0])
@@ -331,11 +423,10 @@ def test_observer_sees_every_iteration_unchanged():
         assert all(np.array_equal(a, b) for a, b in zip(now, copied))
 
     oracle = PerturbedResolventOracle(rotation_operator(), seed=5)
-    state = HPPState(z0, z0.copy(), 0)
-    for event in events:
-        state, w, _ = hpp_iterate(state, oracle, params)
+    steps = reference_hpp(z0, oracle, params, len(events))
+    for event, (w, z) in zip(events, steps):
         assert np.array_equal(w, event["w"])
-        assert np.array_equal(state.z_cur, event["z"])
+        assert np.array_equal(z, event["z"])
 
 
 def test_raising_observer_ends_the_run():

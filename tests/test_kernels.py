@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, _acceptance_vector,
-                          _extrapolate, _multiplier, _p_update, p_update,
-                          run_admm)
-from irsplit.hpp import rho_bar_of_beta
+                          _multiplier, _p_update, p_update, run_admm)
+from irsplit.hpp import _extrapolate, rho_bar_of_beta
 from irsplit.problems import DesignMatrix, L1ShiftedProx
 from irsplit.subsolvers import CGSession, QuadraticFProcedure, _shrink
 
