@@ -2,8 +2,8 @@
 Douglas-Rachford and ADMM layers, subproblem engines, problem catalog and
 benchmark harness."""
 
-from .errors import (CGBreakdown, LineSearchFailure, OracleFailure,
-                     ParameterError, ParseError, ZeroVectorError)
+from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
+                     ParseError, ZeroVectorError)
 from .hpp import (HPPResult, InertiaRelaxParams, ProxCertificate,
                   alvarez_attouch_check, beta_of_rho_bar,
                   error_criterion_holds, extrapolate, fejer_check,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
                      ZeroVectorError)
-from .hpp import InertiaRelaxParams, _extrapolate, validate_params
+from .hpp import InertiaRelaxParams, _extrapolate, _finite, validate_params
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 
 __all__ = [
@@ -67,14 +67,9 @@ class PrimalDualTriple:
     p: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
+        self.x, self.z, self.p = (_finite(getattr(self, n), n) for n in "xzp")
         if not (self.x.shape == self.z.shape == self.p.shape):
             raise ValueError("triple components must share one shape")
-        for name, v in (("x", self.x), ("z", self.z), ("p", self.p)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} has non-finite entries")
 
     @classmethod
     def zeros(cls, n: int) -> "PrimalDualTriple":
@@ -380,7 +375,10 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     outer iteration: status ``stalled`` (record ``budget_exceeded``) when
     the inner budget runs out, as at the round-off floor, and ``error``
     on a ``LineSearchFailure`` or ``CGBreakdown`` out of a session, a
-    non-finite trial or a theta that is not finite and positive.
+    non-finite trial or a theta that is not finite and positive.  numpy's
+    floating-point warnings are off while the run lasts, callbacks and
+    observer included: a non-finite value ends it as ``error``, not as a
+    warning.
 
     When the F-procedure accepts an anchor (see :class:`FProcedure`), each
     session is opened with the two points ``x_hat`` was extrapolated from.
@@ -412,6 +410,7 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     return _run(problem, params, init, observer)
 
 
+@np.errstate(all="ignore")
 def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
          observer: Optional[Callable[[dict], None]],
          gap_tol: float = 0.0) -> ADMMResult:
@@ -424,7 +423,9 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
     :func:`run_admm`).  The record's ``final_kkt`` is the KKT residual at
     the returned z, or ||x - z|| of the returned triple without the KKT
     test.  The iteration that stops as ``solved`` forms no corrected
-    multiplier and reaches no observer.
+    multiplier and reaches no observer.  With numpy's warnings off, the
+    tests of a finite ``dd`` and of 0 < theta < inf catch an inf or NaN
+    trial.
     """
     reset_procedure(problem.fproc)
     try:
@@ -466,13 +467,12 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                     z_l = prox(p_l, x_l, c)
                     d = x_l - z_l
                     dd = d @ d
-                    if not math.isfinite(dd):  # before t meets inf - inf
+                    if not math.isfinite(dd):
                         status = ERROR
                         cause = f"non-finite trial (||x - z||^2 = {dd})"
                         break
                     t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-                    tt = t @ t
-                    if exact or _accept(y_l, tt, dd, c, sigma, max_form):
+                    if exact or _accept(y_l, t @ t, dd, c, sigma, max_form):
                         break
                 else:
                     status = "stalled"
@@ -486,8 +486,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                     status = "solved"
                     x, z, p = x_l, z_l, p_l
                     break
-                # an inf of t meeting a zero of d would make t @ d warn
-                th = _theta(t, d, dd, c) if math.isfinite(tt) else math.nan
+                th = _theta(t, d, dd, c)
                 if not 0.0 < th < math.inf:
                     status, cause = ERROR, f"theta = {th} in the projection"
             if cause:

@@ -24,7 +24,7 @@ import numpy as np
 from .admm import (ADMMParams, AdmmProblem, Criterion, FToBAdapter,
                    PrimalDualTriple, _run, reset_procedure)
 from .errors import ParameterError, ZeroVectorError
-from .hpp import InertiaRelaxParams, validate_params
+from .hpp import InertiaRelaxParams, _finite, validate_params
 from .records import RunRecord
 
 __all__ = [
@@ -53,14 +53,9 @@ class SplitTriple:
     r: np.ndarray
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
+        self.s, self.b, self.r = (_finite(getattr(self, n), n) for n in "sbr")
         if not (self.s.shape == self.b.shape == self.r.shape):
             raise ValueError("triple components must share one shape")
-        for name, v in (("s", self.s), ("b", self.b), ("r", self.r)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,9 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     ``params``, a negative ``max_outer`` and a negative or NaN
     ``sr_tolerance`` raise ``ParameterError`` at entry; after entry a
     failure returns the last completed triple with status ``stalled`` or
-    ``error`` and ``record.cause``, as :func:`irsplit.admm.run_admm` does.
+    ``error`` and ``record.cause``, as :func:`irsplit.admm.run_admm` does:
+    numpy's floating-point warnings are off while the run lasts, callbacks
+    and observer included, and a non-finite value ends it as ``error``.
 
     The run is the loop of :func:`irsplit.admm.run_admm` with the
     summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,

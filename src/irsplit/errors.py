@@ -9,10 +9,6 @@ class ZeroVectorError(ValueError):
     """A denominator vector is zero; the caller holds an exact solution."""
 
 
-class OracleFailure(RuntimeError):
-    """An inexact-resolvent oracle could not meet its acceptance test."""
-
-
 class CGBreakdown(RuntimeError):
     """Conjugate gradient hit nonpositive curvature (operator not SPD)."""
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .errors import OracleFailure, ParameterError, ZeroVectorError
+from .errors import ParameterError, ZeroVectorError
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 
 __all__ = [
@@ -53,13 +53,17 @@ __all__ = [
     "alvarez_attouch_check",
 ]
 
-def _vec(x, name="vector") -> np.ndarray:
+def _finite(x, name: str) -> np.ndarray:
+    """``x`` as a float array, else ``ValueError`` on a non-finite entry."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        v = np.atleast_1d(v.ravel())
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
+
+
+def _vec(x, name="vector") -> np.ndarray:
+    v = _finite(x, name)
+    return v if v.ndim == 1 else np.atleast_1d(v.ravel())
 
 
 def _same_shape(a: np.ndarray, b: np.ndarray):
@@ -342,6 +346,7 @@ class HPPResult:
     record: RunRecord
 
 
+@np.errstate(all="ignore")
 def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
             max_iters: int = 1000, v_tolerance: float = 0.0,
             observer: Optional[Callable[[dict], None]] = None) -> HPPResult:
@@ -359,6 +364,9 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     test or a non-finite projected iterate ends the run with status
     ``error``, the last completed iterate and its ||v||, and a
     ``record.cause`` that names the failure and the outer iteration.
+    numpy's floating-point warnings are off while the run lasts, oracle
+    and observer included: an overflowing projection ends it as
+    ``error``, not as a warning.
 
     ``observer``, when given, is called once per completed iteration with a
     dict: ``k``, ``alpha_k``, ``rho_k``, the extrapolated ``w``, the
@@ -385,8 +393,8 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
             z, status, v_norm = cert.z_tilde, "solved", 0.0
             break
         if not (cert.exact or error_criterion_holds(w, cert, sigma)):
-            status, cause = ERROR, repr(OracleFailure(
-                "certificate fails the relative-error test"))
+            status = ERROR
+            cause = "OracleFailure: certificate fails the relative-error test"
             break
         z_next = _project(w, cert.z_tilde, cert.v, vv, rho)
         if not np.isfinite(z_next).all():

@@ -24,6 +24,7 @@ from scipy.special import expit
 
 from .admm import AdmmProblem
 from .errors import ParseError
+from .hpp import _finite
 from .subsolvers import (CompositeProblem, FistaConfig, LBFGSFProcedure,
                          QuadraticFProcedure, _shrink, fista_solve,
                          soft_threshold)
@@ -54,31 +55,32 @@ class _CompiledProduct:
     A's arrays, or ``csc_matvec`` on the same arrays, which are the CSC
     arrays of A.T.  This skips scipy's per-call dispatch and, for A.T,
     building the transpose object.  The kernel reads x without a bounds
-    check, so the length is checked here."""
+    check: x must be an array of shape ``(cols,)``, as
+    :class:`DesignMatrix` checks."""
 
     __slots__ = ("_kernel", "_rows", "_cols", "_indptr", "_indices", "_data")
 
     def __init__(self, csr, transpose: bool):
-        rows, cols = csr.shape
-        if transpose:
-            self._kernel, self._rows, self._cols = (_sparsetools.csc_matvec,
-                                                    cols, rows)
-        else:
-            self._kernel, self._rows, self._cols = (_sparsetools.csr_matvec,
-                                                    rows, cols)
+        self._rows, self._cols = csr.shape[::-1] if transpose else csr.shape
+        self._kernel = (_sparsetools.csc_matvec if transpose
+                        else _sparsetools.csr_matvec)
         self._indptr, self._indices, self._data = (csr.indptr, csr.indices,
                                                    csr.data)
 
-    def __matmul__(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != (self._cols,):
-            raise ValueError(f"dimension mismatch: expected a vector of "
-                             f"length {self._cols}, got shape {x.shape}")
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         data = self._data
         y = np.zeros(self._rows, np.promote_types(data.dtype, x.dtype))
         self._kernel(self._rows, self._cols, self._indptr, self._indices,
                      data, x, y)
         return y
+
+
+def _of_shape(x, shape: tuple) -> np.ndarray:
+    """``x`` as an array of the 1-D ``shape``, else ``ValueError``."""
+    x = np.asarray(x)
+    if x.shape != shape:
+        raise ValueError(f"expected shape {shape}, got shape {x.shape}")
+    return x
 
 
 class DesignMatrix:
@@ -87,9 +89,9 @@ class DesignMatrix:
     A sparse input is stored as a float CSR copy.  A dense float64 input is
     kept by reference, not copied, and must not be changed in place
     afterwards: ``stored_norm()`` and the KKT screens of the problems built
-    on this matrix keep values computed from it.  Both products return a
-    fresh array and raise ``ValueError`` on a wrong length; the sparse ones
-    take 1-D vectors only.
+    on this matrix keep values computed from it.  Both products take 1-D
+    vectors only, of the matching length, else raise ``ValueError``, and
+    return a fresh array.
 
     Both products are bound once, at construction.  A dense matrix uses
     ``A @ x`` and ``A.T @ u`` on the stored array and its strided ``.T``
@@ -100,22 +102,19 @@ class DesignMatrix:
     """
 
     def __init__(self, data):
-        if sp.issparse(data):
+        self.is_sparse = sp.issparse(data)
+        if self.is_sparse:
             mat = data.tocsr().astype(float)
-            self.is_sparse = True
-            if not np.all(np.isfinite(mat.data)):
-                raise ValueError("matrix has non-finite entries")
+            _finite(mat.data, "matrix")
             self._op = _CompiledProduct(mat, transpose=False)
             self._op_t = _CompiledProduct(mat, transpose=True)
         else:
-            mat = np.asarray(data, dtype=float)
-            self.is_sparse = False
+            mat = _finite(data, "matrix")
             if mat.ndim != 2:
                 raise ValueError("expected a 2-d array")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("matrix has non-finite entries")
             self._op, self._op_t = mat, mat.T
         self._mat = mat
+        self._x_shape, self._u_shape = mat.shape[1:], mat.shape[:1]
         self._norm: Optional[float] = None
 
     @property
@@ -123,10 +122,10 @@ class DesignMatrix:
         return self._mat.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._op @ x
+        return self._op @ _of_shape(x, self._x_shape)
 
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
-        return self._op_t @ u
+        return self._op_t @ _of_shape(u, self._u_shape)
 
     def column(self, j: int) -> np.ndarray:
         """Column j as the product A e_j, which is exact: every other term

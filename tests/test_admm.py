@@ -847,6 +847,12 @@ def inf_y(x, y):
     return x, y
 
 
+def inf_x(x, y):
+    x = x.copy()
+    x[0] = np.inf
+    return x, y
+
+
 class NaNProx:
     """Shifted prox that returns NaN in one coordinate from call ``at``."""
 
@@ -863,20 +869,27 @@ class NaNProx:
         return z
 
 
-@pytest.mark.parametrize("source", ["x", "y", "prox"])
+CORRUPTIONS = {"x": (nan_x, True), "y": (inf_y, True),
+               "inf_x": (inf_x, True), "inf_x_inexact": (inf_x, False)}
+
+
+@pytest.mark.parametrize("source", ["x", "y", "inf_x", "inf_x_inexact",
+                                    "prox"])
 def test_nonfinite_iterate_error_names_outer_iteration(lasso_20x50,
                                                        inertial_core, source):
     """A NaN or inf entering through x, y or the prox output makes the
     trial non-finite; the run stops there with status ``error`` and the
-    outer index in ``record.cause``, returning the last finite iterate."""
+    outer index in ``record.cause``, returning the last finite iterate.
+    An inf in x meets the inf the shrink returns for it, so x - z is
+    inf - inf, with no numpy warning out of the run."""
     aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
     if source == "prox":
         aprob.prox_g = NaNProx(aprob.prox_g, 0)
         aprob.fproc = BrokenAtOuter(aprob.fproc, 0, lambda x, y: (x, y))
         at = 0
     else:
-        aprob.fproc = BrokenAtOuter(aprob.fproc, 3,
-                                    nan_x if source == "x" else inf_y)
+        corrupt, exact = CORRUPTIONS[source]
+        aprob.fproc = BrokenAtOuter(aprob.fproc, 3, corrupt, exact=exact)
         at = 3
     params = ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6,
                         max_outer=5000)

@@ -82,14 +82,15 @@ def test_design_matrix_shape_checks():
 @pytest.mark.parametrize("store", [np.asarray, sp.csr_matrix, sp.csr_array],
                          ids=["dense", "csr_matrix", "csr_array"])
 def test_products_are_1d_and_reject_a_wrong_length(store):
-    """Both products return 1-D arrays for every stored type, and numpy or
-    scipy rejects a vector of the wrong length with ``ValueError``."""
+    """Both products return 1-D arrays for every stored type, and reject a
+    vector of the wrong length, or a 2-D column of the right one (which a
+    dense ``A @ x`` alone would take), with ``ValueError``."""
     a = np.arange(6.0).reshape(3, 2)
     design = DesignMatrix(store(a))
-    for wrong in (np.ones(1), np.ones(3)):
+    for wrong in (np.ones(1), np.ones(3), np.ones((2, 1))):
         with pytest.raises(ValueError):
             design.apply(wrong)
-    for wrong in (np.ones(2), np.ones(4)):
+    for wrong in (np.ones(2), np.ones(4), np.ones((3, 1))):
         with pytest.raises(ValueError):
             design.apply_transpose(wrong)
     # array_equal also compares shapes: both results are 1-D
