@@ -10,8 +10,8 @@ import numpy as np
 
 import irsplit as ir
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
-from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
-                               ExactBProcedure, L1Resolvent)
+from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
+                               L1Resolvent)
 from irsplit.subsolvers import soft_threshold
 
 rng = np.random.default_rng(0)
@@ -21,7 +21,7 @@ c0 = 2.0 * rng.standard_normal(n)
 x_star = soft_threshold(c0, nu)
 
 res_a = L1Resolvent(nu)
-res_b = AffineResolvent(AffineOperator(np.eye(n), -c0))
+res_b = AffineOperator(np.eye(n), -c0)
 init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
 
 print("exact solves, alpha = 0, rho = 1: classical recursion recovered")

@@ -135,7 +135,7 @@ def admm_params_for(solver: str, options: dict) -> ADMMParams:
     max_outer = int(options.get("max_outer", 20_000))
     inner_budget = int(options.get("inner_budget", 10_000))
     if solver == "admm_plain":
-        core = InertiaRelaxParams(0.0, 1.0 / 3.0, sigma, 1.0, 1.0)
+        core = InertiaRelaxParams.plain(sigma)
     else:
         alpha = float(options.get("alpha", 0.18966))
         beta = float(options.get("beta", 0.18976))

@@ -96,21 +96,27 @@ class BProcedure(Protocol):
 
 
 class ResolventMap(Protocol):
-    """Exact single-valued resolvent u -> (I + gamma A)^{-1}(u)."""
+    """Exact single-valued resolvent u -> (I + gamma A)^{-1}(u).
 
-    def apply(self, gamma: float, u: np.ndarray) -> np.ndarray:
+    The protocol of the engine's operators too: an operator of
+    :mod:`irsplit.operators` serves as the A-resolvent here, inside an
+    ``ExactBProcedure``, and inside the engine's resolvent oracles as it is.
+    """
+
+    def resolvent(self, gamma: float, u: np.ndarray) -> np.ndarray:
         ...
 
 
 def a_step(s: np.ndarray, b: np.ndarray, gamma: float,
            resolvent: ResolventMap) -> tuple[np.ndarray, np.ndarray]:
-    """Exact A half-step: r = J_{gamma A}(s - gamma b), a = (s - r)/gamma - b.
+    """Exact A half-step: r = J_{gamma A}(s - gamma b), a = (s - r)/gamma - b,
+    with r = ``resolvent.resolvent(gamma, s - gamma * b)``.
 
     The returned pair satisfies r + gamma a = s - gamma b to round-off.
     """
     if not gamma > 0.0:
         raise ParameterError("gamma > 0 violated")
-    r = resolvent.apply(gamma, s - gamma * b)
+    r = resolvent.resolvent(gamma, s - gamma * b)
     a = (s - r) / gamma - b
     return r, a
 
@@ -202,7 +208,7 @@ class _ResolventProx:
         self.gamma = gamma
 
     def solve(self, p, x, c):
-        return self.resolvent.apply(self.gamma, x + self.gamma * p)
+        return self.resolvent.resolvent(self.gamma, x + self.gamma * p)
 
 
 def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
@@ -210,6 +216,9 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
            sr_tolerance: float = 0.0,
            observer: Optional[Callable[[dict], None]] = None) -> DRResult:
     """Drive the splitting from ``init`` until ||s - r|| <= sr_tolerance.
+
+    ``resolvent`` is the exact A-resolvent, any :class:`ResolventMap`, for
+    example an operator of :mod:`irsplit.operators` as it is.
 
     The default tolerance 0 stops only on the exact coincidence s = r, in
     which case that point solves the inclusion.  Constant schedules
@@ -259,12 +268,13 @@ def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,
                       resolvent_b: ResolventMap) -> np.ndarray:
     """One step of the classical splitting recursion (oracle for tests).
 
-    z_next = J_{gamma A}(2 J_{gamma B}(z) - z) + z - J_{gamma B}(z).
+    z_next = J_{gamma A}(2 J_{gamma B}(z) - z) + z - J_{gamma B}(z), each
+    J the ``resolvent(gamma, .)`` of a :class:`ResolventMap`.
     """
     if not gamma > 0.0:
         raise ParameterError("gamma > 0 violated")
-    jb = resolvent_b.apply(gamma, z)
-    return resolvent_a.apply(gamma, 2.0 * jb - z) + z - jb
+    jb = resolvent_b.resolvent(gamma, z)
+    return resolvent_a.resolvent(gamma, 2.0 * jb - z) + z - jb
 
 
 def embed_to_hpp(triple: SplitTriple, hat: SplitTriple, s_acc: np.ndarray,

@@ -264,27 +264,31 @@ def extrapolate(z_cur: np.ndarray, z_prev: np.ndarray, alpha_k: float) -> np.nda
     return _extrapolate(z_cur, z_prev, alpha_k)
 
 
+def _error_sides(w: np.ndarray, cert: ProxCertificate, sigma: float):
+    """Both sides of the relative-error test, ||lam v + z_tilde - w||^2 and
+    sigma^2 (||z_tilde - w||^2 + ||lam v||^2).  The left side is evaluated
+    as lam*v - (w - z_tilde) so that an exactly constructed pair cancels
+    cleanly."""
+    lv = cert.lam * cert.v
+    resid = lv - (w - cert.z_tilde)
+    dz = cert.z_tilde - w
+    return resid @ resid, sigma * sigma * (dz @ dz + lv @ lv)
+
+
 def error_criterion_holds(w: np.ndarray, cert: ProxCertificate, sigma: float) -> bool:
     """Relative-error acceptance test.
 
     True iff ||lam v + z_tilde - w||^2 <= sigma^2 (||z_tilde - w||^2
-    + ||lam v||^2).  The left side is evaluated as lam*v - (w - z_tilde) so
-    that an exactly constructed pair cancels cleanly.
+    + ||lam v||^2).
     """
     _same_shape(w, cert.z_tilde)
-    lv = cert.lam * cert.v
-    resid = lv - (w - cert.z_tilde)
-    dz = cert.z_tilde - w
-    return resid @ resid <= sigma * sigma * (dz @ dz + lv @ lv)
+    lhs, rhs = _error_sides(w, cert, sigma)
+    return lhs <= rhs
 
 
 def error_ratio(w: np.ndarray, cert: ProxCertificate, sigma: float) -> float:
     """LHS / RHS of the acceptance test; <= 1 on accepted certificates."""
-    lv = cert.lam * cert.v
-    resid = lv - (w - cert.z_tilde)
-    dz = cert.z_tilde - w
-    lhs = resid @ resid
-    rhs = sigma * sigma * (dz @ dz + lv @ lv)
+    lhs, rhs = _error_sides(w, cert, sigma)
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
     return lhs / rhs

@@ -3,7 +3,9 @@
 These small building blocks instantiate the abstract interfaces of the
 solver layers for problems whose resolvents have closed forms: scaled
 identities, monotone affine maps, l1 subdifferentials and quadratics.  They
-double as independent references in tests and demos.
+double as independent references in tests and demos.  A resolvent is one
+method, ``resolvent(step, point)``, which the engine's oracles and the
+splitting layer (:class:`irsplit.dr.ResolventMap`) both call.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ __all__ = [
     "AffineOperator",
     "ExactResolventOracle",
     "PerturbedResolventOracle",
-    "IdentityResolvent",
     "L1Resolvent",
-    "AffineResolvent",
     "ExactBProcedure",
     "CGBProcedure",
     "ExactQuadraticFProcedure",
@@ -71,13 +71,24 @@ class AffineOperator:
         return np.linalg.solve(np.eye(n) + lam * self.mat, w - lam * self.shift)
 
 
+@dataclass
+class L1Resolvent:
+    """Resolvent of the subdifferential of kappa * l1: the shrink."""
+
+    kappa: float
+
+    def resolvent(self, gamma, u):
+        return soft_threshold(u, gamma * self.kappa)
+
+
 # ---------------------------------------------------------------------------
 # Resolvent oracles for the proximal-projection engine
 # ---------------------------------------------------------------------------
 
 class ExactResolventOracle:
     """Certificates built from a closed-form resolvent: z_tilde = J_lam(w),
-    v = (w - z_tilde)/lam, exact by construction."""
+    v = (w - z_tilde)/lam, exact by construction.  The operator needs only
+    ``resolvent(lam, w)``, the protocol ``run_dr`` takes as it is."""
 
     def __init__(self, operator):
         self.operator = operator
@@ -118,37 +129,6 @@ class PerturbedResolventOracle:
 
 
 # ---------------------------------------------------------------------------
-# Resolvent maps for the splitting layer
-# ---------------------------------------------------------------------------
-
-class IdentityResolvent:
-    """Resolvent of the zero operator: J = identity."""
-
-    def apply(self, gamma, u):
-        return np.asarray(u, dtype=float)
-
-
-@dataclass
-class L1Resolvent:
-    """Resolvent of the subdifferential of kappa * l1: the shrink."""
-
-    kappa: float
-
-    def apply(self, gamma, u):
-        return soft_threshold(u, gamma * self.kappa)
-
-
-class AffineResolvent:
-    """Resolvent of a monotone affine operator, by dense solve."""
-
-    def __init__(self, operator: AffineOperator):
-        self.operator = operator
-
-    def apply(self, gamma, u):
-        return self.operator.resolvent(gamma, u)
-
-
-# ---------------------------------------------------------------------------
 # B-procedures
 # ---------------------------------------------------------------------------
 
@@ -156,19 +136,20 @@ class _ExactBSession:
     exact = True
 
     def __init__(self, resolvent_map, r, b, gamma):
-        self._resolvent = resolvent_map
+        self._resolvent = resolvent_map.resolvent
         self._r = r
         self._b = b
         self._gamma = gamma
 
     def next(self):
-        s = self._resolvent.apply(self._gamma, self._r + self._gamma * self._b)
+        s = self._resolvent(self._gamma, self._r + self._gamma * self._b)
         b_l = self._b + (self._r - s) / self._gamma
         return s, b_l
 
 
 class ExactBProcedure:
-    """One-trial B-procedure wrapping a closed-form resolvent of B."""
+    """One-trial B-procedure wrapping a closed-form resolvent of B: any
+    object with ``resolvent(gamma, u)``, such as the operators above."""
 
     def __init__(self, resolvent_map):
         self.resolvent_map = resolvent_map

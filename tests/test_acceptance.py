@@ -14,9 +14,9 @@ import irsplit as ir
 import irsplit.bench as bench
 from irsplit.admm import ADMMParams, Criterion, run_admm
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, dr_acceptance, run_dr
-from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
-                               ExactBProcedure, ExactResolventOracle,
-                               L1Resolvent, PerturbedResolventOracle,
+from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
+                               ExactResolventOracle, L1Resolvent,
+                               PerturbedResolventOracle,
                                ScaledIdentityOperator)
 from irsplit.subsolvers import soft_threshold
 
@@ -73,7 +73,7 @@ def test_criterion_2_classical_reduction():
     n, nu = 10, 0.5
     c0 = 2.0 * rng.standard_normal(n)
     res_a = L1Resolvent(nu)
-    res_b = AffineResolvent(AffineOperator(np.eye(n), -c0))
+    res_b = AffineOperator(np.eye(n), -c0)
     init = SplitTriple(rng.standard_normal(n), rng.standard_normal(n),
                        rng.standard_normal(n))
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
@@ -198,7 +198,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     x_star = soft_threshold(c0, nu)
     z_star_dr = x_star + (x_star - c0)  # gamma = 1
     res_a = L1Resolvent(nu)
-    res_b = AffineResolvent(AffineOperator(np.eye(n), -c0))
+    res_b = AffineOperator(np.eye(n), -c0)
     init = SplitTriple(rng.standard_normal(n), rng.standard_normal(n),
                        rng.standard_normal(n))
     dtrace = Collector()

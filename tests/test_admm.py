@@ -47,7 +47,7 @@ class QuadFResolvent:
         self.gram = a.T @ a
         self.atb = a.T @ b
 
-    def apply(self, gamma, u):
+    def resolvent(self, gamma, u):
         n = self.gram.shape[0]
         return np.linalg.solve(np.eye(n) + gamma * self.gram,
                                u + gamma * self.atb)
@@ -294,7 +294,7 @@ def test_adapter_exact_step_is_resolvent_of_grad_f():
     gamma = 0.8
     session = adapter.open_session(r, bb, gamma, np.zeros(5), bb)
     s, b_l = session.next()
-    expected = QuadFResolvent(a, b).apply(gamma, r + gamma * bb)
+    expected = QuadFResolvent(a, b).resolvent(gamma, r + gamma * bb)
     assert np.linalg.norm(s - expected) <= 1e-10
     # the adapted pair solves the half-step equation
     assert np.linalg.norm(s + gamma * b_l - (r + gamma * bb)) <= 1e-10
@@ -1140,7 +1140,7 @@ class BiasFreeL1Resolvent:
     def __init__(self, nu):
         self.nu = nu
 
-    def apply(self, gamma, u):
+    def resolvent(self, gamma, u):
         r = soft_threshold(u, gamma * self.nu)
         r[0] = u[0]
         return r

@@ -7,9 +7,8 @@ import irsplit as ir
 from irsplit.dr import (DRParams, SplitTriple, a_step, classical_dr_step,
                         dr_acceptance, dr_update, embed_to_hpp, run_dr, theta)
 from irsplit.errors import ParameterError, ZeroVectorError
-from irsplit.operators import (AffineOperator, AffineResolvent, CGBProcedure,
-                               ExactBProcedure, ExactResolventOracle,
-                               IdentityResolvent, L1Resolvent,
+from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
+                               ExactResolventOracle, L1Resolvent,
                                ScaledIdentityOperator)
 from irsplit.subsolvers import soft_threshold
 
@@ -21,11 +20,10 @@ def quad_l1_setup(n=10, seed=1, nu=0.5):
     rng = np.random.default_rng(seed)
     c0 = 2.0 * rng.standard_normal(n)
     res_a = L1Resolvent(nu)
-    b_op = AffineOperator(np.eye(n), -c0)
-    res_b = AffineResolvent(b_op)
+    res_b = AffineOperator(np.eye(n), -c0)
     x_star = soft_threshold(c0, nu)
     b_star = x_star - c0
-    return c0, res_a, b_op, res_b, x_star, b_star
+    return c0, res_a, res_b, x_star, b_star
 
 
 def random_triple(rng, n):
@@ -65,7 +63,7 @@ def split_triples(ev):
 def test_a_step_zero_operator():
     rng = np.random.default_rng(2)
     s, b = rng.standard_normal(5), rng.standard_normal(5)
-    r, a = a_step(s, b, 0.7, IdentityResolvent())
+    r, a = a_step(s, b, 0.7, ScaledIdentityOperator(0.0))
     assert np.allclose(r, s - 0.7 * b, atol=0)
     assert np.linalg.norm(a) <= 1e-14
 
@@ -84,7 +82,7 @@ def test_a_step_quadratic_matches_dense_solve():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((6, 6))
     q_mat = m @ m.T + np.eye(6)
-    res = AffineResolvent(AffineOperator(q_mat))
+    res = AffineOperator(q_mat)
     s, b = rng.standard_normal(6), rng.standard_normal(6)
     gamma = 0.6
     r, a = a_step(s, b, gamma, res)
@@ -117,7 +115,7 @@ def test_acceptance_matches_engine_verdict_under_embedding():
 
 
 def test_theta_exact_solve_is_one():
-    _, res_a, _, res_b, _, _ = quad_l1_setup()
+    _, res_a, res_b, _, _ = quad_l1_setup()
     rng = np.random.default_rng(4)
     hat = random_triple(rng, 10)
     st = first_step(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
@@ -180,7 +178,7 @@ def test_update_projection_identity():
 # ---------------------------------------------------------------------------
 
 def test_inner_solve_exact_takes_one_trial():
-    _, res_a, _, res_b, _, _ = quad_l1_setup()
+    _, res_a, res_b, _, _ = quad_l1_setup()
     hat = random_triple(np.random.default_rng(8), 10)
     st = first_step(hat, DRParams(1.0, ir.InertiaRelaxParams.plain()),
                     ExactBProcedure(res_b), res_a)
@@ -220,7 +218,7 @@ def test_inner_solve_sigma_zero_iterative_exhausts_budget():
 # ---------------------------------------------------------------------------
 
 def test_run_matches_classical_recursion():
-    _, res_a, _, res_b, _, _ = quad_l1_setup(n=10, seed=1)
+    _, res_a, res_b, _, _ = quad_l1_setup(n=10, seed=1)
     rng = np.random.default_rng(11)
     init = random_triple(rng, 10)
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
@@ -237,8 +235,38 @@ def test_run_matches_classical_recursion():
     assert worst <= 1e-10
 
 
+@pytest.mark.parametrize("zero_side", ["a", "b"])
+def test_one_operator_drives_the_engine_and_the_splitting(zero_side):
+    """With the zero operator on one side, the classical recursion is
+    z_next = J_T(z), the proximal point method on the operator T on the
+    other.  So one ``AffineOperator`` object, given as it is to
+    ``run_dr`` (as the A-resolvent, or through ``ExactBProcedure``) and to
+    ``run_hpp`` (through ``ExactResolventOracle``), makes exact plain runs
+    of both layers pass through the same points."""
+    rng = np.random.default_rng(16)
+    m = rng.standard_normal((10, 10))
+    op = AffineOperator(m - m.T + 0.1 * np.eye(10), rng.standard_normal(10))
+    zero = ScaledIdentityOperator(0.0)
+    res_a, res_b = (zero, op) if zero_side == "a" else (op, zero)
+    init = random_triple(rng, 10)
+    core = ir.InertiaRelaxParams.plain(sigma=0.0)
+    dr_events, hpp_events = Collector(), Collector()
+    run_to_budget(init, DRParams(1.0, core), ExactBProcedure(res_b), res_a,
+                  max_outer=50, observer=dr_events)
+    res = ir.run_hpp(init.r + init.b, ExactResolventOracle(op), core,
+                     max_iters=50, observer=hpp_events)
+    assert res.status == "budget_exceeded"
+    assert len(dr_events) == len(hpp_events) == 50
+    z = init.r + init.b
+    for d_step, h_step in zip(dr_events, hpp_events):
+        z = classical_dr_step(z, 1.0, res_a, res_b)
+        assert np.max(np.abs(z - (d_step.z - d_step.p))) <= 1e-10
+        assert np.max(np.abs(h_step.z - (d_step.z - d_step.p))) <= 1e-10
+    assert np.linalg.norm(z - init.r - init.b) > 1.0  # the runs moved
+
+
 def test_run_stationary_init_stops_immediately():
-    _, res_a, _, res_b, x_star, b_star = quad_l1_setup(n=6, seed=2)
+    _, res_a, res_b, x_star, b_star = quad_l1_setup(n=6, seed=2)
     init = SplitTriple(x_star, b_star, x_star)
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
     res = run_dr(init, params, ExactBProcedure(res_b), res_a, max_outer=10)
@@ -248,7 +276,7 @@ def test_run_stationary_init_stops_immediately():
 
 
 def test_run_inertial_relaxed_converges_and_embeds(inertial_core):
-    _, res_a, _, res_b, x_star, b_star = quad_l1_setup(n=10, seed=1)
+    _, res_a, res_b, x_star, b_star = quad_l1_setup(n=10, seed=1)
     params = DRParams(1.0, inertial_core)
     rng = np.random.default_rng(12)
     init = random_triple(rng, 10)
@@ -282,17 +310,17 @@ def test_budgets_and_tolerances_checked_at_entry(driver, option, value):
                 1.0)), params, **{option: value})
         else:
             run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(1.0, params),
-                   ExactBProcedure(IdentityResolvent()), L1Resolvent(0.1),
-                   **{option: value})
+                   ExactBProcedure(ScaledIdentityOperator(0.0)),
+                   L1Resolvent(0.1), **{option: value})
 
 
 def test_embedding_reproduces_engine_equations():
-    _, res_a, _, res_b, _, _ = quad_l1_setup(n=8, seed=3)
+    _, res_a, res_b, _, _ = quad_l1_setup(n=8, seed=3)
     rng = np.random.default_rng(13)
     q_mat = np.eye(8)  # B(x) = x - c0 has unit quadratic part
     core = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
     params = DRParams(1.0, core)
-    c0, res_a, _, res_b, _, _ = quad_l1_setup(n=8, seed=3)
+    c0, res_a, res_b, _, _ = quad_l1_setup(n=8, seed=3)
     bproc = CGBProcedure(q_mat, -c0)
     init = random_triple(rng, 8)
     # the epsilon stop ends the run before the machine-precision floor,
@@ -320,7 +348,7 @@ def test_embedding_reproduces_engine_equations():
 
 
 def test_embedding_exact_case_has_unit_tau():
-    _, res_a, _, res_b, _, _ = quad_l1_setup(n=5, seed=4)
+    _, res_a, res_b, _, _ = quad_l1_setup(n=5, seed=4)
     rng = np.random.default_rng(14)
     init = random_triple(rng, 5)
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
@@ -340,25 +368,37 @@ def test_embedding_exact_case_has_unit_tau():
 
 def test_classical_step_zero_operators_is_identity():
     z = np.array([1.0, -2.0, 3.0])
-    out = classical_dr_step(z, 1.0, IdentityResolvent(), IdentityResolvent())
+    zero = ScaledIdentityOperator(0.0)
+    out = classical_dr_step(z, 1.0, zero, zero)
     assert np.array_equal(out, z)
 
 
+@pytest.mark.parametrize("gamma", [0.7, 1.0])
+def test_zero_operator_resolvent_is_the_identity_bit_for_bit(gamma):
+    """The zero operator's resolvent returns its argument bit for bit,
+    signed zeros, a subnormal and infinities included: w / (1 + gamma * 0)
+    is w.  gamma 0.7 and 1 are those of the zero-operator runs above."""
+    u = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, -2.5])
+    out = ScaledIdentityOperator(0.0).resolvent(gamma, u)
+    assert np.array_equal(out.view(np.uint64), u.view(np.uint64))
+
+
 def test_classical_fixed_point_solves_inclusion():
-    _, res_a, b_op, res_b, x_star, _ = quad_l1_setup(n=7, seed=5, nu=0.4)
+    _, res_a, res_b, x_star, _ = quad_l1_setup(n=7, seed=5, nu=0.4)
     z = np.zeros(7)
     for _ in range(3000):
         z = classical_dr_step(z, 1.0, res_a, res_b)
-    x = res_b.apply(1.0, z)
+    x = res_b.resolvent(1.0, z)
     assert np.linalg.norm(x - x_star) <= 1e-9
 
 
 def test_resolvent_nonexpansiveness():
     rng = np.random.default_rng(15)
     m = rng.standard_normal((5, 5))
-    maps = [L1Resolvent(0.7), AffineResolvent(AffineOperator(m @ m.T))]
+    maps = [L1Resolvent(0.7), AffineOperator(m @ m.T)]
     for res in maps:
         for _ in range(50):
             u, up = rng.standard_normal(5), rng.standard_normal(5)
-            lhs = np.linalg.norm(res.apply(0.8, u) - res.apply(0.8, up))
+            lhs = np.linalg.norm(res.resolvent(0.8, u)
+                                 - res.resolvent(0.8, up))
             assert lhs <= np.linalg.norm(u - up) * (1.0 + 1e-12)
