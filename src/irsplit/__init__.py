@@ -17,14 +17,14 @@ from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
 from .dr import (DRParams, DRResult, SplitTriple, a_step, classical_dr_step,
                  dr_acceptance, dr_update, embed_to_dr, embed_to_hpp, run_dr,
                  theta)
-from .subsolvers import (CGSession, CompositeProblem, FistaConfig,
-                         LBFGSFProcedure, LBFGSSession, QuadraticFProcedure,
-                         fista_solve, soft_threshold)
+from .subsolvers import (CGSession, FistaConfig, LBFGSFProcedure,
+                         LBFGSSession, QuadraticFProcedure, fista_solve,
+                         soft_threshold)
 from .problems import (DesignMatrix, LassoProblem, LogisticProblem,
-                       l1_kkt_dist_inf, lasso_admm_problem, lasso_composite,
-                       load_dense_csv, load_libsvm, logistic_admm_problem,
-                       logistic_composite, reference_minimizer,
-                       synthetic_lasso, synthetic_logistic)
+                       l1_kkt_dist_inf, lasso_admm_problem, load_dense_csv,
+                       load_libsvm, logistic_admm_problem,
+                       reference_minimizer, synthetic_lasso,
+                       synthetic_logistic)
 from .records import RunRecord
 
 __version__ = "0.1.0"

@@ -174,7 +174,7 @@ def _floats(*arrays) -> list:
 def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,
                      alpha_k: float) -> PrimalDualTriple:
     """Componentwise inertial extrapolation of the triple."""
-    if alpha_k < 0.0:
+    if not alpha_k >= 0.0:
         raise ParameterError("alpha_k must be nonnegative")
     if cur.x.shape != prev.x.shape:
         raise ValueError("dimension mismatch between current and previous triples")

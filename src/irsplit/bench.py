@@ -43,6 +43,19 @@ SOLVERS = ("admm_inertial", "admm_plain", "fista")
 CSV_COLUMNS = ("problem", "solver", "outer", "inner", "seconds", "kkt",
                "objective", "status")
 
+# the problem keys that _build_problem reads for each kind, and the options
+# that admm_params_for or _solve reads for any solver (one options dict may
+# serve every solver, as with the command line's --solver)
+_PROBLEM_KEYS = {
+    "synthetic_lasso": {"kind", "m", "n", "density", "noise", "nu_fraction",
+                        "seed"},
+    "synthetic_logistic": {"kind", "q", "n", "nu_fraction", "seed"},
+    "lasso_csv": {"kind", "a", "b", "nu", "skip_header"},
+    "logistic_libsvm": {"kind", "path", "nu"},
+}
+_OPTION_KEYS = {"sigma", "c", "epsilon", "criterion", "max_outer",
+               "inner_budget", "alpha", "beta", "rho_bar", "lipschitz0", "eta"}
+
 
 @dataclass
 class RunConfig:
@@ -56,12 +69,21 @@ class RunConfig:
     name: Optional[str] = None
 
     def validate(self):
+        """Reject an unknown solver or problem kind, a problem key its kind
+        does not read, an option no solver reads, or no repetitions."""
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         kind = self.problem.get("kind")
-        if kind not in ("synthetic_lasso", "synthetic_logistic",
-                        "lasso_csv", "logistic_libsvm"):
+        if kind not in _PROBLEM_KEYS:
             raise ValueError(f"unknown problem kind {kind!r}")
+        unread = self.problem.keys() - _PROBLEM_KEYS[kind]
+        if unread:
+            raise ValueError(f"problem kind {kind!r} reads no key "
+                             f"{', '.join(sorted(unread))}")
+        unread = self.options.keys() - _OPTION_KEYS
+        if unread:
+            raise ValueError(f"no solver reads option "
+                             f"{', '.join(sorted(unread))}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
 
@@ -152,11 +174,7 @@ def _solve(cfg: RunConfig, prob) -> RunRecord:
             eta=float(cfg.options.get("eta", 2.0)),
             tol=float(cfg.options.get("epsilon", 1e-6)),
             max_iters=int(cfg.options.get("max_outer", 200_000)))
-        if isinstance(prob, _problems.LassoProblem):
-            composite = _problems.lasso_composite(prob)
-        else:
-            composite = _problems.logistic_composite(prob)
-        return fista_solve(composite, config, n=prob.n).record
+        return fista_solve(prob, config).record
     params = admm_params_for(cfg.solver, cfg.options)
     if isinstance(prob, _problems.LassoProblem):
         admm_prob = _problems.lasso_admm_problem(prob, params.c)

@@ -40,6 +40,9 @@ def _load_config(path) -> bench.RunConfig:
         if parser.has_section("solver") else {}
     run_items = {k: _coerce(v) for k, v in parser.items("run")} \
         if parser.has_section("run") else {}
+    unread = run_items.keys() - {"seed", "repetitions", "name"}
+    if unread:
+        raise ValueError(f"[run] reads no key {', '.join(sorted(unread))}")
     solver = solver_items.pop("name", "admm_inertial")
     return bench.RunConfig(
         problem=problem,

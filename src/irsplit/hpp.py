@@ -259,7 +259,7 @@ def extrapolate(z_cur: np.ndarray, z_prev: np.ndarray, alpha_k: float) -> np.nda
     z_cur = np.asarray(z_cur, dtype=float)
     z_prev = np.asarray(z_prev, dtype=float)
     _same_shape(z_cur, z_prev)
-    if alpha_k < 0.0:
+    if not alpha_k >= 0.0:
         raise ParameterError("alpha_k must be nonnegative")
     return _extrapolate(z_cur, z_prev, alpha_k)
 
@@ -268,7 +268,9 @@ def _error_sides(w: np.ndarray, cert: ProxCertificate, sigma: float):
     """Both sides of the relative-error test, ||lam v + z_tilde - w||^2 and
     sigma^2 (||z_tilde - w||^2 + ||lam v||^2).  The left side is evaluated
     as lam*v - (w - z_tilde) so that an exactly constructed pair cancels
-    cleanly."""
+    cleanly.  ``w`` and the certificate's point must share one shape, else
+    ``ValueError``."""
+    _same_shape(w, cert.z_tilde)
     lv = cert.lam * cert.v
     resid = lv - (w - cert.z_tilde)
     dz = cert.z_tilde - w
@@ -281,7 +283,6 @@ def error_criterion_holds(w: np.ndarray, cert: ProxCertificate, sigma: float) ->
     True iff ||lam v + z_tilde - w||^2 <= sigma^2 (||z_tilde - w||^2
     + ||lam v||^2).
     """
-    _same_shape(w, cert.z_tilde)
     lhs, rhs = _error_sides(w, cert, sigma)
     return lhs <= rhs
 
@@ -302,6 +303,7 @@ def gauss_bounds_hold(w: np.ndarray, cert: ProxCertificate, sigma: float) -> boo
     both coefficients equal 1 and the bound collapses to equality.  Allows a
     1e-12 relative round-off slack.
     """
+    _same_shape(w, cert.z_tilde)
     u = sigma * sigma
     root = math.sqrt(u * (2.0 - u))  # = sqrt(1 - (1 - sigma^2)^2)
     lo = (1.0 - u) / (1.0 + root)

@@ -40,7 +40,7 @@ class ScaledIdentityOperator:
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ParameterError("mu >= 0 violated")
 
     def evaluate(self, z):

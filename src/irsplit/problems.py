@@ -2,9 +2,10 @@
 
 Provides the design-matrix abstraction (dense or CSR, matrix-free
 transpose products), KKT residuals in the sup-norm, subproblem-engine
-builders for the ADMM layer, composite views for the proximal-gradient
-baseline, synthetic instance generators, and dataset ingestion (LIBSVM
-text and dense CSV).
+builders for the ADMM layer, synthetic instance generators, and dataset
+ingestion (LIBSVM text and dense CSV).  Both problem classes have the
+members the proximal-gradient baseline reads (see
+:func:`irsplit.subsolvers.fista_solve`), so they go to it as they are.
 
 The logistic variable is packed as x = (bias, weights) with the bias at
 index 0; the bias is never regularized.
@@ -25,9 +26,8 @@ from scipy.special import expit
 from .admm import AdmmProblem
 from .errors import ParseError
 from .hpp import _finite
-from .subsolvers import (CompositeProblem, FistaConfig, LBFGSFProcedure,
-                         QuadraticFProcedure, _shrink, fista_solve,
-                         soft_threshold)
+from .subsolvers import (FistaConfig, LBFGSFProcedure, QuadraticFProcedure,
+                         _shrink, fista_solve)
 
 __all__ = [
     "DesignMatrix",
@@ -37,8 +37,6 @@ __all__ = [
     "L1ShiftedProx",
     "lasso_admm_problem",
     "logistic_admm_problem",
-    "lasso_composite",
-    "logistic_composite",
     "reference_minimizer",
     "synthetic_lasso",
     "synthetic_logistic",
@@ -234,15 +232,21 @@ class LassoProblem:
     def n(self) -> int:
         return self._A.shape[1]
 
+    def value_gradient(self, x) -> tuple[float, np.ndarray]:
+        """Smooth part and its gradient, from one residual A x - b."""
+        r = self._A.apply(x) - self._b
+        return 0.5 * float(r @ r), self._A.apply_transpose(r)
+
     def f_value(self, x) -> float:
         r = self._A.apply(x) - self._b
         return 0.5 * float(r @ r)
 
-    def f_gradient(self, x) -> np.ndarray:
-        return self._A.apply_transpose(self._A.apply(x) - self._b)
-
     def objective(self, x) -> float:
         return self.f_value(x) + self._nu * float(np.abs(x).sum())
+
+    def prox(self, t, step: float) -> np.ndarray:
+        """The prox of step * nu ||.||_1 at t: the shrink, a fresh array."""
+        return _shrink(t, step * self._nu)
 
     def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """Sup-norm l1 KKT residual at x.
@@ -274,12 +278,12 @@ class LassoProblem:
                          + 4.0 * _U * (abs(g) + abs(r)))
             if lower > floor:
                 return lower
-        r = _l1_components(self.f_gradient(x), x, self._nu)
+        A, b = self._A, self._b
+        r = _l1_components(A.apply_transpose(A.apply(x) - b), x, self._nu)
         value = float(max(r.max(), 0.0))
         if value > floor:
             j = int(r.argmax())
             if screen is None or screen.j != j:
-                A, b = self._A, self._b
                 col = A.column(j)
                 k = 4.0 * (sum(A.shape) + 2) * _U * math.sqrt(col @ col)
                 self._screen = _Screen(j, A.apply_transpose(col),
@@ -336,10 +340,19 @@ class LogisticProblem:
         u = self._neg_margins(x)
         return float(np.logaddexp(0.0, u).sum()), self._gradient(x, u)
 
+    def f_value(self, x) -> float:
+        """The smooth part alone, by :meth:`value_gradient`'s operations."""
+        return float(np.logaddexp(0.0, self._neg_margins(x)).sum())
+
     def objective(self, x) -> float:
-        """The value alone, by :meth:`value_gradient`'s operations."""
-        value = float(np.logaddexp(0.0, self._neg_margins(x)).sum())
-        return value + self._nu * float(np.abs(x[1:]).sum())
+        return self.f_value(x) + self._nu * float(np.abs(x[1:]).sum())
+
+    def prox(self, t, step: float) -> np.ndarray:
+        """The prox of step * nu ||w||_1 at t = (bias, weights), a fresh
+        array: the weights are shrunk and the bias is kept."""
+        z = _shrink(t, step * self._nu)
+        z[0] = t[0]
+        return z
 
     def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """The l1 KKT residual, from the gradient alone; the bias, which is
@@ -437,44 +450,10 @@ def logistic_admm_problem(prob: LogisticProblem, c: float) -> AdmmProblem:
                        prob.kkt_dist_inf, prob.objective, prob.n)
 
 
-def lasso_composite(prob: LassoProblem) -> CompositeProblem:
-    def value_grad(x):
-        r = prob.A.apply(x) - prob.b
-        return 0.5 * float(r @ r), prob.A.apply_transpose(r)
-
-    return CompositeProblem(
-        value_grad=value_grad,
-        prox=lambda t, step: soft_threshold(t, step * prob.nu),
-        g_value=lambda x: prob.nu * float(np.abs(x).sum()),
-        kkt_residual=prob.kkt_dist_inf,
-    )
-
-
-def logistic_composite(prob: LogisticProblem) -> CompositeProblem:
-    def prox(t, step):
-        z = soft_threshold(t, step * prob.nu)
-        z[0] = t[0]
-        return z
-
-    return CompositeProblem(
-        value_grad=prob.value_gradient,
-        prox=prox,
-        g_value=lambda x: prob.nu * float(np.abs(x[1:]).sum()),
-        kkt_residual=prob.kkt_dist_inf,
-    )
-
-
 def reference_minimizer(prob, tol: float = 1e-10) -> np.ndarray:
-    """High-accuracy minimizer via the proximal-gradient baseline, within
-    500,000 iterations."""
-    if isinstance(prob, LassoProblem):
-        composite = lasso_composite(prob)
-    elif isinstance(prob, LogisticProblem):
-        composite = logistic_composite(prob)
-    else:
-        raise TypeError(f"unsupported problem type {type(prob)!r}")
-    result = fista_solve(composite, FistaConfig(tol=tol, max_iters=500_000),
-                         n=prob.n)
+    """High-accuracy minimizer of a LASSO or logistic problem via the
+    proximal-gradient baseline, within 500,000 iterations."""
+    result = fista_solve(prob, FistaConfig(tol=tol, max_iters=500_000))
     if result.status != "converged":
         raise RuntimeError(f"reference solve stalled at kkt = "
                            f"{result.record.final_kkt:.3e}")

@@ -28,7 +28,6 @@ __all__ = [
     "LBFGSFProcedure",
     "soft_threshold",
     "FistaConfig",
-    "CompositeProblem",
     "FistaResult",
     "fista_solve",
 ]
@@ -351,7 +350,7 @@ def _shrink(t: np.ndarray, kappa: float) -> np.ndarray:
 
 def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:
     """Componentwise shrink sign(t) max(|t| - kappa, 0), the prox of kappa*l1."""
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ParameterError("kappa >= 0 violated")
     return _shrink(np.asarray(t, dtype=float), kappa)
 
@@ -382,33 +381,28 @@ class FistaConfig:
 
 
 @dataclass
-class CompositeProblem:
-    """min F = f + g with smooth f (value and gradient) and proxable g.
-
-    ``kkt_residual(x, floor)`` follows the contract of
-    :class:`irsplit.admm.AdmmProblem`: a value above ``floor`` may be a
-    lower bound on the residual, and ``floor = inf`` gives the residual.
-    """
-
-    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    prox: Callable[[np.ndarray, float], np.ndarray]  # prox of step*g at point
-    g_value: Callable[[np.ndarray], float]
-    kkt_residual: Callable[[np.ndarray, float], float]
-
-    def objective(self, x: np.ndarray) -> float:
-        return float(self.value_grad(x)[0] + self.g_value(x))
-
-
-@dataclass
 class FistaResult:
     x: np.ndarray
     status: str
     record: RunRecord
 
 
-def fista_solve(problem: CompositeProblem, config: FistaConfig,
-                x0: Optional[np.ndarray] = None, n: Optional[int] = None) -> FistaResult:
-    """Monotone accelerated proximal gradient with Lipschitz backtracking.
+def fista_solve(problem, config: FistaConfig,
+                x0: Optional[np.ndarray] = None) -> FistaResult:
+    """Monotone accelerated proximal gradient with Lipschitz backtracking,
+    on min F = f + g with f smooth, from ``x0`` or the zero vector.
+
+    ``problem`` is any object with the six members that
+    :class:`irsplit.problems.LassoProblem` and ``LogisticProblem`` share:
+
+    - ``n``, the dimension, read when ``x0`` is not given;
+    - ``value_gradient(x)``, f and its gradient;
+    - ``f_value(x)``, f alone;
+    - ``objective(x)``, F;
+    - ``prox(t, step)``, the prox of ``step * g`` at t, a fresh array;
+    - ``kkt_dist_inf(x, floor)``, the KKT residual under the contract of
+      :class:`irsplit.admm.AdmmProblem`: a value above ``floor`` may be a
+      lower bound on the residual, and ``floor = inf`` gives the residual.
 
     The accepted point never increases the objective (the accelerated
     candidate is kept only when it improves), so the objective decreases
@@ -418,11 +412,7 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
     residuals at the start and in the record are exact.
     """
     config.validate()
-    if x0 is None:
-        if n is None:
-            raise ValueError("pass x0 or the dimension n")
-        x0 = np.zeros(n)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.zeros(problem.n) if x0 is None else np.array(x0, dtype=float)
     x_prev = x.copy()
     y = x.copy()
     t = 1.0
@@ -432,12 +422,12 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
     status = BUDGET_EXCEEDED
     outer = config.max_iters
     started = time.perf_counter()
-    if float(problem.kkt_residual(x, math.inf)) <= config.tol:
+    if float(problem.kkt_dist_inf(x, math.inf)) <= config.tol:
         status = CONVERGED
         outer = 0
     else:
         for k in range(1, config.max_iters + 1):
-            f_y, g_y = problem.value_grad(y)
+            f_y, g_y = problem.value_gradient(y)
             # round-off slack keeps the majorization test from failing
             # spuriously near the optimum, which would inflate lip forever
             slack = 1e-12 * (1.0 + abs(f_y))
@@ -445,11 +435,11 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
                 z = problem.prox(y - g_y / lip, 1.0 / lip)
                 prox_evals += 1
                 dz = z - y
-                f_z = problem.value_grad(z)[0]
+                f_z = problem.f_value(z)
                 if f_z <= f_y + g_y @ dz + 0.5 * lip * (dz @ dz) + slack:
                     break
                 lip *= config.eta
-            obj_z = f_z + problem.g_value(z)
+            obj_z = problem.objective(z)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             x_prev = x
             if obj_z <= obj_x:
@@ -457,7 +447,7 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
                 obj_x = obj_z
             # stopping looks at the fresh prox candidate: the guarded
             # iterate can sit still while the candidate keeps improving
-            if float(problem.kkt_residual(z, config.tol)) <= config.tol:
+            if float(problem.kkt_dist_inf(z, config.tol)) <= config.tol:
                 x = z
                 status = CONVERGED
                 outer = k
@@ -468,7 +458,7 @@ def fista_solve(problem: CompositeProblem, config: FistaConfig,
             t = t_next
     wall = time.perf_counter() - started
     record = RunRecord(outer, prox_evals, wall,
-                       float(problem.kkt_residual(x, math.inf)),
+                       float(problem.kkt_dist_inf(x, math.inf)),
                        problem.objective(x),
                        status)
     return FistaResult(x, status, record)

@@ -219,7 +219,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     params = ADMMParams(c=c, core=inertial_core, epsilon=1e-6, max_outer=5000)
     atrace = Collector()
     run_admm(ir.lasso_admm_problem(lasso_20x50, c), params, observer=atrace)
-    grad_ref = lasso_20x50.f_gradient(lasso_20x50_reference)
+    grad_ref = lasso_20x50.value_gradient(lasso_20x50_reference)[1]
     z_star_admm = lasso_20x50_reference + grad_ref / c
     runs.append(("admm lasso inertial", engine_steps(atrace, 1.0 / c),
                  np.zeros(lasso_20x50.n), z_star_admm, inertial_core))
@@ -347,7 +347,8 @@ def test_criterion_7_oracle_suite():
         x = rng.standard_normal(8)
         h = 1e-6 * (1.0 + np.max(np.abs(x)))
         fd = central(lasso.f_value, x, h)
-        if np.linalg.norm(lasso.f_gradient(x) - fd) / (1 + np.linalg.norm(fd)) > 1e-6:
+        g = lasso.value_gradient(x)[1]
+        if np.linalg.norm(g - fd) / (1 + np.linalg.norm(fd)) > 1e-6:
             failures.append("lasso gradient fd")
             break
     for _ in range(20):
@@ -372,7 +373,7 @@ def test_criterion_7_oracle_suite():
     for _ in range(5):
         x = rng.standard_normal(8)
         x[rng.random(8) < 0.4] = 0.0
-        grad = lasso.f_gradient(x)
+        grad = lasso.value_gradient(x)[1]
         worst = 0.0
         for i in range(8):
             if x[i] != 0.0:
@@ -409,8 +410,7 @@ def test_criterion_8_cross_solver_agreement():
     started = time.perf_counter()
     gaps = []
     lasso = ir.synthetic_lasso(40, 80, seed=2)
-    fres = ir.fista_solve(ir.lasso_composite(lasso),
-                          ir.FistaConfig(tol=1e-8), n=lasso.n)
+    fres = ir.fista_solve(lasso, ir.FistaConfig(tol=1e-8))
     core = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
     ares = run_admm(ir.lasso_admm_problem(lasso, 1.0),
                     ADMMParams(c=1.0, core=core, epsilon=1e-8,
@@ -418,8 +418,7 @@ def test_criterion_8_cross_solver_agreement():
     gaps.append(abs(fres.record.final_objective - ares.record.final_objective))
 
     logistic = ir.synthetic_logistic(30, 16, seed=2)
-    fres_l = ir.fista_solve(ir.logistic_composite(logistic),
-                            ir.FistaConfig(tol=1e-8), n=logistic.n)
+    fres_l = ir.fista_solve(logistic, ir.FistaConfig(tol=1e-8))
     core_l = ir.InertiaRelaxParams(0.1, 0.1001, 0.99, 1.7606, 1.7606)
     ares_l = run_admm(ir.logistic_admm_problem(logistic, 1.0),
                       ADMMParams(c=1.0, core=core_l, epsilon=1e-8,

@@ -171,6 +171,18 @@ def test_cli_exit_code_on_failure(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("section, key", [
+    ("problem", "densty"), ("solver", "epsilom"), ("run", "repetition")])
+def test_misspelled_config_key_raises(tmp_path, section, key):
+    """A key that nothing reads, such as a misspelled one, raises
+    ``ValueError`` naming it instead of being ignored."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG_TEXT.replace(f"[{section}]\n",
+                                       f"[{section}]\n{key} = 1\n"))
+    with pytest.raises(ValueError, match=key):
+        bench.run_one(cli._load_config(ini))
+
+
 STALLING_TEXT = """\
 [problem]
 kind = synthetic_lasso

@@ -1,11 +1,13 @@
 """Proximal-projection engine: elementary steps, runs, descent diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
-from irsplit.errors import ZeroVectorError
+from irsplit.errors import ParameterError, ZeroVectorError
 from irsplit.hpp import _s_bound, error_ratio, rho_bar_of_beta
 from irsplit.operators import (AffineOperator, ExactResolventOracle,
                                PerturbedResolventOracle,
@@ -43,8 +45,30 @@ def test_extrapolate_arithmetic():
 
 
 def test_extrapolate_dimension_mismatch():
+    """Two points of different shapes raise rather than broadcast, in the
+    extrapolation and in every test or projection of a certificate."""
     with pytest.raises(ValueError, match="dimension"):
         ir.extrapolate(np.zeros(2), np.zeros(3), 0.1)
+    cert = ir.ProxCertificate(np.array([0.5]), np.array([0.25]), 1.0)
+    for step in (ir.error_criterion_holds, error_ratio, ir.gauss_bounds_hold):
+        with pytest.raises(ValueError, match="dimension"):
+            step(np.ones(3), cert, 0.5)
+    with pytest.raises(ValueError, match="dimension"):
+        ir.relaxed_projection(np.ones(3), cert, 1.0)
+
+
+@pytest.mark.parametrize("weight", [-0.1, math.nan])
+def test_negative_or_nan_weight_raises(weight):
+    """A negative or NaN inertial weight, or scale of the identity, is
+    rejected at entry instead of spreading NaN through the result."""
+    z = np.zeros(2)
+    triple = ir.PrimalDualTriple(z, z, z)
+    with pytest.raises(ParameterError, match="alpha_k"):
+        ir.extrapolate(z, z, weight)
+    with pytest.raises(ParameterError, match="alpha_k"):
+        ir.admm_extrapolate(triple, triple, weight)
+    with pytest.raises(ParameterError, match="mu"):
+        ScaledIdentityOperator(weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Subproblem engines: CG and L-BFGS sessions, shrink, proximal-gradient."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,8 +454,9 @@ def test_soft_threshold_closed_forms():
     out = soft_threshold(t, 1.0)
     assert out[0] == pytest.approx(2.0)
     assert out[1] == 0.0 and out[2] == 0.0
-    with pytest.raises(ParameterError):
-        soft_threshold(t, -0.1)
+    for kappa in (-0.1, math.nan):
+        with pytest.raises(ParameterError):
+            soft_threshold(t, kappa)
 
 
 def test_soft_threshold_grid_oracle():
@@ -494,14 +497,41 @@ def test_sessions_never_modify_emitted_arrays():
 # proximal-gradient baseline
 # ---------------------------------------------------------------------------
 
+class IdentityLasso:
+    """min (1/2)||x - b||^2 + nu ||x||_1 with only the six members that
+    ``fista_solve`` reads."""
+
+    def __init__(self, b, nu):
+        self.b, self.nu, self.n = b, nu, b.size
+
+    def value_gradient(self, x):
+        r = x - self.b
+        return 0.5 * float(r @ r), r
+
+    def f_value(self, x):
+        return self.value_gradient(x)[0]
+
+    def objective(self, x):
+        return self.f_value(x) + self.nu * float(np.abs(x).sum())
+
+    def prox(self, t, step):
+        return soft_threshold(t, step * self.nu)
+
+    def kkt_dist_inf(self, x, floor):
+        return ir.l1_kkt_dist_inf(x - self.b, x, self.nu)
+
+
 def test_fista_identity_design_reaches_shrink_solution():
+    """Over the identity design the minimizer is the shrink of b, reached
+    from a LASSO problem and from any object with the same six members."""
     rng = np.random.default_rng(38)
     b = rng.standard_normal(6)
-    prob = ir.LassoProblem(ir.DesignMatrix(np.eye(6)), b, 0.4)
-    res = fista_solve(ir.lasso_composite(prob), FistaConfig(tol=1e-10), n=6)
-    assert res.status == "converged"
-    assert res.record.outer_iters <= 50
-    assert np.linalg.norm(res.x - soft_threshold(b, 0.4)) <= 1e-8
+    for prob in (ir.LassoProblem(ir.DesignMatrix(np.eye(6)), b, 0.4),
+                 IdentityLasso(b, 0.4)):
+        res = fista_solve(prob, FistaConfig(tol=1e-10))
+        assert res.status == "converged"
+        assert res.record.outer_iters <= 50
+        assert np.linalg.norm(res.x - soft_threshold(b, 0.4)) <= 1e-8
 
 
 @pytest.mark.parametrize("field, value", [
@@ -512,12 +542,11 @@ def test_fista_rejects_a_bad_budget_or_tolerance_at_entry(lasso_20x50, field,
     ``ParameterError`` before any iteration, as in the other drivers."""
     config = FistaConfig(**{"max_iters": 50, field: value})
     with pytest.raises(ParameterError, match=field):
-        fista_solve(ir.lasso_composite(lasso_20x50), config, n=lasso_20x50.n)
+        fista_solve(lasso_20x50, config)
 
 
 def test_fista_agrees_with_admm(lasso_20x50, inertial_core):
-    comp = ir.lasso_composite(lasso_20x50)
-    fres = fista_solve(comp, FistaConfig(tol=1e-8), n=lasso_20x50.n)
+    fres = fista_solve(lasso_20x50, FistaConfig(tol=1e-8))
     assert fres.status == "converged"
     params = ir.ADMMParams(c=1.0, core=inertial_core, epsilon=1e-8,
                            max_outer=20000)
@@ -528,11 +557,9 @@ def test_fista_agrees_with_admm(lasso_20x50, inertial_core):
 
 
 def test_fista_objective_monotone_along_kept_iterates(lasso_20x50):
-    comp = ir.lasso_composite(lasso_20x50)
     objs = []
     for budget in range(1, 25):
-        res = fista_solve(comp, FistaConfig(tol=0.0, max_iters=budget),
-                          n=lasso_20x50.n)
-        objs.append(comp.objective(res.x))
+        res = fista_solve(lasso_20x50, FistaConfig(tol=0.0, max_iters=budget))
+        objs.append(lasso_20x50.objective(res.x))
     for prev, nxt in zip(objs, objs[1:]):
         assert nxt <= prev + 1e-12 * (1.0 + abs(prev))
