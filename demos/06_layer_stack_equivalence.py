@@ -10,7 +10,7 @@ equations with unit proximal stepsize.
 import numpy as np
 
 import irsplit as ir
-from irsplit.admm import ADMMParams, Criterion, FToBAdapter, run_admm
+from irsplit.admm import ADMMParams, Criterion, run_admm
 from irsplit.dr import DRParams, SplitTriple, run_dr
 from irsplit.operators import L1Resolvent
 from irsplit.subsolvers import QuadraticFProcedure
@@ -27,10 +27,10 @@ run_admm(ir.lasso_admm_problem(prob, c),
                     epsilon=0.0, max_outer=100),
          observer=admm_events.append)
 
-bproc = FToBAdapter(QuadraticFProcedure(prob.A, prob.b))
+fproc = QuadraticFProcedure(prob.A, prob.b)
 dr_events = []
 run_dr(SplitTriple(np.zeros(50), np.zeros(50), np.zeros(50)),
-       DRParams(gamma=1.0 / c, core=core), bproc, L1Resolvent(prob.nu),
+       DRParams(gamma=1.0 / c, core=core), fproc, L1Resolvent(prob.nu),
        max_outer=100, observer=dr_events.append)
 
 # the splitting triple of a splitting event is (s, b, r) = (x, -p, z)

@@ -11,9 +11,8 @@ from .hpp import (HPPResult, InertiaRelaxParams, ProxCertificate,
                   rho_bar_of_beta, run_hpp, smallest_positive_root,
                   validate_params)
 from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
-                   FToBAdapter, PrimalDualTriple, admm_acceptance,
-                   admm_extrapolate, multiplier_candidate, p_update, run_admm,
-                   theta_admm)
+                   PrimalDualTriple, admm_acceptance, admm_extrapolate,
+                   multiplier_candidate, p_update, run_admm, theta_admm)
 from .dr import (DRParams, DRResult, SplitTriple, a_step, classical_dr_step,
                  dr_acceptance, dr_update, embed_to_dr, embed_to_hpp, run_dr,
                  theta)

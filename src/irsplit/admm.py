@@ -6,9 +6,9 @@ subobjective); the g-subproblem is solved exactly through a shifted prox.
 Acceptance uses either the summed-squares test or the strictly stronger
 max-form test.  Under the change of variables ``(s, b, r) = (x, -p, z)``
 with scaling ``gamma = 1/c`` the recursion coincides with the inexact
-Douglas-Rachford layer applied to A = subdiff(g), B = subdiff(f); the
-F-procedure becomes a B-procedure through :class:`FToBAdapter`, and
-:func:`irsplit.dr.run_dr` drives the loop here under that change.
+Douglas-Rachford layer applied to A = subdiff(g), B = subdiff(f), and
+:func:`irsplit.dr.run_dr` drives the loop here, F-procedure included,
+under that change.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "admm_acceptance",
     "theta_admm",
     "p_update",
-    "FToBAdapter",
     "ADMMResult",
     "reset_procedure",
     "run_admm",
@@ -105,13 +104,17 @@ class FProcedure(Protocol):
     ``open_session(p, z, c, x_bar)`` starts a solve warm started at
     ``x_bar``; ``session.next()`` yields trial pairs ``(x_l, y_l)`` where
     ``y_l`` is a subgradient of the augmented subobjective at ``x_l`` and
-    y_l -> 0.  A session may expose ``exact = True``, asserting each trial
-    is an exact minimizer (emitted with y_l = 0).  Emitted arrays are float
-    arrays that belong to the session and are read-only for callers: a
-    session may emit its own state without a copy, and never modifies an
-    emitted array afterwards.  The loop likewise never writes into an
-    emitted array, nor into the triple it starts from; it updates in place
-    only arrays it has just allocated.
+    y_l -> 0.  An F-procedure for a monotone operator B in place of
+    subdiff(f) emits y_l in B(x_l) + p + c (x_l - z): this is the B
+    half-step s + gamma B(s) = r + gamma b of :func:`irsplit.dr.run_dr` in
+    the loop's variables (s, b, r) = (x, -p, z), gamma = 1/c.  A session
+    may expose ``exact = True``, asserting each trial is an exact minimizer
+    (emitted with y_l = 0).  Emitted arrays are float arrays that belong to
+    the session and are read-only for callers: a session may emit its own
+    state without a copy, and never modifies an emitted array afterwards.
+    The loop likewise never writes into an emitted array, nor into the
+    triple it starts from; it updates in place only arrays it has just
+    allocated.
 
     The sessions of one run may share state that steers the search, such as
     curvature memory, but never the certificate: each ``y_l`` is evaluated
@@ -125,8 +128,8 @@ class FProcedure(Protocol):
     current and previous accepted trials it extrapolated ``x_bar = x +
     alpha (x - x_prev)`` from, so the procedure can reuse work done at those
     points.  The procedure must check that it knows both points and fall
-    back to computing at ``x_bar`` otherwise; callers that pass no anchor,
-    such as a direct user of :class:`FToBAdapter`, get that fallback.
+    back to computing at ``x_bar`` otherwise; callers that pass no anchor
+    get that fallback.
     """
 
     def open_session(self, p: np.ndarray, z: np.ndarray, c: float,
@@ -286,40 +289,6 @@ def p_update(p_hat: np.ndarray, z_hat: np.ndarray, z_next: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# F-procedure -> B-procedure adapter
-# ---------------------------------------------------------------------------
-
-class _AdaptedSession:
-    def __init__(self, fsession, r, b, gamma):
-        self._fsession = fsession
-        self._r = r
-        self._b = b
-        self._gamma = gamma
-        self.exact = bool(getattr(fsession, "exact", False))
-
-    def next(self):
-        x, y = self._fsession.next()
-        b_l = y + (self._b - (x - self._r) / self._gamma)
-        return x, b_l
-
-
-class FToBAdapter:
-    """View an F-procedure for f as a B-procedure for B = subdiff(f).
-
-    B(r, b, gamma, s_bar, b_bar) = F(-b, r, 1/gamma, s_bar) + (0, b -
-    (F_1 - r)/gamma); the warm-start slope ``b_bar`` is accepted and
-    ignored.
-    """
-
-    def __init__(self, fproc: FProcedure):
-        self.fproc = fproc
-
-    def open_session(self, r, b, gamma, s_bar, b_bar):
-        fsession = self.fproc.open_session(-b, r, 1.0 / gamma, s_bar)
-        return _AdaptedSession(fsession, r, b, gamma)
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -341,7 +310,7 @@ class ADMMResult:
 def reset_procedure(procedure) -> None:
     """Clear the state a procedure's sessions share, if it has any.
 
-    Calls the optional ``reset()`` of an F- or B-procedure.  The loop
+    Calls the optional ``reset()`` of an F-procedure.  The loop
     calls it at run entry, so that a run starts from the same procedure
     state whatever ran before it, and on every exit, so that no vectors of
     a finished run stay alive with the procedure.

@@ -4,7 +4,8 @@ synthetic dataset files.
 Config files are INI with [problem], [solver] and [run] sections mapping
 1:1 onto RunConfig; command-line flags override file values.  The default
 output directory comes from $IRSPLIT_OUT_DIR, falling back to the current
-directory.  ``run`` exits 0 only when every run converged.
+directory.  ``run`` exits 0 only when every run converged, and 2, before
+the first run, on a config it cannot read or a key that nothing reads.
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ def _coerce(value: str):
 
 def _load_config(path) -> bench.RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
-    problem = {k: _coerce(v) for k, v in parser.items("problem")} \
-        if parser.has_section("problem") else {}
-    solver_items = {k: _coerce(v) for k, v in parser.items("solver")} \
-        if parser.has_section("solver") else {}
-    run_items = {k: _coerce(v) for k, v in parser.items("run")} \
-        if parser.has_section("run") else {}
+    if not parser.read(path):
+        raise FileNotFoundError(f"cannot read config {path}")
+    problem, solver_items, run_items = (
+        {k: _coerce(v) for k, v in parser.items(name)}
+        if parser.has_section(name) else {}
+        for name in ("problem", "solver", "run"))
     unread = run_items.keys() - {"seed", "repetitions", "name"}
     if unread:
         raise ValueError(f"[run] reads no key {', '.join(sorted(unread))}")
@@ -99,8 +97,14 @@ def _print_summary(summary: dict) -> None:
 
 
 def _cmd_run(args) -> int:
-    configs = [_apply_overrides(_load_config(path), args)
-               for path in args.config]
+    try:
+        configs = [_apply_overrides(_load_config(path), args)
+                   for path in args.config]
+        for cfg in configs:
+            cfg.validate()
+    except (OSError, ValueError, configparser.Error) as exc:
+        print(f"irsplit-bench: {exc}", file=sys.stderr)
+        return 2
     results = bench.run_benchmark(configs)
     summary = bench.summarize(results)
     out_dir = _default_out(args)

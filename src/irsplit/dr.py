@@ -2,9 +2,10 @@
 
 Solves ``0 in A(x) + B(x)`` when the resolvent of ``A`` is cheap and exact
 while the ``B`` half-step must be approached iteratively.  Each outer
-iteration extrapolates the ``(s, b, r)`` state, runs a B-procedure one trial
-at a time until a relative-error test accepts, and closes with a relaxed
-projective correction of the ``b`` component.
+iteration extrapolates the ``(s, b, r)`` state, runs an F-procedure for B
+(:class:`irsplit.admm.FProcedure`) one trial at a time until a
+relative-error test accepts, and closes with a relaxed projective
+correction of the ``b`` component.
 
 The outer recursion is an instance of the proximal-projection engine in
 :mod:`irsplit.hpp` applied to the splitting operator of the pair (A, B)
@@ -16,13 +17,12 @@ the change of variables of ``embed_to_dr``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .admm import (ADMMParams, AdmmProblem, Criterion, FToBAdapter,
-                   PrimalDualTriple, _run, reset_procedure)
+from .admm import (ADMMParams, AdmmProblem, Criterion, FProcedure,
+                   PrimalDualTriple, _run)
 from .errors import ParameterError, ZeroVectorError
 from .hpp import InertiaRelaxParams, _finite, validate_params
 from .records import RunRecord
@@ -30,7 +30,6 @@ from .records import RunRecord
 __all__ = [
     "SplitTriple",
     "DRParams",
-    "BProcedure",
     "ResolventMap",
     "a_step",
     "dr_acceptance",
@@ -74,25 +73,6 @@ class DRParams:
         validate_params(self.core)
         if self.core.lam != 1.0:
             raise ParameterError("lam = 1 required by the splitting layers")
-
-
-class BProcedure(Protocol):
-    """Iterative solver family for the B half-step ``s + gamma B(s) = r + gamma b``.
-
-    ``open_session(r, b, gamma, s_bar, b_bar)`` starts a solve warm
-    started at ``(s_bar, b_bar)``; successive ``session.next()`` calls yield
-    trial pairs ``(s_l, b_l)`` with ``b_l in B(s_l)``, the sequence
-    convergent and ``s_l + gamma b_l -> r + gamma b``.  Convergence is a
-    producer contract the interface cannot enforce.  A session may expose
-    ``exact = True`` to assert each trial solves the equation exactly by
-    construction.  A procedure whose sessions share state within a run
-    exposes ``reset()``, called at run entry and on every exit, including a
-    raised one (see :func:`irsplit.admm.reset_procedure`).
-    """
-
-    def open_session(self, r: np.ndarray, b: np.ndarray, gamma: float,
-                     s_bar: np.ndarray, b_bar: np.ndarray):
-        ...
 
 
 class ResolventMap(Protocol):
@@ -176,30 +156,6 @@ class DRResult:
     record: RunRecord
 
 
-class _BToF:
-    """A B-procedure as the loop's F-procedure: the session for (p_hat,
-    z_hat, c) is the B-session for r = z_hat, b = -p_hat, and it emits a
-    trial (s_l, b_l) as (s_l, b_l + p_hat + c (s_l - z_hat)), whose
-    multiplier candidate is -b_l."""
-
-    def __init__(self, bproc: BProcedure, gamma: float):
-        self.bproc = bproc
-        self.gamma = gamma
-
-    def reset(self) -> None:
-        reset_procedure(self.bproc)
-
-    def open_session(self, p, z, c, x_bar):
-        bsession = self.bproc.open_session(z, -p, self.gamma, x_bar, -p)
-
-        def next_trial():
-            s_l, b_l = bsession.next()
-            return s_l, b_l + p + c * (s_l - z)
-
-        return SimpleNamespace(next=next_trial,
-                               exact=bool(getattr(bsession, "exact", False)))
-
-
 class _ResolventProx:
     """The A half-step as the loop's shifted prox, J_{gamma A}(x + gamma p)."""
 
@@ -211,14 +167,17 @@ class _ResolventProx:
         return self.resolvent.resolvent(self.gamma, x + self.gamma * p)
 
 
-def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
+def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
            resolvent: ResolventMap, max_outer: int = 1000,
            sr_tolerance: float = 0.0,
            observer: Optional[Callable[[dict], None]] = None) -> DRResult:
     """Drive the splitting from ``init`` until ||s - r|| <= sr_tolerance.
 
-    ``resolvent`` is the exact A-resolvent, any :class:`ResolventMap`, for
-    example an operator of :mod:`irsplit.operators` as it is.
+    ``fproc`` is an F-procedure for B (:class:`irsplit.admm.FProcedure`),
+    such as an F-procedure of :mod:`irsplit.subsolvers` for B = grad f or
+    ``ExactBProcedure`` / ``CGBProcedure``.  ``resolvent`` is the exact
+    A-resolvent, any :class:`ResolventMap`, for example an operator of
+    :mod:`irsplit.operators` as it is.
 
     The default tolerance 0 stops only on the exact coincidence s = r, in
     which case that point solves the inclusion.  Constant schedules
@@ -233,8 +192,8 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
 
     The run is the loop of :func:`irsplit.admm.run_admm` with the
     summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,
-    1/gamma).  An :class:`FToBAdapter` is unwrapped: its F-procedure is
-    driven directly and gets the anchored session start of an ADMM run.
+    1/gamma).  ``fproc`` is driven as an ADMM run drives it, anchored
+    session start included.
 
     Once the outer iterates reach the machine-precision floor the relative
     acceptance test has no room left (its right side vanishes while the
@@ -251,8 +210,6 @@ def run_dr(init: SplitTriple, params: DRParams, bproc: BProcedure,
     if not sr_tolerance >= 0.0:
         raise ParameterError("sr_tolerance >= 0 violated")
     gamma = params.gamma
-    fproc = (bproc.fproc if isinstance(bproc, FToBAdapter)
-             else _BToF(bproc, gamma))
     problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
     loop_params = ADMMParams(1.0 / gamma, params.core, Criterion.SUM_SQUARES,
                              inner_budget=params.inner_budget,

@@ -5,12 +5,14 @@ solver layers for problems whose resolvents have closed forms: scaled
 identities, monotone affine maps, l1 subdifferentials and quadratics.  They
 double as independent references in tests and demos.  A resolvent is one
 method, ``resolvent(step, point)``, which the engine's oracles and the
-splitting layer (:class:`irsplit.dr.ResolventMap`) both call.
+splitting layer (:class:`irsplit.dr.ResolventMap`) both call.  The B
+half-step solvers of :func:`irsplit.dr.run_dr` are F-procedures for B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
@@ -25,7 +27,6 @@ __all__ = [
     "L1Resolvent",
     "ExactBProcedure",
     "CGBProcedure",
-    "ExactQuadraticFProcedure",
 ]
 
 
@@ -50,15 +51,24 @@ class ScaledIdentityOperator:
         return np.asarray(w, dtype=float) / (1.0 + lam * self.mu)
 
 
+def _affine_parts(mat, shift):
+    """M and q of the affine map M x + q as float arrays: ``ValueError``
+    unless M is square and q, zero when None, has shape (n,)."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"mat has shape {mat.shape}, expected square")
+    n = mat.shape[0]
+    shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
+    if shift.shape != (n,):
+        raise ValueError(f"shift has shape {shift.shape}, expected ({n},)")
+    return mat, shift
+
+
 class AffineOperator:
     """T(z) = M z + q, monotone when M + M^T is positive semidefinite."""
 
     def __init__(self, mat, shift=None):
-        self.mat = np.asarray(mat, dtype=float)
-        n = self.mat.shape[0]
-        if self.mat.shape != (n, n):
-            raise ValueError("mat must be square")
-        self.shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
+        self.mat, self.shift = _affine_parts(mat, shift)
         sym = 0.5 * (self.mat + self.mat.T)
         if np.linalg.eigvalsh(sym).min() < -1e-12:
             raise ParameterError("M + M^T must be positive semidefinite")
@@ -129,90 +139,37 @@ class PerturbedResolventOracle:
 
 
 # ---------------------------------------------------------------------------
-# B-procedures
+# F-procedures for an operator B: the B half-step solvers of run_dr
 # ---------------------------------------------------------------------------
 
-class _ExactBSession:
-    exact = True
-
-    def __init__(self, resolvent_map, r, b, gamma):
-        self._resolvent = resolvent_map.resolvent
-        self._r = r
-        self._b = b
-        self._gamma = gamma
-
-    def next(self):
-        s = self._resolvent(self._gamma, self._r + self._gamma * self._b)
-        b_l = self._b + (self._r - s) / self._gamma
-        return s, b_l
-
-
 class ExactBProcedure:
-    """One-trial B-procedure wrapping a closed-form resolvent of B: any
-    object with ``resolvent(gamma, u)``, such as the operators above."""
+    """One-trial F-procedure wrapping a closed-form resolvent of B: any
+    object with ``resolvent(gamma, u)``, such as the operators above.
+
+    The session for (p, z, c) emits x = J_{B/c}(z - p/c), which solves
+    0 in B(x) + p + c (x - z), with y = 0, exactly by construction.
+    """
 
     def __init__(self, resolvent_map):
         self.resolvent_map = resolvent_map
 
-    def open_session(self, r, b, gamma, s_bar, b_bar):
-        return _ExactBSession(self.resolvent_map, r, b, gamma)
-
-
-class _CGBSession:
-    def __init__(self, mat, shift, r, b, gamma, s_bar):
-        rhs = r + gamma * b - gamma * shift
-        self._mat = mat
-        self._shift = shift
-        self._cg = CGSession(lambda u: u + gamma * (mat @ u), rhs, s_bar)
-
-    def next(self):
-        s, _ = self._cg.next()
-        return s, self._mat @ s + self._shift
+    def open_session(self, p, z, c, x_bar):
+        x = self.resolvent_map.resolvent(1.0 / c, z - p / c)
+        return SimpleNamespace(next=lambda: (x, np.zeros_like(x)), exact=True)
 
 
 class CGBProcedure:
-    """Iterative B-procedure for an affine B(x) = Q x + q with Q SPD.
+    """Iterative F-procedure for an affine B(x) = Q x + q with Q SPD.
 
-    Each trial is one CG step on (I + gamma Q) s = r + gamma b - gamma q;
-    the emitted slope Q s + q lies in B(s) by construction.
+    Each trial is one CG step on (Q + c I) x = c z - p - q, warm started at
+    x_bar; its certificate y = Q x + q + p + c (x - z) is CG's own
+    residual, so Q is applied once per trial.
     """
 
     def __init__(self, mat, shift=None):
-        self.mat = np.asarray(mat, dtype=float)
-        n = self.mat.shape[0]
-        self.shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
-
-    def open_session(self, r, b, gamma, s_bar, b_bar):
-        return _CGBSession(self.mat, self.shift, r, b, gamma, s_bar)
-
-
-# ---------------------------------------------------------------------------
-# Exact F-procedure for quadratic f (dense solve; tests and small demos)
-# ---------------------------------------------------------------------------
-
-class _ExactQuadraticFSession:
-    exact = True
-
-    def __init__(self, gram, rhs):
-        self._x = np.linalg.solve(gram, rhs)
-
-    def next(self):
-        return self._x.copy(), np.zeros_like(self._x)
-
-
-class ExactQuadraticFProcedure:
-    """Exact minimizer of the augmented subproblem for f(x) = (1/2)||Ax-b||^2.
-
-    Emits the dense solve of (A^T A + c I) x = A^T b - p + c z with a zero
-    residual certificate; use for sigma = 0 configurations.
-    """
-
-    def __init__(self, a_dense, b):
-        self.a = np.asarray(a_dense, dtype=float)
-        self.gram0 = self.a.T @ self.a
-        self.at_b = self.a.T @ np.asarray(b, dtype=float)
+        self.mat, self.shift = _affine_parts(mat, shift)
 
     def open_session(self, p, z, c, x_bar):
-        n = self.gram0.shape[0]
-        return _ExactQuadraticFSession(self.gram0 + c * np.eye(n),
-                                       self.at_b - p + c * z)
+        mat = self.mat
+        return CGSession(lambda u: mat @ u + c * u, c * z - p - self.shift,
+                         x_bar)

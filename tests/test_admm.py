@@ -1,4 +1,5 @@
-"""ADMM layer: elementary steps, adapters, runs, and the splitting embedding."""
+"""ADMM layer: elementary steps, F-procedures for an operator B, runs, and
+the splitting embedding."""
 
 import dataclasses
 import gc
@@ -12,17 +13,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import irsplit as ir
-from irsplit.admm import (ADMMParams, Criterion, FToBAdapter,
-                          PrimalDualTriple, _acceptance_vector, _theta,
-                          admm_acceptance, admm_extrapolate,
-                          multiplier_candidate, p_update, run_admm, theta_admm)
+from irsplit.admm import (ADMMParams, Criterion, PrimalDualTriple,
+                          _acceptance_vector, _theta, admm_acceptance,
+                          admm_extrapolate, multiplier_candidate, p_update,
+                          run_admm, theta_admm)
 from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
                         run_dr, theta)
 from irsplit.errors import LineSearchFailure, ParameterError, ZeroVectorError
 from irsplit.hpp import rho_bar_of_beta, run_hpp
-from irsplit.operators import (AffineOperator, CGBProcedure,
-                               ExactQuadraticFProcedure, ExactResolventOracle,
-                               L1Resolvent)
+from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
+                               ExactResolventOracle, L1Resolvent)
 from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (LBFGSFProcedure, QuadraticFProcedure,
                                 soft_threshold)
@@ -282,57 +282,83 @@ def test_p_update_cases_and_embedding():
 
 
 # ---------------------------------------------------------------------------
-# the F -> B adapter
+# F-procedures for an operator B: the B half-step of run_dr
 # ---------------------------------------------------------------------------
 
-def test_adapter_exact_step_is_resolvent_of_grad_f():
+def test_exact_b_session_is_resolvent_of_b():
+    """The exact session for (p, z, c) emits x = J_{B/c}(z - p/c), which
+    solves 0 = B(x) + p + c (x - z), with y = 0."""
     a, b, _ = small_lasso()
-    fproc = ExactQuadraticFProcedure(a, b)
-    adapter = FToBAdapter(fproc)
+    res_b = QuadFResolvent(a, b)
     rng = np.random.default_rng(26)
-    r, bb = rng.standard_normal(5), rng.standard_normal(5)
-    gamma = 0.8
-    session = adapter.open_session(r, bb, gamma, np.zeros(5), bb)
-    s, b_l = session.next()
-    expected = QuadFResolvent(a, b).resolvent(gamma, r + gamma * bb)
-    assert np.linalg.norm(s - expected) <= 1e-10
-    # the adapted pair solves the half-step equation
-    assert np.linalg.norm(s + gamma * b_l - (r + gamma * bb)) <= 1e-10
+    p, z = rng.standard_normal(5), rng.standard_normal(5)
+    c = 1.25
+    session = ExactBProcedure(res_b).open_session(p, z, c, np.zeros(5))
+    assert session.exact
+    x, y = session.next()
+    assert np.array_equal(x, res_b.resolvent(1.0 / c, z - p / c))
+    assert np.array_equal(y, np.zeros(5))
+    # x solves the half-step equation, B = grad f
+    assert np.linalg.norm(a.T @ (a @ x - b) + p + c * (x - z)) <= 1e-10
 
 
-def test_adapter_cg_membership_and_convergence():
+def test_cg_b_session_certificate_and_convergence():
+    """Each CG trial's y is Q x + q + p + c (x - z) at its own x, and CG
+    ends in finitely many steps."""
     a, b, _ = small_lasso(m=12, n=7, seed=3)
-    fproc = QuadraticFProcedure(ir.DesignMatrix(a), b)
-    adapter = FToBAdapter(fproc)
+    q_mat, q = a.T @ a, -(a.T @ b)
     rng = np.random.default_rng(27)
-    r, bb = rng.standard_normal(7), rng.standard_normal(7)
-    gamma = 1.0
-    session = adapter.open_session(r, bb, gamma, np.zeros(7), bb)
-    gaps = []
-    for _ in range(9):
-        s, b_l = session.next()
-        grad_f = a.T @ (a @ s - b)
-        assert np.linalg.norm(b_l - grad_f) <= 1e-10 * (1 + np.linalg.norm(grad_f))
-        gaps.append(np.linalg.norm(s + gamma * b_l - (r + gamma * bb)))
-    assert gaps[-1] <= 1e-9 * (1 + gaps[0])  # finite CG termination
-
-
-def test_adapter_multiplier_consistency():
-    # -(adapter slope) coincides with the multiplier candidate trial by trial
-    a, b, _ = small_lasso(m=10, n=6, seed=4)
+    p, z = rng.standard_normal(7), rng.standard_normal(7)
     c = 1.0
-    fproc = QuadraticFProcedure(ir.DesignMatrix(a), b)
+    session = CGBProcedure(q_mat, q).open_session(p, z, c, np.zeros(7))
+    norms = []
+    for _ in range(9):
+        x, y = session.next()
+        want = q_mat @ x + q + p + c * (x - z)
+        assert np.linalg.norm(y - want) <= 1e-10 * (1 + np.linalg.norm(want))
+        norms.append(np.linalg.norm(y))
+    assert norms[-1] <= 1e-9 * (1 + norms[0])  # finite CG termination
+
+
+class CountingMatrix:
+    """A matrix that counts its products."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.products = 0
+
+    def __matmul__(self, u):
+        self.products += 1
+        return self.mat @ u
+
+
+def test_cg_b_session_applies_q_once_per_trial():
+    """A CG trial applies Q once, in its CG step: the certificate is CG's
+    own residual, with no second product Q x.  Opening the session applies
+    Q once, at the warm start."""
+    a, b, _ = small_lasso(m=12, n=7, seed=3)
+    proc = CGBProcedure(a.T @ a, -(a.T @ b))
+    proc.mat = counting = CountingMatrix(proc.mat)
     rng = np.random.default_rng(28)
-    p_hat, z_hat, x_bar = (rng.standard_normal(6) for _ in range(3))
-    fsession = fproc.open_session(p_hat, z_hat, c, x_bar)
-    adapter = FToBAdapter(QuadraticFProcedure(ir.DesignMatrix(a), b))
-    bsession = adapter.open_session(z_hat, -p_hat, 1.0 / c, x_bar, -p_hat)
-    for _ in range(6):
-        x_l, y_l = fsession.next()
-        s_l, b_l = bsession.next()
-        p_l = multiplier_candidate(p_hat, x_l, z_hat, y_l, c)
-        assert np.array_equal(s_l, x_l)
-        assert np.array_equal(b_l, -p_l)
+    p, z, x_bar = (rng.standard_normal(7) for _ in range(3))
+    session = proc.open_session(p, z, 1.0, x_bar)
+    assert counting.products == 1
+    for trials in range(1, 6):
+        session.next()
+        assert counting.products == 1 + trials
+
+
+@pytest.mark.parametrize("make", [AffineOperator, CGBProcedure])
+@pytest.mark.parametrize("mat, shift", [
+    (np.eye(3), [2.0]), (np.eye(3), np.ones((3, 1))), (np.ones((3, 2)), None),
+    (np.ones(3), None)], ids=["short_shift", "column_shift", "non_square",
+                              "vector_mat"])
+def test_affine_maps_check_shapes_at_construction(make, mat, shift):
+    """A non-square matrix, or a shift whose shape is not (n,), raises
+    ``ValueError`` at construction instead of being broadcast into another
+    problem."""
+    with pytest.raises(ValueError, match="shape"):
+        make(mat, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +370,7 @@ def test_run_exact_follows_classical_splitting_recursion():
     # z - p/c executes the classical recursion for A = subdiff(g),
     # B = grad f with gamma = 1/c
     a, b, prob = small_lasso()
-    fproc = ExactQuadraticFProcedure(a, b)
+    fproc = ExactBProcedure(QuadFResolvent(a, b))
     aprob = ir.AdmmProblem(fproc, L1ShiftedProx(prob.nu), prob.kkt_dist_inf,
                            prob.objective, 5)
     params = ADMMParams(c=1.0, core=ir.InertiaRelaxParams.plain(sigma=0.0),
@@ -367,7 +393,7 @@ def test_run_exact_agrees_with_classical_admm_limit():
     # the classical x-then-z-then-p recursion is a different trajectory but
     # shares the minimizer
     a, b, prob = small_lasso(nu=0.4)
-    fproc = ExactQuadraticFProcedure(a, b)
+    fproc = ExactBProcedure(QuadFResolvent(a, b))
     aprob = ir.AdmmProblem(fproc, L1ShiftedProx(prob.nu), prob.kkt_dist_inf,
                            prob.objective, 5)
     params = ADMMParams(c=1.0, core=ir.InertiaRelaxParams.plain(sigma=0.0),
@@ -672,16 +698,16 @@ def test_lasso_products_in_the_stop_test(make, counts, bound):
 
 
 def test_dr_lasso_products_at_session_start():
-    """Count gate: ``run_dr`` unwraps ``FToBAdapter`` and drives its
-    F-procedure with the anchor, so its CG sessions start from the Gram
+    """Count gate: ``run_dr`` drives the F-procedure it is given as an
+    ADMM run does, anchor included, so its CG sessions start from the Gram
     products as an ADMM run's do.  120 session-start products over these
-    60 outer iterations when the adapter hid the anchor."""
+    60 outer iterations when the anchor was hidden from the procedure."""
     prob = ir.synthetic_lasso(100, 300, seed=0)
     aprob, counts = count_lasso_products(prob)
     zeros = np.zeros(prob.n)
     res = run_dr(SplitTriple(zeros, zeros, zeros),
                  DRParams(gamma=1.0, core=published_params().core),
-                 FToBAdapter(aprob.fproc), L1Resolvent(prob.nu), max_outer=60)
+                 aprob.fproc, L1Resolvent(prob.nu), max_outer=60)
     assert res.status == "budget_exceeded"
     assert (res.outer_iters, res.inner_iters_total) == (60, 64)
     assert counts["open"] <= 4
@@ -764,11 +790,11 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
     if driver == "dr":
         n = lasso_20x50.n
         init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
-        bproc, res_a = FToBAdapter(fproc), L1Resolvent(lasso_20x50.nu)
+        res_a = L1Resolvent(lasso_20x50.nu)
 
         def run():
             return run_dr(init, DRParams(1.0, core, inner_budget=budget),
-                          bproc, res_a, max_outer=20, observer=observer)
+                          fproc, res_a, max_outer=20, observer=observer)
     else:
         aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
         aprob.fproc = fproc
@@ -1036,7 +1062,7 @@ def test_lam_other_than_one_raises_at_entry(lasso_20x50, inertial_core,
             run_admm(aprob, ADMMParams(c=1.0, core=core))
         else:
             run_dr(SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n)),
-                   DRParams(1.0, core), FToBAdapter(aprob.fproc),
+                   DRParams(1.0, core), aprob.fproc,
                    L1Resolvent(lasso_20x50.nu), max_outer=10)
     assert aprob.fproc.opened == 0
 
@@ -1080,12 +1106,11 @@ def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
     assert admm_res.outer_iters == 110
 
     fproc = QuadraticFProcedure(prob.A, prob.b)
-    bproc = FToBAdapter(fproc)
     res_a = L1Resolvent(prob.nu)
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.n))
     dr_events = Collector()
-    dr_res = run_dr(init, dr_params, bproc, res_a, max_outer=110,
+    dr_res = run_dr(init, dr_params, fproc, res_a, max_outer=110,
                     observer=dr_events)
     assert dr_res.status == "budget_exceeded"
     assert len(dr_events) == len(admm_events) == 110
@@ -1228,11 +1253,11 @@ def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
     assert len(sessions) == len(admm_events)
     admm_sessions = list(sessions)  # the splitting run records more
 
-    bproc = FToBAdapter(aprob.fproc)
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
     dr_events = Collector()
-    dr_res = run_dr(init, dr_params, bproc, BiasFreeL1Resolvent(prob.nu),
+    dr_res = run_dr(init, dr_params, aprob.fproc,
+                    BiasFreeL1Resolvent(prob.nu),
                     max_outer=80, observer=dr_events)
     assert dr_res.status == "budget_exceeded"
     assert len(dr_events) == len(admm_events) == 80

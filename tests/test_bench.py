@@ -183,6 +183,25 @@ def test_misspelled_config_key_raises(tmp_path, section, key):
         bench.run_one(cli._load_config(ini))
 
 
+def test_cli_bad_config_stops_before_any_run(tmp_path, capsys, monkeypatch):
+    """``run`` checks every config before the first solve: a misspelled key
+    in the second config is named on stderr, without a traceback, the exit
+    code is 2, nothing is solved and no output is written."""
+    good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+    good.write_text(CONFIG_TEXT)
+    bad.write_text(CONFIG_TEXT.replace("[problem]\n", "[problem]\ndensty = 1\n"))
+    solved = []
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
+    out = tmp_path / "out"
+    code = cli.main(["run", "-c", str(good), "-c", str(bad), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("irsplit-bench: ")
+    assert "densty" in captured.err and "Traceback" not in captured.err
+    assert solved == [] and captured.out == ""
+    assert not out.exists()
+
+
 STALLING_TEXT = """\
 [problem]
 kind = synthetic_lasso
