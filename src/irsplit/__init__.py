@@ -11,11 +11,9 @@ from .hpp import (HPPResult, InertiaRelaxParams, ProxCertificate,
                   rho_bar_of_beta, run_hpp, smallest_positive_root,
                   validate_params)
 from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
-                   PrimalDualTriple, admm_acceptance, admm_extrapolate,
-                   multiplier_candidate, p_update, run_admm, theta_admm)
-from .dr import (DRParams, DRResult, SplitTriple, a_step, classical_dr_step,
-                 dr_acceptance, dr_update, embed_to_dr, embed_to_hpp, run_dr,
-                 theta)
+                   PrimalDualTriple, run_admm)
+from .dr import (DRParams, DRResult, SplitTriple, classical_dr_step,
+                 embed_to_dr, run_dr)
 from .subsolvers import (CGSession, FistaConfig, LBFGSFProcedure,
                          LBFGSSession, QuadraticFProcedure, fista_solve,
                          soft_threshold)

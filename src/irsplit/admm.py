@@ -8,7 +8,9 @@ max-form test.  Under the change of variables ``(s, b, r) = (x, -p, z)``
 with scaling ``gamma = 1/c`` the recursion coincides with the inexact
 Douglas-Rachford layer applied to A = subdiff(g), B = subdiff(f), and
 :func:`irsplit.dr.run_dr` drives the loop here, F-procedure included,
-under that change.
+under that change.  Each step of the recursion (extrapolation, trial
+multiplier, acceptance test, theta, multiplier correction) is a private
+in-place kernel of that one loop.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
-                     ZeroVectorError)
+from .errors import CGBreakdown, LineSearchFailure, ParameterError
 from .hpp import InertiaRelaxParams, _extrapolate, _finite, validate_params
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 
@@ -33,11 +34,6 @@ __all__ = [
     "FProcedure",
     "ShiftedProxG",
     "AdmmProblem",
-    "admm_extrapolate",
-    "multiplier_candidate",
-    "admm_acceptance",
-    "theta_admm",
-    "p_update",
     "ADMMResult",
     "reset_procedure",
     "run_admm",
@@ -168,25 +164,9 @@ class AdmmProblem:
 # The private kernels below form each result in one fresh array, by the
 # operations of the formula they state, in its order: a product or sum
 # written in place with its operands swapped is the same bit for bit.  They
-# take float arrays; the public wrappers convert their inputs first.
-
-def _floats(*arrays) -> list:
-    return [np.asarray(v, dtype=float) for v in arrays]
-
-
-def admm_extrapolate(cur: PrimalDualTriple, prev: PrimalDualTriple,
-                     alpha_k: float) -> PrimalDualTriple:
-    """Componentwise inertial extrapolation of the triple."""
-    if not alpha_k >= 0.0:
-        raise ParameterError("alpha_k must be nonnegative")
-    if cur.x.shape != prev.x.shape:
-        raise ValueError("dimension mismatch between current and previous triples")
-    return PrimalDualTriple(
-        _extrapolate(cur.x, prev.x, alpha_k),
-        _extrapolate(cur.z, prev.z, alpha_k),
-        _extrapolate(cur.p, prev.p, alpha_k),
-    )
-
+# take the float arrays the loop carries.  tests/reference.py states each
+# formula once as a plain expression, and tests/test_kernels.py holds each
+# kernel to it bit for bit.
 
 def _multiplier(p_hat, x_l, z_hat, y_l, c: float) -> np.ndarray:
     """p_hat + c (x_l - z_hat) - y_l."""
@@ -195,14 +175,6 @@ def _multiplier(p_hat, x_l, z_hat, y_l, c: float) -> np.ndarray:
     out += p_hat
     out -= y_l
     return out
-
-
-def multiplier_candidate(p_hat: np.ndarray, x_l: np.ndarray, z_hat: np.ndarray,
-                         y_l: np.ndarray, c: float) -> np.ndarray:
-    """Trial multiplier p_l = p_hat + c (x_l - z_hat) - y_l."""
-    if not c > 0.0:
-        raise ParameterError("c > 0 violated")
-    return _multiplier(*_floats(p_hat, x_l, z_hat, y_l), c)
 
 
 def _acceptance_vector(p_l, p_hat, z_l, z_hat, c: float) -> np.ndarray:
@@ -227,43 +199,10 @@ def _accept(y_l, tt: float, dd: float, c: float, sigma: float,
     return y_l @ y_l <= sigma * sigma * (tt + (c * c) * dd)
 
 
-def admm_acceptance(y_l, p_l, p_hat, z_l, z_hat, x_l, c: float, sigma: float,
-                    criterion: Criterion = Criterion.MAX_FORM) -> bool:
-    """Inner acceptance test at tolerance sigma.
-
-    SUM_SQUARES: ||y||^2 <= sigma^2 (||p_l - p_hat - c(z_l - z_hat)||^2
-    + c^2 ||x_l - z_l||^2).  MAX_FORM replaces the sum by the max of norms
-    and implies SUM_SQUARES.
-    """
-    y_l, p_l, p_hat, z_l, z_hat, x_l = _floats(y_l, p_l, p_hat, z_l, z_hat,
-                                               x_l)
-    d = x_l - z_l
-    t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-    return _accept(y_l, t @ t, d @ d, c, sigma,
-                   criterion is Criterion.MAX_FORM)
-
-
 def _theta(t: np.ndarray, d: np.ndarray, dd: float, c: float) -> float:
     """theta from t = :func:`_acceptance_vector`, d = x_l - z_l and a
     finite dd = d @ d > 0."""
     return float((t @ d) / (c * dd))
-
-
-def theta_admm(hat: PrimalDualTriple, x_l: np.ndarray, z_l: np.ndarray,
-               p_l: np.ndarray, c: float) -> float:
-    """Projection coefficient; equals the splitting-layer theta under the
-    (x, -p, z) change of variables with gamma = 1/c.
-
-    Raises ``ZeroVectorError`` when x_l = z_l (solution found).
-    """
-    d = x_l - z_l
-    dd = d @ d
-    if dd == 0.0:
-        raise ZeroVectorError("x = z: solution found")
-    if not math.isfinite(dd):
-        # an inf in x_l or z_l: the subtractions below would be inf - inf
-        return math.nan
-    return _theta(c * (hat.z - z_l) - (hat.p - p_l), d, dd, c)
 
 
 def _p_update(p_hat, z_hat, z_next, x_next, rw: float,
@@ -275,17 +214,6 @@ def _p_update(p_hat, z_hat, z_next, x_next, rw: float,
     out *= c
     out += p_hat
     return out
-
-
-def p_update(p_hat: np.ndarray, z_hat: np.ndarray, z_next: np.ndarray,
-             x_next: np.ndarray, theta_val: float, rho_k: float,
-             c: float) -> np.ndarray:
-    """Projective multiplier correction closing the outer iteration.
-
-    p_next = p_hat + c [(1 - rho theta) z_next + rho theta x_next - z_hat].
-    """
-    return _p_update(*_floats(p_hat, z_hat, z_next, x_next),
-                     rho_k * theta_val, c)
 
 
 # ---------------------------------------------------------------------------

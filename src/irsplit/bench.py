@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -55,6 +56,9 @@ _PROBLEM_KEYS = {
 }
 _OPTION_KEYS = {"sigma", "c", "epsilon", "criterion", "max_outer",
                "inner_budget", "alpha", "beta", "rho_bar", "lipschitz0", "eta"}
+# the keys read as counts or seeds, which must be integers (not bools)
+_INTEGER_PROBLEM_KEYS = ("m", "n", "q", "seed")
+_INTEGER_OPTION_KEYS = ("max_outer", "inner_budget")
 
 
 @dataclass
@@ -70,7 +74,8 @@ class RunConfig:
 
     def validate(self):
         """Reject an unknown solver or problem kind, a problem key its kind
-        does not read, an option no solver reads, or no repetitions."""
+        does not read, an option no solver reads, a count or seed that is
+        not an integer, or no repetitions."""
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         kind = self.problem.get("kind")
@@ -84,6 +89,15 @@ class RunConfig:
         if unread:
             raise ValueError(f"no solver reads option "
                              f"{', '.join(sorted(unread))}")
+        integers = [("seed", self.seed), ("repetitions", self.repetitions)]
+        integers += [(key, self.problem.get(key))
+                     for key in _INTEGER_PROBLEM_KEYS]
+        integers += [(key, self.options.get(key))
+                     for key in _INTEGER_OPTION_KEYS]
+        for key, value in integers:
+            if value is not None and (isinstance(value, bool) or not
+                                      isinstance(value, numbers.Integral)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
 

@@ -47,7 +47,7 @@ def _load_config(path) -> bench.RunConfig:
         solver=solver,
         options=solver_items,
         seed=run_items.get("seed"),
-        repetitions=int(run_items.get("repetitions", 1)),
+        repetitions=run_items.get("repetitions", 1),
         name=run_items.get("name"),
     )
 

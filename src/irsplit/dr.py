@@ -9,9 +9,11 @@ correction of the ``b`` component.
 
 The outer recursion is an instance of the proximal-projection engine in
 :mod:`irsplit.hpp` applied to the splitting operator of the pair (A, B)
-with unit stepsize; ``embed_to_hpp`` exposes that change of variables for
-verification.  :func:`run_dr` is the loop of :mod:`irsplit.admm` under
-the change of variables of ``embed_to_dr``.
+with unit stepsize: its point is z = r + gamma b, and an iteration's
+extrapolated point, certificate point and certificate are r_hat + gamma
+b_hat, r + gamma b and s - r.  :func:`run_dr` is the
+loop of :mod:`irsplit.admm` under the change of variables of
+``embed_to_dr``, so each step of the recursion is a kernel of that loop.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .admm import (ADMMParams, AdmmProblem, Criterion, FProcedure,
                    PrimalDualTriple, _run)
-from .errors import ParameterError, ZeroVectorError
+from .errors import ParameterError
 from .hpp import InertiaRelaxParams, _finite, validate_params
 from .records import RunRecord
 
@@ -31,14 +33,9 @@ __all__ = [
     "SplitTriple",
     "DRParams",
     "ResolventMap",
-    "a_step",
-    "dr_acceptance",
-    "theta",
-    "dr_update",
     "DRResult",
     "run_dr",
     "classical_dr_step",
-    "embed_to_hpp",
     "embed_to_dr",
 ]
 
@@ -85,62 +82,6 @@ class ResolventMap(Protocol):
 
     def resolvent(self, gamma: float, u: np.ndarray) -> np.ndarray:
         ...
-
-
-def a_step(s: np.ndarray, b: np.ndarray, gamma: float,
-           resolvent: ResolventMap) -> tuple[np.ndarray, np.ndarray]:
-    """Exact A half-step: r = J_{gamma A}(s - gamma b), a = (s - r)/gamma - b,
-    with r = ``resolvent.resolvent(gamma, s - gamma * b)``.
-
-    The returned pair satisfies r + gamma a = s - gamma b to round-off.
-    """
-    if not gamma > 0.0:
-        raise ParameterError("gamma > 0 violated")
-    r = resolvent.resolvent(gamma, s - gamma * b)
-    a = (s - r) / gamma - b
-    return r, a
-
-
-def dr_acceptance(hat: SplitTriple, s: np.ndarray, b: np.ndarray,
-                  r: np.ndarray, gamma: float, sigma: float) -> bool:
-    """Relative-error test for a trial pair against the extrapolated center.
-
-    True iff ||s + gamma b - (r_hat + gamma b_hat)||^2 <= sigma^2
-    (||r + gamma b - (r_hat + gamma b_hat)||^2 + ||s - r||^2).
-    """
-    center = hat.r + gamma * hat.b
-    res_s = (s + gamma * b) - center
-    res_r = (r + gamma * b) - center
-    d = s - r
-    return res_s @ res_s <= sigma * sigma * (res_r @ res_r + d @ d)
-
-
-def theta(hat: SplitTriple, s: np.ndarray, b: np.ndarray, r: np.ndarray,
-          gamma: float) -> float:
-    """Projection coefficient of the corrector step.
-
-    theta = <(r_hat - r) + gamma (b_hat - b), s - r> / ||s - r||^2; strictly
-    positive on accepted trials.  Raises ``ZeroVectorError`` when s = r
-    (the splitting has found a solution).
-    """
-    d = s - r
-    dd = d @ d
-    if dd == 0.0:
-        raise ZeroVectorError("s = r: splitting solution found")
-    num = ((hat.r - r) + gamma * (hat.b - b)) @ d
-    return float(num / dd)
-
-
-def dr_update(hat: SplitTriple, s: np.ndarray, r: np.ndarray, theta_val: float,
-              rho_k: float, gamma: float) -> SplitTriple:
-    """Close the outer iteration: keep (s, r), correct b projectively.
-
-    b_next = b_hat - [(1 - rho theta) r + rho theta s - r_hat] / gamma, so
-    that r + gamma b_next = (r_hat + gamma b_hat) + rho theta (r - s).
-    """
-    rw = rho_k * theta_val
-    bracket = (1.0 - rw) * r + rw * s - hat.r
-    return SplitTriple(s, hat.b - bracket / gamma, r)
 
 
 @dataclass
@@ -232,21 +173,6 @@ def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,
         raise ParameterError("gamma > 0 violated")
     jb = resolvent_b.resolvent(gamma, z)
     return resolvent_a.resolvent(gamma, 2.0 * jb - z) + z - jb
-
-
-def embed_to_hpp(triple: SplitTriple, hat: SplitTriple, s_acc: np.ndarray,
-                 b_acc: np.ndarray, r_acc: np.ndarray, gamma: float):
-    """Change of variables onto the proximal-projection engine.
-
-    Returns (z, w, z_tilde, v) = (r + gamma b, r_hat + gamma b_hat,
-    r_acc + gamma b_acc, s_acc - r_acc); the outer recursion then satisfies
-    the engine's step equations with unit proximal stepsize.
-    """
-    z = triple.r + gamma * triple.b
-    w = hat.r + gamma * hat.b
-    z_tilde = r_acc + gamma * b_acc
-    v = s_acc - r_acc
-    return z, w, z_tilde, v
 
 
 def embed_to_dr(triple: PrimalDualTriple) -> SplitTriple:

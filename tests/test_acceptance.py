@@ -13,13 +13,14 @@ import pytest
 import irsplit as ir
 import irsplit.bench as bench
 from irsplit.admm import ADMMParams, Criterion, run_admm
-from irsplit.dr import DRParams, SplitTriple, classical_dr_step, dr_acceptance, run_dr
+from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
                                ExactResolventOracle, L1Resolvent,
                                PerturbedResolventOracle,
                                ScaledIdentityOperator)
 from irsplit.subsolvers import soft_threshold
 
+import reference
 from conftest import (Collector, accepted_certificate_sampler, engine_steps,
                       record_trials)
 
@@ -135,8 +136,9 @@ def test_criterion_3_layer_stack_equivalence(lasso_20x50, inertial_core):
         hat_dr = ir.embed_to_dr(
             ir.PrimalDualTriple(step.x_hat, step.z_hat, step.p_hat))
         for i, trial in enumerate(trials, 1):
-            mapped = dr_acceptance(hat_dr, trial.x, -trial.p_l, trial.z_l,
-                                   1.0 / c, inertial_core.sigma)
+            mapped = reference.dr_acceptance(
+                hat_dr.r, hat_dr.b, trial.x, -trial.p_l, trial.z_l, 1.0 / c,
+                inertial_core.sigma)
             if mapped != (i == len(trials)):
                 verdict_mismatches += 1
         # (2.4) relaxed projection

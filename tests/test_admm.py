@@ -14,12 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, PrimalDualTriple,
-                          _acceptance_vector, _theta, admm_acceptance,
-                          admm_extrapolate, multiplier_candidate, p_update,
-                          run_admm, theta_admm)
+                          _acceptance_vector, _theta, run_admm)
 from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
-                        run_dr, theta)
-from irsplit.errors import LineSearchFailure, ParameterError, ZeroVectorError
+                        run_dr)
+from irsplit.errors import LineSearchFailure, ParameterError
 from irsplit.hpp import rho_bar_of_beta, run_hpp
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
                                ExactResolventOracle, L1Resolvent)
@@ -27,6 +25,7 @@ from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (LBFGSFProcedure, QuadraticFProcedure,
                                 soft_threshold)
 
+import reference
 from conftest import Collector, record_trials
 
 # the published setting for l1-logistic (acceptance criterion 5b)
@@ -58,50 +57,38 @@ class QuadFResolvent:
 # ---------------------------------------------------------------------------
 
 def test_extrapolate_cases():
-    cur = PrimalDualTriple(2 * np.ones(2), 2 * np.ones(2), 2 * np.ones(2))
-    prev = PrimalDualTriple(np.ones(2), np.ones(2), np.ones(2))
-    hat = admm_extrapolate(cur, prev, 0.1)
-    for part in (hat.x, hat.z, hat.p):
-        assert np.allclose(part, 2.1, atol=0)
-    same = admm_extrapolate(cur, prev, 0.0)
-    assert np.array_equal(same.x, cur.x)
-    first = admm_extrapolate(cur, cur, 0.9)
-    assert np.array_equal(first.p, cur.p)
+    cur, prev = 2 * np.ones(2), np.ones(2)
+    assert np.allclose(reference.extrapolate(cur, prev, 0.1), 2.1, atol=0)
+    assert np.array_equal(reference.extrapolate(cur, prev, 0.0), cur)
+    assert np.array_equal(reference.extrapolate(cur, cur, 0.9), cur)
 
 
 def test_multiplier_candidate_cases():
     p_hat = np.zeros(1)
-    assert multiplier_candidate(p_hat, np.ones(1), np.ones(1),
+    assert reference.multiplier(p_hat, np.ones(1), np.ones(1),
                                 np.zeros(1), 2.0)[0] == 0.0
-    out = multiplier_candidate(np.zeros(1), np.array([1.0]), np.array([0.0]),
+    out = reference.multiplier(np.zeros(1), np.array([1.0]), np.array([0.0]),
                                np.array([0.5]), 2.0)
     assert out[0] == pytest.approx(1.5)
-    # integer inputs still give the float result
-    ints = multiplier_candidate(np.zeros(1, int), np.ones(1, int),
-                                np.zeros(1, int), np.zeros(1, int), 2.5)
-    assert ints.dtype == float and ints[0] == 2.5
-    one = np.ones(2, int)
-    assert admm_acceptance(0 * one, one, 0 * one, 0 * one, 0 * one, one,
-                           0.5, 0.0)
 
 
 def test_acceptance_trivial_and_worked():
     zero = np.zeros(2)
-    assert admm_acceptance(zero, np.ones(2), zero, zero, zero, np.ones(2),
-                           1.0, 0.0, Criterion.SUM_SQUARES)
-    assert admm_acceptance(zero, np.ones(2), zero, zero, zero, np.ones(2),
-                           1.0, 0.0, Criterion.MAX_FORM)
+    assert reference.accept(zero, np.ones(2), zero, zero, zero, np.ones(2),
+                            1.0, 0.0, max_form=False)
+    assert reference.accept(zero, np.ones(2), zero, zero, zero, np.ones(2),
+                            1.0, 0.0, max_form=True)
     # ||y|| = 1, both right-hand norms = 1, sigma = 0.99
     y = np.array([1.0, 0.0])
     p_l = np.array([0.0, 1.0])
     x_l = np.array([1.0, 0.0])
-    assert admm_acceptance(y, p_l, zero, zero, zero, x_l, 1.0, 0.99,
-                           Criterion.SUM_SQUARES)
-    assert not admm_acceptance(y, p_l, zero, zero, zero, x_l, 1.0, 0.99,
-                               Criterion.MAX_FORM)
+    assert reference.accept(y, p_l, zero, zero, zero, x_l, 1.0, 0.99,
+                            max_form=False)
+    assert not reference.accept(y, p_l, zero, zero, zero, x_l, 1.0, 0.99,
+                                max_form=True)
     # sigma = 0 with a nonzero certificate
-    assert not admm_acceptance(y, p_l, zero, zero, zero, x_l, 1.0, 0.0,
-                               Criterion.SUM_SQUARES)
+    assert not reference.accept(y, p_l, zero, zero, zero, x_l, 1.0, 0.0,
+                                max_form=False)
 
 
 def test_max_form_implies_sum_squares():
@@ -111,10 +98,10 @@ def test_max_form_implies_sum_squares():
                                           for _ in range(6))
         c = rng.uniform(0.2, 3.0)
         sigma = rng.uniform(0.0, 0.99)
-        if admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
-                           Criterion.MAX_FORM):
-            assert admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
-                                   Criterion.SUM_SQUARES)
+        if reference.accept(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                            max_form=True):
+            assert reference.accept(y, p_l, p_hat, z_l, z_hat, x_l, c,
+                                    sigma, max_form=False)
 
 
 # finite entries with signed zeros and subnormals drawn on purpose
@@ -133,39 +120,32 @@ def test_max_form_verdict_implies_sum_squares_verdict(n, data, c, sigma):
     """ROADMAP contract: a trial the max-form test accepts, the
     summed-squares test accepts too, in floating point."""
     y, p_l, p_hat, z_l, z_hat, x_l = (vectors(data, n) for _ in range(6))
-    if admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
-                       Criterion.MAX_FORM):
-        assert admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
-                               Criterion.SUM_SQUARES)
+    if reference.accept(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                        max_form=True):
+        assert reference.accept(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                                max_form=False)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), data=st.data(), c=st.floats(1e-5, 1e5))
 def test_loop_theta_from_the_acceptance_vector_is_theta_admm(n, data, c):
     """The loop's theta, <t, d>/(c dd) from the acceptance test's t = p_l -
-    p_hat - c (z_l - z_hat), is theta_admm's c (z_hat - z_l) - (p_hat -
-    p_l) form bit for bit whenever dd is finite and nonzero (NaN where
-    both are NaN).  inf enters through p_l, and in half the draws x_l; the
-    extrapolated point is a finite triple.  An inf in x_l makes dd inf,
-    and theta_admm then returns NaN with no RuntimeWarning.  Otherwise the
-    loop's form warns exactly where theta_admm does: numpy's own warning
-    when an inf of t meets a zero of d (or an opposite inf) in the dot
+    p_hat - c (z_l - z_hat), is the reference's c (z_hat - z_l) - (p_hat -
+    p_l) form bit for bit whenever dd is finite and nonzero, the only case
+    where the loop forms theta (NaN where both are NaN).  inf enters
+    through p_l; x_l and the extrapolated point are finite.  The loop's
+    form warns exactly where the reference does: numpy's own warning when
+    an inf of t meets a zero of d (or an opposite inf) in the dot
     product."""
     with_inf = finite_entries | st.sampled_from([math.inf, -math.inf])
     p_l = vectors(data, n, with_inf)
-    x_l = vectors(data, n, with_inf if data.draw(st.booleans())
-                  else finite_entries)
-    p_hat, z_l, z_hat = (vectors(data, n) for _ in range(3))
+    x_l, p_hat, z_l, z_hat = (vectors(data, n) for _ in range(4))
     d = x_l - z_l
     dd = d @ d
     assume(dd != 0.0)
     with warnings.catch_warnings(record=True) as want_warned:
         warnings.simplefilter("always")
-        want = theta_admm(PrimalDualTriple(np.zeros(n), z_hat, p_hat),
-                          x_l, z_l, p_l, c)
-    if not math.isfinite(dd):
-        assert math.isnan(want) and not want_warned
-        return
+        want = reference.theta(p_hat, z_hat, x_l, z_l, p_l, c)
     with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
         t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
@@ -198,11 +178,11 @@ def test_accepted_trial_has_theta_at_least_half_one_minus_sigma_sq(
     p_hat, z_hat, x_l, z_l, y = (rng.standard_normal(n) for _ in range(5))
     d = x_l - z_l
     y *= reach * sigma * c * np.linalg.norm(d) / np.linalg.norm(y)
-    p_l = multiplier_candidate(p_hat, x_l, z_hat, y, c)
-    assume(admm_acceptance(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
-                           Criterion.SUM_SQUARES))
-    hat = PrimalDualTriple(np.zeros(n), z_hat, p_hat)
-    assert theta_admm(hat, x_l, z_l, p_l, c) >= 0.5 * (1.0 - sigma * sigma)
+    p_l = reference.multiplier(p_hat, x_l, z_hat, y, c)
+    assume(reference.accept(y, p_l, p_hat, z_l, z_hat, x_l, c, sigma,
+                            max_form=False))
+    assert (reference.theta(p_hat, z_hat, x_l, z_l, p_l, c)
+            >= 0.5 * (1.0 - sigma * sigma))
 
 
 def test_z_subproblem_closed_forms():
@@ -238,9 +218,10 @@ def test_theta_exact_case_is_one():
     hat = PrimalDualTriple(*(rng.standard_normal(4) for _ in range(3)))
     c = 1.7
     x_l = rng.standard_normal(4)
-    p_l = multiplier_candidate(hat.p, x_l, hat.z, np.zeros(4), c)
+    p_l = reference.multiplier(hat.p, x_l, hat.z, np.zeros(4), c)
     z_l = rng.standard_normal(4)
-    assert theta_admm(hat, x_l, z_l, p_l, c) == pytest.approx(1.0, abs=1e-12)
+    assert reference.theta(hat.p, hat.z, x_l, z_l, p_l, c) == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_theta_matches_splitting_layer():
@@ -248,17 +229,11 @@ def test_theta_matches_splitting_layer():
     for c in (1.0, 2.3):
         hat = PrimalDualTriple(*(rng.standard_normal(5) for _ in range(3)))
         x_l, z_l, p_l = (rng.standard_normal(5) for _ in range(3))
-        th_a = theta_admm(hat, x_l, z_l, p_l, c)
+        th_a = reference.theta(hat.p, hat.z, x_l, z_l, p_l, c)
         hat_dr = embed_to_dr(hat)
-        th_d = theta(hat_dr, x_l, -p_l, z_l, 1.0 / c)
+        th_d = reference.dr_theta(hat_dr.r, hat_dr.b, x_l, -p_l, z_l,
+                                  1.0 / c)
         assert abs(th_a - th_d) <= 1e-12 * (1.0 + abs(th_d))
-
-
-def test_theta_zero_denominator():
-    hat = PrimalDualTriple(np.zeros(2), np.zeros(2), np.zeros(2))
-    x = np.ones(2)
-    with pytest.raises(ZeroVectorError):
-        theta_admm(hat, x, x.copy(), np.zeros(2), 1.0)
 
 
 def test_p_update_cases_and_embedding():
@@ -267,18 +242,19 @@ def test_p_update_cases_and_embedding():
     c = 1.3
     x_n, z_n = rng.standard_normal(4), rng.standard_normal(4)
     # exact case theta = 1, rho = 1 collapses to the multiplier candidate
-    p1 = p_update(hat.p, hat.z, z_n, x_n, 1.0, 1.0, c)
-    assert np.allclose(p1, multiplier_candidate(hat.p, x_n, hat.z,
+    p1 = reference.p_update(hat.p, hat.z, z_n, x_n, 1.0, c)
+    assert np.allclose(p1, reference.multiplier(hat.p, x_n, hat.z,
                                                 np.zeros(4), c), atol=1e-12)
     # zero weight keeps the z-difference form
-    p0 = p_update(hat.p, hat.z, z_n, x_n, 0.0, 1.0, c)
+    p0 = reference.p_update(hat.p, hat.z, z_n, x_n, 0.0, c)
     assert np.allclose(p0, hat.p + c * (z_n - hat.z), atol=1e-12)
     # general case mirrors the splitting-layer b update
-    from irsplit.dr import dr_update
     th, rho = 0.8, 1.4
-    p2 = p_update(hat.p, hat.z, z_n, x_n, th, rho, c)
-    nxt = dr_update(embed_to_dr(hat), x_n, z_n, th, rho, 1.0 / c)
-    assert np.linalg.norm(nxt.b - (-p2)) <= 1e-12 * (1 + np.linalg.norm(p2))
+    p2 = reference.p_update(hat.p, hat.z, z_n, x_n, rho * th, c)
+    hat_dr = embed_to_dr(hat)
+    b_next = reference.dr_b_update(hat_dr.r, hat_dr.b, x_n, z_n, rho * th,
+                                   1.0 / c)
+    assert np.linalg.norm(b_next - (-p2)) <= 1e-12 * (1 + np.linalg.norm(p2))
 
 
 # ---------------------------------------------------------------------------
@@ -501,35 +477,42 @@ def published_params(criterion=Criterion.MAX_FORM):
 
 
 def reference_admm(problem, params):
-    """Straight-line inexact inertial-relaxed ADMM from the public helpers
-    on validated triples (KKT test every outer iteration).  Sessions are
-    opened as the driver opens them: with the anchor ``(x, x_prev, alpha)``
-    when the F-procedure accepts one.  Returns the triple after each outer
+    """Straight-line inexact inertial-relaxed ADMM from the formulas of
+    ``tests/reference.py``, which share no code with the run (KKT test
+    every outer iteration, at the exact residual).  Sessions are opened as
+    the driver opens them: with the anchor ``(x, x_prev, alpha)`` when the
+    F-procedure accepts one.  Returns the triple after each outer
     iteration and the trials each one took."""
     c, core = params.c, params.core
+    max_form = params.criterion is Criterion.MAX_FORM
     anchored = getattr(problem.fproc, "accepts_anchor", False)
-    cur = prev = PrimalDualTriple.zeros(problem.dim)
+    x = z = p = np.zeros(problem.dim)
+    x_prev, z_prev, p_prev = x, z, p
     triples, trials = [], []
     for _ in range(params.max_outer):
-        if problem.kkt_residual(cur.z) <= params.epsilon:
+        if problem.kkt_residual(z, math.inf) <= params.epsilon:
             break
-        hat = admm_extrapolate(cur, prev, core.alpha)
-        anchor = ((cur.x, prev.x, core.alpha),) if anchored else ()
-        session = problem.fproc.open_session(hat.p, hat.z, c, hat.x, *anchor)
+        x_hat = reference.extrapolate(x, x_prev, core.alpha)
+        z_hat = reference.extrapolate(z, z_prev, core.alpha)
+        p_hat = reference.extrapolate(p, p_prev, core.alpha)
+        anchor = ((x, x_prev, core.alpha),) if anchored else ()
+        session = problem.fproc.open_session(p_hat, z_hat, c, x_hat, *anchor)
         for trial in range(1, params.inner_budget + 1):
             x_l, y_l = session.next()
-            p_l = multiplier_candidate(hat.p, x_l, hat.z, y_l, c)
+            p_l = reference.multiplier(p_hat, x_l, z_hat, y_l, c)
             z_l = problem.prox_g.solve(p_l, x_l, c)
-            if admm_acceptance(y_l, p_l, hat.p, z_l, hat.z, x_l, c,
-                               core.sigma, params.criterion):
+            if reference.accept(y_l, p_l, p_hat, z_l, z_hat, x_l, c,
+                                core.sigma, max_form):
                 break
         else:
             raise AssertionError("reference: no accepted trial")
-        th = theta_admm(hat, x_l, z_l, p_l, c)
+        th = reference.theta(p_hat, z_hat, x_l, z_l, p_l, c)
         assert th > 0.0
-        p_next = p_update(hat.p, hat.z, z_l, x_l, th, core.rho_hi, c)
-        prev, cur = cur, PrimalDualTriple(x_l, z_l, p_next)
-        triples.append(cur)
+        p_next = reference.p_update(p_hat, z_hat, z_l, x_l, core.rho_hi * th,
+                                    c)
+        x_prev, z_prev, p_prev = x, z, p
+        x, z, p = x_l, z_l, p_next
+        triples.append(PrimalDualTriple(x, z, p))
         trials.append(trial)
     return triples, trials
 
@@ -541,15 +524,20 @@ def make_instance(kind):
                                     1.0)
 
 
+@pytest.mark.parametrize("c", [pytest.param(1.0, id=pytest.HIDDEN_PARAM),
+                               0.7, 3.0])
 @pytest.mark.parametrize("observe", [False, True])
 @pytest.mark.parametrize("criterion", list(Criterion))
 @pytest.mark.parametrize("kind", ["lasso", "logistic"])
-def test_run_matches_straight_line_reference(kind, criterion, observe):
+def test_run_matches_straight_line_reference(kind, criterion, observe, c):
     """The run's iterates are bit-identical to the reference's and every
     outer iteration takes the same number of trials, on the CG path
     (LASSO) and the L-BFGS path (logistic), with no observer and with a
-    collector, whose every event carries the reference's triple."""
-    params = published_params(criterion)
+    collector, whose every event carries the reference's triple.  Besides
+    the benchmark's c = 1, where a product by c is exact, two penalties
+    where a misplaced c would round differently (the c = 1 cases keep
+    their ids)."""
+    params = dataclasses.replace(published_params(criterion), c=c)
     triples, trials = reference_admm(make_instance(kind), params)
     problem = make_instance(kind)
     events = Collector() if observe else None
@@ -1140,15 +1128,15 @@ def test_acceptance_verdicts_agree_under_embedding(lasso_20x50,
     events = Collector()
     run_admm(aprob, params, observer=events)
     assert len(sessions) == len(events)
-    from irsplit.dr import dr_acceptance
     checked = 0
     for step, session in zip(events, sessions):
         hat_dr = embed_to_dr(
             PrimalDualTriple(step.x_hat, step.z_hat, step.p_hat))
         # the accepted trial is the last of its session
         for i, trial in enumerate(session, 1):
-            verdict = dr_acceptance(hat_dr, trial.x, -trial.p_l, trial.z_l,
-                                    1.0 / c, plain_core_sigma99.sigma)
+            verdict = reference.dr_acceptance(
+                hat_dr.r, hat_dr.b, trial.x, -trial.p_l, trial.z_l, 1.0 / c,
+                plain_core_sigma99.sigma)
             assert verdict == (i == len(session))
             checked += 1
     assert checked >= 60

@@ -202,6 +202,37 @@ def test_cli_bad_config_stops_before_any_run(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, replacement", [
+    ("repetitions = 1\n", "repetitions = 2.7\n"),
+    ("[run]\n", "[run]\nseed = 3.5\n"),
+    ("m = 15\n", "m = 15.5\n"),
+    ("seed = 3\n", "seed = true\n"),
+    ("max_outer = 5000\n", "max_outer = 5e3\n"),
+    ("[solver]\n", "[solver]\ninner_budget = 12.5\n"),
+], ids=["repetitions", "run_seed", "m", "problem_seed", "max_outer",
+        "inner_budget"])
+def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
+                                                    monkeypatch, line,
+                                                    replacement):
+    """A count or seed that is not an integer, a float or a bool, is named
+    on stderr with exit code 2 before the first solve, instead of being
+    truncated or failing every solve; nothing is written."""
+    assert CONFIG_TEXT.count(line) == 1
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG_TEXT.replace(line, replacement))
+    key = replacement.split("\n")[-2].split(" = ")[0]
+    solved = []
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
+    out = tmp_path / "out"
+    code = cli.main(["run", "-c", str(ini), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"irsplit-bench: {key} must be an integer")
+    assert "Traceback" not in captured.err
+    assert solved == [] and captured.out == ""
+    assert not out.exists()
+
+
 STALLING_TEXT = """\
 [problem]
 kind = synthetic_lasso

@@ -62,11 +62,8 @@ def test_negative_or_nan_weight_raises(weight):
     """A negative or NaN inertial weight, or scale of the identity, is
     rejected at entry instead of spreading NaN through the result."""
     z = np.zeros(2)
-    triple = ir.PrimalDualTriple(z, z, z)
     with pytest.raises(ParameterError, match="alpha_k"):
         ir.extrapolate(z, z, weight)
-    with pytest.raises(ParameterError, match="alpha_k"):
-        ir.admm_extrapolate(triple, triple, weight)
     with pytest.raises(ParameterError, match="mu"):
         ScaledIdentityOperator(weight)
 

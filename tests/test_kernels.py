@@ -1,6 +1,7 @@
-"""The in-place n-vector kernels against the expression forms they replace,
-the rule that a run writes only into arrays it has just allocated, and the
-compiled sparse products against scipy's own ``A @ x``."""
+"""The in-place n-vector kernels against the formulas they state, as
+``tests/reference.py`` writes them, the rule that a run writes only into
+arrays it has just allocated, and the compiled sparse products against
+scipy's own ``A @ x``."""
 
 import math
 
@@ -10,14 +11,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
-from irsplit.admm import (ADMMParams, Criterion, _acceptance_vector,
-                          _multiplier, _p_update, p_update, run_admm)
+from irsplit.admm import (ADMMParams, Criterion, _accept, _acceptance_vector,
+                          _multiplier, _p_update, _theta, run_admm)
 from irsplit.hpp import _extrapolate, rho_bar_of_beta
 from irsplit.problems import DesignMatrix, L1ShiftedProx
 from irsplit.subsolvers import CGSession, QuadraticFProcedure, _shrink
 
+import reference
+
 # ---------------------------------------------------------------------------
-# elementwise kernels, bit for bit against their expression forms
+# the loop's kernels, bit for bit against the reference formulas
 # ---------------------------------------------------------------------------
 
 SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -45,43 +48,45 @@ def same_bits(got, want):
             and np.array_equal(np.signbit(got[real]), np.signbit(want[real])))
 
 
-def prox_expression_form(nu, skip_first, p, x, c):
-    t = x + p / c
-    z = t - np.minimum(np.maximum(t, -(nu / c)), nu / c)
-    if skip_first:
-        z[0] = t[0]
-    return z
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 8), a=scalars, c=scalars,
-       theta=scalars, rho=scalars)
-def test_kernels_match_expression_forms(data, n, a, c, theta, rho):
-    """Each kernel gives the bits of the formula it states, written as one
-    expression, on vectors with signed zeros, infs, NaNs and subnormals,
-    and leaves its inputs as they were."""
-    v = [data.draw(vectors(n)) for _ in range(5)]
+       rw=scalars, sigma=scalars)
+def test_kernels_match_expression_forms(data, n, a, c, rw, sigma):
+    """Each kernel gives the bits of the formula it states, as the
+    reference writes it in one expression, on vectors with signed zeros,
+    infs, NaNs and subnormals, and leaves its inputs as they were.  theta
+    is compared where the loop forms it: c > 0 and a finite dd > 0."""
+    v = [data.draw(vectors(n)) for _ in range(6)]
     before = [w.copy() for w in v]
-    rw = rho * theta
+    p_l, p_hat, z_l, z_hat, x_l, y_l = v
     kappa = abs(a)
     with np.errstate(all="ignore"):
+        t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
+        d = x_l - z_l
+        dd = d @ d
         cases = [
-            (_extrapolate(v[0], v[1], a), v[0] + a * (v[0] - v[1])),
+            (_extrapolate(v[0], v[1], a),
+             reference.extrapolate(v[0], v[1], a)),
             (_multiplier(v[0], v[1], v[2], v[3], c),
-             v[0] + c * (v[1] - v[2]) - v[3]),
-            (_acceptance_vector(v[0], v[1], v[2], v[3], c),
-             v[0] - v[1] - c * (v[2] - v[3])),
+             reference.multiplier(v[0], v[1], v[2], v[3], c)),
+            (t, reference.acceptance_vector(p_l, p_hat, z_l, z_hat, c)),
             (_p_update(v[0], v[1], v[2], v[3], rw, c),
-             v[0] + c * ((1.0 - rw) * v[2] + rw * v[3] - v[1])),
-            (p_update(v[0], v[1], v[2], v[3], theta, rho, c),
-             v[0] + c * ((1.0 - rw) * v[2] + rw * v[3] - v[1])),
-            (_shrink(v[4], kappa),
-             v[4] - np.minimum(np.maximum(v[4], -kappa), kappa)),
+             reference.p_update(v[0], v[1], v[2], v[3], rw, c)),
+            (_shrink(v[4], kappa), reference.shrink(v[4], kappa)),
         ]
         for skip in (False, True) if c != 0.0 else ():
             prox = L1ShiftedProx(kappa, skip_first=skip)
             cases.append((prox.solve(v[0], v[1], c),
-                          prox_expression_form(kappa, skip, v[0], v[1], c)))
+                           reference.shifted_prox(kappa, v[0], v[1], c,
+                                                  skip)))
+        if c > 0.0 and 0.0 < dd < math.inf:
+            cases.append((np.float64(_theta(t, d, dd, c)),
+                          np.float64(reference.theta(p_hat, z_hat, x_l, z_l,
+                                                     p_l, c))))
+        for max_form in (False, True):
+            assert (_accept(y_l, t @ t, dd, c, sigma, max_form)
+                    == reference.accept(y_l, p_l, p_hat, z_l, z_hat, x_l, c,
+                                        sigma, max_form))
     for got, want in cases:
         assert same_bits(got, want)
     for w, w0 in zip(v, before):
