@@ -3,13 +3,11 @@ Douglas-Rachford and ADMM layers, subproblem engines, problem catalog and
 benchmark harness."""
 
 from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
-                     ParseError, ZeroVectorError)
+                     ParseError)
 from .hpp import (HPPResult, InertiaRelaxParams, ProxCertificate,
                   alvarez_attouch_check, beta_of_rho_bar,
-                  error_criterion_holds, extrapolate, fejer_check,
-                  gauss_bounds_hold, q_eval, relaxed_projection,
-                  rho_bar_of_beta, run_hpp, smallest_positive_root,
-                  validate_params)
+                  error_criterion_holds, fejer_check, q_eval,
+                  rho_bar_of_beta, run_hpp, validate_params)
 from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
                    PrimalDualTriple, run_admm)
 from .dr import (DRParams, DRResult, SplitTriple, classical_dr_step,
@@ -18,7 +16,7 @@ from .subsolvers import (CGSession, FistaConfig, LBFGSFProcedure,
                          LBFGSSession, QuadraticFProcedure, fista_solve,
                          soft_threshold)
 from .problems import (DesignMatrix, LassoProblem, LogisticProblem,
-                       l1_kkt_dist_inf, lasso_admm_problem, load_dense_csv,
+                       lasso_admm_problem, load_dense_csv,
                        load_libsvm, logistic_admm_problem,
                        reference_minimizer, synthetic_lasso,
                        synthetic_logistic)

@@ -56,8 +56,10 @@ _PROBLEM_KEYS = {
 }
 _OPTION_KEYS = {"sigma", "c", "epsilon", "criterion", "max_outer",
                "inner_budget", "alpha", "beta", "rho_bar", "lipschitz0", "eta"}
-# the keys read as counts or seeds, which must be integers (not bools)
-_INTEGER_PROBLEM_KEYS = ("m", "n", "q", "seed")
+# the keys read as counts or seeds, which must be integers (not bools), with
+# the least value of each problem key; the library's own validate() checks
+# the options' ranges
+_INTEGER_PROBLEM_KEYS = {"m": 1, "n": 1, "q": 1, "seed": 0}
 _INTEGER_OPTION_KEYS = ("max_outer", "inner_budget")
 
 
@@ -75,7 +77,8 @@ class RunConfig:
     def validate(self):
         """Reject an unknown solver or problem kind, a problem key its kind
         does not read, an option no solver reads, a count or seed that is
-        not an integer, or no repetitions."""
+        not an integer or below its least value, or an option the solver's
+        own parameters reject."""
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         kind = self.problem.get("kind")
@@ -89,17 +92,25 @@ class RunConfig:
         if unread:
             raise ValueError(f"no solver reads option "
                              f"{', '.join(sorted(unread))}")
-        integers = [("seed", self.seed), ("repetitions", self.repetitions)]
-        integers += [(key, self.problem.get(key))
-                     for key in _INTEGER_PROBLEM_KEYS]
-        integers += [(key, self.options.get(key))
+        integers = [("seed", self.seed, 0),
+                    ("repetitions", self.repetitions, 1)]
+        integers += [(key, self.problem.get(key), least)
+                     for key, least in _INTEGER_PROBLEM_KEYS.items()]
+        integers += [(key, self.options.get(key), None)
                      for key in _INTEGER_OPTION_KEYS]
-        for key, value in integers:
-            if value is not None and (isinstance(value, bool) or not
-                                      isinstance(value, numbers.Integral)):
+        for key, value, least in integers:
+            if value is None:
+                continue
+            integral = isinstance(value, numbers.Integral)
+            if isinstance(value, bool) or not integral:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
+            if least is not None and value < least:
+                raise ValueError(f"{key} must be at least {least}, "
+                                 f"got {value}")
+        if self.solver == "fista":
+            _fista_config(self.options).validate()
+        else:
+            admm_params_for(self.solver, self.options).validate()
 
     def label(self) -> str:
         if self.name:
@@ -163,7 +174,7 @@ def _build_problem(cfg: RunConfig):
 
 
 def admm_params_for(solver: str, options: dict) -> ADMMParams:
-    """Translate benchmark options into validated solver parameters."""
+    """Translate benchmark options into the ADMM solvers' parameters."""
     sigma = float(options.get("sigma", 0.99))
     c = float(options.get("c", 1.0))
     epsilon = float(options.get("epsilon", 1e-6))
@@ -181,14 +192,17 @@ def admm_params_for(solver: str, options: dict) -> ADMMParams:
                       inner_budget=inner_budget, max_outer=max_outer)
 
 
+def _fista_config(options: dict) -> FistaConfig:
+    """Translate benchmark options into the baseline's configuration."""
+    return FistaConfig(lipschitz0=float(options.get("lipschitz0", 1.0)),
+                       eta=float(options.get("eta", 2.0)),
+                       tol=float(options.get("epsilon", 1e-6)),
+                       max_iters=int(options.get("max_outer", 200_000)))
+
+
 def _solve(cfg: RunConfig, prob) -> RunRecord:
     if cfg.solver == "fista":
-        config = FistaConfig(
-            lipschitz0=float(cfg.options.get("lipschitz0", 1.0)),
-            eta=float(cfg.options.get("eta", 2.0)),
-            tol=float(cfg.options.get("epsilon", 1e-6)),
-            max_iters=int(cfg.options.get("max_outer", 200_000)))
-        return fista_solve(prob, config).record
+        return fista_solve(prob, _fista_config(cfg.options)).record
     params = admm_params_for(cfg.solver, cfg.options)
     if isinstance(prob, _problems.LassoProblem):
         admm_prob = _problems.lasso_admm_problem(prob, params.c)

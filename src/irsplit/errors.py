@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A parameter violates its admissibility contract."""
 
 
-class ZeroVectorError(ValueError):
-    """A denominator vector is zero; the caller holds an exact solution."""
-
-
 class CGBreakdown(RuntimeError):
     """Conjugate gradient hit nonpositive curvature (operator not SPD)."""
 

@@ -11,11 +11,12 @@ inertia bound ``beta`` the relaxation cap is ``rho_bar_of_beta(beta)`` and
 conversely ``beta_of_rho_bar`` recovers ``beta``.  ``validate_params``
 enforces the full contract.
 
-:func:`run_hpp` is the engine's one loop: it checks its inputs at entry and
-runs on plain arrays, through the kernels of :func:`extrapolate` and
-:func:`relaxed_projection`.  As in the splitting drivers, an optional
-observer sees each completed iteration, and a spent budget, a rejected
-certificate or a non-finite iterate is a returned status.
+:func:`run_hpp` is the engine's one loop, and a single step is
+``run_hpp(max_iters=1)`` with an observer.  It checks its inputs at entry
+and runs on plain arrays, through the private kernels ``_extrapolate`` and
+``_project``.  As in the splitting drivers, an optional observer sees each
+completed iteration, and a spent budget, a rejected certificate or a
+non-finite iterate is a returned status.
 :func:`fejer_check` and :func:`alvarez_attouch_check` read a trajectory as
 ``(w, z_tilde, z_next)`` tuples, which the events of all three layers map
 to.
@@ -30,23 +31,19 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ZeroVectorError
+from .errors import ParameterError
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 
 __all__ = [
     "rho_bar_of_beta",
     "beta_of_rho_bar",
     "q_eval",
-    "smallest_positive_root",
     "InertiaRelaxParams",
     "validate_params",
     "ProxCertificate",
     "ResolventOracle",
-    "extrapolate",
     "error_criterion_holds",
     "error_ratio",
-    "gauss_bounds_hold",
-    "relaxed_projection",
     "HPPResult",
     "run_hpp",
     "fejer_check",
@@ -108,22 +105,6 @@ def q_eval(nu: float, rho_bar: float) -> float:
         raise ParameterError(f"rho_bar must lie in (0, 2), got {rho_bar}")
     ri = 1.0 / rho_bar
     return 2.0 * (ri - 1.0) * nu * nu - (4.0 * ri - 1.0) * nu + (2.0 * ri - 1.0)
-
-
-def smallest_positive_root(a: float, b: float, c: float) -> float:
-    """Smallest positive root of ``a x^2 - b x + c`` with b, c > 0.
-
-    Uses the rationalized form 2c / (b + sqrt(b^2 - 4ac)), which covers the
-    affine case a = 0 and both signs of ``a`` without branching: for a > 0
-    it is the smaller root, for a < 0 it is the unique positive (larger)
-    root.
-    """
-    if b <= 0.0 or c <= 0.0:
-        raise ParameterError("requires b > 0 and c > 0")
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        raise ParameterError("requires b^2 - 4ac > 0")
-    return 2.0 * c / (b + math.sqrt(disc))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +214,11 @@ class ResolventOracle(Protocol):
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-# Private kernels of the public steps and of the loops of run_hpp and
-# run_admm: float arrays of one shape in, nothing checked.  In-place
-# operations on a fresh array are the formula's bit for bit, as a product or
-# sum with its operands swapped rounds the same.
+# Private kernels of the loops of run_hpp and run_admm: float arrays of one
+# shape in, nothing checked.  In-place operations on a fresh array are the
+# formula's bit for bit, as a product or sum with its operands swapped
+# rounds the same.  tests/reference.py states each formula once as a plain
+# expression, and tests/test_kernels.py holds each kernel to it bit for bit.
 
 def _extrapolate(cur: np.ndarray, prev: np.ndarray,
                  alpha_k: float) -> np.ndarray:
@@ -252,16 +234,6 @@ def _project(w: np.ndarray, z_tilde: np.ndarray, v: np.ndarray, vv: float,
     """w - rho_k tau v with tau = <w - z_tilde, v> / vv and vv = v @ v."""
     tau = ((w - z_tilde) @ v) / vv
     return w - (rho_k * tau) * v
-
-
-def extrapolate(z_cur: np.ndarray, z_prev: np.ndarray, alpha_k: float) -> np.ndarray:
-    """Inertial extrapolation w = z_cur + alpha_k (z_cur - z_prev)."""
-    z_cur = np.asarray(z_cur, dtype=float)
-    z_prev = np.asarray(z_prev, dtype=float)
-    _same_shape(z_cur, z_prev)
-    if not alpha_k >= 0.0:
-        raise ParameterError("alpha_k must be nonnegative")
-    return _extrapolate(z_cur, z_prev, alpha_k)
 
 
 def _error_sides(w: np.ndarray, cert: ProxCertificate, sigma: float):
@@ -295,40 +267,6 @@ def error_ratio(w: np.ndarray, cert: ProxCertificate, sigma: float) -> float:
     return lhs / rhs
 
 
-def gauss_bounds_hold(w: np.ndarray, cert: ProxCertificate, sigma: float) -> bool:
-    """Two-sided bound tying ||lam v|| to ||z_tilde - w|| on accepted pairs.
-
-    (1-s^2)/(1+sqrt(1-(1-s^2)^2)) ||z_tilde-w|| <= ||lam v||
-    <= (1-s^2)/(1-sqrt(1-(1-s^2)^2)) ||z_tilde-w||, s = sigma.  At sigma = 0
-    both coefficients equal 1 and the bound collapses to equality.  Allows a
-    1e-12 relative round-off slack.
-    """
-    _same_shape(w, cert.z_tilde)
-    u = sigma * sigma
-    root = math.sqrt(u * (2.0 - u))  # = sqrt(1 - (1 - sigma^2)^2)
-    lo = (1.0 - u) / (1.0 + root)
-    hi = (1.0 - u) / (1.0 - root)
-    dz = float(np.linalg.norm(cert.z_tilde - w))
-    lv = float(np.linalg.norm(cert.lam * cert.v))
-    slack = 1e-12
-    return (lo * dz <= lv * (1.0 + slack) + slack and
-            lv <= hi * dz * (1.0 + slack) + slack)
-
-
-def relaxed_projection(w: np.ndarray, cert: ProxCertificate, rho_k: float) -> np.ndarray:
-    """Relaxed projection of ``w`` onto the separating hyperplane.
-
-    Returns w - rho_k * (<w - z_tilde, v> / ||v||^2) v; with rho_k = 1 this
-    is the orthogonal projection onto {z : <z, v> = <z_tilde, v>}.  Raises
-    ``ZeroVectorError`` when ``v @ v == 0``.
-    """
-    _same_shape(w, cert.z_tilde)
-    vv = cert.v @ cert.v
-    if vv == 0.0:
-        raise ZeroVectorError("v = 0: z_tilde already solves the inclusion")
-    return _project(w, cert.z_tilde, cert.v, vv, rho_k)
-
-
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
@@ -346,9 +284,10 @@ def _s_bound(z_next, w, z_tilde, params) -> float:
 
 @dataclass
 class HPPResult:
+    """Last iterate, status and record (``final_kkt`` is the last ||v||)."""
+
     z: np.ndarray
     status: str
-    v_norm: float
     record: RunRecord
 
 
@@ -360,15 +299,15 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
 
     The schedule is constant: alpha_k = alpha and rho_k = rho_hi.  Stops
     with status ``solved`` when a certificate has ``v @ v == 0``, also by
-    underflow (``z`` is then its point, ``v_norm`` 0), ``converged`` when
-    ||v|| <= ``v_tolerance``, or ``budget_exceeded`` with the last iterate
-    and the last ||v|| (inf when ``max_iters`` is 0) after ``max_iters``
-    iterations.  Inputs are checked once, at entry, before any oracle call:
-    ``params``, a negative ``max_iters`` and a negative or NaN
-    ``v_tolerance`` raise ``ParameterError``, a non-finite ``z0``
-    ``ValueError``.  After entry a certificate that fails the relative-error
-    test or a non-finite projected iterate ends the run with status
-    ``error``, the last completed iterate and its ||v||, and a
+    underflow (``z`` is then its point, ``record.final_kkt`` 0),
+    ``converged`` when ||v|| <= ``v_tolerance``, or ``budget_exceeded``
+    with the last iterate and the last ||v|| (inf when ``max_iters`` is 0)
+    after ``max_iters`` iterations.  Inputs are checked once, at entry,
+    before any oracle call: ``params``, a negative ``max_iters`` and a
+    negative or NaN ``v_tolerance`` raise ``ParameterError``, a non-finite
+    ``z0`` ``ValueError``.  After entry a certificate that fails the
+    relative-error test or a non-finite projected iterate ends the run with
+    status ``error``, the last completed iterate and its ||v||, and a
     ``record.cause`` that names the failure and the outer iteration.
     numpy's floating-point warnings are off while the run lasts, oracle
     and observer included: an overflowing projection ends it as
@@ -420,7 +359,7 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
         cause += f" at outer iteration {k}"
     rec = RunRecord(k, 0, time.perf_counter() - started, v_norm, math.nan,
                     CONVERGED if status == "solved" else status, cause)
-    return HPPResult(z, status, v_norm, rec)
+    return HPPResult(z, status, rec)
 
 
 # ---------------------------------------------------------------------------

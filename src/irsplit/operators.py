@@ -109,25 +109,27 @@ class ExactResolventOracle:
         return ProxCertificate(z_tilde, v, lam, exact=True)
 
 
+# halvings of PerturbedResolventOracle's perturbation before the exact pair
+_MAX_SHRINKS = 60
+
+
 class PerturbedResolventOracle:
     """Genuinely inexact certificates: the exact resolvent point is
     perturbed, the operator re-evaluated there, and the perturbation shrunk
     until the relative-error test accepts.  Falls back to the exact pair
     when sigma leaves no room."""
 
-    def __init__(self, operator, scale: float = 0.5, seed: int = 0,
-                 max_shrinks: int = 60):
+    def __init__(self, operator, scale: float = 0.5, seed: int = 0):
         self.operator = operator
         self.scale = scale
         self.rng = np.random.default_rng(seed)
-        self.max_shrinks = max_shrinks
 
     def solve(self, w, lam, sigma):
         w = np.asarray(w, dtype=float)
         exact_point = self.operator.resolvent(lam, w)
         radius = self.scale * max(float(np.linalg.norm(w - exact_point)), 1e-12)
         noise = self.rng.standard_normal(w.shape[0])
-        for _ in range(self.max_shrinks):
+        for _ in range(_MAX_SHRINKS):
             z_tilde = exact_point + radius * noise
             v = self.operator.evaluate(z_tilde)
             cert = ProxCertificate(z_tilde, v, lam)

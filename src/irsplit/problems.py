@@ -33,7 +33,6 @@ __all__ = [
     "DesignMatrix",
     "LassoProblem",
     "LogisticProblem",
-    "l1_kkt_dist_inf",
     "L1ShiftedProx",
     "lasso_admm_problem",
     "logistic_admm_problem",
@@ -152,21 +151,6 @@ class DesignMatrix:
     def tocsr(self) -> sp.csr_matrix:
         """A CSR copy, built without a dense intermediate when sparse."""
         return self._mat.copy() if self.is_sparse else sp.csr_matrix(self._mat)
-
-
-def l1_kkt_dist_inf(grad: np.ndarray, x: np.ndarray, nu: float,
-                    regularized: Optional[np.ndarray] = None) -> float:
-    """Sup-norm distance from 0 to grad + nu * subdiff(l1) at x.
-
-    Per component: |g_i + nu sign(x_i)| where x_i != 0, max(|g_i| - nu, 0)
-    where x_i = 0.  Components flagged False in ``regularized`` contribute
-    plain |g_i|.
-    """
-    grad = np.asarray(grad, dtype=float)
-    r = _l1_components(grad, np.asarray(x, dtype=float), nu)
-    if regularized is not None:
-        r = np.where(regularized, r, np.abs(grad))
-    return float(max(r.max(), 0.0))  # a NaN max stays NaN
 
 
 def _l1_components(grad: np.ndarray, x: np.ndarray, nu: float) -> np.ndarray:

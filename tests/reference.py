@@ -1,13 +1,17 @@
-"""Each formula of the ADMM and splitting recursions, stated once, as one
-plain numpy expression in the paper's variables.
+"""Each formula of the proximal-projection engine and of the ADMM and
+splitting recursions, stated once, as plain numpy expressions in the
+paper's variables.
 
-The tests build their straight-line reference runs from these functions
-and compare the library's in-place kernels with them bit for bit, so this
-module shares no code with the library: it imports numpy and math only.
+The tests build their straight-line reference runs (``reference_hpp`` and
+``reference_admm``) from these functions and compare the library's in-place
+kernels with them bit for bit, so this module shares no code with the
+library: it imports numpy and math only.
 
-ADMM variables: primal pair (x, z), multiplier p, penalty c; a hat marks the
-extrapolated point, subscript l an inner trial.  Splitting variables: the
-triple (s, b, r) = (x, -p, z) with gamma = 1/c.
+Engine variables: iterate z, extrapolated point w, certificate (z_tilde, v)
+with stepsize lam, relaxation rho.  ADMM variables: primal pair (x, z),
+multiplier p, penalty c; a hat marks the extrapolated point, subscript l an
+inner trial.  Splitting variables: the triple (s, b, r) = (x, -p, z) with
+gamma = 1/c.
 """
 
 import math
@@ -15,13 +19,47 @@ import math
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# the ADMM outer iteration
+# the engine step, whose extrapolation the ADMM iteration shares
 # ---------------------------------------------------------------------------
 
 
 def extrapolate(cur, prev, alpha):
     """Inertial step: cur + alpha (cur - prev)."""
     return cur + alpha * (cur - prev)
+
+
+def error_criterion(w, z_tilde, v, lam, sigma):
+    """Relative-error test of the certificate (z_tilde, v) at w:
+    ||lam v - (w - z_tilde)||^2
+    <= sigma^2 (||z_tilde - w||^2 + ||lam v||^2)."""
+    r = lam * v - (w - z_tilde)
+    d = z_tilde - w
+    return r @ r <= sigma * sigma * (d @ d + (lam * v) @ (lam * v))
+
+
+def gauss_bounds(w, z_tilde, v, lam, sigma):
+    """The two-sided bound an accepted certificate satisfies, with s = sigma:
+    (1-s^2)/(1+sqrt(1-(1-s^2)^2)) ||z_tilde-w|| <= ||lam v||
+    <= (1-s^2)/(1-sqrt(1-(1-s^2)^2)) ||z_tilde-w||, with a 1e-12 relative
+    round-off slack.  At sigma = 0 both coefficients are 1."""
+    u = sigma * sigma
+    root = math.sqrt(u * (2.0 - u))  # = sqrt(1 - (1 - sigma^2)^2)
+    dz = float(np.linalg.norm(z_tilde - w))
+    lv = float(np.linalg.norm(lam * v))
+    slack = 1e-12
+    return ((1.0 - u) / (1.0 + root) * dz <= lv * (1.0 + slack) + slack
+            and lv <= (1.0 - u) / (1.0 - root) * dz * (1.0 + slack) + slack)
+
+
+def project(w, z_tilde, v, rho):
+    """Relaxed projection onto the hyperplane {z : <z - z_tilde, v> = 0}:
+    w - rho (<w - z_tilde, v> / ||v||^2) v."""
+    return w - (rho * (((w - z_tilde) @ v) / (v @ v))) * v
+
+
+# ---------------------------------------------------------------------------
+# the ADMM outer iteration
+# ---------------------------------------------------------------------------
 
 
 def multiplier(p_hat, x_l, z_hat, y_l, c):

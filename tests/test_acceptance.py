@@ -244,7 +244,8 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     gauss_bad = 0
     for _ in range(10_000):
         w, cert, sigma = next(sampler)
-        if not ir.gauss_bounds_hold(w, cert, sigma):
+        if not reference.gauss_bounds(w, cert.z_tilde, cert.v, cert.lam,
+                                      sigma):
             gauss_bad += 1
     if gauss_bad:
         failures.append(f"{gauss_bad} certificate-bound violations")

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import irsplit as ir
 import irsplit.bench as bench
 import irsplit.cli as cli
 from irsplit.records import CONVERGED, ERROR
@@ -231,6 +232,82 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
     assert "Traceback" not in captured.err
     assert solved == [] and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    ("m = 15\n", "m = 0\n", "m must be at least 1, got 0"),
+    ("seed = 3\n", "seed = -1\n", "seed must be at least 0, got -1"),
+    ("[run]\n", "[run]\nseed = -1\n", "seed must be at least 0, got -1"),
+    ("sigma = 0.99\n", "sigma = 1.5\n", "0 <= sigma < 1 violated"),
+    ("c = 1.0\n", "c = -1\n", "c > 0 violated"),
+    ("name = admm_inertial\n", "name = fista\neta = 1\n", "eta > 1 violated"),
+], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_eta"])
+def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
+                                                     monkeypatch, line,
+                                                     replacement, message):
+    """A count or seed below its least value, or an option the solver's own
+    parameters reject, is named on stderr with exit code 2 before the first
+    solve, instead of making every solve an error row; nothing is
+    written."""
+    assert CONFIG_TEXT.count(line) == 1
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG_TEXT.replace(line, replacement))
+    solved = []
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
+    out = tmp_path / "out"
+    code = cli.main(["run", "-c", str(ini), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"irsplit-bench: {message}\n"
+    assert solved == [] and captured.out == ""
+    assert not out.exists()
+
+
+LOGISTIC_TEXT = """\
+[problem]
+kind = synthetic_logistic
+q = 50
+n = 31
+seed = 0
+
+[solver]
+name = {solver}
+"""
+
+
+@pytest.mark.parametrize("solver, counts", [
+    ("admm_inertial", (88, 127)),
+    ("fista", (434, 439)),
+])
+def test_cli_runs_a_synthetic_logistic_config(tmp_path, solver, counts):
+    """The logistic branches of the harness: a synthetic logistic 50x31
+    config converges with its pinned outer and inner counts."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(LOGISTIC_TEXT.format(solver=solver))
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "--out", str(out)]) == 0
+    (row,) = bench.read_json(out / "bench.json")["records"]
+    assert row["problem"] == "logistic_q50_n31_s0"
+    assert row["status"] == CONVERGED
+    assert (row["outer"], row["inner"]) == counts
+
+
+def test_cli_runs_a_libsvm_file_it_generated(tmp_path):
+    """``gen logistic`` writes a file that a ``logistic_libsvm`` config
+    reads back: the run converges with the counts of the synthetic
+    problem."""
+    assert cli.main(["gen", "logistic", "--q", "50", "--n", "31", "--seed",
+                     "0", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "logistic.libsvm"
+    nu = ir.synthetic_logistic(50, 31, seed=0).nu
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[problem]\nkind = logistic_libsvm\npath = {path}\n"
+                   f"nu = {nu!r}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "--out", str(out)]) == 0
+    (row,) = bench.read_json(out / "bench.json")["records"]
+    assert row["problem"] == str(path)
+    assert (row["status"], row["outer"], row["inner"]) == (CONVERGED, 88, 127)
 
 
 STALLING_TEXT = """\

@@ -4,6 +4,7 @@ arrays it has just allocated, and the compiled sparse products against
 scipy's own ``A @ x``."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, _accept, _acceptance_vector,
                           _multiplier, _p_update, _theta, run_admm)
-from irsplit.hpp import _extrapolate, rho_bar_of_beta
+from irsplit.hpp import (_extrapolate, _project, error_criterion_holds,
+                         rho_bar_of_beta)
 from irsplit.problems import DesignMatrix, L1ShiftedProx
 from irsplit.subsolvers import CGSession, QuadraticFProcedure, _shrink
 
@@ -55,7 +57,9 @@ def test_kernels_match_expression_forms(data, n, a, c, rw, sigma):
     """Each kernel gives the bits of the formula it states, as the
     reference writes it in one expression, on vectors with signed zeros,
     infs, NaNs and subnormals, and leaves its inputs as they were.  theta
-    is compared where the loop forms it: c > 0 and a finite dd > 0."""
+    is compared where the loop forms it: c > 0 and a finite dd > 0.  The
+    engine's projection and relative-error test read the first three
+    vectors as (w, z_tilde, v), with rw as rho and c as lam."""
     v = [data.draw(vectors(n)) for _ in range(6)]
     before = [w.copy() for w in v]
     p_l, p_hat, z_l, z_hat, x_l, y_l = v
@@ -73,6 +77,8 @@ def test_kernels_match_expression_forms(data, n, a, c, rw, sigma):
             (_p_update(v[0], v[1], v[2], v[3], rw, c),
              reference.p_update(v[0], v[1], v[2], v[3], rw, c)),
             (_shrink(v[4], kappa), reference.shrink(v[4], kappa)),
+            (_project(v[0], v[1], v[2], v[2] @ v[2], rw),
+             reference.project(v[0], v[1], v[2], rw)),
         ]
         for skip in (False, True) if c != 0.0 else ():
             prox = L1ShiftedProx(kappa, skip_first=skip)
@@ -83,6 +89,11 @@ def test_kernels_match_expression_forms(data, n, a, c, rw, sigma):
             cases.append((np.float64(_theta(t, d, dd, c)),
                           np.float64(reference.theta(p_hat, z_hat, x_l, z_l,
                                                      p_l, c))))
+        # a ProxCertificate rejects non-finite entries; the test reads only
+        # its three fields, so a namespace stands in
+        cert = SimpleNamespace(z_tilde=v[1], v=v[2], lam=c)
+        assert (error_criterion_holds(v[0], cert, sigma)
+                == reference.error_criterion(v[0], v[1], v[2], c, sigma))
         for max_form in (False, True):
             assert (_accept(y_l, t @ t, dd, c, sigma, max_form)
                     == reference.accept(y_l, p_l, p_hat, z_l, z_hat, x_l, c,

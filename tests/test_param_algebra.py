@@ -192,41 +192,6 @@ def test_q_root_property():
             assert ir.q_eval(nu, rho) > 0.0
 
 
-def test_smallest_positive_root_affine():
-    assert ir.smallest_positive_root(0.0, 3.0, 1.0) == pytest.approx(1.0 / 3.0)
-
-
-def test_smallest_positive_root_convex():
-    # (nu - 1)(nu - 2): the smaller root
-    root = ir.smallest_positive_root(1.0, 3.0, 2.0)
-    oracle = min(r for r in np.roots([1.0, -3.0, 2.0]) if r > 0)
-    assert root == pytest.approx(float(oracle), abs=1e-12)
-    assert root == pytest.approx(1.0)
-
-
-def test_smallest_positive_root_concave_matches_bruteforce():
-    a, b, c = -1.0, 3.0, 2.0
-    root = ir.smallest_positive_root(a, b, c)
-    # brute-force sign-change scan of a v^2 - b v + c over [-10, 10]
-    grid = np.linspace(-10.0, 10.0, 2_000_001)
-    vals = a * grid * grid - b * grid + c
-    crossings = grid[:-1][np.sign(vals[:-1]) != np.sign(vals[1:])]
-    positive = sorted(x for x in crossings if x > -1e-5)
-    assert positive, "oracle found no positive root"
-    assert abs(root - positive[0]) <= 2e-5
-    # the unique positive root of the concave case is its larger root
-    assert root == pytest.approx((np.sqrt(17.0) - 3.0) / 2.0, abs=1e-12)
-
-
-def test_smallest_positive_root_preconditions():
-    with pytest.raises(ParameterError):
-        ir.smallest_positive_root(1.0, -1.0, 1.0)
-    with pytest.raises(ParameterError):
-        ir.smallest_positive_root(1.0, 1.0, -1.0)
-    with pytest.raises(ParameterError):
-        ir.smallest_positive_root(1.0, 1.0, 1.0)  # negative discriminant
-
-
 def test_validate_params_accepts_published_settings():
     ir.validate_params(ir.InertiaRelaxParams(0.18966, 0.18976, 0.99,
                                              1.4882, 1.4882))
