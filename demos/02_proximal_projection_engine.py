@@ -23,7 +23,7 @@ plain = ir.InertiaRelaxParams.plain(sigma=0.0)
 res = ir.run_hpp(z0, ExactResolventOracle(operator), plain,
                  max_iters=5000, v_tolerance=1e-10)
 print(f"  {res.status} after {res.record.outer_iters} iterations, "
-      f"|z| = {np.linalg.norm(res.z):.2e}")
+      f"|z| = {np.linalg.norm(res.x):.2e}")
 
 print("inexact certificates (sigma = 0.9) with inertia and overrelaxation:")
 params = ir.InertiaRelaxParams.from_beta(alpha=0.18, beta=0.18976, sigma=0.9)
@@ -34,7 +34,7 @@ events = []
 res = ir.run_hpp(z0, oracle, params, max_iters=5000, v_tolerance=1e-10,
                  observer=events.append)
 print(f"  {res.status} after {res.record.outer_iters} iterations, "
-      f"|z| = {np.linalg.norm(res.z):.2e}")
+      f"|z| = {np.linalg.norm(res.x):.2e}")
 
 steps = [(ev["w"], ev["cert"].z_tilde, ev["z"]) for ev in events]
 violation = ir.fejer_check(steps, np.zeros(2), params, rel_tol=1e-9)

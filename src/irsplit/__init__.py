@@ -4,14 +4,13 @@ benchmark harness."""
 
 from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
                      ParseError)
-from .hpp import (HPPResult, InertiaRelaxParams, ProxCertificate,
-                  alvarez_attouch_check, beta_of_rho_bar,
-                  error_criterion_holds, fejer_check, q_eval,
-                  rho_bar_of_beta, run_hpp, validate_params)
-from .admm import (ADMMParams, ADMMResult, AdmmProblem, Criterion,
-                   PrimalDualTriple, run_admm)
-from .dr import (DRParams, DRResult, SplitTriple, classical_dr_step,
-                 embed_to_dr, run_dr)
+from .hpp import (InertiaRelaxParams, ProxCertificate, alvarez_attouch_check,
+                  beta_of_rho_bar, error_criterion_holds, fejer_check,
+                  q_eval, rho_bar_of_beta, run_hpp, validate_params)
+from .admm import (ADMMParams, AdmmProblem, Criterion, PrimalDualTriple,
+                   run_admm)
+from .dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
+                 run_dr)
 from .subsolvers import (CGSession, FistaConfig, LBFGSFProcedure,
                          LBFGSSession, QuadraticFProcedure, fista_solve,
                          soft_threshold)
@@ -20,6 +19,6 @@ from .problems import (DesignMatrix, LassoProblem, LogisticProblem,
                        load_libsvm, logistic_admm_problem,
                        reference_minimizer, synthetic_lasso,
                        synthetic_logistic)
-from .records import RunRecord
+from .records import RunRecord, RunResult
 
 __version__ = "0.1.0"

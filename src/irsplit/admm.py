@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import CGBreakdown, LineSearchFailure, ParameterError
 from .hpp import InertiaRelaxParams, _extrapolate, _finite, validate_params
-from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
+from .records import (BUDGET_EXCEEDED, CONVERGED, ERROR, SOLVED, STALLED,
+                      RunResult, run_result)
 
 __all__ = [
     "Criterion",
@@ -34,7 +35,6 @@ __all__ = [
     "FProcedure",
     "ShiftedProxG",
     "AdmmProblem",
-    "ADMMResult",
     "reset_procedure",
     "run_admm",
 ]
@@ -85,10 +85,14 @@ class ADMMParams:
     def validate(self):
         if not self.c > 0.0:
             raise ParameterError("c > 0 violated")
+        if not self.c < math.inf:
+            raise ParameterError("c < inf violated")
         if not self.epsilon >= 0.0:
             raise ParameterError("epsilon >= 0 violated")
-        if self.inner_budget < 1 or self.max_outer < 0:
-            raise ParameterError("budgets must be positive")
+        if self.inner_budget < 1:
+            raise ParameterError("inner_budget >= 1 violated")
+        if self.max_outer < 0:
+            raise ParameterError("max_outer >= 0 violated")
         validate_params(self.core)
         if self.core.lam != 1.0:
             raise ParameterError("lam = 1 required by the splitting layers")
@@ -220,29 +224,9 @@ def _p_update(p_hat, z_hat, z_next, x_next, rw: float,
 # Driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ADMMResult:
-    """``x`` is the solution estimate: the g-side iterate, whose exact
-    shrink step can produce exact zeros; the smooth-side iterate never
-    does, and the sup-norm subdifferential distance is discontinuous at
-    components that are merely close to zero."""
-
-    x: np.ndarray
-    triple: PrimalDualTriple
-    status: str
-    outer_iters: int
-    inner_iters_total: int
-    record: RunRecord
-
-
 def reset_procedure(procedure) -> None:
-    """Clear the state a procedure's sessions share, if it has any.
-
-    Calls the optional ``reset()`` of an F-procedure.  The loop
-    calls it at run entry, so that a run starts from the same procedure
-    state whatever ran before it, and on every exit, so that no vectors of
-    a finished run stay alive with the procedure.
-    """
+    """Call the optional ``reset()`` of an F-procedure, as the loop does at
+    run entry and on every exit (see :class:`FProcedure`)."""
     reset = getattr(procedure, "reset", None)
     if reset is not None:
         reset()
@@ -251,31 +235,34 @@ def reset_procedure(procedure) -> None:
 def run_admm(problem: AdmmProblem, params: ADMMParams,
              init: Optional[PrimalDualTriple] = None,
              observer: Optional[Callable[[dict], None]] = None
-             ) -> ADMMResult:
+             ) -> RunResult:
     """Run the inexact inertial-relaxed ADMM until the outer residual test.
 
     Stops when the KKT residual at the g-side iterate falls to
-    ``params.epsilon`` (checked every outer iteration, with
-    ``params.epsilon`` as the floor of ``problem.kkt_residual``, so a
-    failing test may see a lower bound; the record's ``final_kkt`` is
-    always the residual itself), on the exact
-    coincidence x_l = z_l of an accepted trial, which is then returned as
-    ``triple`` with status ``solved``, or with status ``budget_exceeded``
-    after ``max_outer`` iterations.
+    ``params.epsilon`` (tested every outer iteration with ``params.epsilon``
+    as the floor of ``problem.kkt_residual``, so a failing test may see a
+    lower bound; the record's ``final_kkt`` is always the residual itself),
+    on the exact coincidence x_l = z_l of an accepted trial (status
+    ``solved``, the trial returned), or with status ``budget_exceeded``
+    after ``max_outer`` iterations.  The result's ``triple`` is the last
+    :class:`PrimalDualTriple` and its ``x`` is z, the g-side iterate: its
+    exact shrink can produce exact zeros, the smooth-side iterate never
+    does, and the sup-norm subdifferential distance is discontinuous at
+    components merely near zero.
 
-    Inputs are validated once, at entry: ``params`` (c > 0, lam = 1, alpha
-    and the other engine parameters), ``problem.kkt_residual`` (not None)
-    and the starting triple (one shape, of length ``problem.dim`` when that
-    is set, finite entries), else ``ParameterError`` or ``ValueError``.
-    After entry a failure returns the last completed iterate, its counts
-    and ``final_kkt``, with ``record.cause`` naming it, its layer and the
-    outer iteration: status ``stalled`` (record ``budget_exceeded``) when
-    the inner budget runs out, as at the round-off floor, and ``error``
-    on a ``LineSearchFailure`` or ``CGBreakdown`` out of a session, a
-    non-finite trial or a theta that is not finite and positive.  numpy's
-    floating-point warnings are off while the run lasts, callbacks and
-    observer included: a non-finite value ends it as ``error``, not as a
-    warning.
+    Inputs are validated once, at entry: ``params`` (0 < c < inf, the two
+    budgets, lam = 1, alpha and the other engine parameters),
+    ``problem.kkt_residual`` (not None) and the starting triple (one shape,
+    of length ``problem.dim`` when that is set, finite entries), else
+    ``ParameterError`` or ``ValueError``.  After entry a failure returns
+    the last completed iterate, its counts and ``final_kkt``, with
+    ``record.cause`` naming it, its layer and the outer iteration: status
+    ``stalled`` when the inner budget runs out, as at the round-off floor,
+    and ``error`` on a ``LineSearchFailure`` or ``CGBreakdown`` out of a
+    session, a non-finite trial or a theta that is not finite and
+    positive.  numpy's floating-point warnings are off while the run
+    lasts, callbacks and observer included: a non-finite value ends it as
+    ``error``, not as a warning.
 
     When the F-procedure accepts an anchor (see :class:`FProcedure`), each
     session is opened with the two points ``x_hat`` was extrapolated from.
@@ -310,7 +297,7 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
 @np.errstate(all="ignore")
 def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
          observer: Optional[Callable[[dict], None]],
-         gap_tol: float = 0.0) -> ADMMResult:
+         gap_tol: float = 0.0) -> RunResult:
     """The outer loop of both drivers, on validated inputs.
 
     Stops on a KKT residual at most ``params.epsilon`` unless
@@ -346,7 +333,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
             if kkt_residual is not None:
                 kkt = float(kkt_residual(z, epsilon))
                 if kkt <= epsilon:
-                    status = "converged"
+                    status = CONVERGED
                     break
             x_hat = _extrapolate(x, x_prev, alpha)
             z_hat = _extrapolate(z, z_prev, alpha)
@@ -372,7 +359,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                     if exact or _accept(y_l, t @ t, dd, c, sigma, max_form):
                         break
                 else:
-                    status = "stalled"
+                    status = STALLED
                     cause = "inner budget spent in a session"
             except (CGBreakdown, LineSearchFailure) as exc:
                 status, cause = ERROR, f"{exc!r} out of a session"
@@ -380,14 +367,13 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                 inner_total += trial
                 gap = math.sqrt(dd)
                 if gap <= gap_tol:
-                    status = "solved"
+                    status = SOLVED
                     x, z, p = x_l, z_l, p_l
                     break
                 th = _theta(t, d, dd, c)
                 if not 0.0 < th < math.inf:
                     status, cause = ERROR, f"theta = {th} in the projection"
             if cause:
-                cause += f" at outer iteration {k}"
                 break
             p_next = _p_update(p_hat, z_hat, z_l, x_l, rho * th, c)
             if observer is not None:
@@ -401,14 +387,11 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         else:
             k = params.max_outer
         wall = time.perf_counter() - started
-        if status != "converged":  # the residual itself, not a bound
+        if status != CONVERGED:  # the residual itself, not a bound
             kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
                    else float(kkt_residual(z, math.inf)))
         obj = float(problem.objective(z)) if problem.objective else math.nan
-        rec_status = {"solved": CONVERGED,
-                      "stalled": BUDGET_EXCEEDED}.get(status, status)
-        record = RunRecord(k, inner_total, wall, kkt, obj, rec_status, cause)
-        return ADMMResult(z, PrimalDualTriple(x, z, p), status, k,
-                          inner_total, record)
+        return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
+                          PrimalDualTriple(x, z, p))
     finally:
         reset_procedure(problem.fproc)

@@ -178,7 +178,10 @@ def admm_params_for(solver: str, options: dict) -> ADMMParams:
     sigma = float(options.get("sigma", 0.99))
     c = float(options.get("c", 1.0))
     epsilon = float(options.get("epsilon", 1e-6))
-    criterion = Criterion(options.get("criterion", "max_form"))
+    criterion = options.get("criterion", "max_form")
+    if criterion not in ("max_form", "sum_squares"):
+        raise ValueError(f"criterion must be max_form or sum_squares, "
+                         f"got {criterion!r}")
     max_outer = int(options.get("max_outer", 20_000))
     inner_budget = int(options.get("inner_budget", 10_000))
     if solver == "admm_plain":
@@ -188,8 +191,9 @@ def admm_params_for(solver: str, options: dict) -> ADMMParams:
         beta = float(options.get("beta", 0.18976))
         rho = float(options.get("rho_bar", rho_bar_of_beta(beta)))
         core = InertiaRelaxParams(alpha, beta, sigma, rho, rho)
-    return ADMMParams(c=c, core=core, criterion=criterion, epsilon=epsilon,
-                      inner_budget=inner_budget, max_outer=max_outer)
+    return ADMMParams(c=c, core=core, criterion=Criterion(criterion),
+                      epsilon=epsilon, inner_budget=inner_budget,
+                      max_outer=max_outer)
 
 
 def _fista_config(options: dict) -> FistaConfig:

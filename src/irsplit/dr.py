@@ -18,7 +18,8 @@ loop of :mod:`irsplit.admm` under the change of variables of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -26,14 +27,13 @@ import numpy as np
 from .admm import (ADMMParams, AdmmProblem, Criterion, FProcedure,
                    PrimalDualTriple, _run)
 from .errors import ParameterError
-from .hpp import InertiaRelaxParams, _finite, validate_params
-from .records import RunRecord
+from .hpp import InertiaRelaxParams, _finite
+from .records import RunResult
 
 __all__ = [
     "SplitTriple",
     "DRParams",
     "ResolventMap",
-    "DRResult",
     "run_dr",
     "classical_dr_step",
     "embed_to_dr",
@@ -62,15 +62,6 @@ class DRParams:
     core: InertiaRelaxParams
     inner_budget: int = 10_000
 
-    def validate(self):
-        if not self.gamma > 0.0:
-            raise ParameterError("gamma > 0 violated")
-        if self.inner_budget < 1:
-            raise ParameterError("inner_budget must be positive")
-        validate_params(self.core)
-        if self.core.lam != 1.0:
-            raise ParameterError("lam = 1 required by the splitting layers")
-
 
 class ResolventMap(Protocol):
     """Exact single-valued resolvent u -> (I + gamma A)^{-1}(u).
@@ -82,19 +73,6 @@ class ResolventMap(Protocol):
 
     def resolvent(self, gamma: float, u: np.ndarray) -> np.ndarray:
         ...
-
-
-@dataclass
-class DRResult:
-    """``x`` is the A-side iterate r (its resolvent is exact, so e.g. an l1
-    operator yields exact sparsity there); s and r coincide in the limit."""
-
-    triple: SplitTriple
-    x: np.ndarray
-    status: str
-    outer_iters: int
-    inner_iters_total: int
-    record: RunRecord
 
 
 class _ResolventProx:
@@ -111,7 +89,7 @@ class _ResolventProx:
 def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
            resolvent: ResolventMap, max_outer: int = 1000,
            sr_tolerance: float = 0.0,
-           observer: Optional[Callable[[dict], None]] = None) -> DRResult:
+           observer: Optional[Callable[[dict], None]] = None) -> RunResult:
     """Drive the splitting from ``init`` until ||s - r|| <= sr_tolerance.
 
     ``fproc`` is an F-procedure for B (:class:`irsplit.admm.FProcedure`),
@@ -124,12 +102,15 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     which case that point solves the inclusion.  Constant schedules
     alpha_k = alpha and rho_k = rho_hi are used.  When ``max_outer`` runs
     out the partial result is returned with status ``budget_exceeded``.
-    ``params``, a negative ``max_outer`` and a negative or NaN
-    ``sr_tolerance`` raise ``ParameterError`` at entry; after entry a
-    failure returns the last completed triple with status ``stalled`` or
-    ``error`` and ``record.cause``, as :func:`irsplit.admm.run_admm` does:
-    numpy's floating-point warnings are off while the run lasts, callbacks
-    and observer included, and a non-finite value ends it as ``error``.
+    The result's ``triple`` is the last :class:`SplitTriple` and its ``x``
+    is r, the A-side iterate (its resolvent is exact, so e.g. an l1
+    operator yields exact sparsity there); s and r coincide in the limit.
+
+    A ``gamma`` not in (0, inf) or with 1/gamma = inf, a negative or NaN
+    ``sr_tolerance``, and what the loop's ``ADMMParams`` rejects (the
+    budgets, ``params.core``) raise ``ParameterError`` at entry.  After
+    entry a run fails as :func:`irsplit.admm.run_admm` does, with status
+    ``stalled`` or ``error``, the last completed triple and ``record.cause``.
 
     The run is the loop of :func:`irsplit.admm.run_admm` with the
     summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,
@@ -145,21 +126,20 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     variables: ``(s, b, r) = (x, -p, z)``, as in :func:`embed_to_dr`;
     their ``kkt`` is NaN, as the run has no KKT test.
     """
-    params.validate()
-    if max_outer < 0:
-        raise ParameterError("max_outer >= 0 violated")
+    gamma = params.gamma
+    if not (gamma > 0.0 and 0.0 < 1.0 / gamma < math.inf):
+        raise ParameterError("gamma > 0 and 0 < 1/gamma < inf violated")
     if not sr_tolerance >= 0.0:
         raise ParameterError("sr_tolerance >= 0 violated")
-    gamma = params.gamma
-    problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
     loop_params = ADMMParams(1.0 / gamma, params.core, Criterion.SUM_SQUARES,
                              inner_budget=params.inner_budget,
                              max_outer=max_outer)
+    loop_params.validate()
+    problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
     res = _run(problem, loop_params,
                PrimalDualTriple(init.s, init.r, -init.b), observer,
                gap_tol=sr_tolerance)
-    return DRResult(embed_to_dr(res.triple), res.x, res.status,
-                    res.outer_iters, res.inner_iters_total, res.record)
+    return replace(res, triple=embed_to_dr(res.triple))
 
 
 def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,

@@ -16,7 +16,7 @@ enforces the full contract.
 and runs on plain arrays, through the private kernels ``_extrapolate`` and
 ``_project``.  As in the splitting drivers, an optional observer sees each
 completed iteration, and a spent budget, a rejected certificate or a
-non-finite iterate is a returned status.
+non-finite iterate is a status of the returned result.
 :func:`fejer_check` and :func:`alvarez_attouch_check` read a trajectory as
 ``(w, z_tilde, z_next)`` tuples, which the events of all three layers map
 to.
@@ -32,7 +32,8 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
+from .records import (BUDGET_EXCEEDED, CONVERGED, ERROR, SOLVED, RunResult,
+                      run_result)
 
 __all__ = [
     "rho_bar_of_beta",
@@ -44,7 +45,6 @@ __all__ = [
     "ResolventOracle",
     "error_criterion_holds",
     "error_ratio",
-    "HPPResult",
     "run_hpp",
     "fejer_check",
     "alvarez_attouch_check",
@@ -282,27 +282,19 @@ def _s_bound(z_next, w, z_tilde, params) -> float:
     )
 
 
-@dataclass
-class HPPResult:
-    """Last iterate, status and record (``final_kkt`` is the last ||v||)."""
-
-    z: np.ndarray
-    status: str
-    record: RunRecord
-
-
 @np.errstate(all="ignore")
 def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
             max_iters: int = 1000, v_tolerance: float = 0.0,
-            observer: Optional[Callable[[dict], None]] = None) -> HPPResult:
+            observer: Optional[Callable[[dict], None]] = None) -> RunResult:
     """Drive the engine from ``z0`` until v = 0, ||v|| <= v_tolerance or budget.
 
-    The schedule is constant: alpha_k = alpha and rho_k = rho_hi.  Stops
-    with status ``solved`` when a certificate has ``v @ v == 0``, also by
-    underflow (``z`` is then its point, ``record.final_kkt`` 0),
-    ``converged`` when ||v|| <= ``v_tolerance``, or ``budget_exceeded``
-    with the last iterate and the last ||v|| (inf when ``max_iters`` is 0)
-    after ``max_iters`` iterations.  Inputs are checked once, at entry,
+    The schedule is constant: alpha_k = alpha and rho_k = rho_hi.  The
+    result's ``x`` is the last iterate and ``record.final_kkt`` the last
+    ||v|| (inf when ``max_iters`` is 0).  Stops with status ``solved`` when
+    a certificate has ``v @ v == 0``, also by underflow (``x`` is then its
+    point, ||v|| 0), ``converged`` when ||v|| <= ``v_tolerance``, or
+    ``budget_exceeded`` after ``max_iters`` iterations.  Inputs are
+    checked once, at entry,
     before any oracle call: ``params``, a negative ``max_iters`` and a
     negative or NaN ``v_tolerance`` raise ``ParameterError``, a non-finite
     ``z0`` ``ValueError``.  After entry a certificate that fails the
@@ -335,7 +327,7 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
         cert = solve(w, lam, sigma)
         vv = cert.v @ cert.v
         if vv == 0.0:
-            z, status, v_norm = cert.z_tilde, "solved", 0.0
+            z, status, v_norm = cert.z_tilde, SOLVED, 0.0
             break
         if not (cert.exact or error_criterion_holds(w, cert, sigma)):
             status = ERROR
@@ -355,11 +347,8 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
             break
     else:
         k = max_iters
-    if cause:
-        cause += f" at outer iteration {k}"
-    rec = RunRecord(k, 0, time.perf_counter() - started, v_norm, math.nan,
-                    CONVERGED if status == "solved" else status, cause)
-    return HPPResult(z, status, rec)
+    return run_result(z, status, k, 0, time.perf_counter() - started, v_norm,
+                      math.nan, cause)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,9 @@ class ExactResolventOracle:
         return ProxCertificate(z_tilde, v, lam, exact=True)
 
 
-# halvings of PerturbedResolventOracle's perturbation before the exact pair
+# PerturbedResolventOracle's first perturbation radius, as a fraction of the
+# distance to the exact point, and its halvings before the exact pair
+_SCALE = 0.5
 _MAX_SHRINKS = 60
 
 
@@ -119,15 +121,14 @@ class PerturbedResolventOracle:
     until the relative-error test accepts.  Falls back to the exact pair
     when sigma leaves no room."""
 
-    def __init__(self, operator, scale: float = 0.5, seed: int = 0):
+    def __init__(self, operator, seed: int = 0):
         self.operator = operator
-        self.scale = scale
         self.rng = np.random.default_rng(seed)
 
     def solve(self, w, lam, sigma):
         w = np.asarray(w, dtype=float)
         exact_point = self.operator.resolvent(lam, w)
-        radius = self.scale * max(float(np.linalg.norm(w - exact_point)), 1e-12)
+        radius = _SCALE * max(float(np.linalg.norm(w - exact_point)), 1e-12)
         noise = self.rng.standard_normal(w.shape[0])
         for _ in range(_MAX_SHRINKS):
             z_tilde = exact_point + radius * noise

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CGBreakdown, LineSearchFailure, ParameterError
-from .records import BUDGET_EXCEEDED, CONVERGED, RunRecord
+from .records import BUDGET_EXCEEDED, CONVERGED, RunResult, run_result
 
 __all__ = [
     "CGSession",
@@ -28,7 +28,6 @@ __all__ = [
     "LBFGSFProcedure",
     "soft_threshold",
     "FistaConfig",
-    "FistaResult",
     "fista_solve",
 ]
 
@@ -380,22 +379,14 @@ class FistaConfig:
             raise ParameterError("max_iters >= 0 violated")
 
 
-@dataclass
-class FistaResult:
-    x: np.ndarray
-    status: str
-    record: RunRecord
-
-
-def fista_solve(problem, config: FistaConfig,
-                x0: Optional[np.ndarray] = None) -> FistaResult:
+def fista_solve(problem, config: FistaConfig) -> RunResult:
     """Monotone accelerated proximal gradient with Lipschitz backtracking,
-    on min F = f + g with f smooth, from ``x0`` or the zero vector.
+    on min F = f + g with f smooth, from the zero vector.
 
     ``problem`` is any object with the six members that
     :class:`irsplit.problems.LassoProblem` and ``LogisticProblem`` share:
 
-    - ``n``, the dimension, read when ``x0`` is not given;
+    - ``n``, the dimension;
     - ``value_gradient(x)``, f and its gradient;
     - ``f_value(x)``, f alone;
     - ``objective(x)``, F;
@@ -409,11 +400,11 @@ def fista_solve(problem, config: FistaConfig,
     after every accepted backtracking step.  Stops when the KKT residual
     falls below ``config.tol``, tested each iteration with ``config.tol``
     as the floor; returns status ``budget_exceeded`` otherwise.  The
-    residuals at the start and in the record are exact.
+    residuals at the start and in the record are exact, and the record
+    counts prox evaluations as inner iterations.
     """
     config.validate()
-    x = np.zeros(problem.n) if x0 is None else np.array(x0, dtype=float)
-    x_prev = x.copy()
+    x = np.zeros(problem.n)
     y = x.copy()
     t = 1.0
     lip = config.lipschitz0
@@ -457,8 +448,6 @@ def fista_solve(problem, config: FistaConfig,
             y = x + (t / t_next) * (z - x) + ((t - 1.0) / t_next) * (x - x_prev)
             t = t_next
     wall = time.perf_counter() - started
-    record = RunRecord(outer, prox_evals, wall,
-                       float(problem.kkt_dist_inf(x, math.inf)),
-                       problem.objective(x),
-                       status)
-    return FistaResult(x, status, record)
+    return run_result(x, status, outer, prox_evals, wall,
+                      float(problem.kkt_dist_inf(x, math.inf)),
+                      problem.objective(x))

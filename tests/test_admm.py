@@ -976,7 +976,7 @@ def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
         res = run_hpp(np.ones(2), FailingOracle(at),
                       ir.InertiaRelaxParams.plain(sigma=0.1), max_iters=50,
                       observer=events)
-        got, want = [res.z], [events[-1].z]
+        got, want = [res.x], [events[-1].z]
     elif case == "cg_breakdown":
         rng = np.random.default_rng(3)
         init = SplitTriple(*(rng.standard_normal(n) for _ in range(3)))

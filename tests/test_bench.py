@@ -241,7 +241,11 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
     ("sigma = 0.99\n", "sigma = 1.5\n", "0 <= sigma < 1 violated"),
     ("c = 1.0\n", "c = -1\n", "c > 0 violated"),
     ("name = admm_inertial\n", "name = fista\neta = 1\n", "eta > 1 violated"),
-], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_eta"])
+    ("max_outer = 5000\n", "max_outer = -1\n", "max_outer >= 0 violated"),
+    ("max_outer = 5000\n", "max_outer = 5000\ncriterion = bogus\n",
+     "criterion must be max_form or sum_squares, got 'bogus'"),
+], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_eta",
+        "max_outer", "criterion"])
 def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
                                                      monkeypatch, line,
                                                      replacement, message):

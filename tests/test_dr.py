@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import irsplit as ir
+from irsplit.admm import ADMMParams, run_admm
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.errors import ParameterError
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
@@ -295,6 +296,7 @@ def test_run_inertial_relaxed_converges_and_embeds(inertial_core):
     ("hpp", "max_iters", -1), ("hpp", "v_tolerance", -1.0),
     ("hpp", "v_tolerance", float("nan")), ("dr", "max_outer", -1),
     ("dr", "sr_tolerance", -1.0), ("dr", "sr_tolerance", float("nan")),
+    ("admm", "max_outer", -1), ("admm", "inner_budget", 0),
 ])
 def test_budgets_and_tolerances_checked_at_entry(driver, option, value):
     """A negative budget, or a negative or NaN tolerance, raises
@@ -307,10 +309,35 @@ def test_budgets_and_tolerances_checked_at_entry(driver, option, value):
         if driver == "hpp":
             ir.run_hpp(z + 1.0, ExactResolventOracle(ScaledIdentityOperator(
                 1.0)), params, **{option: value})
+        elif driver == "admm":
+            run_admm(ir.lasso_admm_problem(ir.synthetic_lasso(2, 3), 1.0),
+                     ADMMParams(1.0, params, **{option: value}))
         else:
             run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(1.0, params),
                    ExactBProcedure(ScaledIdentityOperator(0.0)),
                    L1Resolvent(0.1), **{option: value})
+
+
+@pytest.mark.parametrize("driver, value, name", [
+    ("admm", float("inf"), "c"), ("dr", float("inf"), "gamma"),
+    ("dr", 1e-320, "gamma"),
+])
+def test_infinite_penalty_rejected_at_entry(driver, value, name):
+    """An infinite c, a gamma of inf (c = 0) or a gamma whose 1/gamma
+    overflows to an infinite c raises ``ParameterError`` naming the
+    parameter.  The infinite c used to end the ADMM run as ``error`` at
+    outer iteration 0, and gamma = inf to raise ``ZeroDivisionError`` out
+    of the B half-step after entry."""
+    z = np.zeros(3)
+    params = ir.InertiaRelaxParams.plain(sigma=0.0)
+    with pytest.raises(ParameterError, match=rf"\b{name}\b"):
+        if driver == "admm":
+            run_admm(ir.lasso_admm_problem(ir.synthetic_lasso(2, 3), 1.0),
+                     ADMMParams(value, params))
+        else:
+            run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(value, params),
+                   ExactBProcedure(ScaledIdentityOperator(1.0)),
+                   L1Resolvent(0.1))
 
 
 def test_embedding_reproduces_engine_equations():

@@ -149,7 +149,7 @@ def test_iterate_identity_operator_halves():
     res = ir.run_hpp(np.array([1.0]), exact_identity_oracle(), params,
                      max_iters=1, observer=events)
     assert res.status == "budget_exceeded"
-    assert res.z[0] == pytest.approx(0.5, abs=1e-15)
+    assert res.x[0] == pytest.approx(0.5, abs=1e-15)
     w, cert = events[0].w, events[0].cert
     tau = ((w - cert.z_tilde) @ cert.v) / (cert.v @ cert.v)
     assert tau == pytest.approx(1.0)
@@ -162,7 +162,7 @@ def test_fifty_iterations_geometric():
                      max_iters=50, observer=events)
     assert (res.status, res.record.outer_iters, len(events)) == (
         "budget_exceeded", 50, 50)
-    assert res.z[0] == pytest.approx(2.0 ** -50, rel=1e-12)
+    assert res.x[0] == pytest.approx(2.0 ** -50, rel=1e-12)
 
 
 def test_iterate_already_solved():
@@ -173,7 +173,7 @@ def test_iterate_already_solved():
     assert (res.status, res.record.status) == ("solved", "converged")
     assert res.record.outer_iters == len(events) == 0
     assert res.record.final_kkt == 0.0
-    assert np.array_equal(res.z, np.zeros(3))
+    assert np.array_equal(res.x, np.zeros(3))
 
 
 class BogusOracle:
@@ -197,7 +197,7 @@ def test_iterate_reports_bad_certificate():
     assert res.record.outer_iters == len(events) == 0
     assert res.record.cause == ("OracleFailure: certificate fails the "
                                 "relative-error test at outer iteration 0")
-    assert np.array_equal(res.z, np.ones(2))
+    assert np.array_equal(res.x, np.ones(2))
 
 
 def test_unit_relaxation_exact_is_proximal_step():
@@ -210,7 +210,7 @@ def test_unit_relaxation_exact_is_proximal_step():
         z = rng.standard_normal(2)
         res = ir.run_hpp(z, oracle, params, max_iters=1)
         expected = op.resolvent(0.7, z)
-        assert np.linalg.norm(res.z - expected) <= 1e-12
+        assert np.linalg.norm(res.x - expected) <= 1e-12
 
 
 def test_nan_start_raises_before_any_oracle_call():
@@ -240,8 +240,8 @@ def test_underflowing_v_ends_as_solved(operator, z0, outer):
     assert res.record.outer_iters == len(events) == outer
     assert res.record.final_kkt == 0.0
     assert res.record.cause == ""
-    assert np.all(res.z != 0.0)
-    assert np.linalg.norm(res.z) < 1e-160
+    assert np.all(res.x != 0.0)
+    assert np.linalg.norm(res.x) < 1e-160
 
 
 class OverflowingOracle:
@@ -274,7 +274,7 @@ def test_nonfinite_iterate_is_an_error_status():
     assert res.record.outer_iters == len(events) == 3
     assert "non-finite iterate" in res.record.cause
     assert res.record.cause.endswith("at outer iteration 3")
-    assert np.array_equal(res.z, events[-1].z)
+    assert np.array_equal(res.x, events[-1].z)
     last = float(np.linalg.norm(events[-1].cert.v))
     assert res.record.final_kkt == last > 0.0
 
@@ -298,7 +298,7 @@ def test_run_budget_zero():
     assert res.status == "budget_exceeded"
     assert res.record.status == "budget_exceeded"
     assert res.record.outer_iters == 0
-    assert np.array_equal(res.z, [2.0])
+    assert np.array_equal(res.x, [2.0])
 
 
 def test_run_budget_reports_the_last_v_norm():
@@ -321,7 +321,7 @@ def test_run_rotation_converges_with_fejer():
     res = ir.run_hpp(np.array([3.0, -1.0]), oracle, params, max_iters=2000,
                      v_tolerance=1e-10, observer=events)
     assert res.status == "converged"
-    assert np.linalg.norm(res.z) <= 1e-8
+    assert np.linalg.norm(res.x) <= 1e-8
     assert ir.fejer_check(engine_steps(events), np.zeros(2), params,
                           rel_tol=0.0) is None
 
@@ -425,7 +425,7 @@ def test_observer_sees_every_iteration_unchanged():
     assert res.status == "converged"
     assert len(events) == res.record.outer_iters > 10
     assert [event["k"] for event in events] == list(range(len(events)))
-    assert np.array_equal(res.z, events[-1]["z"])
+    assert np.array_equal(res.x, events[-1]["z"])
     for event, copied in zip(events, copies):
         assert set(event) == {"k", "alpha_k", "rho_k", "w", "cert", "z"}
         assert (event["alpha_k"], event["rho_k"]) == (params.alpha,
