@@ -35,7 +35,6 @@ __all__ = [
     "FProcedure",
     "ShiftedProxG",
     "AdmmProblem",
-    "reset_procedure",
     "run_admm",
 ]
 
@@ -224,7 +223,7 @@ def _p_update(p_hat, z_hat, z_next, x_next, rw: float,
 # Driver
 # ---------------------------------------------------------------------------
 
-def reset_procedure(procedure) -> None:
+def _reset_procedure(procedure) -> None:
     """Call the optional ``reset()`` of an F-procedure, as the loop does at
     run entry and on every exit (see :class:`FProcedure`)."""
     reset = getattr(procedure, "reset", None)
@@ -311,7 +310,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
     tests of a finite ``dd`` and of 0 < theta < inf catch an inf or NaN
     trial.
     """
-    reset_procedure(problem.fproc)
+    _reset_procedure(problem.fproc)
     try:
         c = params.c
         sigma = params.core.sigma
@@ -394,4 +393,4 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
                           PrimalDualTriple(x, z, p))
     finally:
-        reset_procedure(problem.fproc)
+        _reset_procedure(problem.fproc)

@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import enum
+import functools
+import inspect
 import json
 import math
 import numbers
+import os
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 from .admm import ADMMParams, Criterion, run_admm
-from .hpp import InertiaRelaxParams, rho_bar_of_beta
+from .hpp import InertiaRelaxParams
 from .records import CONVERGED, ERROR, RunRecord
 from .subsolvers import FistaConfig, fista_solve
 from . import problems as _problems
@@ -44,23 +48,71 @@ SOLVERS = ("admm_inertial", "admm_plain", "fista")
 CSV_COLUMNS = ("problem", "solver", "outer", "inner", "seconds", "kkt",
                "objective", "status")
 
-# the problem keys that _build_problem reads for each kind, and the options
-# that admm_params_for or _solve reads for any solver (one options dict may
-# serve every solver, as with the command line's --solver)
-_PROBLEM_KEYS = {
-    "synthetic_lasso": {"kind", "m", "n", "density", "noise", "nu_fraction",
-                        "seed"},
-    "synthetic_logistic": {"kind", "q", "n", "nu_fraction", "seed"},
-    "lasso_csv": {"kind", "a", "b", "nu", "skip_header"},
-    "logistic_libsvm": {"kind", "path", "nu"},
+
+class _Key(NamedTuple):
+    """A config key: its type (int, float, bool, str for a path, or an
+    enum whose values it names), a count's or seed's least value, and an
+    option's default where the harness chooses one."""
+
+    type: type
+    least: Optional[int] = None
+    default: object = None
+
+    def read(self, key, value):
+        """``value`` as the key's type, or ``ValueError`` naming ``key``: a
+        number takes no text or bool, a bool only True or False."""
+        if isinstance(self.type, enum.EnumMeta):
+            choices = sorted(member.value for member in self.type)
+            valid, wanted = value in choices, " or ".join(choices)
+        else:
+            wanted, classes = _TYPES[self.type]
+            valid = (isinstance(value, classes)
+                     and isinstance(value, bool) == (self.type is bool))
+        if not valid:
+            raise ValueError(f"{key} must be {wanted}, got {value!r}")
+        if self.least is not None and value < self.least:
+            raise ValueError(f"{key} must be at least {self.least}, "
+                             f"got {value}")
+        return self.type(value)
+
+
+_TYPES = {int: ("an integer", numbers.Integral),
+          float: ("a number", numbers.Real), bool: ("true or false", bool),
+          str: ("a path", (str, os.PathLike))}
+_COUNT, _SEED, _NUMBER, _PATH = (_Key(int, least=1), _Key(int, least=0),
+                                 _Key(float), _Key(str))
+
+# each problem kind: its builder, the keys it takes in order, which a config
+# must give, and the keys it takes by name, which keep the builder's default
+# when absent
+_PROBLEMS = {
+    "synthetic_lasso": (_problems.synthetic_lasso, {"m": _COUNT, "n": _COUNT},
+                        {"density": _NUMBER, "noise": _NUMBER,
+                         "nu_fraction": _NUMBER, "seed": _SEED}),
+    "synthetic_logistic": (_problems.synthetic_logistic,
+                           {"q": _COUNT, "n": _COUNT},
+                           {"nu_fraction": _NUMBER, "seed": _SEED}),
+    "lasso_csv": (_problems.load_dense_csv,
+                  {"a": _PATH, "b": _PATH, "nu": _NUMBER},
+                  {"skip_header": _Key(bool)}),
+    "logistic_libsvm": (_problems.load_libsvm,
+                        {"path": _PATH, "nu": _NUMBER}, {}),
 }
-_OPTION_KEYS = {"sigma", "c", "epsilon", "criterion", "max_outer",
-               "inner_budget", "alpha", "beta", "rho_bar", "lipschitz0", "eta"}
-# the keys read as counts or seeds, which must be integers (not bools), with
-# the least value of each problem key; the library's own validate() checks
-# the options' ranges
-_INTEGER_PROBLEM_KEYS = {"m": 1, "n": 1, "q": 1, "seed": 0}
-_INTEGER_OPTION_KEYS = ("max_outer", "inner_budget")
+
+# each solver family's options and the harness's own defaults (the published
+# alpha, beta and sigma, the penalty c and the outer budgets); an option
+# with none keeps the library's default when absent.  One options dict may
+# serve every solver, as with the command line's --solver.
+_ADMM_OPTIONS = {
+    "sigma": _Key(float, default=0.99), "c": _Key(float, default=1.0),
+    "epsilon": _NUMBER, "criterion": _Key(Criterion),
+    "max_outer": _Key(int, default=20_000), "inner_budget": _Key(int),
+    "alpha": _Key(float, default=0.18966),
+    "beta": _Key(float, default=0.18976), "rho_bar": _NUMBER,
+}
+_FISTA_OPTIONS = {"lipschitz0": _NUMBER, "eta": _NUMBER, "epsilon": _NUMBER,
+                  "max_outer": _Key(int, default=200_000)}
+_FISTA_FIELDS = {"epsilon": "tol", "max_outer": "max_iters"}
 
 
 @dataclass
@@ -76,63 +128,35 @@ class RunConfig:
 
     def validate(self):
         """Reject an unknown solver or problem kind, a problem key its kind
-        does not read, an option no solver reads, a count or seed that is
-        not an integer or below its least value, or an option the solver's
-        own parameters reject."""
+        does not read or an absent one it needs, an option no solver reads,
+        a value not of its key's type, a count or seed below its least
+        value, or an option the solver's own parameters reject."""
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        kind = self.problem.get("kind")
-        if kind not in _PROBLEM_KEYS:
-            raise ValueError(f"unknown problem kind {kind!r}")
-        unread = self.problem.keys() - _PROBLEM_KEYS[kind]
-        if unread:
-            raise ValueError(f"problem kind {kind!r} reads no key "
-                             f"{', '.join(sorted(unread))}")
-        unread = self.options.keys() - _OPTION_KEYS
+        _problem_builder(self)
+        if self.seed is not None:
+            _SEED.read("seed", self.seed)
+        _COUNT.read("repetitions", self.repetitions)
+        options = {**_FISTA_OPTIONS, **_ADMM_OPTIONS}
+        unread = self.options.keys() - options.keys()
         if unread:
             raise ValueError(f"no solver reads option "
                              f"{', '.join(sorted(unread))}")
-        integers = [("seed", self.seed, 0),
-                    ("repetitions", self.repetitions, 1)]
-        integers += [(key, self.problem.get(key), least)
-                     for key, least in _INTEGER_PROBLEM_KEYS.items()]
-        integers += [(key, self.options.get(key), None)
-                     for key in _INTEGER_OPTION_KEYS]
-        for key, value, least in integers:
-            if value is None:
-                continue
-            integral = isinstance(value, numbers.Integral)
-            if isinstance(value, bool) or not integral:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if least is not None and value < least:
-                raise ValueError(f"{key} must be at least {least}, "
-                                 f"got {value}")
-        if self.solver == "fista":
-            _fista_config(self.options).validate()
-        else:
-            admm_params_for(self.solver, self.options).validate()
+        for key, value in self.options.items():
+            options[key].read(key, value)
+        _solver_params(self.solver, self.options).validate()
 
     def label(self) -> str:
-        if self.name:
-            return self.name
+        """The name, else a synthetic kind's sizes and seed, else the file."""
         kind = self.problem.get("kind", "?")
-        if kind == "synthetic_lasso":
-            return (f"lasso_m{self.problem.get('m')}_n{self.problem.get('n')}"
-                    f"_s{self._seed()}")
-        if kind == "synthetic_logistic":
-            return (f"logistic_q{self.problem.get('q')}_n{self.problem.get('n')}"
-                    f"_s{self._seed()}")
-        return str(self.problem.get("path") or self.problem.get("a") or kind)
-
-    def _seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        return int(self.problem.get("seed", 0))
-
-    def as_dict(self) -> dict:
-        return {"problem": dict(self.problem), "solver": self.solver,
-                "options": dict(self.options), "seed": self.seed,
-                "repetitions": self.repetitions, "name": self.name}
+        if self.name or not str(kind).startswith("synthetic_"):
+            return self.name or str(self.problem.get("path")
+                                    or self.problem.get("a") or kind)
+        build, needed, _ = _PROBLEMS[kind]
+        seed = self.seed if self.seed is not None else self.problem.get(
+            "seed", inspect.signature(build).parameters["seed"].default)
+        sizes = "".join(f"_{k}{self.problem.get(k)}" for k in needed)
+        return f"{kind[len('synthetic_'):]}{sizes}_s{seed}"
 
 
 @dataclass
@@ -150,64 +174,56 @@ class BenchResult:
                 "objective": r.final_objective, "status": r.status}
 
 
-def _build_problem(cfg: RunConfig):
+def _problem_builder(cfg: RunConfig):
+    """The kind's builder bound to the config's keys, each read as its
+    type, and to the run's seed if set; ``ValueError`` on an unknown kind,
+    a key it does not read or an absent one it needs."""
     spec = cfg.problem
-    kind = spec["kind"]
-    seed = cfg._seed()
-    if kind == "synthetic_lasso":
-        return _problems.synthetic_lasso(
-            int(spec["m"]), int(spec["n"]),
-            density=float(spec.get("density", 1.0)),
-            noise=float(spec.get("noise", 0.01)),
-            nu_fraction=float(spec.get("nu_fraction", 0.1)),
-            seed=seed)
-    if kind == "synthetic_logistic":
-        return _problems.synthetic_logistic(
-            int(spec["q"]), int(spec["n"]),
-            nu_fraction=float(spec.get("nu_fraction", 0.1)),
-            seed=seed)
-    if kind == "lasso_csv":
-        return _problems.load_dense_csv(
-            spec["a"], spec["b"], float(spec["nu"]),
-            skip_header=bool(spec.get("skip_header", False)))
-    return _problems.load_libsvm(spec["path"], float(spec["nu"]))
+    kind = spec.get("kind")
+    if kind not in _PROBLEMS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    build, needed, named = _PROBLEMS[kind]
+    unread = spec.keys() - {"kind", *needed, *named}
+    if unread:
+        raise ValueError(f"problem kind {kind!r} reads no key "
+                         f"{', '.join(sorted(unread))}")
+    absent = needed.keys() - spec.keys()
+    if absent:
+        raise ValueError(f"problem kind {kind!r} needs key "
+                         f"{', '.join(sorted(absent))}")
+    args = [needed[k].read(k, spec[k]) for k in needed]
+    kwargs = {k: named[k].read(k, spec[k]) for k in named if k in spec}
+    if cfg.seed is not None and "seed" in named:
+        kwargs["seed"] = cfg.seed
+    return functools.partial(build, *args, **kwargs)
 
 
-def admm_params_for(solver: str, options: dict) -> ADMMParams:
-    """Translate benchmark options into the ADMM solvers' parameters."""
-    sigma = float(options.get("sigma", 0.99))
-    c = float(options.get("c", 1.0))
-    epsilon = float(options.get("epsilon", 1e-6))
-    criterion = options.get("criterion", "max_form")
-    if criterion not in ("max_form", "sum_squares"):
-        raise ValueError(f"criterion must be max_form or sum_squares, "
-                         f"got {criterion!r}")
-    max_outer = int(options.get("max_outer", 20_000))
-    inner_budget = int(options.get("inner_budget", 10_000))
+def _solver_params(solver: str, options: dict):
+    """The solver's ``ADMMParams`` or ``FistaConfig`` from the options its
+    family reads, with the harness's defaults where it has them."""
+    table = _FISTA_OPTIONS if solver == "fista" else _ADMM_OPTIONS
+    opts = {k: key.default for k, key in table.items()
+            if key.default is not None}
+    opts.update((k, table[k].read(k, v)) for k, v in options.items()
+                if k in table)
+    if solver == "fista":
+        return FistaConfig(**{_FISTA_FIELDS.get(k, k): v
+                              for k, v in opts.items()})
+    sigma, alpha, beta = opts.pop("sigma"), opts.pop("alpha"), opts.pop("beta")
+    rho = opts.pop("rho_bar", None)
     if solver == "admm_plain":
         core = InertiaRelaxParams.plain(sigma)
+    elif rho is None:
+        core = InertiaRelaxParams.from_beta(alpha, beta, sigma)
     else:
-        alpha = float(options.get("alpha", 0.18966))
-        beta = float(options.get("beta", 0.18976))
-        rho = float(options.get("rho_bar", rho_bar_of_beta(beta)))
         core = InertiaRelaxParams(alpha, beta, sigma, rho, rho)
-    return ADMMParams(c=c, core=core, criterion=Criterion(criterion),
-                      epsilon=epsilon, inner_budget=inner_budget,
-                      max_outer=max_outer)
-
-
-def _fista_config(options: dict) -> FistaConfig:
-    """Translate benchmark options into the baseline's configuration."""
-    return FistaConfig(lipschitz0=float(options.get("lipschitz0", 1.0)),
-                       eta=float(options.get("eta", 2.0)),
-                       tol=float(options.get("epsilon", 1e-6)),
-                       max_iters=int(options.get("max_outer", 200_000)))
+    return ADMMParams(core=core, **opts)
 
 
 def _solve(cfg: RunConfig, prob) -> RunRecord:
+    params = _solver_params(cfg.solver, cfg.options)
     if cfg.solver == "fista":
-        return fista_solve(prob, _fista_config(cfg.options)).record
-    params = admm_params_for(cfg.solver, cfg.options)
+        return fista_solve(prob, params).record
     if isinstance(prob, _problems.LassoProblem):
         admm_prob = _problems.lasso_admm_problem(prob, params.c)
     else:
@@ -218,9 +234,8 @@ def _solve(cfg: RunConfig, prob) -> RunRecord:
 def run_one(cfg: RunConfig) -> BenchResult:
     """Execute one configuration; a failure's cause is ``config["error"]``."""
     cfg.validate()
-    label = cfg.label()
     try:
-        prob = _build_problem(cfg)
+        prob = _problem_builder(cfg)()
         record = _solve(cfg, prob)
         if cfg.repetitions > 1:
             # first (warm-up) timing discarded; counts are deterministic
@@ -231,15 +246,14 @@ def run_one(cfg: RunConfig) -> BenchResult:
                 times.append(time.perf_counter() - started)
             record = dataclasses.replace(
                 record, wall_seconds=statistics.median(times))
-        result = BenchResult(label, cfg.solver, record, cfg.as_dict())
-        if record.cause:
-            result.config["error"] = record.cause
-        return result
+        error = record.cause
     except Exception as exc:  # noqa: BLE001 - batch must continue
         record = RunRecord(0, 0, 0.0, math.inf, math.nan, ERROR)
-        result = BenchResult(label, cfg.solver, record, cfg.as_dict())
-        result.config["error"] = f"{type(exc).__name__}: {exc}"
-        return result
+        error = f"{type(exc).__name__}: {exc}"
+    result = BenchResult(cfg.label(), cfg.solver, record, asdict(cfg))
+    if error:
+        result.config["error"] = error
+    return result
 
 
 def run_benchmark(configs: Sequence[RunConfig]) -> list[BenchResult]:
@@ -333,8 +347,6 @@ def emit(results: Sequence[BenchResult], summary: Optional[dict], out_dir,
     The JSON carries the records, the summary and a full config echo; the
     CSV has one row per record in a stable column order.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{basename}.csv")
     json_path = os.path.join(out_dir, f"{basename}.json")

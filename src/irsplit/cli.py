@@ -5,7 +5,8 @@ Config files are INI with [problem], [solver] and [run] sections mapping
 1:1 onto RunConfig; command-line flags override file values.  The default
 output directory comes from $IRSPLIT_OUT_DIR, falling back to the current
 directory.  ``run`` exits 0 only when every run converged, and 2, before
-the first run, on a config it cannot read or a key that nothing reads.
+the first run, on a config it cannot read, a key that nothing reads, or a
+value of the wrong type; an absent problem key takes the library's default.
 """
 
 from __future__ import annotations
@@ -134,22 +135,18 @@ def _cmd_summarize(args) -> int:
 def _cmd_gen(args) -> int:
     out_dir = _default_out(args)
     os.makedirs(out_dir, exist_ok=True)
+    build, needed, named = bench._PROBLEMS[f"synthetic_{args.family}"]
+    prob = build(*(getattr(args, key) for key in needed),
+                 **{key: getattr(args, key) for key in named
+                    if getattr(args, key) is not None})
     if args.family == "lasso":
-        prob = problems.synthetic_lasso(args.m, args.n, density=args.density,
-                                        noise=args.noise,
-                                        nu_fraction=args.nu_fraction,
-                                        seed=args.seed)
-        path_a = os.path.join(out_dir, f"{args.prefix}_A.csv")
-        path_b = os.path.join(out_dir, f"{args.prefix}_b.csv")
-        problems.save_dense_csv(prob, path_a, path_b)
-        print(f"wrote {path_a} and {path_b} (nu = {prob.nu:.6g})")
+        paths = [os.path.join(out_dir, f"{args.prefix}_{part}.csv")
+                 for part in ("A", "b")]
+        problems.save_dense_csv(prob, *paths)
     else:
-        prob = problems.synthetic_logistic(args.q, args.n,
-                                           nu_fraction=args.nu_fraction,
-                                           seed=args.seed)
-        path = os.path.join(out_dir, f"{args.prefix}.libsvm")
-        problems.save_libsvm(prob, path)
-        print(f"wrote {path} (nu = {prob.nu:.6g})")
+        paths = [os.path.join(out_dir, f"{args.prefix}.libsvm")]
+        problems.save_libsvm(prob, *paths)
+    print(f"wrote {' and '.join(paths)} (nu = {prob.nu:.6g})")
     return 0
 
 
@@ -180,26 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit synthetic dataset files")
     gensub = gen.add_subparsers(dest="family", required=True)
-    lasso = gensub.add_parser("lasso")
-    lasso.add_argument("--m", type=int, required=True)
-    lasso.add_argument("--n", type=int, required=True)
-    lasso.add_argument("--density", type=float, default=1.0)
-    lasso.add_argument("--noise", type=float, default=0.01)
-    lasso.add_argument("--nu-fraction", dest="nu_fraction", type=float,
-                       default=0.1)
-    lasso.add_argument("--seed", type=int, default=0)
-    lasso.add_argument("--prefix", default="lasso")
-    lasso.add_argument("--out", default=None)
-    lasso.set_defaults(func=_cmd_gen)
-    logistic = gensub.add_parser("logistic")
-    logistic.add_argument("--q", type=int, required=True)
-    logistic.add_argument("--n", type=int, required=True)
-    logistic.add_argument("--nu-fraction", dest="nu_fraction", type=float,
-                          default=0.1)
-    logistic.add_argument("--seed", type=int, default=0)
-    logistic.add_argument("--prefix", default="logistic")
-    logistic.add_argument("--out", default=None)
-    logistic.set_defaults(func=_cmd_gen)
+    for family in ("lasso", "logistic"):
+        # the synthetic kind's keys as flags; an absent one keeps the
+        # generator's default
+        _, needed, named = bench._PROBLEMS[f"synthetic_{family}"]
+        famp = gensub.add_parser(family)
+        for key, spec in {**needed, **named}.items():
+            famp.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                              type=spec.type, required=key in needed)
+        famp.add_argument("--prefix", default=family)
+        famp.add_argument("--out", default=None)
+        famp.set_defaults(func=_cmd_gen)
 
     return parser
 

@@ -244,15 +244,25 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
     ("max_outer = 5000\n", "max_outer = -1\n", "max_outer >= 0 violated"),
     ("max_outer = 5000\n", "max_outer = 5000\ncriterion = bogus\n",
      "criterion must be max_form or sum_squares, got 'bogus'"),
+    ("sigma = 0.99\n", "sigma = abc\n", "sigma must be a number, got 'abc'"),
+    ("seed = 3\n", "seed = 3\ndensity = abc\n",
+     "density must be a number, got 'abc'"),
+    ("kind = synthetic_lasso\nm = 15\nn = 40\nseed = 3\n",
+     "kind = lasso_csv\na = A.csv\nb = b.csv\nnu = 0.1\nskip_header = no\n",
+     "skip_header must be true or false, got 'no'"),
+    ("c = 1.0\n", "c = true\n", "c must be a number, got True"),
+    ("m = 15\n", "", "problem kind 'synthetic_lasso' needs key m"),
 ], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_eta",
-        "max_outer", "criterion"])
+        "max_outer", "criterion", "sigma_text", "density_text",
+        "skip_header_text", "c_bool", "m_absent"])
 def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
                                                      monkeypatch, line,
                                                      replacement, message):
-    """A count or seed below its least value, or an option the solver's own
-    parameters reject, is named on stderr with exit code 2 before the first
-    solve, instead of making every solve an error row; nothing is
-    written."""
+    """A value of the wrong type, an absent key its problem kind needs, a
+    count or seed below its least value, or an option the solver's own
+    parameters reject, is named on stderr with exit code 2 before the
+    first solve, instead of making every solve an error row or being read
+    as another value; nothing is written."""
     assert CONFIG_TEXT.count(line) == 1
     ini = tmp_path / "run.ini"
     ini.write_text(CONFIG_TEXT.replace(line, replacement))
@@ -265,6 +275,41 @@ def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
     assert captured.err == f"irsplit-bench: {message}\n"
     assert solved == [] and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("options", "alpha", "0.1"), ("options", "max_outer", True),
+    ("problem", "nu_fraction", None), ("problem", "seed", 3.0)])
+def test_validate_names_a_value_of_the_wrong_type(section, key, value):
+    """The Python API is held to the key's type as the INI loader is: text
+    is not a number, a bool not a count, and a float not a seed."""
+    cfg = tiny_lasso_config()
+    getattr(cfg, section)[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        cfg.validate()
+
+
+def test_absent_problem_key_keeps_the_library_default():
+    """A problem key left out is not passed to the builder, so the run
+    solves the generator's default instance."""
+    explicit = tiny_lasso_config()
+    explicit.problem.update(density=1.0, noise=0.01, nu_fraction=0.1)
+    assert (bench.run_one(explicit).row() | {"seconds": 0}
+            == bench.run_one(tiny_lasso_config()).row() | {"seconds": 0})
+
+
+def test_cli_gen_keeps_the_generator_defaults(tmp_path, capsys):
+    """``gen`` passes only the flags it is given: an instance generated
+    without the optional flags is the generator's default instance."""
+    assert cli.main(["gen", "lasso", "--m", "6", "--n", "4",
+                     "--out", str(tmp_path)]) == 0
+    want = ir.synthetic_lasso(6, 4)
+    assert f"(nu = {want.nu:.6g})" in capsys.readouterr().out
+    back = ir.load_dense_csv(tmp_path / "lasso_A.csv",
+                             tmp_path / "lasso_b.csv", nu=want.nu)
+    columns = [(back.A.column(j), want.A.column(j)) for j in range(4)]
+    assert all(got == pytest.approx(col) for got, col in columns)
+    assert back.b == pytest.approx(want.b)
 
 
 LOGISTIC_TEXT = """\
