@@ -290,14 +290,16 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         if problem.dim is not None and init.x.shape != (problem.dim,):
             raise ValueError(f"init has shape {init.x.shape}, "
                              f"expected ({problem.dim},)")
-    return _run(problem, params, init, observer)
+    return _run(problem, params, (init.x, init.z, init.p), observer)
 
 
 @np.errstate(all="ignore")
-def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
+def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
          observer: Optional[Callable[[dict], None]],
-         gap_tol: float = 0.0) -> RunResult:
-    """The outer loop of both drivers, on validated inputs.
+         gap_tol: float = 0.0, triple=PrimalDualTriple) -> RunResult:
+    """The outer loop of both drivers, on validated inputs: ``start`` is
+    the checked (x, z, p), and ``triple(x, z, p)`` builds the result's
+    triple from the last one.
 
     Stops on a KKT residual at most ``params.epsilon`` unless
     ``problem.kkt_residual`` is None, on an accepted trial with
@@ -321,7 +323,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
         prox = problem.prox_g.solve
         anchored = bool(getattr(problem.fproc, "accepts_anchor", False))
         kkt_residual = problem.kkt_residual
-        x, z, p = init.x, init.z, init.p
+        x, z, p = start
         x_prev, z_prev, p_prev = x, z, p
         inner_total = 0
         started = time.perf_counter()
@@ -391,6 +393,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, init: PrimalDualTriple,
                    else float(kkt_residual(z, math.inf)))
         obj = float(problem.objective(z)) if problem.objective else math.nan
         return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
-                          PrimalDualTriple(x, z, p))
+                          triple(x, z, p))
     finally:
         _reset_procedure(problem.fproc)

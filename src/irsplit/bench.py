@@ -51,16 +51,18 @@ CSV_COLUMNS = ("problem", "solver", "outer", "inner", "seconds", "kkt",
 
 class _Key(NamedTuple):
     """A config key: its type (int, float, bool, str for a path, or an
-    enum whose values it names), a count's or seed's least value, and an
-    option's default where the harness chooses one."""
+    enum whose values it names), the range a value must lie in, as its
+    text and its test, and an option's default where the harness chooses
+    one."""
 
     type: type
-    least: Optional[int] = None
+    bound: Optional[tuple] = None
     default: object = None
 
     def read(self, key, value):
         """``value`` as the key's type, or ``ValueError`` naming ``key``: a
-        number takes no text or bool, a bool only True or False."""
+        number takes no text or bool, a bool only True or False, and a
+        value outside the key's range is refused."""
         if isinstance(self.type, enum.EnumMeta):
             choices = sorted(member.value for member in self.type)
             valid, wanted = value in choices, " or ".join(choices)
@@ -70,33 +72,41 @@ class _Key(NamedTuple):
                      and isinstance(value, bool) == (self.type is bool))
         if not valid:
             raise ValueError(f"{key} must be {wanted}, got {value!r}")
-        if self.least is not None and value < self.least:
-            raise ValueError(f"{key} must be at least {self.least}, "
-                             f"got {value}")
+        if self.bound is not None and not self.bound[1](value):
+            raise ValueError(f"{key} must be {self.bound[0]}, got {value}")
         return self.type(value)
 
 
 _TYPES = {int: ("an integer", numbers.Integral),
           float: ("a number", numbers.Real), bool: ("true or false", bool),
           str: ("a path", (str, os.PathLike))}
-_COUNT, _SEED, _NUMBER, _PATH = (_Key(int, least=1), _Key(int, least=0),
-                                 _Key(float), _Key(str))
+
+
+def _at_least(least: int) -> _Key:
+    return _Key(int, (f"at least {least}", lambda v: v >= least))
+
+
+_COUNT, _SEED, _NUMBER, _PATH = (_at_least(1), _at_least(0), _Key(float),
+                                 _Key(str))
+_POSITIVE = _Key(float, ("finite and above 0", lambda v: 0 < v < math.inf))
+_FRACTION = _Key(float, ("in (0, 1]", lambda v: 0 < v <= 1))
+_FINITE = _Key(float, ("finite", math.isfinite))
 
 # each problem kind: its builder, the keys it takes in order, which a config
 # must give, and the keys it takes by name, which keep the builder's default
 # when absent
 _PROBLEMS = {
     "synthetic_lasso": (_problems.synthetic_lasso, {"m": _COUNT, "n": _COUNT},
-                        {"density": _NUMBER, "noise": _NUMBER,
-                         "nu_fraction": _NUMBER, "seed": _SEED}),
+                        {"density": _FRACTION, "noise": _FINITE,
+                         "nu_fraction": _POSITIVE, "seed": _SEED}),
     "synthetic_logistic": (_problems.synthetic_logistic,
-                           {"q": _COUNT, "n": _COUNT},
-                           {"nu_fraction": _NUMBER, "seed": _SEED}),
+                           {"q": _COUNT, "n": _at_least(2)},
+                           {"nu_fraction": _POSITIVE, "seed": _SEED}),
     "lasso_csv": (_problems.load_dense_csv,
-                  {"a": _PATH, "b": _PATH, "nu": _NUMBER},
+                  {"a": _PATH, "b": _PATH, "nu": _POSITIVE},
                   {"skip_header": _Key(bool)}),
     "logistic_libsvm": (_problems.load_libsvm,
-                        {"path": _PATH, "nu": _NUMBER}, {}),
+                        {"path": _PATH, "nu": _POSITIVE}, {}),
 }
 
 # each solver family's options and the harness's own defaults (the published
@@ -110,8 +120,7 @@ _ADMM_OPTIONS = {
     "alpha": _Key(float, default=0.18966),
     "beta": _Key(float, default=0.18976), "rho_bar": _NUMBER,
 }
-_FISTA_OPTIONS = {"lipschitz0": _NUMBER, "eta": _NUMBER, "epsilon": _NUMBER,
-                  "max_outer": _Key(int, default=200_000)}
+_FISTA_OPTIONS = {"epsilon": _NUMBER, "max_outer": _Key(int, default=200_000)}
 _FISTA_FIELDS = {"epsilon": "tol", "max_outer": "max_iters"}
 
 
@@ -129,11 +138,11 @@ class RunConfig:
     def validate(self):
         """Reject an unknown solver or problem kind, a problem key its kind
         does not read or an absent one it needs, an option no solver reads,
-        a value not of its key's type, a count or seed below its least
-        value, or an option the solver's own parameters reject."""
+        a value not of its key's type or out of its key's range, or an
+        option the solver's own parameters reject."""
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        _problem_builder(self)
+        _problem_builder(self.problem)
         if self.seed is not None:
             _SEED.read("seed", self.seed)
         _COUNT.read("repetitions", self.repetitions)
@@ -174,11 +183,11 @@ class BenchResult:
                 "objective": r.final_objective, "status": r.status}
 
 
-def _problem_builder(cfg: RunConfig):
-    """The kind's builder bound to the config's keys, each read as its
-    type, and to the run's seed if set; ``ValueError`` on an unknown kind,
-    a key it does not read or an absent one it needs."""
-    spec = cfg.problem
+def _problem_builder(spec: dict, seed: Optional[int] = None):
+    """The builder of the kind ``spec`` names, bound to its keys, each read
+    as its type and range, and to ``seed`` if set; ``ValueError`` on an
+    unknown kind, a key it does not read, an absent one it needs or a bad
+    value."""
     kind = spec.get("kind")
     if kind not in _PROBLEMS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -193,8 +202,8 @@ def _problem_builder(cfg: RunConfig):
                          f"{', '.join(sorted(absent))}")
     args = [needed[k].read(k, spec[k]) for k in needed]
     kwargs = {k: named[k].read(k, spec[k]) for k in named if k in spec}
-    if cfg.seed is not None and "seed" in named:
-        kwargs["seed"] = cfg.seed
+    if seed is not None and "seed" in named:
+        kwargs["seed"] = seed
     return functools.partial(build, *args, **kwargs)
 
 
@@ -235,7 +244,7 @@ def run_one(cfg: RunConfig) -> BenchResult:
     """Execute one configuration; a failure's cause is ``config["error"]``."""
     cfg.validate()
     try:
-        prob = _problem_builder(cfg)()
+        prob = _problem_builder(cfg.problem, cfg.seed)()
         record = _solve(cfg, prob)
         if cfg.repetitions > 1:
             # first (warm-up) timing discarded; counts are deterministic

@@ -6,7 +6,9 @@ Config files are INI with [problem], [solver] and [run] sections mapping
 output directory comes from $IRSPLIT_OUT_DIR, falling back to the current
 directory.  ``run`` exits 0 only when every run converged, and 2, before
 the first run, on a config it cannot read, a key that nothing reads, or a
-value of the wrong type; an absent problem key takes the library's default.
+value of the wrong type or out of its key's range; an absent problem key
+takes the library's default.  ``gen`` reads its flags as ``run`` reads the
+same problem keys, and exits 2 on a bad one without writing a file.
 """
 
 from __future__ import annotations
@@ -133,12 +135,17 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    kind = f"synthetic_{args.family}"
+    _, needed, named = bench._PROBLEMS[kind]
+    spec = {key: getattr(args, key) for key in {**needed, **named}
+            if getattr(args, key) is not None}
+    try:
+        prob = bench._problem_builder({"kind": kind, **spec})()
+    except ValueError as exc:
+        print(f"irsplit-bench: {exc}", file=sys.stderr)
+        return 2
     out_dir = _default_out(args)
     os.makedirs(out_dir, exist_ok=True)
-    build, needed, named = bench._PROBLEMS[f"synthetic_{args.family}"]
-    prob = build(*(getattr(args, key) for key in needed),
-                 **{key: getattr(args, key) for key in named
-                    if getattr(args, key) is not None})
     if args.family == "lasso":
         paths = [os.path.join(out_dir, f"{args.prefix}_{part}.csv")
                  for part in ("A", "b")]

@@ -19,7 +19,7 @@ loop of :mod:`irsplit.admm` under the change of variables of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -136,10 +136,11 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
                              max_outer=max_outer)
     loop_params.validate()
     problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
-    res = _run(problem, loop_params,
-               PrimalDualTriple(init.s, init.r, -init.b), observer,
-               gap_tol=sr_tolerance)
-    return replace(res, triple=embed_to_dr(res.triple))
+    # init's arrays were checked when it was built; the result's triple is
+    # built once, in the splitting variables
+    return _run(problem, loop_params, (init.s, init.r, -init.b), observer,
+                gap_tol=sr_tolerance,
+                triple=lambda x, z, p: SplitTriple(x, -p, z))
 
 
 def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,

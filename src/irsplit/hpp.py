@@ -130,18 +130,18 @@ class InertiaRelaxParams:
     lam: float = 1.0
 
     @classmethod
-    def from_beta(cls, alpha: float, beta: float, sigma: float = 0.99,
-                  lam: float = 1.0) -> "InertiaRelaxParams":
-        """Pair ``beta`` with its maximal admissible relaxation."""
+    def from_beta(cls, alpha: float, beta: float,
+                  sigma: float = 0.99) -> "InertiaRelaxParams":
+        """Pair ``beta`` with its maximal admissible relaxation, at lam = 1."""
         rho = rho_bar_of_beta(beta)
-        return cls(alpha=alpha, beta=beta, sigma=sigma,
-                   rho_lo=rho, rho_hi=rho, lam=lam)
+        return cls(alpha=alpha, beta=beta, sigma=sigma, rho_lo=rho, rho_hi=rho)
 
     @classmethod
-    def plain(cls, sigma: float = 0.0, lam: float = 1.0) -> "InertiaRelaxParams":
-        """No inertia, unit relaxation: the classical projective setup."""
+    def plain(cls, sigma: float = 0.0) -> "InertiaRelaxParams":
+        """No inertia, unit relaxation, lam = 1: the classical projective
+        setup."""
         return cls(alpha=0.0, beta=1.0 / 3.0, sigma=sigma,
-                   rho_lo=1.0, rho_hi=1.0, lam=lam)
+                   rho_lo=1.0, rho_hi=1.0)
 
 
 def validate_params(p: InertiaRelaxParams) -> None:

@@ -195,18 +195,20 @@ class LassoProblem:
     """min (1/2)||A x - b||^2 + nu ||x||_1, with ``A``, ``b`` and ``nu``
     fixed at construction: assigning one raises ``AttributeError``.  ``b``
     is copied into a read-only array; a dense ``A`` is kept by reference
-    and must not be changed in place (see :class:`DesignMatrix`)."""
+    and must not be changed in place (see :class:`DesignMatrix`).  ``b``
+    holds one finite entry per row of A and ``nu`` lies in (0, inf), else
+    ``ValueError``."""
 
     A = property(operator.attrgetter("_A"))
     b = property(operator.attrgetter("_b"))
     nu = property(operator.attrgetter("_nu"))
 
     def __init__(self, A: DesignMatrix, b, nu: float, x_true=None):
-        b = np.array(b, dtype=float)
+        b = _finite(np.array(b, dtype=float), "b")
         if b.shape != (A.shape[0],):
             raise ValueError("b length must match the row count of A")
-        if not nu > 0.0:
-            raise ValueError("nu > 0 violated")
+        if not 0.0 < nu < math.inf:
+            raise ValueError("0 < nu < inf violated")
         b.setflags(write=False)
         self._A, self._b, self._nu = A, b, float(nu)
         self.x_true = x_true
@@ -280,8 +282,9 @@ class LogisticProblem:
     """min sum_i log(1 + exp(-b_i (a_i^T w + v))) + nu ||w||_1, x = (v, w).
 
     ``features`` (q x (n - 1), rows a_i), ``labels`` (one b_i in {-1, +1}
-    per row, else ``ValueError``) and ``nu`` are fixed at construction, as
-    for :class:`LassoProblem`.  ``labels`` is copied into a read-only array
+    per row, else ``ValueError``) and ``nu`` (in (0, inf), else
+    ``ValueError``) are fixed at construction, as for
+    :class:`LassoProblem`.  ``labels`` is copied into a read-only array
     and checked once; its negation -b is formed once.
     """
 
@@ -289,18 +292,17 @@ class LogisticProblem:
     labels = property(operator.attrgetter("_labels"))
     nu = property(operator.attrgetter("_nu"))
 
-    def __init__(self, features: DesignMatrix, labels, nu: float, w_true=None):
+    def __init__(self, features: DesignMatrix, labels, nu: float):
         labels = np.array(labels, dtype=float)
         if labels.shape != (features.shape[0],):
             raise ValueError("label count must match the feature row count")
         if not np.all(np.abs(labels) == 1.0):  # np.isin at a third the cost
             raise ValueError("labels must be -1 or +1")
-        if not nu > 0.0:
-            raise ValueError("nu > 0 violated")
+        if not 0.0 < nu < math.inf:
+            raise ValueError("0 < nu < inf violated")
         labels.setflags(write=False)
         self._features, self._labels, self._nu = features, labels, float(nu)
         self._neg = -labels
-        self.w_true = w_true
         self._screen: Optional[_Screen] = None
 
     @property
@@ -497,7 +499,7 @@ def synthetic_logistic(q: int, n: int, nu_fraction: float = 0.1,
     labels = np.where(margins >= 0.0, 1.0, -1.0)
     grad_w_at_zero = 0.5 * np.abs(features.T @ labels)
     nu = nu_fraction * float(grad_w_at_zero.max())
-    return LogisticProblem(DesignMatrix(features), labels, nu, w_true=w_true)
+    return LogisticProblem(DesignMatrix(features), labels, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,11 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 50
 
+# the proximal-gradient baseline's backtracking: the first Lipschitz guess,
+# and its growth factor on a failed majorization test
+_LIPSCHITZ0 = 1.0
+_GROWTH = 2.0
+
 
 class CurvatureMemory:
     """The last 10 L-BFGS secant pairs, oldest first, as array rows.
@@ -360,19 +365,12 @@ def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FistaConfig:
-    """Backtracking configuration (initial Lipschitz guess, growth factor),
-    stop tolerance and iteration budget."""
+    """Stop tolerance and iteration budget of the baseline."""
 
-    lipschitz0: float = 1.0
-    eta: float = 2.0
     tol: float = 1e-6
     max_iters: int = 100_000
 
     def validate(self):
-        if not self.lipschitz0 > 0.0:
-            raise ParameterError("lipschitz0 > 0 violated")
-        if not self.eta > 1.0:
-            raise ParameterError("eta > 1 violated")
         if not self.tol >= 0.0:
             raise ParameterError("tol >= 0 violated")
         if self.max_iters < 0:
@@ -407,7 +405,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     x = np.zeros(problem.n)
     y = x.copy()
     t = 1.0
-    lip = config.lipschitz0
+    lip = _LIPSCHITZ0
     obj_x = problem.objective(x)
     prox_evals = 0
     status = BUDGET_EXCEEDED
@@ -429,7 +427,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
                 f_z = problem.f_value(z)
                 if f_z <= f_y + g_y @ dz + 0.5 * lip * (dz @ dz) + slack:
                     break
-                lip *= config.eta
+                lip *= _GROWTH
             obj_z = problem.objective(z)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             x_prev = x

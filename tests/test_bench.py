@@ -240,7 +240,11 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
     ("[run]\n", "[run]\nseed = -1\n", "seed must be at least 0, got -1"),
     ("sigma = 0.99\n", "sigma = 1.5\n", "0 <= sigma < 1 violated"),
     ("c = 1.0\n", "c = -1\n", "c > 0 violated"),
-    ("name = admm_inertial\n", "name = fista\neta = 1\n", "eta > 1 violated"),
+    ("name = admm_inertial\nsigma = 0.99\nc = 1.0\nepsilon = 1e-6\n",
+     "name = fista\nsigma = 0.99\nc = 1.0\nepsilon = -1\n",
+     "tol >= 0 violated"),
+    ("name = admm_inertial\n", "name = fista\neta = 2\n",
+     "no solver reads option eta"),
     ("max_outer = 5000\n", "max_outer = -1\n", "max_outer >= 0 violated"),
     ("max_outer = 5000\n", "max_outer = 5000\ncriterion = bogus\n",
      "criterion must be max_form or sum_squares, got 'bogus'"),
@@ -252,17 +256,34 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
      "skip_header must be true or false, got 'no'"),
     ("c = 1.0\n", "c = true\n", "c must be a number, got True"),
     ("m = 15\n", "", "problem kind 'synthetic_lasso' needs key m"),
-], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_eta",
-        "max_outer", "criterion", "sigma_text", "density_text",
-        "skip_header_text", "c_bool", "m_absent"])
+    ("seed = 3\n", "seed = 3\ndensity = 0\n",
+     "density must be in (0, 1], got 0"),
+    ("seed = 3\n", "seed = 3\nnu_fraction = 0\n",
+     "nu_fraction must be finite and above 0, got 0"),
+    ("seed = 3\n", "seed = 3\nnoise = nan\n", "noise must be finite, got nan"),
+    ("kind = synthetic_lasso\nm = 15\nn = 40\nseed = 3\n",
+     "kind = lasso_csv\na = A.csv\nb = b.csv\nnu = 0\n",
+     "nu must be finite and above 0, got 0"),
+    ("kind = synthetic_lasso\nm = 15\nn = 40\nseed = 3\n",
+     "kind = logistic_libsvm\npath = d.libsvm\nnu = inf\n",
+     "nu must be finite and above 0, got inf"),
+    ("kind = synthetic_lasso\nm = 15\nn = 40\n",
+     "kind = synthetic_logistic\nq = 15\nn = 1\n",
+     "n must be at least 2, got 1"),
+], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_epsilon",
+        "fista_eta_unread", "max_outer", "criterion", "sigma_text",
+        "density_text", "skip_header_text", "c_bool", "m_absent",
+        "density_range", "nu_fraction_range", "noise_nan", "csv_nu_range",
+        "libsvm_nu_inf", "logistic_n"])
 def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
                                                      monkeypatch, line,
                                                      replacement, message):
     """A value of the wrong type, an absent key its problem kind needs, a
-    count or seed below its least value, or an option the solver's own
-    parameters reject, is named on stderr with exit code 2 before the
-    first solve, instead of making every solve an error row or being read
-    as another value; nothing is written."""
+    count, seed or problem number out of its key's range, an option no
+    solver reads, or an option the solver's own parameters reject, is named
+    on stderr with exit code 2 before the first solve, instead of making
+    every solve an error row or being read as another value; nothing is
+    written."""
     assert CONFIG_TEXT.count(line) == 1
     ini = tmp_path / "run.ini"
     ini.write_text(CONFIG_TEXT.replace(line, replacement))
@@ -310,6 +331,25 @@ def test_cli_gen_keeps_the_generator_defaults(tmp_path, capsys):
     columns = [(back.A.column(j), want.A.column(j)) for j in range(4)]
     assert all(got == pytest.approx(col) for got, col in columns)
     assert back.b == pytest.approx(want.b)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["lasso", "--m", "0", "--n", "3"], "m must be at least 1, got 0"),
+    (["lasso", "--m", "4", "--n", "3", "--density", "0"],
+     "density must be in (0, 1], got 0.0"),
+    (["logistic", "--q", "4", "--n", "1"], "n must be at least 2, got 1"),
+], ids=["m", "density", "logistic_n"])
+def test_cli_gen_bad_flag_stops_before_writing(tmp_path, capsys, flags,
+                                               message):
+    """``gen`` reads its flags as ``run`` reads the same problem keys: a
+    value out of its key's range is named on stderr, without a traceback,
+    with exit code 2, and no file or directory is written."""
+    out = tmp_path / "out"
+    assert cli.main(["gen", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"irsplit-bench: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 LOGISTIC_TEXT = """\

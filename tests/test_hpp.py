@@ -1,5 +1,6 @@
 """Proximal-projection engine: its kernels, runs, descent diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -204,7 +205,8 @@ def test_unit_relaxation_exact_is_proximal_step():
     # rho = 1 with an exact certificate reproduces z_next = J_lam(w)
     op = rotation_operator()
     oracle = ExactResolventOracle(op)
-    params = ir.InertiaRelaxParams.plain(sigma=0.0, lam=0.7)
+    params = dataclasses.replace(ir.InertiaRelaxParams.plain(sigma=0.0),
+                                 lam=0.7)
     rng = np.random.default_rng(0)
     for _ in range(10):
         z = rng.standard_normal(2)

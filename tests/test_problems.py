@@ -499,12 +499,20 @@ def test_problem_data_cannot_change_under_a_built_admm_problem(kind, name):
 
 @pytest.mark.parametrize("b, nu", [
     (np.zeros(4), 0.5), (np.zeros((5, 1)), 0.5), (np.zeros(5), 0.0),
-    (np.zeros(5), np.nan)])
+    (np.zeros(5), np.nan), ([1.0, np.nan, 2.0, 0.0, 0.0], 0.5),
+    ([1.0, np.inf, 2.0, 0.0, 0.0], 0.5), (np.zeros(5), np.inf)])
 def test_lasso_constructor_checks_its_data(b, nu):
-    """``b`` is a vector with one entry per row of A, not an (m, 1) column
-    that would broadcast the residual to m x m, and nu > 0."""
+    """``b`` is a finite vector with one entry per row of A, not an (m, 1)
+    column that would broadcast the residual to m x m, and 0 < nu < inf:
+    a NaN or inf would otherwise reach a run, or make ``objective(0)``
+    NaN."""
     with pytest.raises(ValueError):
         ir.LassoProblem(DesignMatrix(np.ones((5, 3))), b, nu)
+
+
+def test_logistic_constructor_rejects_an_infinite_nu():
+    with pytest.raises(ValueError, match="0 < nu < inf violated"):
+        ir.LogisticProblem(DesignMatrix(np.eye(2)), [1.0, -1.0], np.inf)
 
 
 def test_lasso_b_is_copied_at_construction():
