@@ -27,13 +27,14 @@ for rho in (0.5, 1.0, 1.4882, 1.7606):
     print(f"rho_bar {rho:<8} beta {beta:.6f}  q(beta) = "
           f"{ir.q_eval(beta, rho):+.2e}")
 
-print("\nparameter validation names the violated inequality:")
+print("\nparameters that violate the contract cannot be built; the error "
+      "names the inequality:")
 try:
-    ir.validate_params(ir.InertiaRelaxParams(0.4, 1 / 3, 0.5, 1.0, 1.0))
+    ir.InertiaRelaxParams(0.4, 1 / 3, 0.5, 1.0, 1.0)
 except ir.ParameterError as exc:
     print("  ", exc)
 try:
     # relaxation cap 1.9 pairs only with inertia below ~0.046
-    ir.validate_params(ir.InertiaRelaxParams(0.1, 0.2, 0.5, 1.9, 1.9))
+    ir.InertiaRelaxParams(0.1, 0.2, 0.5, 1.9, 1.9)
 except ir.ParameterError as exc:
     print("  ", exc)

@@ -6,11 +6,10 @@ from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
                      ParseError)
 from .hpp import (InertiaRelaxParams, ProxCertificate, alvarez_attouch_check,
                   beta_of_rho_bar, error_criterion_holds, fejer_check,
-                  q_eval, rho_bar_of_beta, run_hpp, validate_params)
+                  q_eval, rho_bar_of_beta, run_hpp)
 from .admm import (ADMMParams, AdmmProblem, Criterion, PrimalDualTriple,
                    run_admm)
-from .dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
-                 run_dr)
+from .dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from .subsolvers import (CGSession, FistaConfig, LBFGSFProcedure,
                          LBFGSSession, QuadraticFProcedure, fista_solve,
                          soft_threshold)

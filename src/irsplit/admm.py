@@ -24,7 +24,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .errors import CGBreakdown, LineSearchFailure, ParameterError
-from .hpp import InertiaRelaxParams, _extrapolate, _finite, validate_params
+from .hpp import InertiaRelaxParams, _extrapolate, _finite
 from .records import (BUDGET_EXCEEDED, CONVERGED, ERROR, SOLVED, STALLED,
                       RunResult, run_result)
 
@@ -70,9 +70,19 @@ class PrimalDualTriple:
         return cls(np.zeros(n), np.zeros(n), np.zeros(n))
 
 
+def _check_splitting(inner_budget: int, core: InertiaRelaxParams) -> None:
+    """The rules both splitting layers' parameters share."""
+    if inner_budget < 1:
+        raise ParameterError("inner_budget >= 1 violated")
+    if core.lam != 1.0:
+        raise ParameterError("lam = 1 required by the splitting layers")
+
+
 @dataclass(frozen=True)
 class ADMMParams:
-    """Penalty c, engine parameters, acceptance criterion and budgets."""
+    """Penalty c, engine parameters, acceptance criterion and budgets.
+    Construction, ``dataclasses.replace`` included, raises
+    ``ParameterError`` naming the first inequality a value violates."""
 
     c: float
     core: InertiaRelaxParams
@@ -81,20 +91,16 @@ class ADMMParams:
     inner_budget: int = 10_000
     max_outer: int = 10_000
 
-    def validate(self):
+    def __post_init__(self):
         if not self.c > 0.0:
             raise ParameterError("c > 0 violated")
         if not self.c < math.inf:
             raise ParameterError("c < inf violated")
         if not self.epsilon >= 0.0:
             raise ParameterError("epsilon >= 0 violated")
-        if self.inner_budget < 1:
-            raise ParameterError("inner_budget >= 1 violated")
         if self.max_outer < 0:
             raise ParameterError("max_outer >= 0 violated")
-        validate_params(self.core)
-        if self.core.lam != 1.0:
-            raise ParameterError("lam = 1 required by the splitting layers")
+        _check_splitting(self.inner_budget, self.core)
 
 
 class FProcedure(Protocol):
@@ -249,11 +255,10 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     does, and the sup-norm subdifferential distance is discontinuous at
     components merely near zero.
 
-    Inputs are validated once, at entry: ``params`` (0 < c < inf, the two
-    budgets, lam = 1, alpha and the other engine parameters),
-    ``problem.kkt_residual`` (not None) and the starting triple (one shape,
-    of length ``problem.dim`` when that is set, finite entries), else
-    ``ParameterError`` or ``ValueError``.  After entry a failure returns
+    Inputs are validated once, at entry: ``problem.kkt_residual`` (not
+    None) and the starting triple (one shape, of length ``problem.dim``
+    when that is set, finite entries), else ``ValueError``; ``params``
+    checked itself when it was built.  After entry a failure returns
     the last completed iterate, its counts and ``final_kkt``, with
     ``record.cause`` naming it, its layer and the outer iteration: status
     ``stalled`` when the inner budget runs out, as at the round-off floor,
@@ -278,7 +283,6 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     writes into them later, and the observer must not either.  An
     exception the observer raises ends the run.
     """
-    params.validate()
     if problem.kkt_residual is None:
         raise ValueError("problem.kkt_residual required for the stop test")
     if init is None:

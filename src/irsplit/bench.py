@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .admm import ADMMParams, Criterion, run_admm
-from .hpp import InertiaRelaxParams
+from .hpp import InertiaRelaxParams, beta_of_rho_bar
 from .records import CONVERGED, ERROR, RunRecord
 from .subsolvers import FistaConfig, fista_solve
 from . import problems as _problems
@@ -112,7 +112,8 @@ _PROBLEMS = {
 # each solver family's options and the harness's own defaults (the published
 # alpha, beta and sigma, the penalty c and the outer budgets); an option
 # with none keeps the library's default when absent.  One options dict may
-# serve every solver, as with the command line's --solver.
+# serve every solver, as with the command line's --solver.  A given rho_bar
+# replaces the default beta by beta_of_rho_bar(rho_bar).
 _ADMM_OPTIONS = {
     "sigma": _Key(float, default=0.99), "c": _Key(float, default=1.0),
     "epsilon": _NUMBER, "criterion": _Key(Criterion),
@@ -121,7 +122,6 @@ _ADMM_OPTIONS = {
     "beta": _Key(float, default=0.18976), "rho_bar": _NUMBER,
 }
 _FISTA_OPTIONS = {"epsilon": _NUMBER, "max_outer": _Key(int, default=200_000)}
-_FISTA_FIELDS = {"epsilon": "tol", "max_outer": "max_iters"}
 
 
 @dataclass
@@ -153,7 +153,7 @@ class RunConfig:
                              f"{', '.join(sorted(unread))}")
         for key, value in self.options.items():
             options[key].read(key, value)
-        _solver_params(self.solver, self.options).validate()
+        _solver_params(self.solver, self.options)
 
     def label(self) -> str:
         """The name, else a synthetic kind's sizes and seed, else the file."""
@@ -216,8 +216,9 @@ def _solver_params(solver: str, options: dict):
     opts.update((k, table[k].read(k, v)) for k, v in options.items()
                 if k in table)
     if solver == "fista":
-        return FistaConfig(**{_FISTA_FIELDS.get(k, k): v
-                              for k, v in opts.items()})
+        return FistaConfig(**opts)
+    if {"beta", "rho_bar"} <= options.keys():
+        raise ValueError("give beta or rho_bar, not both")
     sigma, alpha, beta = opts.pop("sigma"), opts.pop("alpha"), opts.pop("beta")
     rho = opts.pop("rho_bar", None)
     if solver == "admm_plain":
@@ -225,7 +226,7 @@ def _solver_params(solver: str, options: dict):
     elif rho is None:
         core = InertiaRelaxParams.from_beta(alpha, beta, sigma)
     else:
-        core = InertiaRelaxParams(alpha, beta, sigma, rho, rho)
+        core = InertiaRelaxParams(alpha, beta_of_rho_bar(rho), sigma, rho, rho)
     return ADMMParams(core=core, **opts)
 
 

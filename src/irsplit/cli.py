@@ -9,6 +9,8 @@ the first run, on a config it cannot read, a key that nothing reads, or a
 value of the wrong type or out of its key's range; an absent problem key
 takes the library's default.  ``gen`` reads its flags as ``run`` reads the
 same problem keys, and exits 2 on a bad one without writing a file.
+``summarize`` exits 2 on a results file it cannot read or of another schema
+version.
 """
 
 from __future__ import annotations
@@ -119,7 +121,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    payload = bench.read_json(args.results)
+    try:
+        payload = bench.read_json(args.results)
+    except (OSError, ValueError) as exc:
+        print(f"irsplit-bench: {exc}", file=sys.stderr)
+        return 2
     rows = payload["records"]
     results = []
     for row, config in zip(rows, payload.get("configs", [{}] * len(rows))):

@@ -12,8 +12,8 @@ The outer recursion is an instance of the proximal-projection engine in
 with unit stepsize: its point is z = r + gamma b, and an iteration's
 extrapolated point, certificate point and certificate are r_hat + gamma
 b_hat, r + gamma b and s - r.  :func:`run_dr` is the
-loop of :mod:`irsplit.admm` under the change of variables of
-``embed_to_dr``, so each step of the recursion is a kernel of that loop.
+loop of :mod:`irsplit.admm` under the change of variables (s, b, r) =
+(x, -p, z), so each step of the recursion is a kernel of that loop.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .admm import (ADMMParams, AdmmProblem, Criterion, FProcedure,
-                   PrimalDualTriple, _run)
+                   _check_splitting, _run)
 from .errors import ParameterError
 from .hpp import InertiaRelaxParams, _finite
 from .records import RunResult
@@ -36,7 +36,6 @@ __all__ = [
     "ResolventMap",
     "run_dr",
     "classical_dr_step",
-    "embed_to_dr",
 ]
 
 
@@ -56,11 +55,19 @@ class SplitTriple:
 
 @dataclass(frozen=True)
 class DRParams:
-    """Scaling gamma, engine parameters, and the inner-trial budget."""
+    """Scaling gamma, engine parameters, and the inner-trial budget,
+    checked as :class:`irsplit.admm.ADMMParams` checks its values; gamma
+    must be positive with a finite, positive 1/gamma."""
 
     gamma: float
     core: InertiaRelaxParams
     inner_budget: int = 10_000
+
+    def __post_init__(self):
+        gamma = self.gamma
+        if not (gamma > 0.0 and 0.0 < 1.0 / gamma < math.inf):
+            raise ParameterError("gamma > 0 and 0 < 1/gamma < inf violated")
+        _check_splitting(self.inner_budget, self.core)
 
 
 class ResolventMap(Protocol):
@@ -106,11 +113,11 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     is r, the A-side iterate (its resolvent is exact, so e.g. an l1
     operator yields exact sparsity there); s and r coincide in the limit.
 
-    A ``gamma`` not in (0, inf) or with 1/gamma = inf, a negative or NaN
-    ``sr_tolerance``, and what the loop's ``ADMMParams`` rejects (the
-    budgets, ``params.core``) raise ``ParameterError`` at entry.  After
-    entry a run fails as :func:`irsplit.admm.run_admm` does, with status
-    ``stalled`` or ``error``, the last completed triple and ``record.cause``.
+    A negative ``max_outer`` or a negative or NaN ``sr_tolerance`` raises
+    ``ParameterError`` at entry; ``params`` checked itself when it was
+    built.  After entry a run fails as :func:`irsplit.admm.run_admm` does,
+    with status ``stalled`` or ``error``, the last completed triple and
+    ``record.cause``.
 
     The run is the loop of :func:`irsplit.admm.run_admm` with the
     summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,
@@ -123,18 +130,15 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     positive ``sr_tolerance`` for runs expected to go that far.
 
     ``observer`` gets the events of :func:`irsplit.admm.run_admm`, in its
-    variables: ``(s, b, r) = (x, -p, z)``, as in :func:`embed_to_dr`;
-    their ``kkt`` is NaN, as the run has no KKT test.
+    variables: ``(s, b, r) = (x, -p, z)``; their ``kkt`` is NaN, as the
+    run has no KKT test.
     """
-    gamma = params.gamma
-    if not (gamma > 0.0 and 0.0 < 1.0 / gamma < math.inf):
-        raise ParameterError("gamma > 0 and 0 < 1/gamma < inf violated")
     if not sr_tolerance >= 0.0:
         raise ParameterError("sr_tolerance >= 0 violated")
+    gamma = params.gamma
     loop_params = ADMMParams(1.0 / gamma, params.core, Criterion.SUM_SQUARES,
                              inner_budget=params.inner_budget,
                              max_outer=max_outer)
-    loop_params.validate()
     problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
     # init's arrays were checked when it was built; the result's triple is
     # built once, in the splitting variables
@@ -155,11 +159,3 @@ def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,
     jb = resolvent_b.resolvent(gamma, z)
     return resolvent_a.resolvent(gamma, 2.0 * jb - z) + z - jb
 
-
-def embed_to_dr(triple: PrimalDualTriple) -> SplitTriple:
-    """Change of variables (s, b, r) = (x, -p, z) onto the splitting layer.
-
-    With scaling gamma = 1/c every run quantity maps onto the splitting
-    recursion; the implied exact half-step slope is a = c (s - r) - b.
-    """
-    return SplitTriple(triple.x, -triple.p, triple.z)

@@ -8,8 +8,8 @@ hyperplane that separates the extrapolated point from the solution set.
 
 The admissible inertia and relaxation caps are mutually constrained: for an
 inertia bound ``beta`` the relaxation cap is ``rho_bar_of_beta(beta)`` and
-conversely ``beta_of_rho_bar`` recovers ``beta``.  ``validate_params``
-enforces the full contract.
+conversely ``beta_of_rho_bar`` recovers ``beta``.  An
+:class:`InertiaRelaxParams` checks the full contract when it is built.
 
 :func:`run_hpp` is the engine's one loop, and a single step is
 ``run_hpp(max_iters=1)`` with an observer.  It checks its inputs at entry
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "beta_of_rho_bar",
     "q_eval",
     "InertiaRelaxParams",
-    "validate_params",
     "ProxCertificate",
     "ResolventOracle",
     "error_criterion_holds",
@@ -120,6 +119,8 @@ class InertiaRelaxParams:
     some admissible inertia bound above alpha pairs with the requested
     relaxation cap.  ``lam`` is the constant proximal stepsize; the
     splitting layers built on top require lam = 1 and reject any other.
+    Construction, ``dataclasses.replace`` included, checks the contract
+    and raises ``ParameterError`` naming the first violated inequality.
     """
 
     alpha: float
@@ -128,6 +129,29 @@ class InertiaRelaxParams:
     rho_lo: float
     rho_hi: float
     lam: float = 1.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ParameterError("parameters must be finite")
+        if self.alpha < 0.0:
+            raise ParameterError("0 <= alpha violated")
+        if not self.alpha < self.beta:
+            raise ParameterError("alpha < beta violated")
+        if not self.beta < 1.0:
+            raise ParameterError("beta < 1 violated")
+        if not 0.0 <= self.sigma < 1.0:
+            raise ParameterError("0 <= sigma < 1 violated")
+        if not self.rho_lo > 0.0:
+            raise ParameterError("rho_lo > 0 violated")
+        if not self.rho_lo <= self.rho_hi:
+            raise ParameterError("rho_lo <= rho_hi violated")
+        if not self.rho_hi < 2.0:
+            raise ParameterError("rho_hi < 2 violated")
+        if not self.alpha < beta_of_rho_bar(self.rho_hi):
+            raise ParameterError(
+                "coupling alpha < beta_of_rho_bar(rho_hi) violated")
+        if not self.lam > 0.0:
+            raise ParameterError("lam > 0 violated")
 
     @classmethod
     def from_beta(cls, alpha: float, beta: float,
@@ -142,31 +166,6 @@ class InertiaRelaxParams:
         setup."""
         return cls(alpha=0.0, beta=1.0 / 3.0, sigma=sigma,
                    rho_lo=1.0, rho_hi=1.0)
-
-
-def validate_params(p: InertiaRelaxParams) -> None:
-    """Raise ``ParameterError`` naming the first violated inequality."""
-    vals = (p.alpha, p.beta, p.sigma, p.rho_lo, p.rho_hi, p.lam)
-    if not all(math.isfinite(v) for v in vals):
-        raise ParameterError("parameters must be finite")
-    if p.alpha < 0.0:
-        raise ParameterError("0 <= alpha violated")
-    if not p.alpha < p.beta:
-        raise ParameterError("alpha < beta violated")
-    if not p.beta < 1.0:
-        raise ParameterError("beta < 1 violated")
-    if not 0.0 <= p.sigma < 1.0:
-        raise ParameterError("0 <= sigma < 1 violated")
-    if not p.rho_lo > 0.0:
-        raise ParameterError("rho_lo > 0 violated")
-    if not p.rho_lo <= p.rho_hi:
-        raise ParameterError("rho_lo <= rho_hi violated")
-    if not p.rho_hi < 2.0:
-        raise ParameterError("rho_hi < 2 violated")
-    if not p.alpha < beta_of_rho_bar(p.rho_hi):
-        raise ParameterError("coupling alpha < beta_of_rho_bar(rho_hi) violated")
-    if not p.lam > 0.0:
-        raise ParameterError("lam > 0 violated")
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +293,13 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     a certificate has ``v @ v == 0``, also by underflow (``x`` is then its
     point, ||v|| 0), ``converged`` when ||v|| <= ``v_tolerance``, or
     ``budget_exceeded`` after ``max_iters`` iterations.  Inputs are
-    checked once, at entry,
-    before any oracle call: ``params``, a negative ``max_iters`` and a
-    negative or NaN ``v_tolerance`` raise ``ParameterError``, a non-finite
-    ``z0`` ``ValueError``.  After entry a certificate that fails the
-    relative-error test or a non-finite projected iterate ends the run with
-    status ``error``, the last completed iterate and its ||v||, and a
-    ``record.cause`` that names the failure and the outer iteration.
+    checked once, at entry, before any oracle call: a negative
+    ``max_iters`` and a negative or NaN ``v_tolerance`` raise
+    ``ParameterError``, a non-finite ``z0`` ``ValueError``.  After entry a
+    certificate that fails the relative-error test or a non-finite
+    projected iterate ends the run with status ``error``, the last
+    completed iterate and its ||v||, and a ``record.cause`` that names the
+    failure and the outer iteration.
     numpy's floating-point warnings are off while the run lasts, oracle
     and observer included: an overflowing projection ends it as
     ``error``, not as a warning.
@@ -311,7 +310,6 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     are passed without a copy and are read-only for the observer.  An
     exception the observer raises ends the run.
     """
-    validate_params(params)
     if max_iters < 0:
         raise ParameterError("max_iters >= 0 violated")
     if not v_tolerance >= 0.0:

@@ -439,7 +439,7 @@ def logistic_admm_problem(prob: LogisticProblem, c: float) -> AdmmProblem:
 def reference_minimizer(prob, tol: float = 1e-10) -> np.ndarray:
     """High-accuracy minimizer of a LASSO or logistic problem via the
     proximal-gradient baseline, within 500,000 iterations."""
-    result = fista_solve(prob, FistaConfig(tol=tol, max_iters=500_000))
+    result = fista_solve(prob, FistaConfig(epsilon=tol, max_outer=500_000))
     if result.status != "converged":
         raise RuntimeError(f"reference solve stalled at kkt = "
                            f"{result.record.final_kkt:.3e}")

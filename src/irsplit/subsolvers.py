@@ -64,11 +64,6 @@ class CGSession:
         self._rs = float(self._y @ self._y)
         self.last: Optional[np.ndarray] = None
 
-    @property
-    def residual(self) -> np.ndarray:
-        """rhs - H x at the current point, as the recurrence carries it."""
-        return -self._y
-
     def applied(self) -> np.ndarray:
         """H x at the current point, as rhs plus the carried y."""
         return self._rhs + self._y
@@ -365,16 +360,17 @@ def soft_threshold(t: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FistaConfig:
-    """Stop tolerance and iteration budget of the baseline."""
+    """Stop tolerance and iteration budget of the baseline, named and
+    checked as in :class:`irsplit.admm.ADMMParams`."""
 
-    tol: float = 1e-6
-    max_iters: int = 100_000
+    epsilon: float = 1e-6
+    max_outer: int = 100_000
 
-    def validate(self):
-        if not self.tol >= 0.0:
-            raise ParameterError("tol >= 0 violated")
-        if self.max_iters < 0:
-            raise ParameterError("max_iters >= 0 violated")
+    def __post_init__(self):
+        if not self.epsilon >= 0.0:
+            raise ParameterError("epsilon >= 0 violated")
+        if self.max_outer < 0:
+            raise ParameterError("max_outer >= 0 violated")
 
 
 def fista_solve(problem, config: FistaConfig) -> RunResult:
@@ -396,12 +392,11 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     The accepted point never increases the objective (the accelerated
     candidate is kept only when it improves), so the objective decreases
     after every accepted backtracking step.  Stops when the KKT residual
-    falls below ``config.tol``, tested each iteration with ``config.tol``
-    as the floor; returns status ``budget_exceeded`` otherwise.  The
-    residuals at the start and in the record are exact, and the record
-    counts prox evaluations as inner iterations.
+    falls below ``config.epsilon``, tested each iteration with
+    ``config.epsilon`` as the floor; returns status ``budget_exceeded``
+    otherwise.  The residuals at the start and in the record are exact,
+    and the record counts prox evaluations as inner iterations.
     """
-    config.validate()
     x = np.zeros(problem.n)
     y = x.copy()
     t = 1.0
@@ -409,13 +404,13 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     obj_x = problem.objective(x)
     prox_evals = 0
     status = BUDGET_EXCEEDED
-    outer = config.max_iters
+    outer, epsilon = config.max_outer, config.epsilon
     started = time.perf_counter()
-    if float(problem.kkt_dist_inf(x, math.inf)) <= config.tol:
+    if float(problem.kkt_dist_inf(x, math.inf)) <= epsilon:
         status = CONVERGED
         outer = 0
     else:
-        for k in range(1, config.max_iters + 1):
+        for k in range(1, config.max_outer + 1):
             f_y, g_y = problem.value_gradient(y)
             # round-off slack keeps the majorization test from failing
             # spuriously near the optimum, which would inflate lip forever
@@ -436,7 +431,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
                 obj_x = obj_z
             # stopping looks at the fresh prox candidate: the guarded
             # iterate can sit still while the candidate keeps improving
-            if float(problem.kkt_dist_inf(z, config.tol)) <= config.tol:
+            if float(problem.kkt_dist_inf(z, epsilon)) <= epsilon:
                 x = z
                 status = CONVERGED
                 outer = k

@@ -149,6 +149,13 @@ def dr_b_update(r_hat, b_hat, s, r, rw, gamma):
     return b_hat - ((1.0 - rw) * r + rw * s - r_hat) / gamma
 
 
+def embed_to_dr(x, z, p):
+    """Change of variables onto the splitting layer: (s, b, r) = (x, -p, z),
+    with scaling gamma = 1/c; the implied exact half-step slope is
+    a = c (s - r) - b."""
+    return x, -p, z
+
+
 def embed_to_hpp(r_hat, b_hat, s, b, r, gamma):
     """The engine's extrapolated point, certificate point and certificate:
     (w, z_tilde, v) = (r_hat + gamma b_hat, r + gamma b, s - r)."""

@@ -133,11 +133,11 @@ def test_criterion_3_layer_stack_equivalence(lasso_20x50, inertial_core):
             verdict_mismatches += 1
         # verdicts of the two acceptance tests agree at every inner trial
         # (the accepted trial is the last of its session)
-        hat_dr = ir.embed_to_dr(
-            ir.PrimalDualTriple(step.x_hat, step.z_hat, step.p_hat))
+        _, b_hat, r_hat = reference.embed_to_dr(step.x_hat, step.z_hat,
+                                                step.p_hat)
         for i, trial in enumerate(trials, 1):
             mapped = reference.dr_acceptance(
-                hat_dr.r, hat_dr.b, trial.x, -trial.p_l, trial.z_l, 1.0 / c,
+                r_hat, b_hat, trial.x, -trial.p_l, trial.z_l, 1.0 / c,
                 inertial_core.sigma)
             if mapped != (i == len(trials)):
                 verdict_mismatches += 1
@@ -413,7 +413,7 @@ def test_criterion_8_cross_solver_agreement():
     started = time.perf_counter()
     gaps = []
     lasso = ir.synthetic_lasso(40, 80, seed=2)
-    fres = ir.fista_solve(lasso, ir.FistaConfig(tol=1e-8))
+    fres = ir.fista_solve(lasso, ir.FistaConfig(epsilon=1e-8))
     core = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
     ares = run_admm(ir.lasso_admm_problem(lasso, 1.0),
                     ADMMParams(c=1.0, core=core, epsilon=1e-8,
@@ -421,7 +421,7 @@ def test_criterion_8_cross_solver_agreement():
     gaps.append(abs(fres.record.final_objective - ares.record.final_objective))
 
     logistic = ir.synthetic_logistic(30, 16, seed=2)
-    fres_l = ir.fista_solve(logistic, ir.FistaConfig(tol=1e-8))
+    fres_l = ir.fista_solve(logistic, ir.FistaConfig(epsilon=1e-8))
     core_l = ir.InertiaRelaxParams(0.1, 0.1001, 0.99, 1.7606, 1.7606)
     ares_l = run_admm(ir.logistic_admm_problem(logistic, 1.0),
                       ADMMParams(c=1.0, core=core_l, epsilon=1e-8,

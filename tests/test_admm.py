@@ -15,8 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, PrimalDualTriple,
                           _acceptance_vector, _theta, run_admm)
-from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, embed_to_dr,
-                        run_dr)
+from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.errors import LineSearchFailure, ParameterError
 from irsplit.hpp import rho_bar_of_beta, run_hpp
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
@@ -230,9 +229,8 @@ def test_theta_matches_splitting_layer():
         hat = PrimalDualTriple(*(rng.standard_normal(5) for _ in range(3)))
         x_l, z_l, p_l = (rng.standard_normal(5) for _ in range(3))
         th_a = reference.theta(hat.p, hat.z, x_l, z_l, p_l, c)
-        hat_dr = embed_to_dr(hat)
-        th_d = reference.dr_theta(hat_dr.r, hat_dr.b, x_l, -p_l, z_l,
-                                  1.0 / c)
+        _, b_hat, r_hat = reference.embed_to_dr(hat.x, hat.z, hat.p)
+        th_d = reference.dr_theta(r_hat, b_hat, x_l, -p_l, z_l, 1.0 / c)
         assert abs(th_a - th_d) <= 1e-12 * (1.0 + abs(th_d))
 
 
@@ -251,9 +249,8 @@ def test_p_update_cases_and_embedding():
     # general case mirrors the splitting-layer b update
     th, rho = 0.8, 1.4
     p2 = reference.p_update(hat.p, hat.z, z_n, x_n, rho * th, c)
-    hat_dr = embed_to_dr(hat)
-    b_next = reference.dr_b_update(hat_dr.r, hat_dr.b, x_n, z_n, rho * th,
-                                   1.0 / c)
+    _, b_hat, r_hat = reference.embed_to_dr(hat.x, hat.z, hat.p)
+    b_next = reference.dr_b_update(r_hat, b_hat, x_n, z_n, rho * th, 1.0 / c)
     assert np.linalg.norm(b_next - (-p2)) <= 1e-12 * (1 + np.linalg.norm(p2))
 
 
@@ -1073,10 +1070,10 @@ def test_problem_without_kkt_residual_raises_at_entry(lasso_20x50,
 
 def test_embed_sign_convention():
     triple = PrimalDualTriple(np.ones(2), 2 * np.ones(2), np.zeros(2))
-    mapped = embed_to_dr(triple)
-    assert np.array_equal(mapped.b, np.zeros(2))
-    assert np.array_equal(mapped.s, triple.x)
-    assert np.array_equal(mapped.r, triple.z)
+    s, b, r = reference.embed_to_dr(triple.x, triple.z, triple.p)
+    assert np.array_equal(b, np.zeros(2))
+    assert np.array_equal(s, triple.x)
+    assert np.array_equal(r, triple.z)
 
 
 def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
@@ -1130,12 +1127,12 @@ def test_acceptance_verdicts_agree_under_embedding(lasso_20x50,
     assert len(sessions) == len(events)
     checked = 0
     for step, session in zip(events, sessions):
-        hat_dr = embed_to_dr(
-            PrimalDualTriple(step.x_hat, step.z_hat, step.p_hat))
+        _, b_hat, r_hat = reference.embed_to_dr(step.x_hat, step.z_hat,
+                                                step.p_hat)
         # the accepted trial is the last of its session
         for i, trial in enumerate(session, 1):
             verdict = reference.dr_acceptance(
-                hat_dr.r, hat_dr.b, trial.x, -trial.p_l, trial.z_l, 1.0 / c,
+                r_hat, b_hat, trial.x, -trial.p_l, trial.z_l, 1.0 / c,
                 plain_core_sigma99.sigma)
             assert verdict == (i == len(session))
             checked += 1

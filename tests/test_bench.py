@@ -242,7 +242,13 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
     ("c = 1.0\n", "c = -1\n", "c > 0 violated"),
     ("name = admm_inertial\nsigma = 0.99\nc = 1.0\nepsilon = 1e-6\n",
      "name = fista\nsigma = 0.99\nc = 1.0\nepsilon = -1\n",
-     "tol >= 0 violated"),
+     "epsilon >= 0 violated"),
+    ("name = admm_inertial\nsigma = 0.99\nc = 1.0\nepsilon = 1e-6\n"
+     "max_outer = 5000\n",
+     "name = fista\nsigma = 0.99\nc = 1.0\nepsilon = 1e-6\nmax_outer = -1\n",
+     "max_outer >= 0 violated"),
+    ("c = 1.0\n", "c = 1.0\nbeta = 0.3\nrho_bar = 1.0\n",
+     "give beta or rho_bar, not both"),
     ("name = admm_inertial\n", "name = fista\neta = 2\n",
      "no solver reads option eta"),
     ("max_outer = 5000\n", "max_outer = -1\n", "max_outer >= 0 violated"),
@@ -271,10 +277,11 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
      "kind = synthetic_logistic\nq = 15\nn = 1\n",
      "n must be at least 2, got 1"),
 ], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_epsilon",
-        "fista_eta_unread", "max_outer", "criterion", "sigma_text",
-        "density_text", "skip_header_text", "c_bool", "m_absent",
-        "density_range", "nu_fraction_range", "noise_nan", "csv_nu_range",
-        "libsvm_nu_inf", "logistic_n"])
+        "fista_max_outer", "beta_and_rho_bar", "fista_eta_unread",
+        "max_outer", "criterion", "sigma_text", "density_text",
+        "skip_header_text", "c_bool", "m_absent", "density_range",
+        "nu_fraction_range", "noise_nan", "csv_nu_range", "libsvm_nu_inf",
+        "logistic_n"])
 def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
                                                      monkeypatch, line,
                                                      replacement, message):
@@ -296,6 +303,40 @@ def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
     assert captured.err == f"irsplit-bench: {message}\n"
     assert solved == [] and captured.out == ""
     assert not out.exists()
+
+
+def test_rho_bar_config_checks_alpha_against_its_own_beta(tmp_path):
+    """A config that gives rho_bar takes its inertia bound from it: alpha =
+    0.3 with rho_bar = 1, whose bound is 1/3, runs, where the harness's
+    default beta = 0.18976 would refuse it; rho_bar enters the run as
+    given."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG_TEXT)
+    assert cli.main(["run", "-c", str(ini), "--alpha", "0.3", "--rho-bar",
+                     "1", "--out", str(tmp_path / "out")]) == 0
+    core = bench._solver_params("admm_inertial",
+                                {"alpha": 0.3, "rho_bar": 1.0}).core
+    assert (core.alpha, core.beta, core.rho_lo, core.rho_hi) == (
+        0.3, ir.beta_of_rho_bar(1.0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"schema_version": 0}', "unsupported schema version 0"),
+    (None, "No such file"),
+    ("{", "Expecting"),
+], ids=["schema", "missing", "not_json"])
+def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
+    """``summarize`` treats a results file it cannot read, or one of
+    another schema version, as ``run`` and ``gen`` treat a bad input: the
+    message on stderr, without a traceback, and exit code 2."""
+    path = tmp_path / "bench.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["summarize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("irsplit-bench: ")
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("section, key, value", [

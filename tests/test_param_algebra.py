@@ -1,5 +1,8 @@
-"""Coupling maps between the inertia cap and the relaxation cap."""
+"""Coupling maps between the inertia cap and the relaxation cap, and the
+contracts the parameter objects check when they are built."""
 
+import dataclasses
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import irsplit as ir
+from irsplit.dr import DRParams
 from irsplit.errors import ParameterError
 
 
@@ -136,7 +140,7 @@ def test_coupling_maps_stay_in_each_others_domain(small_beta, small_rho):
     rho = ir.rho_bar_of_beta(small_beta)
     assert rho == np.nextafter(2.0, 0.0)
     assert 0.0 < ir.beta_of_rho_bar(rho) <= 2e-16
-    ir.validate_params(ir.InertiaRelaxParams.from_beta(0.0, small_beta))
+    ir.InertiaRelaxParams.from_beta(0.0, small_beta)
     beta = ir.beta_of_rho_bar(small_rho)
     assert beta == np.nextafter(1.0, 0.0)
     assert 0.0 < ir.rho_bar_of_beta(beta) <= 2e-32
@@ -193,28 +197,53 @@ def test_q_root_property():
 
 
 def test_validate_params_accepts_published_settings():
-    ir.validate_params(ir.InertiaRelaxParams(0.18966, 0.18976, 0.99,
-                                             1.4882, 1.4882))
-    ir.validate_params(ir.InertiaRelaxParams(0.1, 0.1001, 0.99,
-                                             1.7606, 1.7606))
-    ir.validate_params(ir.InertiaRelaxParams(0.0, 0.5, 0.0, 1.0, 1.0))
+    """The published settings build: construction is the validation."""
+    ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
+    ir.InertiaRelaxParams(0.1, 0.1001, 0.99, 1.7606, 1.7606)
+    ir.InertiaRelaxParams(0.0, 0.5, 0.0, 1.0, 1.0)
 
 
 def test_validate_params_names_violation():
+    """Construction raises ``ParameterError`` naming the first violated
+    inequality of the contract."""
     with pytest.raises(ParameterError, match="alpha < beta"):
-        ir.validate_params(ir.InertiaRelaxParams(0.4, 1.0 / 3.0, 0.5, 1.0, 1.0))
+        ir.InertiaRelaxParams(0.4, 1.0 / 3.0, 0.5, 1.0, 1.0)
     with pytest.raises(ParameterError, match="sigma"):
-        ir.validate_params(ir.InertiaRelaxParams(0.1, 0.2, 1.0, 1.0, 1.0))
+        ir.InertiaRelaxParams(0.1, 0.2, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError, match="rho_lo"):
-        ir.validate_params(ir.InertiaRelaxParams(0.1, 0.2, 0.5, 0.0, 1.0))
+        ir.InertiaRelaxParams(0.1, 0.2, 0.5, 0.0, 1.0)
     with pytest.raises(ParameterError, match="beta_of_rho_bar"):
         # no inertia bound above 0.1 pairs with a 1.9 relaxation cap
-        ir.validate_params(ir.InertiaRelaxParams(0.1, 0.5, 0.5, 1.9, 1.9))
+        ir.InertiaRelaxParams(0.1, 0.5, 0.5, 1.9, 1.9)
     with pytest.raises(ParameterError, match="lam"):
-        ir.validate_params(ir.InertiaRelaxParams(0.1, 0.2, 0.5, 1.0, 1.0, 0.0))
+        ir.InertiaRelaxParams(0.1, 0.2, 0.5, 1.0, 1.0, 0.0)
+
+
+_CORE = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
+
+
+@pytest.mark.parametrize("params, changes, message", [
+    (_CORE, {"alpha": 0.2}, "alpha < beta violated"),
+    (ir.InertiaRelaxParams(0.1, 0.5, 0.5, 1.0, 1.0),
+     {"rho_lo": 1.9, "rho_hi": 1.9},
+     "coupling alpha < beta_of_rho_bar(rho_hi) violated"),
+    (ir.ADMMParams(1.0, _CORE), {"c": 0.0}, "c > 0 violated"),
+    (ir.ADMMParams(1.0, _CORE), {"core": dataclasses.replace(_CORE, lam=2.0)},
+     "lam = 1 required by the splitting layers"),
+    (DRParams(1.0, _CORE), {"gamma": -1.0},
+     "gamma > 0 and 0 < 1/gamma < inf violated"),
+    (DRParams(1.0, _CORE), {"inner_budget": 0}, "inner_budget >= 1 violated"),
+    (ir.FistaConfig(), {"epsilon": float("nan")}, "epsilon >= 0 violated"),
+    (ir.FistaConfig(), {"max_outer": -1}, "max_outer >= 0 violated"),
+], ids=["alpha", "coupling", "c", "lam", "gamma", "inner_budget",
+        "fista_epsilon", "fista_max_outer"])
+def test_replace_to_an_inadmissible_value_raises(params, changes, message):
+    """Each parameter object checks itself when built, so
+    ``dataclasses.replace`` cannot make an inadmissible one either."""
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        dataclasses.replace(params, **changes)
 
 
 def test_from_beta_pairs_maximal_relaxation():
     p = ir.InertiaRelaxParams.from_beta(0.18966, 0.18976)
-    ir.validate_params(p)
     assert p.rho_hi == pytest.approx(ir.rho_bar_of_beta(0.18976))

@@ -780,7 +780,7 @@ def test_fista_screened_stop_test_keeps_the_run(kind):
         def kkt_dist_inf(self, x, floor):
             return prob.kkt_dist_inf(x)
 
-    config = ir.FistaConfig(tol=1e-10)
+    config = ir.FistaConfig(epsilon=1e-10)
     got = ir.fista_solve(prob, config)
     want = ir.fista_solve(FullStopTest(), config)
     assert got.status == want.status == "converged"

@@ -101,8 +101,8 @@ def residual_form_cg(h, rhs, x0, steps):
 @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
        spread=st.floats(1.0, 1e4), warm=st.booleans())
 def test_cg_session_matches_residual_form_reference(n, seed, spread, warm):
-    """Over 20 steps the session's emitted x and y, its residual and H x
-    are bit-identical to the residual-form recurrence."""
+    """Over 20 steps the session's emitted x and y = -r, r the residual,
+    and H x are bit-identical to the residual-form recurrence."""
     rng = np.random.default_rng(seed)
     h = spd_matrix(rng, n, spread)
     rhs = rng.standard_normal(n)
@@ -120,7 +120,6 @@ def test_cg_session_matches_residual_form_reference(n, seed, spread, warm):
     for x_ref, y_ref in emitted:
         x, y = session.next()
         assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
-    assert np.array_equal(session.residual, r)
     assert np.array_equal(session.applied(), rhs - r)
 
 
@@ -243,9 +242,10 @@ def test_anchored_session_start_matches_fresh_products(m, n, seed, c, alpha,
     assert design.products == before
     fresh = QuadraticFProcedure(ir.DesignMatrix(a), b).open_session(
         p, z, c, x_bar)
-    scale = (1.0 + np.max(np.abs(fresh.applied()))
-             + np.max(np.abs(fresh.residual)))
-    assert np.max(np.abs(anchored.residual - fresh.residual)) <= 1e-12 * scale
+    rhs = a.T @ b - p + c * z
+    residual_a, residual_f = rhs - anchored.applied(), rhs - fresh.applied()
+    scale = 1.0 + np.max(np.abs(fresh.applied())) + np.max(np.abs(residual_f))
+    assert np.max(np.abs(residual_a - residual_f)) <= 1e-12 * scale
     (x_a, y_a), (x_f, y_f) = anchored.next(), fresh.next()
     cond = 1.0 + np.sum(a * a) / c
     assert np.max(np.abs(y_a - y_f)) <= 1e-12 * scale * cond
@@ -270,7 +270,8 @@ def test_anchor_on_unknown_points_falls_back_to_products():
     assert design.products == before + 2
     plain = QuadraticFProcedure(ir.DesignMatrix(a), b).open_session(
         p, z, 1.0, x_bar)
-    assert np.array_equal(session.residual, plain.residual)
+    rhs = a.T @ b - p + z
+    assert np.array_equal(rhs - session.applied(), rhs - plain.applied())
     assert all(np.array_equal(u, v)
                for u, v in zip(session.next(), plain.next()))
 
@@ -530,25 +531,24 @@ def test_fista_identity_design_reaches_shrink_solution():
     b = rng.standard_normal(6)
     for prob in (ir.LassoProblem(ir.DesignMatrix(np.eye(6)), b, 0.4),
                  IdentityLasso(b, 0.4)):
-        res = fista_solve(prob, FistaConfig(tol=1e-10))
+        res = fista_solve(prob, FistaConfig(epsilon=1e-10))
         assert res.status == "converged"
         assert res.record.outer_iters <= 50
         assert np.linalg.norm(res.x - soft_threshold(b, 0.4)) <= 1e-8
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_iters", -1), ("tol", -1e-3), ("tol", float("nan"))])
-def test_fista_rejects_a_bad_budget_or_tolerance_at_entry(lasso_20x50, field,
-                                                          value):
+    ("max_outer", -1), ("epsilon", -1e-3), ("epsilon", float("nan"))])
+def test_fista_rejects_a_bad_budget_or_tolerance_at_entry(field, value):
     """A negative budget, or a negative or NaN tolerance, raises
-    ``ParameterError`` before any iteration, as in the other drivers."""
-    config = FistaConfig(**{"max_iters": 50, field: value})
+    ``ParameterError`` when the config is built, before any solve, as the
+    other drivers' parameters do."""
     with pytest.raises(ParameterError, match=field):
-        fista_solve(lasso_20x50, config)
+        FistaConfig(**{"max_outer": 50, field: value})
 
 
 def test_fista_agrees_with_admm(lasso_20x50, inertial_core):
-    fres = fista_solve(lasso_20x50, FistaConfig(tol=1e-8))
+    fres = fista_solve(lasso_20x50, FistaConfig(epsilon=1e-8))
     assert fres.status == "converged"
     params = ir.ADMMParams(c=1.0, core=inertial_core, epsilon=1e-8,
                            max_outer=20000)
@@ -561,7 +561,8 @@ def test_fista_agrees_with_admm(lasso_20x50, inertial_core):
 def test_fista_objective_monotone_along_kept_iterates(lasso_20x50):
     objs = []
     for budget in range(1, 25):
-        res = fista_solve(lasso_20x50, FistaConfig(tol=0.0, max_iters=budget))
+        res = fista_solve(lasso_20x50,
+                          FistaConfig(epsilon=0.0, max_outer=budget))
         objs.append(lasso_20x50.objective(res.x))
     for prev, nxt in zip(objs, objs[1:]):
         assert nxt <= prev + 1e-12 * (1.0 + abs(prev))
