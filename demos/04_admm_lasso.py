@@ -25,7 +25,7 @@ for name, core in (("inertial-relaxed", inertial), ("plain", plain)):
           f"inner {res.inner_iters_total:>5}, kkt {res.record.final_kkt:.2e}, "
           f"objective {res.record.final_objective:.6f}, {nnz} nonzeros")
 
-x_ref = ir.reference_minimizer(prob, tol=1e-10)
+x_ref = ir.reference_minimizer(prob, epsilon=1e-10)
 params = ADMMParams(c=1.0, core=inertial, epsilon=1e-6, max_outer=5000)
 res = run_admm(ir.lasso_admm_problem(prob, 1.0), params)
 print(f"distance to a 1e-10 reference minimizer: "

@@ -28,6 +28,6 @@ margins = prob.features.apply(res.x[1:]) + res.x[0]
 errors = int(np.sum(np.sign(margins) != prob.labels))
 print(f"training errors: {errors} of {prob.labels.size}")
 
-x_ref = ir.reference_minimizer(prob, tol=1e-9)
+x_ref = ir.reference_minimizer(prob, epsilon=1e-9)
 print(f"objective gap to a 1e-9 reference: "
       f"{abs(prob.objective(res.x) - prob.objective(x_ref)):.2e}")

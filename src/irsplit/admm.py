@@ -106,10 +106,10 @@ class ADMMParams:
 class FProcedure(Protocol):
     """Iterative solver family for min_x f(x) + <p, x> + (c/2)||x - z||^2.
 
-    ``open_session(p, z, c, x_bar)`` starts a solve warm started at
-    ``x_bar``; ``session.next()`` yields trial pairs ``(x_l, y_l)`` where
-    ``y_l`` is a subgradient of the augmented subobjective at ``x_l`` and
-    y_l -> 0.  An F-procedure for a monotone operator B in place of
+    ``open_session(p, z, c, x_bar, anchor=None)`` starts a solve warm
+    started at ``x_bar``; ``session.next()`` yields trial pairs ``(x_l,
+    y_l)`` where ``y_l`` is a subgradient of the augmented subobjective at
+    ``x_l`` and y_l -> 0.  An F-procedure for a monotone operator B in place of
     subdiff(f) emits y_l in B(x_l) + p + c (x_l - z): this is the B
     half-step s + gamma B(s) = r + gamma b of :func:`irsplit.dr.run_dr` in
     the loop's variables (s, b, r) = (x, -p, z), gamma = 1/c.  A session
@@ -128,17 +128,14 @@ class FProcedure(Protocol):
     normal or raised, so a run does not depend on the runs before it and
     leaves no vectors behind.
 
-    A procedure that declares ``accepts_anchor = True`` takes a fifth
-    argument, ``anchor = (x, x_prev, alpha)``: :func:`run_admm` passes the
-    current and previous accepted trials it extrapolated ``x_bar = x +
-    alpha (x - x_prev)`` from, so the procedure can reuse work done at those
-    points.  The procedure must check that it knows both points and fall
-    back to computing at ``x_bar`` otherwise; callers that pass no anchor
-    get that fallback.
+    :func:`run_admm` passes ``anchor = (x, x_prev, alpha)``, the accepted
+    trials it extrapolated ``x_bar = x + alpha (x - x_prev)`` from.  A
+    procedure may ignore it, or reuse work done at those points once it has
+    checked that it knows both, computing at ``x_bar`` otherwise.
     """
 
     def open_session(self, p: np.ndarray, z: np.ndarray, c: float,
-                     x_bar: np.ndarray):
+                     x_bar: np.ndarray, anchor: Optional[tuple] = None):
         ...
 
 
@@ -268,10 +265,8 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     lasts, callbacks and observer included: a non-finite value ends it as
     ``error``, not as a warning.
 
-    When the F-procedure accepts an anchor (see :class:`FProcedure`), each
-    session is opened with the two points ``x_hat`` was extrapolated from.
-    The procedure's ``reset()`` runs at entry and on every exit, including
-    a raised one.
+    Each session gets the anchor of :class:`FProcedure`.  The procedure's
+    ``reset()`` runs at entry and on every exit, including a raised one.
 
     ``observer``, when given, is called once per completed outer iteration
     with a dict: ``k``, ``trials``, ``theta``, ``alpha_k``, ``rho_k``,
@@ -325,7 +320,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
         max_form = params.criterion is Criterion.MAX_FORM
         open_session = problem.fproc.open_session
         prox = problem.prox_g.solve
-        anchored = bool(getattr(problem.fproc, "accepts_anchor", False))
         kkt_residual = problem.kkt_residual
         x, z, p = start
         x_prev, z_prev, p_prev = x, z, p
@@ -344,11 +338,8 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
             z_hat = _extrapolate(z, z_prev, alpha)
             p_hat = _extrapolate(p, p_prev, alpha)
             try:
-                if anchored:
-                    session = open_session(p_hat, z_hat, c, x_hat,
-                                           (x, x_prev, alpha))
-                else:
-                    session = open_session(p_hat, z_hat, c, x_hat)
+                session = open_session(p_hat, z_hat, c, x_hat,
+                                       (x, x_prev, alpha))
                 exact = bool(getattr(session, "exact", False))
                 for trial in range(1, params.inner_budget + 1):
                     x_l, y_l = session.next()

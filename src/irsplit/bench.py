@@ -378,10 +378,15 @@ def emit(results: Sequence[BenchResult], summary: Optional[dict], out_dir,
 
 
 def read_json(path) -> dict:
-    """Reload an emitted JSON payload (records, summary, configs)."""
+    """Reload an emitted JSON payload (records, summary, configs); raise
+    ``ValueError`` unless it is an object with a ``records`` list."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version "
                          f"{payload.get('schema_version')!r}")
+    if not isinstance(payload.get("records"), list):
+        raise ValueError("expected a 'records' list")
     return payload

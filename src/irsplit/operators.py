@@ -156,7 +156,7 @@ class ExactBProcedure:
     def __init__(self, resolvent_map):
         self.resolvent_map = resolvent_map
 
-    def open_session(self, p, z, c, x_bar):
+    def open_session(self, p, z, c, x_bar, anchor=None):
         x = self.resolvent_map.resolvent(1.0 / c, z - p / c)
         return SimpleNamespace(next=lambda: (x, np.zeros_like(x)), exact=True)
 
@@ -172,7 +172,7 @@ class CGBProcedure:
     def __init__(self, mat, shift=None):
         self.mat, self.shift = _affine_parts(mat, shift)
 
-    def open_session(self, p, z, c, x_bar):
+    def open_session(self, p, z, c, x_bar, anchor=None):
         mat = self.mat
         return CGSession(lambda u: mat @ u + c * u, c * z - p - self.shift,
                          x_bar)

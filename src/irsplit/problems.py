@@ -197,11 +197,12 @@ class LassoProblem:
     is copied into a read-only array; a dense ``A`` is kept by reference
     and must not be changed in place (see :class:`DesignMatrix`).  ``b``
     holds one finite entry per row of A and ``nu`` lies in (0, inf), else
-    ``ValueError``."""
+    ``ValueError``.  ``prox_g``, its :class:`L1ShiftedProx`, is fixed too."""
 
     A = property(operator.attrgetter("_A"))
     b = property(operator.attrgetter("_b"))
     nu = property(operator.attrgetter("_nu"))
+    prox_g = property(operator.attrgetter("_prox_g"))
 
     def __init__(self, A: DesignMatrix, b, nu: float, x_true=None):
         b = _finite(np.array(b, dtype=float), "b")
@@ -211,6 +212,7 @@ class LassoProblem:
             raise ValueError("0 < nu < inf violated")
         b.setflags(write=False)
         self._A, self._b, self._nu = A, b, float(nu)
+        self._prox_g = L1ShiftedProx(self._nu)
         self.x_true = x_true
         self._screen: Optional[_Screen] = None
 
@@ -229,10 +231,6 @@ class LassoProblem:
 
     def objective(self, x) -> float:
         return self.f_value(x) + self._nu * float(np.abs(x).sum())
-
-    def prox(self, t, step: float) -> np.ndarray:
-        """The prox of step * nu ||.||_1 at t: the shrink, a fresh array."""
-        return _shrink(t, step * self._nu)
 
     def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """Sup-norm l1 KKT residual at x.
@@ -285,12 +283,14 @@ class LogisticProblem:
     per row, else ``ValueError``) and ``nu`` (in (0, inf), else
     ``ValueError``) are fixed at construction, as for
     :class:`LassoProblem`.  ``labels`` is copied into a read-only array
-    and checked once; its negation -b is formed once.
+    and checked once; its negation -b is formed once.  ``prox_g`` is as
+    for :class:`LassoProblem`, and leaves the bias unshrunk.
     """
 
     features = property(operator.attrgetter("_features"))
     labels = property(operator.attrgetter("_labels"))
     nu = property(operator.attrgetter("_nu"))
+    prox_g = property(operator.attrgetter("_prox_g"))
 
     def __init__(self, features: DesignMatrix, labels, nu: float):
         labels = np.array(labels, dtype=float)
@@ -302,6 +302,7 @@ class LogisticProblem:
             raise ValueError("0 < nu < inf violated")
         labels.setflags(write=False)
         self._features, self._labels, self._nu = features, labels, float(nu)
+        self._prox_g = L1ShiftedProx(self._nu, skip_first=True)
         self._neg = -labels
         self._screen: Optional[_Screen] = None
 
@@ -332,13 +333,6 @@ class LogisticProblem:
 
     def objective(self, x) -> float:
         return self.f_value(x) + self._nu * float(np.abs(x[1:]).sum())
-
-    def prox(self, t, step: float) -> np.ndarray:
-        """The prox of step * nu ||w||_1 at t = (bias, weights), a fresh
-        array: the weights are shrunk and the bias is kept."""
-        z = _shrink(t, step * self._nu)
-        z[0] = t[0]
-        return z
 
     def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
         """The l1 KKT residual, from the gradient alone; the bias, which is
@@ -399,47 +393,48 @@ class LogisticProblem:
 # Subproblem engines
 # ---------------------------------------------------------------------------
 
-@dataclass
 class L1ShiftedProx:
     """Exact solver of min_z nu||z||_1 - <p, z> + (c/2)||x - z||^2.
 
     With ``skip_first`` the leading coordinate (the bias) is left
-    unshrunk.
+    unshrunk.  Both are fixed at construction and no call leaves state
+    behind, so the one instance a problem builds serves its FISTA steps
+    and every :class:`irsplit.admm.AdmmProblem` built from it.
     """
 
-    nu: float
-    skip_first: bool = False
+    nu = property(operator.attrgetter("_nu"))
+    skip_first = property(operator.attrgetter("_skip_first"))
+
+    def __init__(self, nu: float, skip_first: bool = False):
+        self._nu, self._skip_first = nu, skip_first
 
     def solve(self, p, x, c):
         t = p / c
         t += x
-        z = _shrink(t, self.nu / c)
-        if self.skip_first:
+        z = _shrink(t, self._nu / c)
+        if self._skip_first:
             z[0] = t[0]
         return z
 
 
 def lasso_admm_problem(prob: LassoProblem, c: float) -> AdmmProblem:
-    """CG-backed F-procedure plus the shrink prox for a LASSO instance.
+    """CG-backed F-procedure plus ``prob.prox_g`` for a LASSO instance.
     Neither depends on ``c``, which each session receives from the run."""
-    return AdmmProblem(QuadraticFProcedure(prob.A, prob.b),
-                       L1ShiftedProx(prob.nu), prob.kkt_dist_inf,
-                       prob.objective, prob.n)
-
-
-def logistic_admm_problem(prob: LogisticProblem, c: float) -> AdmmProblem:
-    """L-BFGS F-procedure plus the bias-skipping shrink prox for a logistic
-    instance.  Neither depends on ``c``, which each session receives from
-    the run."""
-    return AdmmProblem(LBFGSFProcedure(prob.value_gradient),
-                       L1ShiftedProx(prob.nu, skip_first=True),
+    return AdmmProblem(QuadraticFProcedure(prob.A, prob.b), prob.prox_g,
                        prob.kkt_dist_inf, prob.objective, prob.n)
 
 
-def reference_minimizer(prob, tol: float = 1e-10) -> np.ndarray:
-    """High-accuracy minimizer of a LASSO or logistic problem via the
-    proximal-gradient baseline, within 500,000 iterations."""
-    result = fista_solve(prob, FistaConfig(epsilon=tol, max_outer=500_000))
+def logistic_admm_problem(prob: LogisticProblem, c: float) -> AdmmProblem:
+    """L-BFGS F-procedure plus ``prob.prox_g`` for a logistic instance.
+    Neither depends on ``c``, which each session receives from the run."""
+    return AdmmProblem(LBFGSFProcedure(prob.value_gradient), prob.prox_g,
+                       prob.kkt_dist_inf, prob.objective, prob.n)
+
+
+def reference_minimizer(prob, epsilon: float = 1e-10) -> np.ndarray:
+    """Minimizer of a LASSO or logistic problem to KKT residual ``epsilon``
+    by the proximal-gradient baseline, within 500,000 iterations."""
+    result = fista_solve(prob, FistaConfig(epsilon=epsilon, max_outer=500_000))
     if result.status != "converged":
         raise RuntimeError(f"reference solve stalled at kkt = "
                            f"{result.record.final_kkt:.3e}")

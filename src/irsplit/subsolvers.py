@@ -119,8 +119,6 @@ class QuadraticFProcedure:
     vectors; the drivers call it at run entry and exit.
     """
 
-    accepts_anchor = True
-
     def __init__(self, design, b: np.ndarray):
         self._design = design
         self._at_b = design.apply_transpose(np.asarray(b, dtype=float))
@@ -177,7 +175,8 @@ _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 50
 
 # the proximal-gradient baseline's backtracking: the first Lipschitz guess,
-# and its growth factor on a failed majorization test
+# and its growth factor on a failed majorization test (powers of two, so
+# x / L is (1 / L) x bit for bit)
 _LIPSCHITZ0 = 1.0
 _GROWTH = 2.0
 
@@ -325,7 +324,7 @@ class LBFGSFProcedure:
         """Forget every stored curvature pair."""
         self._memory.clear()
 
-    def open_session(self, p, z, c, x_bar) -> LBFGSSession:
+    def open_session(self, p, z, c, x_bar, anchor=None) -> LBFGSSession:
         if c != self._c:
             self._memory.clear()
             self._c = c
@@ -384,7 +383,9 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     - ``value_gradient(x)``, f and its gradient;
     - ``f_value(x)``, f alone;
     - ``objective(x)``, F;
-    - ``prox(t, step)``, the prox of ``step * g`` at t, a fresh array;
+    - ``prox_g``, the ADMM layer's g-subproblem solver: the step at y with
+      Lipschitz guess L, the prox of g / L at y - grad f(y) / L, is
+      ``prox_g.solve(-grad f(y), y, L)``;
     - ``kkt_dist_inf(x, floor)``, the KKT residual under the contract of
       :class:`irsplit.admm.AdmmProblem`: a value above ``floor`` may be a
       lower bound on the residual, and ``floor = inf`` gives the residual.
@@ -397,6 +398,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     otherwise.  The residuals at the start and in the record are exact,
     and the record counts prox evaluations as inner iterations.
     """
+    prox = problem.prox_g.solve
     x = np.zeros(problem.n)
     y = x.copy()
     t = 1.0
@@ -416,7 +418,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
             # spuriously near the optimum, which would inflate lip forever
             slack = 1e-12 * (1.0 + abs(f_y))
             while True:
-                z = problem.prox(y - g_y / lip, 1.0 / lip)
+                z = prox(-g_y, y, lip)
                 prox_evals += 1
                 dz = z - y
                 f_z = problem.f_value(z)

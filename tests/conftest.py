@@ -17,7 +17,7 @@ def lasso_20x50():
 
 @pytest.fixture(scope="session")
 def lasso_20x50_reference(lasso_20x50):
-    return ir.reference_minimizer(lasso_20x50, tol=1e-10)
+    return ir.reference_minimizer(lasso_20x50, epsilon=1e-10)
 
 
 @pytest.fixture(scope="session")
@@ -102,5 +102,6 @@ def record_trials(problem):
         return z
 
     problem.fproc.open_session = recorded_open
-    problem.prox_g.solve = recorded_solve
+    # a new prox object: the problem's own prox may serve other runs
+    problem.prox_g = SimpleNamespace(solve=recorded_solve)
     return sessions

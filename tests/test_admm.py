@@ -417,7 +417,7 @@ class CoincideAt:
         self.at = at
         self.opened = 0
 
-    def open_session(self, p, z, c, x_bar):
+    def open_session(self, p, z, c, x_bar, anchor=None):
         x = np.full(self.n, float(self.opened))
         self.opened += 1
         return SimpleNamespace(exact=True,
@@ -477,12 +477,10 @@ def reference_admm(problem, params):
     """Straight-line inexact inertial-relaxed ADMM from the formulas of
     ``tests/reference.py``, which share no code with the run (KKT test
     every outer iteration, at the exact residual).  Sessions are opened as
-    the driver opens them: with the anchor ``(x, x_prev, alpha)`` when the
-    F-procedure accepts one.  Returns the triple after each outer
-    iteration and the trials each one took."""
+    the driver opens them, with the anchor ``(x, x_prev, alpha)``.  Returns
+    the triple after each outer iteration and the trials each one took."""
     c, core = params.c, params.core
     max_form = params.criterion is Criterion.MAX_FORM
-    anchored = getattr(problem.fproc, "accepts_anchor", False)
     x = z = p = np.zeros(problem.dim)
     x_prev, z_prev, p_prev = x, z, p
     triples, trials = [], []
@@ -492,8 +490,8 @@ def reference_admm(problem, params):
         x_hat = reference.extrapolate(x, x_prev, core.alpha)
         z_hat = reference.extrapolate(z, z_prev, core.alpha)
         p_hat = reference.extrapolate(p, p_prev, core.alpha)
-        anchor = ((x, x_prev, core.alpha),) if anchored else ()
-        session = problem.fproc.open_session(p_hat, z_hat, c, x_hat, *anchor)
+        session = problem.fproc.open_session(p_hat, z_hat, c, x_hat,
+                                             (x, x_prev, core.alpha))
         for trial in range(1, params.inner_budget + 1):
             x_l, y_l = session.next()
             p_l = reference.multiplier(p_hat, x_l, z_hat, y_l, c)
@@ -836,8 +834,8 @@ class BrokenAtOuter:
         self.exact = exact
         self.opened = 0
 
-    def open_session(self, p, z, c, x_bar):
-        session = self.fproc.open_session(p, z, c, x_bar)
+    def open_session(self, p, z, c, x_bar, anchor=None):
+        session = self.fproc.open_session(p, z, c, x_bar, anchor)
         self.opened += 1
         if self.opened - 1 == self.at:
             step = session.next

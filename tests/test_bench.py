@@ -324,11 +324,14 @@ def test_rho_bar_config_checks_alpha_against_its_own_beta(tmp_path):
     ('{"schema_version": 0}', "unsupported schema version 0"),
     (None, "No such file"),
     ("{", "Expecting"),
-], ids=["schema", "missing", "not_json"])
+    ('{"schema_version": 1}', "expected a 'records' list"),
+    ("[1]", "expected a JSON object"),
+], ids=["schema", "missing", "not_json", "no_records", "not_object"])
 def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
-    """``summarize`` treats a results file it cannot read, or one of
-    another schema version, as ``run`` and ``gen`` treat a bad input: the
-    message on stderr, without a traceback, and exit code 2."""
+    """``summarize`` treats a results file it cannot read, one of another
+    schema version, or one that is not an object holding a records list,
+    as ``run`` and ``gen`` treat a bad input: the message on stderr,
+    without a traceback, and exit code 2."""
     path = tmp_path / "bench.json"
     if content is not None:
         path.write_text(content)

@@ -353,6 +353,25 @@ def test_run_inertial_perturbed_descent_and_summability():
         assert error_ratio(ev.w, ev.cert, params.sigma) <= 1.0 + 1e-12
 
 
+def test_alvarez_attouch_bound_carries_the_inertia_factor():
+    """The partial-sum bound weighs the summed delta_k by 1/(1 - alpha).  A
+    constructed trajectory with zero slack (each step's w, z_tilde and
+    z_next coincide) goes from z^0 = 1 to z^1 = 0 and on to z^2, so its
+    bound at the last step is phi_0 + delta_1 / (1 - alpha) with delta_1 =
+    alpha (1 + alpha).  A last distance between phi_0 + delta_1 and that
+    bound passes; one above the bound fails at that step."""
+    params = ir.InertiaRelaxParams.from_beta(alpha=0.18, beta=0.18976,
+                                             sigma=0.9)
+    alpha = params.alpha
+    delta = alpha * (1.0 + alpha)
+    z0, z_star = np.array([1.0]), np.zeros(1)
+    for phi2, verdict in ((1.0 + 0.5 * (delta + delta / (1.0 - alpha)), None),
+                          (1.0 + 1.1 * delta / (1.0 - alpha), 1)):
+        steps = [(z,) * 3 for z in (np.zeros(1), np.array([math.sqrt(phi2)]))]
+        assert ir.alvarez_attouch_check(steps, z0, z_star, params,
+                                        rel_tol=1e-9) == verdict
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        skew=st.floats(0.0, 5.0), beta=st.floats(0.02, 0.9),

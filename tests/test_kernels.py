@@ -133,8 +133,6 @@ class ExpressionFormQuadratic:
     """``QuadraticFProcedure`` with its session start, Gram store and
     operator written as single expressions."""
 
-    accepts_anchor = True
-
     def __init__(self, design, b):
         self.design = design
         self.at_b = design.apply_transpose(b)

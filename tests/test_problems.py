@@ -454,6 +454,24 @@ def test_labels_are_checked_at_construction():
     assert value == want[0] and grad.tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("kind", ["lasso", "logistic"])
+def test_fista_and_admm_share_one_fixed_prox(kind):
+    """A problem builds its shifted prox once: every ADMM problem built
+    from it holds that object, and neither the prox nor its ``nu`` and
+    bias rule can be reassigned."""
+    if kind == "lasso":
+        prob, build = ir.synthetic_lasso(8, 12, seed=0), ir.lasso_admm_problem
+    else:
+        prob, build = (ir.synthetic_logistic(10, 5, seed=0),
+                       ir.logistic_admm_problem)
+    prox = prob.prox_g
+    assert build(prob, 1.0).prox_g is build(prob, 2.0).prox_g is prox
+    assert (prox.nu, prox.skip_first) == (prob.nu, kind == "logistic")
+    for owner, name in ((prob, "prox_g"), (prox, "nu"), (prox, "skip_first")):
+        with pytest.raises(AttributeError):
+            setattr(owner, name, getattr(owner, name))
+
+
 def _doubled(design):
     return DesignMatrix(2.0 * design.toarray())
 

@@ -506,6 +506,7 @@ class IdentityLasso:
 
     def __init__(self, b, nu):
         self.b, self.nu, self.n = b, nu, b.size
+        self.prox_g = L1ShiftedProx(nu)
 
     def value_gradient(self, x):
         r = x - self.b
@@ -516,9 +517,6 @@ class IdentityLasso:
 
     def objective(self, x):
         return self.f_value(x) + self.nu * float(np.abs(x).sum())
-
-    def prox(self, t, step):
-        return soft_threshold(t, step * self.nu)
 
     def kkt_dist_inf(self, x, floor):
         return float(max(_l1_components(x - self.b, x, self.nu).max(), 0.0))
