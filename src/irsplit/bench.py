@@ -379,7 +379,8 @@ def emit(results: Sequence[BenchResult], summary: Optional[dict], out_dir,
 
 def read_json(path) -> dict:
     """Reload an emitted JSON payload (records, summary, configs); raise
-    ``ValueError`` unless it is an object with a ``records`` list."""
+    ``ValueError`` unless it is an object with a ``records`` list of
+    objects that each hold the ``CSV_COLUMNS`` keys."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -389,4 +390,8 @@ def read_json(path) -> dict:
                          f"{payload.get('schema_version')!r}")
     if not isinstance(payload.get("records"), list):
         raise ValueError("expected a 'records' list")
+    for i, row in enumerate(payload["records"]):
+        if not (isinstance(row, dict) and row.keys() >= set(CSV_COLUMNS)):
+            raise ValueError(f"record {i} is not an object with the keys "
+                             f"{', '.join(CSV_COLUMNS)}")
     return payload

@@ -177,12 +177,10 @@ _U = np.finfo(float).eps / 2.0
 
 @dataclass(frozen=True)
 class _Screen:
-    """What the KKT screens of :class:`LassoProblem` and
-    :class:`LogisticProblem` keep for component j: the vector whose dot
-    product gives g_j (for LASSO the Gram row A^T a_j; for a logistic
-    weight the column a_j, None for the bias), the term a_j . b that LASSO
-    subtracts from it (0 for logistic), and the coefficients c1, c2 of the
-    round-off bound S."""
+    """What the KKT screen keeps for component j: the vector whose dot
+    product gives g_j (LASSO: the Gram row A^T a_j; logistic: the column
+    a_j, None for the bias), the term a_j . b LASSO subtracts (0 for
+    logistic), and the coefficients c1, c2 of the round-off bound S."""
 
     j: int
     vec: Optional[np.ndarray]
@@ -191,106 +189,151 @@ class _Screen:
     c2: float
 
 
-class LassoProblem:
-    """min (1/2)||A x - b||^2 + nu ||x||_1, with ``A``, ``b`` and ``nu``
-    fixed at construction: assigning one raises ``AttributeError``.  ``b``
-    is copied into a read-only array; a dense ``A`` is kept by reference
-    and must not be changed in place (see :class:`DesignMatrix`).  ``b``
-    holds one finite entry per row of A and ``nu`` lies in (0, inf), else
-    ``ValueError``.  ``prox_g``, its :class:`L1ShiftedProx`, is fixed too."""
+class _L1Problem:
+    """min f(x) + nu ||x[first:]||_1, what :class:`LassoProblem` and
+    :class:`LogisticProblem` share; ``first = 1`` leaves the logistic bias
+    unregularized.  ``nu``, in (0, inf) else ``ValueError``, and
+    ``prox_g``, its :class:`L1ShiftedProx`, are fixed at construction.  A
+    subclass states f by three hooks on one inner vector u of x,
+    ``_inner(x)``, ``_loss(u)`` and ``_gradient(x, u)``, and its KKT
+    screen by ``_screened`` and ``_screen_for`` (see :meth:`kkt_dist_inf`).
+    """
+
+    nu = property(operator.attrgetter("_nu"))
+    prox_g = property(operator.attrgetter("_prox_g"))
+
+    def __init__(self, nu: float, first: int):
+        if not 0.0 < nu < math.inf:
+            raise ValueError("0 < nu < inf violated")
+        self._nu, self._first = float(nu), first
+        self._prox_g = L1ShiftedProx(self._nu, skip_first=first == 1)
+        self._screen: Optional[_Screen] = None
+
+    def value_gradient(self, x) -> tuple[float, np.ndarray]:
+        """Smooth part and its gradient, from one inner vector."""
+        u = self._inner(x)
+        return self._loss(u), self._gradient(x, u)
+
+    def f_value(self, x) -> float:
+        """The smooth part alone, by :meth:`value_gradient`'s operations."""
+        return self._loss(self._inner(x))
+
+    def objective(self, x) -> float:
+        return self.f_value(x) + self._nu * float(
+            np.abs(x[self._first:]).sum())
+
+    def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
+        """Sup-norm l1 KKT residual at x, from the gradient alone; an
+        unregularized coordinate contributes |g_i|.
+
+        With a finite ``floor``, a value above it may be a lower bound on
+        the residual rather than the residual; a value at or below it is
+        always the residual, bit for bit.  A call whose full evaluation
+        exceeds ``floor`` keeps its worst component j, as
+        ``_screen_for(j)``.  The next call with a finite floor first
+        computes g_j alone, by ``_screened``, with the terms t1, t2 of a
+        bound S = c1 t1 + c2 t2 + 4 u (|g_j| + |r_j|) on r_j's distance
+        from both the exact component and the one a full evaluation
+        computes (each class states its S; u is the unit round-off).  It
+        returns r_j - S when that exceeds ``floor``, else evaluates in
+        full, reusing the inner vector if ``_screened`` formed it.  A NaN
+        or inf in x makes S non-finite, so such an x is evaluated in full.
+        """
+        screen = self._screen
+        u = None
+        if floor < math.inf and screen is not None:
+            g, t1, t2, u = self._screened(x, screen)
+            r = (abs(g) if screen.j < self._first
+                 else _l1_component(g, float(x[screen.j]), self._nu))
+            lower = r - (screen.c1 * t1 + screen.c2 * t2
+                         + 4.0 * _U * (abs(g) + abs(r)))
+            if lower > floor:
+                return lower
+        grad = self._gradient(x, self._inner(x) if u is None else u)
+        r = _l1_components(grad, x, self._nu)
+        r[:self._first] = np.abs(grad[:self._first])
+        value = float(max(r.max(), 0.0))
+        if value > floor:
+            j = int(r.argmax())
+            if screen is None or screen.j != j:
+                self._screen = self._screen_for(j)
+        return value
+
+
+class LassoProblem(_L1Problem):
+    """min (1/2)||A x - b||^2 + nu ||x||_1, with ``A``, ``b``, ``nu`` and
+    ``prox_g`` fixed at construction (see :class:`_L1Problem`).  ``b``,
+    one finite entry per row of A else ``ValueError``, is copied into a
+    read-only array; a dense ``A`` is kept by reference and must not be
+    changed in place (see :class:`DesignMatrix`).
+
+    The KKT screen reads g_j = (A^T a_j) . x - a_j . b, with a_j = A e_j
+    and both A^T a_j and a_j . b kept with j, as the data are fixed.
+    Against the exact gradient, this and the full evaluation A^T (A x - b)
+    are each off by at most gamma_(m+n+1) ||a_j|| (||A||_F ||x|| + ||b||),
+    with gamma_k = k u / (1 - k u) (the dot-product error bound and
+    Cauchy-Schwarz); S is 4 (m + n + 2) u ||a_j|| (||A||_F ||x|| + ||b||),
+    over twice that, plus 4 u (|g_j| + |r_j|) for the last additions.
+    """
 
     A = property(operator.attrgetter("_A"))
     b = property(operator.attrgetter("_b"))
-    nu = property(operator.attrgetter("_nu"))
-    prox_g = property(operator.attrgetter("_prox_g"))
 
     def __init__(self, A: DesignMatrix, b, nu: float, x_true=None):
         b = _finite(np.array(b, dtype=float), "b")
         if b.shape != (A.shape[0],):
             raise ValueError("b length must match the row count of A")
-        if not 0.0 < nu < math.inf:
-            raise ValueError("0 < nu < inf violated")
+        super().__init__(nu, 0)
         b.setflags(write=False)
-        self._A, self._b, self._nu = A, b, float(nu)
-        self._prox_g = L1ShiftedProx(self._nu)
+        self._A, self._b = A, b
         self.x_true = x_true
-        self._screen: Optional[_Screen] = None
 
     @property
     def n(self) -> int:
         return self._A.shape[1]
 
-    def value_gradient(self, x) -> tuple[float, np.ndarray]:
-        """Smooth part and its gradient, from one residual A x - b."""
-        r = self._A.apply(x) - self._b
-        return 0.5 * float(r @ r), self._A.apply_transpose(r)
+    def _inner(self, x) -> np.ndarray:
+        return self._A.apply(x) - self._b
 
-    def f_value(self, x) -> float:
-        r = self._A.apply(x) - self._b
-        return 0.5 * float(r @ r)
+    def _loss(self, u) -> float:
+        return 0.5 * float(u @ u)
 
-    def objective(self, x) -> float:
-        return self.f_value(x) + self._nu * float(np.abs(x).sum())
+    def _gradient(self, x, u) -> np.ndarray:
+        return self._A.apply_transpose(u)
 
-    def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
-        """Sup-norm l1 KKT residual at x.
+    def _screened(self, x, screen: _Screen) -> tuple:
+        return (float(screen.vec @ x) - screen.shift, 1.0,
+                math.sqrt(x @ x), None)
 
-        With a finite ``floor``, a value above it may be a lower bound on
-        the residual rather than the residual; a value at or below it is
-        always the residual, bit for bit.  A call whose full evaluation
-        exceeds ``floor`` keeps the worst component j; the next call with a
-        finite floor first computes only that component, r_j, with a bound
-        S on its distance from both the exact component and the one a full
-        evaluation computes, and returns r_j - S when that exceeds
-        ``floor``.  Otherwise it runs the full evaluation.  A NaN or inf in
-        x makes S non-finite, so such an x is always evaluated in full.
-
-        Here g_j = (A^T a_j) . x - a_j . b, with a_j = A e_j and both
-        A^T a_j and a_j . b kept with j, as the data are fixed.  Against the
-        exact gradient, this and the full evaluation A^T (A x - b) are each
-        off by at most gamma_(m+n+1) ||a_j|| (||A||_F ||x|| + ||b||), with
-        gamma_k = k u / (1 - k u) and u the unit round-off (the
-        dot-product error bound and Cauchy-Schwarz); S is
-        4 (m + n + 2) u ||a_j|| (||A||_F ||x|| + ||b||), over twice that,
-        plus 4 u (|g_j| + |r_j|) for the last additions.
-        """
-        screen = self._screen
-        if floor < math.inf and screen is not None:
-            g = float(screen.vec @ x) - screen.shift
-            r = _l1_component(g, float(x[screen.j]), self._nu)
-            lower = r - (screen.c2 * math.sqrt(x @ x) + screen.c1
-                         + 4.0 * _U * (abs(g) + abs(r)))
-            if lower > floor:
-                return lower
+    def _screen_for(self, j: int) -> _Screen:
         A, b = self._A, self._b
-        r = _l1_components(A.apply_transpose(A.apply(x) - b), x, self._nu)
-        value = float(max(r.max(), 0.0))
-        if value > floor:
-            j = int(r.argmax())
-            if screen is None or screen.j != j:
-                col = A.column(j)
-                k = 4.0 * (sum(A.shape) + 2) * _U * math.sqrt(col @ col)
-                self._screen = _Screen(j, A.apply_transpose(col),
-                                       float(col @ b), k * math.sqrt(b @ b),
-                                       k * A.stored_norm())
-        return value
+        col = A.column(j)
+        k = 4.0 * (sum(A.shape) + 2) * _U * math.sqrt(col @ col)
+        return _Screen(j, A.apply_transpose(col), float(col @ b),
+                       k * math.sqrt(b @ b), k * A.stored_norm())
 
 
-class LogisticProblem:
+class LogisticProblem(_L1Problem):
     """min sum_i log(1 + exp(-b_i (a_i^T w + v))) + nu ||w||_1, x = (v, w).
 
     ``features`` (q x (n - 1), rows a_i), ``labels`` (one b_i in {-1, +1}
-    per row, else ``ValueError``) and ``nu`` (in (0, inf), else
-    ``ValueError``) are fixed at construction, as for
-    :class:`LassoProblem`.  ``labels`` is copied into a read-only array
-    and checked once; its negation -b is formed once.  ``prox_g`` is as
-    for :class:`LassoProblem`, and leaves the bias unshrunk.
+    per row, else ``ValueError``) and ``nu`` are fixed at construction, as
+    for :class:`LassoProblem`.  ``labels`` is copied into a read-only
+    array and checked once; its negation -b is formed once.  ``prox_g``
+    leaves the bias unshrunk.
+
+    The KKT screen reads g_j = a_j . c for a weight, or sum_i c_i for the
+    bias (a_0 = 1), from fresh coefficients c_i = -b_i expit(u_i) and the
+    cached column a_j = A e_j.  Against the exact gradient, this and the
+    full evaluation are each off by at most (gamma_q + 9 u) ||a_j||_1 +
+    gamma_(p+1)/4 (||a_j|| ||A||_F ||w|| + ||a_j||_1 |v|) for a q x p
+    feature matrix, as expit is 1/4-Lipschitz and taken to be within 8 u
+    relative; S is K (||a_j||_1 (1 + |v|) + ||a_j|| ||A||_F ||w||) with
+    K = 4 (q + p + 20) u, over twice that, plus 4 u (|g_j| + |r_j|).
     """
 
     features = property(operator.attrgetter("_features"))
     labels = property(operator.attrgetter("_labels"))
-    nu = property(operator.attrgetter("_nu"))
-    prox_g = property(operator.attrgetter("_prox_g"))
 
     def __init__(self, features: DesignMatrix, labels, nu: float):
         labels = np.array(labels, dtype=float)
@@ -298,95 +341,45 @@ class LogisticProblem:
             raise ValueError("label count must match the feature row count")
         if not np.all(np.abs(labels) == 1.0):  # np.isin at a third the cost
             raise ValueError("labels must be -1 or +1")
-        if not 0.0 < nu < math.inf:
-            raise ValueError("0 < nu < inf violated")
+        super().__init__(nu, 1)
         labels.setflags(write=False)
-        self._features, self._labels, self._nu = features, labels, float(nu)
-        self._prox_g = L1ShiftedProx(self._nu, skip_first=True)
+        self._features, self._labels = features, labels
         self._neg = -labels
-        self._screen: Optional[_Screen] = None
 
     @property
     def n(self) -> int:
         return self._features.shape[1] + 1
 
-    def _neg_margins(self, x) -> np.ndarray:
-        # (-b) m is -(b m) bit for bit: rounding is symmetric in sign
+    def _inner(self, x) -> np.ndarray:
+        # negated margins; (-b) m is -(b m) bit for bit (sign-symmetric)
         return self._neg * (self._features.apply(x[1:]) + x[0])
 
+    def _loss(self, u) -> float:
+        return float(np.logaddexp(0.0, u).sum())
+
     def _gradient(self, x, u) -> np.ndarray:
-        """The gradient at x from its negated margins u."""
         coeff = self._neg * expit(u)  # 1/(1 + exp(-u)), overflow safe
         grad = np.empty_like(x)
         grad[0] = coeff.sum()
         grad[1:] = self._features.apply_transpose(coeff)
         return grad
 
-    def value_gradient(self, x) -> tuple[float, np.ndarray]:
-        """Smooth part and its gradient over the packed (bias, weights)."""
-        u = self._neg_margins(x)
-        return float(np.logaddexp(0.0, u).sum()), self._gradient(x, u)
+    def _screened(self, x, screen: _Screen) -> tuple:
+        u = self._inner(x)
+        coeff = self._neg * expit(u)
+        vec = screen.vec
+        w = x[1:]
+        return (float(coeff.sum() if vec is None else vec @ coeff),
+                1.0 + abs(float(x[0])), math.sqrt(w @ w), u)
 
-    def f_value(self, x) -> float:
-        """The smooth part alone, by :meth:`value_gradient`'s operations."""
-        return float(np.logaddexp(0.0, self._neg_margins(x)).sum())
-
-    def objective(self, x) -> float:
-        return self.f_value(x) + self._nu * float(np.abs(x[1:]).sum())
-
-    def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
-        """The l1 KKT residual, from the gradient alone; the bias, which is
-        unregularized, contributes |g_0|.  ``floor`` is as for
-        :meth:`LassoProblem.kkt_dist_inf`.
-
-        The screen reads g_j = a_j . c for a weight, or sum_i c_i for the
-        bias (a_0 = 1), from fresh coefficients c_i = -b_i expit(u_i) and
-        the cached column a_j = A e_j.  Against the exact gradient, this
-        and the full evaluation are each off by at most (gamma_q + 9 u)
-        ||a_j||_1 + gamma_(p+1)/4 (||a_j|| ||A||_F ||w|| + ||a_j||_1 |v|)
-        for a q x p feature matrix, as expit is 1/4-Lipschitz and taken to
-        be within 8 u relative; S is K (||a_j||_1 (1 + |v|) + ||a_j||
-        ||A||_F ||w||) with K = 4 (q + p + 20) u, over twice that, plus
-        4 u (|g_j| + |r_j|).
-        """
-        screen = self._screen
-        u = None
-        if floor < math.inf and screen is not None:
-            u = self._neg_margins(x)
-            coeff = self._neg * expit(u)
-            if screen.vec is None:
-                g = float(coeff.sum())
-                r = abs(g)
-            else:
-                g = float(screen.vec @ coeff)
-                r = _l1_component(g, float(x[screen.j]), self._nu)
-            w = x[1:]
-            lower = r - (screen.c1 * (1.0 + abs(float(x[0])))
-                         + screen.c2 * math.sqrt(w @ w)
-                         + 4.0 * _U * (abs(g) + abs(r)))
-            if lower > floor:
-                return lower
-        if u is None:
-            u = self._neg_margins(x)
-        grad = self._gradient(x, u)
-        g0 = abs(grad[0])
-        r = _l1_components(grad[1:], x[1:], self._nu)
-        value = float(np.maximum(g0, float(max(r.max(), 0.0))))
-        if value > floor:
-            j = 0 if g0 >= r.max() else 1 + int(r.argmax())
-            if screen is None or screen.j != j:
-                features = self._features
-                q, p = features.shape
-                if j == 0:
-                    col, norm1, norm2 = None, float(q), math.sqrt(q)
-                else:
-                    col = features.column(j - 1)
-                    norm1 = float(np.abs(col).sum())
-                    norm2 = math.sqrt(col @ col)
-                k = 4.0 * (q + p + 20) * _U
-                self._screen = _Screen(j, col, 0.0, k * norm1,
-                                       k * norm2 * features.stored_norm())
-        return value
+    def _screen_for(self, j: int) -> _Screen:
+        features = self._features
+        q, p = features.shape
+        col = None if j == 0 else features.column(j - 1)
+        a = np.ones(q) if col is None else col  # a_0 = 1: exact norms
+        k = 4.0 * (q + p + 20) * _U
+        return _Screen(j, col, 0.0, k * float(np.abs(a).sum()),
+                       k * math.sqrt(a @ a) * features.stored_norm())
 
 
 # ---------------------------------------------------------------------------

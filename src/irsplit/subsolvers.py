@@ -377,7 +377,8 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     on min F = f + g with f smooth, from the zero vector.
 
     ``problem`` is any object with the six members that
-    :class:`irsplit.problems.LassoProblem` and ``LogisticProblem`` share:
+    :class:`irsplit.problems.LassoProblem` and ``LogisticProblem`` share,
+    all but ``n`` from their base ``_L1Problem``:
 
     - ``n``, the dimension;
     - ``value_gradient(x)``, f and its gradient;

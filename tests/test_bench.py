@@ -326,12 +326,21 @@ def test_rho_bar_config_checks_alpha_against_its_own_beta(tmp_path):
     ("{", "Expecting"),
     ('{"schema_version": 1}', "expected a 'records' list"),
     ("[1]", "expected a JSON object"),
-], ids=["schema", "missing", "not_json", "no_records", "not_object"])
+    (json.dumps({"schema_version": 1, "records": [1]}),
+     "record 0 is not an object"),
+    (json.dumps({"schema_version": 1, "records": [
+        dict.fromkeys(bench.CSV_COLUMNS, 1),
+        dict.fromkeys(set(bench.CSV_COLUMNS) - {"inner"}, 1)]}),
+     "record 1 is not an object with the keys problem, solver, outer, "
+     "inner, seconds, kkt, objective, status"),
+], ids=["schema", "missing", "not_json", "no_records", "not_object",
+        "record_not_object", "record_without_inner"])
 def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
     """``summarize`` treats a results file it cannot read, one of another
-    schema version, or one that is not an object holding a records list,
-    as ``run`` and ``gen`` treat a bad input: the message on stderr,
-    without a traceback, and exit code 2."""
+    schema version, one that is not an object holding a records list, or
+    one with a record that is not an object holding every CSV column, as
+    ``run`` and ``gen`` treat a bad input: the message on stderr, without
+    a traceback, and exit code 2."""
     path = tmp_path / "bench.json"
     if content is not None:
         path.write_text(content)

@@ -240,7 +240,7 @@ def test_logistic_value_gradient_and_kkt_match_reference(q, n, seed,
     value, grad = prob.value_gradient(x)
     assert value == float(np.logaddexp(0.0, -t).sum())
     assert np.array_equal(grad, want)
-    assert np.array_equal(prob._gradient(x, prob._neg_margins(x)), grad)
+    assert np.array_equal(prob._gradient(x, prob._inner(x)), grad)
     mask = np.ones(n, dtype=bool)
     mask[0] = False
     assert prob.kkt_dist_inf(x) == kkt_reference(grad, x, prob.nu, mask)
@@ -324,7 +324,27 @@ def test_kkt_screen_is_exact_at_or_below_the_floor(kind, start, point, scale,
             assert floor < value <= full
 
 
-@pytest.mark.parametrize("kind", ["lasso_dense", "lasso_csr", "bias"])
+def cancelling_instance(kind, seed):
+    """A point where both the screened and the full gradient cancel large
+    terms, with its problem.  LASSO: entries of A in [1, 2], b = A x* for a
+    positive x*, and x within a relative 1e-14 of x*.  Logistic: 200
+    feature rows, each repeated, labelled +1 and then -1 in the same
+    order, so every partial sum of a gradient component grows before it
+    cancels, at x within 1e-12 of zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "lasso_cancel":
+        a = rng.uniform(1.0, 2.0, (20, 30))
+        x_star = rng.uniform(0.5, 1.5, 30)
+        prob = ir.LassoProblem(DesignMatrix(a), a @ x_star, 1.0)
+        return prob, x_star * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, 30))
+    a = rng.uniform(1.0, 2.0, (200, 10))
+    labels = np.repeat([1.0, -1.0], 200)
+    prob = ir.LogisticProblem(DesignMatrix(np.vstack([a, a])), labels, 1e-3)
+    return prob, 1e-12 * rng.uniform(-1.0, 1.0, 11)
+
+
+@pytest.mark.parametrize("kind", ["lasso_dense", "lasso_csr", "bias",
+                                  "lasso_cancel", "logistic_cancel"])
 def test_kkt_screen_bound_covers_cancellation_and_the_bias(kind):
     """Screened components stay below the exact ones where round-off is at
     its worst relative to the component: a LASSO b of norm 1e6 nearly
@@ -332,7 +352,19 @@ def test_kkt_screen_bound_covers_cancellation_and_the_bias(kind):
     the logistic bias, with gradients of both signs.  The LASSO screen is
     primed on the longest column j at t e_j: with t large, component j,
     t ||a_j||^2 - a_j . b, dominates every t a_i . a_j - a_i . b, as
-    |a_i . a_j| < ||a_j||^2 by Cauchy-Schwarz."""
+    |a_i . a_j| < ||a_j||^2 by Cauchy-Schwarz.
+
+    At a point of :func:`cancelling_instance`, where both evaluations
+    cancel large terms, the screen is primed on the worst component at
+    that point, so its value must not exceed the full residual there.
+    Each problem's bound with its coefficient cut to u fails this on some
+    of the 100 draws."""
+    if kind.endswith("_cancel"):
+        for seed in range(100):
+            prob, x = cancelling_instance(kind, seed)
+            prob.kkt_dist_inf(x, -np.inf)
+            assert prob.kkt_dist_inf(x, -np.inf) <= prob.kkt_dist_inf(x)
+        return
     for seed in range(20):
         if kind == "bias":
             prob = ir.synthetic_logistic(25, 9, nu_fraction=2.0, seed=seed)
