@@ -131,7 +131,7 @@ class FProcedure(Protocol):
     :func:`run_admm` passes ``anchor = (x, x_prev, alpha)``, the accepted
     trials it extrapolated ``x_bar = x + alpha (x - x_prev)`` from.  A
     procedure may ignore it, or reuse work done at those points once it has
-    checked that it knows both, computing at ``x_bar`` otherwise.
+    checked that it knows both (the CG procedure does), else compute anew.
     """
 
     def open_session(self, p: np.ndarray, z: np.ndarray, c: float,

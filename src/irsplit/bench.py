@@ -183,6 +183,15 @@ class BenchResult:
                 "objective": r.final_objective, "status": r.status}
 
 
+def _result(row: dict, config: dict) -> BenchResult:
+    """The result whose ``row()`` is ``row``, with ``config``; ``ValueError``
+    on a name that is not text or a value ``RunRecord`` refuses."""
+    if not all(isinstance(row[k], str) for k in CSV_COLUMNS[:2]):
+        raise ValueError("problem and solver must be text")
+    return BenchResult(row["problem"], row["solver"],
+                       RunRecord(*(row[k] for k in CSV_COLUMNS[2:])), config)
+
+
 def _problem_builder(spec: dict, seed: Optional[int] = None):
     """The builder of the kind ``spec`` names, bound to its keys, each read
     as its type and range, and to ``seed`` if set; ``ValueError`` on an
@@ -379,8 +388,10 @@ def emit(results: Sequence[BenchResult], summary: Optional[dict], out_dir,
 
 def read_json(path) -> dict:
     """Reload an emitted JSON payload (records, summary, configs); raise
-    ``ValueError`` unless it is an object with a ``records`` list of
-    objects that each hold the ``CSV_COLUMNS`` keys."""
+    ``ValueError`` naming the fault unless it is an object with a non-empty
+    ``records`` list of objects with the ``CSV_COLUMNS`` keys that
+    :func:`_result` takes, and one config object per record (when absent,
+    ``configs`` is set to empty ones)."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -388,10 +399,20 @@ def read_json(path) -> dict:
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version "
                          f"{payload.get('schema_version')!r}")
-    if not isinstance(payload.get("records"), list):
-        raise ValueError("expected a 'records' list")
-    for i, row in enumerate(payload["records"]):
+    records = payload.get("records")
+    if not (isinstance(records, list) and records):
+        raise ValueError("expected a 'records' list of one or more records")
+    for i, row in enumerate(records):
         if not (isinstance(row, dict) and row.keys() >= set(CSV_COLUMNS)):
             raise ValueError(f"record {i} is not an object with the keys "
                              f"{', '.join(CSV_COLUMNS)}")
+    configs = payload.setdefault("configs", [{}] * len(records))
+    if not (isinstance(configs, list) and len(configs) == len(records)
+            and all(isinstance(c, dict) for c in configs)):
+        raise ValueError("expected a 'configs' list of one object per record")
+    for i, (row, config) in enumerate(zip(records, configs)):
+        try:
+            _result(row, config)
+        except ValueError as exc:
+            raise ValueError(f"record {i}: {exc}") from None
     return payload

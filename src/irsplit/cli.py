@@ -9,8 +9,8 @@ the first run, on a config it cannot read, a key that nothing reads, or a
 value of the wrong type or out of its key's range; an absent problem key
 takes the library's default.  ``gen`` reads its flags as ``run`` reads the
 same problem keys, and exits 2 on a bad one without writing a file.
-``summarize`` exits 2 on a results file it cannot read or of another schema
-version.
+``summarize`` exits 2 on a results file it cannot read, of another schema
+version, or with a malformed record or config list.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import bench, problems
-from .records import CONVERGED, RunRecord
+from .records import CONVERGED
 
 
 def _coerce(value: str):
@@ -123,17 +123,12 @@ def _cmd_run(args) -> int:
 def _cmd_summarize(args) -> int:
     try:
         payload = bench.read_json(args.results)
+        results = [bench._result(row, config) for row, config
+                   in zip(payload["records"], payload["configs"])]
+        summary = bench.summarize(results)
     except (OSError, ValueError) as exc:
         print(f"irsplit-bench: {exc}", file=sys.stderr)
         return 2
-    rows = payload["records"]
-    results = []
-    for row, config in zip(rows, payload.get("configs", [{}] * len(rows))):
-        record = RunRecord(row["outer"], row["inner"], row["seconds"],
-                           row["kkt"], row["objective"], row["status"])
-        results.append(bench.BenchResult(row["problem"], row["solver"],
-                                         record, config))
-    summary = bench.summarize(results)
     _print_summary(summary)
     if args.out:
         bench.emit(results, summary, args.out, basename=args.basename)

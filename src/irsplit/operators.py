@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .hpp import ProxCertificate, error_criterion_holds
-from .subsolvers import CGSession, soft_threshold
+from .subsolvers import QuadraticFProcedure, soft_threshold
 
 __all__ = [
     "ScaledIdentityOperator",
@@ -161,18 +161,18 @@ class ExactBProcedure:
         return SimpleNamespace(next=lambda: (x, np.zeros_like(x)), exact=True)
 
 
-class CGBProcedure:
-    """Iterative F-procedure for an affine B(x) = Q x + q with Q SPD.
+class CGBProcedure(QuadraticFProcedure):
+    """CG F-procedure for an affine B(x) = Q x + q with Q SPD: the
+    :class:`irsplit.subsolvers.QuadraticFProcedure` with Q u = ``mat @ u``
+    and r = -q, both read when used, anchored start included.  A trial is
+    one CG step on (Q + c I) x = -q - p + c z from x_bar; its certificate y
+    = Q x + q + p + c (x - z) is CG's own residual."""
 
-    Each trial is one CG step on (Q + c I) x = c z - p - q, warm started at
-    x_bar; its certificate y = Q x + q + p + c (x - z) is CG's own
-    residual, so Q is applied once per trial.
-    """
+    _r = property(lambda self: -self.shift)
 
     def __init__(self, mat, shift=None):
         self.mat, self.shift = _affine_parts(mat, shift)
+        self.reset()
 
-    def open_session(self, p, z, c, x_bar, anchor=None):
-        mat = self.mat
-        return CGSession(lambda u: mat @ u + c * u, c * z - p - self.shift,
-                         x_bar)
+    def _product(self, u):
+        return self.mat @ u

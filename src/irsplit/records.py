@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any
@@ -33,8 +34,12 @@ class RunRecord:
     def __post_init__(self):
         if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.outer_iters < 0 or self.inner_iters_total < 0:
-            raise ValueError("iteration counts must be nonnegative")
+        counts = self.outer_iters, self.inner_iters_total
+        if not all(isinstance(n, numbers.Integral) and n >= 0 for n in counts):
+            raise ValueError("iteration counts must be nonnegative integers")
+        reals = self.wall_seconds, self.final_kkt, self.final_objective
+        if not all(isinstance(v, numbers.Real) for v in reals):
+            raise ValueError("seconds, kkt and objective must be numbers")
         if self.wall_seconds < 0:
             raise ValueError("wall_seconds must be nonnegative")
 

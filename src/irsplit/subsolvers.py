@@ -92,46 +92,45 @@ class CGSession:
 
 
 class QuadraticFProcedure:
-    """F-procedure for f(x) = (1/2)||A x - b||^2 backed by matrix-free CG.
+    """F-procedure for a quadratic f, grad f(x) = Q x - r with Q symmetric
+    positive semidefinite, backed by matrix-free CG.
 
-    Sessions solve (A^T A + c I) x = A^T b - p + c z warm started at x_bar;
-    the normal matrix is never formed, each step applies A then A^T and
-    adds c u into that product, so ``design``'s products must return fresh
-    arrays, as :class:`irsplit.problems.DesignMatrix`'s do.  A^T b is
-    formed once, at construction, from ``design``, which is kept private.
+    Sessions solve (Q + c I) x = r - p + c z warm started at x_bar, through
+    one private product Q u that returns a fresh array, into which each step
+    adds c u.  Here f(x) = (1/2)||A x - b||^2: Q u = A^T (A u) from the
+    private ``design`` (whose products are fresh, as
+    :class:`irsplit.problems.DesignMatrix`'s are) and r = A^T b, formed at
+    construction; :class:`irsplit.operators.CGBProcedure` sets its own.
 
-    Opening a session needs H x_bar, H = A^T A + c I.  Computed afresh that
-    costs two design-matrix products.  With ``anchor = (x, x_prev, alpha)``,
-    the caller states that x_bar = x + alpha (x - x_prev); when both points
-    are arrays that this procedure's sessions emitted since the last
-    ``reset()``, the procedure forms
-
-        H x_bar = G(x) + alpha (G(x) - G(x_prev)) + c x_bar
-
-    from G(u) = A^T A u, and the session starts with no product.  G at an
-    emitted point comes from its session's certificate, A^T A x_l = rhs +
-    y_l - c x_l, and is kept for the newest two such points; it does not
-    depend on c, so a change of c cannot make it stale.  Otherwise, or
-    with no anchor, the two products are computed as before.  The stored G
-    differs from a fresh product by the round-off the CG recurrence
-    carries, which stays at that level because the extrapolation weights
-    (1 + alpha, -alpha) sum to one.  ``reset()`` releases the stored
-    vectors; the drivers call it at run entry and exit.
+    A session starts from H x_bar, H = Q + c I, one Q product when computed
+    afresh.  With ``anchor = (x, x_prev, alpha)``, x_bar = x + alpha (x -
+    x_prev); when this procedure's sessions emitted both points since the
+    last ``reset()``, H x_bar = G(x) + alpha (G(x) - G(x_prev)) + c x_bar
+    with G(u) = Q u costs no product.  G at an emitted point is read off its
+    session's certificate, G(x_l) = rhs + y_l - c x_l for any linear Q, and
+    kept for the newest two such points; it does not depend on c, so a
+    change of c cannot make it stale.  It differs from a fresh product by
+    the round-off the CG recurrence carries, which stays at that level
+    because the weights (1 + alpha, -alpha) sum to one.  ``reset()``
+    releases the stored vectors; the drivers call it at run entry and exit.
     """
 
     def __init__(self, design, b: np.ndarray):
         self._design = design
-        self._at_b = design.apply_transpose(np.asarray(b, dtype=float))
+        self._r = design.apply_transpose(np.asarray(b, dtype=float))
         self.reset()
+
+    def _product(self, u: np.ndarray) -> np.ndarray:
+        return self._design.apply_transpose(self._design.apply(u))
 
     def reset(self) -> None:
         """Release the latest session and the stored Gram products."""
         self._session: Optional[CGSession] = None
         self._session_c = 0.0
-        self._grams: list = []  # (point, A^T A point), newest last
+        self._grams: list = []  # (point, Q point), newest last
 
     def _gram(self, point: np.ndarray) -> Optional[np.ndarray]:
-        """A^T A point without a product, or None when it is not known."""
+        """Q point without a product, or None when it is not known."""
         for known, gram in self._grams:
             if known is point:
                 return gram
@@ -144,14 +143,13 @@ class QuadraticFProcedure:
         return gram
 
     def open_session(self, p, z, c, x_bar, anchor=None) -> CGSession:
-        design = self._design
-        rhs = self._at_b - p
+        rhs = self._r - p
         rhs += c * z
 
-        def gram(u):
-            product = design.apply_transpose(design.apply(u))
-            product += c * u
-            return product
+        def operator(u):
+            h_u = self._product(u)
+            h_u += c * u
+            return h_u
 
         h_x_bar = None
         if anchor is not None:
@@ -163,7 +161,7 @@ class QuadraticFProcedure:
                 h_x_bar *= alpha
                 h_x_bar += g_x
                 h_x_bar += c * x_bar
-        session = CGSession(gram, rhs, x_bar, h_x0=h_x_bar)
+        session = CGSession(operator, rhs, x_bar, h_x0=h_x_bar)
         self._session, self._session_c = session, c
         return session
 

@@ -722,9 +722,47 @@ def test_certificates_do_not_drift_with_reused_gram_products():
     assert worst <= 1e-12
 
 
+def test_affine_sessions_start_from_stored_products():
+    """``run_dr`` drives ``CGBProcedure`` as ``run_admm`` drives the LASSO
+    procedure: Q is applied once per trial and at the first two session
+    starts only, the later ones extrapolating stored products, and every
+    emitted y is Q x + q + p_hat + c (x - z_hat) to round-off over a long
+    run."""
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((60, 60))
+    q_mat = m @ m.T / 60.0 + 0.1 * np.eye(60)
+    shift = rng.standard_normal(60)
+    proc = CGBProcedure(q_mat, shift)
+    proc.mat = counting = CountingMatrix(proc.mat)
+    # run_dr brings its own A-side prox: only the sessions are recorded
+    unused_prox = SimpleNamespace(solve=None)
+    sessions = record_trials(SimpleNamespace(fproc=proc, prox_g=unused_prox))
+    events = Collector()
+    init = SplitTriple(*(rng.standard_normal(60) for _ in range(3)))
+    res = run_dr(init, DRParams(1.0, published_params().core), proc,
+                 L1Resolvent(0.5), max_outer=10_000, sr_tolerance=1e-9,
+                 observer=events)
+    assert res.status == "solved"
+    assert res.outer_iters > 200
+    assert counting.products == res.inner_iters_total + 2
+    # the solving iteration reaches no observer
+    assert len(sessions) == len(events) + 1
+    worst = 0.0
+    for step, session in zip(events, sessions):
+        for trial in session:
+            q_x = q_mat @ trial.x
+            grad = q_x + shift + step.p_hat + (trial.x - step.z_hat)
+            worst = max(worst, np.max(np.abs(trial.y - grad))
+                        / (1.0 + np.max(np.abs(q_x))))
+    assert worst <= 1e-12
+
+
 def held_state(fproc):
-    """The arrays and sessions a procedure holds beyond its set-up."""
-    held, stack = [], [v for k, v in vars(fproc).items() if k != "_at_b"]
+    """The arrays and sessions a procedure holds beyond its set-up: the
+    CG procedure's constant side ``_r`` and an affine B's ``mat`` and
+    ``shift`` are set-up."""
+    held, stack = [], [v for k, v in vars(fproc).items()
+                       if k not in ("_r", "mat", "shift")]
     while stack:
         v = stack.pop()
         if isinstance(v, (list, tuple)):
@@ -748,14 +786,22 @@ def stop_at(k):
 
 @pytest.mark.parametrize("case", ["admm_returns", "admm_stalls",
                                   "admm_raises", "dr_returns", "dr_stalls",
-                                  "dr_raises"])
+                                  "dr_raises", "dr_returns_affine",
+                                  "dr_stalls_affine", "dr_raises_affine"])
 def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
                                               case):
     """A run resets its F-procedure on every exit, so no session or stored
     vector of the run stays alive with the procedure: a normal return, a
     returned ``stalled`` status (the inner budget: sigma = 0 with
-    iterative CG never lands) and an exception the observer raises."""
-    fproc = QuadraticFProcedure(lasso_20x50.A, lasso_20x50.b)
+    iterative CG never lands) and an exception the observer raises.  The
+    ``affine`` cases run the same LASSO through ``CGBProcedure`` with B =
+    A^T A x - A^T b."""
+    driver, exit_, *affine = case.split("_")
+    if affine:
+        a = lasso_20x50.A.toarray()
+        fproc = CGBProcedure(a.T @ a, -(a.T @ lasso_20x50.b))
+    else:
+        fproc = QuadraticFProcedure(lasso_20x50.A, lasso_20x50.b)
     opened = []
     open_session = fproc.open_session
 
@@ -765,7 +811,6 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
         return session
 
     fproc.open_session = tracked_open
-    driver, exit_ = case.split("_")
     core = (ir.InertiaRelaxParams.plain(sigma=0.0) if exit_ == "stalls"
             else inertial_core)
     observer = stop_at(3) if exit_ == "raises" else None
@@ -792,7 +837,7 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
             run()
     else:
         want = {"dr_returns": "budget_exceeded", "admm_returns": "converged"}
-        assert run().status == want.get(case, "stalled")
+        assert run().status == want.get(f"{driver}_{exit_}", "stalled")
     assert len(opened) >= 1
     assert held_state(fproc) == []
     gc.collect()

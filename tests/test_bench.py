@@ -320,6 +320,16 @@ def test_rho_bar_config_checks_alpha_against_its_own_beta(tmp_path):
         0.3, ir.beta_of_rho_bar(1.0), 1.0, 1.0)
 
 
+GOOD_ROW = {"problem": "p", "solver": "admm_inertial", "outer": 3,
+            "inner": 4, "seconds": 0.5, "kkt": 1e-7, "objective": 1.0,
+            "status": "converged"}
+
+
+def results_file(records, **rest):
+    """The text of a current-schema results file with these records."""
+    return json.dumps({"schema_version": 1, "records": records, **rest})
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"schema_version": 0}', "unsupported schema version 0"),
     (None, "No such file"),
@@ -333,14 +343,30 @@ def test_rho_bar_config_checks_alpha_against_its_own_beta(tmp_path):
         dict.fromkeys(set(bench.CSV_COLUMNS) - {"inner"}, 1)]}),
      "record 1 is not an object with the keys problem, solver, outer, "
      "inner, seconds, kkt, objective, status"),
+    (results_file([dict(GOOD_ROW, outer="x")]),
+     "record 0: iteration counts must be nonnegative integers"),
+    (results_file([GOOD_ROW, dict(GOOD_ROW, status="bogus")]),
+     "record 1: unknown status 'bogus'"),
+    (results_file([dict(GOOD_ROW, kkt="x")]),
+     "record 0: seconds, kkt and objective must be numbers"),
+    (results_file([dict(GOOD_ROW, problem=None)]),
+     "record 0: problem and solver must be text"),
+    (results_file([GOOD_ROW], configs=5),
+     "expected a 'configs' list of one object per record"),
+    (results_file([GOOD_ROW, GOOD_ROW], configs=[{}]),
+     "expected a 'configs' list of one object per record"),
+    (results_file([]), "expected a 'records' list of one or more records"),
 ], ids=["schema", "missing", "not_json", "no_records", "not_object",
-        "record_not_object", "record_without_inner"])
+        "record_not_object", "record_without_inner", "outer_text",
+        "status_bogus", "kkt_text", "problem_null", "configs_int",
+        "configs_short", "records_empty"])
 def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
     """``summarize`` treats a results file it cannot read, one of another
-    schema version, one that is not an object holding a records list, or
-    one with a record that is not an object holding every CSV column, as
-    ``run`` and ``gen`` treat a bad input: the message on stderr, without
-    a traceback, and exit code 2."""
+    schema version, one that is not an object holding a non-empty records
+    list, one with a record that is not an object holding every CSV column
+    with values of their types and ranges, or one whose configs are not one
+    object per record, as ``run`` and ``gen`` treat a bad input: the
+    message on stderr, without a traceback, and exit code 2."""
     path = tmp_path / "bench.json"
     if content is not None:
         path.write_text(content)
