@@ -172,7 +172,10 @@ class AdmmProblem:
 # written in place with its operands swapped is the same bit for bit.  They
 # take the float arrays the loop carries.  tests/reference.py states each
 # formula once as a plain expression, and tests/test_kernels.py holds each
-# kernel to it bit for bit.
+# kernel to it bit for bit.  Inner products of the loop's own contiguous
+# arrays use ``ndarray.dot``, the BLAS call of ``@`` without the matmul
+# dispatch, and the same bits but for the sign of a zero that is one
+# product (n = 1).  Only ``_theta`` can see that: t . d may be -0.0.
 
 def _multiplier(p_hat, x_l, z_hat, y_l, c: float) -> np.ndarray:
     """p_hat + c (x_l - z_hat) - y_l."""
@@ -197,17 +200,18 @@ def _acceptance_vector(p_l, p_hat, z_l, z_hat, c: float) -> np.ndarray:
 
 def _accept(y_l, tt: float, dd: float, c: float, sigma: float,
             max_form: bool) -> bool:
-    """The acceptance test from tt = t @ t, t = :func:`_acceptance_vector`,
+    """The acceptance test from tt = t . t, t = :func:`_acceptance_vector`,
     and dd = ||x_l - z_l||^2."""
     if max_form:
-        return math.sqrt(y_l @ y_l) <= sigma * max(math.sqrt(tt),
-                                                   c * math.sqrt(dd))
-    return y_l @ y_l <= sigma * sigma * (tt + (c * c) * dd)
+        return math.sqrt(y_l.dot(y_l)) <= sigma * max(math.sqrt(tt),
+                                                      c * math.sqrt(dd))
+    return y_l.dot(y_l) <= sigma * sigma * (tt + (c * c) * dd)
 
 
 def _theta(t: np.ndarray, d: np.ndarray, dd: float, c: float) -> float:
     """theta from t = :func:`_acceptance_vector`, d = x_l - z_l and a
-    finite dd = d @ d > 0."""
+    finite dd = d . d > 0."""
+    # @, not .dot: at n = 1 the zero's sign reaches record.cause
     return float((t @ d) / (c * dd))
 
 
@@ -346,13 +350,13 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
                     p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
                     z_l = prox(p_l, x_l, c)
                     d = x_l - z_l
-                    dd = d @ d
+                    dd = d.dot(d)
                     if not math.isfinite(dd):
                         status = ERROR
                         cause = f"non-finite trial (||x - z||^2 = {dd})"
                         break
                     t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-                    if exact or _accept(y_l, t @ t, dd, c, sigma, max_form):
+                    if exact or _accept(y_l, t.dot(t), dd, c, sigma, max_form):
                         break
                 else:
                     status = STALLED

@@ -61,7 +61,7 @@ class CGSession:
             h_x0 = operator_apply(self.x)
         self._y = h_x0 - self._rhs
         self._direction = -self._y
-        self._rs = float(self._y @ self._y)
+        self._rs = float(self._y.dot(self._y))
         self.last: Optional[np.ndarray] = None
 
     def applied(self) -> np.ndarray:
@@ -73,7 +73,7 @@ class CGSession:
             h_d = self._apply(self._direction)
             if h_d is self._direction or h_d is self._y:
                 raise ValueError("operator_apply must return a new array")
-            curvature = float(self._direction @ h_d)
+            curvature = float(self._direction.dot(h_d))
             if curvature <= 0.0:
                 raise CGBreakdown("nonpositive curvature: operator is not SPD")
             step = self._rs / curvature
@@ -83,7 +83,7 @@ class CGSession:
             h_d *= step
             h_d += self._y
             self._y = y = h_d
-            rs_new = float(y @ y)
+            rs_new = float(y.dot(y))
             self._direction *= rs_new / self._rs
             self._direction -= y
             self._rs = rs_new
@@ -205,9 +205,9 @@ class CurvatureMemory:
         self._rho.clear()
 
     def add(self, s: np.ndarray, y: np.ndarray) -> None:
-        sy = float(s @ y)
-        yy = float(y @ y)
-        if not sy > 1e-12 * math.sqrt(float(s @ s) * yy):
+        sy = float(s.dot(y))
+        yy = float(y.dot(y))
+        if not sy > 1e-12 * math.sqrt(float(s.dot(s)) * yy):
             return
         k = len(self._rho)
         if k == _MEMORY:
@@ -229,8 +229,8 @@ class CurvatureMemory:
         if k == 0:
             return -g
         S, Y, rho = self._s[:k], self._y[:k], self._rho
-        gram = (S @ Y.T).tolist()  # gram[i][j] = <s_i, y_j>
-        alpha = (S @ g).tolist()
+        gram = S.dot(Y.T).tolist()  # gram[i][j] = <s_i, y_j>
+        alpha = S.dot(g).tolist()
         for i in range(k - 1, -1, -1):
             row = gram[i]
             a = alpha[i]
@@ -238,7 +238,7 @@ class CurvatureMemory:
                 a -= alpha[j] * row[j]
             alpha[i] = rho[i] * a
         q = (g - np.dot(alpha, Y)) * self._gamma
-        coef = (Y @ q).tolist()
+        coef = Y.dot(q).tolist()
         for i in range(k):
             b = coef[i]
             for j in range(i):
@@ -273,10 +273,10 @@ class LBFGSSession:
         if not np.count_nonzero(self.g):  # g.any(), cheaper on short vectors
             return self.x, self.g
         d = self._memory.direction(self.g)
-        slope = float(self.g @ d)
+        slope = float(self.g.dot(d))
         if slope >= 0.0:
             d = -self.g
-            slope = -float(self.g @ self.g)
+            slope = -float(self.g.dot(self.g))
         f = self.f
         slack = 1e-12 * (1.0 + abs(f))
         step = 1.0
@@ -286,7 +286,7 @@ class LBFGSSession:
             if f_new <= f + _ARMIJO * step * slope:
                 break
             if (abs(f_new - f) <= slack
-                    and g_new @ d <= (2.0 * _ARMIJO - 1.0) * slope):
+                    and g_new.dot(d) <= (2.0 * _ARMIJO - 1.0) * slope):
                 break
             step *= _BACKTRACK
             x_new = self.x + step * d
@@ -331,7 +331,7 @@ class LBFGSFProcedure:
         def augmented(x):
             f, g = base(x)
             dxz = x - z
-            return (f + p @ x + 0.5 * c * (dxz @ dxz), g + p + c * dxz)
+            return (f + p.dot(x) + 0.5 * c * dxz.dot(dxz), g + p + c * dxz)
 
         return LBFGSSession(augmented, x_bar, self._memory)
 
@@ -421,7 +421,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
                 prox_evals += 1
                 dz = z - y
                 f_z = problem.f_value(z)
-                if f_z <= f_y + g_y @ dz + 0.5 * lip * (dz @ dz) + slack:
+                if f_z <= f_y + g_y.dot(dz) + 0.5 * lip * dz.dot(dz) + slack:
                     break
                 lip *= _GROWTH
             obj_z = problem.objective(z)

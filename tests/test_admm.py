@@ -1053,6 +1053,46 @@ def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
     assert math.isfinite(res.record.final_kkt)
 
 
+class OrthogonalTrial:
+    """An exact-claiming session and a prox stub whose one trial, from the
+    zero triple at c = 1, gives t = p_l - c z_l = x_l - y_l - z_l
+    orthogonal to d = x_l - z_l != 0: t . d == 0 exactly."""
+
+    exact = True
+
+    def __init__(self, x_l, y_l, z_l):
+        self.trial = tuple(np.array(v) for v in (x_l, y_l, z_l))
+
+    def open_session(self, p, z, c, x_bar, anchor=None):
+        return self
+
+    def next(self):
+        return self.trial[:2]
+
+    def solve(self, p, x, c):
+        return self.trial[2].copy()
+
+
+@pytest.mark.parametrize("x_l, y_l, z_l", [
+    ([2.0], [1.0], [1.0]),  # n = 1: t = 0, d = 1
+    ([1.0, 1.0], [0.0, 2.0], [0.0, 0.0]),  # n = 2: t = (1, -1), d = (1, 1)
+], ids=["n1", "n2"])
+def test_a_zero_theta_ends_the_run_as_error(inertial_core, x_l, y_l, z_l):
+    """theta = <t, d>/(c dd) = 0 with dd > 0 puts the projection at the
+    trial's own point: the loop's test 0 < theta < inf rejects it, and the
+    run ends as ``error`` at outer iteration 0 instead of going on with no
+    progress."""
+    stub = OrthogonalTrial(x_l, y_l, z_l)
+    n = len(x_l)
+    problem = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, dim=n)
+    res = run_admm(problem, ADMMParams(c=1.0, core=inertial_core,
+                                       max_outer=3))
+    assert res.status == "error"
+    assert res.record.cause.startswith("theta = 0.0 in the projection")
+    assert res.record.cause.endswith("at outer iteration 0")
+    assert res.outer_iters == 0
+
+
 def test_nan_in_init_raises_at_entry(lasso_20x50, inertial_core):
     aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
     aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only

@@ -1,7 +1,8 @@
 """The in-place n-vector kernels against the formulas they state, as
 ``tests/reference.py`` writes them, the rule that a run writes only into
-arrays it has just allocated, and the compiled sparse products against
-scipy's own ``A @ x``."""
+arrays it has just allocated, the design products against numpy's and
+scipy's own ``A @ x``, and the equality of ``ndarray.dot`` and ``@`` that
+the library's products rely on."""
 
 import math
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, _accept, _acceptance_vector,
@@ -350,3 +351,95 @@ def test_compiled_products_equal_scipy(m, n, density, seed, duplicates):
                     np.zeros((size, 1)), np.float64(1.0)):
             with pytest.raises(ValueError):
                 product(bad)
+
+
+# ---------------------------------------------------------------------------
+# dense products, and ndarray.dot against @
+# ---------------------------------------------------------------------------
+
+def signed_zeros(rng, a, share):
+    """``a`` with about ``share`` of its entries set to +0.0 or -0.0."""
+    hit = rng.random(a.shape) < share
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(1, 12), n=st.integers(1, 12),
+       layout=st.sampled_from(["C", "F", "strided", "reversed"]),
+       zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(m=1, n=1, layout="C", zeros=True, seed=0)
+@example(m=1, n=1, layout="F", zeros=True, seed=1)
+def test_dense_products_equal_matmul(m, n, layout, zeros, seed):
+    """``apply`` and ``apply_transpose`` of a dense design equal numpy's
+    ``A @ x`` and ``A.T @ u`` bit for bit and in dtype, on contiguous,
+    strided, reversed, broadcast, float32, integer, complex and list
+    inputs, for C- and F-ordered, strided and reversed matrices, 1x1
+    included, with signed zeros in some draws; a wrong length raises
+    ``ValueError``.  The products call ``.dot`` only where it gives
+    ``@``'s bits, and these inputs cover each case where it does not."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((m, n))
+    if zeros:
+        signed_zeros(rng, mat, 0.5)
+    if layout == "F":
+        mat = np.asfortranarray(mat)
+    elif layout == "strided":
+        wide = np.zeros((2 * m, 3 * n))
+        wide[::2, ::3] = mat
+        mat = wide[::2, ::3]
+    elif layout == "reversed":
+        mat = mat[::-1, ::-1].copy()[::-1, ::-1]
+    design = DesignMatrix(mat)
+    for size, product, reference in (
+            (n, design.apply, mat.__matmul__),
+            (m, design.apply_transpose, mat.T.__matmul__)):
+        wide = rng.standard_normal(3 * size)
+        if zeros:
+            signed_zeros(rng, wide, 0.3)
+        inputs = [wide[:size], wide[::3], wide[::-1][:size],
+                  np.broadcast_to(wide[0], (size,)),
+                  wide[:size].astype(np.float32),
+                  rng.integers(-5, 5, size), list(wide[:size]),
+                  wide[:size] + 1j * wide[size:2 * size]]
+        for x in inputs:
+            got, want = product(x), reference(np.asarray(x))
+            assert got.dtype == want.dtype and got.shape == (want.size,)
+            assert got.tobytes() == want.tobytes()
+        for bad in (np.zeros(size + 1), np.zeros(size - 1),
+                    np.zeros((size, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                product(bad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 12), n=st.integers(2, 40),
+       order=st.sampled_from("CF"))
+def test_dot_equals_matmul_on_the_library_shapes(data, k, n, order):
+    """``.dot`` gives ``@``'s bits on contiguous float64 operands of the
+    shapes the library's own products have, each entry a sum of n >= 2
+    products: two n-vectors, a (k, n) matrix, C- or F-ordered, times an
+    n-vector (the design products and their transposes, the L-BFGS
+    memory's S g and Y q), and a (k, n) matrix times the transpose of
+    another (the memory's Gram matrix S Y^T), with signed zeros, infs,
+    NaNs and subnormals.  The ADMM loop, CG, L-BFGS, FISTA and the
+    problems rely on this; an upgrade of numpy or of its BLAS that splits
+    the two fails here by name.
+
+    Two known exceptions lie outside these shapes.  Where each entry is
+    one product (length-1 vectors, an inner length of 1), ``.dot`` gives
+    -0.0 where ``@`` gives +0.0 on a 1x1 matrix or a length-1 vector, and
+    0 where ``@`` gives NaN for an inf or NaN times a zero: the ADMM
+    loop's theta keeps ``@``, as its zero's sign reaches
+    ``record.cause``, and ``DesignMatrix``, whose entries are finite,
+    sends a single-entry matrix to ``@``.  A vector of nonpositive
+    stride, or a matrix that is neither C- nor F-contiguous, changes the
+    round-off: ``DesignMatrix``, the one product that takes user arrays,
+    sends those to ``@`` as well."""
+    u, v = data.draw(vectors(n)), data.draw(vectors(n))
+    s, y = (np.asarray(np.array([data.draw(vectors(n)) for _ in range(k)]),
+                       order=order) for _ in range(2))
+    with np.errstate(all="ignore"):
+        pairs = [(u.dot(v), u @ v), (s.dot(v), s @ v), (s.dot(y.T), s @ y.T)]
+    for got, want in pairs:
+        assert same_bits(np.asarray(got), np.asarray(want))

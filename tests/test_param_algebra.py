@@ -219,6 +219,19 @@ def test_validate_params_names_violation():
         ir.InertiaRelaxParams(0.1, 0.2, 0.5, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("rho", [1.0, 1.4882, 1.9])
+def test_coupling_is_strict_at_its_boundary(rho):
+    """alpha equal to beta_of_rho_bar(rho_hi), bit for bit, violates the
+    coupling even with beta above it: the theory needs alpha strictly
+    below the inertia bound of the relaxation cap."""
+    alpha = ir.beta_of_rho_bar(rho)
+    beta = 0.5 * (alpha + 1.0)
+    assert alpha < beta < 1.0
+    with pytest.raises(ParameterError, match="coupling"):
+        ir.InertiaRelaxParams(alpha, beta, 0.5, rho, rho)
+    ir.InertiaRelaxParams(np.nextafter(alpha, 0.0), beta, 0.5, rho, rho)
+
+
 _CORE = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
 
 
