@@ -70,14 +70,6 @@ class PrimalDualTriple:
         return cls(np.zeros(n), np.zeros(n), np.zeros(n))
 
 
-def _check_splitting(inner_budget: int, core: InertiaRelaxParams) -> None:
-    """The rules both splitting layers' parameters share."""
-    if inner_budget < 1:
-        raise ParameterError("inner_budget >= 1 violated")
-    if core.lam != 1.0:
-        raise ParameterError("lam = 1 required by the splitting layers")
-
-
 @dataclass(frozen=True)
 class ADMMParams:
     """Penalty c, engine parameters, acceptance criterion and budgets.
@@ -100,7 +92,8 @@ class ADMMParams:
             raise ParameterError("epsilon >= 0 violated")
         if self.max_outer < 0:
             raise ParameterError("max_outer >= 0 violated")
-        _check_splitting(self.inner_budget, self.core)
+        if self.inner_budget < 1:
+            raise ParameterError("inner_budget >= 1 violated")
 
 
 class FProcedure(Protocol):

@@ -24,8 +24,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .admm import (ADMMParams, AdmmProblem, Criterion, FProcedure,
-                   _check_splitting, _run)
+from .admm import ADMMParams, AdmmProblem, Criterion, FProcedure, _run
 from .errors import ParameterError
 from .hpp import InertiaRelaxParams, _finite
 from .records import RunResult
@@ -67,7 +66,8 @@ class DRParams:
         gamma = self.gamma
         if not (gamma > 0.0 and 0.0 < 1.0 / gamma < math.inf):
             raise ParameterError("gamma > 0 and 0 < 1/gamma < inf violated")
-        _check_splitting(self.inner_budget, self.core)
+        if self.inner_budget < 1:
+            raise ParameterError("inner_budget >= 1 violated")
 
 
 class ResolventMap(Protocol):

@@ -6,7 +6,9 @@ class ParameterError(ValueError):
 
 
 class CGBreakdown(RuntimeError):
-    """Conjugate gradient hit nonpositive curvature (operator not SPD)."""
+    """Conjugate gradient met a nonpositive curvature along its search
+    direction: the operator is not SPD there, or round-off hid its
+    curvature.  The message gives the curvature and the direction's norm."""
 
 
 class LineSearchFailure(RuntimeError):

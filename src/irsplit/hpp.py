@@ -5,6 +5,8 @@ oracle for ``T``.  Each iteration extrapolates the two most recent iterates
 (inertia), asks the oracle for an approximate resolvent pair passing a
 relative-error test, and applies a relaxed orthogonal projection onto the
 hyperplane that separates the extrapolated point from the solution set.
+The proximal stepsize is 1: a stepsize lam is the method on lam T, whose
+certificate (z_tilde, lam v) gives the same hyperplane as (z_tilde, v).
 
 The admissible inertia and relaxation caps are mutually constrained: for an
 inertia bound ``beta`` the relaxation cap is ``rho_bar_of_beta(beta)`` and
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -115,10 +117,9 @@ class InertiaRelaxParams:
     """Inertia / relaxation / error-tolerance parameters of the engine.
 
     Contract: 0 <= alpha < beta < 1, 0 <= sigma < 1, 0 < rho_lo <= rho_hi
-    < 2, lam > 0, and the coupling alpha < beta_of_rho_bar(rho_hi) -- i.e.
-    some admissible inertia bound above alpha pairs with the requested
-    relaxation cap.  ``lam`` is the constant proximal stepsize; the
-    splitting layers built on top require lam = 1 and reject any other.
+    < 2, and the coupling alpha < beta_of_rho_bar(rho_hi) -- i.e. some
+    admissible inertia bound above alpha pairs with the requested
+    relaxation cap.  There is no stepsize (see the module docstring).
     Construction, ``dataclasses.replace`` included, checks the contract
     and raises ``ParameterError`` naming the first violated inequality.
     """
@@ -128,7 +129,6 @@ class InertiaRelaxParams:
     sigma: float
     rho_lo: float
     rho_hi: float
-    lam: float = 1.0
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in astuple(self)):
@@ -150,20 +150,17 @@ class InertiaRelaxParams:
         if not self.alpha < beta_of_rho_bar(self.rho_hi):
             raise ParameterError(
                 "coupling alpha < beta_of_rho_bar(rho_hi) violated")
-        if not self.lam > 0.0:
-            raise ParameterError("lam > 0 violated")
 
     @classmethod
     def from_beta(cls, alpha: float, beta: float,
                   sigma: float = 0.99) -> "InertiaRelaxParams":
-        """Pair ``beta`` with its maximal admissible relaxation, at lam = 1."""
+        """Pair ``beta`` with its maximal admissible relaxation."""
         rho = rho_bar_of_beta(beta)
         return cls(alpha=alpha, beta=beta, sigma=sigma, rho_lo=rho, rho_hi=rho)
 
     @classmethod
     def plain(cls, sigma: float = 0.0) -> "InertiaRelaxParams":
-        """No inertia, unit relaxation, lam = 1: the classical projective
-        setup."""
+        """No inertia, unit relaxation: the classical projective setup."""
         return cls(alpha=0.0, beta=1.0 / 3.0, sigma=sigma,
                    rho_lo=1.0, rho_hi=1.0)
 
@@ -174,38 +171,35 @@ class InertiaRelaxParams:
 
 @dataclass
 class ProxCertificate:
-    """Output of one inexact resolvent solve: ``v in T(z_tilde)``, stepsize lam.
+    """Output of one inexact resolvent solve: ``v in T(z_tilde)``.
 
     ``exact=True`` asserts that the producer solved the proximal equation
-    exactly by construction (z_tilde = w - lam v), which makes the
+    exactly by construction (z_tilde = w - v), which makes the
     relative-error test vacuous; this is how a sigma = 0 run is realized in
-    floating point.
+    floating point.  ``exact`` is keyword-only.
     """
 
     z_tilde: np.ndarray
     v: np.ndarray
-    lam: float
-    exact: bool = False
+    exact: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         self.z_tilde = _vec(self.z_tilde, "z_tilde")
         self.v = _vec(self.v, "v")
         _same_shape(self.z_tilde, self.v)
-        if not self.lam > 0.0:
-            raise ParameterError("certificate stepsize lam must be positive")
 
 
 class ResolventOracle(Protocol):
-    """Inexact resolvent capability for a maximal monotone operator.
+    """Inexact resolvent capability for a maximal monotone operator T.
 
-    ``solve(w, lam, sigma)`` returns a certificate whose pair satisfies the
+    ``solve(w, sigma)`` returns a certificate whose pair satisfies the
     producer contract v in T(z_tilde) and, unless ``exact``, the
-    relative-error acceptance test at tolerance sigma against ``w``.
-    A certificate with ``v @ v == 0`` (v = 0, or a v whose squared norm
-    underflows) announces that z_tilde solves the inclusion.
+    relative-error acceptance test at tolerance sigma against ``w``, at
+    unit stepsize.  A certificate with ``v @ v == 0`` (v = 0, or a v whose
+    squared norm underflows) announces that z_tilde solves the inclusion.
     """
 
-    def solve(self, w: np.ndarray, lam: float, sigma: float) -> ProxCertificate:
+    def solve(self, w: np.ndarray, sigma: float) -> ProxCertificate:
         ...
 
 
@@ -236,23 +230,22 @@ def _project(w: np.ndarray, z_tilde: np.ndarray, v: np.ndarray, vv: float,
 
 
 def _error_sides(w: np.ndarray, cert: ProxCertificate, sigma: float):
-    """Both sides of the relative-error test, ||lam v + z_tilde - w||^2 and
-    sigma^2 (||z_tilde - w||^2 + ||lam v||^2).  The left side is evaluated
-    as lam*v - (w - z_tilde) so that an exactly constructed pair cancels
-    cleanly.  ``w`` and the certificate's point must share one shape, else
+    """Both sides of the relative-error test, ||v + z_tilde - w||^2 and
+    sigma^2 (||z_tilde - w||^2 + ||v||^2).  The left side is evaluated as
+    v - (w - z_tilde) so that an exactly constructed pair cancels cleanly.
+    ``w`` and the certificate's point must share one shape, else
     ``ValueError``."""
     _same_shape(w, cert.z_tilde)
-    lv = cert.lam * cert.v
-    resid = lv - (w - cert.z_tilde)
+    resid = cert.v - (w - cert.z_tilde)
     dz = cert.z_tilde - w
-    return resid @ resid, sigma * sigma * (dz @ dz + lv @ lv)
+    return resid @ resid, sigma * sigma * (dz @ dz + cert.v @ cert.v)
 
 
 def error_criterion_holds(w: np.ndarray, cert: ProxCertificate, sigma: float) -> bool:
-    """Relative-error acceptance test.
+    """Relative-error acceptance test at unit stepsize.
 
-    True iff ||lam v + z_tilde - w||^2 <= sigma^2 (||z_tilde - w||^2
-    + ||lam v||^2).
+    True iff ||v + z_tilde - w||^2 <= sigma^2 (||z_tilde - w||^2
+    + ||v||^2).
     """
     lhs, rhs = _error_sides(w, cert, sigma)
     return lhs <= rhs
@@ -315,14 +308,13 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     if not v_tolerance >= 0.0:
         raise ParameterError("v_tolerance >= 0 violated")
     z = z_prev = _vec(z0, "z0")
-    lam, sigma = params.lam, params.sigma
-    alpha, rho = params.alpha, params.rho_hi
+    sigma, alpha, rho = params.sigma, params.alpha, params.rho_hi
     solve = oracle.solve
     started = time.perf_counter()
     status, v_norm, cause = BUDGET_EXCEEDED, math.inf, ""
     for k in range(max_iters):
         w = _extrapolate(z, z_prev, alpha)
-        cert = solve(w, lam, sigma)
+        cert = solve(w, sigma)
         vv = cert.v @ cert.v
         if vv == 0.0:
             z, status, v_norm = cert.z_tilde, SOLVED, 0.0

@@ -47,8 +47,8 @@ class ScaledIdentityOperator:
     def evaluate(self, z):
         return self.mu * np.asarray(z, dtype=float)
 
-    def resolvent(self, lam, w):
-        return np.asarray(w, dtype=float) / (1.0 + lam * self.mu)
+    def resolvent(self, step, w):
+        return np.asarray(w, dtype=float) / (1.0 + step * self.mu)
 
 
 def _affine_parts(mat, shift):
@@ -76,9 +76,9 @@ class AffineOperator:
     def evaluate(self, z):
         return self.mat @ z + self.shift
 
-    def resolvent(self, lam, w):
-        n = self.mat.shape[0]
-        return np.linalg.solve(np.eye(n) + lam * self.mat, w - lam * self.shift)
+    def resolvent(self, step, w):
+        return np.linalg.solve(np.eye(len(self.mat)) + step * self.mat,
+                               w - step * self.shift)
 
 
 @dataclass
@@ -96,17 +96,17 @@ class L1Resolvent:
 # ---------------------------------------------------------------------------
 
 class ExactResolventOracle:
-    """Certificates built from a closed-form resolvent: z_tilde = J_lam(w),
-    v = (w - z_tilde)/lam, exact by construction.  The operator needs only
-    ``resolvent(lam, w)``, the protocol ``run_dr`` takes as it is."""
+    """Certificates built from a closed-form resolvent: z_tilde = J(w), v =
+    w - z_tilde, exact by construction.  The operator needs only
+    ``resolvent(step, w)``, the protocol ``run_dr`` takes as it is, and is
+    called at step 1."""
 
     def __init__(self, operator):
         self.operator = operator
 
-    def solve(self, w, lam, sigma):
-        z_tilde = self.operator.resolvent(lam, w)
-        v = (w - z_tilde) / lam
-        return ProxCertificate(z_tilde, v, lam, exact=True)
+    def solve(self, w, sigma):
+        z_tilde = self.operator.resolvent(1.0, w)
+        return ProxCertificate(z_tilde, w - z_tilde, exact=True)
 
 
 # PerturbedResolventOracle's first perturbation radius, as a fraction of the
@@ -125,20 +125,19 @@ class PerturbedResolventOracle:
         self.operator = operator
         self.rng = np.random.default_rng(seed)
 
-    def solve(self, w, lam, sigma):
+    def solve(self, w, sigma):
         w = np.asarray(w, dtype=float)
-        exact_point = self.operator.resolvent(lam, w)
+        exact_point = self.operator.resolvent(1.0, w)
         radius = _SCALE * max(float(np.linalg.norm(w - exact_point)), 1e-12)
         noise = self.rng.standard_normal(w.shape[0])
         for _ in range(_MAX_SHRINKS):
             z_tilde = exact_point + radius * noise
             v = self.operator.evaluate(z_tilde)
-            cert = ProxCertificate(z_tilde, v, lam)
+            cert = ProxCertificate(z_tilde, v)
             if error_criterion_holds(w, cert, sigma):
                 return cert
             radius *= 0.5
-        v = (w - exact_point) / lam
-        return ProxCertificate(exact_point, v, lam, exact=True)
+        return ProxCertificate(exact_point, w - exact_point, exact=True)
 
 
 # ---------------------------------------------------------------------------

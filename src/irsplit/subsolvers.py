@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CGBreakdown, LineSearchFailure, ParameterError
-from .records import BUDGET_EXCEEDED, CONVERGED, RunResult, run_result
+from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunResult, run_result
 
 __all__ = [
     "CGSession",
@@ -38,11 +38,13 @@ class CGSession:
     ``next()`` returns ``(x, y)`` with y = H x - rhs, carried by the usual
     residual recurrence with its sign flipped.  Each step makes both arrays
     afresh and emits them without a copy.  Once y is exactly zero the
-    session keeps returning the current pair.  Nonpositive curvature raises
-    ``CGBreakdown``.  A caller that already knows ``H x0`` passes it as
-    ``h_x0``, and the session starts without applying the operator.
-    ``last`` is the array the latest ``next()`` returned (None before the
-    first), and ``applied()`` is H at the current point, read off y.
+    session keeps returning the current pair.  A nonpositive curvature d .
+    H d along the search direction d raises ``CGBreakdown`` with its value
+    and ||d||.  A caller that already knows ``H x0`` passes it as
+    ``h_x0``, and the session starts without applying the operator.  ``x``
+    is the current point: a private copy of ``x0`` before the first
+    ``next()``, the array the latest ``next()`` returned after it.
+    ``applied()`` is H at the current point, read off y.
 
     ``operator_apply`` must return a new array on every call, one that
     aliases neither its argument nor an earlier result: the session forms
@@ -62,7 +64,6 @@ class CGSession:
         self._y = h_x0 - self._rhs
         self._direction = -self._y
         self._rs = float(self._y.dot(self._y))
-        self.last: Optional[np.ndarray] = None
 
     def applied(self) -> np.ndarray:
         """H x at the current point, as rhs plus the carried y."""
@@ -75,7 +76,9 @@ class CGSession:
                 raise ValueError("operator_apply must return a new array")
             curvature = float(self._direction.dot(h_d))
             if curvature <= 0.0:
-                raise CGBreakdown("nonpositive curvature: operator is not SPD")
+                norm = math.sqrt(self._direction.dot(self._direction))
+                raise CGBreakdown(f"curvature d . H d = {curvature!r} <= 0 "
+                                  f"along a direction of norm {norm!r}")
             step = self._rs / curvature
             x = step * self._direction
             x += self.x
@@ -87,7 +90,6 @@ class CGSession:
             self._direction *= rs_new / self._rs
             self._direction -= y
             self._rs = rs_new
-        self.last = self.x
         return self.x, self._y
 
 
@@ -135,7 +137,7 @@ class QuadraticFProcedure:
             if known is point:
                 return gram
         session = self._session
-        if session is None or session.last is not point:
+        if session is None or session.x is not point:
             return None
         gram = session.applied()
         gram -= self._session_c * point
@@ -370,6 +372,7 @@ class FistaConfig:
             raise ParameterError("max_outer >= 0 violated")
 
 
+@np.errstate(all="ignore")
 def fista_solve(problem, config: FistaConfig) -> RunResult:
     """Monotone accelerated proximal gradient with Lipschitz backtracking,
     on min F = f + g with f smooth, from the zero vector.
@@ -394,8 +397,12 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     after every accepted backtracking step.  Stops when the KKT residual
     falls below ``config.epsilon``, tested each iteration with
     ``config.epsilon`` as the floor; returns status ``budget_exceeded``
-    otherwise.  The residuals at the start and in the record are exact,
-    and the record counts prox evaluations as inner iterations.
+    after ``config.max_outer`` iterations, or ``error``, with the last
+    accepted point and a cause naming the backtracking, when L doubles to
+    inf with no step passing the majorization test, as when f overflows.
+    The residuals at the start and in the record are exact, the record
+    counts prox evaluations as inner iterations, and numpy's warnings are
+    off while the run lasts.
     """
     prox = problem.prox_g.solve
     x = np.zeros(problem.n)
@@ -404,7 +411,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     lip = _LIPSCHITZ0
     obj_x = problem.objective(x)
     prox_evals = 0
-    status = BUDGET_EXCEEDED
+    status, cause = BUDGET_EXCEEDED, ""
     outer, epsilon = config.max_outer, config.epsilon
     started = time.perf_counter()
     if float(problem.kkt_dist_inf(x, math.inf)) <= epsilon:
@@ -416,7 +423,7 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
             # round-off slack keeps the majorization test from failing
             # spuriously near the optimum, which would inflate lip forever
             slack = 1e-12 * (1.0 + abs(f_y))
-            while True:
+            while lip < math.inf:  # the float range bounds the doublings
                 z = prox(-g_y, y, lip)
                 prox_evals += 1
                 dz = z - y
@@ -424,6 +431,11 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
                 if f_z <= f_y + g_y.dot(dz) + 0.5 * lip * dz.dot(dz) + slack:
                     break
                 lip *= _GROWTH
+            else:
+                status, outer = ERROR, k - 1
+                cause = ("Lipschitz backtracking: no step passed the "
+                         "majorization test before L overflowed")
+                break
             obj_z = problem.objective(z)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             x_prev = x
@@ -444,4 +456,4 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     wall = time.perf_counter() - started
     return run_result(x, status, outer, prox_evals, wall,
                       float(problem.kkt_dist_inf(x, math.inf)),
-                      problem.objective(x))
+                      problem.objective(x), cause)

@@ -34,19 +34,21 @@ def plain_core_sigma99():
 def accepted_certificate_sampler(rng, dim=4):
     """Yield (w, cert, sigma) triples that pass the relative-error test.
 
-    Draws an exact resolvent pair, perturbs the point, re-derives a
-    consistent v, and keeps the draw only when the acceptance test holds.
+    Draws an exact resolvent pair of T(z) = mu z, mu the product of a
+    scale in [0.3, 3] and a slope in [0.2, 2], perturbs the point,
+    re-derives a consistent v, and keeps the draw only when the acceptance
+    test holds.
     """
     while True:
         w = rng.standard_normal(dim) * rng.uniform(0.5, 3.0)
-        lam = rng.uniform(0.3, 3.0)
+        scale = rng.uniform(0.3, 3.0)
         sigma = rng.uniform(0.05, 0.99)
-        mu = rng.uniform(0.2, 2.0)
-        z_exact = w / (1.0 + lam * mu)  # resolvent of T(z) = mu z
-        scale = np.linalg.norm(w - z_exact) + 1e-3
-        z_tilde = z_exact + rng.standard_normal(dim) * scale * rng.uniform(0, 0.4)
+        mu = scale * rng.uniform(0.2, 2.0)
+        z_exact = w / (1.0 + mu)  # resolvent of T(z) = mu z
+        radius = np.linalg.norm(w - z_exact) + 1e-3
+        z_tilde = z_exact + rng.standard_normal(dim) * radius * rng.uniform(0, 0.4)
         v = mu * z_tilde  # v in T(z_tilde) exactly
-        cert = ir.ProxCertificate(z_tilde, v, lam)
+        cert = ir.ProxCertificate(z_tilde, v)
         if np.any(v) and ir.error_criterion_holds(w, cert, sigma):
             yield w, cert, sigma
 

@@ -8,7 +8,7 @@ kernels with them bit for bit, so this module shares no code with the
 library: it imports numpy and math only.
 
 Engine variables: iterate z, extrapolated point w, certificate (z_tilde, v)
-with stepsize lam, relaxation rho.  ADMM variables: primal pair (x, z),
+at unit stepsize, relaxation rho.  ADMM variables: primal pair (x, z),
 multiplier p, penalty c; a hat marks the extrapolated point, subscript l an
 inner trial.  Splitting variables: the triple (s, b, r) = (x, -p, z) with
 gamma = 1/c.
@@ -28,24 +28,23 @@ def extrapolate(cur, prev, alpha):
     return cur + alpha * (cur - prev)
 
 
-def error_criterion(w, z_tilde, v, lam, sigma):
+def error_criterion(w, z_tilde, v, sigma):
     """Relative-error test of the certificate (z_tilde, v) at w:
-    ||lam v - (w - z_tilde)||^2
-    <= sigma^2 (||z_tilde - w||^2 + ||lam v||^2)."""
-    r = lam * v - (w - z_tilde)
+    ||v - (w - z_tilde)||^2 <= sigma^2 (||z_tilde - w||^2 + ||v||^2)."""
+    r = v - (w - z_tilde)
     d = z_tilde - w
-    return r @ r <= sigma * sigma * (d @ d + (lam * v) @ (lam * v))
+    return r @ r <= sigma * sigma * (d @ d + v @ v)
 
 
-def gauss_bounds(w, z_tilde, v, lam, sigma):
+def gauss_bounds(w, z_tilde, v, sigma):
     """The two-sided bound an accepted certificate satisfies, with s = sigma:
-    (1-s^2)/(1+sqrt(1-(1-s^2)^2)) ||z_tilde-w|| <= ||lam v||
+    (1-s^2)/(1+sqrt(1-(1-s^2)^2)) ||z_tilde-w|| <= ||v||
     <= (1-s^2)/(1-sqrt(1-(1-s^2)^2)) ||z_tilde-w||, with a 1e-12 relative
     round-off slack.  At sigma = 0 both coefficients are 1."""
     u = sigma * sigma
     root = math.sqrt(u * (2.0 - u))  # = sqrt(1 - (1 - sigma^2)^2)
     dz = float(np.linalg.norm(z_tilde - w))
-    lv = float(np.linalg.norm(lam * v))
+    lv = float(np.linalg.norm(v))
     slack = 1e-12
     return ((1.0 - u) / (1.0 + root) * dz <= lv * (1.0 + slack) + slack
             and lv <= (1.0 - u) / (1.0 - root) * dz * (1.0 + slack) + slack)

@@ -118,17 +118,17 @@ def test_criterion_3_layer_stack_equivalence(lasso_20x50, inertial_core):
     cur = ir.PrimalDualTriple.zeros(lasso_20x50.n)
     prev = cur
     for step, trials in zip(trace, sessions):
-        # mapped engine variables: z = z_admm - p/c etc. with lam = 1
+        # mapped engine variables: z = z_admm - p/c etc.
         z_cur = cur.z - cur.p / c
         z_prev = prev.z - prev.p / c
         w = step.z_hat - step.p_hat / c
         # (2.2) inertial extrapolation
         worst = max(worst, float(np.max(np.abs(
             w - (z_cur + step.alpha_k * (z_cur - z_prev))))))
-        # (2.3) relative-error acceptance with lam = 1
+        # (2.3) relative-error acceptance at the engine's unit stepsize
         z_tilde = step.z - step.p_l / c
         v = step.x - step.z
-        cert = ir.ProxCertificate(z_tilde, v, 1.0)
+        cert = ir.ProxCertificate(z_tilde, v)
         if not ir.error_criterion_holds(w, cert, inertial_core.sigma):
             verdict_mismatches += 1
         # verdicts of the two acceptance tests agree at every inner trial
@@ -244,8 +244,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     gauss_bad = 0
     for _ in range(10_000):
         w, cert, sigma = next(sampler)
-        if not reference.gauss_bounds(w, cert.z_tilde, cert.v, cert.lam,
-                                      sigma):
+        if not reference.gauss_bounds(w, cert.z_tilde, cert.v, sigma):
             gauss_bad += 1
     if gauss_bad:
         failures.append(f"{gauss_bad} certificate-bound violations")

@@ -16,7 +16,7 @@ import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, PrimalDualTriple,
                           _acceptance_vector, _theta, run_admm)
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
-from irsplit.errors import LineSearchFailure, ParameterError
+from irsplit.errors import LineSearchFailure
 from irsplit.hpp import rho_bar_of_beta, run_hpp
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
                                ExactResolventOracle, L1Resolvent)
@@ -983,11 +983,11 @@ class FailingOracle:
         self.at = at
         self.calls = 0
 
-    def solve(self, w, lam, sigma):
+    def solve(self, w, sigma):
         self.calls += 1
         if self.calls > self.at:
-            return ir.ProxCertificate(w + 10.0, np.ones_like(w), lam)
-        return self.exact.solve(w, lam, sigma)
+            return ir.ProxCertificate(w + 10.0, np.ones_like(w))
+        return self.exact.solve(w, sigma)
 
 
 FAILURE_CASES = [("inner_budget", "stalled", "inner budget", 0),
@@ -1112,26 +1112,6 @@ def test_init_of_wrong_length_raises_at_entry(lasso_20x50, inertial_core):
                         max_outer=5000)
     with pytest.raises(ValueError, match="shape"):
         run_admm(aprob, params, init=PrimalDualTriple.zeros(lasso_20x50.n - 1))
-    assert aprob.fproc.opened == 0
-
-
-@pytest.mark.parametrize("driver", ["admm", "dr"])
-def test_lam_other_than_one_raises_at_entry(lasso_20x50, inertial_core,
-                                            driver):
-    """The splitting layers run the engine at stepsize 1, their scaling
-    being c (gamma); another lam is rejected before any session opens
-    rather than ignored."""
-    core = dataclasses.replace(inertial_core, lam=0.5)
-    aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
-    aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only
-    n = lasso_20x50.n
-    with pytest.raises(ParameterError, match="lam"):
-        if driver == "admm":
-            run_admm(aprob, ADMMParams(c=1.0, core=core))
-        else:
-            run_dr(SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n)),
-                   DRParams(1.0, core), aprob.fproc,
-                   L1Resolvent(lasso_20x50.nu), max_outer=10)
     assert aprob.fproc.opened == 0
 
 

@@ -113,7 +113,7 @@ def test_acceptance_matches_engine_verdict_under_embedding():
     s_acc = r_acc + np.array([0.5, 0.0])  # v = s - r = (0.5, 0)
     verdict = reference.dr_acceptance(hat.r, hat.b, s_acc, b_acc, r_acc, 1.0,
                                       0.5)
-    cert = ir.ProxCertificate(np.array([0.6, 0.0]), np.array([0.5, 0.0]), 1.0)
+    cert = ir.ProxCertificate(np.array([0.6, 0.0]), np.array([0.5, 0.0]))
     assert verdict == ir.error_criterion_holds(np.array([1.0, 0.0]), cert, 0.5)
     assert verdict
 
@@ -379,8 +379,9 @@ def test_embedding_reproduces_engine_equations():
         w, z_tilde, v = reference.embed_to_hpp(hat.r, hat.b, st.x, -st.p_l,
                                                st.z, 1.0)
         # extrapolation consistency: w = z + alpha (z - z_prev) is implied
-        # by the componentwise triple extrapolation; acceptance with lam = 1
-        cert = ir.ProxCertificate(z_tilde, v, 1.0)
+        # by the componentwise triple extrapolation; acceptance at the
+        # engine's unit stepsize
+        cert = ir.ProxCertificate(z_tilde, v)
         assert ir.error_criterion_holds(w, cert, core.sigma)
         # accepted => theta >= (1 - sigma^2)/2, on the B -> F path
         assert st.theta >= 0.5 * (1.0 - core.sigma ** 2)

@@ -1,6 +1,5 @@
 """Proximal-projection engine: its kernels, runs, descent diagnostics."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -50,10 +49,27 @@ def test_extrapolate_arithmetic():
 def test_extrapolate_dimension_mismatch():
     """A point and a certificate of different shapes raise rather than
     broadcast, in both forms of the relative-error test."""
-    cert = ir.ProxCertificate(np.array([0.5]), np.array([0.25]), 1.0)
+    cert = ir.ProxCertificate(np.array([0.5]), np.array([0.25]))
     for step in (ir.error_criterion_holds, error_ratio):
         with pytest.raises(ValueError, match="dimension"):
             step(np.ones(3), cert, 0.5)
+
+
+def test_a_stepsize_in_an_old_call_form_raises():
+    """The engine has no stepsize: a ``lam`` given to the parameters, a
+    third positional field of a certificate and a stepsize passed to an
+    oracle each raise ``TypeError`` instead of being ignored or read as
+    another argument."""
+    with pytest.raises(TypeError):
+        ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.5, 1.0, 1.0, lam=0.5)
+    with pytest.raises(TypeError):
+        ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.5, 1.0, 1.0, 0.5)
+    with pytest.raises(TypeError):
+        ir.ProxCertificate(np.zeros(2), np.ones(2), 0.5)
+    for oracle in (exact_identity_oracle(),
+                   PerturbedResolventOracle(rotation_operator())):
+        with pytest.raises(TypeError):
+            oracle.solve(np.ones(2), 0.5, 0.5)
 
 
 @pytest.mark.parametrize("weight", [-0.1, math.nan])
@@ -70,20 +86,20 @@ def test_negative_or_nan_weight_raises(weight):
 
 def test_error_criterion_exact_pair_sigma_zero():
     w = np.array([1.0, 0.5])
-    v = np.array([0.25, -0.125])  # dyadic so w - lam v is exact
-    cert = ir.ProxCertificate(w - v, v, 1.0)
+    v = np.array([0.25, -0.125])  # dyadic so w - v is exact
+    cert = ir.ProxCertificate(w - v, v)
     assert ir.error_criterion_holds(w, cert, 0.0)
 
 
 def test_error_criterion_sigma_zero_rejects_residual():
     w = np.array([1.0, 0.0])
-    cert = ir.ProxCertificate(np.array([0.5, 0.0]), np.array([0.25, 0.0]), 1.0)
+    cert = ir.ProxCertificate(np.array([0.5, 0.0]), np.array([0.25, 0.0]))
     assert not ir.error_criterion_holds(w, cert, 0.0)
 
 
 def test_error_criterion_worked_instance():
     w = np.array([1.0, 0.0])
-    cert = ir.ProxCertificate(np.array([0.6, 0.0]), np.array([0.5, 0.0]), 1.0)
+    cert = ir.ProxCertificate(np.array([0.6, 0.0]), np.array([0.5, 0.0]))
     assert ir.error_criterion_holds(w, cert, 0.5)
     # LHS = 0.01, RHS = 0.25 (0.16 + 0.25)
     assert error_ratio(w, cert, 0.5) == pytest.approx(0.01 / 0.1025)
@@ -92,13 +108,13 @@ def test_error_criterion_worked_instance():
 def test_gauss_bounds_collapse_at_sigma_zero():
     w = np.array([2.0, -1.0])
     v = np.array([0.5, 0.25])
-    assert reference.gauss_bounds(w, w - v, v, 1.0, 0.0)
+    assert reference.gauss_bounds(w, w - v, v, 0.0)
 
 
 def test_gauss_bounds_worked_instance():
     w = np.array([1.0, 0.0])
     assert reference.gauss_bounds(w, np.array([0.6, 0.0]),
-                                  np.array([0.5, 0.0]), 1.0, 0.5)
+                                  np.array([0.5, 0.0]), 0.5)
 
 
 def test_acceptance_implies_gauss_bounds_sampled():
@@ -106,8 +122,7 @@ def test_acceptance_implies_gauss_bounds_sampled():
     sampler = accepted_certificate_sampler(rng)
     for _ in range(2000):
         w, cert, sigma = next(sampler)
-        assert reference.gauss_bounds(w, cert.z_tilde, cert.v, cert.lam,
-                                      sigma)
+        assert reference.gauss_bounds(w, cert.z_tilde, cert.v, sigma)
 
 
 def test_zero_v_iff_fixed_point():
@@ -117,9 +132,9 @@ def test_zero_v_iff_fixed_point():
         w, cert, sigma = next(sampler)
         assert np.any(cert.z_tilde != w)  # v != 0 on these draws
     w = np.array([1.0, 2.0])
-    moved = ir.ProxCertificate(np.array([0.9, 2.0]), np.zeros(2), 1.0)
+    moved = ir.ProxCertificate(np.array([0.9, 2.0]), np.zeros(2))
     assert not ir.error_criterion_holds(w, moved, 0.9)
-    fixed = ir.ProxCertificate(w.copy(), np.zeros(2), 1.0)
+    fixed = ir.ProxCertificate(w.copy(), np.zeros(2))
     assert ir.error_criterion_holds(w, fixed, 0.9)
 
 
@@ -184,9 +199,9 @@ class BogusOracle:
     def __init__(self):
         self.calls = 0
 
-    def solve(self, w, lam, sigma):
+    def solve(self, w, sigma):
         self.calls += 1
-        return ir.ProxCertificate(w + 10.0, np.ones_like(w), lam)
+        return ir.ProxCertificate(w + 10.0, np.ones_like(w))
 
 
 def test_iterate_reports_bad_certificate():
@@ -202,16 +217,19 @@ def test_iterate_reports_bad_certificate():
 
 
 def test_unit_relaxation_exact_is_proximal_step():
-    # rho = 1 with an exact certificate reproduces z_next = J_lam(w)
+    """rho = 1 with an exact certificate reproduces z_next = J_{lam T}(w):
+    the engine's unit step on the operator lam T is the proximal step of T
+    at stepsize lam, whose resolvent point it takes bit for bit."""
     op = rotation_operator()
-    oracle = ExactResolventOracle(op)
-    params = dataclasses.replace(ir.InertiaRelaxParams.plain(sigma=0.0),
-                                 lam=0.7)
+    oracle = ExactResolventOracle(AffineOperator(0.7 * op.mat))
+    params = ir.InertiaRelaxParams.plain(sigma=0.0)
     rng = np.random.default_rng(0)
     for _ in range(10):
         z = rng.standard_normal(2)
-        res = ir.run_hpp(z, oracle, params, max_iters=1)
+        events = Collector()
+        res = ir.run_hpp(z, oracle, params, max_iters=1, observer=events)
         expected = op.resolvent(0.7, z)
+        assert np.array_equal(events[0].cert.z_tilde, expected)
         assert np.linalg.norm(res.x - expected) <= 1e-12
 
 
@@ -256,12 +274,12 @@ class OverflowingOracle:
         self.at = at
         self.calls = 0
 
-    def solve(self, w, lam, sigma):
+    def solve(self, w, sigma):
         self.calls += 1
         if self.calls > self.at:
             return ir.ProxCertificate(np.full_like(w, -1.5e308),
-                                      np.ones_like(w), lam, exact=True)
-        return self.exact.solve(w, lam, sigma)
+                                      np.ones_like(w), exact=True)
+        return self.exact.solve(w, sigma)
 
 
 def test_nonfinite_iterate_is_an_error_status():
@@ -416,9 +434,9 @@ def reference_hpp(z0, oracle, params, iters):
     steps = []
     for _ in range(iters):
         w = reference.extrapolate(z, z_prev, params.alpha)
-        cert = oracle.solve(w, params.lam, params.sigma)
+        cert = oracle.solve(w, params.sigma)
         assert cert.exact or reference.error_criterion(
-            w, cert.z_tilde, cert.v, cert.lam, params.sigma)
+            w, cert.z_tilde, cert.v, params.sigma)
         z_prev, z = z, reference.project(w, cert.z_tilde, cert.v,
                                          params.rho_hi)
         steps.append((w, z))

@@ -60,7 +60,7 @@ def test_kernels_match_expression_forms(data, n, a, c, rw, sigma):
     infs, NaNs and subnormals, and leaves its inputs as they were.  theta
     is compared where the loop forms it: c > 0 and a finite dd > 0.  The
     engine's projection and relative-error test read the first three
-    vectors as (w, z_tilde, v), with rw as rho and c as lam."""
+    vectors as (w, z_tilde, v), with rw as rho."""
     v = [data.draw(vectors(n)) for _ in range(6)]
     before = [w.copy() for w in v]
     p_l, p_hat, z_l, z_hat, x_l, y_l = v
@@ -92,9 +92,9 @@ def test_kernels_match_expression_forms(data, n, a, c, rw, sigma):
                                                      p_l, c))))
         # a ProxCertificate rejects non-finite entries; the test reads only
         # its three fields, so a namespace stands in
-        cert = SimpleNamespace(z_tilde=v[1], v=v[2], lam=c)
+        cert = SimpleNamespace(z_tilde=v[1], v=v[2])
         assert (error_criterion_holds(v[0], cert, sigma)
-                == reference.error_criterion(v[0], v[1], v[2], c, sigma))
+                == reference.error_criterion(v[0], v[1], v[2], sigma))
         for max_form in (False, True):
             assert (_accept(y_l, t @ t, dd, c, sigma, max_form)
                     == reference.accept(y_l, p_l, p_hat, z_l, z_hat, x_l, c,
@@ -103,6 +103,20 @@ def test_kernels_match_expression_forms(data, n, a, c, rw, sigma):
         assert same_bits(got, want)
     for w, w0 in zip(v, before):
         assert same_bits(w, w0)
+
+
+def test_theta_keeps_the_sign_of_a_zero_product():
+    """At n = 1, ``t.dot(d)`` of t = [0.0] and d = [-1.0] is -0.0 where
+    ``t @ d`` is +0.0, and theta reaches ``record.cause``: ``_theta`` gives
+    the reference's +0.0 bit for bit on the trial with x_l = -1 and every
+    other vector 0."""
+    zero, x_l, c = np.zeros(1), np.array([-1.0]), 1.0
+    t = _acceptance_vector(zero, zero, zero, zero, c)
+    d = x_l - zero
+    assert np.signbit(t.dot(d)) and not np.signbit(t @ d)
+    got = np.float64(_theta(t, d, float(d @ d), c))
+    want = np.float64(reference.theta(zero, zero, x_l, zero, zero, c))
+    assert same_bits(got, want) and not np.signbit(want)
 
 
 # ---------------------------------------------------------------------------

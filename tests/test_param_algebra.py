@@ -215,8 +215,6 @@ def test_validate_params_names_violation():
     with pytest.raises(ParameterError, match="beta_of_rho_bar"):
         # no inertia bound above 0.1 pairs with a 1.9 relaxation cap
         ir.InertiaRelaxParams(0.1, 0.5, 0.5, 1.9, 1.9)
-    with pytest.raises(ParameterError, match="lam"):
-        ir.InertiaRelaxParams(0.1, 0.2, 0.5, 1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("rho", [1.0, 1.4882, 1.9])
@@ -241,14 +239,12 @@ _CORE = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
      {"rho_lo": 1.9, "rho_hi": 1.9},
      "coupling alpha < beta_of_rho_bar(rho_hi) violated"),
     (ir.ADMMParams(1.0, _CORE), {"c": 0.0}, "c > 0 violated"),
-    (ir.ADMMParams(1.0, _CORE), {"core": dataclasses.replace(_CORE, lam=2.0)},
-     "lam = 1 required by the splitting layers"),
     (DRParams(1.0, _CORE), {"gamma": -1.0},
      "gamma > 0 and 0 < 1/gamma < inf violated"),
     (DRParams(1.0, _CORE), {"inner_budget": 0}, "inner_budget >= 1 violated"),
     (ir.FistaConfig(), {"epsilon": float("nan")}, "epsilon >= 0 violated"),
     (ir.FistaConfig(), {"max_outer": -1}, "max_outer >= 0 violated"),
-], ids=["alpha", "coupling", "c", "lam", "gamma", "inner_budget",
+], ids=["alpha", "coupling", "c", "gamma", "inner_budget",
         "fista_epsilon", "fista_max_outer"])
 def test_replace_to_an_inadmissible_value_raises(params, changes, message):
     """Each parameter object checks itself when built, so

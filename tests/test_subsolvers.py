@@ -130,6 +130,19 @@ def test_cg_breakdown_on_indefinite():
         session.next()
 
 
+def test_cg_breakdown_names_the_curvature_it_saw():
+    """A session on H = -I raises at its first step with the curvature it
+    computed, d . H d = -3 along d = rhs = (1, 1, 1), and the norm of d, so
+    a breakdown from round-off on an SPD operator can be told from one on
+    an operator that is not SPD."""
+    session = CGSession(lambda u: -u, np.ones(3), np.zeros(3))
+    with pytest.raises(CGBreakdown) as raised:
+        session.next()
+    message = str(raised.value)
+    assert "-3.0" in message
+    assert repr(math.sqrt(3.0)) in message
+
+
 def test_cg_stationary_start_keeps_point():
     h = np.diag([2.0, 3.0])
     x_star = np.array([1.0, -1.0])
@@ -543,6 +556,37 @@ def test_fista_rejects_a_bad_budget_or_tolerance_at_entry(field, value):
     other drivers' parameters do."""
     with pytest.raises(ParameterError, match=field):
         FistaConfig(**{"max_outer": 50, field: value})
+
+
+@pytest.mark.parametrize("scale, status, outer", [
+    (1e100, "budget_exceeded", 5), (1e140, "budget_exceeded", 5),
+    (1e160, "error", 0)])
+def test_fista_returns_when_the_lipschitz_estimate_overflows(scale, status,
+                                                             outer):
+    """A LASSO with every entry finite but a design scaled so far that f
+    overflows near 0 leaves no step that passes the majorization test: the
+    backtracking doubles L until it is inf, and the run then ends with
+    status ``error`` after the float range's 1024 doublings, instead of
+    doubling forever.  The result holds the last accepted point (here the
+    start) and a cause that names the backtracking and the iteration.  At
+    the milder scales the first trials' f is inf too, yet a larger L
+    passes later, so those runs still spend their budget, with no cause."""
+    rng = np.random.default_rng(14)
+    A = scale * rng.standard_normal((17, 24))
+    b = rng.standard_normal(17)
+    prob = ir.LassoProblem(ir.DesignMatrix(A), b,
+                           0.1 * float(np.abs(A.T @ b).max()))
+    res = fista_solve(prob, FistaConfig(1e-6, 5))
+    assert res.status == res.record.status == status
+    assert res.record.outer_iters == outer
+    if status == "error":
+        assert res.record.inner_iters_total == 1024
+        assert res.record.cause == (
+            "Lipschitz backtracking: no step passed the majorization test "
+            "before L overflowed at outer iteration 0")
+        assert np.array_equal(res.x, np.zeros(24))
+    else:
+        assert res.record.cause == ""
 
 
 def test_fista_agrees_with_admm(lasso_20x50, inertial_core):
