@@ -23,7 +23,8 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .errors import CGBreakdown, LineSearchFailure, ParameterError
+from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
+                     _check_budget)
 from .hpp import InertiaRelaxParams, _extrapolate, _finite
 from .records import (BUDGET_EXCEEDED, CONVERGED, ERROR, SOLVED, STALLED,
                       RunResult, run_result)
@@ -74,7 +75,8 @@ class PrimalDualTriple:
 class ADMMParams:
     """Penalty c, engine parameters, acceptance criterion and budgets.
     Construction, ``dataclasses.replace`` included, raises
-    ``ParameterError`` naming the first inequality a value violates."""
+    ``ParameterError`` naming the first inequality a value violates, or a
+    budget that is not an integer."""
 
     c: float
     core: InertiaRelaxParams
@@ -90,10 +92,8 @@ class ADMMParams:
             raise ParameterError("c < inf violated")
         if not self.epsilon >= 0.0:
             raise ParameterError("epsilon >= 0 violated")
-        if self.max_outer < 0:
-            raise ParameterError("max_outer >= 0 violated")
-        if self.inner_budget < 1:
-            raise ParameterError("inner_budget >= 1 violated")
+        _check_budget(self.max_outer, "max_outer", 0)
+        _check_budget(self.inner_budget, "inner_budget", 1)
 
 
 class FProcedure(Protocol):
@@ -105,9 +105,9 @@ class FProcedure(Protocol):
     ``x_l`` and y_l -> 0.  An F-procedure for a monotone operator B in place of
     subdiff(f) emits y_l in B(x_l) + p + c (x_l - z): this is the B
     half-step s + gamma B(s) = r + gamma b of :func:`irsplit.dr.run_dr` in
-    the loop's variables (s, b, r) = (x, -p, z), gamma = 1/c.  A session
-    may expose ``exact = True``, asserting each trial is an exact minimizer
-    (emitted with y_l = 0).  Emitted arrays are float arrays that belong to
+    the loop's variables (s, b, r) = (x, -p, z), gamma = 1/c.  Every trial
+    meets the acceptance test; an exact one has y_l = 0, which passes either
+    criterion at any sigma.  Emitted arrays are float arrays that belong to
     the session and are read-only for callers: a session may emit its own
     state without a copy, and never modifies an emitted array afterwards.
     The loop likewise never writes into an emitted array, nor into the
@@ -337,7 +337,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
             try:
                 session = open_session(p_hat, z_hat, c, x_hat,
                                        (x, x_prev, alpha))
-                exact = bool(getattr(session, "exact", False))
                 for trial in range(1, params.inner_budget + 1):
                     x_l, y_l = session.next()
                     p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
@@ -349,7 +348,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
                         cause = f"non-finite trial (||x - z||^2 = {dd})"
                         break
                     t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-                    if exact or _accept(y_l, t.dot(t), dd, c, sigma, max_form):
+                    if _accept(y_l, t.dot(t), dd, c, sigma, max_form):
                         break
                 else:
                     status = STALLED

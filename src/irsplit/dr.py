@@ -25,7 +25,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .admm import ADMMParams, AdmmProblem, Criterion, FProcedure, _run
-from .errors import ParameterError
+from .errors import ParameterError, _check_budget
 from .hpp import InertiaRelaxParams, _finite
 from .records import RunResult
 
@@ -66,8 +66,7 @@ class DRParams:
         gamma = self.gamma
         if not (gamma > 0.0 and 0.0 < 1.0 / gamma < math.inf):
             raise ParameterError("gamma > 0 and 0 < 1/gamma < inf violated")
-        if self.inner_budget < 1:
-            raise ParameterError("inner_budget >= 1 violated")
+        _check_budget(self.inner_budget, "inner_budget", 1)
 
 
 class ResolventMap(Protocol):
@@ -113,7 +112,8 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     is r, the A-side iterate (its resolvent is exact, so e.g. an l1
     operator yields exact sparsity there); s and r coincide in the limit.
 
-    A negative ``max_outer`` or a negative or NaN ``sr_tolerance`` raises
+    A ``max_outer`` that is not a nonnegative integer, or a negative or NaN
+    ``sr_tolerance``, raises
     ``ParameterError`` at entry; ``params`` checked itself when it was
     built.  After entry a run fails as :func:`irsplit.admm.run_admm` does,
     with status ``stalled`` or ``error``, the last completed triple and

@@ -1,4 +1,7 @@
-"""Exception types shared across the solver layers."""
+"""Exception types shared across the solver layers, and the check of an
+iteration budget."""
+
+import numbers
 
 
 class ParameterError(ValueError):
@@ -17,3 +20,12 @@ class LineSearchFailure(RuntimeError):
 
 class ParseError(ValueError):
     """A dataset file failed to parse; the message names the line."""
+
+
+def _check_budget(value, name: str, least: int) -> None:
+    """``ParameterError`` unless ``value`` is an integer (any
+    ``numbers.Integral``, numpy's included) of at least ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} >= {least} violated")

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_budget
 from .records import (BUDGET_EXCEEDED, CONVERGED, ERROR, SOLVED, RunResult,
                       run_result)
 
@@ -173,15 +173,12 @@ class InertiaRelaxParams:
 class ProxCertificate:
     """Output of one inexact resolvent solve: ``v in T(z_tilde)``.
 
-    ``exact=True`` asserts that the producer solved the proximal equation
-    exactly by construction (z_tilde = w - v), which makes the
-    relative-error test vacuous; this is how a sigma = 0 run is realized in
-    floating point.  ``exact`` is keyword-only.
+    The pair alone: :func:`run_hpp` tests every certificate, and an exact
+    pair v = w - z_tilde passes at sigma = 0 (see :func:`_error_sides`).
     """
 
     z_tilde: np.ndarray
     v: np.ndarray
-    exact: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         self.z_tilde = _vec(self.z_tilde, "z_tilde")
@@ -193,10 +190,10 @@ class ResolventOracle(Protocol):
     """Inexact resolvent capability for a maximal monotone operator T.
 
     ``solve(w, sigma)`` returns a certificate whose pair satisfies the
-    producer contract v in T(z_tilde) and, unless ``exact``, the
-    relative-error acceptance test at tolerance sigma against ``w``, at
-    unit stepsize.  A certificate with ``v @ v == 0`` (v = 0, or a v whose
-    squared norm underflows) announces that z_tilde solves the inclusion.
+    producer contract v in T(z_tilde) and the relative-error acceptance
+    test at tolerance sigma against ``w``, at unit stepsize.  A
+    certificate with ``v @ v == 0`` (v = 0, or a v whose squared norm
+    underflows) announces that z_tilde solves the inclusion.
     """
 
     def solve(self, w: np.ndarray, sigma: float) -> ProxCertificate:
@@ -232,9 +229,9 @@ def _project(w: np.ndarray, z_tilde: np.ndarray, v: np.ndarray, vv: float,
 def _error_sides(w: np.ndarray, cert: ProxCertificate, sigma: float):
     """Both sides of the relative-error test, ||v + z_tilde - w||^2 and
     sigma^2 (||z_tilde - w||^2 + ||v||^2).  The left side is evaluated as
-    v - (w - z_tilde) so that an exactly constructed pair cancels cleanly.
-    ``w`` and the certificate's point must share one shape, else
-    ``ValueError``."""
+    v - (w - z_tilde): an exact pair v = w - z_tilde then cancels to 0.0
+    exactly, which is how it passes at sigma = 0.  ``w`` and the
+    certificate's point must share one shape, else ``ValueError``."""
     _same_shape(w, cert.z_tilde)
     resid = cert.v - (w - cert.z_tilde)
     dz = cert.z_tilde - w
@@ -286,8 +283,8 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     a certificate has ``v @ v == 0``, also by underflow (``x`` is then its
     point, ||v|| 0), ``converged`` when ||v|| <= ``v_tolerance``, or
     ``budget_exceeded`` after ``max_iters`` iterations.  Inputs are
-    checked once, at entry, before any oracle call: a negative
-    ``max_iters`` and a negative or NaN ``v_tolerance`` raise
+    checked once, at entry, before any oracle call: a ``max_iters`` that
+    is not a nonnegative integer and a negative or NaN ``v_tolerance`` raise
     ``ParameterError``, a non-finite ``z0`` ``ValueError``.  After entry a
     certificate that fails the relative-error test or a non-finite
     projected iterate ends the run with status ``error``, the last
@@ -303,8 +300,7 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     are passed without a copy and are read-only for the observer.  An
     exception the observer raises ends the run.
     """
-    if max_iters < 0:
-        raise ParameterError("max_iters >= 0 violated")
+    _check_budget(max_iters, "max_iters", 0)
     if not v_tolerance >= 0.0:
         raise ParameterError("v_tolerance >= 0 violated")
     z = z_prev = _vec(z0, "z0")
@@ -319,7 +315,7 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
         if vv == 0.0:
             z, status, v_norm = cert.z_tilde, SOLVED, 0.0
             break
-        if not (cert.exact or error_criterion_holds(w, cert, sigma)):
+        if not error_criterion_holds(w, cert, sigma):
             status = ERROR
             cause = "OracleFailure: certificate fails the relative-error test"
             break

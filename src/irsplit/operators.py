@@ -97,16 +97,16 @@ class L1Resolvent:
 
 class ExactResolventOracle:
     """Certificates built from a closed-form resolvent: z_tilde = J(w), v =
-    w - z_tilde, exact by construction.  The operator needs only
-    ``resolvent(step, w)``, the protocol ``run_dr`` takes as it is, and is
-    called at step 1."""
+    w - z_tilde, an exact pair, whose residual in the engine's test is
+    exactly 0.0.  The operator needs only ``resolvent(step, w)``, the protocol
+    ``run_dr`` takes as it is, and is called at step 1."""
 
     def __init__(self, operator):
         self.operator = operator
 
     def solve(self, w, sigma):
         z_tilde = self.operator.resolvent(1.0, w)
-        return ProxCertificate(z_tilde, w - z_tilde, exact=True)
+        return ProxCertificate(z_tilde, w - z_tilde)
 
 
 # PerturbedResolventOracle's first perturbation radius, as a fraction of the
@@ -119,7 +119,7 @@ class PerturbedResolventOracle:
     """Genuinely inexact certificates: the exact resolvent point is
     perturbed, the operator re-evaluated there, and the perturbation shrunk
     until the relative-error test accepts.  Falls back to the exact pair
-    when sigma leaves no room."""
+    (z, w - z), whose residual is exactly 0.0, when sigma leaves no room."""
 
     def __init__(self, operator, seed: int = 0):
         self.operator = operator
@@ -137,7 +137,7 @@ class PerturbedResolventOracle:
             if error_criterion_holds(w, cert, sigma):
                 return cert
             radius *= 0.5
-        return ProxCertificate(exact_point, w - exact_point, exact=True)
+        return ProxCertificate(exact_point, w - exact_point)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class ExactBProcedure:
     object with ``resolvent(gamma, u)``, such as the operators above.
 
     The session for (p, z, c) emits x = J_{B/c}(z - p/c), which solves
-    0 in B(x) + p + c (x - z), with y = 0, exactly by construction.
+    0 in B(x) + p + c (x - z), with y = 0, which passes at any sigma.
     """
 
     def __init__(self, resolvent_map):
@@ -157,7 +157,7 @@ class ExactBProcedure:
 
     def open_session(self, p, z, c, x_bar, anchor=None):
         x = self.resolvent_map.resolvent(1.0 / c, z - p / c)
-        return SimpleNamespace(next=lambda: (x, np.zeros_like(x)), exact=True)
+        return SimpleNamespace(next=lambda: (x, np.zeros_like(x)))
 
 
 class CGBProcedure(QuadraticFProcedure):

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CGBreakdown, LineSearchFailure, ParameterError
+from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
+                     _check_budget)
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunResult, run_result
 
 __all__ = [
@@ -368,8 +369,7 @@ class FistaConfig:
     def __post_init__(self):
         if not self.epsilon >= 0.0:
             raise ParameterError("epsilon >= 0 violated")
-        if self.max_outer < 0:
-            raise ParameterError("max_outer >= 0 violated")
+        _check_budget(self.max_outer, "max_outer", 0)
 
 
 @np.errstate(all="ignore")

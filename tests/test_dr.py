@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import irsplit as ir
-from irsplit.admm import ADMMParams, run_admm
+from irsplit.admm import (ADMMParams, _accept, _acceptance_vector,
+                          _multiplier, run_admm)
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.errors import ParameterError
+from irsplit.hpp import _error_sides
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
                                ExactResolventOracle, L1Resolvent,
                                ScaledIdentityOperator)
@@ -116,6 +118,35 @@ def test_acceptance_matches_engine_verdict_under_embedding():
     cert = ir.ProxCertificate(np.array([0.6, 0.0]), np.array([0.5, 0.0]))
     assert verdict == ir.error_criterion_holds(np.array([1.0, 0.0]), cert, 0.5)
     assert verdict
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exactness_is_read_off_the_pair_at_sigma_zero(n):
+    """No producer declares itself exact: the one relative-error test sees
+    it.  For random monotone affine operators, an exact engine certificate
+    (z, w - z) has a residual of exactly 0.0 in the engine's test, which
+    forms it as v - (w - z), and passes at sigma = 0; an exact B half-step
+    trial has y = 0 and passes the loop's test at sigma = 0 under both
+    criteria."""
+    rng = np.random.default_rng(600 + n)
+    for _ in range(20):
+        b, k = rng.standard_normal((2, n, n))
+        op = AffineOperator(b @ b.T / n + 0.1 * np.eye(n) + k - k.T,
+                            rng.standard_normal(n))
+        w = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
+        cert = ExactResolventOracle(op).solve(w, 0.0)
+        assert _error_sides(w, cert, 0.0)[0] == 0.0
+        assert ir.error_criterion_holds(w, cert, 0.0)
+
+        p, z = rng.standard_normal((2, n))
+        c = 10.0 ** rng.uniform(-2, 2)
+        x, y = ExactBProcedure(op).open_session(p, z, c, z).next()
+        p_l = _multiplier(p, x, z, y, c)
+        z_l = L1Resolvent(0.3).resolvent(1.0 / c, x + p_l / c)
+        t = _acceptance_vector(p_l, p, z_l, z, c)
+        d = x - z_l
+        for max_form in (True, False):
+            assert _accept(y, t.dot(t), d.dot(d), c, 0.0, max_form)
 
 
 def test_theta_exact_solve_is_one():

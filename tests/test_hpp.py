@@ -59,13 +59,16 @@ def test_a_stepsize_in_an_old_call_form_raises():
     """The engine has no stepsize: a ``lam`` given to the parameters, a
     third positional field of a certificate and a stepsize passed to an
     oracle each raise ``TypeError`` instead of being ignored or read as
-    another argument."""
+    another argument.  Nor does a certificate take an ``exact`` flag: the
+    relative-error test reads exactness off the pair."""
     with pytest.raises(TypeError):
         ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.5, 1.0, 1.0, lam=0.5)
     with pytest.raises(TypeError):
         ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.5, 1.0, 1.0, 0.5)
     with pytest.raises(TypeError):
         ir.ProxCertificate(np.zeros(2), np.ones(2), 0.5)
+    with pytest.raises(TypeError):
+        ir.ProxCertificate(np.zeros(2), np.ones(2), exact=True)
     for oracle in (exact_identity_oracle(),
                    PerturbedResolventOracle(rotation_operator())):
         with pytest.raises(TypeError):
@@ -266,29 +269,32 @@ def test_underflowing_v_ends_as_solved(operator, z0, outer):
 
 class OverflowingOracle:
     """Exact certificates of the rotation until call ``at``, then an exact
-    certificate whose point is so far from w that the projection step
-    overflows to an infinite iterate."""
+    pair (z, w - z) whose point is so far from w that the projection step
+    overflows to a non-finite iterate."""
 
     def __init__(self, at):
-        self.exact = ExactResolventOracle(rotation_operator())
+        self.oracle = ExactResolventOracle(rotation_operator())
         self.at = at
         self.calls = 0
 
     def solve(self, w, sigma):
         self.calls += 1
         if self.calls > self.at:
-            return ir.ProxCertificate(np.full_like(w, -1.5e308),
-                                      np.ones_like(w), exact=True)
-        return self.exact.solve(w, sigma)
+            far = np.full_like(w, -1.5e308)
+            return ir.ProxCertificate(far, w - far)
+        return self.oracle.solve(w, sigma)
 
 
 def test_nonfinite_iterate_is_an_error_status():
     """An iterate that overflows in the projection ends the run with status
     ``error``, the outer iteration in ``record.cause``, and the last
-    completed iterate and its ||v|| in the result."""
+    completed iterate and its ||v|| in the result.  The overflowing pair is
+    exact, so its residual is 0; at a positive sigma its infinite squared
+    norms make the right side inf and the test passes (at sigma = 0 it
+    would be 0 * inf, and the test would reject the pair)."""
     events = Collector()
     res = ir.run_hpp(np.array([3.0, -1.0]), OverflowingOracle(3),
-                     ir.InertiaRelaxParams.plain(sigma=0.0), max_iters=50,
+                     ir.InertiaRelaxParams.plain(sigma=0.5), max_iters=50,
                      observer=events)
     assert (res.status, res.record.status) == ("error", "error")
     assert res.record.outer_iters == len(events) == 3
@@ -435,8 +441,8 @@ def reference_hpp(z0, oracle, params, iters):
     for _ in range(iters):
         w = reference.extrapolate(z, z_prev, params.alpha)
         cert = oracle.solve(w, params.sigma)
-        assert cert.exact or reference.error_criterion(
-            w, cert.z_tilde, cert.v, params.sigma)
+        assert reference.error_criterion(w, cert.z_tilde, cert.v,
+                                         params.sigma)
         z_prev, z = z, reference.project(w, cert.z_tilde, cert.v,
                                          params.rho_hi)
         steps.append((w, z))

@@ -13,6 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 import irsplit as ir
 from irsplit.dr import DRParams
 from irsplit.errors import ParameterError
+from irsplit.operators import (ExactBProcedure, ExactResolventOracle,
+                               ScaledIdentityOperator)
 
 
 def bisect_inverse_of_coupling(rho_target, lo=1e-12, hi=1.0 - 1e-12, iters=200):
@@ -251,6 +253,47 @@ def test_replace_to_an_inadmissible_value_raises(params, changes, message):
     ``dataclasses.replace`` cannot make an inadmissible one either."""
     with pytest.raises(ParameterError, match=re.escape(message)):
         dataclasses.replace(params, **changes)
+
+
+def _run_dr(max_outer):
+    init = ir.SplitTriple(np.ones(2), np.zeros(2), np.zeros(2))
+    return ir.run_dr(init, DRParams(1.0, _CORE),
+                     ExactBProcedure(ScaledIdentityOperator(1.0)),
+                     ScaledIdentityOperator(1.0), max_outer=max_outer)
+
+
+def _run_hpp(max_iters):
+    return ir.run_hpp(np.ones(2), ExactResolventOracle(
+        ScaledIdentityOperator(1.0)), _CORE, max_iters=max_iters)
+
+
+_BUDGETS = {
+    "admm_max_outer": (lambda n: ir.ADMMParams(1.0, _CORE, max_outer=n),
+                       "max_outer"),
+    "admm_inner_budget": (lambda n: ir.ADMMParams(1.0, _CORE,
+                                                  inner_budget=n),
+                          "inner_budget"),
+    "dr_inner_budget": (lambda n: DRParams(1.0, _CORE, inner_budget=n),
+                        "inner_budget"),
+    "fista_max_outer": (lambda n: ir.FistaConfig(max_outer=n), "max_outer"),
+    "run_dr_max_outer": (_run_dr, "max_outer"),
+    "run_hpp_max_iters": (_run_hpp, "max_iters"),
+}
+
+
+@pytest.mark.parametrize("site", _BUDGETS)
+def test_a_budget_must_be_an_integer(site):
+    """Every iteration budget is refused with ``ParameterError`` when it is
+    not an integer, at construction or at run entry, where a float budget
+    used to pass and raise ``TypeError`` out of the run.  Any integer type
+    is a budget, numpy's included."""
+    build, name = _BUDGETS[site]
+    for value in (2.5, 2.0, "2", None, np.float64(2.0)):
+        with pytest.raises(ParameterError,
+                           match=f"{name} must be an integer"):
+            build(value)
+    for value in (2, np.int64(2), np.uint8(2)):
+        build(value)
 
 
 def test_from_beta_pairs_maximal_relaxation():
