@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
                      _check_budget)
-from .hpp import InertiaRelaxParams, _extrapolate, _finite
+from .hpp import InertiaRelaxParams, _extrapolate, _vec
 from .records import (BUDGET_EXCEEDED, CONVERGED, ERROR, SOLVED, STALLED,
                       RunResult, run_result)
 
@@ -51,8 +51,8 @@ class Criterion(enum.Enum):
 class PrimalDualTriple:
     """Primal pair (x, z) and multiplier p.
 
-    Construction converts the components to float arrays and checks that
-    they share one shape and are finite.  :func:`run_admm` applies that
+    Construction checks that the components are finite 1-D float arrays
+    of one shape, else ``ValueError``.  :func:`run_admm` applies that
     check to its starting triple and carries its iterates as plain arrays;
     it builds a triple only for its result.
     """
@@ -62,7 +62,7 @@ class PrimalDualTriple:
     p: np.ndarray
 
     def __post_init__(self):
-        self.x, self.z, self.p = (_finite(getattr(self, n), n) for n in "xzp")
+        self.x, self.z, self.p = (_vec(getattr(self, n), n) for n in "xzp")
         if not (self.x.shape == self.z.shape == self.p.shape):
             raise ValueError("triple components must share one shape")
 
@@ -250,7 +250,7 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     components merely near zero.
 
     Inputs are validated once, at entry: ``problem.kkt_residual`` (not
-    None) and the starting triple (one shape, of length ``problem.dim``
+    None) and the starting triple (1-D, of one shape, ``(problem.dim,)``
     when that is set, finite entries), else ``ValueError``; ``params``
     checked itself when it was built.  After entry a failure returns
     the last completed iterate, its counts and ``final_kkt``, with
@@ -305,8 +305,8 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
     the returned z, or ||x - z|| of the returned triple without the KKT
     test.  The iteration that stops as ``solved`` forms no corrected
     multiplier and reaches no observer.  With numpy's warnings off, the
-    tests of a finite ``dd`` and of 0 < theta < inf catch an inf or NaN
-    trial.
+    tests of a finite dd + t . t and of 0 < theta < inf catch an inf or
+    NaN trial.
     """
     _reset_procedure(problem.fproc)
     try:
@@ -343,12 +343,14 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
                     z_l = prox(p_l, x_l, c)
                     d = x_l - z_l
                     dd = d.dot(d)
-                    if not math.isfinite(dd):
-                        status = ERROR
-                        cause = f"non-finite trial (||x - z||^2 = {dd})"
-                        break
                     t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-                    if _accept(y_l, t.dot(t), dd, c, sigma, max_form):
+                    tt = t.dot(t)
+                    if not math.isfinite(dd + tt):
+                        status = ERROR
+                        cause = (f"non-finite trial (||x - z||^2 = {dd}, "
+                                 f"||t||^2 = {tt})")
+                        break
+                    if _accept(y_l, tt, dd, c, sigma, max_form):
                         break
                 else:
                     status = STALLED

@@ -26,7 +26,7 @@ import numpy as np
 
 from .admm import ADMMParams, AdmmProblem, Criterion, FProcedure, _run
 from .errors import ParameterError, _check_budget
-from .hpp import InertiaRelaxParams, _finite
+from .hpp import InertiaRelaxParams, _vec
 from .records import RunResult
 
 __all__ = [
@@ -40,14 +40,15 @@ __all__ = [
 
 @dataclass
 class SplitTriple:
-    """State of the splitting recursion: candidate pair (s, b) and point r."""
+    """State of the splitting recursion: candidate pair (s, b) and point r,
+    built as :class:`irsplit.admm.PrimalDualTriple` builds its components."""
 
     s: np.ndarray
     b: np.ndarray
     r: np.ndarray
 
     def __post_init__(self):
-        self.s, self.b, self.r = (_finite(getattr(self, n), n) for n in "sbr")
+        self.s, self.b, self.r = (_vec(getattr(self, n), n) for n in "sbr")
         if not (self.s.shape == self.b.shape == self.r.shape):
             raise ValueError("triple components must share one shape")
 

@@ -59,9 +59,12 @@ def _finite(x, name: str) -> np.ndarray:
     return v
 
 
-def _vec(x, name="vector") -> np.ndarray:
+def _vec(x, name: str) -> np.ndarray:
+    """``x`` as a finite 1-D float array, else ``ValueError`` naming it."""
     v = _finite(x, name)
-    return v if v.ndim == 1 else np.atleast_1d(v.ravel())
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
+    return v
 
 
 def _same_shape(a: np.ndarray, b: np.ndarray):
@@ -285,11 +288,11 @@ def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
     ``budget_exceeded`` after ``max_iters`` iterations.  Inputs are
     checked once, at entry, before any oracle call: a ``max_iters`` that
     is not a nonnegative integer and a negative or NaN ``v_tolerance`` raise
-    ``ParameterError``, a non-finite ``z0`` ``ValueError``.  After entry a
-    certificate that fails the relative-error test or a non-finite
-    projected iterate ends the run with status ``error``, the last
-    completed iterate and its ||v||, and a ``record.cause`` that names the
-    failure and the outer iteration.
+    ``ParameterError``, a ``z0`` that is not a finite 1-D array
+    ``ValueError``.  After entry a certificate that fails the
+    relative-error test or a non-finite projected iterate ends the run
+    with status ``error``, the last completed iterate and its ||v||, and a
+    ``record.cause`` that names the failure and the outer iteration.
     numpy's floating-point warnings are off while the run lasts, oracle
     and observer included: an overflowing projection ends it as
     ``error``, not as a warning.

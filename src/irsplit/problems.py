@@ -583,11 +583,12 @@ def load_dense_csv(path_a, path_b, nu: float,
     skip = 1 if skip_header else 0
     try:
         a = np.loadtxt(path_a, delimiter=",", skiprows=skip, ndmin=2)
-        b = np.loadtxt(path_b, delimiter=",", skiprows=skip, ndmin=1)
+        b = np.loadtxt(path_b, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise ParseError(f"csv parse failure: {exc}") from None
-    if b.ndim != 1:
-        b = b.ravel()
+    if b.shape[1] != 1:
+        raise ParseError(f"b has {b.shape[1]} columns, expected 1")
+    b = b[:, 0]
     if a.shape[0] != b.shape[0]:
         raise ParseError(f"A has {a.shape[0]} rows but b has {b.shape[0]}")
     return LassoProblem(DesignMatrix(a), b, nu)

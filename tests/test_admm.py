@@ -985,7 +985,7 @@ class FailingOracle:
 FAILURE_CASES = [("inner_budget", "stalled", "inner budget", 0),
                  ("line_search", "error", "LineSearchFailure", 2),
                  ("cg_breakdown", "error", "CGBreakdown", 0),
-                 ("masked_inf_y", "error", "theta = nan", 3),
+                 ("masked_inf_y", "error", "non-finite trial", 3),
                  ("inexact_inf_y", "error", "non-finite trial", 3),
                  ("oracle", "error", "OracleFailure", 2)]
 
@@ -1000,9 +1000,9 @@ def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
     iterate, which is the last observer event's, or the start when it fails
     at outer iteration 0, and ``record.cause`` names the failure and the
     outer iteration.  An inf in y, through a prox that replaces the inf it
-    returns with a finite value, leaves x - z finite: the max-form test
-    accepts ||y|| = inf against sigma * inf, and t @ d meets inf * 0.
-    Through the plain prox x - z is infinite: a non-finite trial."""
+    returns with a finite value, leaves x - z finite but makes t, and so
+    ||t||^2, infinite; through the plain prox x - z is infinite too.  Both
+    are a non-finite trial, caught before the acceptance test."""
     events = Collector()
     n = lasso_20x50.n
     if case == "oracle":
@@ -1135,6 +1135,47 @@ def test_a_zero_theta_ends_the_run_as_error(inertial_core, n):
     assert res.record.cause.startswith("theta = 0.0 in the projection")
     assert res.record.cause.endswith("at outer iteration 0")
     assert res.outer_iters == 0
+
+
+class OverflowingMultiplier:
+    """A session and a prox stub whose trial x = z_hat + 1e9 with y = 0,
+    emitted again on every ``next()``, has a finite x - z = 1 for a g-step
+    that returns x - 1, while at c = 1e300 its multiplier overflows: from
+    p = -1.7e308, p_l = inf and t = inf - inf is NaN.  ``trials`` counts
+    the trials emitted."""
+
+    trials = 0
+
+    def open_session(self, p, z, c, x_bar, anchor=None):
+        def next_trial():
+            self.trials += 1
+            return z + 1e9, np.zeros_like(z)
+        return SimpleNamespace(next=next_trial)
+
+    def solve(self, p, x, c):
+        return x - 1.0
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_a_trial_with_a_nonfinite_t_ends_the_run_at_once(criterion, sigma):
+    """One finiteness test, of ||x - z||^2 + ||t||^2, decides a trial
+    before the acceptance test reads it.  A NaN t with a finite x - z
+    ends the run as ``error`` after its one trial, naming both squares,
+    where the test of ||x - z||^2 alone let the acceptance test reject the
+    same trial until the inner budget was spent."""
+    stub = OverflowingMultiplier()
+    problem = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, dim=1)
+    init = PrimalDualTriple(np.zeros(1), np.zeros(1), np.full(1, -1.7e308))
+    core = ir.InertiaRelaxParams.plain(sigma=sigma)
+    res = run_admm(problem, ADMMParams(c=1e300, core=core,
+                                       criterion=criterion), init=init)
+    assert (res.status, stub.trials, res.outer_iters) == ("error", 1, 0)
+    assert res.record.cause == ("non-finite trial (||x - z||^2 = 1.0, "
+                                "||t||^2 = nan) at outer iteration 0")
+    for got, want in zip((res.triple.x, res.triple.z, res.triple.p),
+                         (init.x, init.z, init.p)):
+        assert np.array_equal(got, want)
 
 
 def test_nan_in_init_raises_at_entry(lasso_20x50, inertial_core):

@@ -1,6 +1,7 @@
 """Proximal-projection engine: its kernels, runs, descent diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,52 @@ def test_nan_start_raises_before_any_oracle_call():
     assert oracle.calls == 0
 
 
+class Untouched:
+    """An oracle, F-procedure and resolvent that only counts its calls."""
+
+    calls = 0
+
+    def solve(self, *args):
+        self.calls += 1
+
+    open_session = resolvent = solve
+
+
+_PLAIN = ir.InertiaRelaxParams.plain()
+_ENTRIES = {
+    "certificate": (lambda v, stub: ir.ProxCertificate(v, v), "z_tilde"),
+    "run_hpp": (lambda v, stub: ir.run_hpp(v, stub, _PLAIN), "z0"),
+    "fejer_check": (lambda v, stub: ir.fejer_check([], v, _PLAIN),
+                    "z_star"),
+    "alvarez_attouch_z0": (lambda v, stub: ir.alvarez_attouch_check(
+        [], v, np.zeros(2), _PLAIN), "z0"),
+    "alvarez_attouch_z_star": (lambda v, stub: ir.alvarez_attouch_check(
+        [], np.zeros(2), v, _PLAIN), "z_star"),
+    "primal_dual_triple": (lambda v, stub: ir.run_admm(
+        ir.AdmmProblem(stub, stub, lambda z, floor: 1.0),
+        ir.ADMMParams(1.0, _PLAIN), init=ir.PrimalDualTriple(v, v, v)), "x"),
+    "split_triple": (lambda v, stub: ir.run_dr(
+        ir.SplitTriple(v, v, v), ir.DRParams(1.0, _PLAIN), stub, stub), "s"),
+}
+
+
+@pytest.mark.parametrize("vector", [np.ones((2, 1)), np.float64(1.0)],
+                         ids=["column", "scalar"])
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_every_entry_refuses_a_vector_that_is_not_1d(entry, vector):
+    """Every layer states one rule for a vector where it enters: a finite
+    1-D float array (``hpp._vec``).  A column or a 0-D value is not
+    flattened but raises ``ValueError`` naming the argument and its shape,
+    before any oracle, session or resolvent call; a splitting start is
+    refused when its triple is built, so ``run_dr`` is never entered."""
+    enter, name = _ENTRIES[entry]
+    stub = Untouched()
+    message = f"{name} must be 1-D, got shape {np.shape(vector)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enter(vector, stub)
+    assert stub.calls == 0
+
+
 @pytest.mark.parametrize("operator, z0, outer", [
     (ScaledIdentityOperator(1.0), [1.0], 537),
     (rotation_operator(), [3.0, -1.0], 942),
@@ -394,6 +441,22 @@ def test_alvarez_attouch_bound_carries_the_inertia_factor():
         steps = [(z,) * 3 for z in (np.zeros(1), np.array([math.sqrt(phi2)]))]
         assert ir.alvarez_attouch_check(steps, z0, z_star, params,
                                         rel_tol=1e-9) == verdict
+
+
+@pytest.mark.parametrize("lengths, verdict", [((0.5,), None), ((2.0,), 0),
+                                              ((0.5, 2.0), 1)])
+def test_fejer_check_reports_the_first_step_that_moves_away(lengths,
+                                                            verdict):
+    """Steps of a constructed trajectory along one direction e, each from
+    w = z* + l_prev e to z_next = z* + l e with z_tilde = w (so the slack
+    is (l - l_prev)^2 at unit relaxation): a step to half the distance
+    passes, a step to twice the distance violates the inequality, and the
+    check returns the index of the first violating step."""
+    params = ir.InertiaRelaxParams.plain()
+    z_star, e = np.array([1.0, -2.0]), np.array([0.6, 0.8])
+    points = [z_star + length * e for length in (1.0,) + lengths]
+    steps = [(w, w, z_next) for w, z_next in zip(points, points[1:])]
+    assert ir.fejer_check(steps, z_star, params, rel_tol=1e-9) == verdict
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -235,23 +235,41 @@ def test_coupling_is_strict_at_its_boundary(rho):
 _CORE = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
 
 
+_UNIT = ir.InertiaRelaxParams(0.1, 0.2, 0.5, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("params, changes, message", [
     (_CORE, {"alpha": 0.2}, "alpha < beta violated"),
     (ir.InertiaRelaxParams(0.1, 0.5, 0.5, 1.0, 1.0),
      {"rho_lo": 1.9, "rho_hi": 1.9},
      "coupling alpha < beta_of_rho_bar(rho_hi) violated"),
+    (_UNIT, {"sigma": float("nan")}, "parameters must be finite"),
+    (_UNIT, {"beta": float("inf")}, "parameters must be finite"),
+    (_UNIT, {"alpha": -0.1}, "0 <= alpha violated"),
+    (_UNIT, {"beta": 1.0}, "beta < 1 violated"),
+    (_UNIT, {"rho_lo": 1.5}, "rho_lo <= rho_hi violated"),
+    (_UNIT, {"alpha": 0.0, "rho_hi": 2.0}, "rho_hi < 2 violated"),
     (ir.ADMMParams(1.0, _CORE), {"c": 0.0}, "c > 0 violated"),
+    (ir.ADMMParams(1.0, _CORE), {"epsilon": -1.0}, "epsilon >= 0 violated"),
+    (ir.ADMMParams(1.0, _CORE), {"epsilon": float("nan")},
+     "epsilon >= 0 violated"),
     (DRParams(1.0, _CORE), {"gamma": -1.0},
      "gamma > 0 and 0 < 1/gamma < inf violated"),
     (DRParams(1.0, _CORE), {"inner_budget": 0}, "inner_budget >= 1 violated"),
     (ir.FistaConfig(), {"epsilon": float("nan")}, "epsilon >= 0 violated"),
     (ir.FistaConfig(), {"max_outer": -1}, "max_outer >= 0 violated"),
-], ids=["alpha", "coupling", "c", "gamma", "inner_budget",
+], ids=["alpha", "coupling", "nan", "inf", "alpha_nonnegative",
+        "beta_below_one", "rho_lo_at_most_rho_hi", "rho_hi_below_two", "c",
+        "admm_epsilon_negative", "admm_epsilon_nan", "gamma", "inner_budget",
         "fista_epsilon", "fista_max_outer"])
 def test_replace_to_an_inadmissible_value_raises(params, changes, message):
     """Each parameter object checks itself when built, so
-    ``dataclasses.replace`` cannot make an inadmissible one either."""
-    with pytest.raises(ParameterError, match=re.escape(message)):
+    ``dataclasses.replace`` cannot make an inadmissible one either, and
+    each check raises its own message on a value that only it rejects:
+    beta = 1 meets the coupling (alpha = 0.1 < 1/3 at rho 1), and rho_hi =
+    2 is refused before ``beta_of_rho_bar`` would raise its domain
+    error."""
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(params, **changes)
 
 

@@ -798,6 +798,21 @@ def test_dense_csv_dimension_mismatch(tmp_path):
         load_dense_csv(pa, pb, nu=1.0)
 
 
+@pytest.mark.parametrize("b_text, columns", [("0,1\n2,3\n", 2),
+                                             ("0,1\n", 2), ("0,1,2\n", 3)])
+def test_dense_csv_refuses_a_b_of_more_than_one_column(tmp_path, b_text,
+                                                       columns):
+    """b is read as one column: a file with more, or one row of several
+    values, raises ``ParseError`` instead of being flattened into a b that
+    may even have A's row count."""
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n7.0,8.0\n")
+    pb.write_text(b_text)
+    with pytest.raises(ParseError, match=f"b has {columns} columns, "
+                                         "expected 1"):
+        load_dense_csv(pa, pb, nu=1.0)
+
+
 def test_dense_csv_header_skip(tmp_path):
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     pa.write_text("c1,c2\n1.0,2.0\n")
