@@ -194,11 +194,14 @@ def _acceptance_vector(p_l, p_hat, z_l, z_hat, c: float) -> np.ndarray:
 def _accept(y_l, tt: float, dd: float, c: float, sigma: float,
             max_form: bool) -> bool:
     """The acceptance test from tt = t . t, t = :func:`_acceptance_vector`,
-    and dd = ||x_l - z_l||^2."""
+    and dd = ||x_l - z_l||^2.  A trial with y_l . y_l = 0 passes at any
+    sigma, before the right side, which can be NaN (0 * inf), is formed."""
+    yy = y_l.dot(y_l)
+    if yy == 0.0:
+        return True
     if max_form:
-        return math.sqrt(y_l.dot(y_l)) <= sigma * max(math.sqrt(tt),
-                                                      c * math.sqrt(dd))
-    return y_l.dot(y_l) <= sigma * sigma * (tt + (c * c) * dd)
+        return math.sqrt(yy) <= sigma * max(math.sqrt(tt), c * math.sqrt(dd))
+    return yy <= sigma * sigma * (tt + (c * c) * dd)
 
 
 def _theta(t: np.ndarray, d: np.ndarray, dd: float, c: float) -> float:

@@ -3,8 +3,9 @@
 A run configuration names exactly one problem source (synthetic or files),
 one solver (inertial-relaxed ADMM, its plain alpha = 0 / rho = 1
 configuration, or the proximal-gradient baseline) and the solver options.
-Counts are deterministic per seed; wall time optionally averages over
-repetitions after one discarded warm-up run.
+Counts are deterministic per seed.  A record's seconds are its solver's
+own loop time, with repetitions the median of those of the repeated
+solves, after one discarded warm-up solve.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 import numbers
 import os
 import statistics
-import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -257,14 +257,10 @@ def run_one(cfg: RunConfig) -> BenchResult:
         prob = _problem_builder(cfg.problem, cfg.seed)()
         record = _solve(cfg, prob)
         if cfg.repetitions > 1:
-            # first (warm-up) timing discarded; counts are deterministic
-            times = []
-            for _ in range(cfg.repetitions):
-                started = time.perf_counter()
-                record = _solve(cfg, prob)
-                times.append(time.perf_counter() - started)
-            record = dataclasses.replace(
-                record, wall_seconds=statistics.median(times))
+            # first (warm-up) solve discarded; counts are deterministic
+            runs = [_solve(cfg, prob) for _ in range(cfg.repetitions)]
+            seconds = statistics.median(r.wall_seconds for r in runs)
+            record = dataclasses.replace(runs[-1], wall_seconds=seconds)
         error = record.cause
     except Exception as exc:  # noqa: BLE001 - batch must continue
         record = RunRecord(0, 0, 0.0, math.inf, math.nan, ERROR)

@@ -35,12 +35,17 @@ def _coerce(value: str):
     return value
 
 
+# a name or a path is read as written, also when it looks like a number
+_TEXT_KEYS = {"name", "a", "b", "path"}
+
+
 def _load_config(path) -> bench.RunConfig:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"cannot read config {path}")
     problem, solver_items, run_items = (
-        {k: _coerce(v) for k, v in parser.items(name)}
+        {k: v if k in _TEXT_KEYS else _coerce(v)
+         for k, v in parser.items(name)}
         if parser.has_section(name) else {}
         for name in ("problem", "solver", "run"))
     unread = run_items.keys() - {"seed", "repetitions", "name"}

@@ -245,18 +245,20 @@ def error_criterion_holds(w: np.ndarray, cert: ProxCertificate, sigma: float) ->
     """Relative-error acceptance test at unit stepsize.
 
     True iff ||v + z_tilde - w||^2 <= sigma^2 (||z_tilde - w||^2
-    + ||v||^2).
+    + ||v||^2).  A zero left side passes at any sigma, also where the
+    right side is NaN (0 * inf).
     """
     lhs, rhs = _error_sides(w, cert, sigma)
-    return lhs <= rhs
+    return lhs == 0.0 or lhs <= rhs
 
 
 def error_ratio(w: np.ndarray, cert: ProxCertificate, sigma: float) -> float:
-    """LHS / RHS of the acceptance test; <= 1 on accepted certificates."""
+    """LHS / RHS of the acceptance test; <= 1 on accepted certificates, and
+    0 when the left side is."""
     lhs, rhs = _error_sides(w, cert, sigma)
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else math.inf
-    return lhs / rhs
+    if lhs == 0.0:
+        return 0.0
+    return math.inf if rhs == 0.0 else lhs / rhs
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,8 @@ class _CompiledProduct:
     arrays of A.T.  This skips scipy's per-call dispatch and, for A.T,
     building the transpose object.  The kernel reads x without a bounds
     check: x must be an array of shape ``(cols,)``, as
-    :class:`DesignMatrix` checks.  One kernel serves every x, so the
-    method is named ``dot``, as on a dense array, and ``@`` is the same
-    method: :class:`DesignMatrix` calls either kind of matrix alike."""
+    :class:`DesignMatrix` checks.  The method is named ``dot``, as on a
+    dense array: :class:`DesignMatrix` calls either kind of matrix alike."""
 
     __slots__ = ("_kernel", "_rows", "_cols", "_indptr", "_indices", "_data")
 
@@ -72,13 +71,6 @@ class _CompiledProduct:
         self._kernel(self._rows, self._cols, self._indptr, self._indices,
                      data, x, y)
         return y
-
-    __matmul__ = dot
-
-
-# numpy's one float64 descriptor: an identity test is the cheapest dtype
-# test, and a vector whose dtype is an equal but other object takes ``@``
-_F64 = np.dtype(float)
 
 
 def _of_shape(x, shape: tuple) -> np.ndarray:
@@ -99,20 +91,18 @@ class DesignMatrix:
     vectors only, of the matching length, else raise ``ValueError``, and
     return a fresh array.
 
-    Both products are bound once, at construction, and give the bits and
-    dtype of ``A @ x`` and ``A.T @ u``.  A sparse matrix calls scipy's
-    compiled ``csr_matvec`` on the stored CSR arrays, and ``csc_matvec`` on
-    the same arrays, read as the CSC arrays of A^T: the kernels, summation
-    order and result dtype of scipy's ``@``, without its per-call Python
-    dispatch.  A dense matrix calls ``A.dot(x)`` and ``A.T.dot(u)`` on the
-    stored array and its ``.T`` view: the BLAS call of ``@`` without
-    numpy's matmul dispatch, about 0.4 us of a 1.2 us product at 100 x 30.
-    It does so only where ``.dot`` gives ``@``'s bits: on a float64 vector
-    with a positive stride, tested per call, and a C- or F-contiguous
-    matrix with more than one entry, tested at construction.  Anything
-    else goes to ``@``: a reversed or broadcast vector, a strided matrix,
-    and a complex or long double vector change ``.dot``'s round-off, and
-    on a single-entry matrix ``.dot`` gives -0.0 where ``@`` gives +0.0.
+    Both products are bound once, at construction, as one ``.dot`` call
+    each.  A sparse matrix calls scipy's compiled ``csr_matvec`` on the
+    stored CSR arrays, and ``csc_matvec`` on the same arrays, read as the
+    CSC arrays of A^T: the kernels, summation order and result dtype of
+    scipy's ``@``, without its per-call Python dispatch.  A dense matrix
+    calls ``A.dot(x)`` and ``A.T.dot(u)`` on the stored array and its
+    ``.T`` view: the BLAS call of ``@`` without numpy's matmul dispatch,
+    about 0.4 us of a 1.2 us product at 100 x 30.  That is ``@``'s bits
+    on the library's own operands, float64 vectors of positive stride and
+    a C- or F-contiguous matrix of more than one entry; on other inputs
+    it is still a correctly rounded product, whose round-off, or sign of
+    a zero on a 1x1 matrix, may differ from ``@``'s.
     """
 
     def __init__(self, data):
@@ -127,8 +117,6 @@ class DesignMatrix:
             if mat.ndim != 2:
                 raise ValueError("expected a 2-d array")
             self._op, self._op_t = mat, mat.T
-        self._dot = self.is_sparse or (
-            mat.size > 1 and (mat.flags.c_contiguous or mat.flags.f_contiguous))
         self._mat = mat
         self._x_shape, self._u_shape = mat.shape[1:], mat.shape[:1]
         self._norm: Optional[float] = None
@@ -138,16 +126,10 @@ class DesignMatrix:
         return self._mat.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = _of_shape(x, self._x_shape)
-        if self._dot and x.dtype is _F64 and x.strides[0] > 0:
-            return self._op.dot(x)
-        return self._op @ x
+        return self._op.dot(_of_shape(x, self._x_shape))
 
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
-        u = _of_shape(u, self._u_shape)
-        if self._dot and u.dtype is _F64 and u.strides[0] > 0:
-            return self._op_t.dot(u)
-        return self._op_t @ u
+        return self._op_t.dot(_of_shape(u, self._u_shape))
 
     def column(self, j: int) -> np.ndarray:
         """Column j as the product A e_j, which is exact: every other term

@@ -30,10 +30,11 @@ def extrapolate(cur, prev, alpha):
 
 def error_criterion(w, z_tilde, v, sigma):
     """Relative-error test of the certificate (z_tilde, v) at w:
-    ||v - (w - z_tilde)||^2 <= sigma^2 (||z_tilde - w||^2 + ||v||^2)."""
+    ||v - (w - z_tilde)||^2 <= sigma^2 (||z_tilde - w||^2 + ||v||^2), or
+    a zero left side, which passes at any sigma."""
     r = v - (w - z_tilde)
     d = z_tilde - w
-    return r @ r <= sigma * sigma * (d @ d + v @ v)
+    return r @ r == 0.0 or r @ r <= sigma * sigma * (d @ d + v @ v)
 
 
 def gauss_bounds(w, z_tilde, v, sigma):
@@ -75,9 +76,12 @@ def acceptance_vector(p_l, p_hat, z_l, z_hat, c):
 def accept(y_l, p_l, p_hat, z_l, z_hat, x_l, c, sigma, max_form):
     """Relative-error test of a trial.  Summed squares: ||y||^2 <= sigma^2
     (||t||^2 + c^2 ||x_l - z_l||^2), t the acceptance vector; the max form
-    puts max(||t||, c ||x_l - z_l||) in place of the root of the sum."""
+    puts max(||t||, c ||x_l - z_l||) in place of the root of the sum.
+    Under either, y . y = 0 passes at any sigma."""
     t = acceptance_vector(p_l, p_hat, z_l, z_hat, c)
     d = x_l - z_l
+    if y_l @ y_l == 0.0:
+        return True
     if max_form:
         return math.sqrt(y_l @ y_l) <= sigma * max(math.sqrt(t @ t),
                                                    c * math.sqrt(d @ d))

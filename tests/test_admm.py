@@ -1178,6 +1178,42 @@ def test_a_trial_with_a_nonfinite_t_ends_the_run_at_once(criterion, sigma):
         assert np.array_equal(got, want)
 
 
+class TinyGap:
+    """A session and a prox stub whose trial x = z_hat + 1e-50 with y = 0,
+    emitted again on every ``next()``, has x - z = 1e-50 for a g-step that
+    returns x - 1e-50.  At c = 1e200, c * c overflows and
+    ||x - z||^2 = 1e-100 is not 0, so the summed-squares right side is
+    0 * inf at sigma = 0.  ``trials`` counts the trials emitted."""
+
+    trials = 0
+
+    def open_session(self, p, z, c, x_bar, anchor=None):
+        def next_trial():
+            self.trials += 1
+            return z + 1e-50, np.zeros_like(z)
+        return SimpleNamespace(next=next_trial)
+
+    def solve(self, p, x, c):
+        return x - 1e-50
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_a_zero_y_trial_passes_where_the_right_side_is_nan(criterion, sigma):
+    """A trial with y = 0 passes under either criterion at any sigma, also
+    where the right side of the summed-squares test is NaN: each outer
+    iteration accepts its first trial, as at sigma = 0.5 and under the max
+    form, where the summed-squares test at sigma = 0 rejected it until the
+    inner budget was spent."""
+    stub = TinyGap()
+    problem = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, dim=1)
+    core = ir.InertiaRelaxParams.plain(sigma=sigma)
+    res = run_admm(problem, ADMMParams(c=1e200, core=core, criterion=criterion,
+                                       inner_budget=5, max_outer=2))
+    assert (res.status, res.outer_iters, res.record.inner_iters_total,
+            stub.trials) == ("budget_exceeded", 2, 2, 2)
+
+
 def test_nan_in_init_raises_at_entry(lasso_20x50, inertial_core):
     aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
     aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only

@@ -51,6 +51,21 @@ def test_repetitions_keep_counts():
     assert r.record.wall_seconds >= 0.0
 
 
+@pytest.mark.parametrize("repetitions, seconds", [(1, 9.0), (4, 2.5)])
+def test_seconds_are_the_records_own_loop_times(monkeypatch, repetitions,
+                                                 seconds):
+    """A record's seconds are the solver's own: with one repetition the
+    warm-up record's as it is, with more the median of the repeated
+    records' ``wall_seconds``, the warm-up's left out."""
+    times = iter([9.0, 4.0, 1.0, 2.0, 3.0])
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: ir.RunRecord(
+        5, 7, next(times), 0.0, 0.0))
+    cfg = tiny_lasso_config()
+    cfg.repetitions = repetitions
+    record = bench.run_one(cfg).record
+    assert (record.wall_seconds, record.outer_iters) == (seconds, 5)
+
+
 def test_geometric_mean_basics():
     assert bench.geometric_mean([7.5]) == pytest.approx(7.5)
     assert bench.geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
@@ -170,6 +185,36 @@ def test_cli_exit_code_on_failure(tmp_path):
     cfg.write_text(CONFIG_TEXT.replace("max_outer = 5000", "max_outer = 3"))
     code = cli.main(["run", "-c", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_cli_numeric_name_round_trips(tmp_path, capsys):
+    """``[run] name = 2024`` stays the text "2024": ``run`` writes it as
+    the record's problem, and ``summarize`` reads the file back."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEXT + "name = 2024\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(cfg), "--out", str(out)]) == 0
+    json_path = out / "bench.json"
+    (row,) = bench.read_json(json_path)["records"]
+    assert row["problem"] == "2024"
+    assert cli.main(["summarize", str(json_path)]) == 0
+    assert "2024" in capsys.readouterr().out
+
+
+def test_cli_reads_a_numeric_path_as_a_path(tmp_path, monkeypatch):
+    """A ``lasso_csv`` config whose A file is named 2024 reads ``a`` as
+    that path, not as the number 2024."""
+    prob = ir.synthetic_lasso(15, 40, seed=3)
+    ir.problems.save_dense_csv(prob, tmp_path / "2024", tmp_path / "b.csv")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[problem]\nkind = lasso_csv\na = 2024\nb = b.csv\n"
+                   f"nu = {prob.nu!r}\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = cli._load_config(ini)
+    assert cfg.problem["a"] == "2024"
+    result = bench.run_one(cfg)
+    assert "error" not in result.config
+    assert (result.problem, result.record.status) == ("2024", CONVERGED)
 
 
 @pytest.mark.parametrize("section, key", [

@@ -149,6 +149,22 @@ def test_exactness_is_read_off_the_pair_at_sigma_zero(n):
             assert _accept(y, t.dot(t), d.dot(d), c, 0.0, max_form)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_an_exact_trial_passes_where_c_squared_overflows(sigma):
+    """gamma = 1e-200 gives c = 1e200, so c * c overflows, and an exact
+    trial with s = r exactly makes the right side of the summed-squares
+    test inf * 0 = NaN.  Its y = 0 passes before that is read: the run
+    ends ``solved`` after its one trial, where it re-tested the same
+    trial until the inner budget was spent."""
+    res = run_dr(SplitTriple(np.ones(3), np.zeros(3), np.ones(3)),
+                 DRParams(1e-200, ir.InertiaRelaxParams.plain(sigma)),
+                 ExactBProcedure(AffineOperator(np.eye(3))), L1Resolvent(0.3))
+    assert (res.status, res.outer_iters, res.record.inner_iters_total) == (
+        "solved", 0, 1)
+    assert np.array_equal(res.triple.s, np.ones(3))
+    assert np.array_equal(res.triple.r, np.ones(3))
+
+
 def test_theta_exact_solve_is_one():
     _, res_a, res_b, _, _ = quad_l1_setup()
     rng = np.random.default_rng(4)

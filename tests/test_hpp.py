@@ -336,9 +336,7 @@ def test_nonfinite_iterate_is_an_error_status():
     """An iterate that overflows in the projection ends the run with status
     ``error``, the outer iteration in ``record.cause``, and the last
     completed iterate and its ||v|| in the result.  The overflowing pair is
-    exact, so its residual is 0; at a positive sigma its infinite squared
-    norms make the right side inf and the test passes (at sigma = 0 it
-    would be 0 * inf, and the test would reject the pair)."""
+    exact, so its residual is 0 and the test passes at any sigma."""
     events = Collector()
     res = ir.run_hpp(np.array([3.0, -1.0]), OverflowingOracle(3),
                      ir.InertiaRelaxParams.plain(sigma=0.5), max_iters=50,
@@ -350,6 +348,24 @@ def test_nonfinite_iterate_is_an_error_status():
     assert np.array_equal(res.x, events[-1].z)
     last = float(np.linalg.norm(events[-1].cert.v))
     assert res.record.final_kkt == last > 0.0
+
+
+def test_an_exact_pair_passes_where_its_squared_norms_overflow():
+    """At sigma = 0 the right side of the test of an exact pair whose
+    squared norms overflow is 0 * inf = NaN.  Its zero residual passes
+    before that is read, so the run blames the projection that overflows,
+    not the oracle; ``error_ratio`` is 0."""
+    w = np.array([1e200, -1e200])
+    oracle = ExactResolventOracle(ScaledIdentityOperator(1.0))
+    cert = oracle.solve(w, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert ir.error_criterion_holds(w, cert, 0.0)
+        assert error_ratio(w, cert, 0.0) == 0.0
+    res = ir.run_hpp(w, oracle, ir.InertiaRelaxParams.plain(0.0))
+    assert (res.status, res.record.outer_iters) == ("error", 0)
+    assert res.record.cause == ("non-finite iterate in the projection at "
+                                "outer iteration 0")
+    assert np.array_equal(res.x, w)
 
 
 # ---------------------------------------------------------------------------
