@@ -114,17 +114,15 @@ class FProcedure(Protocol):
     triple it starts from; it updates in place only arrays it has just
     allocated.
 
-    The sessions of one run may share state that steers the search, such as
-    curvature memory, but never the certificate: each ``y_l`` is evaluated
-    at its own ``x_l``.  A procedure holding such state exposes
-    ``reset()``, which the drivers call at run entry and on every exit,
-    normal or raised, so a run does not depend on the runs before it and
-    leaves no vectors behind.
-
-    :func:`run_admm` passes ``anchor = (x, x_prev, alpha)``, the accepted
-    trials it extrapolated ``x_bar = x + alpha (x - x_prev)`` from.  A
-    procedure may ignore it, or reuse work done at those points once it has
-    checked that it knows both (the CG procedure does), else compute anew.
+    :func:`run_admm` passes ``anchor = (session, alpha)``: ``session`` is
+    the previous outer iteration's session, whose latest trial ``x`` is
+    the accepted one that ``x_bar = x + alpha (x - x_prev)`` was
+    extrapolated from, and None at the first iteration.  A procedure may
+    ignore it, or carry work from one session to the next through it, such
+    as Gram products or curvature memory, but never the certificate: each
+    ``y_l`` is evaluated at its own ``x_l``.  A procedure keeps nothing
+    that depends on a run, so a run, which starts with no session, does
+    not depend on the runs before it.
     """
 
     def open_session(self, p: np.ndarray, z: np.ndarray, c: float,
@@ -226,14 +224,6 @@ def _p_update(p_hat, z_hat, z_next, x_next, rw: float,
 # Driver
 # ---------------------------------------------------------------------------
 
-def _reset_procedure(procedure) -> None:
-    """Call the optional ``reset()`` of an F-procedure, as the loop does at
-    run entry and on every exit (see :class:`FProcedure`)."""
-    reset = getattr(procedure, "reset", None)
-    if reset is not None:
-        reset()
-
-
 def run_admm(problem: AdmmProblem, params: ADMMParams,
              init: Optional[PrimalDualTriple] = None,
              observer: Optional[Callable[[dict], None]] = None
@@ -265,13 +255,11 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     lasts, callbacks and observer included: a non-finite value ends it as
     ``error``, not as a warning.
 
-    Each session gets the anchor of :class:`FProcedure`.  The procedure's
-    ``reset()`` runs at entry and on every exit, including a raised one.
-
     ``observer``, when given, is called once per completed outer iteration
     with a dict: ``k``, ``trials``, ``theta``, ``alpha_k``, ``rho_k``,
     ``kkt`` (the stop-test value at the top of iteration k: a lower bound
-    when above ``epsilon``), ``gap`` (||x - z|| of the accepted trial), the
+    when above ``epsilon``, which the problem's KKT screen may have carried
+    over from an earlier run), ``gap`` (||x - z|| of the accepted trial), the
     extrapolated ``x_hat``, ``z_hat``, ``p_hat``, the accepted trial's
     ``x``, ``z`` and ``p_l``, and the corrected ``p``, so the next iterate
     is ``(x, z, p)``.  The arrays are passed without a copy: the loop never
@@ -311,84 +299,80 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
     tests of a finite dd + t . t and of 0 < theta < inf catch an inf or
     NaN trial.
     """
-    _reset_procedure(problem.fproc)
-    try:
-        c = params.c
-        sigma = params.core.sigma
-        alpha = params.core.alpha
-        rho = params.core.rho_hi
-        max_form = params.criterion is Criterion.MAX_FORM
-        open_session = problem.fproc.open_session
-        prox = problem.prox_g.solve
-        kkt_residual = problem.kkt_residual
-        x, z, p = start
-        x_prev, z_prev, p_prev = x, z, p
-        inner_total = 0
-        started = time.perf_counter()
-        status, cause = BUDGET_EXCEEDED, ""
-        epsilon = params.epsilon
-        kkt = math.nan
-        for k in range(params.max_outer):
-            if kkt_residual is not None:
-                kkt = float(kkt_residual(z, epsilon))
-                if kkt <= epsilon:
-                    status = CONVERGED
-                    break
-            x_hat = _extrapolate(x, x_prev, alpha)
-            z_hat = _extrapolate(z, z_prev, alpha)
-            p_hat = _extrapolate(p, p_prev, alpha)
-            try:
-                session = open_session(p_hat, z_hat, c, x_hat,
-                                       (x, x_prev, alpha))
-                for trial in range(1, params.inner_budget + 1):
-                    x_l, y_l = session.next()
-                    p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
-                    z_l = prox(p_l, x_l, c)
-                    d = x_l - z_l
-                    dd = d.dot(d)
-                    t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
-                    tt = t.dot(t)
-                    if not math.isfinite(dd + tt):
-                        status = ERROR
-                        cause = (f"non-finite trial (||x - z||^2 = {dd}, "
-                                 f"||t||^2 = {tt})")
-                        break
-                    if _accept(y_l, tt, dd, c, sigma, max_form):
-                        break
-                else:
-                    status = STALLED
-                    cause = "inner budget spent in a session"
-            except (CGBreakdown, LineSearchFailure) as exc:
-                status, cause = ERROR, f"{exc!r} out of a session"
-            if not cause:
-                inner_total += trial
-                gap = math.sqrt(dd)
-                if gap <= gap_tol:
-                    status = SOLVED
-                    x, z, p = x_l, z_l, p_l
-                    break
-                th = _theta(t, d, dd, c)
-                if not 0.0 < th < math.inf:
-                    status, cause = ERROR, f"theta = {th} in the projection"
-            if cause:
+    c = params.c
+    sigma = params.core.sigma
+    alpha = params.core.alpha
+    rho = params.core.rho_hi
+    max_form = params.criterion is Criterion.MAX_FORM
+    open_session = problem.fproc.open_session
+    prox = problem.prox_g.solve
+    kkt_residual = problem.kkt_residual
+    x, z, p = start
+    x_prev, z_prev, p_prev = x, z, p
+    inner_total = 0
+    started = time.perf_counter()
+    status, cause = BUDGET_EXCEEDED, ""
+    epsilon = params.epsilon
+    kkt = math.nan
+    session = None
+    for k in range(params.max_outer):
+        if kkt_residual is not None:
+            kkt = float(kkt_residual(z, epsilon))
+            if kkt <= epsilon:
+                status = CONVERGED
                 break
-            p_next = _p_update(p_hat, z_hat, z_l, x_l, rho * th, c)
-            if observer is not None:
-                observer({"k": k, "trials": trial, "theta": th,
-                          "alpha_k": alpha, "rho_k": rho, "kkt": kkt,
-                          "gap": gap, "x_hat": x_hat, "z_hat": z_hat,
-                          "p_hat": p_hat, "x": x_l, "z": z_l, "p_l": p_l,
-                          "p": p_next})
-            x_prev, z_prev, p_prev = x, z, p
-            x, z, p = x_l, z_l, p_next
-        else:
-            k = params.max_outer
-        wall = time.perf_counter() - started
-        if status != CONVERGED:  # the residual itself, not a bound
-            kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
-                   else float(kkt_residual(z, math.inf)))
-        obj = float(problem.objective(z)) if problem.objective else math.nan
-        return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
-                          triple(x, z, p))
-    finally:
-        _reset_procedure(problem.fproc)
+        x_hat = _extrapolate(x, x_prev, alpha)
+        z_hat = _extrapolate(z, z_prev, alpha)
+        p_hat = _extrapolate(p, p_prev, alpha)
+        try:
+            session = open_session(p_hat, z_hat, c, x_hat, (session, alpha))
+            for trial in range(1, params.inner_budget + 1):
+                x_l, y_l = session.next()
+                p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
+                z_l = prox(p_l, x_l, c)
+                d = x_l - z_l
+                dd = d.dot(d)
+                t = _acceptance_vector(p_l, p_hat, z_l, z_hat, c)
+                tt = t.dot(t)
+                if not math.isfinite(dd + tt):
+                    status = ERROR
+                    cause = (f"non-finite trial (||x - z||^2 = {dd}, "
+                             f"||t||^2 = {tt})")
+                    break
+                if _accept(y_l, tt, dd, c, sigma, max_form):
+                    break
+            else:
+                status = STALLED
+                cause = "inner budget spent in a session"
+        except (CGBreakdown, LineSearchFailure) as exc:
+            status, cause = ERROR, f"{exc!r} out of a session"
+        if not cause:
+            inner_total += trial
+            gap = math.sqrt(dd)
+            if gap <= gap_tol:
+                status = SOLVED
+                x, z, p = x_l, z_l, p_l
+                break
+            th = _theta(t, d, dd, c)
+            if not 0.0 < th < math.inf:
+                status, cause = ERROR, f"theta = {th} in the projection"
+        if cause:
+            break
+        p_next = _p_update(p_hat, z_hat, z_l, x_l, rho * th, c)
+        if observer is not None:
+            observer({"k": k, "trials": trial, "theta": th,
+                      "alpha_k": alpha, "rho_k": rho, "kkt": kkt,
+                      "gap": gap, "x_hat": x_hat, "z_hat": z_hat,
+                      "p_hat": p_hat, "x": x_l, "z": z_l, "p_l": p_l,
+                      "p": p_next})
+        x_prev, z_prev, p_prev = x, z, p
+        x, z, p = x_l, z_l, p_next
+    else:
+        k = params.max_outer
+    wall = time.perf_counter() - started
+    if status != CONVERGED:  # the residual itself, not a bound
+        kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
+               else float(kkt_residual(z, math.inf)))
+    obj = float(problem.objective(z)) if problem.objective else math.nan
+    return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
+                      triple(x, z, p))

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
-from .hpp import ProxCertificate, error_criterion_holds
+from .hpp import ProxCertificate, _finite, error_criterion_holds
 from .subsolvers import QuadraticFProcedure, soft_threshold
 
 __all__ = [
@@ -36,13 +36,13 @@ __all__ = [
 
 @dataclass
 class ScaledIdentityOperator:
-    """T(z) = mu z with mu >= 0 (maximal monotone)."""
+    """T(z) = mu z with finite mu >= 0 (maximal monotone)."""
 
     mu: float = 1.0
 
     def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise ParameterError("mu >= 0 violated")
+        if not 0.0 <= self.mu < np.inf:
+            raise ParameterError("0 <= mu < inf violated")
 
     def evaluate(self, z):
         return self.mu * np.asarray(z, dtype=float)
@@ -52,13 +52,13 @@ class ScaledIdentityOperator:
 
 
 def _affine_parts(mat, shift):
-    """M and q of the affine map M x + q as float arrays: ``ValueError``
+    """M and q of the affine map M x + q as finite float arrays: ``ValueError``
     unless M is square and q, zero when None, has shape (n,)."""
-    mat = np.asarray(mat, dtype=float)
+    mat = _finite(mat, "mat")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"mat has shape {mat.shape}, expected square")
     n = mat.shape[0]
-    shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
+    shift = np.zeros(n) if shift is None else _finite(shift, "shift")
     if shift.shape != (n,):
         raise ValueError(f"shift has shape {shift.shape}, expected ({n},)")
     return mat, shift
@@ -86,6 +86,10 @@ class L1Resolvent:
     """Resolvent of the subdifferential of kappa * l1: the shrink."""
 
     kappa: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.kappa < np.inf:
+            raise ParameterError("0 <= kappa < inf violated")
 
     def resolvent(self, gamma, u):
         return soft_threshold(u, gamma * self.kappa)
@@ -171,7 +175,6 @@ class CGBProcedure(QuadraticFProcedure):
 
     def __init__(self, mat, shift=None):
         self.mat, self.shift = _affine_parts(mat, shift)
-        self.reset()
 
     def _product(self, u):
         return self.mat @ u

@@ -245,6 +245,8 @@ class _L1Problem:
         returns r_j - S when that exceeds ``floor``, else evaluates in
         full, reusing the inner vector if ``_screened`` formed it.  A NaN
         or inf in x makes S non-finite, so such an x is evaluated in full.
+        The screen outlives a run: a rerun on this problem repeats every
+        value at or below ``floor``, but may return other bounds above it.
         """
         screen = self._screen
         u = None
@@ -516,8 +518,9 @@ def _map_labels(raw: np.ndarray) -> np.ndarray:
 def load_libsvm(path, nu: float, n_features: Optional[int] = None) -> LogisticProblem:
     """Parse LIBSVM text: one 'label idx:val idx:val ...' line per sample.
 
-    Indices are 1-based; absent indices are zero; an empty feature list is
-    an all-zero row.  Labels {0,1} map to {-1,+1} and {1,2} map to
+    Indices are 1-based, in any order, and each appears at most once per
+    line, else ``ParseError``; absent indices are zero; an empty feature
+    list is an all-zero row.  Labels {0,1} map to {-1,+1} and {1,2} map to
     {+1,-1}.  ``nu`` must be supplied by the caller.
     """
     raw_labels = []
@@ -533,7 +536,7 @@ def load_libsvm(path, nu: float, n_features: Optional[int] = None) -> LogisticPr
                 raw_labels.append(float(parts[0]))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
-            row = len(raw_labels) - 1
+            row, seen = len(raw_labels) - 1, set()
             for token in parts[1:]:
                 idx_s, _, val_s = token.partition(":")
                 try:
@@ -544,6 +547,9 @@ def load_libsvm(path, nu: float, n_features: Optional[int] = None) -> LogisticPr
                         f"line {lineno}: bad feature token {token!r}") from None
                 if idx < 1:
                     raise ParseError(f"line {lineno}: index {idx} is not 1-based")
+                if idx in seen:
+                    raise ParseError(f"line {lineno}: index {idx} repeats")
+                seen.add(idx)
                 rows.append(row)
                 cols.append(idx - 1)
                 vals.append(val)

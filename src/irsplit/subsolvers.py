@@ -106,44 +106,23 @@ class QuadraticFProcedure:
     construction; :class:`irsplit.operators.CGBProcedure` sets its own.
 
     A session starts from H x_bar, H = Q + c I, one Q product when computed
-    afresh.  With ``anchor = (x, x_prev, alpha)``, x_bar = x + alpha (x -
-    x_prev); when this procedure's sessions emitted both points since the
-    last ``reset()``, H x_bar = G(x) + alpha (G(x) - G(x_prev)) + c x_bar
-    with G(u) = Q u costs no product.  G at an emitted point is read off its
-    session's certificate, G(x_l) = rhs + y_l - c x_l for any linear Q, and
-    kept for the newest two such points; it does not depend on c, so a
-    change of c cannot make it stale.  It differs from a fresh product by
-    the round-off the CG recurrence carries, which stays at that level
-    because the weights (1 + alpha, -alpha) sum to one.  ``reset()``
-    releases the stored vectors; the drivers call it at run entry and exit.
+    afresh.  With ``anchor = (prev, alpha)``, prev the session that emitted
+    x and x_bar = x + alpha (x - x_prev), the session carries its ``c`` and
+    ``gram`` = G(x), G(u) = Q u, read off prev's certificate: G(x) =
+    prev.applied() - prev.c x for any linear Q.  When prev carries G(x_prev)
+    too, H x_bar = G(x) + alpha (G(x) - G(x_prev)) + c x_bar costs no
+    product.  G does not depend on c, so a change of c cannot make it stale.
+    It differs from a fresh product by the round-off the CG recurrence
+    carries, which stays at that level because the weights (1 + alpha,
+    -alpha) sum to one.
     """
 
     def __init__(self, design, b: np.ndarray):
         self._design = design
         self._r = design.apply_transpose(np.asarray(b, dtype=float))
-        self.reset()
 
     def _product(self, u: np.ndarray) -> np.ndarray:
         return self._design.apply_transpose(self._design.apply(u))
-
-    def reset(self) -> None:
-        """Release the latest session and the stored Gram products."""
-        self._session: Optional[CGSession] = None
-        self._session_c = 0.0
-        self._grams: list = []  # (point, Q point), newest last
-
-    def _gram(self, point: np.ndarray) -> Optional[np.ndarray]:
-        """Q point without a product, or None when it is not known."""
-        for known, gram in self._grams:
-            if known is point:
-                return gram
-        session = self._session
-        if session is None or session.x is not point:
-            return None
-        gram = session.applied()
-        gram -= self._session_c * point
-        self._grams = self._grams[-1:] + [(point, gram)]
-        return gram
 
     def open_session(self, p, z, c, x_bar, anchor=None) -> CGSession:
         rhs = self._r - p
@@ -154,18 +133,18 @@ class QuadraticFProcedure:
             h_u += c * u
             return h_u
 
-        h_x_bar = None
-        if anchor is not None:
-            x, x_prev, alpha = anchor
-            g_x = self._gram(x)
-            g_prev = None if g_x is None else self._gram(x_prev)
-            if g_prev is not None:
-                h_x_bar = g_x - g_prev
+        prev, alpha = (None, 0.0) if anchor is None else anchor
+        g_x = h_x_bar = None
+        if prev is not None:
+            g_x = prev.applied()
+            g_x -= prev.c * prev.x
+            if prev.gram is not None:
+                h_x_bar = g_x - prev.gram
                 h_x_bar *= alpha
                 h_x_bar += g_x
                 h_x_bar += c * x_bar
         session = CGSession(operator, rhs, x_bar, h_x0=h_x_bar)
-        self._session, self._session_c = session, c
+        session.c, session.gram = c, g_x
         return session
 
 
@@ -203,9 +182,6 @@ class CurvatureMemory:
 
     def __len__(self) -> int:
         return len(self._rho)
-
-    def clear(self) -> None:
-        self._rho.clear()
 
     def add(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s.dot(y))
@@ -270,12 +246,12 @@ class LBFGSSession:
         self._fg = value_and_grad
         self.x = np.asarray(x0, dtype=float).copy()
         self.f, self.g = value_and_grad(self.x)
-        self._memory = memory
+        self.memory = memory
 
     def next(self) -> tuple[np.ndarray, np.ndarray]:
         if not np.count_nonzero(self.g):  # g.any(), cheaper on short vectors
             return self.x, self.g
-        d = self._memory.direction(self.g)
+        d = self.memory.direction(self.g)
         slope = float(self.g.dot(d))
         if slope >= 0.0:
             d = -self.g
@@ -295,7 +271,7 @@ class LBFGSSession:
             x_new = self.x + step * d
         else:
             raise LineSearchFailure("no Armijo step within the backtrack budget")
-        self._memory.add(x_new - self.x, g_new - self.g)
+        self.memory.add(x_new - self.x, g_new - self.g)
         self.x, self.f, self.g = x_new, f_new, g_new
         return x_new, g_new
 
@@ -303,32 +279,25 @@ class LBFGSSession:
 class LBFGSFProcedure:
     """F-procedure for a smooth f given by a value-and-gradient callable.
 
-    The procedure owns one :class:`CurvatureMemory` that every session it
-    opens reads and extends, so the first step of a session already uses
-    the curvature learned by the earlier ones.
+    Each session carries its ``c`` and the :class:`CurvatureMemory` it
+    reads and extends as ``memory``.  A session whose anchor session has
+    the same c continues that memory, so its first step already uses the
+    curvature learned by the earlier sessions of the run.
     The augmented subobjective f + <p, .> + (c/2)||. - z||^2 has Hessian
     grad^2 f + c I whatever (p, z) are, so a stored pair stays a true
-    secant pair while c is unchanged; a session opened with another c
-    starts from empty memory.  ``reset()`` clears the memory; the drivers
-    call it at run entry and exit so that runs do not depend on each other.
-    Every trial's gradient is still evaluated fresh, so the certificate is
-    the same as with a memoryless session.  The line search and its
-    round-off fallback are described on :class:`LBFGSSession`.
+    secant pair while c is unchanged; any other session starts from an
+    empty memory.  Every trial's gradient is still evaluated fresh, so the
+    certificate is the same as with a memoryless session.  The line search
+    and its round-off fallback are described on :class:`LBFGSSession`.
     """
 
     def __init__(self, value_and_grad):
         self._fg = value_and_grad
-        self._memory = CurvatureMemory()
-        self._c: Optional[float] = None
-
-    def reset(self) -> None:
-        """Forget every stored curvature pair."""
-        self._memory.clear()
 
     def open_session(self, p, z, c, x_bar, anchor=None) -> LBFGSSession:
-        if c != self._c:
-            self._memory.clear()
-            self._c = c
+        prev = None if anchor is None else anchor[0]
+        memory = (prev.memory if prev is not None and prev.c == c
+                  else CurvatureMemory())
         base = self._fg
 
         def augmented(x):
@@ -336,7 +305,9 @@ class LBFGSFProcedure:
             dxz = x - z
             return (f + p.dot(x) + 0.5 * c * dxz.dot(dxz), g + p + c * dxz)
 
-        return LBFGSSession(augmented, x_bar, self._memory)
+        session = LBFGSSession(augmented, x_bar, memory)
+        session.c = c
+        return session
 
 
 def _shrink(t: np.ndarray, kappa: float) -> np.ndarray:

@@ -475,13 +475,15 @@ def reference_admm(problem, params):
     """Straight-line inexact inertial-relaxed ADMM from the formulas of
     ``tests/reference.py``, which share no code with the run (KKT test
     every outer iteration, at the exact residual).  Sessions are opened as
-    the driver opens them, with the anchor ``(x, x_prev, alpha)``.  Returns
-    the triple after each outer iteration and the trials each one took."""
+    the driver opens them, with the anchor ``(session, alpha)``, the
+    previous session or None.  Returns the triple after each outer
+    iteration and the trials each one took."""
     c, core = params.c, params.core
     max_form = params.criterion is Criterion.MAX_FORM
     x = z = p = np.zeros(problem.dim)
     x_prev, z_prev, p_prev = x, z, p
     triples, trials = [], []
+    session = None
     for _ in range(params.max_outer):
         if problem.kkt_residual(z, math.inf) <= params.epsilon:
             break
@@ -489,7 +491,7 @@ def reference_admm(problem, params):
         z_hat = reference.extrapolate(z, z_prev, core.alpha)
         p_hat = reference.extrapolate(p, p_prev, core.alpha)
         session = problem.fproc.open_session(p_hat, z_hat, c, x_hat,
-                                             (x, x_prev, core.alpha))
+                                             (session, core.alpha))
         for trial in range(1, params.inner_budget + 1):
             x_l, y_l = session.next()
             p_l = reference.multiplier(p_hat, x_l, z_hat, y_l, c)
@@ -788,8 +790,8 @@ def stop_at(k):
                                   "dr_stalls_affine", "dr_raises_affine"])
 def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
                                               case):
-    """A run resets its F-procedure on every exit, so no session or stored
-    vector of the run stays alive with the procedure: a normal return, a
+    """An F-procedure holds no run state, so no session or stored vector of
+    a run stays alive with the procedure after any exit: a normal return, a
     returned ``stalled`` status (the inner budget: sigma = 0 with
     iterative CG never lands) and an exception the observer raises.  The
     ``affine`` cases run the same LASSO through ``CGBProcedure`` with B =
@@ -845,7 +847,7 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
 def test_raising_observer_ends_the_run_and_resets_the_procedure(
         lasso_20x50, inertial_core):
     """An exception the observer raises ends the run, and the F-procedure
-    is reset on that exit as on any other."""
+    holds no vector of the run after that exit, as after any other."""
     fproc = QuadraticFProcedure(lasso_20x50.A, lasso_20x50.b)
     aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
     aprob.fproc = fproc
@@ -862,6 +864,67 @@ def test_raising_observer_ends_the_run_and_resets_the_procedure(
         run_admm(aprob, params, observer=observer)
     assert seen == [0, 1, 2, 3]
     assert held_state(fproc) == []
+
+
+def same_runs(first, second):
+    """Two runs with their events give the same result, bit for bit, and
+    the same events apart from ``kkt``."""
+    (res_a, events_a), (res_b, events_b) = first, second
+    rec_a, rec_b = res_a.record, res_b.record
+    assert (res_a.status, rec_a.status, rec_a.outer_iters,
+            rec_a.inner_iters_total, rec_a.cause) == \
+        (res_b.status, rec_b.status, rec_b.outer_iters,
+         rec_b.inner_iters_total, rec_b.cause)
+    pairs = [(res_a.x, res_b.x), (rec_a.final_kkt, rec_b.final_kkt),
+             (rec_a.final_objective, rec_b.final_objective)]
+    pairs += zip(vars(res_a.triple).values(), vars(res_b.triple).values())
+    assert len(events_a) == len(events_b)
+    for a, b in zip(events_a, events_b):
+        assert vars(a).keys() == vars(b).keys()
+        for key in vars(a).keys() - {"kkt"}:
+            pairs.append((getattr(a, key), getattr(b, key)))
+    for a, b in pairs:
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("case", ["admm_lasso", "admm_logistic",
+                                  "dr_affine", "dr_lbfgs"])
+def test_consecutive_runs_repeat_apart_from_the_kkt_screen(case):
+    """A run does not depend on the runs before it: a second run on the
+    same ``AdmmProblem``, or by ``run_dr`` with the same F-procedure,
+    repeats the first bit for bit, events included, except the stop-test
+    values above ``epsilon``, which the problem's KKT screen carries from
+    run to run.  The ``dr`` cases drive ``CGBProcedure`` and the L-BFGS
+    procedure, each of which carries work from session to session."""
+    driver, kind = case.split("_")
+    if driver == "admm":
+        problem = make_instance(kind)
+
+        def run():
+            events = Collector()
+            return run_admm(problem, published_params(),
+                            observer=events), events
+    else:
+        rng = np.random.default_rng(41)
+        if kind == "affine":
+            m = rng.standard_normal((30, 30))
+            fproc = CGBProcedure(m @ m.T / 30.0 + 0.1 * np.eye(30),
+                                 rng.standard_normal(30))
+            nu, n = 0.5, 30
+        else:
+            prob = ir.synthetic_logistic(30, 11, seed=1)
+            fproc, nu, n = LBFGSFProcedure(prob.value_gradient), prob.nu, 11
+        init = SplitTriple(*(rng.standard_normal(n) for _ in range(3)))
+
+        def run():
+            events = Collector()
+            return run_dr(init, DRParams(1.0, published_params().core), fproc,
+                          L1Resolvent(nu), max_outer=60,
+                          observer=events), events
+
+    first = run()
+    assert len(first[1]) > 10
+    same_runs(first, run())
 
 
 class BrokenAtOuter:
@@ -1373,8 +1436,9 @@ def count_step_value_gradients(prob, c):
 
 
 def test_runs_on_one_logistic_problem_are_independent():
-    """The curvature memory the L-BFGS sessions share is cleared at run
-    entry, so a second run on the same problem repeats the first."""
+    """The curvature memory the L-BFGS sessions share travels through their
+    anchors and a run starts with no session, so a second run on the same
+    problem repeats the first."""
     aprob = ir.logistic_admm_problem(ir.synthetic_logistic(50, 31, seed=0),
                                      1.0)
     params = ADMMParams(c=1.0, core=LOGISTIC_CORE, epsilon=1e-6,
@@ -1406,7 +1470,7 @@ def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
     splitting layer driven through the F -> B adapter agree step by step,
     and every emitted y is the augmented gradient at its x.  The splitting
     run reuses the ADMM run's F-procedure, so it also checks that the
-    splitting run resets the curvature memory at entry."""
+    splitting run starts from empty curvature memory."""
     prob = ir.synthetic_logistic(30, 11, seed=1)
     c = 1.0
     n = prob.n

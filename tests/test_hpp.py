@@ -11,7 +11,8 @@ import irsplit as ir
 from irsplit.errors import ParameterError
 from irsplit.hpp import (_extrapolate, _project, _s_bound, error_ratio,
                          rho_bar_of_beta)
-from irsplit.operators import (AffineOperator, ExactResolventOracle,
+from irsplit.operators import (AffineOperator, CGBProcedure,
+                               ExactResolventOracle, L1Resolvent,
                                PerturbedResolventOracle,
                                ScaledIdentityOperator)
 
@@ -82,6 +83,29 @@ def test_negative_or_nan_weight_raises(weight):
     of spreading NaN through the result."""
     with pytest.raises(ParameterError, match="mu"):
         ScaledIdentityOperator(weight)
+
+
+NAN_MAT = [[math.nan, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: L1Resolvent(-1.0), ParameterError, "kappa"),
+    (lambda: L1Resolvent(math.nan), ParameterError, "kappa"),
+    (lambda: L1Resolvent(math.inf), ParameterError, "kappa"),
+    (lambda: ScaledIdentityOperator(math.inf), ParameterError, "mu"),
+    (lambda: AffineOperator(NAN_MAT), ValueError, "mat"),
+    (lambda: AffineOperator(np.eye(2), [math.inf, 0.0]), ValueError, "shift"),
+    (lambda: CGBProcedure(NAN_MAT), ValueError, "mat"),
+    (lambda: CGBProcedure(np.eye(2), [0.0, -math.inf]), ValueError, "shift"),
+], ids=["l1_negative", "l1_nan", "l1_inf", "identity_inf", "affine_nan_mat",
+        "affine_inf_shift", "cg_nan_mat", "cg_inf_shift"])
+def test_catalog_refuses_bad_data_when_built(build, error, match):
+    """An operator or procedure of the catalog refuses a negative, NaN or
+    infinite weight, and a non-finite matrix or shift, when it is built,
+    not in a run that promises a status: a NaN passes the PSD check, and
+    the l1 resolvent checked its weight only inside the loop."""
+    with pytest.raises(error, match=match):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from irsplit.admm import (ADMMParams, Criterion, _accept, _acceptance_vector,
 from irsplit.hpp import (_extrapolate, _project, error_criterion_holds,
                          rho_bar_of_beta)
 from irsplit.problems import DesignMatrix, L1ShiftedProx
-from irsplit.subsolvers import CGSession, QuadraticFProcedure, _shrink
+from irsplit.subsolvers import CGSession, _shrink
 
 import reference
 
@@ -145,43 +145,29 @@ class ExpressionFormCG:
 
 
 class ExpressionFormQuadratic:
-    """``QuadraticFProcedure`` with its session start, Gram store and
-    operator written as single expressions."""
+    """``QuadraticFProcedure`` with its session start, carried Gram product
+    and operator written as single expressions."""
 
     def __init__(self, design, b):
         self.design = design
         self.at_b = design.apply_transpose(b)
-        self.reset()
-
-    def reset(self):
-        self.session, self.c, self.grams = None, 0.0, []
-
-    def gram_of(self, point):
-        for known, gram in self.grams:
-            if known is point:
-                return gram
-        if self.session is None or self.session.x is not point:
-            return None
-        gram = (self.session.rhs + self.session.y) - self.c * point
-        self.grams = self.grams[-1:] + [(point, gram)]
-        return gram
 
     def open_session(self, p, z, c, x_bar, anchor=None):
         design = self.design
         rhs = self.at_b - p + c * z
-        h = None
-        if anchor is not None:
-            x, x_prev, alpha = anchor
-            g_x = self.gram_of(x)
-            g_prev = None if g_x is None else self.gram_of(x_prev)
-            if g_prev is not None:
-                h = g_x + alpha * (g_x - g_prev) + c * x_bar
+        prev, alpha = (None, 0.0) if anchor is None else anchor
+        g_x = h = None
+        if prev is not None:
+            g_x = (prev.rhs + prev.y) - prev.c * prev.x
+            if prev.gram is not None:
+                h = g_x + alpha * (g_x - prev.gram) + c * x_bar
 
         def gram(u):
             return design.apply_transpose(design.apply(u)) + c * u
 
-        self.session, self.c = ExpressionFormCG(gram, rhs, x_bar, h), c
-        return self.session
+        session = ExpressionFormCG(gram, rhs, x_bar, h)
+        session.c, session.gram = c, g_x
+        return session
 
 
 def published_params(criterion):
@@ -274,28 +260,22 @@ class Recorder:
 
 def record_run(problem, params, init):
     """Run with every session argument, emitted pair, prox argument and
-    result, and every Gram product the procedure stores, recorded."""
+    result, and every Gram product a session carries, recorded."""
     rec = Recorder()
     fproc, prox = problem.fproc, problem.prox_g
     open_session, solve = fproc.open_session, prox.solve
 
     def recorded_open(p, z, c, x_bar, *anchor):
-        rec(p, z, x_bar, *(anchor[0][:2] if anchor else ()))
+        rec(p, z, x_bar)
         session = open_session(p, z, c, x_bar, *anchor)
+        if getattr(session, "gram", None) is not None:
+            rec(session.gram)
         step = session.next
         session.next = lambda: rec(*step())
         return session
 
     fproc.open_session = recorded_open
     prox.solve = lambda p, x, c: rec(solve(rec(p), x, c))
-    if isinstance(fproc, QuadraticFProcedure):
-        stored = fproc._gram
-
-        def recorded_gram(point):
-            gram = stored(point)
-            return gram if gram is None else rec(gram)
-
-        fproc._gram = recorded_gram
     rec(init.x, init.z, init.p)
     res = run_admm(problem, params, init)
     rec(res.x, res.triple.x, res.triple.z, res.triple.p)
@@ -305,7 +285,7 @@ def record_run(problem, params, init):
 @pytest.mark.parametrize("kind", ["lasso", "lasso_sparse", "logistic"])
 def test_run_never_changes_or_aliases_emitted_arrays(kind):
     """No array a run hands out or receives (session arguments and emitted
-    pairs, prox arguments and results, stored Gram products, the starting
+    pairs, prox arguments and results, carried Gram products, the starting
     triple and the result) is changed afterwards, and no two of them share
     memory unless they are one array."""
     if kind == "logistic":

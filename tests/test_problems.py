@@ -720,6 +720,20 @@ def test_libsvm_malformed_token_names_line(tmp_path):
         load_libsvm(path, nu=0.5)
 
 
+def test_libsvm_refuses_an_index_repeated_within_a_line(tmp_path):
+    """A repeated index would be summed into one entry by the conversion to
+    CSR; the loader names the line and the index instead.  Indices that are
+    unique but out of order still load."""
+    bad = tmp_path / "repeat.libsvm"
+    bad.write_text("-1 2:1.0\n+1 1:0.5 3:1 3:2\n")
+    with pytest.raises(ParseError, match="line 2: index 3 repeats"):
+        load_libsvm(bad, nu=0.5)
+    unordered = tmp_path / "unordered.libsvm"
+    unordered.write_text("+1 3:2.0 1:0.5\n-1 2:1.0 1:-1.0\n")
+    dense = load_libsvm(unordered, nu=0.5).features.toarray()
+    assert np.array_equal(dense, [[0.5, 0.0, 2.0], [-1.0, 1.0, 0.0]])
+
+
 def test_libsvm_label_remapping(tmp_path):
     p01 = tmp_path / "p01.libsvm"
     p01.write_text("1 1:1.0\n0 1:2.0\n")

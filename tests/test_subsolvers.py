@@ -227,12 +227,13 @@ anchored_start = dict(m=st.integers(1, 12), n=st.integers(1, 12),
 def test_anchored_session_start_matches_fresh_products(m, n, seed, c, alpha,
                                                        prior):
     """After ``prior`` sessions opened and stepped the way ``run_admm``
-    does (each at its own c), a session opened with the anchor starts with
-    no product, and its initial residual and first trial agree with a
-    session that computes H x_bar by products.  The residual is compared
-    on the scale of H x_bar and the residual; one CG step can magnify a
-    round-off change of the residual by up to cond(H) <= 1 + ||A||_F^2 / c
-    in y and by 1/c in x, so the trial is compared on those scales.
+    does (each at its own c, anchored on the one before), a session
+    anchored on the last one starts with no product, and its initial
+    residual and first trial agree with a session that computes H x_bar by
+    products.  The residual is compared on the scale of H x_bar and the
+    residual; one CG step can magnify a round-off change of the residual by
+    up to cond(H) <= 1 + ||A||_F^2 / c in y and by 1/c in x, so the trial
+    is compared on those scales.
     (Worst seen in 20,000 random draws: 8e-14, 8e-15 and 5e-14.)"""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
@@ -240,18 +241,19 @@ def test_anchored_session_start_matches_fresh_products(m, n, seed, c, alpha,
     design = CountingDesign(a)
     fproc = QuadraticFProcedure(design, b)
     x = x_prev = rng.standard_normal(n)
+    session = None
     for _ in range(prior):
         session = fproc.open_session(
             rng.standard_normal(n), rng.standard_normal(n),
             c * rng.uniform(0.5, 2.0), x + alpha * (x - x_prev),
-            (x, x_prev, alpha))
+            (session, alpha))
         for _ in range(rng.integers(1, 4)):
             x_l, _ = session.next()
         x, x_prev = x_l, x
     p, z = rng.standard_normal(n), rng.standard_normal(n)
     x_bar = x + alpha * (x - x_prev)
     before = design.products
-    anchored = fproc.open_session(p, z, c, x_bar, (x, x_prev, alpha))
+    anchored = fproc.open_session(p, z, c, x_bar, (session, alpha))
     assert design.products == before
     fresh = QuadraticFProcedure(ir.DesignMatrix(a), b).open_session(
         p, z, c, x_bar)
@@ -267,19 +269,21 @@ def test_anchored_session_start_matches_fresh_products(m, n, seed, c, alpha,
 
 
 def test_anchor_on_unknown_points_falls_back_to_products():
-    """An anchor naming points the procedure did not emit (the start of a
-    run, or arrays from elsewhere) costs the two products of a fresh
-    start, and the session is bit-identical to one opened without it."""
+    """An anchor session that carries no Gram product (the first session
+    of a run, whose own anchor has no session) leaves the start to the two
+    products of a fresh one, and the session is bit-identical to one
+    opened without an anchor."""
     rng = np.random.default_rng(39)
     a = rng.standard_normal((7, 5))
     b = rng.standard_normal(7)
     design = CountingDesign(a)
     fproc = QuadraticFProcedure(design, b)
     p, z, x, x_prev = (rng.standard_normal(5) for _ in range(4))
-    x_l, _ = fproc.open_session(p, z, 1.0, x, (x, x, 0.3)).next()
+    first = fproc.open_session(p, z, 1.0, x, (None, 0.3))
+    x_l, _ = first.next()
     x_bar = x_l + 0.3 * (x_l - x_prev)
     before = design.products
-    session = fproc.open_session(p, z, 1.0, x_bar, (x_l, x_prev.copy(), 0.3))
+    session = fproc.open_session(p, z, 1.0, x_bar, (first, 0.3))
     assert design.products == before + 2
     plain = QuadraticFProcedure(ir.DesignMatrix(a), b).open_session(
         p, z, 1.0, x_bar)
@@ -329,30 +333,33 @@ def test_lbfgs_gradient_matches_differences_on_logistic():
 
 
 def test_lbfgs_memory_shared_while_c_is_unchanged():
-    """Sessions of one procedure share curvature memory at one c; a new c
-    or ``reset()`` makes the next session start like a fresh procedure's."""
+    """A session anchored on one of the same c continues its curvature
+    memory; one anchored on a session of another c, or on no session,
+    starts like a fresh procedure's."""
     prob = ir.synthetic_logistic(12, 6, seed=1)
     rng = np.random.default_rng(37)
     p, z, x_bar = (rng.standard_normal(6) for _ in range(3))
+    shared = LBFGSFProcedure(prob.value_gradient)
 
-    def trials(fproc, c, count=4):
-        session = fproc.open_session(p, z, c, x_bar)
+    def trials(c, prev=None, count=4):
+        session = shared.open_session(p, z, c, x_bar, (prev, 0.3))
+        return session, [session.next() for _ in range(count)]
+
+    def fresh(c, count=4):
+        session = LBFGSFProcedure(prob.value_gradient).open_session(
+            p, z, c, x_bar)
         return [session.next() for _ in range(count)]
 
     def same(a, b):
         return all(np.array_equal(xa, xb) and np.array_equal(ya, yb)
                    for (xa, ya), (xb, yb) in zip(a, b))
 
-    shared = LBFGSFProcedure(prob.value_gradient)
-    trials(shared, 1.0)
+    first, _ = trials(1.0)
     # the memory from the first session steers the second one
-    assert not same(trials(shared, 1.0),
-                    trials(LBFGSFProcedure(prob.value_gradient), 1.0))
-    assert same(trials(shared, 2.0),
-                trials(LBFGSFProcedure(prob.value_gradient), 2.0))
-    shared.reset()
-    assert same(trials(shared, 2.0),
-                trials(LBFGSFProcedure(prob.value_gradient), 2.0))
+    second, steered = trials(1.0, first)
+    assert not same(steered, fresh(1.0))
+    assert same(trials(2.0, second)[1], fresh(2.0))
+    assert same(trials(2.0)[1], fresh(2.0))
 
 
 def two_loop_reference(pairs, g):
