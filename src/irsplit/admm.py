@@ -144,16 +144,17 @@ class AdmmProblem:
 
     :func:`run_admm` requires ``kkt_residual``; the loop of
     :func:`irsplit.dr.run_dr` runs with None there, and no KKT test.
-    The run calls ``kkt_residual(z, floor)`` with two positional arguments.
-    It returns the KKT residual at z, except that a value above ``floor``
-    may instead be a lower bound on it (still above ``floor``): it then
-    proves only that the test ``residual <= floor`` fails.  A value at or
-    below ``floor``, and any value for ``floor = inf``, is the residual.
+    The run calls ``kkt_residual(z, floor, screen)``, positionally, and
+    gets ``(value, screen)``: the KKT residual at z, or, above ``floor``,
+    possibly a lower bound on it, which proves only that ``residual <=
+    floor`` fails; ``floor = inf`` gives the residual.  The run passes
+    None as the first screen, then each one returned; a residual may
+    ignore it and return ``(value, None)``.
     """
 
     fproc: FProcedure
     prox_g: ShiftedProxG
-    kkt_residual: Optional[Callable[[np.ndarray, float], float]]
+    kkt_residual: Optional[Callable[[np.ndarray, float, object], tuple]]
     objective: Optional[Callable[[np.ndarray], float]] = None
     dim: Optional[int] = None
 
@@ -257,14 +258,14 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
 
     ``observer``, when given, is called once per completed outer iteration
     with a dict: ``k``, ``trials``, ``theta``, ``alpha_k``, ``rho_k``,
-    ``kkt`` (the stop-test value at the top of iteration k: a lower bound
-    when above ``epsilon``, which the problem's KKT screen may have carried
-    over from an earlier run), ``gap`` (||x - z|| of the accepted trial), the
-    extrapolated ``x_hat``, ``z_hat``, ``p_hat``, the accepted trial's
-    ``x``, ``z`` and ``p_l``, and the corrected ``p``, so the next iterate
-    is ``(x, z, p)``.  The arrays are passed without a copy: the loop never
-    writes into them later, and the observer must not either.  An
-    exception the observer raises ends the run.
+    ``kkt`` (the stop-test value at the top of iteration k, a lower bound
+    when above ``epsilon``; it repeats on a rerun), ``gap`` (||x - z|| of
+    the accepted trial), the extrapolated ``x_hat``, ``z_hat``, ``p_hat``,
+    the accepted trial's ``x``, ``z`` and ``p_l``, and the corrected
+    ``p``, so the next iterate is ``(x, z, p)``.  The arrays are passed
+    without a copy: the loop never writes into them later, and the
+    observer must not either.  An exception the observer raises ends the
+    run.
     """
     if problem.kkt_residual is None:
         raise ValueError("problem.kkt_residual required for the stop test")
@@ -314,10 +315,11 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
     status, cause = BUDGET_EXCEEDED, ""
     epsilon = params.epsilon
     kkt = math.nan
-    session = None
+    session = screen = None
     for k in range(params.max_outer):
         if kkt_residual is not None:
-            kkt = float(kkt_residual(z, epsilon))
+            kkt, screen = kkt_residual(z, epsilon, screen)
+            kkt = float(kkt)
             if kkt <= epsilon:
                 status = CONVERGED
                 break
@@ -372,7 +374,7 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
     wall = time.perf_counter() - started
     if status != CONVERGED:  # the residual itself, not a bound
         kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
-               else float(kkt_residual(z, math.inf)))
+               else float(kkt_residual(z, math.inf, None)[0]))
     obj = float(problem.objective(z)) if problem.objective else math.nan
     return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
                       triple(x, z, p))

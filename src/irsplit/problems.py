@@ -86,8 +86,8 @@ class DesignMatrix:
 
     A sparse input is stored as a float CSR copy.  A dense float64 input is
     kept by reference, not copied, and must not be changed in place
-    afterwards: ``stored_norm()`` and the KKT screens of the problems built
-    on this matrix keep values computed from it.  Both products take 1-D
+    afterwards: ``stored_norm()``, and the KKT screens that runs on its
+    problems carry, keep values computed from it.  Both products take 1-D
     vectors only, of the matching length, else raise ``ValueError``, and
     return a fresh array.
 
@@ -214,7 +214,6 @@ class _L1Problem:
             raise ValueError("0 < nu < inf violated")
         self._nu, self._first = float(nu), first
         self._prox_g = L1ShiftedProx(self._nu, skip_first=first == 1)
-        self._screen: Optional[_Screen] = None
 
     def value_gradient(self, x) -> tuple[float, np.ndarray]:
         """Smooth part and its gradient, from one inner vector."""
@@ -229,26 +228,26 @@ class _L1Problem:
         return self.f_value(x) + self._nu * float(
             np.abs(x[self._first:]).sum())
 
-    def kkt_dist_inf(self, x, floor: float = math.inf) -> float:
-        """Sup-norm l1 KKT residual at x, from the gradient alone; an
-        unregularized coordinate contributes |g_i|.
+    def kkt_dist_inf(self, x, floor: float = math.inf,
+                     screen: Optional[_Screen] = None) -> tuple:
+        """``(value, screen)``: the sup-norm l1 KKT residual at x, from the
+        gradient alone (an unregularized coordinate contributes |g_i|),
+        and the screen to pass to the next call.
 
         With a finite ``floor``, a value above it may be a lower bound on
         the residual rather than the residual; a value at or below it is
-        always the residual, bit for bit.  A call whose full evaluation
-        exceeds ``floor`` keeps its worst component j, as
-        ``_screen_for(j)``.  The next call with a finite floor first
-        computes g_j alone, by ``_screened``, with the terms t1, t2 of a
-        bound S = c1 t1 + c2 t2 + 4 u (|g_j| + |r_j|) on r_j's distance
-        from both the exact component and the one a full evaluation
-        computes (each class states its S; u is the unit round-off).  It
-        returns r_j - S when that exceeds ``floor``, else evaluates in
-        full, reusing the inner vector if ``_screened`` formed it.  A NaN
-        or inf in x makes S non-finite, so such an x is evaluated in full.
-        The screen outlives a run: a rerun on this problem repeats every
-        value at or below ``floor``, but may return other bounds above it.
+        always the residual, bit for bit.  A full evaluation that exceeds
+        ``floor`` returns the screen of its worst component j,
+        ``_screen_for(j)``; any other call returns the ``screen`` given.
+        Given a screen and a finite floor, a call first computes g_j alone,
+        by ``_screened``, with the terms t1, t2 of a bound S = c1 t1 + c2
+        t2 + 4 u (|g_j| + |r_j|) on r_j's distance from both the exact
+        component and the one a full evaluation computes (each class
+        states its S; u is the unit round-off).  It returns r_j - S when
+        that exceeds ``floor``, else evaluates in full, reusing the inner
+        vector if ``_screened`` formed it.  A NaN or inf in x makes S
+        non-finite, so such an x is evaluated in full.  No screen is kept.
         """
-        screen = self._screen
         u = None
         if floor < math.inf and screen is not None:
             g, t1, t2, u = self._screened(x, screen)
@@ -257,7 +256,7 @@ class _L1Problem:
             lower = r - (screen.c1 * t1 + screen.c2 * t2
                          + 4.0 * _U * (abs(g) + abs(r)))
             if lower > floor:
-                return lower
+                return lower, screen
         grad = self._gradient(x, self._inner(x) if u is None else u)
         r = _l1_components(grad, x, self._nu)
         r[:self._first] = np.abs(grad[:self._first])
@@ -265,16 +264,16 @@ class _L1Problem:
         if value > floor:
             j = int(r.argmax())
             if screen is None or screen.j != j:
-                self._screen = self._screen_for(j)
-        return value
+                screen = self._screen_for(j)
+        return value, screen
 
 
 class LassoProblem(_L1Problem):
-    """min (1/2)||A x - b||^2 + nu ||x||_1, with ``A``, ``b``, ``nu`` and
-    ``prox_g`` fixed at construction (see :class:`_L1Problem`).  ``b``,
-    one finite entry per row of A else ``ValueError``, is copied into a
-    read-only array; a dense ``A`` is kept by reference and must not be
-    changed in place (see :class:`DesignMatrix`).
+    """min (1/2)||A x - b||^2 + nu ||x||_1, with ``A``, ``b``, ``nu``,
+    ``prox_g`` and ``x_true`` fixed at construction (see :class:`_L1Problem`).
+    ``b`` (one finite entry per row of A, else ``ValueError``) and the
+    planted ``x_true`` (or None) are read-only copies; a dense ``A`` is kept
+    by reference and must not be changed in place (see :class:`DesignMatrix`).
 
     The KKT screen reads g_j = (A^T a_j) . x - a_j . b, with a_j = A e_j
     and both A^T a_j and a_j . b kept with j, as the data are fixed.
@@ -287,6 +286,7 @@ class LassoProblem(_L1Problem):
 
     A = property(operator.attrgetter("_A"))
     b = property(operator.attrgetter("_b"))
+    x_true = property(operator.attrgetter("_x_true"))
 
     def __init__(self, A: DesignMatrix, b, nu: float, x_true=None):
         b = _finite(np.array(b, dtype=float), "b")
@@ -294,8 +294,10 @@ class LassoProblem(_L1Problem):
             raise ValueError("b length must match the row count of A")
         super().__init__(nu, 0)
         b.setflags(write=False)
-        self._A, self._b = A, b
-        self.x_true = x_true
+        if x_true is not None:
+            x_true = np.array(x_true, dtype=float)
+            x_true.setflags(write=False)
+        self._A, self._b, self._x_true = A, b, x_true
 
     @property
     def n(self) -> int:

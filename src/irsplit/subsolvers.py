@@ -359,9 +359,9 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     - ``prox_g``, the ADMM layer's g-subproblem solver: the step at y with
       Lipschitz guess L, the prox of g / L at y - grad f(y) / L, is
       ``prox_g.solve(-grad f(y), y, L)``;
-    - ``kkt_dist_inf(x, floor)``, the KKT residual under the contract of
-      :class:`irsplit.admm.AdmmProblem`: a value above ``floor`` may be a
-      lower bound on the residual, and ``floor = inf`` gives the residual.
+    - ``kkt_dist_inf(x, floor, screen)``, the ``(value, screen)`` pair of
+      :class:`irsplit.admm.AdmmProblem`'s ``kkt_residual``, whose screen
+      the run passes back, starting from None.
 
     The accepted point never increases the objective (the accelerated
     candidate is kept only when it improves), so the objective decreases
@@ -383,9 +383,9 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
     obj_x = problem.objective(x)
     prox_evals = 0
     status, cause = BUDGET_EXCEEDED, ""
-    outer, epsilon = config.max_outer, config.epsilon
+    outer, epsilon, screen = config.max_outer, config.epsilon, None
     started = time.perf_counter()
-    if float(problem.kkt_dist_inf(x, math.inf)) <= epsilon:
+    if float(problem.kkt_dist_inf(x, math.inf, None)[0]) <= epsilon:
         status = CONVERGED
         outer = 0
     else:
@@ -415,7 +415,8 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
                 obj_x = obj_z
             # stopping looks at the fresh prox candidate: the guarded
             # iterate can sit still while the candidate keeps improving
-            if float(problem.kkt_dist_inf(z, epsilon)) <= epsilon:
+            kkt, screen = problem.kkt_dist_inf(z, epsilon, screen)
+            if float(kkt) <= epsilon:
                 x = z
                 status = CONVERGED
                 outer = k
@@ -426,5 +427,5 @@ def fista_solve(problem, config: FistaConfig) -> RunResult:
             t = t_next
     wall = time.perf_counter() - started
     return run_result(x, status, outer, prox_evals, wall,
-                      float(problem.kkt_dist_inf(x, math.inf)),
+                      float(problem.kkt_dist_inf(x, math.inf, None)[0]),
                       problem.objective(x), cause)

@@ -272,7 +272,7 @@ def test_criterion_5_end_to_end_convergence():
     res = run_admm(ir.lasso_admm_problem(lasso, 1.0), params)
     lasso_time = time.perf_counter() - started
     ok_lasso = (res.status == "converged"
-                and lasso.kkt_dist_inf(res.x) <= 1e-6
+                and lasso.kkt_dist_inf(res.x)[0] <= 1e-6
                 and res.outer_iters <= 5000 and lasso_time < 5.0)
     report("criterion 5a: lasso 100x300 at the published settings", ok_lasso,
            f"outer {res.outer_iters}, inner {res.inner_iters_total}, "
@@ -287,7 +287,7 @@ def test_criterion_5_end_to_end_convergence():
     log_time = time.perf_counter() - log_started
     zero_frac = float(np.mean(res_log.x[1:] == 0.0))
     ok_log = (res_log.status == "converged"
-              and logistic.kkt_dist_inf(res_log.x) <= 1e-6
+              and logistic.kkt_dist_inf(res_log.x)[0] <= 1e-6
               and res_log.outer_iters <= 10_000 and log_time < 30.0)
     report("criterion 5b: logistic 50x31 at the published settings", ok_log,
            f"outer {res_log.outer_iters}, inner {res_log.inner_iters_total}, "
@@ -383,7 +383,7 @@ def test_criterion_7_oracle_suite():
             else:
                 r = float(np.min(np.abs(grad[i] + offsets)))
             worst = max(worst, r)
-        if abs(lasso.kkt_dist_inf(x) - worst) > 1e-5:
+        if abs(lasso.kkt_dist_inf(x)[0] - worst) > 1e-5:
             failures.append("kkt grid oracle")
             break
 

@@ -381,7 +381,7 @@ def test_run_exact_agrees_with_classical_admm_limit():
         x = np.linalg.solve(gram, atb - p + z)
         z = soft_threshold(x + p, prob.nu)
         p = p + (x - z)
-    assert prob.kkt_dist_inf(z) <= 1e-10
+    assert prob.kkt_dist_inf(z)[0] <= 1e-10
     assert np.linalg.norm(res.x - z) <= 1e-8
 
 
@@ -391,7 +391,7 @@ def test_run_converges_on_synthetic(lasso_20x50, inertial_core):
                         max_outer=5000)
     res = run_admm(aprob, params)
     assert res.status == "converged"
-    assert lasso_20x50.kkt_dist_inf(res.x) <= 1e-6
+    assert lasso_20x50.kkt_dist_inf(res.x)[0] <= 1e-6
 
 
 def test_run_started_at_solution_stops_at_zero(lasso_20x50, inertial_core):
@@ -429,7 +429,8 @@ def test_solved_exit_returns_the_accepted_trial(inertial_core):
     """When an accepted trial has x_l = z_l the run stops as solved at that
     outer iteration and returns the trial, not the iterate before it."""
     stub = CoincideAt(4, at=2)
-    aprob = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, None, 4)
+    aprob = ir.AdmmProblem(stub, stub, lambda z, floor, screen: (1.0, None),
+                           None, 4)
     params = ADMMParams(c=1.3, core=inertial_core, epsilon=1e-6, max_outer=50)
     res = run_admm(aprob, params)
     assert res.status == "solved" and res.outer_iters == 2
@@ -443,7 +444,7 @@ def test_solved_exit_returns_the_accepted_trial(inertial_core):
 def test_final_kkt_is_the_stopping_value(lasso_20x50, inertial_core):
     evals = []
 
-    def kkt(x, floor):
+    def kkt(x, floor, screen):
         evals.append(x)
         return lasso_20x50.kkt_dist_inf(x)
 
@@ -455,7 +456,7 @@ def test_final_kkt_is_the_stopping_value(lasso_20x50, inertial_core):
     assert res.status == "converged"
     # one stopping test per outer iteration, including the final one
     assert len(evals) == res.outer_iters + 1
-    assert res.record.final_kkt == lasso_20x50.kkt_dist_inf(res.x)
+    assert res.record.final_kkt == lasso_20x50.kkt_dist_inf(res.x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +486,7 @@ def reference_admm(problem, params):
     triples, trials = [], []
     session = None
     for _ in range(params.max_outer):
-        if problem.kkt_residual(z, math.inf) <= params.epsilon:
+        if problem.kkt_residual(z, math.inf, None)[0] <= params.epsilon:
             break
         x_hat = reference.extrapolate(x, x_prev, core.alpha)
         z_hat = reference.extrapolate(z, z_prev, core.alpha)
@@ -512,11 +513,17 @@ def reference_admm(problem, params):
     return triples, trials
 
 
-def make_instance(kind):
+def make_problem(kind):
     if kind == "lasso":
-        return ir.lasso_admm_problem(ir.synthetic_lasso(20, 50, seed=7), 1.0)
-    return ir.logistic_admm_problem(ir.synthetic_logistic(30, 11, seed=1),
-                                    1.0)
+        return ir.synthetic_lasso(20, 50, seed=7)
+    return ir.synthetic_logistic(30, 11, seed=1)
+
+
+def make_instance(kind, prob=None):
+    """The ADMM problem of ``prob``, by default ``make_problem(kind)``."""
+    build = (ir.lasso_admm_problem if kind == "lasso"
+             else ir.logistic_admm_problem)
+    return build(make_problem(kind) if prob is None else prob, 1.0)
 
 
 @pytest.mark.parametrize("c", [pytest.param(1.0, id=pytest.HIDDEN_PARAM),
@@ -591,9 +598,10 @@ def test_observer_sees_every_outer_iteration_unchanged(kind):
     problem = make_instance(kind)
     kkt_residual = problem.kkt_residual
 
-    def recorded_kkt(z, floor):
-        kkts.append(kkt_residual(z, floor))
-        return kkts[-1]
+    def recorded_kkt(z, floor, screen):
+        value, screen = kkt_residual(z, floor, screen)
+        kkts.append(value)
+        return value, screen
 
     problem.kkt_residual = recorded_kkt
     res = run_admm(problem, published_params(), observer=observer)
@@ -636,6 +644,7 @@ def count_lasso_products(prob):
 
     design.apply = counted(design.apply)
     design.apply_transpose = counted(design.apply_transpose)
+    prob.kkt_dist_inf = in_phase("kkt", prob.kkt_dist_inf)
     aprob = ir.lasso_admm_problem(prob, 1.0)
     open_session = aprob.fproc.open_session
 
@@ -645,7 +654,6 @@ def count_lasso_products(prob):
         return session
 
     aprob.fproc.open_session = counted_open
-    aprob.kkt_residual = in_phase("kkt", aprob.kkt_residual)
     return aprob, counts
 
 
@@ -664,17 +672,22 @@ def test_lasso_products_at_session_start():
     assert counts["step"] == 2 * res.inner_iters_total
 
 
-@pytest.mark.parametrize("make, counts, bound", [
-    (lambda: ir.synthetic_lasso(100, 300, seed=0), (71, 125), 30),
-    (lambda: ir.synthetic_lasso(200, 1000, density=0.05, seed=3), (97, 230),
-     24),
-], ids=["dense_100x300", "csr_200x1000"])
-def test_lasso_products_in_the_stop_test(make, counts, bound):
-    """Count gate: the stop test proves most failures from one cached
-    Gram row, so its products stay far below two per test (144 and 196
-    here when every test evaluates the gradient; 26 and 18 measured)."""
-    aprob, products = count_lasso_products(make())
-    res = run_admm(aprob, published_params())
+@pytest.mark.parametrize("make, fista, counts, bound", [
+    (lambda: ir.synthetic_lasso(100, 300, seed=0), False, (71, 125), 30),
+    (lambda: ir.synthetic_lasso(200, 1000, density=0.05, seed=3), False,
+     (97, 230), 24),
+    (lambda: ir.synthetic_lasso(100, 300, seed=0), True, (396, 399), 90),
+], ids=["dense_100x300", "csr_200x1000", "fista_dense_100x300"])
+def test_lasso_products_in_the_stop_test(make, fista, counts, bound):
+    """Count gate: the stop test proves most failures from one Gram row,
+    which the run carries from test to test, so its products stay far
+    below two per test (144, 196 and 796 here when every test evaluates
+    the gradient; 26, 18 and 78 measured).  A run that drops the returned
+    screen builds a new one at each failing test, about four products."""
+    prob = make()
+    aprob, products = count_lasso_products(prob)
+    res = (ir.fista_solve(prob, ir.FistaConfig(epsilon=1e-6)) if fista
+           else run_admm(aprob, published_params()))
     assert res.status == "converged"
     assert (res.outer_iters, res.inner_iters_total) == counts
     assert products["kkt"] <= bound
@@ -867,8 +880,8 @@ def test_raising_observer_ends_the_run_and_resets_the_procedure(
 
 
 def same_runs(first, second):
-    """Two runs with their events give the same result, bit for bit, and
-    the same events apart from ``kkt``."""
+    """Two runs with their events give the same result and the same
+    events, bit for bit."""
     (res_a, events_a), (res_b, events_b) = first, second
     rec_a, rec_b = res_a.record, res_b.record
     assert (res_a.status, rec_a.status, rec_a.outer_iters,
@@ -881,24 +894,26 @@ def same_runs(first, second):
     assert len(events_a) == len(events_b)
     for a, b in zip(events_a, events_b):
         assert vars(a).keys() == vars(b).keys()
-        for key in vars(a).keys() - {"kkt"}:
+        for key in vars(a):
             pairs.append((getattr(a, key), getattr(b, key)))
     for a, b in pairs:
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("case", ["admm_lasso", "admm_logistic",
-                                  "dr_affine", "dr_lbfgs"])
-def test_consecutive_runs_repeat_apart_from_the_kkt_screen(case):
+                                  "fista_lasso", "dr_affine", "dr_lbfgs"])
+def test_consecutive_runs_repeat(case):
     """A run does not depend on the runs before it: a second run on the
-    same ``AdmmProblem``, or by ``run_dr`` with the same F-procedure,
-    repeats the first bit for bit, events included, except the stop-test
-    values above ``epsilon``, which the problem's KKT screen carries from
-    run to run.  The ``dr`` cases drive ``CGBProcedure`` and the L-BFGS
-    procedure, each of which carries work from session to session."""
+    same ``AdmmProblem``, also after a FISTA run on its problem
+    (``fista``), or by ``run_dr`` with the same F-procedure, repeats the
+    first bit for bit, events included, and with them the stop-test
+    values above ``epsilon``: each run carries its own KKT screen.  The
+    ``dr`` cases drive ``CGBProcedure`` and the L-BFGS procedure, each of
+    which carries work from session to session."""
     driver, kind = case.split("_")
-    if driver == "admm":
-        problem = make_instance(kind)
+    if driver != "dr":
+        prob = make_problem(kind)
+        problem = make_instance(kind, prob)
 
         def run():
             events = Collector()
@@ -924,6 +939,8 @@ def test_consecutive_runs_repeat_apart_from_the_kkt_screen(case):
 
     first = run()
     assert len(first[1]) > 10
+    if driver == "fista":
+        ir.fista_solve(prob, ir.FistaConfig(epsilon=1e-6))
     same_runs(first, run())
 
 
@@ -1163,7 +1180,7 @@ def test_public_drivers_return_a_status_on_any_instance(
         assert res.status in {"converged", "budget_exceeded", "error",
                               "solved", "stalled"}
         if res.status == "converged":
-            assert prob.kkt_dist_inf(res.x, math.inf) <= epsilon
+            assert prob.kkt_dist_inf(res.x, math.inf)[0] <= epsilon
         if res.status in ("error", "stalled"):
             assert res.record.cause
 
@@ -1190,7 +1207,8 @@ def test_a_zero_theta_ends_the_run_as_error(inertial_core, n):
     rejects it, and the run ends as ``error`` at outer iteration 0 instead
     of going on with no progress."""
     stub = RoundedMultiplier()
-    problem = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, dim=n)
+    problem = ir.AdmmProblem(stub, stub,
+                             lambda z, floor, screen: (1.0, None), dim=n)
     init = PrimalDualTriple(np.zeros(n), np.zeros(n), np.full(n, 1e20))
     res = run_admm(problem, ADMMParams(c=1.0, core=inertial_core,
                                        max_outer=3), init=init)
@@ -1228,7 +1246,8 @@ def test_a_trial_with_a_nonfinite_t_ends_the_run_at_once(criterion, sigma):
     where the test of ||x - z||^2 alone let the acceptance test reject the
     same trial until the inner budget was spent."""
     stub = OverflowingMultiplier()
-    problem = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, dim=1)
+    problem = ir.AdmmProblem(stub, stub,
+                             lambda z, floor, screen: (1.0, None), dim=1)
     init = PrimalDualTriple(np.zeros(1), np.zeros(1), np.full(1, -1.7e308))
     core = ir.InertiaRelaxParams.plain(sigma=sigma)
     res = run_admm(problem, ADMMParams(c=1e300, core=core,
@@ -1269,7 +1288,8 @@ def test_a_zero_y_trial_passes_where_the_right_side_is_nan(criterion, sigma):
     form, where the summed-squares test at sigma = 0 rejected it until the
     inner budget was spent."""
     stub = TinyGap()
-    problem = ir.AdmmProblem(stub, stub, lambda z, floor: 1.0, dim=1)
+    problem = ir.AdmmProblem(stub, stub,
+                             lambda z, floor, screen: (1.0, None), dim=1)
     core = ir.InertiaRelaxParams.plain(sigma=sigma)
     res = run_admm(problem, ADMMParams(c=1e200, core=core, criterion=criterion,
                                        inner_budget=5, max_outer=2))
@@ -1519,7 +1539,7 @@ def test_logistic_1000x201_converges_at_c10(inertial_core):
                         max_outer=10_000)
     res = run_admm(ir.logistic_admm_problem(prob, 10.0), params)
     assert res.status == "converged"
-    assert prob.kkt_dist_inf(res.x) <= 1e-6
+    assert prob.kkt_dist_inf(res.x)[0] <= 1e-6
 
 
 def test_logistic_1000x201_converges_at_c1(inertial_core):
@@ -1528,4 +1548,4 @@ def test_logistic_1000x201_converges_at_c1(inertial_core):
                         max_outer=10_000)
     res = run_admm(ir.logistic_admm_problem(prob, 1.0), params)
     assert res.status == "converged"
-    assert prob.kkt_dist_inf(res.x) <= 1e-6
+    assert prob.kkt_dist_inf(res.x)[0] <= 1e-6

@@ -291,7 +291,7 @@ _ENTRIES = {
     "alvarez_attouch_z_star": (lambda v, stub: ir.alvarez_attouch_check(
         [], np.zeros(2), v, _PLAIN), "z_star"),
     "primal_dual_triple": (lambda v, stub: ir.run_admm(
-        ir.AdmmProblem(stub, stub, lambda z, floor: 1.0),
+        ir.AdmmProblem(stub, stub, lambda z, floor, screen: (1.0, None)),
         ir.ADMMParams(1.0, _PLAIN), init=ir.PrimalDualTriple(v, v, v)), "x"),
     "split_triple": (lambda v, stub: ir.run_dr(
         ir.SplitTriple(v, v, v), ir.DRParams(1.0, _PLAIN), stub, stub), "s"),

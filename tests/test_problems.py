@@ -155,10 +155,10 @@ def test_lasso_kkt_at_origin_and_threshold():
     # below the threshold the origin is not optimal
     prob = ir.LassoProblem(DesignMatrix(a), b, 0.5 * np.abs(atb).max())
     expected = np.maximum(np.abs(atb) - prob.nu, 0.0).max()
-    assert prob.kkt_dist_inf(np.zeros(4)) == pytest.approx(expected)
+    assert prob.kkt_dist_inf(np.zeros(4))[0] == pytest.approx(expected)
     # at the threshold the origin is exactly optimal
     prob2 = ir.LassoProblem(DesignMatrix(a), b, float(np.abs(atb).max()))
-    assert prob2.kkt_dist_inf(np.zeros(4)) == 0.0
+    assert prob2.kkt_dist_inf(np.zeros(4))[0] == 0.0
 
 
 def kkt_reference(grad, x, nu, regularized=None):
@@ -243,7 +243,7 @@ def test_logistic_value_gradient_and_kkt_match_reference(q, n, seed,
     assert np.array_equal(prob._gradient(x, prob._inner(x)), grad)
     mask = np.ones(n, dtype=bool)
     mask[0] = False
-    assert prob.kkt_dist_inf(x) == kkt_reference(grad, x, prob.nu, mask)
+    assert prob.kkt_dist_inf(x)[0] == kkt_reference(grad, x, prob.nu, mask)
 
 
 def screen_problem(kind, scale=1.0):
@@ -303,21 +303,22 @@ def test_kkt_screen_is_exact_at_or_below_the_floor(kind, start, point, scale,
     ref0 = kkt_components(prob, x0)
     top = np.sort(ref0)
     assume(top[-1] - top[-2] > 1e-6)  # the primed component is known
-    prob.kkt_dist_inf(x0, -np.inf)
+    screen = prob.kkt_dist_inf(x0, -np.inf)[1]
     j = int(np.argmax(ref0))
     if nan_at is not None:
         x[nan_at % n] = np.nan
         for floor in (-np.inf, 0.0, 1.0):
-            assert np.isnan(prob.kkt_dist_inf(x, floor))
+            value, screen = prob.kkt_dist_inf(x, floor, screen)
+            assert np.isnan(value)
         return
     ref = kkt_components(prob, x)
-    got = prob.kkt_dist_inf(x, -np.inf)  # component j, screened
+    got, screen = prob.kkt_dist_inf(x, -np.inf, screen)  # j, screened
     assert ref[j] - 1e-8 * (1.0 + scale * scale) <= got <= ref[j]
-    full = prob.kkt_dist_inf(x)
-    assert full == prob.kkt_dist_inf(x, np.inf)
+    full = prob.kkt_dist_inf(x)[0]
+    assert full == prob.kkt_dist_inf(x, np.inf)[0]
     for floor in (np.nextafter(full, np.inf), full,
                   np.nextafter(full, -np.inf), 0.5 * full, got, 0.0):
-        value = prob.kkt_dist_inf(x, floor)
+        value, screen = prob.kkt_dist_inf(x, floor, screen)
         if value <= floor:
             assert np.float64(value).tobytes() == np.float64(full).tobytes()
         else:
@@ -362,8 +363,9 @@ def test_kkt_screen_bound_covers_cancellation_and_the_bias(kind):
     if kind.endswith("_cancel"):
         for seed in range(100):
             prob, x = cancelling_instance(kind, seed)
-            prob.kkt_dist_inf(x, -np.inf)
-            assert prob.kkt_dist_inf(x, -np.inf) <= prob.kkt_dist_inf(x)
+            screen = prob.kkt_dist_inf(x, -np.inf)[1]
+            assert prob.kkt_dist_inf(x, -np.inf, screen)[0] <= \
+                prob.kkt_dist_inf(x)[0]
         return
     for seed in range(20):
         if kind == "bias":
@@ -385,15 +387,15 @@ def test_kkt_screen_bound_covers_cancellation_and_the_bias(kind):
         j = int(np.argmax(ref0))
         assert j == (0 if kind == "bias" else longest)
         assert np.sort(ref0)[-2] < 0.5 * ref0[j]
-        prob.kkt_dist_inf(prime, -np.inf)
+        screen = prob.kkt_dist_inf(prime, -np.inf)[1]
         for x in points:
             ref = kkt_components(prob, x)[j]
-            got = prob.kkt_dist_inf(x, -np.inf)
+            got, screen = prob.kkt_dist_inf(x, -np.inf, screen)
             assert ref - 1e-6 <= got <= ref
 
 
 def test_lasso_kkt_zero_at_reference(lasso_20x50, lasso_20x50_reference):
-    assert lasso_20x50.kkt_dist_inf(lasso_20x50_reference) <= 1e-10
+    assert lasso_20x50.kkt_dist_inf(lasso_20x50_reference)[0] <= 1e-10
 
 
 def test_lasso_kkt_matches_grid_oracle():
@@ -405,7 +407,7 @@ def test_lasso_kkt_matches_grid_oracle():
         x = rng.standard_normal(5)
         x[rng.random(5) < 0.4] = 0.0  # exercise both branches
         oracle = kkt_grid_oracle(prob.value_gradient(x)[1], x, prob.nu)
-        assert abs(prob.kkt_dist_inf(x) - oracle) <= 1e-5
+        assert abs(prob.kkt_dist_inf(x)[0] - oracle) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +441,7 @@ def test_labels_are_fixed_at_construction():
     prob = ir.synthetic_logistic(30, 8, seed=5)
     x = np.random.default_rng(8).standard_normal(8)
     prob.value_gradient(x)
-    prob.kkt_dist_inf(x, 0.0)
+    screen = prob.kkt_dist_inf(x, 0.0)[1]
     with pytest.raises(AttributeError):
         prob.labels = -prob.labels
     with pytest.raises(ValueError, match="read-only"):
@@ -450,10 +452,10 @@ def test_labels_are_fixed_at_construction():
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
     assert prob.objective(x) == fresh.objective(x)
-    full = fresh.kkt_dist_inf(x)
-    assert np.float64(prob.kkt_dist_inf(x)).tobytes() == \
+    full = fresh.kkt_dist_inf(x)[0]
+    assert np.float64(prob.kkt_dist_inf(x)[0]).tobytes() == \
         np.float64(full).tobytes()
-    assert prob.kkt_dist_inf(x, -np.inf) <= full
+    assert prob.kkt_dist_inf(x, -np.inf, screen)[0] <= full
 
 
 def test_logistic_labels_are_copied_at_construction():
@@ -576,6 +578,24 @@ def test_lasso_b_is_copied_at_construction():
     assert np.array_equal(prob.value_gradient(x)[1], before)
 
 
+def test_lasso_x_true_is_fixed_at_construction():
+    """``x_true`` is a read-only copy, as ``b`` is: assigning it raises
+    ``AttributeError``, writing into it ``ValueError``, and changing the
+    caller's array does not reach it; without one it stays None."""
+    base = ir.synthetic_lasso(12, 30, seed=3)
+    x_true = base.x_true.copy()
+    prob = ir.LassoProblem(base.A, base.b, base.nu, x_true=x_true)
+    with pytest.raises(AttributeError):
+        prob.x_true = np.zeros(30)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.x_true[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        base.x_true[0] = 1.0
+    x_true += 1.0
+    assert np.array_equal(prob.x_true, base.x_true)
+    assert ir.LassoProblem(base.A, base.b, base.nu).x_true is None
+
+
 def test_logistic_objective_is_the_value_alone():
     """The objective equals the value-gradient's value plus the l1 term, bit
     for bit, from one forward product and no value-gradient call."""
@@ -619,7 +639,7 @@ def test_logistic_zero_weights_optimal_above_threshold():
     grad_w = prob0.value_gradient(x0)[1][1:]
     nu_star = float(np.abs(grad_w).max())
     prob = ir.LogisticProblem(prob0.features, labels, nu_star * 1.0001)
-    assert prob.kkt_dist_inf(x0) <= 1e-10
+    assert prob.kkt_dist_inf(x0)[0] <= 1e-10
 
 
 def test_logistic_kkt_matches_grid_oracle():
@@ -632,7 +652,7 @@ def test_logistic_kkt_matches_grid_oracle():
         x[2] = 0.0
         grad = prob.value_gradient(x)[1]
         oracle = kkt_grid_oracle(grad, x, prob.nu, regularized=mask)
-        assert abs(prob.kkt_dist_inf(x) - oracle) <= 1e-5
+        assert abs(prob.kkt_dist_inf(x)[0] - oracle) <= 1e-5
 
 
 def test_logistic_prox_skips_bias():
@@ -677,13 +697,13 @@ def test_synthetic_lasso_sparse_backend():
     assert p.A.is_sparse
     dense_copy = ir.LassoProblem(DesignMatrix(p.A.toarray()), p.b, p.nu)
     x = np.random.default_rng(0).standard_normal(30)
-    assert np.allclose(p.kkt_dist_inf(x), dense_copy.kkt_dist_inf(x),
+    assert np.allclose(p.kkt_dist_inf(x)[0], dense_copy.kkt_dist_inf(x)[0],
                        rtol=1e-12)
 
 
 def test_synthetic_lasso_threshold_nu_makes_origin_optimal():
     p = ir.synthetic_lasso(10, 25, nu_fraction=1.0, seed=9)
-    assert p.kkt_dist_inf(np.zeros(25)) == 0.0
+    assert p.kkt_dist_inf(np.zeros(25))[0] == 0.0
 
 
 def test_synthetic_logistic_label_values():
@@ -837,7 +857,7 @@ def test_dense_csv_header_skip(tmp_path):
 
 
 def test_reference_minimizer_accuracy(lasso_20x50, lasso_20x50_reference):
-    assert lasso_20x50.kkt_dist_inf(lasso_20x50_reference) <= 1e-10
+    assert lasso_20x50.kkt_dist_inf(lasso_20x50_reference)[0] <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ["lasso", "logistic"])
@@ -856,7 +876,7 @@ def test_fista_screened_stop_test_keeps_the_run(kind):
         def __getattr__(self, name):
             return getattr(prob, name)
 
-        def kkt_dist_inf(self, x, floor):
+        def kkt_dist_inf(self, x, floor, screen):
             return prob.kkt_dist_inf(x)
 
     config = ir.FistaConfig(epsilon=1e-10)

@@ -538,8 +538,9 @@ class IdentityLasso:
     def objective(self, x):
         return self.f_value(x) + self.nu * float(np.abs(x).sum())
 
-    def kkt_dist_inf(self, x, floor):
-        return float(max(_l1_components(x - self.b, x, self.nu).max(), 0.0))
+    def kkt_dist_inf(self, x, floor, screen):
+        return float(max(_l1_components(x - self.b, x, self.nu).max(),
+                         0.0)), None
 
 
 def test_fista_identity_design_reaches_shrink_solution():
