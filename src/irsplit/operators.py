@@ -123,17 +123,19 @@ class PerturbedResolventOracle:
     """Genuinely inexact certificates: the exact resolvent point is
     perturbed, the operator re-evaluated there, and the perturbation shrunk
     until the relative-error test accepts.  Falls back to the exact pair
-    (z, w - z), whose residual is exactly 0.0, when sigma leaves no room."""
+    (z, w - z), whose residual is exactly 0.0, when sigma leaves no room.
+    Each perturbation is drawn from ``seed`` and w, so a rerun repeats."""
 
     def __init__(self, operator, seed: int = 0):
         self.operator = operator
-        self.rng = np.random.default_rng(seed)
+        self.seed = np.random.SeedSequence(seed).entropy  # refuses a bad seed
 
     def solve(self, w, sigma):
         w = np.asarray(w, dtype=float)
         exact_point = self.operator.resolvent(1.0, w)
         radius = _SCALE * max(float(np.linalg.norm(w - exact_point)), 1e-12)
-        noise = self.rng.standard_normal(w.shape[0])
+        rng = np.random.default_rng([self.seed, *w.view(np.uint64).tolist()])
+        noise = rng.standard_normal(w.shape[0])
         for _ in range(_MAX_SHRINKS):
             z_tilde = exact_point + radius * noise
             v = self.operator.evaluate(z_tilde)

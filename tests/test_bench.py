@@ -82,13 +82,23 @@ def test_published_outer_iteration_means_reproduce_ratio():
 
 
 def test_summarize_rows_and_ratios():
+    """The ratio pairs the two solvers on each problem both converged on:
+    a problem only one solver ran, or one whose pair has a failed run, is
+    left out of it."""
     results = [bench.run_one(tiny_lasso_config("admm_plain")),
                bench.run_one(tiny_lasso_config("admm_inertial"))]
+    record = ir.RunRecord(5, 7, 1.0, 0.0, 0.0)
+    results += [
+        bench.BenchResult("unpaired", "admm_plain", record, {}),
+        bench.BenchResult("failed", "admm_plain", record, {}),
+        bench.BenchResult("failed", "admm_inertial", ir.RunRecord(
+            5, 7, 1.0, 0.0, 0.0, status="budget_exceeded"), {})]
     summary = bench.summarize(results)
     assert summary["solvers"] == ["admm_inertial", "admm_plain"]
-    assert len(summary["rows"]) == 2
+    assert len(summary["rows"]) == 5
     ratio = summary["ratio"]
     assert ratio["pair"] == ["admm_inertial", "admm_plain"]
+    assert list(ratio["per_problem"]) == [results[0].problem]
     per = next(iter(ratio["per_problem"].values()))
     assert per["outer"] > 0.0
     with pytest.raises(ValueError):
@@ -139,30 +149,55 @@ repetitions = 1
 
 
 def test_cli_run_and_summarize(tmp_path, capsys):
-    cfg = tmp_path / "run.ini"
+    """``run`` on an inertial and a plain config prints the table and the
+    ratio of the two solvers; ``summarize`` of its file prints the same,
+    and with ``--out`` writes the CSV and JSON files again."""
+    cfg, plain = tmp_path / "run.ini", tmp_path / "plain.ini"
     cfg.write_text(CONFIG_TEXT)
+    plain.write_text(CONFIG_TEXT.replace("name = admm_inertial",
+                                         "name = admm_plain"))
     out = tmp_path / "out"
-    code = cli.main(["run", "-c", str(cfg), "--out", str(out)])
+    code = cli.main(["run", "-c", str(cfg), "-c", str(plain),
+                     "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr().out
     assert "geometric mean" in captured
+    assert "ratio admm_plain / admm_inertial: outer " in captured
     json_path = out / "bench.json"
     assert json_path.exists()
-    code = cli.main(["summarize", str(json_path)])
+    again = tmp_path / "again"
+    code = cli.main(["summarize", str(json_path), "--out", str(again)])
     assert code == 0
+    table = captured.split("\nwrote ")[0]
+    assert capsys.readouterr().out.rstrip("\n") == table
+    records = bench.read_json(json_path)["records"]
+    assert bench.read_json(again / "bench.json")["records"] == records
+    assert ((again / "bench.csv").read_text()
+            == (out / "bench.csv").read_text())
 
 
-def test_cli_flag_overrides(tmp_path):
+def test_cli_flag_overrides(tmp_path, monkeypatch):
+    """Flags override the config's values, and without ``--out`` the files
+    go to $IRSPLIT_OUT_DIR.  The run seed replaces the problem's seed: the
+    row is the seed-4 instance's, under its label."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEXT)
     out = tmp_path / "out"
+    monkeypatch.setenv("IRSPLIT_OUT_DIR", str(out))
     code = cli.main(["run", "-c", str(cfg), "--solver", "admm_plain",
-                     "--sigma", "0.9", "--out", str(out),
+                     "--sigma", "0.9", "--seed", "4", "--repetitions", "2",
                      "--basename", "plain"])
     assert code == 0
     payload = bench.read_json(out / "plain.json")
     assert payload["configs"][0]["solver"] == "admm_plain"
     assert payload["configs"][0]["options"]["sigma"] == 0.9
+    assert (payload["configs"][0]["seed"],
+            payload["configs"][0]["repetitions"]) == (4, 2)
+    (row,) = payload["records"]
+    want = bench.run_one(tiny_lasso_config("admm_plain", seed=4, sigma=0.9))
+    assert row["problem"] == want.problem == "lasso_m15_n40_s4"
+    assert (row["outer"], row["inner"]) == (want.record.outer_iters,
+                                            want.record.inner_iters_total)
 
 
 def test_cli_gen_round_trips(tmp_path):
@@ -231,21 +266,26 @@ def test_misspelled_config_key_raises(tmp_path, section, key):
 
 def test_cli_bad_config_stops_before_any_run(tmp_path, capsys, monkeypatch):
     """``run`` checks every config before the first solve: a misspelled key
-    in the second config is named on stderr, without a traceback, the exit
-    code is 2, nothing is solved and no output is written."""
+    in the second config, or a second config it cannot read, is named on
+    stderr, without a traceback, the exit code is 2, nothing is solved and
+    no output is written."""
     good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
     good.write_text(CONFIG_TEXT)
     bad.write_text(CONFIG_TEXT.replace("[problem]\n", "[problem]\ndensty = 1\n"))
+    missing = tmp_path / "missing.ini"
     solved = []
     monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
     out = tmp_path / "out"
-    code = cli.main(["run", "-c", str(good), "-c", str(bad), "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("irsplit-bench: ")
-    assert "densty" in captured.err and "Traceback" not in captured.err
-    assert solved == [] and captured.out == ""
-    assert not out.exists()
+    for second, message in ((bad, "densty"),
+                            (missing, f"cannot read config {missing}")):
+        code = cli.main(["run", "-c", str(good), "-c", str(second),
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("irsplit-bench: ")
+        assert message in captured.err and "Traceback" not in captured.err
+        assert solved == [] and captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("line, replacement", [
@@ -321,21 +361,24 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
     ("kind = synthetic_lasso\nm = 15\nn = 40\n",
      "kind = synthetic_logistic\nq = 15\nn = 1\n",
      "n must be at least 2, got 1"),
+    ("name = admm_inertial\n", "name = bogus\n", "unknown solver 'bogus'"),
+    ("kind = synthetic_lasso\n", "kind = bogus\n",
+     "unknown problem kind 'bogus'"),
 ], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_epsilon",
         "fista_max_outer", "beta_and_rho_bar", "fista_eta_unread",
         "max_outer", "criterion", "sigma_text", "density_text",
         "skip_header_text", "c_bool", "m_absent", "density_range",
         "nu_fraction_range", "noise_nan", "csv_nu_range", "libsvm_nu_inf",
-        "logistic_n"])
+        "logistic_n", "solver_name", "kind"])
 def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
                                                      monkeypatch, line,
                                                      replacement, message):
-    """A value of the wrong type, an absent key its problem kind needs, a
-    count, seed or problem number out of its key's range, an option no
-    solver reads, or an option the solver's own parameters reject, is named
-    on stderr with exit code 2 before the first solve, instead of making
-    every solve an error row or being read as another value; nothing is
-    written."""
+    """An unknown solver or problem kind, a value of the wrong type, an
+    absent key its problem kind needs, a count, seed or problem number out
+    of its key's range, an option no solver reads, or an option the
+    solver's own parameters reject, is named on stderr with exit code 2
+    before the first solve, instead of making every solve an error row or
+    being read as another value; nothing is written."""
     assert CONFIG_TEXT.count(line) == 1
     ini = tmp_path / "run.ini"
     ini.write_text(CONFIG_TEXT.replace(line, replacement))

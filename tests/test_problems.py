@@ -76,6 +76,9 @@ def test_design_matrix_shape_checks():
         d.apply(np.ones(3))
     with pytest.raises(ValueError):
         d.apply_transpose(np.ones(2))
+    for data in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a 2-d array"):
+            DesignMatrix(data)
 
 
 @pytest.mark.parametrize("store", [np.asarray, sp.csr_matrix, sp.csr_array],
@@ -734,10 +737,25 @@ def test_libsvm_empty_feature_line(tmp_path):
 
 
 def test_libsvm_malformed_token_names_line(tmp_path):
+    """A bad token names its line, counting the comment and blank lines the
+    loader skips; a file with no sample, or an ``n_features`` below the
+    largest index, is refused as a whole."""
     path = tmp_path / "bad.libsvm"
     path.write_text("+1 1:1.0\n-1 a:1\n")
     with pytest.raises(ParseError, match="line 2"):
         load_libsvm(path, nu=0.5)
+    for text, message in [
+            ("# a comment\n\n+1 1:1.0\nx 1:1\n", "line 4: bad label 'x'"),
+            ("+1 1:1.0\n-1 0:1\n", "line 2: index 0 is not 1-based"),
+            ("# a comment\n\n", "no samples found")]:
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_libsvm(path, nu=0.5)
+    path.write_text("# a comment\n\n+1 3:1.0\n")
+    assert load_libsvm(path, nu=0.5).features.shape == (1, 3)
+    with pytest.raises(ParseError,
+                       match="n_features = 2 below largest index 3"):
+        load_libsvm(path, nu=0.5, n_features=2)
 
 
 def test_libsvm_refuses_an_index_repeated_within_a_line(tmp_path):
@@ -854,6 +872,9 @@ def test_dense_csv_header_skip(tmp_path):
     prob = load_dense_csv(pa, pb, nu=1.0, skip_header=True)
     assert prob.A.shape == (1, 2)
     assert prob.b[0] == pytest.approx(0.5)
+    # read as data, the header is a cell that is not a number
+    with pytest.raises(ParseError, match="csv parse failure"):
+        load_dense_csv(pa, pb, nu=1.0)
 
 
 def test_reference_minimizer_accuracy(lasso_20x50, lasso_20x50_reference):

@@ -1,6 +1,7 @@
 """Subproblem engines: CG and L-BFGS sessions, shrink, proximal-gradient."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,6 +439,18 @@ def test_lbfgs_stationary_start_accepted_immediately():
     # any positive tolerance accepts a zero-residual certificate
     assert reference.accept(y, np.ones(4), np.zeros(4), np.zeros(4),
                             np.zeros(4), np.ones(4), c, 0.5, max_form=True)
+
+
+def test_lbfgs_ascent_direction_falls_back_to_steepest_descent():
+    """A memory direction that is not a descent direction is replaced by
+    -g: on 0.5 ||x||^2 from (3, -4), a stub memory whose direction is g
+    itself leaves the session the unit steepest-descent step, which lands
+    on the minimizer 0 exactly."""
+    memory = SimpleNamespace(direction=lambda g: g, add=lambda s, y: None)
+    session = LBFGSSession(lambda x: (0.5 * x.dot(x), x),
+                           np.array([3.0, -4.0]), memory)
+    x, g = session.next()
+    assert np.array_equal(x, np.zeros(2)) and np.array_equal(g, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
