@@ -24,8 +24,8 @@ for seed in (0, 1, 2, 3):
             options={"sigma": 0.99, "c": 1.0, "epsilon": 1e-6},
             name=f"lasso60x150_s{seed}"))
 
-results = bench.run_benchmark(configs)
-summary = bench.summarize(results, ratio_pair=("admm_plain", "admm_inertial"))
+results = [bench.run_one(cfg) for cfg in configs]
+summary = bench.summarize(results)  # ratio: admm_inertial / admm_plain
 _print_summary(summary)
 
 with tempfile.TemporaryDirectory() as out:

@@ -35,7 +35,6 @@ __all__ = [
     "RunConfig",
     "BenchResult",
     "run_one",
-    "run_benchmark",
     "geometric_mean",
     "summarize",
     "emit",
@@ -43,6 +42,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the method first, its baselines after: ``summarize`` lists solvers in this
+# order and divides the first present by the second
 SOLVERS = ("admm_inertial", "admm_plain", "fista")
 
 CSV_COLUMNS = ("problem", "solver", "outer", "inner", "seconds", "kkt",
@@ -271,11 +272,6 @@ def run_one(cfg: RunConfig) -> BenchResult:
     return result
 
 
-def run_benchmark(configs: Sequence[RunConfig]) -> list[BenchResult]:
-    """Execute a batch, one config after another."""
-    return [run_one(c) for c in configs]
-
-
 # ---------------------------------------------------------------------------
 # Summary math
 # ---------------------------------------------------------------------------
@@ -289,65 +285,56 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def summarize(results: Sequence[BenchResult],
-              ratio_pair: Optional[tuple[str, str]] = None) -> dict:
+def _positive_mean(values) -> float:
+    """The geometric mean of the positive values, NaN when there are none."""
+    vals = [v for v in values if v > 0]
+    return geometric_mean(vals) if vals else math.nan
+
+
+def summarize(results: Sequence[BenchResult]) -> dict:
     """Per-problem rows, per-solver geometric means, paired ratio columns.
 
-    Geometric means run over converged rows only.  ``ratio_pair =
-    (denominator, numerator)`` adds per-problem and geometric-mean ratio
-    columns; with exactly two solvers present the pair is inferred.
+    Solvers are listed in ``SOLVERS`` order, other names after them,
+    sorted.  Geometric means run over the positive values of converged
+    rows.  With two or more of ``SOLVERS`` present the ratio columns divide
+    the first one's outer, inner and seconds by the second's, per problem
+    both converged on.
     """
     results = list(results)
     if not results:
         raise ValueError("empty input")
-    solvers = sorted({r.solver for r in results})
-    problems = []
-    for r in results:
-        if r.problem not in problems:
-            problems.append(r.problem)
-    table = {(r.problem, r.solver): r for r in results}
+    present = {r.solver for r in results}
+    known = [s for s in SOLVERS if s in present]
+    solvers = known + sorted(present - set(SOLVERS))
+    problems = list(dict.fromkeys(r.problem for r in results))
+    rows = [r.row() for r in results]
+    converged = [row for row in rows if row["status"] == CONVERGED]
     metrics = ("outer", "inner", "seconds")
-    gmeans: dict = {}
-    for solver in solvers:
-        rows = [r.row() for r in results
-                if r.solver == solver and r.record.status == CONVERGED]
-        gmeans[solver] = {
-            m: (geometric_mean([row[m] for row in rows if row[m] > 0])
-                if any(row[m] > 0 for row in rows) else math.nan)
-            for m in metrics
-        } if rows else {m: math.nan for m in metrics}
-
     summary = {
         "schema_version": SCHEMA_VERSION,
         "solvers": solvers,
         "problems": problems,
-        "rows": [r.row() for r in results],
-        "geometric_mean": gmeans,
+        "rows": rows,
+        "geometric_mean": {
+            solver: {m: _positive_mean(row[m] for row in converged
+                                       if row["solver"] == solver)
+                     for m in metrics}
+            for solver in solvers},
     }
-
-    if ratio_pair is None and len(solvers) == 2:
-        ratio_pair = (solvers[0], solvers[1])
-    if ratio_pair is not None:
-        den, num = ratio_pair
+    if len(known) >= 2:
+        num, den = known[:2]
+        table = {(row["problem"], row["solver"]): row for row in rows}
         per_problem = {}
         for prob in problems:
-            a = table.get((prob, den))
-            b = table.get((prob, num))
-            if a is None or b is None:
-                continue
-            if a.record.status != CONVERGED or b.record.status != CONVERGED:
-                continue
-            row_a, row_b = a.row(), b.row()
-            per_problem[prob] = {
-                m: (row_b[m] / row_a[m] if row_a[m] > 0 else math.nan)
-                for m in metrics
-            }
-        gm_ratio = {}
-        for m in metrics:
-            vals = [v[m] for v in per_problem.values() if math.isfinite(v[m])]
-            gm_ratio[m] = geometric_mean(vals) if vals else math.nan
-        summary["ratio"] = {"pair": [den, num], "per_problem": per_problem,
-                            "geometric_mean": gm_ratio}
+            a, b = table.get((prob, den)), table.get((prob, num))
+            if a and b and a["status"] == b["status"] == CONVERGED:
+                per_problem[prob] = {m: b[m] / a[m] if a[m] > 0 else math.nan
+                                     for m in metrics}
+        summary["ratio"] = {
+            "pair": [den, num], "per_problem": per_problem,
+            "geometric_mean": {m: _positive_mean(v[m] for v in
+                                                 per_problem.values())
+                               for m in metrics}}
     return summary
 
 
@@ -355,16 +342,16 @@ def summarize(results: Sequence[BenchResult],
 # Emission
 # ---------------------------------------------------------------------------
 
-def emit(results: Sequence[BenchResult], summary: Optional[dict], out_dir,
-         basename: str = "bench") -> tuple[str, str]:
-    """Write <basename>.csv and <basename>.json under ``out_dir``.
+def emit(results: Sequence[BenchResult], summary: Optional[dict],
+         out_dir) -> tuple[str, str]:
+    """Write ``bench.csv`` and ``bench.json`` under ``out_dir``.
 
     The JSON carries the records, the summary and a full config echo; the
     CSV has one row per record in a stable column order.
     """
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{basename}.csv")
-    json_path = os.path.join(out_dir, f"{basename}.json")
+    csv_path = os.path.join(out_dir, "bench.csv")
+    json_path = os.path.join(out_dir, "bench.json")
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()

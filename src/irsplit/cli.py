@@ -115,11 +115,10 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError, configparser.Error) as exc:
         print(f"irsplit-bench: {exc}", file=sys.stderr)
         return 2
-    results = bench.run_benchmark(configs)
+    results = [bench.run_one(cfg) for cfg in configs]
     summary = bench.summarize(results)
     out_dir = _default_out(args)
-    csv_path, json_path = bench.emit(results, summary, out_dir,
-                                     basename=args.basename)
+    csv_path, json_path = bench.emit(results, summary, out_dir)
     _print_summary(summary)
     print(f"wrote {csv_path} and {json_path}")
     return 0 if all(r.record.status == CONVERGED for r in results) else 1
@@ -136,7 +135,7 @@ def _cmd_summarize(args) -> int:
         return 2
     _print_summary(summary)
     if args.out:
-        bench.emit(results, summary, args.out, basename=args.basename)
+        bench.emit(results, summary, args.out)
     return 0
 
 
@@ -179,13 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int)
     runp.add_argument("--repetitions", type=int)
     runp.add_argument("--out", default=None)
-    runp.add_argument("--basename", default="bench")
     runp.set_defaults(func=_cmd_run)
 
     summ = sub.add_parser("summarize", help="recompute tables from a JSON file")
     summ.add_argument("results")
     summ.add_argument("--out", default=None)
-    summ.add_argument("--basename", default="bench")
     summ.set_defaults(func=_cmd_summarize)
 
     gen = sub.add_parser("gen", help="emit synthetic dataset files")

@@ -114,11 +114,11 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     operator yields exact sparsity there); s and r coincide in the limit.
 
     A ``max_outer`` that is not a nonnegative integer, or a negative or NaN
-    ``sr_tolerance``, raises
-    ``ParameterError`` at entry; ``params`` checked itself when it was
-    built.  After entry a run fails as :func:`irsplit.admm.run_admm` does,
-    with status ``stalled`` or ``error``, the last completed triple and
-    ``record.cause``.
+    ``sr_tolerance``, raises ``ParameterError`` at entry, and ``init`` is
+    checked again as a new :class:`SplitTriple`; ``params`` checked itself
+    when it was built.  After entry a run fails as
+    :func:`irsplit.admm.run_admm` does, with status ``stalled`` or
+    ``error``, the last completed triple and ``record.cause``.
 
     The run is the loop of :func:`irsplit.admm.run_admm` with the
     summed-squares test and no KKT test, under (x, z, p, c) = (s, r, -b,
@@ -136,13 +136,13 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     """
     if not sr_tolerance >= 0.0:
         raise ParameterError("sr_tolerance >= 0 violated")
+    init = SplitTriple(init.s, init.b, init.r)
     gamma = params.gamma
     loop_params = ADMMParams(1.0 / gamma, params.core, Criterion.SUM_SQUARES,
                              inner_budget=params.inner_budget,
                              max_outer=max_outer)
     problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
-    # init's arrays were checked when it was built; the result's triple is
-    # built once, in the splitting variables
+    # the result's triple is built once, in the splitting variables
     return _run(problem, loop_params, (init.s, init.r, -init.b), observer,
                 gap_tol=sr_tolerance,
                 triple=lambda x, z, p: SplitTriple(x, -p, z))

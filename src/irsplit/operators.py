@@ -1,12 +1,12 @@
 """Catalog of monotone operators, resolvents and exact subproblem engines.
 
 These small building blocks instantiate the abstract interfaces of the
-solver layers for problems whose resolvents have closed forms: scaled
-identities, monotone affine maps, l1 subdifferentials and quadratics.  They
-double as independent references in tests and demos.  A resolvent is one
-method, ``resolvent(step, point)``, which the engine's oracles and the
-splitting layer (:class:`irsplit.dr.ResolventMap`) both call.  The B
-half-step solvers of :func:`irsplit.dr.run_dr` are F-procedures for B.
+solver layers for problems whose resolvents have closed forms: monotone
+affine maps, l1 subdifferentials and quadratics.  They double as
+independent references in tests and demos.  A resolvent is one method,
+``resolvent(step, point)``, which the engine's oracles and the splitting
+layer (:class:`irsplit.dr.ResolventMap`) both call.  The B half-step
+solvers of :func:`irsplit.dr.run_dr` are F-procedures for B.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .hpp import ProxCertificate, _finite, error_criterion_holds
 from .subsolvers import QuadraticFProcedure, soft_threshold
 
 __all__ = [
-    "ScaledIdentityOperator",
     "AffineOperator",
     "ExactResolventOracle",
     "PerturbedResolventOracle",
@@ -33,23 +32,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Monotone operators with closed-form resolvents
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ScaledIdentityOperator:
-    """T(z) = mu z with finite mu >= 0 (maximal monotone)."""
-
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.mu < np.inf:
-            raise ParameterError("0 <= mu < inf violated")
-
-    def evaluate(self, z):
-        return self.mu * np.asarray(z, dtype=float)
-
-    def resolvent(self, step, w):
-        return np.asarray(w, dtype=float) / (1.0 + step * self.mu)
-
 
 def _affine_parts(mat, shift):
     """M and q of the affine map M x + q as finite float arrays: ``ValueError``

@@ -16,8 +16,7 @@ from irsplit.admm import ADMMParams, Criterion, run_admm
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
                                ExactResolventOracle, L1Resolvent,
-                               PerturbedResolventOracle,
-                               ScaledIdentityOperator)
+                               PerturbedResolventOracle)
 from irsplit.subsolvers import soft_threshold
 
 import reference
@@ -170,7 +169,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     plain = ir.InertiaRelaxParams.plain(sigma=0.0)
     z0 = np.array([1.0, -2.0])
     htrace = Collector()
-    ir.run_hpp(z0, ExactResolventOracle(ScaledIdentityOperator(1.0)), plain,
+    ir.run_hpp(z0, ExactResolventOracle(AffineOperator(np.eye(2))), plain,
                max_iters=200, v_tolerance=1e-11, observer=htrace)
     runs.append(("engine scaling exact", engine_steps(htrace), z0,
                  np.zeros(2), plain))

@@ -1317,16 +1317,24 @@ def test_init_of_wrong_length_raises_at_entry(lasso_20x50, inertial_core):
     with pytest.raises(ValueError, match="shape"):
         run_admm(aprob, params, init=PrimalDualTriple.zeros(lasso_20x50.n - 1))
     assert aprob.fproc.opened == 0
+    # nor is a triple, in either layer's variables, of uneven components
+    for triple in (PrimalDualTriple, SplitTriple):
+        with pytest.raises(ValueError, match="must share one shape"):
+            triple(np.zeros(3), np.zeros(2), np.zeros(3))
 
 
 def test_problem_without_kkt_residual_raises_at_entry(lasso_20x50,
                                                       inertial_core):
     """run_admm stops on the KKT test, so a problem without a residual is
-    rejected at entry, before any session opens."""
+    rejected at entry, before any session opens; so is one without a
+    ``dim`` when no start is given, as the zero start needs it."""
     aprob = ir.lasso_admm_problem(lasso_20x50, 1.0)
     aprob.fproc = BrokenAtOuter(aprob.fproc, -1, None)  # counts only
     aprob.kkt_residual = None
     with pytest.raises(ValueError, match="kkt_residual"):
+        run_admm(aprob, ADMMParams(c=1.0, core=inertial_core))
+    aprob.kkt_residual, aprob.dim = lasso_20x50.kkt_dist_inf, None
+    with pytest.raises(ValueError, match="problem.dim required"):
         run_admm(aprob, ADMMParams(c=1.0, core=inertial_core))
     assert aprob.fproc.opened == 0
 

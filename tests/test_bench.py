@@ -36,7 +36,7 @@ def test_run_one_bad_path_becomes_error_row():
     bad = bench.RunConfig(problem={"kind": "lasso_csv", "a": "missing_a.csv",
                                    "b": "missing_b.csv", "nu": 1.0},
                           solver="fista")
-    results = bench.run_benchmark([bad, tiny_lasso_config()])
+    results = [bench.run_one(c) for c in (bad, tiny_lasso_config())]
     assert results[0].record.status == ERROR
     assert "error" in results[0].config
     assert results[1].record.status == CONVERGED
@@ -97,12 +97,29 @@ def test_summarize_rows_and_ratios():
     assert summary["solvers"] == ["admm_inertial", "admm_plain"]
     assert len(summary["rows"]) == 5
     ratio = summary["ratio"]
-    assert ratio["pair"] == ["admm_inertial", "admm_plain"]
+    assert ratio["pair"] == ["admm_plain", "admm_inertial"]
     assert list(ratio["per_problem"]) == [results[0].problem]
     per = next(iter(ratio["per_problem"].values()))
     assert per["outer"] > 0.0
     with pytest.raises(ValueError):
         bench.summarize([])
+
+
+def test_summarize_lists_solvers_in_solvers_order():
+    """Solvers are listed as ``SOLVERS`` lists them, other names after,
+    sorted; the ratio is the first present over the second, whatever the
+    order of the results, and a name ``SOLVERS`` does not know is never
+    one side of it."""
+    record = ir.RunRecord(6, 9, 1.0, 0.0, 0.0)
+    names = ["zeta", "fista", "alpha", "admm_plain"]
+    summary = bench.summarize([bench.BenchResult("p", name, record, {})
+                               for name in names])
+    assert summary["solvers"] == ["admm_plain", "fista", "alpha", "zeta"]
+    assert summary["ratio"]["pair"] == ["fista", "admm_plain"]
+    alone = bench.summarize([bench.BenchResult("p", name, record, {})
+                             for name in ("zeta", "admm_inertial")])
+    assert alone["solvers"] == ["admm_inertial", "zeta"]
+    assert "ratio" not in alone
 
 
 def test_emit_round_trip(tmp_path):
@@ -119,7 +136,7 @@ def test_emit_round_trip(tmp_path):
 
 
 def test_emit_empty_records_header_only(tmp_path):
-    csv_path, _ = bench.emit([], None, tmp_path, basename="empty")
+    csv_path, _ = bench.emit([], None, tmp_path)
     with open(csv_path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows == [list(bench.CSV_COLUMNS)]
@@ -162,7 +179,7 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr().out
     assert "geometric mean" in captured
-    assert "ratio admm_plain / admm_inertial: outer " in captured
+    assert "ratio admm_inertial / admm_plain: outer " in captured
     json_path = out / "bench.json"
     assert json_path.exists()
     again = tmp_path / "again"
@@ -176,6 +193,59 @@ def test_cli_run_and_summarize(tmp_path, capsys):
             == (out / "bench.csv").read_text())
 
 
+PAPER_TEXT = """\
+[problem]
+kind = synthetic_lasso
+m = 100
+n = 300
+seed = 0
+
+[solver]
+name = {solver}
+"""
+
+
+def test_cli_ratio_is_the_method_over_its_baseline(tmp_path, capsys):
+    """On the paper's LASSO size the printed ratio is the inertial-relaxed
+    ADMM's counts over the plain one's, 71/87 outer and 125/127 inner,
+    although the plain config comes first."""
+    inis = []
+    for solver in ("admm_plain", "admm_inertial"):
+        inis += ["-c", str(tmp_path / f"{solver}.ini")]
+        (tmp_path / f"{solver}.ini").write_text(PAPER_TEXT.format(
+            solver=solver))
+    assert cli.main(["run", *inis, "--out", str(tmp_path / "out")]) == 0
+    assert ("ratio admm_inertial / admm_plain: outer 0.816  inner 0.984  "
+            in capsys.readouterr().out)
+    ratio = bench.read_json(tmp_path / "out" / "bench.json")["summary"]["ratio"]
+    per = ratio["per_problem"]["lasso_m100_n300_s0"]
+    assert (per["outer"], per["inner"]) == (71 / 87, 125 / 127)
+
+
+@pytest.mark.parametrize("loose", ["admm_plain", "admm_inertial"])
+def test_cli_zero_iteration_run_leaves_the_ratio_nan(tmp_path, capsys, loose):
+    """A run that converges at outer iteration 0 has no positive counts, so
+    a ratio with it on either side is NaN in the printed line and the file,
+    not a failed geometric mean that loses the batch; ``run`` exits 0."""
+    inis = []
+    for solver in ("admm_inertial", "admm_plain"):
+        text = CONFIG_TEXT.replace("m = 15\nn = 40\nseed = 3\n",
+                                   "m = 20\nn = 50\nseed = 0\n")
+        if solver == loose:
+            text = text.replace("epsilon = 1e-6", "epsilon = 10.0")
+        text = text.replace("name = admm_inertial", f"name = {solver}")
+        (tmp_path / f"{solver}.ini").write_text(text)
+        inis += ["-c", str(tmp_path / f"{solver}.ini")]
+    out = tmp_path / "out"
+    assert cli.main(["run", *inis, "--out", str(out)]) == 0
+    assert ("ratio admm_inertial / admm_plain: outer nan  inner nan  "
+            in capsys.readouterr().out)
+    summary = bench.read_json(out / "bench.json")["summary"]
+    loose_row = next(row for row in summary["rows"] if row["solver"] == loose)
+    assert (loose_row["outer"], loose_row["inner"]) == (0, 0)
+    assert math.isnan(summary["ratio"]["geometric_mean"]["outer"])
+
+
 def test_cli_flag_overrides(tmp_path, monkeypatch):
     """Flags override the config's values, and without ``--out`` the files
     go to $IRSPLIT_OUT_DIR.  The run seed replaces the problem's seed: the
@@ -185,10 +255,9 @@ def test_cli_flag_overrides(tmp_path, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("IRSPLIT_OUT_DIR", str(out))
     code = cli.main(["run", "-c", str(cfg), "--solver", "admm_plain",
-                     "--sigma", "0.9", "--seed", "4", "--repetitions", "2",
-                     "--basename", "plain"])
+                     "--sigma", "0.9", "--seed", "4", "--repetitions", "2"])
     assert code == 0
-    payload = bench.read_json(out / "plain.json")
+    payload = bench.read_json(out / "bench.json")
     assert payload["configs"][0]["solver"] == "admm_plain"
     assert payload["configs"][0]["options"]["sigma"] == 0.9
     assert (payload["configs"][0]["seed"],
@@ -439,6 +508,8 @@ def results_file(records, **rest):
      "record 0: seconds, kkt and objective must be numbers"),
     (results_file([dict(GOOD_ROW, problem=None)]),
      "record 0: problem and solver must be text"),
+    (results_file([dict(GOOD_ROW, seconds=-0.5)]),
+     "record 0: wall_seconds must be nonnegative"),
     (results_file([GOOD_ROW], configs=5),
      "expected a 'configs' list of one object per record"),
     (results_file([GOOD_ROW, GOOD_ROW], configs=[{}]),
@@ -446,7 +517,8 @@ def results_file(records, **rest):
     (results_file([]), "expected a 'records' list of one or more records"),
 ], ids=["schema", "missing", "not_json", "no_records", "not_object",
         "record_not_object", "record_without_inner", "outer_text",
-        "status_bogus", "kkt_text", "problem_null", "configs_int",
+        "status_bogus", "kkt_text", "problem_null", "seconds_negative",
+        "configs_int",
         "configs_short", "records_empty"])
 def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
     """``summarize`` treats a results file it cannot read, one of another

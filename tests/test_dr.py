@@ -1,5 +1,7 @@
 """Splitting layer: half-steps, acceptance, corrector, runs, embedding."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.errors import ParameterError
 from irsplit.hpp import _error_sides
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               ExactResolventOracle, L1Resolvent,
-                               ScaledIdentityOperator)
+                               ExactResolventOracle, L1Resolvent)
 from irsplit.subsolvers import soft_threshold
 
 import reference
@@ -66,7 +67,7 @@ def split_triples(ev):
 def test_a_step_zero_operator():
     rng = np.random.default_rng(2)
     s, b = rng.standard_normal(5), rng.standard_normal(5)
-    r, a = reference.a_step(s, b, 0.7, ScaledIdentityOperator(0.0))
+    r, a = reference.a_step(s, b, 0.7, AffineOperator(np.zeros((5, 5))))
     assert np.allclose(r, s - 0.7 * b, atol=0)
     assert np.linalg.norm(a) <= 1e-14
 
@@ -283,10 +284,12 @@ def test_run_matches_classical_recursion():
 
 
 def test_run_scans_only_its_result_for_finiteness(monkeypatch):
-    """The start was checked when its ``SplitTriple`` was built, so a run
-    scans only the three arrays of the result triple, which it builds once
-    in the splitting variables.  Every vector check of the splitting layers
-    goes through ``hpp._vec`` and so through ``hpp._finite``."""
+    """A run checks its start once at entry, as a new ``SplitTriple``, since
+    a triple's arrays can be changed after it was built, and then only the
+    three arrays of the result triple, which it builds once in the
+    splitting variables: no iterate is scanned.  Every vector check of the
+    splitting layers goes through ``hpp._vec`` and so through
+    ``hpp._finite``."""
     _, res_a, res_b, _, _ = quad_l1_setup(n=10, seed=1)
     init = random_triple(np.random.default_rng(11), 10)
     scanned = []
@@ -296,7 +299,7 @@ def test_run_scans_only_its_result_for_finiteness(monkeypatch):
     params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
     res = run_to_budget(init, params, ExactBProcedure(res_b), res_a,
                         max_outer=5)
-    assert scanned == ["s", "b", "r"]
+    assert scanned == ["s", "b", "r"] * 2
     assert isinstance(res.triple, SplitTriple)
 
 
@@ -311,7 +314,7 @@ def test_one_operator_drives_the_engine_and_the_splitting(zero_side):
     rng = np.random.default_rng(16)
     m = rng.standard_normal((10, 10))
     op = AffineOperator(m - m.T + 0.1 * np.eye(10), rng.standard_normal(10))
-    zero = ScaledIdentityOperator(0.0)
+    zero = AffineOperator(np.zeros((10, 10)))
     res_a, res_b = (zero, op) if zero_side == "a" else (op, zero)
     init = random_triple(rng, 10)
     core = ir.InertiaRelaxParams.plain(sigma=0.0)
@@ -372,14 +375,14 @@ def test_budgets_and_tolerances_checked_at_entry(driver, option, value):
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     with pytest.raises(ParameterError, match=option):
         if driver == "hpp":
-            ir.run_hpp(z + 1.0, ExactResolventOracle(ScaledIdentityOperator(
-                1.0)), params, **{option: value})
+            ir.run_hpp(z + 1.0, ExactResolventOracle(AffineOperator(
+                np.eye(3))), params, **{option: value})
         elif driver == "admm":
             run_admm(ir.lasso_admm_problem(ir.synthetic_lasso(2, 3), 1.0),
                      ADMMParams(1.0, params, **{option: value}))
         else:
             run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(1.0, params),
-                   ExactBProcedure(ScaledIdentityOperator(0.0)),
+                   ExactBProcedure(AffineOperator(np.zeros((3, 3)))),
                    L1Resolvent(0.1), **{option: value})
 
 
@@ -401,7 +404,7 @@ def test_infinite_penalty_rejected_at_entry(driver, value, name):
                      ADMMParams(value, params))
         else:
             run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(value, params),
-                   ExactBProcedure(ScaledIdentityOperator(1.0)),
+                   ExactBProcedure(AffineOperator(np.eye(3))),
                    L1Resolvent(0.1))
 
 
@@ -458,19 +461,12 @@ def test_embedding_exact_case_has_unit_tau():
 
 def test_classical_step_zero_operators_is_identity():
     z = np.array([1.0, -2.0, 3.0])
-    zero = ScaledIdentityOperator(0.0)
+    zero = AffineOperator(np.zeros((3, 3)))
     out = classical_dr_step(z, 1.0, zero, zero)
     assert np.array_equal(out, z)
-
-
-@pytest.mark.parametrize("gamma", [0.7, 1.0])
-def test_zero_operator_resolvent_is_the_identity_bit_for_bit(gamma):
-    """The zero operator's resolvent returns its argument bit for bit,
-    signed zeros, a subnormal and infinities included: w / (1 + gamma * 0)
-    is w.  gamma 0.7 and 1 are those of the zero-operator runs above."""
-    u = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, -2.5])
-    out = ScaledIdentityOperator(0.0).resolvent(gamma, u)
-    assert np.array_equal(out.view(np.uint64), u.view(np.uint64))
+    for gamma in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="gamma > 0"):
+            classical_dr_step(z, gamma, zero, zero)
 
 
 def test_classical_fixed_point_solves_inclusion():

@@ -13,15 +13,14 @@ from irsplit.hpp import (_extrapolate, _project, _s_bound, error_ratio,
                          rho_bar_of_beta)
 from irsplit.operators import (AffineOperator, CGBProcedure,
                                ExactResolventOracle, L1Resolvent,
-                               PerturbedResolventOracle,
-                               ScaledIdentityOperator)
+                               PerturbedResolventOracle)
 
 import reference
 from conftest import Collector, accepted_certificate_sampler, engine_steps
 
 
-def exact_identity_oracle():
-    return ExactResolventOracle(ScaledIdentityOperator(1.0))
+def exact_identity_oracle(n=1):
+    return ExactResolventOracle(AffineOperator(np.eye(n)))
 
 
 def rotation_operator():
@@ -71,18 +70,10 @@ def test_a_stepsize_in_an_old_call_form_raises():
         ir.ProxCertificate(np.zeros(2), np.ones(2), 0.5)
     with pytest.raises(TypeError):
         ir.ProxCertificate(np.zeros(2), np.ones(2), exact=True)
-    for oracle in (exact_identity_oracle(),
+    for oracle in (exact_identity_oracle(2),
                    PerturbedResolventOracle(rotation_operator())):
         with pytest.raises(TypeError):
             oracle.solve(np.ones(2), 0.5, 0.5)
-
-
-@pytest.mark.parametrize("weight", [-0.1, math.nan])
-def test_negative_or_nan_weight_raises(weight):
-    """A negative or NaN scale of the identity is rejected at entry instead
-    of spreading NaN through the result."""
-    with pytest.raises(ParameterError, match="mu"):
-        ScaledIdentityOperator(weight)
 
 
 NAN_MAT = [[math.nan, 0.0], [0.0, 1.0]]
@@ -92,13 +83,13 @@ NAN_MAT = [[math.nan, 0.0], [0.0, 1.0]]
     (lambda: L1Resolvent(-1.0), ParameterError, "kappa"),
     (lambda: L1Resolvent(math.nan), ParameterError, "kappa"),
     (lambda: L1Resolvent(math.inf), ParameterError, "kappa"),
-    (lambda: ScaledIdentityOperator(math.inf), ParameterError, "mu"),
     (lambda: AffineOperator(NAN_MAT), ValueError, "mat"),
     (lambda: AffineOperator(np.eye(2), [math.inf, 0.0]), ValueError, "shift"),
+    (lambda: AffineOperator(-np.eye(2)), ParameterError, "semidefinite"),
     (lambda: CGBProcedure(NAN_MAT), ValueError, "mat"),
     (lambda: CGBProcedure(np.eye(2), [0.0, -math.inf]), ValueError, "shift"),
-], ids=["l1_negative", "l1_nan", "l1_inf", "identity_inf", "affine_nan_mat",
-        "affine_inf_shift", "cg_nan_mat", "cg_inf_shift"])
+], ids=["l1_negative", "l1_nan", "l1_inf", "affine_nan_mat",
+        "affine_inf_shift", "affine_not_monotone", "cg_nan_mat", "cg_inf_shift"])
 def test_catalog_refuses_bad_data_when_built(build, error, match):
     """An operator or procedure of the catalog refuses a negative, NaN or
     infinite weight, and a non-finite matrix or shift, when it is built,
@@ -212,7 +203,7 @@ def test_fifty_iterations_geometric():
 def test_iterate_already_solved():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     events = Collector()
-    res = ir.run_hpp(np.zeros(3), exact_identity_oracle(), params,
+    res = ir.run_hpp(np.zeros(3), exact_identity_oracle(3), params,
                      max_iters=1, observer=events)
     assert (res.status, res.record.status) == ("solved", "converged")
     assert res.record.outer_iters == len(events) == 0
@@ -280,6 +271,13 @@ class Untouched:
     open_session = resolvent = solve
 
 
+def _changed(triple, name, v):
+    """A triple built valid on ones(2), whose ``name`` is then set to v."""
+    t = triple(np.ones(2), np.ones(2), np.ones(2))
+    setattr(t, name, v)
+    return t
+
+
 _PLAIN = ir.InertiaRelaxParams.plain()
 _ENTRIES = {
     "certificate": (lambda v, stub: ir.ProxCertificate(v, v), "z_tilde"),
@@ -295,6 +293,13 @@ _ENTRIES = {
         ir.ADMMParams(1.0, _PLAIN), init=ir.PrimalDualTriple(v, v, v)), "x"),
     "split_triple": (lambda v, stub: ir.run_dr(
         ir.SplitTriple(v, v, v), ir.DRParams(1.0, _PLAIN), stub, stub), "s"),
+    "primal_dual_triple_changed": (lambda v, stub: ir.run_admm(
+        ir.AdmmProblem(stub, stub, lambda z, floor, screen: (1.0, None)),
+        ir.ADMMParams(1.0, _PLAIN), init=_changed(ir.PrimalDualTriple, "x",
+                                                  v)), "x"),
+    "split_triple_changed": (lambda v, stub: ir.run_dr(
+        _changed(ir.SplitTriple, "s", v), ir.DRParams(1.0, _PLAIN), stub,
+        stub), "s"),
 }
 
 
@@ -305,8 +310,9 @@ def test_every_entry_refuses_a_vector_that_is_not_1d(entry, vector):
     """Every layer states one rule for a vector where it enters: a finite
     1-D float array (``hpp._vec``).  A column or a 0-D value is not
     flattened but raises ``ValueError`` naming the argument and its shape,
-    before any oracle, session or resolvent call; a splitting start is
-    refused when its triple is built, so ``run_dr`` is never entered."""
+    before any oracle, session or resolvent call.  A splitting start is
+    refused when its triple is built, and again at the driver's entry when
+    a component was set after that."""
     enter, name = _ENTRIES[entry]
     stub = Untouched()
     message = f"{name} must be 1-D, got shape {np.shape(vector)}"
@@ -316,7 +322,7 @@ def test_every_entry_refuses_a_vector_that_is_not_1d(entry, vector):
 
 
 @pytest.mark.parametrize("operator, z0, outer", [
-    (ScaledIdentityOperator(1.0), [1.0], 537),
+    (AffineOperator(np.eye(1)), [1.0], 537),
     (rotation_operator(), [3.0, -1.0], 942),
     (rotation_operator(), [1e-170, 0.0], 0),
 ], ids=["identity", "rotation", "tiny_start"])
@@ -380,7 +386,7 @@ def test_an_exact_pair_passes_where_its_squared_norms_overflow():
     before that is read, so the run blames the projection that overflows,
     not the oracle; ``error_ratio`` is 0."""
     w = np.array([1e200, -1e200])
-    oracle = ExactResolventOracle(ScaledIdentityOperator(1.0))
+    oracle = exact_identity_oracle(2)
     cert = oracle.solve(w, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         assert ir.error_criterion_holds(w, cert, 0.0)

@@ -2,6 +2,7 @@
 contracts the parameter objects check when they are built."""
 
 import dataclasses
+import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -13,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 import irsplit as ir
 from irsplit.dr import DRParams
 from irsplit.errors import ParameterError
-from irsplit.operators import (ExactBProcedure, ExactResolventOracle,
-                               ScaledIdentityOperator)
+from irsplit.operators import (AffineOperator, ExactBProcedure,
+                               ExactResolventOracle)
 
 
 def bisect_inverse_of_coupling(rho_target, lo=1e-12, hi=1.0 - 1e-12, iters=200):
@@ -171,6 +172,9 @@ def test_domain_errors():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ParameterError):
             ir.rho_bar_of_beta(bad)
+    for bad in (0.0, 2.0, -1.0, 2.5, math.nan):
+        with pytest.raises(ParameterError, match="rho_bar must lie in"):
+            ir.q_eval(0.1, bad)
     for bad in (0.0, 2.0, -1.0, 2.5):
         with pytest.raises(ParameterError):
             ir.beta_of_rho_bar(bad)
@@ -276,13 +280,13 @@ def test_replace_to_an_inadmissible_value_raises(params, changes, message):
 def _run_dr(max_outer):
     init = ir.SplitTriple(np.ones(2), np.zeros(2), np.zeros(2))
     return ir.run_dr(init, DRParams(1.0, _CORE),
-                     ExactBProcedure(ScaledIdentityOperator(1.0)),
-                     ScaledIdentityOperator(1.0), max_outer=max_outer)
+                     ExactBProcedure(AffineOperator(np.eye(2))),
+                     AffineOperator(np.eye(2)), max_outer=max_outer)
 
 
 def _run_hpp(max_iters):
     return ir.run_hpp(np.ones(2), ExactResolventOracle(
-        ScaledIdentityOperator(1.0)), _CORE, max_iters=max_iters)
+        AffineOperator(np.eye(2))), _CORE, max_iters=max_iters)
 
 
 _BUDGETS = {

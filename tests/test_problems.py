@@ -695,6 +695,22 @@ def test_synthetic_lasso_deterministic_per_seed():
     assert not np.array_equal(p1.b, p3.b)
 
 
+@pytest.mark.parametrize("generate, message", [
+    (lambda: ir.synthetic_lasso(0, 3), "m, n >= 1 required"),
+    (lambda: ir.synthetic_lasso(3, 0), "m, n >= 1 required"),
+    (lambda: ir.synthetic_lasso(3, 4, density=0.0), r"density in \(0, 1\]"),
+    (lambda: ir.synthetic_lasso(3, 4, density=1.5), r"density in \(0, 1\]"),
+    (lambda: ir.synthetic_logistic(0, 3), "q >= 1 and n >= 2 required"),
+    (lambda: ir.synthetic_logistic(3, 1), "q >= 1 and n >= 2 required"),
+], ids=["lasso_m", "lasso_n", "density_zero", "density_above_one",
+        "logistic_q", "logistic_n"])
+def test_generators_refuse_bad_sizes(generate, message):
+    """A generator called directly, not through the harness's key table,
+    refuses an empty size or a density outside (0, 1]."""
+    with pytest.raises(ValueError, match=message):
+        generate()
+
+
 def test_synthetic_lasso_sparse_backend():
     p = ir.synthetic_lasso(15, 30, density=0.3, seed=8)
     assert p.A.is_sparse
@@ -877,8 +893,17 @@ def test_dense_csv_header_skip(tmp_path):
         load_dense_csv(pa, pb, nu=1.0)
 
 
-def test_reference_minimizer_accuracy(lasso_20x50, lasso_20x50_reference):
+def test_reference_minimizer_accuracy(lasso_20x50, lasso_20x50_reference,
+                                      monkeypatch):
+    """The reference point meets its tolerance, and a baseline run that
+    does not converge raises instead of passing its point off as one."""
     assert lasso_20x50.kkt_dist_inf(lasso_20x50_reference)[0] <= 1e-10
+    stalled = ir.RunResult(np.zeros(50), "budget_exceeded",
+                           ir.RunRecord(500_000, 0, 1.0, 2.5e-3, 0.0,
+                                        "budget_exceeded"))
+    monkeypatch.setattr(ir.problems, "fista_solve", lambda prob, cfg: stalled)
+    with pytest.raises(RuntimeError, match="stalled at kkt = 2.500e-03"):
+        ir.reference_minimizer(lasso_20x50)
 
 
 @pytest.mark.parametrize("kind", ["lasso", "logistic"])

@@ -453,6 +453,24 @@ def test_lbfgs_ascent_direction_falls_back_to_steepest_descent():
     assert np.array_equal(x, np.zeros(2)) and np.array_equal(g, np.zeros(2))
 
 
+def test_lbfgs_round_off_slack_is_relative_to_f():
+    """The gradient form of the Armijo test is read only when f_new and f
+    agree to within 1e-12 (1 + |f|).  From the origin, f = 0 with g = (1,
+    0), the unit step to (-1, 0) raises f by 5e-12, beyond that slack, while
+    its gradient (0, 1) would pass the gradient form; so the step is halved,
+    and (-0.5, 0), where f = -1, passes the Armijo test itself."""
+    values = {(0.0, 0.0): (0.0, [1.0, 0.0]), (-1.0, 0.0): (5e-12, [0.0, 1.0])}
+
+    def value_and_grad(x):
+        f, g = values.get(tuple(x), (-1.0, [0.0, 0.0]))
+        return f, np.array(g)
+
+    memory = SimpleNamespace(direction=lambda g: -g, add=lambda s, y: None)
+    session = LBFGSSession(value_and_grad, np.zeros(2), memory)
+    x, _ = session.next()
+    assert np.array_equal(x, [-0.5, 0.0]) and session.f == -1.0
+
+
 # ---------------------------------------------------------------------------
 # shrink
 # ---------------------------------------------------------------------------
