@@ -46,12 +46,13 @@ SCHEMA_VERSION = 1
 # order and divides the first present by the second
 SOLVERS = ("admm_inertial", "admm_plain", "fista")
 
+# a row: the problem, the solver and RunRecord's fields in order, but its cause
 CSV_COLUMNS = ("problem", "solver", "outer", "inner", "seconds", "kkt",
                "objective", "status")
 
 
 class _Key(NamedTuple):
-    """A config key: its type (int, float, bool, str for a path, or an
+    """A config key: its type (int, float, bool, str for text, or an
     enum whose values it names), the range a value must lie in, as its
     text and its test, and an option's default where the harness chooses
     one."""
@@ -80,14 +81,14 @@ class _Key(NamedTuple):
 
 _TYPES = {int: ("an integer", numbers.Integral),
           float: ("a number", numbers.Real), bool: ("true or false", bool),
-          str: ("a path", (str, os.PathLike))}
+          str: ("text", (str, os.PathLike))}
 
 
 def _at_least(least: int) -> _Key:
     return _Key(int, (f"at least {least}", lambda v: v >= least))
 
 
-_COUNT, _SEED, _NUMBER, _PATH = (_at_least(1), _at_least(0), _Key(float),
+_COUNT, _SEED, _NUMBER, _TEXT = (_at_least(1), _at_least(0), _Key(float),
                                  _Key(str))
 _POSITIVE = _Key(float, ("finite and above 0", lambda v: 0 < v < math.inf))
 _FRACTION = _Key(float, ("in (0, 1]", lambda v: 0 < v <= 1))
@@ -104,10 +105,10 @@ _PROBLEMS = {
                            {"q": _COUNT, "n": _at_least(2)},
                            {"nu_fraction": _POSITIVE, "seed": _SEED}),
     "lasso_csv": (_problems.load_dense_csv,
-                  {"a": _PATH, "b": _PATH, "nu": _POSITIVE},
+                  {"a": _TEXT, "b": _TEXT, "nu": _POSITIVE},
                   {"skip_header": _Key(bool)}),
     "logistic_libsvm": (_problems.load_libsvm,
-                        {"path": _PATH, "nu": _POSITIVE}, {}),
+                        {"path": _TEXT, "nu": _POSITIVE}, {}),
 }
 
 # each solver family's options and the harness's own defaults (the published
@@ -127,46 +128,36 @@ _FISTA_OPTIONS = {"epsilon": _NUMBER, "max_outer": _Key(int, default=200_000)}
 
 @dataclass
 class RunConfig:
-    """One benchmark run: problem source, solver name, solver options."""
+    """One benchmark run: problem source (with its seed), solver name,
+    solver options, repetitions and row name, read only by ``validate``."""
 
     problem: dict
     solver: str
     options: dict = field(default_factory=dict)
-    seed: Optional[int] = None
     repetitions: int = 1
     name: Optional[str] = None
 
     def validate(self):
-        """Reject an unknown solver or problem kind, a problem key its kind
+        """The run, ``(build, params, label)``: the bound problem builder,
+        the solver's parameters and the name, else the problem's label.
+        Reject an unknown solver or problem kind, a problem key its kind
         does not read or an absent one it needs, an option no solver reads,
-        a value not of its key's type or out of its key's range, or an
-        option the solver's own parameters reject."""
+        a value not of its key's type (a name is text) or out of its key's
+        range, or an option the solver's own parameters reject."""
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        _problem_builder(self.problem)
-        if self.seed is not None:
-            _SEED.read("seed", self.seed)
+        build = _problem_builder(self.problem)
         _COUNT.read("repetitions", self.repetitions)
+        name = None if self.name is None else _TEXT.read("name", self.name)
         options = {**_FISTA_OPTIONS, **_ADMM_OPTIONS}
         unread = self.options.keys() - options.keys()
         if unread:
             raise ValueError(f"no solver reads option "
                              f"{', '.join(sorted(unread))}")
-        for key, value in self.options.items():
-            options[key].read(key, value)
-        _solver_params(self.solver, self.options)
-
-    def label(self) -> str:
-        """The name, else a synthetic kind's sizes and seed, else the file."""
-        kind = self.problem.get("kind", "?")
-        if self.name or not str(kind).startswith("synthetic_"):
-            return self.name or str(self.problem.get("path")
-                                    or self.problem.get("a") or kind)
-        build, needed, _ = _PROBLEMS[kind]
-        seed = self.seed if self.seed is not None else self.problem.get(
-            "seed", inspect.signature(build).parameters["seed"].default)
-        sizes = "".join(f"_{k}{self.problem.get(k)}" for k in needed)
-        return f"{kind[len('synthetic_'):]}{sizes}_s{seed}"
+        params = _solver_params(self.solver, {
+            key: options[key].read(key, value)
+            for key, value in self.options.items()})
+        return build, params, name or _label(build)
 
 
 @dataclass
@@ -177,11 +168,8 @@ class BenchResult:
     config: dict
 
     def row(self) -> dict:
-        r = self.record
-        return {"problem": self.problem, "solver": self.solver,
-                "outer": r.outer_iters, "inner": r.inner_iters_total,
-                "seconds": r.wall_seconds, "kkt": r.final_kkt,
-                "objective": r.final_objective, "status": r.status}
+        return dict(zip(CSV_COLUMNS, (self.problem, self.solver,
+                                      *dataclasses.astuple(self.record))))
 
 
 def _result(row: dict, config: dict) -> BenchResult:
@@ -193,11 +181,10 @@ def _result(row: dict, config: dict) -> BenchResult:
                        RunRecord(*(row[k] for k in CSV_COLUMNS[2:])), config)
 
 
-def _problem_builder(spec: dict, seed: Optional[int] = None):
+def _problem_builder(spec: dict) -> functools.partial:
     """The builder of the kind ``spec`` names, bound to its keys, each read
-    as its type and range, and to ``seed`` if set; ``ValueError`` on an
-    unknown kind, a key it does not read, an absent one it needs or a bad
-    value."""
+    as its type and range; ``ValueError`` on an unknown kind, a key it does
+    not read, an absent one it needs or a bad value."""
     kind = spec.get("kind")
     if kind not in _PROBLEMS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -212,19 +199,27 @@ def _problem_builder(spec: dict, seed: Optional[int] = None):
                          f"{', '.join(sorted(absent))}")
     args = [needed[k].read(k, spec[k]) for k in needed]
     kwargs = {k: named[k].read(k, spec[k]) for k in named if k in spec}
-    if seed is not None and "seed" in named:
-        kwargs["seed"] = seed
     return functools.partial(build, *args, **kwargs)
 
 
+def _label(build: functools.partial) -> str:
+    """A synthetic instance's sizes and seed, as ``lasso_m15_n40_s3``, else
+    the file the problem reads."""
+    seed = inspect.signature(build).parameters.get("seed")
+    if seed is None:
+        return build.args[0]
+    sizes = zip(inspect.signature(build.func).parameters, build.args)
+    return (build.func.__name__.removeprefix("synthetic_")
+            + "".join(f"_{k}{v}" for k, v in sizes) + f"_s{seed.default}")
+
+
 def _solver_params(solver: str, options: dict):
-    """The solver's ``ADMMParams`` or ``FistaConfig`` from the options its
-    family reads, with the harness's defaults where it has them."""
+    """The solver's ``ADMMParams`` or ``FistaConfig`` from the read options
+    its family reads, with the harness's defaults where it has them."""
     table = _FISTA_OPTIONS if solver == "fista" else _ADMM_OPTIONS
     opts = {k: key.default for k, key in table.items()
             if key.default is not None}
-    opts.update((k, table[k].read(k, v)) for k, v in options.items()
-                if k in table)
+    opts.update((k, v) for k, v in options.items() if k in table)
     if solver == "fista":
         return FistaConfig(**opts)
     if {"beta", "rho_bar"} <= options.keys():
@@ -240,9 +235,8 @@ def _solver_params(solver: str, options: dict):
     return ADMMParams(core=core, **opts)
 
 
-def _solve(cfg: RunConfig, prob) -> RunRecord:
-    params = _solver_params(cfg.solver, cfg.options)
-    if cfg.solver == "fista":
+def _solve(params, prob) -> RunRecord:
+    if isinstance(params, FistaConfig):
         return fista_solve(prob, params).record
     if isinstance(prob, _problems.LassoProblem):
         admm_prob = _problems.lasso_admm_problem(prob, params.c)
@@ -253,20 +247,20 @@ def _solve(cfg: RunConfig, prob) -> RunRecord:
 
 def run_one(cfg: RunConfig) -> BenchResult:
     """Execute one configuration; a failure's cause is ``config["error"]``."""
-    cfg.validate()
+    build, params, label = cfg.validate()
     try:
-        prob = _problem_builder(cfg.problem, cfg.seed)()
-        record = _solve(cfg, prob)
+        prob = build()
+        record = _solve(params, prob)
         if cfg.repetitions > 1:
             # first (warm-up) solve discarded; counts are deterministic
-            runs = [_solve(cfg, prob) for _ in range(cfg.repetitions)]
+            runs = [_solve(params, prob) for _ in range(cfg.repetitions)]
             seconds = statistics.median(r.wall_seconds for r in runs)
             record = dataclasses.replace(runs[-1], wall_seconds=seconds)
         error = record.cause
     except Exception as exc:  # noqa: BLE001 - batch must continue
         record = RunRecord(0, 0, 0.0, math.inf, math.nan, ERROR)
         error = f"{type(exc).__name__}: {exc}"
-    result = BenchResult(cfg.label(), cfg.solver, record, asdict(cfg))
+    result = BenchResult(label, cfg.solver, record, asdict(cfg))
     if error:
         result.config["error"] = error
     return result

@@ -2,13 +2,14 @@
 synthetic dataset files.
 
 Config files are INI with [problem], [solver] and [run] sections mapping
-1:1 onto RunConfig; command-line flags override file values.  The default
-output directory comes from $IRSPLIT_OUT_DIR, falling back to the current
-directory.  ``run`` exits 0 only when every run converged, and 2, before
-the first run, on a config it cannot read, a key that nothing reads, or a
-value of the wrong type or out of its key's range; an absent problem key
-takes the library's default.  ``gen`` reads its flags as ``run`` reads the
-same problem keys, and exits 2 on a bad one without writing a file.
+1:1 onto RunConfig; command-line flags override file values, ``--seed``
+the [problem] seed.  The default output directory comes from
+$IRSPLIT_OUT_DIR, falling back to the current directory.  ``run`` exits 0
+only when every run converged, and 2, before the first run, on a config
+it cannot read, a key that nothing reads, or a value of the wrong type or
+out of its key's range; an absent problem key takes the library's
+default.  ``gen`` reads its flags as ``run`` reads the same problem keys,
+and exits 2 on a bad one without writing a file.
 ``summarize`` exits 2 on a results file it cannot read, of another schema
 version, or with a malformed record or config list.
 """
@@ -48,18 +49,11 @@ def _load_config(path) -> bench.RunConfig:
          for k, v in parser.items(name)}
         if parser.has_section(name) else {}
         for name in ("problem", "solver", "run"))
-    unread = run_items.keys() - {"seed", "repetitions", "name"}
+    unread = run_items.keys() - {"repetitions", "name"}
     if unread:
         raise ValueError(f"[run] reads no key {', '.join(sorted(unread))}")
-    solver = solver_items.pop("name", "admm_inertial")
-    return bench.RunConfig(
-        problem=problem,
-        solver=solver,
-        options=solver_items,
-        seed=run_items.get("seed"),
-        repetitions=run_items.get("repetitions", 1),
-        name=run_items.get("name"),
-    )
+    return bench.RunConfig(problem, solver_items.pop("name", "admm_inertial"),
+                           solver_items, **run_items)
 
 
 _OVERRIDE_FLAGS = ("alpha", "beta", "rho_bar", "sigma", "c", "epsilon")
@@ -73,7 +67,7 @@ def _apply_overrides(cfg: bench.RunConfig, args) -> bench.RunConfig:
     if args.solver is not None:
         cfg.solver = args.solver
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.problem["seed"] = args.seed
     if args.repetitions is not None:
         cfg.repetitions = args.repetitions
     return cfg

@@ -33,27 +33,22 @@ __all__ = [
 # Monotone operators with closed-form resolvents
 # ---------------------------------------------------------------------------
 
-def _affine_parts(mat, shift):
-    """M and q of the affine map M x + q as finite float arrays: ``ValueError``
-    unless M is square and q, zero when None, has shape (n,)."""
-    mat = _finite(mat, "mat")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"mat has shape {mat.shape}, expected square")
-    n = mat.shape[0]
-    shift = np.zeros(n) if shift is None else _finite(shift, "shift")
-    if shift.shape != (n,):
-        raise ValueError(f"shift has shape {shift.shape}, expected ({n},)")
-    return mat, shift
-
-
 class AffineOperator:
-    """T(z) = M z + q, monotone when M + M^T is positive semidefinite."""
+    """T(z) = M z + q, monotone: M and q are finite float arrays, M square
+    with M + M^T positive semidefinite (else ``ParameterError``) and q,
+    zero when None, of shape (n,); ``ValueError`` on bad data."""
 
     def __init__(self, mat, shift=None):
-        self.mat, self.shift = _affine_parts(mat, shift)
-        sym = 0.5 * (self.mat + self.mat.T)
-        if np.linalg.eigvalsh(sym).min() < -1e-12:
+        mat = _finite(mat, "mat")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"mat has shape {mat.shape}, expected square")
+        n = mat.shape[0]
+        shift = np.zeros(n) if shift is None else _finite(shift, "shift")
+        if shift.shape != (n,):
+            raise ValueError(f"shift has shape {shift.shape}, expected ({n},)")
+        if np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() < -1e-12:
             raise ParameterError("M + M^T must be positive semidefinite")
+        self.mat, self.shift = mat, shift
 
     def evaluate(self, z):
         return self.mat @ z + self.shift
@@ -149,7 +144,9 @@ class ExactBProcedure:
 
 
 class CGBProcedure(QuadraticFProcedure):
-    """CG F-procedure for an affine B(x) = Q x + q with Q SPD: the
+    """CG F-procedure for an affine B(x) = Q x + q with Q symmetric positive
+    semidefinite, which it checks by :class:`AffineOperator`'s checks and
+    one for symmetry (``ParameterError``): the
     :class:`irsplit.subsolvers.QuadraticFProcedure` with Q u = ``mat @ u``
     and r = -q, both read when used, anchored start included.  A trial is
     one CG step on (Q + c I) x = -q - p + c z from x_bar; its certificate y
@@ -158,7 +155,10 @@ class CGBProcedure(QuadraticFProcedure):
     _r = property(lambda self: -self.shift)
 
     def __init__(self, mat, shift=None):
-        self.mat, self.shift = _affine_parts(mat, shift)
+        affine = AffineOperator(mat, shift)
+        if not np.array_equal(affine.mat, affine.mat.T):
+            raise ParameterError("mat must be symmetric for CG")
+        self.mat, self.shift = affine.mat, affine.shift
 
     def _product(self, u):
         return self.mat @ u

@@ -41,7 +41,7 @@ class RunRecord:
         if not all(isinstance(v, numbers.Real) for v in reals):
             raise ValueError("seconds, kkt and objective must be numbers")
         if self.wall_seconds < 0:
-            raise ValueError("wall_seconds must be nonnegative")
+            raise ValueError("seconds must be nonnegative")
 
 
 @dataclass

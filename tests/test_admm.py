@@ -1062,6 +1062,17 @@ class FailingOracle:
         return self.oracle.solve(w, sigma)
 
 
+class NegativeQuadratic(QuadraticFProcedure):
+    """The CG F-procedure for Q = -3 I and r = 0, which ``CGBProcedure``
+    refuses: CG breaks down at its first step, on the indefinite Q + c I."""
+
+    def __init__(self, n):
+        self._r = np.zeros(n)
+
+    def _product(self, u):
+        return -3.0 * u
+
+
 FAILURE_CASES = [("inner_budget", "stalled", "inner budget", 0),
                  ("line_search", "error", "LineSearchFailure", 2),
                  ("cg_breakdown", "error", "CGBreakdown", 0),
@@ -1094,7 +1105,7 @@ def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
         rng = np.random.default_rng(3)
         init = SplitTriple(*(rng.standard_normal(n) for _ in range(3)))
         res = run_dr(init, DRParams(1.0, inertial_core),
-                     CGBProcedure(-3.0 * np.eye(n)), L1Resolvent(0.3),
+                     NegativeQuadratic(n), L1Resolvent(0.3),
                      max_outer=50, observer=events)
         got = [res.triple.s, res.triple.b, res.triple.r]
         want = [init.s, init.b, init.r]

@@ -248,8 +248,8 @@ def test_cli_zero_iteration_run_leaves_the_ratio_nan(tmp_path, capsys, loose):
 
 def test_cli_flag_overrides(tmp_path, monkeypatch):
     """Flags override the config's values, and without ``--out`` the files
-    go to $IRSPLIT_OUT_DIR.  The run seed replaces the problem's seed: the
-    row is the seed-4 instance's, under its label."""
+    go to $IRSPLIT_OUT_DIR.  ``--seed`` sets the problem's seed: the row is
+    the seed-4 instance's, under its label."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEXT)
     out = tmp_path / "out"
@@ -260,7 +260,7 @@ def test_cli_flag_overrides(tmp_path, monkeypatch):
     payload = bench.read_json(out / "bench.json")
     assert payload["configs"][0]["solver"] == "admm_plain"
     assert payload["configs"][0]["options"]["sigma"] == 0.9
-    assert (payload["configs"][0]["seed"],
+    assert (payload["configs"][0]["problem"]["seed"],
             payload["configs"][0]["repetitions"]) == (4, 2)
     (row,) = payload["records"]
     want = bench.run_one(tiny_lasso_config("admm_plain", seed=4, sigma=0.9))
@@ -322,7 +322,8 @@ def test_cli_reads_a_numeric_path_as_a_path(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("section, key", [
-    ("problem", "densty"), ("solver", "epsilom"), ("run", "repetition")])
+    ("problem", "densty"), ("solver", "epsilom"), ("run", "repetition"),
+    ("run", "seed")])
 def test_misspelled_config_key_raises(tmp_path, section, key):
     """A key that nothing reads, such as a misspelled one, raises
     ``ValueError`` naming it instead of being ignored."""
@@ -359,13 +360,11 @@ def test_cli_bad_config_stops_before_any_run(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("line, replacement", [
     ("repetitions = 1\n", "repetitions = 2.7\n"),
-    ("[run]\n", "[run]\nseed = 3.5\n"),
     ("m = 15\n", "m = 15.5\n"),
     ("seed = 3\n", "seed = true\n"),
     ("max_outer = 5000\n", "max_outer = 5e3\n"),
     ("[solver]\n", "[solver]\ninner_budget = 12.5\n"),
-], ids=["repetitions", "run_seed", "m", "problem_seed", "max_outer",
-        "inner_budget"])
+], ids=["repetitions", "m", "problem_seed", "max_outer", "inner_budget"])
 def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
                                                     monkeypatch, line,
                                                     replacement):
@@ -391,7 +390,6 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
 @pytest.mark.parametrize("line, replacement, message", [
     ("m = 15\n", "m = 0\n", "m must be at least 1, got 0"),
     ("seed = 3\n", "seed = -1\n", "seed must be at least 0, got -1"),
-    ("[run]\n", "[run]\nseed = -1\n", "seed must be at least 0, got -1"),
     ("sigma = 0.99\n", "sigma = 1.5\n", "0 <= sigma < 1 violated"),
     ("c = 1.0\n", "c = -1\n", "c > 0 violated"),
     ("name = admm_inertial\nsigma = 0.99\nc = 1.0\nepsilon = 1e-6\n",
@@ -433,7 +431,7 @@ def test_cli_non_integer_count_stops_before_any_run(tmp_path, capsys,
     ("name = admm_inertial\n", "name = bogus\n", "unknown solver 'bogus'"),
     ("kind = synthetic_lasso\n", "kind = bogus\n",
      "unknown problem kind 'bogus'"),
-], ids=["m", "problem_seed", "run_seed", "sigma", "c", "fista_epsilon",
+], ids=["m", "problem_seed", "sigma", "c", "fista_epsilon",
         "fista_max_outer", "beta_and_rho_bar", "fista_eta_unread",
         "max_outer", "criterion", "sigma_text", "density_text",
         "skip_header_text", "c_bool", "m_absent", "density_range",
@@ -458,6 +456,28 @@ def test_cli_out_of_range_value_stops_before_any_run(tmp_path, capsys,
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err == f"irsplit-bench: {message}\n"
+    assert solved == [] and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("nu = 0.1\n", ["--seed", "4"]), ("nu = 0.1\nseed = 4\n", [])],
+    ids=["flag", "problem_key"])
+def test_cli_seed_of_a_file_problem_stops_before_any_run(tmp_path, capsys,
+                                                         monkeypatch, line,
+                                                         flags):
+    """``--seed`` sets the problem's seed, so a file problem, which reads
+    none, refuses it as it refuses ``[problem] seed``: the message on
+    stderr, exit code 2, nothing solved and nothing written."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[problem]\nkind = lasso_csv\na = A.csv\nb = b.csv\n{line}")
+    solved = []
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("irsplit-bench: problem kind 'lasso_csv' reads "
+                            "no key seed\n")
     assert solved == [] and captured.out == ""
     assert not out.exists()
 
@@ -509,7 +529,7 @@ def results_file(records, **rest):
     (results_file([dict(GOOD_ROW, problem=None)]),
      "record 0: problem and solver must be text"),
     (results_file([dict(GOOD_ROW, seconds=-0.5)]),
-     "record 0: wall_seconds must be nonnegative"),
+     "record 0: seconds must be nonnegative"),
     (results_file([GOOD_ROW], configs=5),
      "expected a 'configs' list of one object per record"),
     (results_file([GOOD_ROW, GOOD_ROW], configs=[{}]),
@@ -547,6 +567,29 @@ def test_validate_names_a_value_of_the_wrong_type(section, key, value):
     getattr(cfg, section)[key] = value
     with pytest.raises(ValueError, match=f"^{key} must be "):
         cfg.validate()
+
+
+def test_validate_names_a_name_that_is_not_text():
+    """A row name is text: a number, which ``emit`` would write as the
+    record's problem and ``read_json`` then refuse, is refused here."""
+    cfg = tiny_lasso_config()
+    cfg.name = 2024
+    with pytest.raises(ValueError, match="^name must be text, got 2024$"):
+        cfg.validate()
+
+
+def test_validate_returns_the_run_it_checked():
+    """``validate`` returns the bound builder, the solver's parameters and
+    the row label, whose seed is the bound one or, when none is given, the
+    generator's default."""
+    build, params, label = tiny_lasso_config(sigma=0.9).validate()
+    assert build().b.tolist() == ir.synthetic_lasso(15, 40, seed=3).b.tolist()
+    assert (params.core.sigma, params.max_outer, label) == (
+        0.9, 5000, "lasso_m15_n40_s3")
+    unseeded = tiny_lasso_config("fista")
+    del unseeded.problem["seed"]
+    _, params, label = unseeded.validate()
+    assert (type(params), label) == (ir.FistaConfig, "lasso_m15_n40_s0")
 
 
 def test_absent_problem_key_keeps_the_library_default():

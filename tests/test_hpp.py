@@ -88,13 +88,20 @@ NAN_MAT = [[math.nan, 0.0], [0.0, 1.0]]
     (lambda: AffineOperator(-np.eye(2)), ParameterError, "semidefinite"),
     (lambda: CGBProcedure(NAN_MAT), ValueError, "mat"),
     (lambda: CGBProcedure(np.eye(2), [0.0, -math.inf]), ValueError, "shift"),
+    (lambda: CGBProcedure(-0.5 * np.eye(2)), ParameterError, "semidefinite"),
+    (lambda: CGBProcedure([[1.0, 2.0], [0.0, 1.0]]), ParameterError,
+     "symmetric"),
 ], ids=["l1_negative", "l1_nan", "l1_inf", "affine_nan_mat",
-        "affine_inf_shift", "affine_not_monotone", "cg_nan_mat", "cg_inf_shift"])
+        "affine_inf_shift", "affine_not_monotone", "cg_nan_mat", "cg_inf_shift",
+        "cg_not_monotone", "cg_not_symmetric"])
 def test_catalog_refuses_bad_data_when_built(build, error, match):
     """An operator or procedure of the catalog refuses a negative, NaN or
-    infinite weight, and a non-finite matrix or shift, when it is built,
-    not in a run that promises a status: a NaN passes the PSD check, and
-    the l1 resolvent checked its weight only inside the loop."""
+    infinite weight, a non-finite matrix or shift, and a matrix that is
+    not monotone or, for CG, not symmetric, when it is built, not in a run
+    that promises a status: a NaN passes the PSD check, the l1 resolvent
+    checked its weight only inside the loop, and CG ran on with a
+    non-monotone Q + c I that was still SPD, or stalled on a
+    non-symmetric one."""
     with pytest.raises(error, match=match):
         build()
 
