@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .admm import ADMMParams, Criterion, run_admm
 from .hpp import InertiaRelaxParams, beta_of_rho_bar
-from .records import CONVERGED, ERROR, RunRecord
+from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunRecord
 from .subsolvers import FistaConfig, fista_solve
 from . import problems as _problems
 
@@ -45,10 +45,6 @@ SCHEMA_VERSION = 1
 # the method first, its baselines after: ``summarize`` lists solvers in this
 # order and divides the first present by the second
 SOLVERS = ("admm_inertial", "admm_plain", "fista")
-
-# a row: the problem, the solver and RunRecord's fields in order, but its cause
-CSV_COLUMNS = ("problem", "solver", "outer", "inner", "seconds", "kkt",
-               "objective", "status")
 
 
 class _Key(NamedTuple):
@@ -93,6 +89,14 @@ _COUNT, _SEED, _NUMBER, _TEXT = (_at_least(1), _at_least(0), _Key(float),
 _POSITIVE = _Key(float, ("finite and above 0", lambda v: 0 < v < math.inf))
 _FRACTION = _Key(float, ("in (0, 1]", lambda v: 0 < v <= 1))
 _FINITE = _Key(float, ("finite", math.isfinite))
+_STATUSES = (CONVERGED, BUDGET_EXCEEDED, ERROR)
+# a row: the problem, the solver and RunRecord's fields in order, but its
+# cause, each with the key that reads it from a results file
+_COLUMNS = {"problem": _TEXT, "solver": _TEXT, "outer": _SEED, "inner": _SEED,
+            "seconds": _Key(float, ("at least 0", lambda v: v >= 0)),
+            "kkt": _NUMBER, "objective": _NUMBER, "status": _Key(
+                str, (" or ".join(_STATUSES), lambda v: v in _STATUSES))}
+CSV_COLUMNS = tuple(_COLUMNS)
 
 # each problem kind: its builder, the keys it takes in order, which a config
 # must give, and the keys it takes by name, which keep the builder's default
@@ -173,12 +177,11 @@ class BenchResult:
 
 
 def _result(row: dict, config: dict) -> BenchResult:
-    """The result whose ``row()`` is ``row``, with ``config``; ``ValueError``
-    on a name that is not text or a value ``RunRecord`` refuses."""
-    if not all(isinstance(row[k], str) for k in CSV_COLUMNS[:2]):
-        raise ValueError("problem and solver must be text")
-    return BenchResult(row["problem"], row["solver"],
-                       RunRecord(*(row[k] for k in CSV_COLUMNS[2:])), config)
+    """The result whose ``row()`` is ``row``, with ``config``: each column
+    read by its key in ``_COLUMNS``, else ``ValueError`` naming it."""
+    problem, solver, *fields = (key.read(column, row[column])
+                                for column, key in _COLUMNS.items())
+    return BenchResult(problem, solver, RunRecord(*fields), config)
 
 
 def _problem_builder(spec: dict) -> functools.partial:
@@ -203,14 +206,17 @@ def _problem_builder(spec: dict) -> functools.partial:
 
 
 def _label(build: functools.partial) -> str:
-    """A synthetic instance's sizes and seed, as ``lasso_m15_n40_s3``, else
-    the file the problem reads."""
+    """A synthetic instance's sizes, keys off their default and seed, as
+    ``lasso_m15_n40_density0.3_s3``, else the file the problem reads."""
     seed = inspect.signature(build).parameters.get("seed")
     if seed is None:
         return build.args[0]
-    sizes = zip(inspect.signature(build.func).parameters, build.args)
+    defaults = inspect.signature(build.func).parameters
+    keys = [*zip(defaults, build.args),
+            *((k, v) for k, v in build.keywords.items()
+              if k != "seed" and v != defaults[k].default)]
     return (build.func.__name__.removeprefix("synthetic_")
-            + "".join(f"_{k}{v}" for k, v in sizes) + f"_s{seed.default}")
+            + "".join(f"_{k}{v}" for k, v in keys) + f"_s{seed.default}")
 
 
 def _solver_params(solver: str, options: dict):
@@ -366,9 +372,9 @@ def emit(results: Sequence[BenchResult], summary: Optional[dict],
 def read_json(path) -> dict:
     """Reload an emitted JSON payload (records, summary, configs); raise
     ``ValueError`` naming the fault unless it is an object with a non-empty
-    ``records`` list of objects with the ``CSV_COLUMNS`` keys that
-    :func:`_result` takes, and one config object per record (when absent,
-    ``configs`` is set to empty ones)."""
+    ``records`` list of objects with the ``CSV_COLUMNS`` keys, each value of
+    its column's type and range as :func:`_result` reads it, and one config
+    object per record (when absent, ``configs`` is set to empty ones)."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):

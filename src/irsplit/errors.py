@@ -23,9 +23,9 @@ class ParseError(ValueError):
 
 
 def _check_budget(value, name: str, least: int) -> None:
-    """``ParameterError`` unless ``value`` is an integer (any
-    ``numbers.Integral``, numpy's included) of at least ``least``."""
-    if not isinstance(value, numbers.Integral):
+    """``ParameterError`` unless ``value`` is an integer of at least
+    ``least``: any ``numbers.Integral`` but a bool, numpy's included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ParameterError(f"{name} >= {least} violated")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any
@@ -15,13 +14,13 @@ ERROR = "error"
 SOLVED = "solved"  # a driver status only: an exact solution turned up
 STALLED = "stalled"  # a driver status only: the inner budget ran out
 
-_STATUSES = (CONVERGED, BUDGET_EXCEEDED, ERROR)
 _RECORD_STATUS = {SOLVED: CONVERGED, STALLED: BUDGET_EXCEEDED}
 
 
 @dataclass
 class RunRecord:
-    """Outcome of one solver run: counts, wall time and final residuals."""
+    """Outcome of one solver run: counts, wall time and final residuals; a
+    plain record, checked only where ``irsplit.bench`` reads a file."""
 
     outer_iters: int
     inner_iters_total: int
@@ -30,18 +29,6 @@ class RunRecord:
     final_objective: float
     status: str = CONVERGED
     cause: str = ""  # a failed run's failure, layer and outer iteration
-
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        counts = self.outer_iters, self.inner_iters_total
-        if not all(isinstance(n, numbers.Integral) and n >= 0 for n in counts):
-            raise ValueError("iteration counts must be nonnegative integers")
-        reals = self.wall_seconds, self.final_kkt, self.final_objective
-        if not all(isinstance(v, numbers.Real) for v in reals):
-            raise ValueError("seconds, kkt and objective must be numbers")
-        if self.wall_seconds < 0:
-            raise ValueError("seconds must be nonnegative")
 
 
 @dataclass

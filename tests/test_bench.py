@@ -521,15 +521,24 @@ def results_file(records, **rest):
      "record 1 is not an object with the keys problem, solver, outer, "
      "inner, seconds, kkt, objective, status"),
     (results_file([dict(GOOD_ROW, outer="x")]),
-     "record 0: iteration counts must be nonnegative integers"),
+     "record 0: outer must be an integer, got 'x'"),
     (results_file([GOOD_ROW, dict(GOOD_ROW, status="bogus")]),
-     "record 1: unknown status 'bogus'"),
+     "record 1: status must be converged or budget_exceeded or error, "
+     "got bogus"),
     (results_file([dict(GOOD_ROW, kkt="x")]),
-     "record 0: seconds, kkt and objective must be numbers"),
+     "record 0: kkt must be a number, got 'x'"),
     (results_file([dict(GOOD_ROW, problem=None)]),
-     "record 0: problem and solver must be text"),
+     "record 0: problem must be text, got None"),
     (results_file([dict(GOOD_ROW, seconds=-0.5)]),
-     "record 0: seconds must be nonnegative"),
+     "record 0: seconds must be at least 0, got -0.5"),
+    (results_file([dict(GOOD_ROW, outer=True)]),
+     "record 0: outer must be an integer, got True"),
+    (results_file([dict(GOOD_ROW, inner=False)]),
+     "record 0: inner must be an integer, got False"),
+    (results_file([dict(GOOD_ROW, kkt=True)]),
+     "record 0: kkt must be a number, got True"),
+    (results_file([dict(GOOD_ROW, seconds=math.nan)]),
+     "record 0: seconds must be at least 0, got nan"),
     (results_file([GOOD_ROW], configs=5),
      "expected a 'configs' list of one object per record"),
     (results_file([GOOD_ROW, GOOD_ROW], configs=[{}]),
@@ -538,15 +547,16 @@ def results_file(records, **rest):
 ], ids=["schema", "missing", "not_json", "no_records", "not_object",
         "record_not_object", "record_without_inner", "outer_text",
         "status_bogus", "kkt_text", "problem_null", "seconds_negative",
-        "configs_int",
+        "outer_bool", "inner_bool", "kkt_bool", "seconds_nan", "configs_int",
         "configs_short", "records_empty"])
 def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
     """``summarize`` treats a results file it cannot read, one of another
     schema version, one that is not an object holding a non-empty records
     list, one with a record that is not an object holding every CSV column
-    with values of their types and ranges, or one whose configs are not one
-    object per record, as ``run`` and ``gen`` treat a bad input: the
-    message on stderr, without a traceback, and exit code 2."""
+    with values of their types and ranges (a bool is not a count or a
+    number, and NaN seconds are not at least 0), or one whose configs are
+    not one object per record, as ``run`` and ``gen`` treat a bad input:
+    the message on stderr, without a traceback, and exit code 2."""
     path = tmp_path / "bench.json"
     if content is not None:
         path.write_text(content)
@@ -599,6 +609,30 @@ def test_absent_problem_key_keeps_the_library_default():
     explicit.problem.update(density=1.0, noise=0.01, nu_fraction=0.1)
     assert (bench.run_one(explicit).row() | {"seconds": 0}
             == bench.run_one(tiny_lasso_config()).row() | {"seconds": 0})
+
+
+def test_instances_that_differ_in_one_key_are_two_problems(tmp_path):
+    """A synthetic label names each key given off the generator's default,
+    so two densities of one size and seed are two problems in ``summarize``,
+    each with its own ratio: 51/85 outer at the default density, 626/1249
+    at 0.3."""
+    inis = []
+    for density in ("1.0", "0.3"):
+        for solver in ("admm_inertial", "admm_plain"):
+            ini = tmp_path / f"{solver}_{density}.ini"
+            ini.write_text(CONFIG_TEXT.replace(
+                "seed = 3", f"density = {density}\nseed = 3").replace(
+                "name = admm_inertial", f"name = {solver}"))
+            inis += ["-c", str(ini)]
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert cli.main(["run", *inis, "--out", str(out)]) == 0
+    assert cli.main(["summarize", str(out / "bench.json"),
+                     "--out", str(again)]) == 0
+    summary = bench.read_json(again / "bench.json")["summary"]
+    problems = ["lasso_m15_n40_s3", "lasso_m15_n40_density0.3_s3"]
+    assert summary["problems"] == problems
+    per = summary["ratio"]["per_problem"]
+    assert [per[p]["outer"] for p in problems] == [51 / 85, 626 / 1249]
 
 
 def test_cli_gen_keeps_the_generator_defaults(tmp_path, capsys):

@@ -308,9 +308,9 @@ def test_a_budget_must_be_an_integer(site):
     """Every iteration budget is refused with ``ParameterError`` when it is
     not an integer, at construction or at run entry, where a float budget
     used to pass and raise ``TypeError`` out of the run.  Any integer type
-    is a budget, numpy's included."""
+    but bool is a budget, numpy's included."""
     build, name = _BUDGETS[site]
-    for value in (2.5, 2.0, "2", None, np.float64(2.0)):
+    for value in (2.5, 2.0, "2", None, np.float64(2.0), True, False):
         with pytest.raises(ParameterError,
                            match=f"{name} must be an integer"):
             build(value)
