@@ -13,6 +13,7 @@ index 0; the bias is never regularized.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -84,12 +85,19 @@ def _of_shape(x, shape: tuple) -> np.ndarray:
 class DesignMatrix:
     """m x n design matrix, dense ndarray or CSR, with matvec interface.
 
-    A sparse input is stored as a float CSR copy.  A dense float64 input is
-    kept by reference, not copied, and must not be changed in place
-    afterwards: ``stored_norm()``, and the KKT screens that runs on its
-    problems carry, keep values computed from it.  Both products take 1-D
-    vectors only, of the matching length, else raise ``ValueError``, and
-    return a fresh array.
+    The matrix is stored once, read-only, as ``stored_norm()`` and the KKT
+    screens that runs on its problems carry keep values computed from it.
+    A float64 input, a dense array or a CSR matrix or array, is taken
+    over, not copied: its arrays (the CSR's ``data``, ``indices`` and
+    ``indptr``) are marked read-only, so a later write through the
+    caller's object raises ``ValueError``, and the matrix is held by an
+    object of its own, so reshaping or resizing the caller's does not
+    reach it.  Any other input (another dtype, a list, CSC or COO) is
+    converted into new arrays, and the caller's object stays writable.
+    Views of the same memory made before construction, such as the base of
+    a view given, stay writable and must not be written.  Both products
+    take 1-D vectors only, of the matching length, else raise
+    ``ValueError``, and return a fresh array.
 
     Both products are bound once, at construction, as one ``.dot`` call
     each.  A sparse matrix calls scipy's compiled ``csr_matvec`` on the
@@ -106,16 +114,23 @@ class DesignMatrix:
     """
 
     def __init__(self, data):
+        # each kind keeps an object of its own over the read-only arrays,
+        # so reshaping or resizing the caller's object cannot reach it
         self.is_sparse = sp.issparse(data)
         if self.is_sparse:
-            mat = data.tocsr().astype(float)
+            mat = data.tocsr().astype(float, copy=False)
             _finite(mat.data, "matrix")
+            for kept in (mat.data, mat.indices, mat.indptr):
+                kept.setflags(write=False)
+            mat = copy.copy(mat)
             self._op = _CompiledProduct(mat, transpose=False)
             self._op_t = _CompiledProduct(mat, transpose=True)
         else:
             mat = _finite(data, "matrix")
             if mat.ndim != 2:
                 raise ValueError("expected a 2-d array")
+            mat.setflags(write=False)
+            mat = mat.view()
             self._op, self._op_t = mat, mat.T
         self._mat = mat
         self._x_shape, self._u_shape = mat.shape[1:], mat.shape[:1]
@@ -272,8 +287,9 @@ class LassoProblem(_L1Problem):
     """min (1/2)||A x - b||^2 + nu ||x||_1, with ``A``, ``b``, ``nu``,
     ``prox_g`` and ``x_true`` fixed at construction (see :class:`_L1Problem`).
     ``b`` (one finite entry per row of A, else ``ValueError``) and the
-    planted ``x_true`` (or None) are read-only copies; a dense ``A`` is kept
-    by reference and must not be changed in place (see :class:`DesignMatrix`).
+    planted ``x_true`` (or None) are read-only copies; ``A``, which has at
+    least one column, else ``ValueError``, stores its matrix read-only (see
+    :class:`DesignMatrix`).
 
     The KKT screen reads g_j = (A^T a_j) . x - a_j . b, with a_j = A e_j
     and both A^T a_j and a_j . b kept with j, as the data are fixed.
@@ -289,6 +305,8 @@ class LassoProblem(_L1Problem):
     x_true = property(operator.attrgetter("_x_true"))
 
     def __init__(self, A: DesignMatrix, b, nu: float, x_true=None):
+        if A.shape[1] == 0:
+            raise ValueError("A must have at least one column")
         b = _finite(np.array(b, dtype=float), "b")
         if b.shape != (A.shape[0],):
             raise ValueError("b length must match the row count of A")
@@ -569,13 +587,16 @@ def load_libsvm(path, nu: float, n_features: Optional[int] = None) -> LogisticPr
 
 def load_dense_csv(path_a, path_b, nu: float,
                    skip_header: bool = False) -> LassoProblem:
-    """Dense CSV ingestion: numeric rows for A, a single column for b."""
+    """Dense CSV ingestion: numeric rows for A, a single column for b.
+    An A file with no rows raises ``ParseError``."""
     skip = 1 if skip_header else 0
     try:
         a = np.loadtxt(path_a, delimiter=",", skiprows=skip, ndmin=2)
         b = np.loadtxt(path_b, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise ParseError(f"csv parse failure: {exc}") from None
+    if a.shape[0] == 0:
+        raise ParseError("no samples found in A")
     if b.shape[1] != 1:
         raise ParseError(f"b has {b.shape[1]} columns, expected 1")
     b = b[:, 0]

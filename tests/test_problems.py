@@ -1,5 +1,7 @@
 """Problem definitions: gradients, KKT residuals, generators, ingestion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -99,6 +101,76 @@ def test_products_are_1d_and_reject_a_wrong_length(store):
     assert np.array_equal(design.apply(np.ones(2)), a @ np.ones(2))
     assert np.array_equal(design.apply_transpose(np.ones(3)),
                           a.T @ np.ones(3))
+
+
+def _arrays(mat):
+    """The arrays that hold a matrix, dense or sparse; none for a list."""
+    if isinstance(mat, list):
+        return []
+    if not sp.issparse(mat):
+        return [mat]
+    if mat.format == "coo":
+        return [mat.data, *mat.coords]
+    return [mat.data, mat.indices, mat.indptr]
+
+
+@pytest.mark.parametrize("store", [np.asarray, sp.csr_matrix, sp.csr_array],
+                         ids=["dense", "csr_matrix", "csr_array"])
+def test_a_float64_matrix_is_taken_over_read_only(store):
+    """A float64 matrix is stored without a copy and its arrays are made
+    read-only, so a write through the caller's object raises
+    ``ValueError``; it is held by an object of its own, so reshaping or
+    resizing the caller's does not reach it.  An input that needs converting
+    (another dtype, a list, CSC or COO) is stored in new arrays, and the
+    caller's object stays writable."""
+    a = np.arange(1.0, 7.0).reshape(3, 2)
+    given = store(a.copy())
+    design = DesignMatrix(given)
+    kept = _arrays(design._mat)
+    assert all(np.shares_memory(k, g) for k, g in zip(kept, _arrays(given)))
+    assert not any(g.flags.writeable for g in _arrays(given))
+    with pytest.raises(ValueError, match="read-only"):
+        given[0, 0] = 1.0
+    if sp.issparse(given):
+        given.resize((4, 3))
+    else:
+        given.shape = (2, 3)
+    assert design.shape == (3, 2)
+    assert np.array_equal(design.toarray(), a)
+    if sp.issparse(given):
+        converted = [store(a.astype(int)), store(a.astype(np.float32)),
+                     sp.csc_matrix(a), sp.coo_array(a)]
+    else:
+        converted = [a.astype(int), a.astype(np.float32), a.tolist()]
+    for other in converted:
+        kept = _arrays(DesignMatrix(other)._mat)
+        assert not any(np.shares_memory(k, g)
+                       for k in kept for g in _arrays(other))
+        assert all(g.flags.writeable for g in _arrays(other))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_a_write_to_the_callers_matrix_cannot_change_a_built_problem(sparse):
+    """Between two runs on one LASSO, a write through the array its design
+    was built from raises ``ValueError``, and the second run repeats the
+    first: ``stored_norm()`` and the KKT screens read a fixed A."""
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((20, 50)) / np.sqrt(20.0)
+    given = sp.csr_matrix(a) if sparse else a
+    b = rng.standard_normal(20)
+    prob = ir.LassoProblem(DesignMatrix(given), b,
+                           0.1 * float(np.abs(a.T @ b).max()))
+    problem = ir.lasso_admm_problem(prob, 1.0)
+    params = ADMMParams(c=1.0, core=ir.InertiaRelaxParams.plain(sigma=0.99),
+                        max_outer=2000)
+    first = ir.run_admm(problem, params)
+    with pytest.raises(ValueError, match="read-only"):
+        given[0, 0] = 1.0
+    second = ir.run_admm(problem, params)
+    assert first.status == "converged"
+    assert second.x.tobytes() == first.x.tobytes()
+    assert dataclasses.replace(second.record, wall_seconds=0.0) == \
+        dataclasses.replace(first.record, wall_seconds=0.0)
 
 
 def test_column_and_stored_norm():
@@ -565,6 +637,22 @@ def test_lasso_constructor_checks_its_data(b, nu):
         ir.LassoProblem(DesignMatrix(np.ones((5, 3))), b, nu)
 
 
+def test_a_lasso_needs_a_column_and_a_logistic_model_may_be_bias_only():
+    """``LassoProblem`` refuses a design with no columns, which both
+    solvers would meet as numpy's zero-size reduction inside the stop
+    test.  A logistic problem with no features is a bias-only model: both
+    solvers converge to the log-odds of its labels."""
+    with pytest.raises(ValueError, match="A must have at least one column"):
+        ir.LassoProblem(DesignMatrix(np.zeros((3, 0))), np.ones(3), 1.0)
+    prob = ir.LogisticProblem(DesignMatrix(np.zeros((4, 0))),
+                              [1.0, -1.0, 1.0, 1.0], 1.0)
+    params = ADMMParams(c=1.0, core=ir.InertiaRelaxParams.plain(sigma=0.99))
+    for result in (ir.run_admm(ir.logistic_admm_problem(prob, 1.0), params),
+                   ir.fista_solve(prob, ir.FistaConfig())):
+        assert result.status == "converged"
+        assert result.x == pytest.approx([np.log(3.0)], abs=1e-5)
+
+
 def test_logistic_constructor_rejects_an_infinite_nu():
     with pytest.raises(ValueError, match="0 < nu < inf violated"):
         ir.LogisticProblem(DesignMatrix(np.eye(2)), [1.0, -1.0], np.inf)
@@ -879,6 +967,22 @@ def test_dense_csv_refuses_a_b_of_more_than_one_column(tmp_path, b_text,
     with pytest.raises(ParseError, match=f"b has {columns} columns, "
                                          "expected 1"):
         load_dense_csv(pa, pb, nu=1.0)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("a_text, skip_header", [("", False),
+                                                 ("c1,c2\n", True)],
+                         ids=["empty", "header_only"])
+def test_dense_csv_refuses_an_a_file_with_no_rows(tmp_path, a_text,
+                                                  skip_header):
+    """An A file with no rows raises ``ParseError``, as a LIBSVM file with
+    no samples does, rather than load as a 0 x 1 problem that both solvers
+    report converged."""
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text(a_text)
+    pb.write_text("y\n" if skip_header else "")
+    with pytest.raises(ParseError, match="no samples found in A"):
+        load_dense_csv(pa, pb, nu=1.0, skip_header=skip_header)
 
 
 def test_dense_csv_header_skip(tmp_path):
