@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -231,7 +232,7 @@ class _L1Problem:
         self._prox_g = L1ShiftedProx(self._nu, skip_first=first == 1)
 
     def value_gradient(self, x) -> tuple[float, np.ndarray]:
-        """Smooth part and its gradient, from one inner vector."""
+        """Smooth part and its float64 gradient, from one inner vector."""
         u = self._inner(x)
         return self._loss(u), self._gradient(x, u)
 
@@ -240,6 +241,7 @@ class _L1Problem:
         return self._loss(self._inner(x))
 
     def objective(self, x) -> float:
+        x = np.asarray(x, float)
         return self.f_value(x) + self._nu * float(
             np.abs(x[self._first:]).sum())
 
@@ -262,7 +264,9 @@ class _L1Problem:
         that exceeds ``floor``, else evaluates in full, reusing the inner
         vector if ``_screened`` formed it.  A NaN or inf in x makes S
         non-finite, so such an x is evaluated in full.  No screen is kept.
+        An x of another dtype is read as float64.
         """
+        x = np.asarray(x, float)
         u = None
         if floor < math.inf and screen is not None:
             g, t1, t2, u = self._screened(x, screen)
@@ -379,27 +383,35 @@ class LogisticProblem(_L1Problem):
     def n(self) -> int:
         return self._features.shape[1] + 1
 
+    # in place only in fresh arrays (a product, expit's output), in the
+    # operand order of one expression; np.add.reduce is ndarray.sum's sum
+
     def _inner(self, x) -> np.ndarray:
-        # negated margins; (-b) m is -(b m) bit for bit (sign-symmetric)
-        return self._neg * (self._features.apply(x[1:]) + x[0])
+        # negated margins (-b) (A w + v); (-b) m is -(b m) bit for bit
+        m = self._features.apply(x[1:])
+        m += x[0]
+        m *= self._neg
+        return m
 
     def _loss(self, u) -> float:
-        return float(np.logaddexp(0.0, u).sum())
+        return float(np.add.reduce(np.logaddexp(0.0, u)))
 
     def _gradient(self, x, u) -> np.ndarray:
-        coeff = self._neg * expit(u)  # 1/(1 + exp(-u)), overflow safe
-        grad = np.empty_like(x)
-        grad[0] = coeff.sum()
+        coeff = expit(u)  # 1/(1 + exp(-u)), overflow safe
+        coeff *= self._neg
+        grad = np.empty(len(x))  # float64 whatever x's dtype
+        grad[0] = np.add.reduce(coeff)
         grad[1:] = self._features.apply_transpose(coeff)
         return grad
 
     def _screened(self, x, screen: _Screen) -> tuple:
         u = self._inner(x)
-        coeff = self._neg * expit(u)
+        coeff = expit(u)
+        coeff *= self._neg
         vec = screen.vec
+        g = np.add.reduce(coeff) if vec is None else vec.dot(coeff)
         w = x[1:]
-        return (float(coeff.sum() if vec is None else vec.dot(coeff)),
-                1.0 + abs(float(x[0])), math.sqrt(w.dot(w)), u)
+        return float(g), 1.0 + abs(float(x[0])), math.sqrt(w.dot(w)), u
 
     def _screen_for(self, j: int) -> _Screen:
         features = self._features
@@ -588,15 +600,20 @@ def load_libsvm(path, nu: float, n_features: Optional[int] = None) -> LogisticPr
 def load_dense_csv(path_a, path_b, nu: float,
                    skip_header: bool = False) -> LassoProblem:
     """Dense CSV ingestion: numeric rows for A, a single column for b.
-    An A file with no rows raises ``ParseError``."""
+    An A or b file with no rows raises ``ParseError``, and numpy's warning
+    on it is not shown."""
     skip = 1 if skip_header else 0
     try:
-        a = np.loadtxt(path_a, delimiter=",", skiprows=skip, ndmin=2)
-        b = np.loadtxt(path_b, delimiter=",", skiprows=skip, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            a = np.loadtxt(path_a, delimiter=",", skiprows=skip, ndmin=2)
+            b = np.loadtxt(path_b, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise ParseError(f"csv parse failure: {exc}") from None
     if a.shape[0] == 0:
         raise ParseError("no samples found in A")
+    if b.shape[0] == 0:
+        raise ParseError("no samples found in b")
     if b.shape[1] != 1:
         raise ParseError(f"b has {b.shape[1]} columns, expected 1")
     b = b[:, 0]

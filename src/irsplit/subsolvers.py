@@ -216,14 +216,20 @@ class CurvatureMemory:
             for j in range(i + 1, k):
                 a -= alpha[j] * row[j]
             alpha[i] = rho[i] * a
-        q = (g - np.dot(alpha, Y)) * self._gamma
+        # q = (g - alpha Y) gamma and -(q + coef S), in place in the fresh
+        # products; np.array(l).dot is np.dot(l, .) without its dispatch
+        q = np.array(alpha).dot(Y)
+        np.subtract(g, q, out=q)
+        q *= self._gamma
         coef = Y.dot(q).tolist()
         for i in range(k):
             b = coef[i]
             for j in range(i):
                 b += coef[j] * gram[j][i]
             coef[i] = alpha[i] - rho[i] * b
-        return -(q + np.dot(coef, S))
+        d = np.array(coef).dot(S)
+        d += q
+        return np.negative(d, out=d)
 
 
 class LBFGSSession:
@@ -289,6 +295,8 @@ class LBFGSFProcedure:
     empty memory.  Every trial's gradient is still evaluated fresh, so the
     certificate is the same as with a memoryless session.  The line search
     and its round-off fallback are described on :class:`LBFGSSession`.
+    The augmented gradient is a new array, and no array the callable
+    returns is written, so it may return a cached one.
     """
 
     def __init__(self, value_and_grad):
@@ -299,11 +307,17 @@ class LBFGSFProcedure:
         memory = (prev.memory if prev is not None and prev.c == c
                   else CurvatureMemory())
         base = self._fg
+        half_c = 0.5 * c
 
         def augmented(x):
+            # g + p + c (x - z) in a new array, never in g
             f, g = base(x)
             dxz = x - z
-            return (f + p.dot(x) + 0.5 * c * dxz.dot(dxz), g + p + c * dxz)
+            f = f + float(p.dot(x)) + half_c * float(dxz.dot(dxz))
+            out = g + p
+            dxz *= c
+            out += dxz
+            return f, out
 
         session = LBFGSSession(augmented, x_bar, memory)
         session.c = c

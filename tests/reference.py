@@ -1,22 +1,23 @@
-"""Each formula of the proximal-projection engine and of the ADMM and
-splitting recursions, stated once, as plain numpy expressions in the
-paper's variables.
+"""Each formula of the proximal-projection engine, of the ADMM and
+splitting recursions and of the l1-logistic L-BFGS path, stated once, as
+plain numpy expressions in the paper's variables.
 
 The tests build their straight-line reference runs (``reference_hpp`` and
 ``reference_admm``) from these functions and compare the library's in-place
 kernels with them bit for bit, so this module shares no code with the
-library: it imports numpy and math only.
+library: it imports numpy, math and scipy's expit only.
 
 Engine variables: iterate z, extrapolated point w, certificate (z_tilde, v)
 at unit stepsize, relaxation rho.  ADMM variables: primal pair (x, z),
 multiplier p, penalty c; a hat marks the extrapolated point, subscript l an
 inner trial.  Splitting variables: the triple (s, b, r) = (x, -p, z) with
-gamma = 1/c.
+gamma = 1/c.  Logistic variables: x = (v, w), features A, labels b.
 """
 
 import math
 
 import numpy as np
+from scipy.special import expit
 
 # ---------------------------------------------------------------------------
 # the engine step, whose extrapolation the ADMM iteration shares
@@ -163,3 +164,78 @@ def embed_to_hpp(r_hat, b_hat, s, b, r, gamma):
     """The engine's extrapolated point, certificate point and certificate:
     (w, z_tilde, v) = (r_hat + gamma b_hat, r + gamma b, s - r)."""
     return r_hat + gamma * b_hat, r + gamma * b, s - r
+
+
+# ---------------------------------------------------------------------------
+# the l1-logistic loss and the L-BFGS F-procedure
+# ---------------------------------------------------------------------------
+
+
+def logistic_margins(neg_b, a, x):
+    """Negated margins of x = (v, w) for features a and labels b:
+    u = (-b) * (A w + v)."""
+    return neg_b * (a @ x[1:] + x[0])
+
+
+def logistic_loss(u):
+    """sum_i log(1 + exp(u_i)) as logaddexp(0, u).sum()."""
+    return float(np.logaddexp(0.0, u).sum())
+
+
+def logistic_gradient(neg_b, a, u):
+    """(sum_i c_i, A^T c) with the coefficients c = (-b) * expit(u)."""
+    c = neg_b * expit(u)
+    return np.concatenate(([c.sum()], a.T @ c))
+
+
+def logistic_screened(neg_b, a, x, j):
+    """The stop test's screened component of the gradient at x and its
+    bound terms: (g_j, 1 + |v|, ||w||, u), with g_0 = sum_i c_i and g_j =
+    a_j . c for the column a_j = A e_j of a weight."""
+    u = logistic_margins(neg_b, a, x)
+    c = neg_b * expit(u)
+    if j == 0:
+        g = c.sum()
+    else:
+        e = np.zeros(a.shape[1])
+        e[j - 1] = 1.0
+        g = (a @ e) @ c
+    w = x[1:]
+    return float(g), 1.0 + abs(float(x[0])), math.sqrt(w @ w), u
+
+
+def augmented(f, g, p, z, c, x):
+    """The F-procedure's subobjective f + <p, .> + (c/2)||. - z||^2 and its
+    gradient at x, from f's value f and gradient g there:
+    (f + p . x + 0.5 c ||x - z||^2, g + p + c (x - z))."""
+    d = x - z
+    return f + p @ x + 0.5 * c * (d @ d), g + p + c * d
+
+
+def lbfgs_direction(s, y, g):
+    """-H g for the L-BFGS inverse-Hessian approximation H of the secant
+    pairs (s_i, y_i), the k rows of s and y, oldest first, with the
+    scaling gamma = <s, y>/<y, y> of the newest pair: the two-loop
+    recursion in matrix form, with rho_i = 1/<s_i, y_i>, the Gram matrix
+    G = S Y^T and the scalar recursions on Python floats, then
+    q = (g - alpha Y) * gamma and -(q + coef S)."""
+    k = len(s)
+    if k == 0:
+        return -g
+    rho = [1.0 / float(s[i] @ y[i]) for i in range(k)]
+    gamma = float(s[-1] @ y[-1]) / float(y[-1] @ y[-1])
+    gram = (s @ y.T).tolist()
+    alpha = (s @ g).tolist()
+    for i in range(k - 1, -1, -1):
+        a = alpha[i]
+        for j in range(i + 1, k):
+            a -= alpha[j] * gram[i][j]
+        alpha[i] = rho[i] * a
+    q = (g - np.dot(alpha, y)) * gamma
+    coef = (y @ q).tolist()
+    for i in range(k):
+        b = coef[i]
+        for j in range(i):
+            b += coef[j] * gram[j][i]
+        coef[i] = alpha[i] - rho[i] * b
+    return -(q + np.dot(coef, s))

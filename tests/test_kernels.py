@@ -18,7 +18,8 @@ from irsplit.admm import (ADMMParams, Criterion, _accept, _acceptance_vector,
 from irsplit.hpp import (_extrapolate, _project, error_criterion_holds,
                          rho_bar_of_beta)
 from irsplit.problems import DesignMatrix, L1ShiftedProx
-from irsplit.subsolvers import CGSession, _shrink
+from irsplit.subsolvers import (CGSession, CurvatureMemory,
+                                LBFGSFProcedure, _shrink)
 
 import reference
 
@@ -230,6 +231,114 @@ def test_cg_session_rejects_an_operator_reusing_its_output():
     session.next()
     with pytest.raises(ValueError, match="new array"):
         session.next()
+
+
+# ---------------------------------------------------------------------------
+# the l1-logistic L-BFGS path, bit for bit against the expression forms
+# ---------------------------------------------------------------------------
+
+# finite entries for a design, with signed zeros and subnormals
+entries = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324,
+                                     2.2250738585072014e-308, -1e-310)),
+                    st.floats(-4.0, 4.0), st.floats(-1e3, 1e3))
+
+
+def design_vectors(n):
+    return st.lists(entries, min_size=n, max_size=n).map(np.array)
+
+
+def scalar_bits(got, want):
+    return same_bits(np.asarray(np.float64(got)), np.asarray(np.float64(want)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), q=st.integers(2, 12), p=st.integers(2, 6))
+def test_logistic_hooks_match_expression_forms(data, q, p):
+    """``LogisticProblem``'s margins, loss, gradient and screened stop-test
+    component give the bits of ``reference.logistic_*`` at x and at 1000 x,
+    where most margins saturate expit and logaddexp, with signed zeros,
+    subnormals, infs and NaNs in x.  x is left as it was, and the screened
+    u stays as it was through the full gradient that reuses it.  q, p >= 2
+    keep every product of the library's shapes (see
+    ``test_dot_equals_matmul_on_the_library_shapes``)."""
+    a = np.array([data.draw(st.lists(entries, min_size=p, max_size=p))
+                  for _ in range(q)])
+    labels = np.array(data.draw(st.lists(st.sampled_from((-1.0, 1.0)),
+                                         min_size=q, max_size=q)))
+    prob = ir.LogisticProblem(DesignMatrix(a), labels, 1.0)
+    neg_b = -labels
+    x0 = data.draw(vectors(p + 1))
+    with np.errstate(all="ignore"):
+        for x in (x0, 1e3 * x0):
+            before = x.copy()
+            u = prob._inner(x)
+            assert same_bits(u, reference.logistic_margins(neg_b, a, x))
+            assert scalar_bits(prob._loss(u), reference.logistic_loss(u))
+            want = reference.logistic_gradient(neg_b, a, u)
+            assert same_bits(prob._gradient(x, u), want)
+            f, g = prob.value_gradient(x)
+            assert scalar_bits(f, reference.logistic_loss(u))
+            assert same_bits(g, want)
+            for j in range(p + 1):
+                got = prob._screened(x, prob._screen_for(j))
+                ref = reference.logistic_screened(neg_b, a, x, j)
+                for got_t, want_t in zip(got[:3], ref[:3]):
+                    assert scalar_bits(got_t, want_t)
+                u_s = got[3]
+                assert same_bits(u_s, ref[3])
+                kept = u_s.copy()
+                prob._gradient(x, u_s)
+                assert same_bits(u_s, kept)
+            assert same_bits(x, before)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 8), wild=st.booleans())
+def test_lbfgs_augmented_function_matches_expression_forms(data, n, wild):
+    """A session's value and gradient at its start are
+    ``reference.augmented`` of the callable's (f, g) there, bit for bit,
+    on finite entries with signed zeros and subnormals, and in the
+    ``wild`` draws with infs, NaNs and unbounded floats too; the
+    callable's g, p, z and the start are left as they were."""
+    draw, scalar = (vectors, scalars) if wild else (design_vectors, entries)
+    f, c = data.draw(scalar), data.draw(scalar)
+    g, p, z, x = (data.draw(draw(n)) for _ in range(4))
+    before = [v.copy() for v in (g, p, z, x)]
+    with np.errstate(all="ignore"):
+        session = LBFGSFProcedure(lambda _: (f, g)).open_session(p, z, c, x)
+        want_f, want_g = reference.augmented(f, g, p, z, c, x)
+    assert scalar_bits(session.f, want_f)
+    assert same_bits(session.g, want_g)
+    for v, v0 in zip((g, p, z, x), before):
+        assert same_bits(v, v0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 12), pairs=st.integers(0, 13),
+       wild=st.booleans())
+def test_lbfgs_direction_matches_expression_forms(data, n, pairs, wild):
+    """``CurvatureMemory.direction`` gives the bits of
+    ``reference.lbfgs_direction`` on the pairs the memory holds, 0 to 10
+    of them, for g with signed zeros and subnormals, and in the ``wild``
+    draws infs, NaNs and unbounded floats in g and in the pairs too.  Most
+    drawn pairs are near-secant pairs y = s + e / 4 of finite entries, so
+    most memories of enough draws fill.  g is left as it was."""
+    draw = vectors if wild else design_vectors
+    memory = CurvatureMemory()
+    for _ in range(pairs):
+        s, e = data.draw(draw(n)), data.draw(draw(n))
+        with np.errstate(all="ignore"):
+            memory.add(s, e if data.draw(st.booleans()) and wild
+                       else s + 0.25 * e)
+    g = data.draw(draw(n))
+    before = g.copy()
+    k = len(memory)
+    s_rows, y_rows = memory._s[:k], memory._y[:k]
+    with np.errstate(all="ignore"):
+        got = memory.direction(g)
+        want = reference.lbfgs_direction(s_rows, y_rows, g)
+    assert same_bits(got, want)
+    assert same_bits(g, before)
 
 
 # ---------------------------------------------------------------------------

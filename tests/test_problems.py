@@ -1,6 +1,7 @@
 """Problem definitions: gradients, KKT residuals, generators, ingestion."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -507,6 +508,35 @@ def test_logistic_large_margins_vanish():
     assert np.linalg.norm(grad) <= 1e-200
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32],
+                         ids=["int", "float32"])
+@pytest.mark.parametrize("kind", ["logistic", "lasso"])
+def test_an_x_of_another_dtype_is_read_as_float64(kind, dtype):
+    """An int or float32 x gives the value, the float64 gradient, the
+    objective and the KKT residual, in full and screened, of the same x
+    as float64, bit for bit; the logistic gradient of an int x was
+    truncated to ints ([-3, 7, 9, 1] at the first logistic x), and a
+    float32 x got a float32 gradient."""
+    if kind == "logistic":
+        prob = ir.synthetic_logistic(20, 4, seed=0)
+        point = [0, 1, 2, 0] if dtype is np.int64 else [-0.75, 0.3, 1.7, -2.1]
+    else:
+        prob = ir.synthetic_lasso(10, 4, seed=0)
+        point = [0, 1, -2, 0] if dtype is np.int64 else [0.3, 0.0, -1.7, 2.1]
+    x = np.array(point, dtype=dtype)
+    x64 = x.astype(float)
+    f, g = prob.value_gradient(x)
+    f64, g64 = prob.value_gradient(x64)
+    assert f == f64
+    assert g.dtype == np.float64 and g.tobytes() == g64.tobytes()
+    assert prob.objective(x) == prob.objective(x64)
+    assert prob.kkt_dist_inf(x) == prob.kkt_dist_inf(x64)
+    value64, screen = prob.kkt_dist_inf(x64, 0.0)
+    assert value64 > 0.0 and screen is not None
+    assert prob.kkt_dist_inf(x, 0.0, screen)[0] == \
+        prob.kkt_dist_inf(x64, 0.0, screen)[0]
+
+
 def test_labels_are_fixed_at_construction():
     """The problem forms -labels once; after a value-gradient and a KKT
     test, neither assigning ``labels`` nor negating them in place gets
@@ -969,7 +999,6 @@ def test_dense_csv_refuses_a_b_of_more_than_one_column(tmp_path, b_text,
         load_dense_csv(pa, pb, nu=1.0)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 @pytest.mark.parametrize("a_text, skip_header", [("", False),
                                                  ("c1,c2\n", True)],
                          ids=["empty", "header_only"])
@@ -977,12 +1006,32 @@ def test_dense_csv_refuses_an_a_file_with_no_rows(tmp_path, a_text,
                                                   skip_header):
     """An A file with no rows raises ``ParseError``, as a LIBSVM file with
     no samples does, rather than load as a 0 x 1 problem that both solvers
-    report converged."""
+    report converged; numpy's "input contained no data" warning is not
+    shown."""
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     pa.write_text(a_text)
     pb.write_text("y\n" if skip_header else "")
-    with pytest.raises(ParseError, match="no samples found in A"):
-        load_dense_csv(pa, pb, nu=1.0, skip_header=skip_header)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="no samples found in A"):
+            load_dense_csv(pa, pb, nu=1.0, skip_header=skip_header)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("b_text, skip_header", [("", False), ("y\n", True)],
+                         ids=["empty", "header_only"])
+def test_dense_csv_refuses_a_b_file_with_no_rows(tmp_path, b_text,
+                                                 skip_header):
+    """A b file with no rows raises ``ParseError`` naming b, with no numpy
+    warning, where it ended as "A has 1 rows but b has 0"."""
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text("c1,c2\n1.0,2.0\n" if skip_header else "1.0,2.0\n")
+    pb.write_text(b_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="no samples found in b"):
+            load_dense_csv(pa, pb, nu=1.0, skip_header=skip_header)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_dense_csv_header_skip(tmp_path):

@@ -547,6 +547,35 @@ def test_sessions_never_modify_emitted_arrays():
             assert np.array_equal(x, x_copy) and np.array_equal(y, y_copy)
 
 
+def test_lbfgs_never_writes_into_the_callables_gradients(inertial_core):
+    """A value-and-gradient callable may return a cached array: a run on a
+    callable that keeps its result for every point it was asked for, and
+    returns the kept arrays when asked again, leaves every kept gradient as
+    it was and ends with the bits and counts of a run on the plain one."""
+    prob = ir.synthetic_logistic(40, 9, seed=4)
+    cache = {}
+
+    def cached(x):
+        key = x.tobytes()
+        if key not in cache:
+            f, g = prob.value_gradient(x)
+            cache[key] = (f, g, g.copy())
+        return cache[key][:2]
+
+    params = ir.ADMMParams(c=1.0, core=inertial_core, epsilon=1e-6)
+    got = ir.run_admm(ir.AdmmProblem(LBFGSFProcedure(cached), prob.prox_g,
+                                     prob.kkt_dist_inf, prob.objective,
+                                     prob.n), params)
+    want = ir.run_admm(ir.logistic_admm_problem(prob, 1.0), params)
+    assert got.status == want.status == "converged"
+    assert (got.outer_iters, got.inner_iters_total) == \
+        (want.outer_iters, want.inner_iters_total)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert len(cache) > got.outer_iters > 10
+    for _, g, kept in cache.values():
+        assert g.tobytes() == kept.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # proximal-gradient baseline
 # ---------------------------------------------------------------------------
