@@ -35,7 +35,6 @@ __all__ = [
     "RunConfig",
     "BenchResult",
     "run_one",
-    "geometric_mean",
     "summarize",
     "emit",
     "read_json",
@@ -276,19 +275,10 @@ def run_one(cfg: RunConfig) -> BenchResult:
 # Summary math
 # ---------------------------------------------------------------------------
 
-def geometric_mean(values: Sequence[float]) -> float:
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("empty input")
-    if any(v <= 0.0 for v in vals):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
 def _positive_mean(values) -> float:
     """The geometric mean of the positive values, NaN when there are none."""
     vals = [v for v in values if v > 0]
-    return geometric_mean(vals) if vals else math.nan
+    return statistics.geometric_mean(vals) if vals else math.nan
 
 
 def summarize(results: Sequence[BenchResult]) -> dict:

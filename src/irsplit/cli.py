@@ -3,15 +3,19 @@ synthetic dataset files.
 
 Config files are INI with [problem], [solver] and [run] sections mapping
 1:1 onto RunConfig; command-line flags override file values, ``--seed``
-the [problem] seed.  The default output directory comes from
-$IRSPLIT_OUT_DIR, falling back to the current directory.  ``run`` exits 0
-only when every run converged, and 2, before the first run, on a config
-it cannot read, a key that nothing reads, or a value of the wrong type or
-out of its key's range; an absent problem key takes the library's
-default.  ``gen`` reads its flags as ``run`` reads the same problem keys,
-and exits 2 on a bad one without writing a file.
-``summarize`` exits 2 on a results file it cannot read, of another schema
-version, or with a malformed record or config list.
+the [problem] seed.  An absent problem key takes the library's default,
+and ``gen`` reads its flags as ``run`` reads the same problem keys.  The
+default output directory comes from $IRSPLIT_OUT_DIR, falling back to the
+current directory.
+
+Every command exits 2, with ``irsplit-bench: <message>`` on stderr, on an
+input it refuses: a config or results file it cannot read, a section or
+key that nothing reads, a value of the wrong type or out of its key's
+range, a results file of another schema version or with a malformed
+record or config list, or an output path it cannot write.  ``run``
+checks every config before its first solve and ``gen`` its flags before
+it writes, so only an output path is refused after work is done.
+Otherwise ``run`` exits 0 when every run converged, else 1.
 """
 
 from __future__ import annotations
@@ -38,17 +42,22 @@ def _coerce(value: str):
 
 # a name or a path is read as written, also when it looks like a number
 _TEXT_KEYS = {"name", "a", "b", "path"}
+_SECTIONS = ("problem", "solver", "run")
 
 
 def _load_config(path) -> bench.RunConfig:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"cannot read config {path}")
+    unread = [f"[{name}]" for name in parser.sections()
+              if name not in _SECTIONS]
+    if unread:
+        raise ValueError(f"nothing reads section {', '.join(unread)}")
     problem, solver_items, run_items = (
         {k: v if k in _TEXT_KEYS else _coerce(v)
          for k, v in parser.items(name)}
         if parser.has_section(name) else {}
-        for name in ("problem", "solver", "run"))
+        for name in _SECTIONS)
     unread = run_items.keys() - {"repetitions", "name"}
     if unread:
         raise ValueError(f"[run] reads no key {', '.join(sorted(unread))}")
@@ -73,12 +82,6 @@ def _apply_overrides(cfg: bench.RunConfig, args) -> bench.RunConfig:
     return cfg
 
 
-def _default_out(args) -> str:
-    if args.out:
-        return args.out
-    return os.environ.get("IRSPLIT_OUT_DIR", ".")
-
-
 def _print_summary(summary: dict) -> None:
     header = f"{'problem':<28} {'solver':<14} {'outer':>8} {'inner':>9} " \
              f"{'seconds':>10} {'kkt':>10} {'status':>16}"
@@ -101,17 +104,13 @@ def _print_summary(summary: dict) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        configs = [_apply_overrides(_load_config(path), args)
-                   for path in args.config]
-        for cfg in configs:
-            cfg.validate()
-    except (OSError, ValueError, configparser.Error) as exc:
-        print(f"irsplit-bench: {exc}", file=sys.stderr)
-        return 2
+    configs = [_apply_overrides(_load_config(path), args)
+               for path in args.config]
+    for cfg in configs:
+        cfg.validate()
     results = [bench.run_one(cfg) for cfg in configs]
     summary = bench.summarize(results)
-    out_dir = _default_out(args)
+    out_dir = args.out or os.environ.get("IRSPLIT_OUT_DIR", ".")
     csv_path, json_path = bench.emit(results, summary, out_dir)
     _print_summary(summary)
     print(f"wrote {csv_path} and {json_path}")
@@ -119,14 +118,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    try:
-        payload = bench.read_json(args.results)
-        results = [bench._result(row, config) for row, config
-                   in zip(payload["records"], payload["configs"])]
-        summary = bench.summarize(results)
-    except (OSError, ValueError) as exc:
-        print(f"irsplit-bench: {exc}", file=sys.stderr)
-        return 2
+    payload = bench.read_json(args.results)
+    results = [bench._result(row, config) for row, config
+               in zip(payload["records"], payload["configs"])]
+    summary = bench.summarize(results)
     _print_summary(summary)
     if args.out:
         bench.emit(results, summary, args.out)
@@ -138,12 +133,8 @@ def _cmd_gen(args) -> int:
     _, needed, named = bench._PROBLEMS[kind]
     spec = {key: getattr(args, key) for key in {**needed, **named}
             if getattr(args, key) is not None}
-    try:
-        prob = bench._problem_builder({"kind": kind, **spec})()
-    except ValueError as exc:
-        print(f"irsplit-bench: {exc}", file=sys.stderr)
-        return 2
-    out_dir = _default_out(args)
+    prob = bench._problem_builder({"kind": kind, **spec})()
+    out_dir = args.out or os.environ.get("IRSPLIT_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
     if args.family == "lasso":
         paths = [os.path.join(out_dir, f"{args.prefix}_{part}.csv")
@@ -198,7 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, configparser.Error) as exc:
+        print(f"irsplit-bench: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

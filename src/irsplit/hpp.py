@@ -207,10 +207,10 @@ class ResolventOracle(Protocol):
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-# Private kernels of the loops of run_hpp and run_admm: float arrays of one
-# shape in, nothing checked.  In-place operations on a fresh array are the
-# formula's bit for bit, as a product or sum with its operands swapped
-# rounds the same.  tests/reference.py states each formula once as a plain
+# Private kernels of the loops of run_hpp and run_admm, and of the anchored
+# CG start: float arrays of one shape in, nothing checked.  In-place
+# operations on a fresh array are the formula's bit for bit, as a product
+# or sum with its operands swapped rounds the same.  tests/reference.py states each formula once as a plain
 # expression, and tests/test_kernels.py holds each kernel to it bit for bit.
 
 def _extrapolate(cur: np.ndarray, prev: np.ndarray,

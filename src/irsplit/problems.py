@@ -292,8 +292,8 @@ class LassoProblem(_L1Problem):
     ``prox_g`` and ``x_true`` fixed at construction (see :class:`_L1Problem`).
     ``b`` (one finite entry per row of A, else ``ValueError``) and the
     planted ``x_true`` (or None) are read-only copies; ``A``, which has at
-    least one column, else ``ValueError``, stores its matrix read-only (see
-    :class:`DesignMatrix`).
+    least one row and one column, else ``ValueError``, stores its matrix
+    read-only (see :class:`DesignMatrix`).
 
     The KKT screen reads g_j = (A^T a_j) . x - a_j . b, with a_j = A e_j
     and both A^T a_j and a_j . b kept with j, as the data are fixed.
@@ -309,6 +309,8 @@ class LassoProblem(_L1Problem):
     x_true = property(operator.attrgetter("_x_true"))
 
     def __init__(self, A: DesignMatrix, b, nu: float, x_true=None):
+        if A.shape[0] == 0:
+            raise ValueError("A must have at least one row")
         if A.shape[1] == 0:
             raise ValueError("A must have at least one column")
         b = _finite(np.array(b, dtype=float), "b")
@@ -349,11 +351,11 @@ class LassoProblem(_L1Problem):
 class LogisticProblem(_L1Problem):
     """min sum_i log(1 + exp(-b_i (a_i^T w + v))) + nu ||w||_1, x = (v, w).
 
-    ``features`` (q x (n - 1), rows a_i), ``labels`` (one b_i in {-1, +1}
-    per row, else ``ValueError``) and ``nu`` are fixed at construction, as
-    for :class:`LassoProblem`.  ``labels`` is copied into a read-only
-    array and checked once; its negation -b is formed once.  ``prox_g``
-    leaves the bias unshrunk.
+    ``features`` (q x (n - 1), rows a_i, q at least 1), ``labels`` (one b_i
+    in {-1, +1} per row, else ``ValueError``) and ``nu`` are fixed at
+    construction, as for :class:`LassoProblem`.  ``labels`` is copied into a
+    read-only array and checked once; its negation -b is formed once.
+    ``prox_g`` leaves the bias unshrunk.
 
     The KKT screen reads g_j = a_j . c for a weight, or sum_i c_i for the
     bias (a_0 = 1), from fresh coefficients c_i = -b_i expit(u_i) and the
@@ -369,6 +371,8 @@ class LogisticProblem(_L1Problem):
     labels = property(operator.attrgetter("_labels"))
 
     def __init__(self, features: DesignMatrix, labels, nu: float):
+        if features.shape[0] == 0:
+            raise ValueError("features must have at least one row")
         labels = np.array(labels, dtype=float)
         if labels.shape != (features.shape[0],):
             raise ValueError("label count must match the feature row count")

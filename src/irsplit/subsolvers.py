@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
                      _check_budget)
+from .hpp import _extrapolate
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunResult, run_result
 
 __all__ = [
@@ -139,9 +140,7 @@ class QuadraticFProcedure:
             g_x = prev.applied()
             g_x -= prev.c * prev.x
             if prev.gram is not None:
-                h_x_bar = g_x - prev.gram
-                h_x_bar *= alpha
-                h_x_bar += g_x
+                h_x_bar = _extrapolate(g_x, prev.gram, alpha)
                 h_x_bar += c * x_bar
         session = CGSession(operator, rhs, x_bar, h_x0=h_x_bar)
         session.c, session.gram = c, g_x
@@ -166,7 +165,8 @@ class CurvatureMemory:
 
     Pair ``i`` is row ``i`` of two ``(10, n)`` arrays ``S`` and ``Y``,
     with ``rho[i] = 1/<s_i, y_i>`` kept in a list.  ``add`` keeps a pair
-    only when its curvature <s, y> is positive relative to ||s|| ||y||, and
+    only when <y, y> is positive (it can underflow to 0 where <s, y> does
+    not) and its curvature <s, y> is positive relative to ||s|| ||y||, and
     drops the oldest pair when the memory is full.  ``direction`` is the
     standard two-loop recursion with the <s, y>/<y, y> scaling of the
     newest pair, written in matrix form: the inner products it needs come
@@ -175,8 +175,9 @@ class CurvatureMemory:
     n-vectors.
     """
 
-    def __init__(self):
-        self._s = self._y = np.empty((_MEMORY, 0))
+    def __init__(self, n: int):
+        self._s = np.empty((_MEMORY, n))
+        self._y = np.empty((_MEMORY, n))
         self._rho: list[float] = []
         self._gamma = 1.0
 
@@ -186,7 +187,7 @@ class CurvatureMemory:
     def add(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s.dot(y))
         yy = float(y.dot(y))
-        if not sy > 1e-12 * math.sqrt(float(s.dot(s)) * yy):
+        if not (yy > 0.0 and sy > 1e-12 * math.sqrt(float(s.dot(s)) * yy)):
             return
         k = len(self._rho)
         if k == _MEMORY:
@@ -194,9 +195,6 @@ class CurvatureMemory:
             self._y[:-1] = self._y[1:]
             del self._rho[0]
             k -= 1
-        elif k == 0 and self._s.shape[1] != s.size:
-            self._s = np.empty((_MEMORY, s.size))
-            self._y = np.empty((_MEMORY, s.size))
         self._s[k] = s
         self._y[k] = y
         self._rho.append(1.0 / sy)
@@ -305,7 +303,7 @@ class LBFGSFProcedure:
     def open_session(self, p, z, c, x_bar, anchor=None) -> LBFGSSession:
         prev = None if anchor is None else anchor[0]
         memory = (prev.memory if prev is not None and prev.c == c
-                  else CurvatureMemory())
+                  else CurvatureMemory(x_bar.size))
         base = self._fg
         half_c = 0.5 * c
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import statistics
 
 import pytest
 
@@ -66,18 +67,10 @@ def test_seconds_are_the_records_own_loop_times(monkeypatch, repetitions,
     assert (record.wall_seconds, record.outer_iters) == (seconds, 5)
 
 
-def test_geometric_mean_basics():
-    assert bench.geometric_mean([7.5]) == pytest.approx(7.5)
-    assert bench.geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        bench.geometric_mean([])
-    with pytest.raises(ValueError):
-        bench.geometric_mean([1.0, 0.0])
-
-
 def test_published_outer_iteration_means_reproduce_ratio():
     # the published geometric means of the three solvers' outer iterations
-    ratio = bench.geometric_mean([399.85]) / bench.geometric_mean([761.02])
+    ratio = (statistics.geometric_mean([399.85])
+             / statistics.geometric_mean([761.02]))
     assert abs(ratio - 0.525) <= 1e-3
 
 
@@ -358,6 +351,27 @@ def test_cli_bad_config_stops_before_any_run(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("[solver]", "[sovler]"), ("[run]", "[Run]"), ("[run]", "[extra]\n[run]")],
+    ids=["sovler", "Run", "extra"])
+def test_cli_unread_section_stops_before_any_run(tmp_path, capsys,
+                                                  monkeypatch, old, new):
+    """A section that nothing reads, such as a misspelled ``[solver]``
+    whose name and options would be dropped, is named on stderr with exit
+    code 2: nothing is solved and nothing is written."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG_TEXT.replace(old, new))
+    solved = []
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    section = new.split("\n")[0]
+    assert captured.err == f"irsplit-bench: nothing reads section {section}\n"
+    assert solved == [] and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, replacement", [
     ("repetitions = 1\n", "repetitions = 2.7\n"),
     ("m = 15\n", "m = 15.5\n"),
@@ -565,6 +579,26 @@ def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
     assert captured.err.startswith("irsplit-bench: ")
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "gen", "summarize"])
+def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    """An ``--out`` that names an existing file cannot be written: each
+    command names the OS error on stderr, without a traceback, and exits
+    2; the file is left as it was."""
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    ini, results = tmp_path / "run.ini", tmp_path / "bench.json"
+    ini.write_text(CONFIG_TEXT)
+    results.write_text(results_file([GOOD_ROW]))
+    argv = {"run": ["run", "-c", str(ini)],
+            "gen": ["gen", "lasso", "--m", "4", "--n", "3"],
+            "summarize": ["summarize", str(results)]}[command]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("irsplit-bench: ") and err.count("\n") == 1
+    assert "File exists" in err and str(out) in err
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -324,7 +324,7 @@ def test_lbfgs_direction_matches_expression_forms(data, n, pairs, wild):
     drawn pairs are near-secant pairs y = s + e / 4 of finite entries, so
     most memories of enough draws fill.  g is left as it was."""
     draw = vectors if wild else design_vectors
-    memory = CurvatureMemory()
+    memory = CurvatureMemory(n)
     for _ in range(pairs):
         s, e = data.draw(draw(n)), data.draw(draw(n))
         with np.errstate(all="ignore"):

@@ -683,6 +683,20 @@ def test_a_lasso_needs_a_column_and_a_logistic_model_may_be_bias_only():
         assert result.x == pytest.approx([np.log(3.0)], abs=1e-5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda A: ir.LassoProblem(A, np.zeros(0), 1.0),
+     "A must have at least one row"),
+    (lambda A: ir.LogisticProblem(A, np.zeros(0), 1.0),
+     "features must have at least one row"),
+], ids=["lasso", "logistic"])
+def test_a_problem_needs_a_row(build, message):
+    """A fit to no samples is refused when built, as every loader and
+    generator refuses an empty sample set, instead of both solvers
+    reporting convergence at zero."""
+    with pytest.raises(ValueError, match=message):
+        build(DesignMatrix(np.zeros((0, 3))))
+
+
 def test_logistic_constructor_rejects_an_infinite_nu():
     with pytest.raises(ValueError, match="0 < nu < inf violated"):
         ir.LogisticProblem(DesignMatrix(np.eye(2)), [1.0, -1.0], np.inf)

@@ -307,7 +307,7 @@ def test_lbfgs_matches_cg_quality_on_quadratic():
     def fg(x):
         return 0.5 * x @ (h @ x) - rhs @ x, h @ x - rhs
 
-    session = LBFGSSession(fg, np.zeros(n), CurvatureMemory())
+    session = LBFGSSession(fg, np.zeros(n), CurvatureMemory(n))
     y0 = np.linalg.norm(fg(np.zeros(n))[1])
     for _ in range(2 * n):
         _, y = session.next()
@@ -386,7 +386,7 @@ def secant_memory(n, flips, seed):
     Returns the memory, the pairs it should hold and the generator."""
     rng = np.random.default_rng(seed)
     h = spd_matrix(rng, n, spread=100.0)
-    memory = CurvatureMemory()
+    memory = CurvatureMemory(n)
     kept = []
     for flip in flips:
         s = rng.standard_normal(n)
@@ -419,6 +419,17 @@ def test_lbfgs_direction_satisfies_newest_secant_equation(n, flips, seed):
     memory, pairs, _ = secant_memory(n, flips + [False], seed)
     s, y = pairs[-1]
     assert np.linalg.norm(memory.direction(y) + s) <= 1e-12 * np.linalg.norm(s)
+
+
+def test_lbfgs_skips_a_pair_whose_y_dot_y_underflows():
+    """<y, y> of a tiny y underflows to 0 while <s, y> does not, so the
+    pair passes the curvature test against 0: it is skipped, where its
+    scaling <s, y>/<y, y> divided by zero, and the memory is unchanged."""
+    memory = CurvatureMemory(2)
+    memory.add(np.array([0.0, 1.0]), np.array([0.0, 4.815523263155446e-208]))
+    assert len(memory) == 0
+    g = np.array([1.0, -2.0])
+    assert np.array_equal(memory.direction(g), -g)
 
 
 def test_lbfgs_stationary_start_accepted_immediately():
