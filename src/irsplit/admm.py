@@ -140,10 +140,9 @@ class ShiftedProxG(Protocol):
 
 @dataclass
 class AdmmProblem:
-    """Everything a run needs: subproblem engines, stopping residual, objective.
+    """What :func:`run_admm` runs: subproblem engines, the stopping
+    residual, which it requires, and an optional objective.
 
-    :func:`run_admm` requires ``kkt_residual``; the loop of
-    :func:`irsplit.dr.run_dr` runs with None there, and no KKT test.
     The run calls ``kkt_residual(z, floor, screen)``, positionally, and
     gets ``(value, screen)``: the KKT residual at z, or, above ``floor``,
     possibly a lower bound on it, which proves only that ``residual <=
@@ -154,7 +153,7 @@ class AdmmProblem:
 
     fproc: FProcedure
     prox_g: ShiftedProxG
-    kkt_residual: Optional[Callable[[np.ndarray, float, object], tuple]]
+    kkt_residual: Callable[[np.ndarray, float, object], tuple]
     objective: Optional[Callable[[np.ndarray], float]] = None
     dim: Optional[int] = None
 
@@ -278,19 +277,22 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
         if problem.dim is not None and init.x.shape != (problem.dim,):
             raise ValueError(f"init has shape {init.x.shape}, "
                              f"expected ({problem.dim},)")
-    return _run(problem, params, (init.x, init.z, init.p), observer)
+    return _run(problem.fproc.open_session, problem.prox_g.solve,
+                problem.kkt_residual, problem.objective, params,
+                (init.x, init.z, init.p), observer)
 
 
 @np.errstate(all="ignore")
-def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
-         observer: Optional[Callable[[dict], None]],
+def _run(open_session, prox, kkt_residual, objective, params: ADMMParams,
+         start: tuple, observer: Optional[Callable[[dict], None]],
          gap_tol: float = 0.0, triple=PrimalDualTriple) -> RunResult:
-    """The outer loop of both drivers, on validated inputs: ``start`` is
-    the checked (x, z, p), and ``triple(x, z, p)`` builds the result's
-    triple from the last one.
+    """The outer loop of both drivers, on validated inputs: the four
+    callables of an :class:`AdmmProblem`, ``prox`` its ``prox_g.solve``;
+    ``start``, the checked (x, z, p); and ``triple(x, z, p)``, which
+    builds the result's triple from the last one.
 
     Stops on a KKT residual at most ``params.epsilon`` unless
-    ``problem.kkt_residual`` is None, on an accepted trial with
+    ``kkt_residual`` is None, on an accepted trial with
     ||x_l - z_l|| <= ``gap_tol`` (status ``solved``, the trial returned),
     after ``params.max_outer`` iterations, or on a failure (see
     :func:`run_admm`).  The record's ``final_kkt`` is the KKT residual at
@@ -305,9 +307,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
     alpha = params.core.alpha
     rho = params.core.rho_hi
     max_form = params.criterion is Criterion.MAX_FORM
-    open_session = problem.fproc.open_session
-    prox = problem.prox_g.solve
-    kkt_residual = problem.kkt_residual
     x, z, p = start
     x_prev, z_prev, p_prev = x, z, p
     inner_total = 0
@@ -375,6 +374,6 @@ def _run(problem: AdmmProblem, params: ADMMParams, start: tuple,
     if status != CONVERGED:  # the residual itself, not a bound
         kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
                else float(kkt_residual(z, math.inf, None)[0]))
-    obj = float(problem.objective(z)) if problem.objective else math.nan
+    obj = float(objective(z)) if objective else math.nan
     return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
                       triple(x, z, p))

@@ -281,6 +281,16 @@ def _positive_mean(values) -> float:
     return statistics.geometric_mean(vals) if vals else math.nan
 
 
+def _check_pairs(pairs) -> None:
+    """``ValueError`` naming the first (problem, solver) pair repeated in
+    ``pairs``: the ratio pairs rows by it, so it must name one row."""
+    seen = set()
+    for pair in pairs:
+        if pair in seen:
+            raise ValueError("two rows of problem %r with solver %r" % pair)
+        seen.add(pair)
+
+
 def summarize(results: Sequence[BenchResult]) -> dict:
     """Per-problem rows, per-solver geometric means, paired ratio columns.
 
@@ -288,11 +298,13 @@ def summarize(results: Sequence[BenchResult]) -> dict:
     sorted.  Geometric means run over the positive values of converged
     rows.  With two or more of ``SOLVERS`` present the ratio columns divide
     the first one's outer, inner and seconds by the second's, per problem
-    both converged on.
+    both converged on.  ``ValueError`` on no results, or on two of one
+    problem and solver.
     """
     results = list(results)
     if not results:
         raise ValueError("empty input")
+    _check_pairs((r.problem, r.solver) for r in results)
     present = {r.solver for r in results}
     known = [s for s in SOLVERS if s in present]
     solvers = known + sorted(present - set(SOLVERS))

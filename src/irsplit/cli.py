@@ -2,19 +2,21 @@
 synthetic dataset files.
 
 Config files are INI with [problem], [solver] and [run] sections mapping
-1:1 onto RunConfig; command-line flags override file values, ``--seed``
-the [problem] seed.  An absent problem key takes the library's default,
-and ``gen`` reads its flags as ``run`` reads the same problem keys.  The
-default output directory comes from $IRSPLIT_OUT_DIR, falling back to the
-current directory.
+1:1 onto RunConfig, each value read as written, ``%`` included;
+command-line flags override file values, ``--seed`` the [problem] seed.
+An absent problem key takes the library's default, and ``gen`` reads its
+flags as ``run`` reads the same problem keys.  The default output
+directory comes from $IRSPLIT_OUT_DIR, falling back to the current
+directory.
 
 Every command exits 2, with ``irsplit-bench: <message>`` on stderr, on an
 input it refuses: a config or results file it cannot read, a section or
-key that nothing reads, a value of the wrong type or out of its key's
-range, a results file of another schema version or with a malformed
-record or config list, or an output path it cannot write.  ``run``
-checks every config before its first solve and ``gen`` its flags before
-it writes, so only an output path is refused after work is done.
+key that nothing reads ([DEFAULT] included), a value of the wrong type or
+out of its key's range, two configs or records of one problem and solver,
+a results file of another schema version or with a malformed record or
+config list, or an output path it cannot write.  ``run`` checks every
+config before its first solve and ``gen`` its flags before it writes, so
+only an output path is refused after work is done.
 Otherwise ``run`` exits 0 when every run converged, else 1.
 """
 
@@ -46,7 +48,7 @@ _SECTIONS = ("problem", "solver", "run")
 
 
 def _load_config(path) -> bench.RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     if not parser.read(path):
         raise FileNotFoundError(f"cannot read config {path}")
     unread = [f"[{name}]" for name in parser.sections()
@@ -106,8 +108,7 @@ def _print_summary(summary: dict) -> None:
 def _cmd_run(args) -> int:
     configs = [_apply_overrides(_load_config(path), args)
                for path in args.config]
-    for cfg in configs:
-        cfg.validate()
+    bench._check_pairs((cfg.validate()[2], cfg.solver) for cfg in configs)
     results = [bench.run_one(cfg) for cfg in configs]
     summary = bench.summarize(results)
     out_dir = args.out or os.environ.get("IRSPLIT_OUT_DIR", ".")

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .admm import ADMMParams, AdmmProblem, Criterion, FProcedure, _run
+from .admm import ADMMParams, Criterion, FProcedure, _run
 from .errors import ParameterError, _check_budget
 from .hpp import InertiaRelaxParams, _vec
 from .records import RunResult
@@ -82,17 +82,6 @@ class ResolventMap(Protocol):
         ...
 
 
-class _ResolventProx:
-    """The A half-step as the loop's shifted prox, J_{gamma A}(x + gamma p)."""
-
-    def __init__(self, resolvent: ResolventMap, gamma: float):
-        self.resolvent = resolvent
-        self.gamma = gamma
-
-    def solve(self, p, x, c):
-        return self.resolvent.resolvent(self.gamma, x + self.gamma * p)
-
-
 def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
            resolvent: ResolventMap, max_outer: int = 1000,
            sr_tolerance: float = 0.0,
@@ -141,9 +130,11 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     loop_params = ADMMParams(1.0 / gamma, params.core, Criterion.SUM_SQUARES,
                              inner_budget=params.inner_budget,
                              max_outer=max_outer)
-    problem = AdmmProblem(fproc, _ResolventProx(resolvent, gamma), None)
-    # the result's triple is built once, in the splitting variables
-    return _run(problem, loop_params, (init.s, init.r, -init.b), observer,
+    # the shifted prox is the A half-step J_{gamma A}(x + gamma p), and the
+    # result's triple is built once, in the splitting variables
+    return _run(fproc.open_session,
+                lambda p, x, c: resolvent.resolvent(gamma, x + gamma * p),
+                None, None, loop_params, (init.s, init.r, -init.b), observer,
                 gap_tol=sr_tolerance,
                 triple=lambda x, z, p: SplitTriple(x, -p, z))
 

@@ -314,6 +314,70 @@ def test_cli_reads_a_numeric_path_as_a_path(tmp_path, monkeypatch):
     assert (result.problem, result.record.status) == ("2024", CONVERGED)
 
 
+def test_cli_reads_a_percent_sign_as_written(tmp_path, capsys,
+                                             monkeypatch):
+    """A ``lasso_csv`` config whose A file is named ``50%.csv`` reads
+    ``a`` as that path: a ``%`` starts no interpolation."""
+    prob = ir.synthetic_lasso(15, 40, seed=3)
+    ir.problems.save_dense_csv(prob, tmp_path / "50%.csv", tmp_path / "b.csv")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[problem]\nkind = lasso_csv\na = 50%.csv\nb = b.csv\n"
+                   f"nu = {prob.nu!r}\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "-c", str(ini), "--out", "out"]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = bench.read_json(tmp_path / "out" / "bench.json")["records"]
+    assert (row["problem"], row["status"]) == ("50%.csv", CONVERGED)
+
+
+@pytest.mark.parametrize("solver", ["", "[solver]\nname = admm_inertial\n"],
+                         ids=["problem_only", "with_solver"])
+def test_cli_refuses_a_default_section(tmp_path, capsys, monkeypatch, solver):
+    """A ``[DEFAULT]`` section lends its keys to no other section, so its
+    meaning cannot depend on which sections the file has: it is a section
+    that nothing reads, refused on stderr with exit code 2 whether or not
+    a ``[solver]`` follows, and nothing is solved or written."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\nseed = 3\n\n[problem]\nkind = synthetic_lasso"
+                   "\nm = 15\nn = 40\n\n" + solver)
+    solved = []
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "irsplit-bench: nothing reads section [DEFAULT]\n"
+    assert solved == [] and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("template, label", [
+    ("[problem]\nkind = synthetic_lasso\nm = 15\nn = 40\nseed = {}\n\n"
+     "[run]\nname = same\n", "same"),
+    ("[problem]\nkind = lasso_csv\na = A.csv\nb = b.csv\nnu = 0.{}\n",
+     "A.csv"),
+], ids=["one_name", "one_file"])
+def test_cli_run_refuses_two_configs_of_one_problem_and_solver(
+        tmp_path, capsys, monkeypatch, template, label):
+    """Two configs whose rows would share a problem label and a solver,
+    by one ``[run] name`` over two seeds or by one A file at two ``nu``,
+    are refused before the first solve: the ratio pairs rows by that
+    label and solver, so it would keep only the last pair."""
+    inis = []
+    for i in (1, 2):
+        ini = tmp_path / f"run{i}.ini"
+        ini.write_text(template.format(i))
+        inis += ["-c", str(ini)]
+    solved = []
+    monkeypatch.setattr(bench, "_solve", lambda cfg, prob: solved.append(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", *inis, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"irsplit-bench: two rows of problem {label!r} "
+                            f"with solver 'admm_inertial'\n")
+    assert solved == [] and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key", [
     ("problem", "densty"), ("solver", "epsilom"), ("run", "repetition"),
     ("run", "seed")])
@@ -558,19 +622,24 @@ def results_file(records, **rest):
     (results_file([GOOD_ROW, GOOD_ROW], configs=[{}]),
      "expected a 'configs' list of one object per record"),
     (results_file([]), "expected a 'records' list of one or more records"),
+    (results_file([GOOD_ROW, dict(GOOD_ROW, solver="admm_plain"),
+                   dict(GOOD_ROW, outer=5)]),
+     "two rows of problem 'p' with solver 'admm_inertial'\n"),
 ], ids=["schema", "missing", "not_json", "no_records", "not_object",
         "record_not_object", "record_without_inner", "outer_text",
         "status_bogus", "kkt_text", "problem_null", "seconds_negative",
         "outer_bool", "inner_bool", "kkt_bool", "seconds_nan", "configs_int",
-        "configs_short", "records_empty"])
+        "configs_short", "records_empty", "pair_repeated"])
 def test_cli_summarize_bad_file_exits_2(tmp_path, capsys, content, message):
     """``summarize`` treats a results file it cannot read, one of another
     schema version, one that is not an object holding a non-empty records
     list, one with a record that is not an object holding every CSV column
     with values of their types and ranges (a bool is not a count or a
-    number, and NaN seconds are not at least 0), or one whose configs are
-    not one object per record, as ``run`` and ``gen`` treat a bad input:
-    the message on stderr, without a traceback, and exit code 2."""
+    number, and NaN seconds are not at least 0), one whose configs are not
+    one object per record, or one with two records of one problem and
+    solver, whose ratio would keep only the last pair, as ``run`` and
+    ``gen`` treat a bad input: the message on stderr, without a traceback,
+    and exit code 2."""
     path = tmp_path / "bench.json"
     if content is not None:
         path.write_text(content)
