@@ -10,9 +10,8 @@ from .hpp import (InertiaRelaxParams, ProxCertificate, alvarez_attouch_check,
 from .admm import (ADMMParams, AdmmProblem, Criterion, PrimalDualTriple,
                    run_admm)
 from .dr import DRParams, SplitTriple, classical_dr_step, run_dr
-from .subsolvers import (CGSession, FistaConfig, LBFGSFProcedure,
-                         LBFGSSession, QuadraticFProcedure, fista_solve,
-                         soft_threshold)
+from .subsolvers import (FistaConfig, LBFGSFProcedure, QuadraticFProcedure,
+                         fista_solve, soft_threshold)
 from .problems import (DesignMatrix, LassoProblem, LogisticProblem,
                        lasso_admm_problem, load_dense_csv,
                        load_libsvm, logistic_admm_problem,

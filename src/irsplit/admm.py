@@ -110,9 +110,9 @@ class FProcedure(Protocol):
     criterion at any sigma.  Emitted arrays are float arrays that belong to
     the session and are read-only for callers: a session may emit its own
     state without a copy, and never modifies an emitted array afterwards.
-    The loop likewise never writes into an emitted array, nor into the
-    triple it starts from; it updates in place only arrays it has just
-    allocated.
+    The loop likewise never writes into an emitted array, the ``x_bar`` it
+    hands over, which a session may keep uncopied, or the triple it starts
+    from; it updates in place only arrays it has just allocated.
 
     :func:`run_admm` passes ``anchor = (session, alpha)``: ``session`` is
     the previous outer iteration's session, whose latest trial ``x`` is

@@ -489,7 +489,8 @@ def synthetic_lasso(m: int, n: int, density: float = 1.0, noise: float = 0.01,
 
     Gaussian A with entries of variance 1/(m density), so columns have
     roughly unit norm (sparse below density 1); sparse ground truth,
-    b = A x_true + noise, nu = nu_fraction ||A^T b||_inf.
+    b = A x_true + noise, nu = nu_fraction ||A^T b||_inf.  A draw with
+    A^T b = 0, as an A with no entry at a low density, is refused.
     """
     if m < 1 or n < 1:
         raise ValueError("m, n >= 1 required")
@@ -508,8 +509,11 @@ def synthetic_lasso(m: int, n: int, density: float = 1.0, noise: float = 0.01,
     support = rng.choice(n, size=max(1, round(0.1 * n)), replace=False)
     x_true[support] = rng.standard_normal(support.size)
     b = design.apply(x_true) + noise * rng.standard_normal(m)
-    nu = nu_fraction * float(np.abs(design.apply_transpose(b)).max())
-    return LassoProblem(design, b, nu, x_true=x_true)
+    atb = float(np.abs(design.apply_transpose(b)).max())
+    if not atb > 0.0:
+        raise ValueError(f"the draw gave A^T b = 0 at density {density} "
+                         f"and size {m} x {n}, so nu would be 0")
+    return LassoProblem(design, b, nu_fraction * atb, x_true=x_true)
 
 
 def synthetic_logistic(q: int, n: int, nu_fraction: float = 0.1,

@@ -23,10 +23,7 @@ from .hpp import _extrapolate
 from .records import BUDGET_EXCEEDED, CONVERGED, ERROR, RunResult, run_result
 
 __all__ = [
-    "CGSession",
     "QuadraticFProcedure",
-    "CurvatureMemory",
-    "LBFGSSession",
     "LBFGSFProcedure",
     "soft_threshold",
     "FistaConfig",
@@ -35,31 +32,27 @@ __all__ = [
 
 
 class CGSession:
-    """Conjugate gradient on an SPD system H x = rhs, one step per ``next``.
+    """Conjugate gradient on an SPD system H x = rhs, one step per ``next``:
+    the session :meth:`QuadraticFProcedure.open_session` builds.
 
     ``next()`` returns ``(x, y)`` with y = H x - rhs, carried by the usual
     residual recurrence with its sign flipped.  Each step makes both arrays
-    afresh and emits them without a copy.  Once y is exactly zero the
-    session keeps returning the current pair.  A nonpositive curvature d .
-    H d along the search direction d raises ``CGBreakdown`` with its value
-    and ||d||.  A caller that already knows ``H x0`` passes it as
-    ``h_x0``, and the session starts without applying the operator.  ``x``
-    is the current point: a private copy of ``x0`` before the first
-    ``next()``, the array the latest ``next()`` returned after it.
-    ``applied()`` is H at the current point, read off y.
-
-    ``operator_apply`` must return a new array on every call, one that
-    aliases neither its argument nor an earlier result: the session forms
-    the next y inside it, and raises ``ValueError`` when the operator
-    returns its argument or its previous result.  The search direction,
-    which is never emitted, is updated in place.
+    afresh, y inside the operator's fresh result, and emits them without a
+    copy; the search direction, never emitted, is updated in place.  Once y
+    is exactly zero the session keeps returning the current pair.  A
+    nonpositive curvature d . H d along the search direction d raises
+    ``CGBreakdown`` with its value and ||d||.  A caller that already knows
+    ``H x0`` passes it as ``h_x0``, and the session starts without applying
+    the operator.  ``x`` is the current point: ``x0`` itself, never
+    written, before the first ``next()``, then the array the latest
+    ``next()`` returned.  ``applied()`` is H at the current point, read off y.
     """
 
     def __init__(self, operator_apply: Callable[[np.ndarray], np.ndarray],
                  rhs: np.ndarray, x0: np.ndarray,
                  h_x0: Optional[np.ndarray] = None):
         self._apply = operator_apply
-        self.x = np.asarray(x0, dtype=float).copy()
+        self.x = np.asarray(x0, dtype=float)
         self._rhs = np.asarray(rhs, dtype=float)
         if h_x0 is None:
             h_x0 = operator_apply(self.x)
@@ -74,8 +67,6 @@ class CGSession:
     def next(self) -> tuple[np.ndarray, np.ndarray]:
         if self._rs != 0.0:
             h_d = self._apply(self._direction)
-            if h_d is self._direction or h_d is self._y:
-                raise ValueError("operator_apply must return a new array")
             curvature = float(self._direction.dot(h_d))
             if curvature <= 0.0:
                 norm = math.sqrt(self._direction.dot(self._direction))
@@ -163,16 +154,16 @@ _GROWTH = 2.0
 class CurvatureMemory:
     """The last 10 L-BFGS secant pairs, oldest first, as array rows.
 
-    Pair ``i`` is row ``i`` of two ``(10, n)`` arrays ``S`` and ``Y``,
-    with ``rho[i] = 1/<s_i, y_i>`` kept in a list.  ``add`` keeps a pair
-    only when <y, y> is positive (it can underflow to 0 where <s, y> does
-    not) and its curvature <s, y> is positive relative to ||s|| ||y||, and
-    drops the oldest pair when the memory is full.  ``direction`` is the
-    standard two-loop recursion with the <s, y>/<y, y> scaling of the
-    newest pair, written in matrix form: the inner products it needs come
-    from one Gram matrix ``S Y^T`` and a few matrix-vector products, and
-    the two scalar recursions run on that m x m matrix instead of on
-    n-vectors.
+    The memory :meth:`LBFGSFProcedure.open_session` builds or carries over.
+    Pair ``i`` is row ``i`` of two ``(10, n)`` arrays ``S`` and ``Y``, with
+    ``rho[i] = 1/<s_i, y_i>`` kept in a list.  ``add`` keeps a pair only
+    when <y, y> is positive (it can underflow to 0 where <s, y> does not)
+    and its curvature <s, y> is positive relative to ||s|| ||y||, and drops
+    the oldest pair when the memory is full.  ``direction`` is the standard
+    two-loop recursion with the <s, y>/<y, y> scaling of the newest pair,
+    written in matrix form: the inner products it needs come from one Gram
+    matrix ``S Y^T`` and a few matrix-vector products, and the two scalar
+    recursions run on that m x m matrix instead of on n-vectors.
     """
 
     def __init__(self, n: int):
@@ -231,24 +222,25 @@ class CurvatureMemory:
 
 
 class LBFGSSession:
-    """Limited-memory BFGS with Armijo backtracking, one step per ``next``.
+    """Limited-memory BFGS with Armijo backtracking, one step per ``next``:
+    the session :meth:`LBFGSFProcedure.open_session` builds.
 
-    ``memory`` is the :class:`CurvatureMemory` the session reads and
-    extends.  A trial step is accepted by the Armijo test on f with
-    constant ``armijo = 1e-4``, over at most 50 steps, each half the last.
-    Near the optimum the decrease that test asks for can fall below the
-    round-off of f, so when f_new and f agree to within ``1e-12 (1 + |f|)``
-    (the slack ``fista_solve`` uses) the step is also accepted on the
-    gradient form of the Armijo test, ``<g_new, d> <= (2 armijo - 1) <g,
-    d>`` (the approximate Wolfe test of Hager and Zhang).  Each step's
-    point and gradient are fresh arrays, emitted without a copy; at a
-    stationary point the session keeps returning them.
+    The session starts at ``x0`` itself and reads and extends ``memory``, a
+    :class:`CurvatureMemory`.  A trial step is accepted by the Armijo test
+    on f with constant ``armijo = 1e-4``, over at most 50 steps, each half
+    the last.  Near the optimum the decrease that test asks for can fall
+    below the round-off of f, so when f_new and f agree to within
+    ``1e-12 (1 + |f|)`` (the slack ``fista_solve`` uses) the step is also
+    accepted on the gradient form of the Armijo test, ``<g_new, d> <=
+    (2 armijo - 1) <g, d>`` (the approximate Wolfe test of Hager and
+    Zhang).  Each step's point and gradient are fresh arrays, emitted
+    without a copy; at a stationary point the session keeps returning them.
     """
 
     def __init__(self, value_and_grad, x0: np.ndarray,
                  memory: CurvatureMemory):
         self._fg = value_and_grad
-        self.x = np.asarray(x0, dtype=float).copy()
+        self.x = np.asarray(x0, dtype=float)
         self.f, self.g = value_and_grad(self.x)
         self.memory = memory
 

@@ -17,7 +17,7 @@ from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
                                ExactResolventOracle, L1Resolvent,
                                PerturbedResolventOracle)
-from irsplit.subsolvers import soft_threshold
+from irsplit.subsolvers import CGSession, soft_threshold
 
 import reference
 from conftest import (Collector, accepted_certificate_sampler, engine_steps,
@@ -390,7 +390,7 @@ def test_criterion_7_oracle_suite():
     h_mat = (q * np.linspace(1.0, 10.0, 50)) @ q.T
     rhs = rng.standard_normal(50)
     rhs /= np.linalg.norm(rhs)
-    session = ir.CGSession(lambda u: h_mat @ u, rhs, np.zeros(50))
+    session = CGSession(lambda u: h_mat @ u, rhs, np.zeros(50))
     for _ in range(50):
         _, y = session.next()
     if np.linalg.norm(y) > 1e-10:

@@ -21,8 +21,8 @@ from irsplit.hpp import rho_bar_of_beta, run_hpp
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
                                ExactResolventOracle, L1Resolvent)
 from irsplit.problems import L1ShiftedProx
-from irsplit.subsolvers import (LBFGSFProcedure, QuadraticFProcedure,
-                                soft_threshold)
+from irsplit.subsolvers import (CGSession, LBFGSFProcedure,
+                                QuadraticFProcedure, soft_threshold)
 
 import reference
 from conftest import Collector, record_trials
@@ -780,7 +780,7 @@ def held_state(fproc):
         v = stack.pop()
         if isinstance(v, (list, tuple)):
             stack.extend(v)
-        elif isinstance(v, (np.ndarray, ir.CGSession)):
+        elif isinstance(v, (np.ndarray, CGSession)):
             held.append(v)
     return held
 

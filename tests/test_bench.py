@@ -771,6 +771,19 @@ def test_cli_gen_bad_flag_stops_before_writing(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+def test_cli_gen_names_a_draw_with_a_zero_a_t_b(tmp_path, capsys):
+    """A ``gen lasso`` draw with no entry, 5 x 5 at density 0.01, exits 2
+    with the generator's own message, and writes nothing."""
+    out = tmp_path / "out"
+    assert cli.main(["gen", "lasso", "--m", "5", "--n", "5", "--density",
+                     "0.01", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("irsplit-bench: the draw gave A^T b = 0 at "
+                            "density 0.01 and size 5 x 5, so nu would be 0\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 LOGISTIC_TEXT = """\
 [problem]
 kind = synthetic_logistic

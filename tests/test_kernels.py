@@ -218,21 +218,6 @@ def test_cg_session_emits_fresh_arrays():
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
-def test_cg_session_rejects_an_operator_reusing_its_output():
-    """An operator that returns its argument, or one buffer on every call,
-    would corrupt the direction and the emitted certificates; the session
-    raises instead."""
-    h = np.diag([1.0, 2.0, 4.0])
-    rhs = np.array([1.0, -1.0, 0.5])
-    with pytest.raises(ValueError, match="new array"):
-        CGSession(lambda u: u, rhs, np.zeros(3)).next()
-    buffer = np.empty(3)
-    session = CGSession(lambda u: np.dot(h, u, out=buffer), rhs, np.zeros(3))
-    session.next()
-    with pytest.raises(ValueError, match="new array"):
-        session.next()
-
-
 # ---------------------------------------------------------------------------
 # the l1-logistic L-BFGS path, bit for bit against the expression forms
 # ---------------------------------------------------------------------------

@@ -843,6 +843,16 @@ def test_generators_refuse_bad_sizes(generate, message):
         generate()
 
 
+def test_synthetic_lasso_refuses_a_draw_with_a_zero_a_t_b():
+    """At density 0.01 a 5 x 5 draw has round(0.25) = 0 entries, so A^T b
+    = 0 and nu = nu_fraction ||A^T b||_inf would be 0: the generator names
+    the draw, its density and its size, not a nu the caller never gave."""
+    with pytest.raises(ValueError) as raised:
+        ir.synthetic_lasso(5, 5, density=0.01)
+    assert str(raised.value) == ("the draw gave A^T b = 0 at density 0.01 "
+                                 "and size 5 x 5, so nu would be 0")
+
+
 def test_synthetic_lasso_sparse_backend():
     p = ir.synthetic_lasso(15, 30, density=0.3, seed=8)
     assert p.A.is_sparse

@@ -452,6 +452,24 @@ def test_lbfgs_stationary_start_accepted_immediately():
                             np.zeros(4), np.ones(4), c, 0.5, max_form=True)
 
 
+@pytest.mark.parametrize("procedure", [
+    lambda b: QuadraticFProcedure(ir.DesignMatrix(np.eye(3)), b),
+    lambda b: LBFGSFProcedure(lambda x: (0.5 * (x - b).dot(x - b), x - b)),
+], ids=["cg", "lbfgs"])
+def test_session_keeps_the_start_point_it_is_given(procedure):
+    """A session holds the ``x_bar`` it is opened with as its current
+    point, without a copy, as the loop never writes it; where the start is
+    stationary (CG residual H x_bar - rhs = 2 b - 2 b, gradient x_bar - b
+    + (x_bar - z)), ``next()`` emits that array itself, unwritten."""
+    b = np.array([1.0, -2.0, 3.0])
+    x_bar = b.copy()
+    session = procedure(b).open_session(np.zeros(3), b, 1.0, x_bar)
+    assert session.x is x_bar
+    x, y = session.next()
+    assert x is x_bar and not np.count_nonzero(y)
+    assert np.array_equal(x_bar, b)
+
+
 def test_lbfgs_ascent_direction_falls_back_to_steepest_descent():
     """A memory direction that is not a descent direction is replaced by
     -g: on 0.5 ||x||^2 from (3, -4), a stub memory whose direction is g
