@@ -4,7 +4,9 @@ Running the ADMM layer and the Douglas-Rachford layer side by side on the
 same LASSO instance (mapped by s = x, b = -p, r = z with gamma = 1/c)
 produces identical trajectories; mapping once more onto the
 proximal-projection engine (z = r + gamma b) satisfies the engine's step
-equations with unit proximal stepsize.
+equations with unit proximal stepsize.  The engine is the base of the
+theory, and its loop is this one: with A = 0 the splitting is the engine
+on B (demo 02).
 """
 
 import numpy as np

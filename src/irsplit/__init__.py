@@ -4,12 +4,11 @@ benchmark harness."""
 
 from .errors import (CGBreakdown, LineSearchFailure, ParameterError,
                      ParseError)
-from .hpp import (InertiaRelaxParams, ProxCertificate, alvarez_attouch_check,
-                  beta_of_rho_bar, error_criterion_holds, fejer_check,
-                  q_eval, rho_bar_of_beta, run_hpp)
+from .hpp import (InertiaRelaxParams, alvarez_attouch_check,
+                  beta_of_rho_bar, fejer_check, q_eval, rho_bar_of_beta)
 from .admm import (ADMMParams, AdmmProblem, Criterion, PrimalDualTriple,
                    run_admm)
-from .dr import DRParams, SplitTriple, classical_dr_step, run_dr
+from .dr import DRParams, SplitTriple, classical_dr_step, run_dr, run_hpp
 from .subsolvers import (FistaConfig, LBFGSFProcedure, QuadraticFProcedure,
                          fista_solve, soft_threshold)
 from .problems import (DesignMatrix, LassoProblem, LogisticProblem,

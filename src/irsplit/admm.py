@@ -293,11 +293,12 @@ def _run(open_session, prox, kkt_residual, objective, params: ADMMParams,
 
     Stops on a KKT residual at most ``params.epsilon`` unless
     ``kkt_residual`` is None, on an accepted trial with
-    ||x_l - z_l|| <= ``gap_tol`` (status ``solved``, the trial returned),
-    after ``params.max_outer`` iterations, or on a failure (see
+    ||x_l - z_l|| <= ``gap_tol`` (the trial returned, with status
+    ``solved`` when x_l = z_l exactly, else ``converged``), after
+    ``params.max_outer`` iterations, or on a failure (see
     :func:`run_admm`).  The record's ``final_kkt`` is the KKT residual at
     the returned z, or ||x - z|| of the returned triple without the KKT
-    test.  The iteration that stops as ``solved`` forms no corrected
+    test.  The iteration that stops on the gap forms no corrected
     multiplier and reaches no observer.  With numpy's warnings off, the
     tests of a finite dd + t . t and of 0 < theta < inf catch an inf or
     NaN trial.
@@ -351,7 +352,7 @@ def _run(open_session, prox, kkt_residual, objective, params: ADMMParams,
             inner_total += trial
             gap = math.sqrt(dd)
             if gap <= gap_tol:
-                status = SOLVED
+                status = CONVERGED if dd else SOLVED
                 x, z, p = x_l, z_l, p_l
                 break
             th = _theta(t, d, dd, c)
@@ -371,9 +372,10 @@ def _run(open_session, prox, kkt_residual, objective, params: ADMMParams,
     else:
         k = params.max_outer
     wall = time.perf_counter() - started
-    if status != CONVERGED:  # the residual itself, not a bound
-        kkt = (float(np.linalg.norm(x - z)) if kkt_residual is None
-               else float(kkt_residual(z, math.inf, None)[0]))
+    if kkt_residual is None:
+        kkt = float(np.linalg.norm(x - z))
+    elif status != CONVERGED:  # the residual itself, not a bound
+        kkt = float(kkt_residual(z, math.inf, None)[0])
     obj = float(objective(z)) if objective else math.nan
     return run_result(z, status, k, inner_total, wall, kkt, obj, cause,
                       triple(x, z, p))

@@ -1,4 +1,5 @@
-"""Partially inexact inertial-relaxed Douglas-Rachford splitting.
+"""Partially inexact inertial-relaxed Douglas-Rachford splitting, and the
+proximal-projection engine as its case A = 0.
 
 Solves ``0 in A(x) + B(x)`` when the resolvent of ``A`` is cheap and exact
 while the ``B`` half-step must be approached iteratively.  Each outer
@@ -7,19 +8,24 @@ iteration extrapolates the ``(s, b, r)`` state, runs an F-procedure for B
 relative-error test accepts, and closes with a relaxed projective
 correction of the ``b`` component.
 
-The outer recursion is an instance of the proximal-projection engine in
+The outer recursion is an instance of the proximal-projection engine of
 :mod:`irsplit.hpp` applied to the splitting operator of the pair (A, B)
 with unit stepsize: its point is z = r + gamma b, and an iteration's
 extrapolated point, certificate point and certificate are r_hat + gamma
-b_hat, r + gamma b and s - r.  :func:`run_dr` is the
-loop of :mod:`irsplit.admm` under the change of variables (s, b, r) =
-(x, -p, z), so each step of the recursion is a kernel of that loop.
+b_hat, r + gamma b and s - r.  :func:`run_dr` is the loop of
+:mod:`irsplit.admm` under the change of variables (s, b, r) = (x, -p, z),
+so each step of the recursion is a kernel of that loop.
+
+Conversely, with A = 0 and gamma = 1 the splitting is the engine on B:
+:func:`run_hpp` runs the engine so, and the loop of :mod:`irsplit.admm` is
+the one outer loop of all three layers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -34,6 +40,7 @@ __all__ = [
     "DRParams",
     "ResolventMap",
     "run_dr",
+    "run_hpp",
     "classical_dr_step",
 ]
 
@@ -74,8 +81,8 @@ class ResolventMap(Protocol):
     """Exact single-valued resolvent u -> (I + gamma A)^{-1}(u).
 
     The protocol of the engine's operators too: an operator of
-    :mod:`irsplit.operators` serves as the A-resolvent here, inside an
-    ``ExactBProcedure``, and inside the engine's resolvent oracles as it is.
+    :mod:`irsplit.operators` serves as the A-resolvent here, and inside an
+    ``ExactBProcedure`` or a ``PerturbedBProcedure``, as it is.
     """
 
     def resolvent(self, gamma: float, u: np.ndarray) -> np.ndarray:
@@ -94,8 +101,9 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     A-resolvent, any :class:`ResolventMap`, for example an operator of
     :mod:`irsplit.operators` as it is.
 
-    The default tolerance 0 stops only on the exact coincidence s = r, in
-    which case that point solves the inclusion.  Constant schedules
+    The run stops with status ``solved`` on the exact coincidence s = r,
+    where that point solves the inclusion, and with status ``converged``
+    on 0 < ||s - r|| <= ``sr_tolerance``.  Constant schedules
     alpha_k = alpha and rho_k = rho_hi are used.  When ``max_outer`` runs
     out the partial result is returned with status ``budget_exceeded``.
     The result's ``triple`` is the last :class:`SplitTriple` and its ``x``
@@ -137,6 +145,35 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
                 None, None, loop_params, (init.s, init.r, -init.b), observer,
                 gap_tol=sr_tolerance,
                 triple=lambda x, z, p: SplitTriple(x, -p, z))
+
+
+# J_{gamma A} of A = 0
+_IDENTITY = SimpleNamespace(resolvent=lambda gamma, u: u)
+
+
+def run_hpp(z0, fproc: FProcedure, params: InertiaRelaxParams,
+            max_iters: int = 1000, v_tolerance: float = 0.0,
+            observer: Optional[Callable[[dict], None]] = None) -> RunResult:
+    """Drive the engine on T from ``z0`` until v = 0, ||v|| <= v_tolerance
+    or ``max_iters`` iterations: :func:`run_dr` with A = 0 and gamma = 1
+    from the triple (z0, 0, z0), whose statuses, failures and events it
+    returns as they are.
+
+    ``fproc`` is an F-procedure for T (:class:`irsplit.admm.FProcedure`),
+    such as ``ExactBProcedure`` or ``PerturbedBProcedure``: at penalty 1 a
+    trial (x, y) is the engine pair (z_tilde, v) = (x, y - x + w) at the
+    extrapolated point w, and the loop's test is the engine's.  An event's
+    w, z_tilde and next iterate are z_hat - p_hat, z - p_l and z - p.  The
+    result's ``x`` is the engine point r + b of the last triple, and
+    ``record.final_kkt`` its ||s - r||, the last ||v||.  A ``z0`` that is
+    not a finite 1-D array raises ``ValueError``; ``max_iters`` and
+    ``v_tolerance`` are checked as ``max_outer`` and ``sr_tolerance``.
+    """
+    z0 = _vec(z0, "z0")
+    res = run_dr(SplitTriple(z0, np.zeros_like(z0), z0), DRParams(1.0, params),
+                 fproc, _IDENTITY, max_iters, v_tolerance, observer)
+    res.x = res.triple.r + res.triple.b
+    return res
 
 
 def classical_dr_step(z: np.ndarray, gamma: float, resolvent_a: ResolventMap,

@@ -1,52 +1,42 @@
-"""Inertial-relaxed hybrid proximal-projection (HPP) engine.
+"""Inertial-relaxed hybrid proximal-projection (HPP) engine: its parameters
+and its descent diagnostics.
 
-Solves the monotone inclusion ``0 in T(z)`` given only an inexact resolvent
-oracle for ``T``.  Each iteration extrapolates the two most recent iterates
-(inertia), asks the oracle for an approximate resolvent pair passing a
-relative-error test, and applies a relaxed orthogonal projection onto the
-hyperplane that separates the extrapolated point from the solution set.
-The proximal stepsize is 1: a stepsize lam is the method on lam T, whose
-certificate (z_tilde, lam v) gives the same hyperplane as (z_tilde, v).
+The engine solves ``0 in T(z)`` given only an inexact resolvent of ``T``.
+Each iteration extrapolates the two most recent iterates (inertia), takes
+a pair (z_tilde, v), v in T(z_tilde), that passes the relative-error test
+||v + z_tilde - w||^2 <= sigma^2 (||z_tilde - w||^2 + ||v||^2) at the
+extrapolated point w, and relaxes the projection of w onto the hyperplane
+that separates it from the solution set.  The stepsize is 1: a stepsize
+lam is the method on lam T, whose pair (z_tilde, lam v) gives the same
+hyperplane.
 
-The admissible inertia and relaxation caps are mutually constrained: for an
-inertia bound ``beta`` the relaxation cap is ``rho_bar_of_beta(beta)`` and
-conversely ``beta_of_rho_bar`` recovers ``beta``.  An
-:class:`InertiaRelaxParams` checks the full contract when it is built.
-
-:func:`run_hpp` is the engine's one loop, and a single step is
-``run_hpp(max_iters=1)`` with an observer.  It checks its inputs at entry
-and runs on plain arrays, through the private kernels ``_extrapolate`` and
-``_project``.  As in the splitting drivers, an optional observer sees each
-completed iteration, and a spent budget, a rejected certificate or a
-non-finite iterate is a status of the returned result.
-:func:`fejer_check` and :func:`alvarez_attouch_check` read a trajectory as
-``(w, z_tilde, z_next)`` tuples, which the events of all three layers map
-to.
+The engine is the base of the paper's theory, but its loop is written
+once, in :mod:`irsplit.admm`: with A = 0 the splitting is the
+proximal-point method on B, and :func:`irsplit.dr.run_hpp` runs it so.
+This module keeps what the three layers share: the coupling of the
+inertia bound ``beta`` and the relaxation cap ``rho_bar_of_beta(beta)``
+(inverse ``beta_of_rho_bar``), :class:`InertiaRelaxParams`, which checks
+its contract when built, the loop's kernels ``_vec`` and ``_extrapolate``,
+and :func:`fejer_check` and :func:`alvarez_attouch_check`, which read a
+trajectory as ``(w, z_tilde, z_next)`` tuples, the form the events of
+all three layers map to.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import astuple, dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget
-from .records import (BUDGET_EXCEEDED, CONVERGED, ERROR, SOLVED, RunResult,
-                      run_result)
+from .errors import ParameterError
 
 __all__ = [
     "rho_bar_of_beta",
     "beta_of_rho_bar",
     "q_eval",
     "InertiaRelaxParams",
-    "ProxCertificate",
-    "ResolventOracle",
-    "error_criterion_holds",
-    "error_ratio",
-    "run_hpp",
     "fejer_check",
     "alvarez_attouch_check",
 ]
@@ -65,11 +55,6 @@ def _vec(x, name: str) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     return v
-
-
-def _same_shape(a: np.ndarray, b: np.ndarray):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,49 +154,15 @@ class InertiaRelaxParams:
 
 
 # ---------------------------------------------------------------------------
-# Certificates and the oracle interface
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProxCertificate:
-    """Output of one inexact resolvent solve: ``v in T(z_tilde)``.
-
-    The pair alone: :func:`run_hpp` tests every certificate, and an exact
-    pair v = w - z_tilde passes at sigma = 0 (see :func:`_error_sides`).
-    """
-
-    z_tilde: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.z_tilde = _vec(self.z_tilde, "z_tilde")
-        self.v = _vec(self.v, "v")
-        _same_shape(self.z_tilde, self.v)
-
-
-class ResolventOracle(Protocol):
-    """Inexact resolvent capability for a maximal monotone operator T.
-
-    ``solve(w, sigma)`` returns a certificate whose pair satisfies the
-    producer contract v in T(z_tilde) and the relative-error acceptance
-    test at tolerance sigma against ``w``, at unit stepsize.  A
-    certificate with ``v @ v == 0`` (v = 0, or a v whose squared norm
-    underflows) announces that z_tilde solves the inclusion.
-    """
-
-    def solve(self, w: np.ndarray, sigma: float) -> ProxCertificate:
-        ...
-
-
-# ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-# Private kernels of the loops of run_hpp and run_admm, and of the anchored
-# CG start: float arrays of one shape in, nothing checked.  In-place
-# operations on a fresh array are the formula's bit for bit, as a product
-# or sum with its operands swapped rounds the same.  tests/reference.py states each formula once as a plain
-# expression, and tests/test_kernels.py holds each kernel to it bit for bit.
+# A private kernel of the loop of run_admm and of the anchored CG start:
+# float arrays of one shape in, nothing checked.  In-place operations on a
+# fresh array are the formula's bit for bit, as a product or sum with its
+# operands swapped rounds the same.  tests/reference.py states the formula
+# once as a plain expression, and tests/test_kernels.py holds the kernel to
+# it bit for bit.
 
 def _extrapolate(cur: np.ndarray, prev: np.ndarray,
                  alpha_k: float) -> np.ndarray:
@@ -222,47 +173,8 @@ def _extrapolate(cur: np.ndarray, prev: np.ndarray,
     return out
 
 
-def _project(w: np.ndarray, z_tilde: np.ndarray, v: np.ndarray, vv: float,
-             rho_k: float) -> np.ndarray:
-    """w - rho_k tau v with tau = <w - z_tilde, v> / vv and vv = v @ v."""
-    tau = ((w - z_tilde) @ v) / vv
-    return w - (rho_k * tau) * v
-
-
-def _error_sides(w: np.ndarray, cert: ProxCertificate, sigma: float):
-    """Both sides of the relative-error test, ||v + z_tilde - w||^2 and
-    sigma^2 (||z_tilde - w||^2 + ||v||^2).  The left side is evaluated as
-    v - (w - z_tilde): an exact pair v = w - z_tilde then cancels to 0.0
-    exactly, which is how it passes at sigma = 0.  ``w`` and the
-    certificate's point must share one shape, else ``ValueError``."""
-    _same_shape(w, cert.z_tilde)
-    resid = cert.v - (w - cert.z_tilde)
-    dz = cert.z_tilde - w
-    return resid @ resid, sigma * sigma * (dz @ dz + cert.v @ cert.v)
-
-
-def error_criterion_holds(w: np.ndarray, cert: ProxCertificate, sigma: float) -> bool:
-    """Relative-error acceptance test at unit stepsize.
-
-    True iff ||v + z_tilde - w||^2 <= sigma^2 (||z_tilde - w||^2
-    + ||v||^2).  A zero left side passes at any sigma, also where the
-    right side is NaN (0 * inf).
-    """
-    lhs, rhs = _error_sides(w, cert, sigma)
-    return lhs == 0.0 or lhs <= rhs
-
-
-def error_ratio(w: np.ndarray, cert: ProxCertificate, sigma: float) -> float:
-    """LHS / RHS of the acceptance test; <= 1 on accepted certificates, and
-    0 when the left side is."""
-    lhs, rhs = _error_sides(w, cert, sigma)
-    if lhs == 0.0:
-        return 0.0
-    return math.inf if rhs == 0.0 else lhs / rhs
-
-
 # ---------------------------------------------------------------------------
-# The driver
+# Trajectory diagnostics
 # ---------------------------------------------------------------------------
 
 def _s_bound(z_next, w, z_tilde, params) -> float:
@@ -275,76 +187,6 @@ def _s_bound(z_next, w, z_tilde, params) -> float:
         params.rho_lo * one_minus * (dtw @ dtw),
     )
 
-
-@np.errstate(all="ignore")
-def run_hpp(z0, oracle: ResolventOracle, params: InertiaRelaxParams,
-            max_iters: int = 1000, v_tolerance: float = 0.0,
-            observer: Optional[Callable[[dict], None]] = None) -> RunResult:
-    """Drive the engine from ``z0`` until v = 0, ||v|| <= v_tolerance or budget.
-
-    The schedule is constant: alpha_k = alpha and rho_k = rho_hi.  The
-    result's ``x`` is the last iterate and ``record.final_kkt`` the last
-    ||v|| (inf when ``max_iters`` is 0).  Stops with status ``solved`` when
-    a certificate has ``v @ v == 0``, also by underflow (``x`` is then its
-    point, ||v|| 0), ``converged`` when ||v|| <= ``v_tolerance``, or
-    ``budget_exceeded`` after ``max_iters`` iterations.  Inputs are
-    checked once, at entry, before any oracle call: a ``max_iters`` that
-    is not a nonnegative integer and a negative or NaN ``v_tolerance`` raise
-    ``ParameterError``, a ``z0`` that is not a finite 1-D array
-    ``ValueError``.  After entry a certificate that fails the
-    relative-error test or a non-finite projected iterate ends the run
-    with status ``error``, the last completed iterate and its ||v||, and a
-    ``record.cause`` that names the failure and the outer iteration.
-    numpy's floating-point warnings are off while the run lasts, oracle
-    and observer included: an overflowing projection ends it as
-    ``error``, not as a warning.
-
-    ``observer``, when given, is called once per completed iteration with a
-    dict: ``k``, ``alpha_k``, ``rho_k``, the extrapolated ``w``, the
-    accepted certificate ``cert`` and the next iterate ``z``.  The arrays
-    are passed without a copy and are read-only for the observer.  An
-    exception the observer raises ends the run.
-    """
-    _check_budget(max_iters, "max_iters", 0)
-    if not v_tolerance >= 0.0:
-        raise ParameterError("v_tolerance >= 0 violated")
-    z = z_prev = _vec(z0, "z0")
-    sigma, alpha, rho = params.sigma, params.alpha, params.rho_hi
-    solve = oracle.solve
-    started = time.perf_counter()
-    status, v_norm, cause = BUDGET_EXCEEDED, math.inf, ""
-    for k in range(max_iters):
-        w = _extrapolate(z, z_prev, alpha)
-        cert = solve(w, sigma)
-        vv = cert.v @ cert.v
-        if vv == 0.0:
-            z, status, v_norm = cert.z_tilde, SOLVED, 0.0
-            break
-        if not error_criterion_holds(w, cert, sigma):
-            status = ERROR
-            cause = "OracleFailure: certificate fails the relative-error test"
-            break
-        z_next = _project(w, cert.z_tilde, cert.v, vv, rho)
-        if not np.isfinite(z_next).all():
-            status, cause = ERROR, "non-finite iterate in the projection"
-            break
-        if observer is not None:
-            observer({"k": k, "alpha_k": alpha, "rho_k": rho, "w": w,
-                      "cert": cert, "z": z_next})
-        z_prev, z = z, z_next
-        v_norm = math.sqrt(vv)
-        if v_norm <= v_tolerance:
-            status, k = CONVERGED, k + 1
-            break
-    else:
-        k = max_iters
-    return run_result(z, status, k, 0, time.perf_counter() - started, v_norm,
-                      math.nan, cause)
-
-
-# ---------------------------------------------------------------------------
-# Trajectory diagnostics
-# ---------------------------------------------------------------------------
 
 def fejer_check(steps: Sequence, z_star, params: InertiaRelaxParams,
                 rel_tol: float = 1e-9) -> Optional[int]:

@@ -4,9 +4,10 @@ These small building blocks instantiate the abstract interfaces of the
 solver layers for problems whose resolvents have closed forms: monotone
 affine maps, l1 subdifferentials and quadratics.  They double as
 independent references in tests and demos.  A resolvent is one method,
-``resolvent(step, point)``, which the engine's oracles and the splitting
-layer (:class:`irsplit.dr.ResolventMap`) both call.  The B half-step
-solvers of :func:`irsplit.dr.run_dr` are F-procedures for B.
+``resolvent(step, point)``, which the F-procedures here and the splitting
+layer (:class:`irsplit.dr.ResolventMap`) both call.  The F-procedures for
+an operator B are the inexact resolvents of both :func:`irsplit.dr.run_dr`
+(its B half-step) and :func:`irsplit.dr.run_hpp` (the engine on B).
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
-from .hpp import ProxCertificate, _finite, error_criterion_holds
+from .hpp import _finite
 from .subsolvers import QuadraticFProcedure, soft_threshold
 
 __all__ = [
     "AffineOperator",
-    "ExactResolventOracle",
-    "PerturbedResolventOracle",
     "L1Resolvent",
     "ExactBProcedure",
+    "PerturbedBProcedure",
     "CGBProcedure",
 ]
 
@@ -73,58 +73,8 @@ class L1Resolvent:
 
 
 # ---------------------------------------------------------------------------
-# Resolvent oracles for the proximal-projection engine
-# ---------------------------------------------------------------------------
-
-class ExactResolventOracle:
-    """Certificates built from a closed-form resolvent: z_tilde = J(w), v =
-    w - z_tilde, an exact pair, whose residual in the engine's test is
-    exactly 0.0.  The operator needs only ``resolvent(step, w)``, the protocol
-    ``run_dr`` takes as it is, and is called at step 1."""
-
-    def __init__(self, operator):
-        self.operator = operator
-
-    def solve(self, w, sigma):
-        z_tilde = self.operator.resolvent(1.0, w)
-        return ProxCertificate(z_tilde, w - z_tilde)
-
-
-# PerturbedResolventOracle's first perturbation radius, as a fraction of the
-# distance to the exact point, and its halvings before the exact pair
-_SCALE = 0.5
-_MAX_SHRINKS = 60
-
-
-class PerturbedResolventOracle:
-    """Genuinely inexact certificates: the exact resolvent point is
-    perturbed, the operator re-evaluated there, and the perturbation shrunk
-    until the relative-error test accepts.  Falls back to the exact pair
-    (z, w - z), whose residual is exactly 0.0, when sigma leaves no room.
-    Each perturbation is drawn from ``seed`` and w, so a rerun repeats."""
-
-    def __init__(self, operator, seed: int = 0):
-        self.operator = operator
-        self.seed = np.random.SeedSequence(seed).entropy  # refuses a bad seed
-
-    def solve(self, w, sigma):
-        w = np.asarray(w, dtype=float)
-        exact_point = self.operator.resolvent(1.0, w)
-        radius = _SCALE * max(float(np.linalg.norm(w - exact_point)), 1e-12)
-        rng = np.random.default_rng([self.seed, *w.view(np.uint64).tolist()])
-        noise = rng.standard_normal(w.shape[0])
-        for _ in range(_MAX_SHRINKS):
-            z_tilde = exact_point + radius * noise
-            v = self.operator.evaluate(z_tilde)
-            cert = ProxCertificate(z_tilde, v)
-            if error_criterion_holds(w, cert, sigma):
-                return cert
-            radius *= 0.5
-        return ProxCertificate(exact_point, w - exact_point)
-
-
-# ---------------------------------------------------------------------------
-# F-procedures for an operator B: the B half-step solvers of run_dr
+# F-procedures for an operator B: the B half-step solvers of run_dr and
+# the engine's inexact resolvents
 # ---------------------------------------------------------------------------
 
 class ExactBProcedure:
@@ -141,6 +91,44 @@ class ExactBProcedure:
     def open_session(self, p, z, c, x_bar, anchor=None):
         x = self.resolvent_map.resolvent(1.0 / c, z - p / c)
         return SimpleNamespace(next=lambda: (x, np.zeros_like(x)))
+
+
+# PerturbedBProcedure's first perturbation radius, as a fraction of the
+# distance to the exact point, and its halvings before the exact pair
+_SCALE = 0.5
+_MAX_SHRINKS = 60
+
+
+class PerturbedBProcedure:
+    """Genuinely inexact F-procedure for an operator with ``evaluate(x)``
+    and ``resolvent(step, w)``, such as :class:`AffineOperator`.
+
+    The session for (p, z, c) perturbs the exact point J_{B/c}(w), w = z -
+    p/c, along a noise direction drawn from ``seed`` and the bits of w, so
+    a rerun repeats.  Its trials are the perturbed points x, the
+    perturbation halved from trial to trial, each with y = B(x) + p + c (x
+    - z).  After ``_MAX_SHRINKS`` trials it emits the exact pair
+    (J_{B/c}(w), 0), which passes at any sigma.
+    """
+
+    def __init__(self, operator, seed: int = 0):
+        self.operator = operator
+        self.seed = np.random.SeedSequence(seed).entropy  # refuses a bad seed
+
+    def _trials(self, p, z, c):
+        w = z - p / c
+        exact = self.operator.resolvent(1.0 / c, w)
+        radius = _SCALE * max(float(np.linalg.norm(w - exact)), 1e-12)
+        rng = np.random.default_rng([self.seed, *w.view(np.uint64).tolist()])
+        noise = rng.standard_normal(w.shape[0])
+        for _ in range(_MAX_SHRINKS):
+            x = exact + radius * noise
+            yield x, self.operator.evaluate(x) + p + c * (x - z)
+            radius *= 0.5
+        yield exact, np.zeros_like(exact)
+
+    def open_session(self, p, z, c, x_bar, anchor=None):
+        return SimpleNamespace(next=self._trials(p, z, c).__next__)
 
 
 class CGBProcedure(QuadraticFProcedure):

@@ -35,7 +35,9 @@ class RunRecord:
 class RunResult:
     """What ``run_hpp``, ``run_admm``, ``run_dr`` and ``fista_solve``
     return: the estimate ``x``, the driver's ``status``, the ``record``
-    and, in the splitting layers, the last iterate as ``triple``."""
+    and, from the one outer loop of the first three, the last iterate as
+    ``triple`` (a splitting triple for ``run_hpp``, whose ``x`` is its
+    engine point r + b)."""
 
     x: np.ndarray
     status: str

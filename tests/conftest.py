@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import irsplit as ir
+import reference
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +33,8 @@ def plain_core_sigma99():
 
 
 def accepted_certificate_sampler(rng, dim=4):
-    """Yield (w, cert, sigma) triples that pass the relative-error test.
+    """Yield (w, z_tilde, v, sigma) draws that pass the relative-error test
+    of ``reference.error_criterion``.
 
     Draws an exact resolvent pair of T(z) = mu z, mu the product of a
     scale in [0.3, 3] and a slope in [0.2, 2], perturbs the point,
@@ -48,9 +50,8 @@ def accepted_certificate_sampler(rng, dim=4):
         radius = np.linalg.norm(w - z_exact) + 1e-3
         z_tilde = z_exact + rng.standard_normal(dim) * radius * rng.uniform(0, 0.4)
         v = mu * z_tilde  # v in T(z_tilde) exactly
-        cert = ir.ProxCertificate(z_tilde, v)
-        if np.any(v) and ir.error_criterion_holds(w, cert, sigma):
-            yield w, cert, sigma
+        if np.any(v) and reference.error_criterion(w, z_tilde, v, sigma):
+            yield w, z_tilde, v, sigma
 
 
 class Collector(list):
@@ -61,15 +62,12 @@ class Collector(list):
         self.append(SimpleNamespace(**event))
 
 
-def engine_steps(events, gamma=None):
+def engine_steps(events, gamma=1.0):
     """A run's events as engine-space ``(w, z_tilde, z_next)`` tuples, the
-    form ``fejer_check`` and ``alvarez_attouch_check`` read.  Events of
-    ``run_hpp`` (``gamma`` None) hold those points; for events of
-    ``run_admm`` and ``run_dr``, with ``gamma = 1/c``, each point is z -
-    gamma p, the engine point r + gamma b of the splitting triple (s, b, r)
-    = (x, -p, z)."""
-    if gamma is None:
-        return [(ev.w, ev.cert.z_tilde, ev.z) for ev in events]
+    form ``fejer_check`` and ``alvarez_attouch_check`` read.  For events of
+    ``run_admm`` and ``run_dr``, with ``gamma = 1/c``, and of ``run_hpp``,
+    with ``gamma`` 1, each point is z - gamma p, the engine point r + gamma
+    b of the splitting triple (s, b, r) = (x, -p, z)."""
     return [(ev.z_hat - gamma * ev.p_hat,
              ev.z - gamma * ev.p_l,
              ev.z - gamma * ev.p) for ev in events]

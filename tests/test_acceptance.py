@@ -15,8 +15,7 @@ import irsplit.bench as bench
 from irsplit.admm import ADMMParams, Criterion, run_admm
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               ExactResolventOracle, L1Resolvent,
-                               PerturbedResolventOracle)
+                               L1Resolvent, PerturbedBProcedure)
 from irsplit.subsolvers import CGSession, soft_threshold
 
 import reference
@@ -127,8 +126,7 @@ def test_criterion_3_layer_stack_equivalence(lasso_20x50, inertial_core):
         # (2.3) relative-error acceptance at the engine's unit stepsize
         z_tilde = step.z - step.p_l / c
         v = step.x - step.z
-        cert = ir.ProxCertificate(z_tilde, v)
-        if not ir.error_criterion_holds(w, cert, inertial_core.sigma):
+        if not reference.error_criterion(w, z_tilde, v, inertial_core.sigma):
             verdict_mismatches += 1
         # verdicts of the two acceptance tests agree at every inner trial
         # (the accepted trial is the last of its session)
@@ -169,7 +167,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     plain = ir.InertiaRelaxParams.plain(sigma=0.0)
     z0 = np.array([1.0, -2.0])
     htrace = Collector()
-    ir.run_hpp(z0, ExactResolventOracle(AffineOperator(np.eye(2))), plain,
+    ir.run_hpp(z0, ExactBProcedure(AffineOperator(np.eye(2))), plain,
                max_iters=200, v_tolerance=1e-11, observer=htrace)
     runs.append(("engine scaling exact", engine_steps(htrace), z0,
                  np.zeros(2), plain))
@@ -178,7 +176,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     inertial_engine = ir.InertiaRelaxParams.from_beta(0.18, 0.18976, sigma=0.0)
     z0 = np.array([3.0, -1.0])
     htrace = Collector()
-    ir.run_hpp(z0, ExactResolventOracle(rotation), inertial_engine,
+    ir.run_hpp(z0, ExactBProcedure(rotation), inertial_engine,
                max_iters=4000, v_tolerance=1e-10, observer=htrace)
     runs.append(("engine rotation exact inertial", engine_steps(htrace), z0,
                  np.zeros(2), inertial_engine))
@@ -187,7 +185,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
                                                        sigma=0.9)
     z0 = np.array([2.0, 1.0])
     htrace = Collector()
-    ir.run_hpp(z0, PerturbedResolventOracle(rotation, seed=5),
+    ir.run_hpp(z0, PerturbedBProcedure(rotation, seed=5),
                perturbed_params, max_iters=4000, v_tolerance=1e-9,
                observer=htrace)
     runs.append(("engine rotation inexact inertial", engine_steps(htrace),
@@ -242,8 +240,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     sampler = accepted_certificate_sampler(rng)
     gauss_bad = 0
     for _ in range(10_000):
-        w, cert, sigma = next(sampler)
-        if not reference.gauss_bounds(w, cert.z_tilde, cert.v, sigma):
+        if not reference.gauss_bounds(*next(sampler)):
             gauss_bad += 1
     if gauss_bad:
         failures.append(f"{gauss_bad} certificate-bound violations")

@@ -15,17 +15,18 @@ from hypothesis import assume, given, settings, strategies as st
 import irsplit as ir
 from irsplit.admm import (ADMMParams, Criterion, PrimalDualTriple,
                           _acceptance_vector, _theta, run_admm)
-from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
+from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, run_dr,
+                        run_hpp)
 from irsplit.errors import LineSearchFailure
-from irsplit.hpp import rho_bar_of_beta, run_hpp
+from irsplit.hpp import rho_bar_of_beta
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               ExactResolventOracle, L1Resolvent)
+                               L1Resolvent)
 from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (CGSession, LBFGSFProcedure,
                                 QuadraticFProcedure, soft_threshold)
 
 import reference
-from conftest import Collector, record_trials
+from conftest import Collector, engine_steps, record_trials
 
 # the published setting for l1-logistic (acceptance criterion 5b)
 LOGISTIC_CORE = ir.InertiaRelaxParams(0.1, 0.1001, 0.99, 1.7606, 1.7606)
@@ -755,7 +756,7 @@ def test_affine_sessions_start_from_stored_products():
     res = run_dr(init, DRParams(1.0, published_params().core), proc,
                  L1Resolvent(0.5), max_outer=10_000, sr_tolerance=1e-9,
                  observer=events)
-    assert res.status == "solved"
+    assert res.status == "converged"
     assert res.outer_iters > 200
     assert counting.products == res.inner_iters_total + 2
     # the solving iteration reaches no observer
@@ -1045,21 +1046,23 @@ class InfToX:
         return z
 
 
-class FailingOracle:
-    """Exact certificates of a monotone rotation until call ``at``, then a
-    certificate that fails the relative-error test."""
+class FailingProcedure:
+    """Exact pairs of a monotone rotation until session ``at``, then a
+    session whose every trial, the engine pair (w + 10, 1), fails the
+    relative-error test."""
 
     def __init__(self, at):
-        self.oracle = ExactResolventOracle(
+        self.fproc = ExactBProcedure(
             AffineOperator(np.array([[0.1, 1.0], [-1.0, 0.1]])))
         self.at = at
         self.calls = 0
 
-    def solve(self, w, sigma):
+    def open_session(self, p, z, c, x_bar, anchor=None):
         self.calls += 1
         if self.calls > self.at:
-            return ir.ProxCertificate(w + 10.0, np.ones_like(w))
-        return self.oracle.solve(w, sigma)
+            x = z - p + 10.0
+            return SimpleNamespace(next=lambda: (x, np.full_like(x, 11.0)))
+        return self.fproc.open_session(p, z, c, x_bar, anchor)
 
 
 class NegativeQuadratic(QuadraticFProcedure):
@@ -1078,7 +1081,7 @@ FAILURE_CASES = [("inner_budget", "stalled", "inner budget", 0),
                  ("cg_breakdown", "error", "CGBreakdown", 0),
                  ("masked_inf_y", "error", "non-finite trial", 3),
                  ("inexact_inf_y", "error", "non-finite trial", 3),
-                 ("oracle", "error", "OracleFailure", 2)]
+                 ("oracle", "stalled", "inner budget", 2)]
 
 
 @pytest.mark.parametrize("case, status, failure, at", FAILURE_CASES,
@@ -1093,14 +1096,16 @@ def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
     outer iteration.  An inf in y, through a prox that replaces the inf it
     returns with a finite value, leaves x - z finite but makes t, and so
     ||t||^2, infinite; through the plain prox x - z is infinite too.  Both
-    are a non-finite trial, caught before the acceptance test."""
+    are a non-finite trial, caught before the acceptance test.  The
+    engine's pairs are the trials of its F-procedure: a pair that never
+    passes spends the inner budget."""
     events = Collector()
     n = lasso_20x50.n
     if case == "oracle":
-        res = run_hpp(np.ones(2), FailingOracle(at),
+        res = run_hpp(np.ones(2), FailingProcedure(at),
                       ir.InertiaRelaxParams.plain(sigma=0.1), max_iters=50,
                       observer=events)
-        got, want = [res.x], [events[-1].z]
+        got, want = [res.x], [events[-1].z - events[-1].p]
     elif case == "cg_breakdown":
         rng = np.random.default_rng(3)
         init = SplitTriple(*(rng.standard_normal(n) for _ in range(3)))
@@ -1194,6 +1199,44 @@ def test_public_drivers_return_a_status_on_any_instance(
             assert prob.kkt_dist_inf(res.x, math.inf)[0] <= epsilon
         if res.status in ("error", "stalled"):
             assert res.record.cause
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), family=st.sampled_from(["lasso", "logistic"]),
+       rho=st.floats(0.05, 1.95), frac=st.floats(0.0, 0.999),
+       sigma=st.floats(0.1, 0.99), c=st.floats(0.3, 3.0),
+       criterion=st.sampled_from(list(Criterion)),
+       seed=st.integers(0, 2 ** 16))
+def test_admm_traces_keep_the_paper_inequalities(data, family, rho, frac,
+                                                 sigma, c, criterion, seed):
+    """The ADMM is the engine under the change of variables z - p/c, so
+    the engine's Fejer descent and inertial partial-sum bound hold at every
+    step of its runs: for any admissible (alpha, rho), alpha up to 0.999
+    beta_of_rho_bar(rho), sigma in [0.1, 0.99], c in [0.3, 3] and either
+    criterion, on LASSO (CG) and l1-logistic (L-BFGS) instances, measured
+    from z* = x* + grad f(x*) / c of a reference minimizer.  (Below sigma
+    = 0.1 an L-BFGS session can spend its whole inner budget at once,
+    which costs seconds and leaves no step to check.)"""
+    if family == "lasso":
+        prob = ir.synthetic_lasso(data.draw(st.integers(5, 20)),
+                                  data.draw(st.integers(5, 30)), seed=seed)
+    else:
+        prob = ir.synthetic_logistic(data.draw(st.integers(20, 40)),
+                                     data.draw(st.integers(3, 8)), seed=seed)
+    x_star = ir.reference_minimizer(prob, 1e-12)
+    z_star = x_star + prob.value_gradient(x_star)[1] / c
+    beta = ir.beta_of_rho_bar(rho)
+    core = ir.InertiaRelaxParams(frac * beta, beta, sigma, rho, rho)
+    build = (ir.lasso_admm_problem if family == "lasso"
+             else ir.logistic_admm_problem)
+    events = Collector()
+    run_admm(build(prob, c), ADMMParams(c, core, criterion, max_outer=300),
+             observer=events)
+    steps = engine_steps(events, 1.0 / c)
+    assert steps
+    assert ir.fejer_check(steps, z_star, core, rel_tol=1e-9) is None
+    assert ir.alvarez_attouch_check(steps, np.zeros(prob.n), z_star, core,
+                                    rel_tol=1e-9) is None
 
 
 class RoundedMultiplier:

@@ -10,9 +10,8 @@ from irsplit.admm import (ADMMParams, _accept, _acceptance_vector,
                           _multiplier, run_admm)
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.errors import ParameterError
-from irsplit.hpp import _error_sides
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               ExactResolventOracle, L1Resolvent)
+                               L1Resolvent)
 from irsplit.subsolvers import soft_threshold
 
 import reference
@@ -116,38 +115,36 @@ def test_acceptance_matches_engine_verdict_under_embedding():
     s_acc = r_acc + np.array([0.5, 0.0])  # v = s - r = (0.5, 0)
     verdict = reference.dr_acceptance(hat.r, hat.b, s_acc, b_acc, r_acc, 1.0,
                                       0.5)
-    cert = ir.ProxCertificate(np.array([0.6, 0.0]), np.array([0.5, 0.0]))
-    assert verdict == ir.error_criterion_holds(np.array([1.0, 0.0]), cert, 0.5)
+    assert verdict == reference.error_criterion(
+        np.array([1.0, 0.0]), np.array([0.6, 0.0]), np.array([0.5, 0.0]), 0.5)
     assert verdict
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exactness_is_read_off_the_pair_at_sigma_zero(n):
     """No producer declares itself exact: the one relative-error test sees
-    it.  For random monotone affine operators, an exact engine certificate
-    (z, w - z) has a residual of exactly 0.0 in the engine's test, which
-    forms it as v - (w - z), and passes at sigma = 0; an exact B half-step
-    trial has y = 0 and passes the loop's test at sigma = 0 under both
-    criteria."""
+    it.  For random monotone affine operators, an exact B half-step trial
+    has y = 0 and passes the loop's test at sigma = 0 under both criteria:
+    at a random c with an l1 A half-step, and at c = 1 with the identity
+    A half-step of A = 0, where it is the engine's exact pair (J(w), w -
+    J(w)) at w = z - p."""
     rng = np.random.default_rng(600 + n)
     for _ in range(20):
         b, k = rng.standard_normal((2, n, n))
         op = AffineOperator(b @ b.T / n + 0.1 * np.eye(n) + k - k.T,
                             rng.standard_normal(n))
-        w = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
-        cert = ExactResolventOracle(op).solve(w, 0.0)
-        assert _error_sides(w, cert, 0.0)[0] == 0.0
-        assert ir.error_criterion_holds(w, cert, 0.0)
-
-        p, z = rng.standard_normal((2, n))
+        p, z = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((2, n))
         c = 10.0 ** rng.uniform(-2, 2)
-        x, y = ExactBProcedure(op).open_session(p, z, c, z).next()
-        p_l = _multiplier(p, x, z, y, c)
-        z_l = L1Resolvent(0.3).resolvent(1.0 / c, x + p_l / c)
-        t = _acceptance_vector(p_l, p, z_l, z, c)
-        d = x - z_l
-        for max_form in (True, False):
-            assert _accept(y, t.dot(t), d.dot(d), c, 0.0, max_form)
+        for c, half_step in ((c, L1Resolvent(0.3).resolvent),
+                             (1.0, lambda gamma, u: u)):
+            x, y = ExactBProcedure(op).open_session(p, z, c, z).next()
+            assert not y.any()
+            p_l = _multiplier(p, x, z, y, c)
+            z_l = half_step(1.0 / c, x + p_l / c)
+            t = _acceptance_vector(p_l, p, z_l, z, c)
+            d = x - z_l
+            for max_form in (True, False):
+                assert _accept(y, t.dot(t), d.dot(d), c, 0.0, max_form)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
@@ -309,8 +306,8 @@ def test_one_operator_drives_the_engine_and_the_splitting(zero_side):
     z_next = J_T(z), the proximal point method on the operator T on the
     other.  So one ``AffineOperator`` object, given as it is to
     ``run_dr`` (as the A-resolvent, or through ``ExactBProcedure``) and to
-    ``run_hpp`` (through ``ExactResolventOracle``), makes exact plain runs
-    of both layers pass through the same points."""
+    ``run_hpp`` (through ``ExactBProcedure``), makes exact plain runs of
+    both layers pass through the same points."""
     rng = np.random.default_rng(16)
     m = rng.standard_normal((10, 10))
     op = AffineOperator(m - m.T + 0.1 * np.eye(10), rng.standard_normal(10))
@@ -321,7 +318,7 @@ def test_one_operator_drives_the_engine_and_the_splitting(zero_side):
     dr_events, hpp_events = Collector(), Collector()
     run_to_budget(init, DRParams(1.0, core), ExactBProcedure(res_b), res_a,
                   max_outer=50, observer=dr_events)
-    res = ir.run_hpp(init.r + init.b, ExactResolventOracle(op), core,
+    res = ir.run_hpp(init.r + init.b, ExactBProcedure(op), core,
                      max_iters=50, observer=hpp_events)
     assert res.status == "budget_exceeded"
     assert len(dr_events) == len(hpp_events) == 50
@@ -329,7 +326,8 @@ def test_one_operator_drives_the_engine_and_the_splitting(zero_side):
     for d_step, h_step in zip(dr_events, hpp_events):
         z = classical_dr_step(z, 1.0, res_a, res_b)
         assert np.max(np.abs(z - (d_step.z - d_step.p))) <= 1e-10
-        assert np.max(np.abs(h_step.z - (d_step.z - d_step.p))) <= 1e-10
+        assert np.max(np.abs((h_step.z - h_step.p)
+                              - (d_step.z - d_step.p))) <= 1e-10
     assert np.linalg.norm(z - init.r - init.b) > 1.0  # the runs moved
 
 
@@ -343,6 +341,24 @@ def test_run_stationary_init_stops_immediately():
     assert np.linalg.norm(res.x - x_star) <= 1e-10
 
 
+def test_only_an_exact_coincidence_is_solved():
+    """A gap stop reports ``solved`` only where s = r exactly, the
+    coincidence that solves the inclusion, and ``converged`` on 0 < ||s -
+    r|| <= sr_tolerance.  Either way the record counts the run as
+    converged, and ``final_kkt`` is ||s - r|| of the returned triple."""
+    _, res_a, res_b, x_star, b_star = quad_l1_setup(n=6, seed=2)
+    params = DRParams(1.0, ir.InertiaRelaxParams.plain(sigma=0.0))
+    starts = {"solved": SplitTriple(x_star, b_star, x_star),
+              "converged": SplitTriple(np.zeros(6), np.zeros(6), np.zeros(6))}
+    for status, init in starts.items():
+        res = run_dr(init, params, ExactBProcedure(res_b), res_a,
+                     max_outer=300, sr_tolerance=1e-9)
+        assert (res.status, res.record.status) == (status, "converged")
+        gap = float(np.linalg.norm(res.triple.s - res.triple.r))
+        assert res.record.final_kkt == gap <= 1e-9
+        assert (gap == 0.0) == (status == "solved")
+
+
 def test_run_inertial_relaxed_converges_and_embeds(inertial_core):
     _, res_a, res_b, x_star, b_star = quad_l1_setup(n=10, seed=1)
     params = DRParams(1.0, inertial_core)
@@ -351,7 +367,7 @@ def test_run_inertial_relaxed_converges_and_embeds(inertial_core):
     events = Collector()
     res = run_dr(init, params, ExactBProcedure(res_b), res_a,
                  max_outer=3000, sr_tolerance=1e-11, observer=events)
-    assert res.status == "solved"
+    assert res.status == "converged"
     assert np.linalg.norm(res.x - x_star) <= 1e-8
     z_star = x_star + b_star  # gamma = 1
     steps = engine_steps(events, 1.0)
@@ -370,12 +386,16 @@ def test_budgets_and_tolerances_checked_at_entry(driver, option, value):
     """A negative budget, or a negative or NaN tolerance, raises
     ``ParameterError`` naming it, before the first iteration.  A negative
     budget used to run no iteration and fail in the run record; a NaN
-    tolerance never stopped a run that had reached its solution."""
+    tolerance never stopped a run that had reached its solution.
+    ``run_hpp`` is ``run_dr``'s run, and the message names ``run_dr``'s
+    parameter."""
     z = np.zeros(3)
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    with pytest.raises(ParameterError, match=option):
+    name = {"max_iters": "max_outer", "v_tolerance": "sr_tolerance"}.get(
+        option, option)
+    with pytest.raises(ParameterError, match=name):
         if driver == "hpp":
-            ir.run_hpp(z + 1.0, ExactResolventOracle(AffineOperator(
+            ir.run_hpp(z + 1.0, ExactBProcedure(AffineOperator(
                 np.eye(3))), params, **{option: value})
         elif driver == "admm":
             run_admm(ir.lasso_admm_problem(ir.synthetic_lasso(2, 3), 1.0),
@@ -422,7 +442,7 @@ def test_embedding_reproduces_engine_equations():
     events = Collector()
     res = run_dr(init, params, bproc, res_a, max_outer=40,
                  sr_tolerance=1e-11, observer=events)
-    assert res.status == "solved"
+    assert res.status == "converged"
     assert len(events) >= 10
     for st in events:
         hat, nxt = split_triples(st)
@@ -431,8 +451,7 @@ def test_embedding_reproduces_engine_equations():
         # extrapolation consistency: w = z + alpha (z - z_prev) is implied
         # by the componentwise triple extrapolation; acceptance at the
         # engine's unit stepsize
-        cert = ir.ProxCertificate(z_tilde, v)
-        assert ir.error_criterion_holds(w, cert, core.sigma)
+        assert reference.error_criterion(w, z_tilde, v, core.sigma)
         # accepted => theta >= (1 - sigma^2)/2, on the B -> F path
         assert st.theta >= 0.5 * (1.0 - core.sigma ** 2)
         # projective correction: z_next = w - rho tau v

@@ -1,7 +1,13 @@
-"""Proximal-projection engine: its kernels, runs, descent diagnostics."""
+"""Proximal-projection engine: its kernels, runs, descent diagnostics.
+
+The engine runs as the splitting loop with A = 0 (``run_hpp``), so its
+pairs are F-procedure trials: at penalty 1 a trial (x, y) at the
+extrapolated point w is the engine's pair (z_tilde, v) = (x, y - x + w),
+and the loop's acceptance test is the engine's relative-error test."""
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,18 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 import irsplit as ir
 from irsplit.errors import ParameterError
-from irsplit.hpp import (_extrapolate, _project, _s_bound, error_ratio,
-                         rho_bar_of_beta)
-from irsplit.operators import (AffineOperator, CGBProcedure,
-                               ExactResolventOracle, L1Resolvent,
-                               PerturbedResolventOracle)
+from irsplit.hpp import _extrapolate, _s_bound, rho_bar_of_beta
+from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
+                               L1Resolvent, PerturbedBProcedure)
 
 import reference
 from conftest import Collector, accepted_certificate_sampler, engine_steps
 
 
-def exact_identity_oracle(n=1):
-    return ExactResolventOracle(AffineOperator(np.eye(n)))
+def exact_identity(n=1):
+    return ExactBProcedure(AffineOperator(np.eye(n)))
 
 
 def rotation_operator():
@@ -47,33 +51,18 @@ def test_extrapolate_arithmetic():
     assert np.allclose(w, [1.5, 0.0], atol=0)
 
 
-def test_extrapolate_dimension_mismatch():
-    """A point and a certificate of different shapes raise rather than
-    broadcast, in both forms of the relative-error test."""
-    cert = ir.ProxCertificate(np.array([0.5]), np.array([0.25]))
-    for step in (ir.error_criterion_holds, error_ratio):
-        with pytest.raises(ValueError, match="dimension"):
-            step(np.ones(3), cert, 0.5)
-
-
 def test_a_stepsize_in_an_old_call_form_raises():
-    """The engine has no stepsize: a ``lam`` given to the parameters, a
-    third positional field of a certificate and a stepsize passed to an
-    oracle each raise ``TypeError`` instead of being ignored or read as
-    another argument.  Nor does a certificate take an ``exact`` flag: the
-    relative-error test reads exactness off the pair."""
+    """The engine has no stepsize: a ``lam`` given to the parameters or to
+    ``run_hpp``, and a sixth positional parameter, each raise
+    ``TypeError`` instead of being ignored or read as another argument.
+    An F-procedure's stepsize is 1/c, and the engine runs at c = 1."""
     with pytest.raises(TypeError):
         ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.5, 1.0, 1.0, lam=0.5)
     with pytest.raises(TypeError):
         ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.5, 1.0, 1.0, 0.5)
     with pytest.raises(TypeError):
-        ir.ProxCertificate(np.zeros(2), np.ones(2), 0.5)
-    with pytest.raises(TypeError):
-        ir.ProxCertificate(np.zeros(2), np.ones(2), exact=True)
-    for oracle in (exact_identity_oracle(2),
-                   PerturbedResolventOracle(rotation_operator())):
-        with pytest.raises(TypeError):
-            oracle.solve(np.ones(2), 0.5, 0.5)
+        ir.run_hpp(np.ones(2), exact_identity(2),
+                   ir.InertiaRelaxParams.plain(), lam=0.5)
 
 
 NAN_MAT = [[math.nan, 0.0], [0.0, 1.0]]
@@ -110,25 +99,52 @@ def test_catalog_refuses_bad_data_when_built(build, error, match):
 # acceptance test and bounds
 # ---------------------------------------------------------------------------
 
+class PairThenExact:
+    """An F-procedure whose session emits the engine pair (z_tilde, v) at
+    w = z - p (c = 1) as the trial (z_tilde, v + z_tilde - w), then the
+    pair (z_tilde, 0), exact for an operator with w - z_tilde in
+    T(z_tilde), which passes at any sigma."""
+
+    def __init__(self, z_tilde, v):
+        self.z_tilde, self.v = z_tilde, v
+
+    def open_session(self, p, z, c, x_bar, anchor=None):
+        w = z - p
+        trials = iter([(self.z_tilde, self.v + self.z_tilde - w),
+                       (self.z_tilde, np.zeros_like(w))])
+        return SimpleNamespace(next=trials.__next__)
+
+
+def first_step(w, z_tilde, v, sigma):
+    """The one-step engine run from w whose first trial is the pair
+    (z_tilde, v): it spends 1 trial when the loop's relative-error test
+    accepts the pair, and 2 when the test refuses it."""
+    return ir.run_hpp(w, PairThenExact(z_tilde, v),
+                      ir.InertiaRelaxParams.plain(sigma), max_iters=1)
+
+
 def test_error_criterion_exact_pair_sigma_zero():
     w = np.array([1.0, 0.5])
     v = np.array([0.25, -0.125])  # dyadic so w - v is exact
-    cert = ir.ProxCertificate(w - v, v)
-    assert ir.error_criterion_holds(w, cert, 0.0)
+    assert first_step(w, w - v, v, 0.0).inner_iters_total == 1
 
 
 def test_error_criterion_sigma_zero_rejects_residual():
     w = np.array([1.0, 0.0])
-    cert = ir.ProxCertificate(np.array([0.5, 0.0]), np.array([0.25, 0.0]))
-    assert not ir.error_criterion_holds(w, cert, 0.0)
+    res = first_step(w, np.array([0.5, 0.0]), np.array([0.25, 0.0]), 0.0)
+    assert res.inner_iters_total == 2
 
 
 def test_error_criterion_worked_instance():
-    w = np.array([1.0, 0.0])
-    cert = ir.ProxCertificate(np.array([0.6, 0.0]), np.array([0.5, 0.0]))
-    assert ir.error_criterion_holds(w, cert, 0.5)
-    # LHS = 0.01, RHS = 0.25 (0.16 + 0.25)
-    assert error_ratio(w, cert, 0.5) == pytest.approx(0.01 / 0.1025)
+    """LHS = 0.01 and RHS = sigma^2 (0.16 + 0.25) = 0.41 sigma^2: the
+    loop accepts the pair down to sigma = 0.156 and refuses it below, as
+    the engine's test does."""
+    w, z_tilde, v = np.array([1.0, 0.0]), np.array([0.6, 0.0]), np.array(
+        [0.5, 0.0])
+    for sigma, trials in ((0.5, 1), (0.16, 1), (0.15, 2)):
+        assert first_step(w, z_tilde, v, sigma).inner_iters_total == trials
+        assert reference.error_criterion(w, z_tilde, v, sigma) == (
+            trials == 1)
 
 
 def test_gauss_bounds_collapse_at_sigma_zero():
@@ -147,37 +163,43 @@ def test_acceptance_implies_gauss_bounds_sampled():
     rng = np.random.default_rng(42)
     sampler = accepted_certificate_sampler(rng)
     for _ in range(2000):
-        w, cert, sigma = next(sampler)
-        assert reference.gauss_bounds(w, cert.z_tilde, cert.v, sigma)
+        assert reference.gauss_bounds(*next(sampler))
 
 
 def test_zero_v_iff_fixed_point():
     rng = np.random.default_rng(3)
     sampler = accepted_certificate_sampler(rng)
     for _ in range(200):
-        w, cert, sigma = next(sampler)
-        assert np.any(cert.z_tilde != w)  # v != 0 on these draws
+        w, z_tilde, v, sigma = next(sampler)
+        assert np.any(z_tilde != w)  # v != 0 on these draws
     w = np.array([1.0, 2.0])
-    moved = ir.ProxCertificate(np.array([0.9, 2.0]), np.zeros(2))
-    assert not ir.error_criterion_holds(w, moved, 0.9)
-    fixed = ir.ProxCertificate(w.copy(), np.zeros(2))
-    assert ir.error_criterion_holds(w, fixed, 0.9)
+    moved = first_step(w, np.array([0.9, 2.0]), np.zeros(2), 0.9)
+    assert moved.inner_iters_total == 2
+    fixed = first_step(w, w.copy(), np.zeros(2), 0.9)
+    assert (fixed.status, fixed.inner_iters_total) == ("solved", 1)
+    assert np.array_equal(fixed.x, w)
 
 
 # ---------------------------------------------------------------------------
 # relaxed projection
 # ---------------------------------------------------------------------------
 
+def constant_step(w, v, rho):
+    """The engine point after one exact step from w on the constant
+    operator T = v, whose resolvent point is w - v, at relaxation rho."""
+    params = ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.0, rho, rho)
+    return ir.run_hpp(w, ExactBProcedure(AffineOperator(
+        np.zeros((len(w), len(w))), v)), params, max_iters=1).x
+
+
 def test_relaxed_projection_exact_unit_relaxation():
     w = np.array([1.0, 0.5])
     v = np.array([0.25, -0.125])
-    z_next = _project(w, w - v, v, v @ v, 1.0)
-    assert np.allclose(z_next, w - v, atol=1e-15)
+    assert np.allclose(constant_step(w, v, 1.0), w - v, atol=1e-15)
 
 
 def test_relaxed_projection_overrelaxed_instance():
-    v = np.array([1.0, 0.0])
-    z_next = _project(np.array([1.0, 0.0]), np.zeros(2), v, v @ v, 1.5)
+    z_next = constant_step(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.5)
     assert np.allclose(z_next, [-0.5, 0.0], atol=0)
 
 
@@ -188,19 +210,17 @@ def test_relaxed_projection_overrelaxed_instance():
 def test_iterate_identity_operator_halves():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     events = Collector()
-    res = ir.run_hpp(np.array([1.0]), exact_identity_oracle(), params,
+    res = ir.run_hpp(np.array([1.0]), exact_identity(), params,
                      max_iters=1, observer=events)
     assert res.status == "budget_exceeded"
     assert res.x[0] == pytest.approx(0.5, abs=1e-15)
-    w, cert = events[0].w, events[0].cert
-    tau = ((w - cert.z_tilde) @ cert.v) / (cert.v @ cert.v)
-    assert tau == pytest.approx(1.0)
+    assert events[0].theta == pytest.approx(1.0)  # the engine's tau
 
 
 def test_fifty_iterations_geometric():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     events = Collector()
-    res = ir.run_hpp(np.array([1.0]), exact_identity_oracle(), params,
+    res = ir.run_hpp(np.array([1.0]), exact_identity(), params,
                      max_iters=50, observer=events)
     assert (res.status, res.record.outer_iters, len(events)) == (
         "budget_exceeded", 50, 50)
@@ -210,7 +230,7 @@ def test_fifty_iterations_geometric():
 def test_iterate_already_solved():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     events = Collector()
-    res = ir.run_hpp(np.zeros(3), exact_identity_oracle(3), params,
+    res = ir.run_hpp(np.zeros(3), exact_identity(3), params,
                      max_iters=1, observer=events)
     assert (res.status, res.record.status) == ("solved", "converged")
     assert res.record.outer_iters == len(events) == 0
@@ -218,27 +238,36 @@ def test_iterate_already_solved():
     assert np.array_equal(res.x, np.zeros(3))
 
 
-class BogusOracle:
-    """Counts its calls and returns a certificate that fails the
-    relative-error test at any sigma below 1."""
+class BogusProcedure:
+    """Counts its sessions and trials; every trial is the pair (w + 10,
+    1), which fails the relative-error test at any sigma below 1."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = self.trials = 0
 
-    def solve(self, w, sigma):
+    def open_session(self, p, z, c, x_bar, anchor=None):
         self.calls += 1
-        return ir.ProxCertificate(w + 10.0, np.ones_like(w))
+        x = z - p + 10.0
+        return SimpleNamespace(next=lambda: self._trial(x))
+
+    def _trial(self, x):
+        self.trials += 1
+        return x, np.ones_like(x) + 10.0
 
 
 def test_iterate_reports_bad_certificate():
+    """A refused pair is retried, as in every layer, and a procedure whose
+    pairs never pass spends the inner budget: the run ends ``stalled`` at
+    its start."""
     params = ir.InertiaRelaxParams.plain(sigma=0.1)
     events = Collector()
-    res = ir.run_hpp(np.ones(2), BogusOracle(), params, max_iters=1,
-                     observer=events)
-    assert (res.status, res.record.status) == ("error", "error")
+    proc = BogusProcedure()
+    res = ir.run_hpp(np.ones(2), proc, params, max_iters=1, observer=events)
+    assert (res.status, res.record.status) == ("stalled", "budget_exceeded")
     assert res.record.outer_iters == len(events) == 0
-    assert res.record.cause == ("OracleFailure: certificate fails the "
-                                "relative-error test at outer iteration 0")
+    assert (proc.calls, proc.trials) == (1, 10_000)
+    assert res.record.cause == ("inner budget spent in a session at outer "
+                                "iteration 0")
     assert np.array_equal(res.x, np.ones(2))
 
 
@@ -247,28 +276,28 @@ def test_unit_relaxation_exact_is_proximal_step():
     the engine's unit step on the operator lam T is the proximal step of T
     at stepsize lam, whose resolvent point it takes bit for bit."""
     op = rotation_operator()
-    oracle = ExactResolventOracle(AffineOperator(0.7 * op.mat))
+    fproc = ExactBProcedure(AffineOperator(0.7 * op.mat))
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     rng = np.random.default_rng(0)
     for _ in range(10):
         z = rng.standard_normal(2)
         events = Collector()
-        res = ir.run_hpp(z, oracle, params, max_iters=1, observer=events)
+        res = ir.run_hpp(z, fproc, params, max_iters=1, observer=events)
         expected = op.resolvent(0.7, z)
-        assert np.array_equal(events[0].cert.z_tilde, expected)
+        assert np.array_equal(events[0].x, expected)  # z_tilde
         assert np.linalg.norm(res.x - expected) <= 1e-12
 
 
 def test_nan_start_raises_before_any_oracle_call():
-    oracle = BogusOracle()
-    with pytest.raises(ValueError, match="non-finite"):
-        ir.run_hpp(np.array([0.0, np.nan]), oracle,
+    proc = BogusProcedure()
+    with pytest.raises(ValueError, match="z0 has non-finite"):
+        ir.run_hpp(np.array([0.0, np.nan]), proc,
                    ir.InertiaRelaxParams.plain(sigma=0.1), max_iters=10)
-    assert oracle.calls == 0
+    assert proc.calls == 0
 
 
 class Untouched:
-    """An oracle, F-procedure and resolvent that only counts its calls."""
+    """An F-procedure, prox and resolvent that only counts its calls."""
 
     calls = 0
 
@@ -287,7 +316,6 @@ def _changed(triple, name, v):
 
 _PLAIN = ir.InertiaRelaxParams.plain()
 _ENTRIES = {
-    "certificate": (lambda v, stub: ir.ProxCertificate(v, v), "z_tilde"),
     "run_hpp": (lambda v, stub: ir.run_hpp(v, stub, _PLAIN), "z0"),
     "fejer_check": (lambda v, stub: ir.fejer_check([], v, _PLAIN),
                     "z_star"),
@@ -317,7 +345,7 @@ def test_every_entry_refuses_a_vector_that_is_not_1d(entry, vector):
     """Every layer states one rule for a vector where it enters: a finite
     1-D float array (``hpp._vec``).  A column or a 0-D value is not
     flattened but raises ``ValueError`` naming the argument and its shape,
-    before any oracle, session or resolvent call.  A splitting start is
+    before any session, prox or resolvent call.  A splitting start is
     refused when its triple is built, and again at the driver's entry when
     a component was set after that."""
     enter, name = _ENTRIES[entry]
@@ -336,11 +364,11 @@ def test_every_entry_refuses_a_vector_that_is_not_1d(entry, vector):
 def test_underflowing_v_ends_as_solved(operator, z0, outer):
     """A nonzero v whose squared norm underflows to 0 leaves no hyperplane
     to project onto: the run ends as ``solved`` at the certificate's point,
-    as the splitting drivers do when ||x - z||^2 underflows, and raises
-    nothing.  Without a stopping tolerance the first two runs get there
-    after hundreds of iterations; the tiny start at once."""
+    as every layer does when ||x - z||^2 underflows, and raises nothing.
+    Without a stopping tolerance the first two runs get there after
+    hundreds of iterations; the tiny start at once."""
     events = Collector()
-    res = ir.run_hpp(np.array(z0), ExactResolventOracle(operator),
+    res = ir.run_hpp(np.array(z0), ExactBProcedure(operator),
                      ir.InertiaRelaxParams.plain(sigma=0.0), max_iters=2000,
                      observer=events)
     assert (res.status, res.record.status) == ("solved", "converged")
@@ -351,57 +379,51 @@ def test_underflowing_v_ends_as_solved(operator, z0, outer):
     assert np.linalg.norm(res.x) < 1e-160
 
 
-class OverflowingOracle:
-    """Exact certificates of the rotation until call ``at``, then an exact
-    pair (z, w - z) whose point is so far from w that the projection step
-    overflows to a non-finite iterate."""
+class OverflowingProcedure:
+    """Exact pairs of the rotation until session ``at``, then an exact
+    pair (far, 0) whose point is so far from w that the A half-step of the
+    loop overflows to a non-finite trial."""
 
     def __init__(self, at):
-        self.oracle = ExactResolventOracle(rotation_operator())
+        self.fproc = ExactBProcedure(rotation_operator())
         self.at = at
         self.calls = 0
 
-    def solve(self, w, sigma):
+    def open_session(self, p, z, c, x_bar, anchor=None):
         self.calls += 1
         if self.calls > self.at:
-            far = np.full_like(w, -1.5e308)
-            return ir.ProxCertificate(far, w - far)
-        return self.oracle.solve(w, sigma)
+            far = np.full_like(z, -1.5e308)
+            return SimpleNamespace(next=lambda: (far, np.zeros_like(far)))
+        return self.fproc.open_session(p, z, c, x_bar, anchor)
 
 
 def test_nonfinite_iterate_is_an_error_status():
-    """An iterate that overflows in the projection ends the run with status
+    """A pair that overflows in the loop ends the run with status
     ``error``, the outer iteration in ``record.cause``, and the last
     completed iterate and its ||v|| in the result.  The overflowing pair is
-    exact, so its residual is 0 and the test passes at any sigma."""
+    exact, so its residual is 0 and the test would pass at any sigma."""
     events = Collector()
-    res = ir.run_hpp(np.array([3.0, -1.0]), OverflowingOracle(3),
+    res = ir.run_hpp(np.array([3.0, -1.0]), OverflowingProcedure(3),
                      ir.InertiaRelaxParams.plain(sigma=0.5), max_iters=50,
                      observer=events)
     assert (res.status, res.record.status) == ("error", "error")
     assert res.record.outer_iters == len(events) == 3
-    assert "non-finite iterate" in res.record.cause
+    assert res.record.cause.startswith("non-finite trial")
     assert res.record.cause.endswith("at outer iteration 3")
-    assert np.array_equal(res.x, events[-1].z)
-    last = float(np.linalg.norm(events[-1].cert.v))
+    assert np.array_equal(res.x, events[-1].z - events[-1].p)
+    last = float(np.linalg.norm(events[-1].x - events[-1].z))
     assert res.record.final_kkt == last > 0.0
 
 
-def test_an_exact_pair_passes_where_its_squared_norms_overflow():
-    """At sigma = 0 the right side of the test of an exact pair whose
-    squared norms overflow is 0 * inf = NaN.  Its zero residual passes
-    before that is read, so the run blames the projection that overflows,
-    not the oracle; ``error_ratio`` is 0."""
+def test_an_exact_pair_whose_squared_norms_overflow_is_a_nonfinite_trial():
+    """An exact pair whose ||v||^2 overflows leaves the projection no
+    finite coefficient: the run names the trial at once, before the
+    acceptance test reads its zero residual, and returns the start."""
     w = np.array([1e200, -1e200])
-    oracle = exact_identity_oracle(2)
-    cert = oracle.solve(w, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert ir.error_criterion_holds(w, cert, 0.0)
-        assert error_ratio(w, cert, 0.0) == 0.0
-    res = ir.run_hpp(w, oracle, ir.InertiaRelaxParams.plain(0.0))
+    res = ir.run_hpp(w, exact_identity(2), ir.InertiaRelaxParams.plain(0.0))
     assert (res.status, res.record.outer_iters) == ("error", 0)
-    assert res.record.cause == ("non-finite iterate in the projection at "
-                                "outer iteration 0")
+    assert res.record.cause == ("non-finite trial (||x - z||^2 = inf, "
+                                "||t||^2 = inf) at outer iteration 0")
     assert np.array_equal(res.x, w)
 
 
@@ -411,19 +433,22 @@ def test_an_exact_pair_passes_where_its_squared_norms_overflow():
 
 def test_run_identity_converges_quickly():
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    res = ir.run_hpp(np.array([1.0]), exact_identity_oracle(), params,
+    res = ir.run_hpp(np.array([1.0]), exact_identity(), params,
                      max_iters=100, v_tolerance=1e-8)
     assert res.status == "converged"
     assert res.record.outer_iters <= 40
 
 
 def test_run_budget_zero():
+    """No iteration: the start, with ||s - r|| = 0 of the start triple as
+    ``final_kkt``."""
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    res = ir.run_hpp(np.array([2.0]), exact_identity_oracle(), params,
+    res = ir.run_hpp(np.array([2.0]), exact_identity(), params,
                      max_iters=0)
     assert res.status == "budget_exceeded"
     assert res.record.status == "budget_exceeded"
     assert res.record.outer_iters == 0
+    assert res.record.final_kkt == 0.0
     assert np.array_equal(res.x, [2.0])
 
 
@@ -432,19 +457,19 @@ def test_run_budget_reports_the_last_v_norm():
     as ``final_kkt``."""
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     events = Collector()
-    res = ir.run_hpp(np.array([3.0, -1.0]), ExactResolventOracle(
+    res = ir.run_hpp(np.array([3.0, -1.0]), ExactBProcedure(
         rotation_operator()), params, max_iters=5, observer=events)
     assert res.status == res.record.status == "budget_exceeded"
     assert len(events) == 5
-    last = float(np.linalg.norm(events[-1].cert.v))
+    last = float(np.linalg.norm(events[-1].x - events[-1].z))  # v = s - r
     assert 0.0 < res.record.final_kkt == last
 
 
 def test_run_rotation_converges_with_fejer():
-    oracle = ExactResolventOracle(rotation_operator())
+    fproc = ExactBProcedure(rotation_operator())
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
     events = Collector()
-    res = ir.run_hpp(np.array([3.0, -1.0]), oracle, params, max_iters=2000,
+    res = ir.run_hpp(np.array([3.0, -1.0]), fproc, params, max_iters=2000,
                      v_tolerance=1e-10, observer=events)
     assert res.status == "converged"
     assert np.linalg.norm(res.x) <= 1e-8
@@ -453,12 +478,12 @@ def test_run_rotation_converges_with_fejer():
 
 
 def test_run_inertial_perturbed_descent_and_summability():
-    oracle = PerturbedResolventOracle(rotation_operator(), seed=5)
+    fproc = PerturbedBProcedure(rotation_operator(), seed=5)
     params = ir.InertiaRelaxParams.from_beta(alpha=0.18, beta=0.18976,
                                              sigma=0.9)
     z0 = np.array([2.0, 1.0])
     events = Collector()
-    res = ir.run_hpp(z0, oracle, params, max_iters=4000, v_tolerance=1e-9,
+    res = ir.run_hpp(z0, fproc, params, max_iters=4000, v_tolerance=1e-9,
                      observer=events)
     assert res.status == "converged"
     z_star = np.zeros(2)
@@ -466,15 +491,17 @@ def test_run_inertial_perturbed_descent_and_summability():
     assert ir.fejer_check(steps, z_star, params, rel_tol=1e-9) is None
     assert ir.alvarez_attouch_check(steps, z0, z_star, params,
                                     rel_tol=1e-9) is None
+    assert any(ev.trials > 1 for ev in events)  # some pairs were refused
     # ||z^k - z^{k-1}||^2 at the entry of step k, with z^{-1} = z^0
-    iterates = [z0, z0] + [ev.z for ev in events[:-1]]
+    iterates = [z0, z0] + [z_next for _, _, z_next in steps[:-1]]
     increments = [float((b - a) @ (b - a))
                   for a, b in zip(iterates, iterates[1:])]
     assert sum(increments) < 1e3
     assert max(increments[-5:]) <= 1e-12
-    for ev in events:
-        assert _s_bound(ev.z, ev.w, ev.cert.z_tilde, params) >= 0.0
-        assert error_ratio(ev.w, ev.cert, params.sigma) <= 1.0 + 1e-12
+    for ev, (w, z_tilde, z_next) in zip(events, steps):
+        assert _s_bound(z_next, w, z_tilde, params) >= 0.0
+        assert reference.error_criterion(w, z_tilde, ev.x - ev.z,
+                                         params.sigma)
 
 
 def test_alvarez_attouch_bound_carries_the_inertia_factor():
@@ -527,10 +554,10 @@ def test_run_traces_are_fejer_monotone(n, seed, skew, beta, frac, sigma):
     z_star = np.linalg.solve(mat, -q)
     rho = rho_bar_of_beta(beta)
     params = ir.InertiaRelaxParams(frac * beta, beta, sigma, rho, rho)
-    oracle = PerturbedResolventOracle(AffineOperator(mat, q), seed=seed)
+    fproc = PerturbedBProcedure(AffineOperator(mat, q), seed=seed)
     z0 = rng.standard_normal(n)
     events = Collector()
-    res = ir.run_hpp(z0, oracle, params, max_iters=400, v_tolerance=1e-8,
+    res = ir.run_hpp(z0, fproc, params, max_iters=400, v_tolerance=1e-8,
                      observer=events)
     assert len(events) == res.record.outer_iters
     steps = engine_steps(events)
@@ -540,68 +567,141 @@ def test_run_traces_are_fejer_monotone(n, seed, skew, beta, frac, sigma):
 
 
 def test_stationary_start_is_solution():
-    oracle = ExactResolventOracle(rotation_operator())
+    fproc = ExactBProcedure(rotation_operator())
     params = ir.InertiaRelaxParams.plain(sigma=0.0)
-    res = ir.run_hpp(np.zeros(2), oracle, params, max_iters=10)
+    res = ir.run_hpp(np.zeros(2), fproc, params, max_iters=10)
     assert res.status == "solved"
     assert res.record.outer_iters == 0
 
 
-def reference_hpp(z0, oracle, params, iters):
-    """Straight-line engine from the formulas of ``tests/reference.py``,
-    with the constant schedule alpha_k = alpha and rho_k = rho_hi.  Returns
-    the extrapolated point and the next iterate of each of ``iters``
-    iterations."""
-    z = z_prev = z0
-    steps = []
-    for _ in range(iters):
-        w = reference.extrapolate(z, z_prev, params.alpha)
-        cert = oracle.solve(w, params.sigma)
-        assert reference.error_criterion(w, cert.z_tilde, cert.v,
-                                         params.sigma)
-        z_prev, z = z, reference.project(w, cert.z_tilde, cert.v,
-                                         params.rho_hi)
-        steps.append((w, z))
-    return steps
+def reference_hpp(z0, fproc, params, v_tolerance, max_iters):
+    """Straight-line engine as the splitting loop with A = 0 runs it, from
+    the formulas of ``tests/reference.py``: the triple (x, z, p) starts at
+    (z0, z0, 0), the penalty is 1, the A half-step is the identity, z_l =
+    x_l + p_l, and the summed-squares test accepts.  Returns the triple
+    after each completed iteration and the accepted trial's triple that
+    stops the run on ||x_l - z_l|| <= v_tolerance, or None."""
+    x = z = z0
+    p = np.zeros_like(z0)
+    x_prev, z_prev, p_prev = x, z, p
+    triples, session = [], None
+    for _ in range(max_iters):
+        x_hat = reference.extrapolate(x, x_prev, params.alpha)
+        z_hat = reference.extrapolate(z, z_prev, params.alpha)
+        p_hat = reference.extrapolate(p, p_prev, params.alpha)
+        session = fproc.open_session(p_hat, z_hat, 1.0, x_hat,
+                                     (session, params.alpha))
+        while True:
+            x_l, y_l = session.next()
+            p_l = reference.multiplier(p_hat, x_l, z_hat, y_l, 1.0)
+            z_l = x_l + p_l
+            if reference.accept(y_l, p_l, p_hat, z_l, z_hat, x_l, 1.0,
+                                params.sigma, False):
+                break
+        if np.linalg.norm(x_l - z_l) <= v_tolerance:
+            return triples, (x_l, z_l, p_l)
+        th = reference.theta(p_hat, z_hat, x_l, z_l, p_l, 1.0)
+        p_next = reference.p_update(p_hat, z_hat, z_l, x_l,
+                                    params.rho_hi * th, 1.0)
+        x_prev, z_prev, p_prev = x, z, p
+        x, z, p = x_l, z_l, p_next
+        triples.append((x, z, p))
+    return triples, None
 
 
 def test_observer_sees_every_iteration_unchanged():
     """One event per iteration, each holding the arrays the run went on
     with: they still equal the copies taken when the event arrived, and
     the iterates are bit for bit those of :func:`reference_hpp` on the same
-    oracle, which holds no state: a second run on it repeats the first."""
+    F-procedure, which holds no state: a second run on it repeats the
+    first.  The result is the stopping trial's triple and its engine point
+    r + b."""
     params = ir.InertiaRelaxParams.from_beta(alpha=0.18, beta=0.18976,
                                              sigma=0.9)
     z0 = np.array([2.0, 1.0])
-    oracle = PerturbedResolventOracle(rotation_operator(), seed=5)
+    fproc = PerturbedBProcedure(rotation_operator(), seed=5)
     events, copies = [], []
 
     def observer(event):
         events.append(event)
-        copies.append((np.copy(event["w"]), np.copy(event["cert"].z_tilde),
-                       np.copy(event["cert"].v), np.copy(event["z"])))
+        copies.append({k: np.copy(v) for k, v in event.items()})
 
-    res = ir.run_hpp(z0, oracle, params, max_iters=4000, v_tolerance=1e-9,
+    res = ir.run_hpp(z0, fproc, params, max_iters=4000, v_tolerance=1e-9,
                      observer=observer)
     assert res.status == "converged"
     assert len(events) == res.record.outer_iters > 10
     assert [event["k"] for event in events] == list(range(len(events)))
-    assert np.array_equal(res.x, events[-1]["z"])
     for event, copied in zip(events, copies):
-        assert set(event) == {"k", "alpha_k", "rho_k", "w", "cert", "z"}
+        assert set(event) == {"k", "trials", "theta", "alpha_k", "rho_k",
+                              "kkt", "gap", "x_hat", "z_hat", "p_hat", "x",
+                              "z", "p_l", "p"}
         assert (event["alpha_k"], event["rho_k"]) == (params.alpha,
                                                       params.rho_hi)
-        now = (event["w"], event["cert"].z_tilde, event["cert"].v,
-               event["z"])
-        assert all(np.array_equal(a, b) for a, b in zip(now, copied))
+        assert all(np.array_equal(event[k], copied[k], equal_nan=True)
+                   for k in event)
 
-    again = ir.run_hpp(z0, oracle, params, max_iters=4000, v_tolerance=1e-9)
+    again = ir.run_hpp(z0, fproc, params, max_iters=4000, v_tolerance=1e-9)
     assert again.record.outer_iters == res.record.outer_iters
     assert np.array_equal(again.x, res.x)
-    steps = reference_hpp(z0, oracle, params, len(events))
-    for event, (w, z) in zip(events, steps):
-        assert np.array_equal(w, event["w"])
-        assert np.array_equal(z, event["z"])
+    triples, stop = reference_hpp(z0, fproc, params, 1e-9, 4000)
+    assert len(triples) == len(events)
+    for event, triple in zip(events, triples):
+        assert all(np.array_equal(event[k], a)
+                   for k, a in zip("xzp", triple))
+    x, z, p = stop
+    assert all(np.array_equal(a, b) for a, b in zip(
+        (res.triple.s, res.triple.b, res.triple.r), (x, -p, z)))
+    assert np.array_equal(res.x, z - p)
+
+
+def reference_engine(z0, operator, params, iters, v_tolerance=0.0):
+    """The engine's own iteration on exact pairs from the formulas of
+    ``tests/reference.py``: w extrapolated, z_tilde = J(w), v = w -
+    z_tilde, and the relaxed projection of w, until ||v|| <= v_tolerance.
+    Returns the iterates and the number of pairs drawn."""
+    z = z_prev = z0
+    iterates = []
+    for k in range(iters):
+        w = reference.extrapolate(z, z_prev, params.alpha)
+        z_tilde = operator.resolvent(1.0, w)
+        if np.linalg.norm(w - z_tilde) <= v_tolerance:
+            return iterates, k + 1
+        z_prev, z = z, reference.project(w, z_tilde, w - z_tilde,
+                                         params.rho_hi)
+        iterates.append(z)
+    return iterates, iters
+
+
+def test_exact_runs_follow_the_engine_formulas():
+    """On exact pairs the splitting loop with A = 0 is the engine's own
+    iteration up to round-off: over 40 iterations on random monotone
+    affine operators, the run's engine points z - p stay within 1e-13 of
+    :func:`reference_engine`'s iterates, relative to the largest of them.
+    A tolerance stop comes one iteration before the engine's: the loop
+    stops on the accepted pair, before its projection."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        b, k = rng.standard_normal((2, n, n))
+        mat = b @ b.T / n + 0.1 * np.eye(n) + rng.uniform(0, 5) * (k - k.T)
+        operator = AffineOperator(mat, rng.standard_normal(n))
+        beta = rng.uniform(0.02, 0.9)
+        rho = rho_bar_of_beta(beta)
+        params = ir.InertiaRelaxParams(0.9 * beta, beta, 0.5, rho, rho)
+        z0 = rng.standard_normal(n)
+        events = Collector()
+        ir.run_hpp(z0, ExactBProcedure(operator), params, max_iters=40,
+                   observer=events)
+        expected, _ = reference_engine(z0, operator, params, len(events))
+        scale = max(float(np.linalg.norm(z)) for z in [z0] + expected)
+        for ev, z in zip(events, expected):
+            assert np.linalg.norm(ev.z - ev.p - z) <= 1e-13 * scale
+        res = ir.run_hpp(z0, ExactBProcedure(operator), params,
+                         max_iters=1000, v_tolerance=1e-8)
+        _, pairs = reference_engine(z0, operator, params, 1000, 1e-8)
+        assert res.status == "converged"
+        # the engine projected and counted the iteration it stopped on
+        assert res.outer_iters == pairs - 1
 
 
 def test_raising_observer_ends_the_run():
@@ -617,7 +717,7 @@ def test_raising_observer_ends_the_run():
 
     with pytest.raises(Stop):
         ir.run_hpp(np.array([3.0, -1.0]),
-                   ExactResolventOracle(rotation_operator()),
+                   ExactBProcedure(rotation_operator()),
                    ir.InertiaRelaxParams.plain(sigma=0.0), max_iters=100,
                    observer=observer)
     assert seen == [0, 1, 2, 3]

@@ -14,8 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import irsplit as ir
 from irsplit.dr import DRParams
 from irsplit.errors import ParameterError
-from irsplit.operators import (AffineOperator, ExactBProcedure,
-                               ExactResolventOracle)
+from irsplit.operators import AffineOperator, ExactBProcedure
 
 
 def bisect_inverse_of_coupling(rho_target, lo=1e-12, hi=1.0 - 1e-12, iters=200):
@@ -285,7 +284,7 @@ def _run_dr(max_outer):
 
 
 def _run_hpp(max_iters):
-    return ir.run_hpp(np.ones(2), ExactResolventOracle(
+    return ir.run_hpp(np.ones(2), ExactBProcedure(
         AffineOperator(np.eye(2))), _CORE, max_iters=max_iters)
 
 
@@ -299,7 +298,8 @@ _BUDGETS = {
                         "inner_budget"),
     "fista_max_outer": (lambda n: ir.FistaConfig(max_outer=n), "max_outer"),
     "run_dr_max_outer": (_run_dr, "max_outer"),
-    "run_hpp_max_iters": (_run_hpp, "max_iters"),
+    # run_hpp is run_dr's run, whose message names its own budget
+    "run_hpp_max_iters": (_run_hpp, "max_outer"),
 }
 
 

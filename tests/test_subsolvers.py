@@ -632,6 +632,50 @@ class IdentityLasso:
                          0.0)), None
 
 
+class DiagonalLasso(IdentityLasso):
+    """min (1/2) x . (d x) - b . x + nu ||x||_1, of curvature d_i along
+    axis i, with the same six members."""
+
+    def __init__(self, d, b, nu):
+        super().__init__(b, nu)
+        self.d = d
+
+    def value_gradient(self, x):
+        return (0.5 * float(x @ (self.d * x)) - float(self.b @ x),
+                self.d * x - self.b)
+
+    def kkt_dist_inf(self, x, floor, screen):
+        return float(max(_l1_components(self.d * x - self.b, x,
+                                        self.nu).max(), 0.0)), None
+
+
+def test_fista_backtracks_after_the_first_iteration():
+    """The first step from 0 runs along b = (1, 1e-3), where the curvature
+    is about 0.5, so the first guess L = 1 passes the majorization test.
+    The second step, from y = b, runs along -grad f(y) = (0.5, -0.099),
+    into the axis of curvature 100, and L must double to 8 there.  Every
+    trial passes the test at its own step z - y exactly when it is the
+    last trial of its iteration."""
+    prob = DiagonalLasso(np.array([0.5, 100.0]), np.array([1.0, 1e-3]), 0.0)
+    trials = []
+    solve = prob.prox_g.solve
+
+    def recorded(p, y, lip):
+        z = solve(p, y, lip)
+        trials.append((y, lip, z))
+        return z
+
+    prob.prox_g = SimpleNamespace(solve=recorded)
+    fista_solve(prob, FistaConfig(epsilon=0.0, max_outer=2))
+    assert [lip for _, lip, _ in trials] == [1.0, 1.0, 2.0, 4.0, 8.0]
+    for i, (y, lip, z) in enumerate(trials):
+        f_y, g_y = prob.value_gradient(y)
+        dz = z - y
+        passes = prob.f_value(z) <= f_y + g_y @ dz + 0.5 * lip * (dz @ dz)
+        last = i + 1 == len(trials) or trials[i + 1][0] is not y
+        assert passes == last
+
+
 def test_fista_identity_design_reaches_shrink_solution():
     """Over the identity design the minimizer is the shrink of b, reached
     from a LASSO problem and from any object with the same six members."""
