@@ -10,8 +10,8 @@ import numpy as np
 
 import irsplit as ir
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
-from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               L1Resolvent)
+from irsplit.operators import AffineOperator, CGBProcedure, ExactBProcedure
+from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import soft_threshold
 
 rng = np.random.default_rng(0)
@@ -20,7 +20,7 @@ c0 = 2.0 * rng.standard_normal(n)
 # 0 in subdiff(nu |.|)(x) + (x - c0): solution is the shrink of c0
 x_star = soft_threshold(c0, nu)
 
-res_a = L1Resolvent(nu)
+res_a = L1ShiftedProx(nu)
 res_b = AffineOperator(np.eye(n), -c0)
 init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
 

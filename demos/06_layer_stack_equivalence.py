@@ -14,8 +14,6 @@ import numpy as np
 import irsplit as ir
 from irsplit.admm import ADMMParams, Criterion, run_admm
 from irsplit.dr import DRParams, SplitTriple, run_dr
-from irsplit.operators import L1Resolvent
-from irsplit.subsolvers import QuadraticFProcedure
 
 prob = ir.synthetic_lasso(20, 50, seed=7)
 c = 1.0
@@ -23,16 +21,17 @@ core = ir.InertiaRelaxParams(0.18966, 0.18976, 0.99, 1.4882, 1.4882)
 
 # each run's observer keeps its events: dicts of the outer iteration's
 # scalars and arrays, in ADMM variables for both runs
+aprob = ir.lasso_admm_problem(prob, c)
 admm_events = []
-run_admm(ir.lasso_admm_problem(prob, c),
-         ADMMParams(c=c, core=core, criterion=Criterion.SUM_SQUARES,
-                    epsilon=0.0, max_outer=100),
+run_admm(aprob, ADMMParams(c=c, core=core, criterion=Criterion.SUM_SQUARES,
+                           epsilon=0.0, max_outer=100),
          observer=admm_events.append)
 
-fproc = QuadraticFProcedure(prob.A, prob.b)
+# the splitting run takes the same two engines: the F-procedure is the B
+# half-step, and prox_g, the ADMM g-step, is the A-resolvent
 dr_events = []
 run_dr(SplitTriple(np.zeros(50), np.zeros(50), np.zeros(50)),
-       DRParams(gamma=1.0 / c, core=core), fproc, L1Resolvent(prob.nu),
+       DRParams(gamma=1.0 / c, core=core), aprob.fproc, aprob.prox_g,
        max_outer=100, observer=dr_events.append)
 
 # the splitting triple of a splitting event is (s, b, r) = (x, -p, z)

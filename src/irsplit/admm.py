@@ -250,10 +250,11 @@ def run_admm(problem: AdmmProblem, params: ADMMParams,
     ``record.cause`` naming it, its layer and the outer iteration: status
     ``stalled`` when the inner budget runs out, as at the round-off floor,
     and ``error`` on a ``LineSearchFailure`` or ``CGBreakdown`` out of a
-    session, a non-finite trial or a theta that is not finite and
-    positive.  numpy's floating-point warnings are off while the run
-    lasts, callbacks and observer included: a non-finite value ends it as
-    ``error``, not as a warning.
+    session, a trial whose x or y has another shape than the run's, a
+    non-finite trial or a theta that is not finite and positive.  numpy's
+    floating-point warnings are off while the run lasts, callbacks and
+    observer included: a non-finite value ends it as ``error``, not as a
+    warning.
 
     ``observer``, when given, is called once per completed outer iteration
     with a dict: ``k``, ``trials``, ``theta``, ``alpha_k``, ``rho_k``,
@@ -309,6 +310,7 @@ def _run(open_session, prox, kkt_residual, objective, params: ADMMParams,
     rho = params.core.rho_hi
     max_form = params.criterion is Criterion.MAX_FORM
     x, z, p = start
+    shape = x.shape
     x_prev, z_prev, p_prev = x, z, p
     inner_total = 0
     started = time.perf_counter()
@@ -330,6 +332,11 @@ def _run(open_session, prox, kkt_residual, objective, params: ADMMParams,
             session = open_session(p_hat, z_hat, c, x_hat, (session, alpha))
             for trial in range(1, params.inner_budget + 1):
                 x_l, y_l = session.next()
+                if x_l.shape != shape or y_l.shape != shape:
+                    status = ERROR
+                    cause = (f"trial of shapes {x_l.shape} and {y_l.shape} "
+                             f"in a run of shape {shape}")
+                    break
                 p_l = _multiplier(p_hat, x_l, z_hat, y_l, c)
                 z_l = prox(p_l, x_l, c)
                 d = x_l - z_l

@@ -14,7 +14,8 @@ with unit stepsize: its point is z = r + gamma b, and an iteration's
 extrapolated point, certificate point and certificate are r_hat + gamma
 b_hat, r + gamma b and s - r.  :func:`run_dr` is the loop of
 :mod:`irsplit.admm` under the change of variables (s, b, r) = (x, -p, z),
-so each step of the recursion is a kernel of that loop.
+so each step of the recursion is a kernel of that loop, and the A
+half-step is its g-step: an l1 problem's ``prox_g`` serves as both.
 
 Conversely, with A = 0 and gamma = 1 the splitting is the engine on B:
 :func:`run_hpp` runs the engine so, and the loop of :mod:`irsplit.admm` is
@@ -82,7 +83,8 @@ class ResolventMap(Protocol):
 
     The protocol of the engine's operators too: an operator of
     :mod:`irsplit.operators` serves as the A-resolvent here, and inside an
-    ``ExactBProcedure`` or a ``PerturbedBProcedure``, as it is.
+    ``ExactBProcedure`` or a ``PerturbedBProcedure``, as it is, and so
+    does the l1 map :class:`irsplit.problems.L1ShiftedProx`.
     """
 
     def resolvent(self, gamma: float, u: np.ndarray) -> np.ndarray:
@@ -99,7 +101,7 @@ def run_dr(init: SplitTriple, params: DRParams, fproc: FProcedure,
     such as an F-procedure of :mod:`irsplit.subsolvers` for B = grad f or
     ``ExactBProcedure`` / ``CGBProcedure``.  ``resolvent`` is the exact
     A-resolvent, any :class:`ResolventMap`, for example an operator of
-    :mod:`irsplit.operators` as it is.
+    :mod:`irsplit.operators` or a problem's ``prox_g`` as it is.
 
     The run stops with status ``solved`` on the exact coincidence s = r,
     where that point solves the inclusion, and with status ``converged``

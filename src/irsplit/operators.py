@@ -2,27 +2,26 @@
 
 These small building blocks instantiate the abstract interfaces of the
 solver layers for problems whose resolvents have closed forms: monotone
-affine maps, l1 subdifferentials and quadratics.  They double as
-independent references in tests and demos.  A resolvent is one method,
-``resolvent(step, point)``, which the F-procedures here and the splitting
-layer (:class:`irsplit.dr.ResolventMap`) both call.  The F-procedures for
-an operator B are the inexact resolvents of both :func:`irsplit.dr.run_dr`
-(its B half-step) and :func:`irsplit.dr.run_hpp` (the engine on B).
+affine maps and quadratics (the l1 map is a problem's ``prox_g``).  They
+double as independent references in tests and demos.  A resolvent is one
+method, ``resolvent(step, point)``, which the F-procedures here and the
+splitting layer (:class:`irsplit.dr.ResolventMap`) both call.  The
+F-procedures for an operator B are the inexact resolvents of both
+:func:`irsplit.dr.run_dr` (its B half-step) and :func:`irsplit.dr.run_hpp`
+(the engine on B).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError
 from .hpp import _finite
-from .subsolvers import QuadraticFProcedure, soft_threshold
+from .subsolvers import QuadraticFProcedure
 
 __all__ = [
     "AffineOperator",
-    "L1Resolvent",
     "ExactBProcedure",
     "PerturbedBProcedure",
     "CGBProcedure",
@@ -56,20 +55,6 @@ class AffineOperator:
     def resolvent(self, step, w):
         return np.linalg.solve(np.eye(len(self.mat)) + step * self.mat,
                                w - step * self.shift)
-
-
-@dataclass
-class L1Resolvent:
-    """Resolvent of the subdifferential of kappa * l1: the shrink."""
-
-    kappa: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.kappa < np.inf:
-            raise ParameterError("0 <= kappa < inf violated")
-
-    def resolvent(self, gamma, u):
-        return soft_threshold(u, gamma * self.kappa)
 
 
 # ---------------------------------------------------------------------------

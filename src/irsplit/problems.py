@@ -26,7 +26,7 @@ from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 from .admm import AdmmProblem
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .hpp import _finite
 from .subsolvers import (FistaConfig, LBFGSFProcedure, QuadraticFProcedure,
                          _shrink, fista_solve)
@@ -432,18 +432,22 @@ class LogisticProblem(_L1Problem):
 # ---------------------------------------------------------------------------
 
 class L1ShiftedProx:
-    """Exact solver of min_z nu||z||_1 - <p, z> + (c/2)||x - z||^2.
+    """Exact solver of min_z nu||z||_1 - <p, z> + (c/2)||x - z||^2 and, by
+    ``resolvent(gamma, u)``, the resolvent of gamma subdiff(nu||.||_1).
 
     With ``skip_first`` the leading coordinate (the bias) is left
-    unshrunk.  Both are fixed at construction and no call leaves state
-    behind, so the one instance a problem builds serves its FISTA steps
-    and every :class:`irsplit.admm.AdmmProblem` built from it.
+    unshrunk.  Both are fixed at construction, ``nu`` in [0, inf) else
+    ``ParameterError``, and no call leaves state behind, so the one
+    instance a problem builds serves its FISTA steps, every
+    :class:`irsplit.admm.AdmmProblem` built from it and run_dr's A half-step.
     """
 
     nu = property(operator.attrgetter("_nu"))
     skip_first = property(operator.attrgetter("_skip_first"))
 
     def __init__(self, nu: float, skip_first: bool = False):
+        if not 0.0 <= nu < math.inf:
+            raise ParameterError("0 <= nu < inf violated")
         self._nu, self._skip_first = nu, skip_first
 
     def solve(self, p, x, c):
@@ -452,6 +456,12 @@ class L1ShiftedProx:
         z = _shrink(t, self._nu / c)
         if self._skip_first:
             z[0] = t[0]
+        return z
+
+    def resolvent(self, gamma, u):
+        z = _shrink(u, gamma * self._nu)
+        if self._skip_first:
+            z[0] = u[0]
         return z
 
 

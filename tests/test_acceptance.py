@@ -15,7 +15,8 @@ import irsplit.bench as bench
 from irsplit.admm import ADMMParams, Criterion, run_admm
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               L1Resolvent, PerturbedBProcedure)
+                               PerturbedBProcedure)
+from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import CGSession, soft_threshold
 
 import reference
@@ -71,7 +72,7 @@ def test_criterion_2_classical_reduction():
     rng = np.random.default_rng(1)
     n, nu = 10, 0.5
     c0 = 2.0 * rng.standard_normal(n)
-    res_a = L1Resolvent(nu)
+    res_a = L1ShiftedProx(nu)
     res_b = AffineOperator(np.eye(n), -c0)
     init = SplitTriple(rng.standard_normal(n), rng.standard_normal(n),
                        rng.standard_normal(n))
@@ -196,7 +197,7 @@ def test_criterion_4_fejer_and_certificate_bounds(lasso_20x50,
     c0 = 2.0 * rng.standard_normal(n)
     x_star = soft_threshold(c0, nu)
     z_star_dr = x_star + (x_star - c0)  # gamma = 1
-    res_a = L1Resolvent(nu)
+    res_a = L1ShiftedProx(nu)
     res_b = AffineOperator(np.eye(n), -c0)
     init = SplitTriple(rng.standard_normal(n), rng.standard_normal(n),
                        rng.standard_normal(n))

@@ -19,8 +19,7 @@ from irsplit.dr import (DRParams, SplitTriple, classical_dr_step, run_dr,
                         run_hpp)
 from irsplit.errors import LineSearchFailure
 from irsplit.hpp import rho_bar_of_beta
-from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               L1Resolvent)
+from irsplit.operators import AffineOperator, CGBProcedure, ExactBProcedure
 from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import (CGSession, LBFGSFProcedure,
                                 QuadraticFProcedure, soft_threshold)
@@ -194,6 +193,23 @@ def test_z_subproblem_closed_forms():
         pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("skip_first", [False, True])
+def test_l1_resolvent_is_the_shrink_with_the_bias_kept(skip_first):
+    """The l1 map's resolvent(gamma, u) is soft_threshold(u, gamma nu) bit
+    for bit, but for u[0], which it keeps as it is under ``skip_first``;
+    nu = 0 is a valid weight."""
+    rng = np.random.default_rng(47)
+    for nu in (0.0, 0.3, 2.0):
+        prox = L1ShiftedProx(nu, skip_first)
+        for _ in range(20):
+            u = 3.0 * rng.standard_normal(7)
+            gamma = 10.0 ** rng.uniform(-2, 2)
+            want = soft_threshold(u, gamma * nu)
+            if skip_first:
+                want[0] = u[0]
+            assert prox.resolvent(gamma, u).tobytes() == want.tobytes()
+
+
 def test_z_subproblem_grid_oracle_and_membership():
     nu, c = 0.7, 1.4
     prox = L1ShiftedProx(nu)
@@ -344,13 +360,13 @@ def test_run_exact_follows_classical_splitting_recursion():
     # B = grad f with gamma = 1/c
     a, b, prob = small_lasso()
     fproc = ExactBProcedure(QuadFResolvent(a, b))
-    aprob = ir.AdmmProblem(fproc, L1ShiftedProx(prob.nu), prob.kkt_dist_inf,
+    aprob = ir.AdmmProblem(fproc, prob.prox_g, prob.kkt_dist_inf,
                            prob.objective, 5)
     params = ADMMParams(c=1.0, core=ir.InertiaRelaxParams.plain(sigma=0.0),
                         epsilon=0.0, max_outer=60)
     events = Collector()
     run_admm(aprob, params, observer=events)
-    res_a = L1Resolvent(prob.nu)
+    res_a = prob.prox_g
     res_b = QuadFResolvent(a, b)
     zeta = np.zeros(5)
     worst = 0.0
@@ -704,7 +720,7 @@ def test_dr_lasso_products_at_session_start():
     zeros = np.zeros(prob.n)
     res = run_dr(SplitTriple(zeros, zeros, zeros),
                  DRParams(gamma=1.0, core=published_params().core),
-                 aprob.fproc, L1Resolvent(prob.nu), max_outer=60)
+                 aprob.fproc, prob.prox_g, max_outer=60)
     assert res.status == "budget_exceeded"
     assert (res.outer_iters, res.inner_iters_total) == (60, 64)
     assert counts["open"] <= 4
@@ -754,7 +770,7 @@ def test_affine_sessions_start_from_stored_products():
     events = Collector()
     init = SplitTriple(*(rng.standard_normal(60) for _ in range(3)))
     res = run_dr(init, DRParams(1.0, published_params().core), proc,
-                 L1Resolvent(0.5), max_outer=10_000, sr_tolerance=1e-9,
+                 L1ShiftedProx(0.5), max_outer=10_000, sr_tolerance=1e-9,
                  observer=events)
     assert res.status == "converged"
     assert res.outer_iters > 200
@@ -832,7 +848,7 @@ def test_runs_release_procedure_state_at_exit(lasso_20x50, inertial_core,
     if driver == "dr":
         n = lasso_20x50.n
         init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
-        res_a = L1Resolvent(lasso_20x50.nu)
+        res_a = lasso_20x50.prox_g
 
         def run():
             return run_dr(init, DRParams(1.0, core, inner_budget=budget),
@@ -935,7 +951,7 @@ def test_consecutive_runs_repeat(case):
         def run():
             events = Collector()
             return run_dr(init, DRParams(1.0, published_params().core), fproc,
-                          L1Resolvent(nu), max_outer=60,
+                          L1ShiftedProx(nu), max_outer=60,
                           observer=events), events
 
     first = run()
@@ -1110,7 +1126,7 @@ def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
         rng = np.random.default_rng(3)
         init = SplitTriple(*(rng.standard_normal(n) for _ in range(3)))
         res = run_dr(init, DRParams(1.0, inertial_core),
-                     NegativeQuadratic(n), L1Resolvent(0.3),
+                     NegativeQuadratic(n), L1ShiftedProx(0.3),
                      max_outer=50, observer=events)
         got = [res.triple.s, res.triple.b, res.triple.r]
         want = [init.s, init.b, init.r]
@@ -1138,6 +1154,51 @@ def test_no_library_failure_escapes_after_entry(lasso_20x50, inertial_core,
         assert np.all(np.isfinite(g)) and np.array_equal(g, w)
     assert failure in res.record.cause
     assert res.record.cause.endswith(f"at outer iteration {at}")
+    assert math.isfinite(res.record.final_kkt)
+
+
+SHAPE_CASES = [("hpp", 1, 1), ("hpp", 2, 2), ("admm", 1, 1), ("admm", 2, 2),
+               ("admm", 3, 1)]
+
+
+@pytest.mark.parametrize("driver, x_size, y_size", SHAPE_CASES,
+                         ids=["hpp_1", "hpp_2", "admm_1", "admm_2",
+                              "admm_y_only"])
+def test_a_trial_of_another_shape_ends_the_run_as_error(driver, x_size,
+                                                         y_size):
+    """A session whose trial x or y has another shape than the run's ends
+    the run as ``error`` at once, with the last completed iterate and a
+    cause naming both shapes.  A shape (1,) pair was broadcast through the
+    whole run, which then raised ``ValueError`` building the result's
+    triple; a shape (2,) pair raised numpy's broadcast ``ValueError``
+    inside the multiplier; and a y of shape (1,) beside a right x went
+    through the acceptance test as a wrong certificate."""
+    at = 2
+    events = Collector()
+
+    def truncate(x, y):
+        return x[:x_size], y[:y_size]
+
+    if driver == "hpp":
+        fproc = BrokenAtOuter(ExactBProcedure(AffineOperator(np.eye(3))), at,
+                              truncate)
+        res = run_hpp(np.ones(3), fproc, ir.InertiaRelaxParams.plain(0.1),
+                      max_iters=50, observer=events)
+        got, want = [res.x], [events[-1].z - events[-1].p]
+    else:
+        aprob = ir.lasso_admm_problem(ir.synthetic_lasso(5, 3, seed=0), 1.0)
+        aprob.fproc = BrokenAtOuter(aprob.fproc, at, truncate)
+        res = run_admm(aprob, ADMMParams(1.0, ir.InertiaRelaxParams.plain(0.1),
+                                         max_outer=50), observer=events)
+        got = [res.triple.x, res.triple.z, res.triple.p]
+        want = [events[-1].x, events[-1].z, events[-1].p]
+    assert (res.status, res.record.status) == ("error", "error")
+    assert len(events) == res.outer_iters == at
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert res.record.cause == (f"trial of shapes ({x_size},) and "
+                                f"({y_size},) in a run of shape (3,) at "
+                                f"outer iteration {at}")
     assert math.isfinite(res.record.final_kkt)
 
 
@@ -1420,7 +1481,7 @@ def test_full_trajectory_equivalence_with_splitting_layer(lasso_20x50,
     assert admm_res.outer_iters == 110
 
     fproc = QuadraticFProcedure(prob.A, prob.b)
-    res_a = L1Resolvent(prob.nu)
+    res_a = prob.prox_g
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.n))
     dr_events = Collector()
@@ -1471,19 +1532,6 @@ def test_acceptance_verdicts_agree_under_embedding(lasso_20x50,
 # ---------------------------------------------------------------------------
 # the L-BFGS path (l1-logistic)
 # ---------------------------------------------------------------------------
-
-class BiasFreeL1Resolvent:
-    """Resolvent of the subdifferential of nu ||x[1:]||_1: the shrink on
-    every coordinate but the unregularized bias x[0]."""
-
-    def __init__(self, nu):
-        self.nu = nu
-
-    def resolvent(self, gamma, u):
-        r = soft_threshold(u, gamma * self.nu)
-        r[0] = u[0]
-        return r
-
 
 def count_step_value_gradients(prob, c):
     """Build the logistic ADMM problem with ``prob.value_gradient`` counted
@@ -1549,10 +1597,10 @@ def test_lbfgs_value_gradient_calls_per_trial():
 
 def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
     """The L-BFGS twin of the LASSO equivalence test: the ADMM run and the
-    splitting layer driven through the F -> B adapter agree step by step,
-    and every emitted y is the augmented gradient at its x.  The splitting
-    run reuses the ADMM run's F-procedure, so it also checks that the
-    splitting run starts from empty curvature memory."""
+    splitting layer driven by its F-procedure and ``prob.prox_g`` agree
+    step by step, and every emitted y is the augmented gradient at its x.
+    The splitting run reuses the ADMM run's F-procedure, so it also checks
+    that the splitting run starts from empty curvature memory."""
     prob = ir.synthetic_logistic(30, 11, seed=1)
     c = 1.0
     n = prob.n
@@ -1571,8 +1619,7 @@ def test_logistic_trajectory_equivalence_with_splitting_layer(inertial_core):
     dr_params = DRParams(gamma=1.0 / c, core=inertial_core)
     init = SplitTriple(np.zeros(n), np.zeros(n), np.zeros(n))
     dr_events = Collector()
-    dr_res = run_dr(init, dr_params, aprob.fproc,
-                    BiasFreeL1Resolvent(prob.nu),
+    dr_res = run_dr(init, dr_params, aprob.fproc, prob.prox_g,
                     max_outer=80, observer=dr_events)
     assert dr_res.status == "budget_exceeded"
     assert len(dr_events) == len(admm_events) == 80

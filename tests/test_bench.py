@@ -39,6 +39,7 @@ def test_run_one_bad_path_becomes_error_row():
                           solver="fista")
     results = [bench.run_one(c) for c in (bad, tiny_lasso_config())]
     assert results[0].record.status == ERROR
+    assert results[0].record.wall_seconds == 0.0  # no solve ran
     assert "error" in results[0].config
     assert results[1].record.status == CONVERGED
 
@@ -77,7 +78,8 @@ def test_published_outer_iteration_means_reproduce_ratio():
 def test_summarize_rows_and_ratios():
     """The ratio pairs the two solvers on each problem both converged on:
     a problem only one solver ran, or one whose pair has a failed run, is
-    left out of it."""
+    left out of it, and a solver's geometric means leave its failed runs
+    out."""
     results = [bench.run_one(tiny_lasso_config("admm_plain")),
                bench.run_one(tiny_lasso_config("admm_inertial"))]
     record = ir.RunRecord(5, 7, 1.0, 0.0, 0.0)
@@ -89,6 +91,8 @@ def test_summarize_rows_and_ratios():
     summary = bench.summarize(results)
     assert summary["solvers"] == ["admm_inertial", "admm_plain"]
     assert len(summary["rows"]) == 5
+    assert summary["geometric_mean"]["admm_inertial"]["outer"] == \
+        pytest.approx(results[1].record.outer_iters, rel=1e-12)
     ratio = summary["ratio"]
     assert ratio["pair"] == ["admm_plain", "admm_inertial"]
     assert list(ratio["per_problem"]) == [results[0].problem]

@@ -10,8 +10,8 @@ from irsplit.admm import (ADMMParams, _accept, _acceptance_vector,
                           _multiplier, run_admm)
 from irsplit.dr import DRParams, SplitTriple, classical_dr_step, run_dr
 from irsplit.errors import ParameterError
-from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               L1Resolvent)
+from irsplit.operators import AffineOperator, CGBProcedure, ExactBProcedure
+from irsplit.problems import L1ShiftedProx
 from irsplit.subsolvers import soft_threshold
 
 import reference
@@ -22,7 +22,7 @@ def quad_l1_setup(n=10, seed=1, nu=0.5):
     """A = subdiff(nu l1), B(x) = x - c0; solution soft(c0, nu) in closed form."""
     rng = np.random.default_rng(seed)
     c0 = 2.0 * rng.standard_normal(n)
-    res_a = L1Resolvent(nu)
+    res_a = L1ShiftedProx(nu)
     res_b = AffineOperator(np.eye(n), -c0)
     x_star = soft_threshold(c0, nu)
     b_star = x_star - c0
@@ -74,7 +74,7 @@ def test_a_step_zero_operator():
 def test_a_step_l1_matches_grid_oracle():
     nu, gamma = 0.8, 1.3
     u = np.array([2.0, -0.4, 0.9])
-    r, _ = reference.a_step(u, np.zeros(3), gamma, L1Resolvent(nu))
+    r, _ = reference.a_step(u, np.zeros(3), gamma, L1ShiftedProx(nu))
     grid = np.arange(-4.0, 4.0, 1e-4)
     for i, ui in enumerate(u):
         vals = gamma * nu * np.abs(grid) + 0.5 * (grid - ui) ** 2
@@ -135,7 +135,7 @@ def test_exactness_is_read_off_the_pair_at_sigma_zero(n):
                             rng.standard_normal(n))
         p, z = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((2, n))
         c = 10.0 ** rng.uniform(-2, 2)
-        for c, half_step in ((c, L1Resolvent(0.3).resolvent),
+        for c, half_step in ((c, L1ShiftedProx(0.3).resolvent),
                              (1.0, lambda gamma, u: u)):
             x, y = ExactBProcedure(op).open_session(p, z, c, z).next()
             assert not y.any()
@@ -156,7 +156,8 @@ def test_an_exact_trial_passes_where_c_squared_overflows(sigma):
     trial until the inner budget was spent."""
     res = run_dr(SplitTriple(np.ones(3), np.zeros(3), np.ones(3)),
                  DRParams(1e-200, ir.InertiaRelaxParams.plain(sigma)),
-                 ExactBProcedure(AffineOperator(np.eye(3))), L1Resolvent(0.3))
+                 ExactBProcedure(AffineOperator(np.eye(3))),
+                 L1ShiftedProx(0.3))
     assert (res.status, res.outer_iters, res.record.inner_iters_total) == (
         "solved", 0, 1)
     assert np.array_equal(res.triple.s, np.ones(3))
@@ -234,7 +235,7 @@ def test_inner_solve_cg_accepts_quickly():
     m = rng.standard_normal((20, 20))
     q_mat = m @ m.T / 20.0 + np.eye(20)
     bproc = CGBProcedure(q_mat)
-    res_a = L1Resolvent(0.3)
+    res_a = L1ShiftedProx(0.3)
     core = ir.InertiaRelaxParams(0.0, 1.0 / 3.0, 0.99, 1.0, 1.0)
     hat = random_triple(rng, 20)
     st = first_step(hat, DRParams(1.0, core), bproc, res_a)
@@ -250,7 +251,7 @@ def test_inner_solve_sigma_zero_iterative_exhausts_budget():
     core = ir.InertiaRelaxParams.plain(sigma=0.0)
     hat = random_triple(rng, 8)
     res = run_dr(hat, DRParams(1.0, core, inner_budget=40), bproc,
-                 L1Resolvent(0.3), max_outer=1)
+                 L1ShiftedProx(0.3), max_outer=1)
     # the inner budget, not the outer one: the result is the last triple
     assert (res.status, res.record.status) == ("stalled", "budget_exceeded")
     assert "inner budget" in res.record.cause
@@ -403,7 +404,7 @@ def test_budgets_and_tolerances_checked_at_entry(driver, option, value):
         else:
             run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(1.0, params),
                    ExactBProcedure(AffineOperator(np.zeros((3, 3)))),
-                   L1Resolvent(0.1), **{option: value})
+                   L1ShiftedProx(0.1), **{option: value})
 
 
 @pytest.mark.parametrize("driver, value, name", [
@@ -425,7 +426,7 @@ def test_infinite_penalty_rejected_at_entry(driver, value, name):
         else:
             run_dr(SplitTriple(z + 1.0, z, z + 1.0), DRParams(value, params),
                    ExactBProcedure(AffineOperator(np.eye(3))),
-                   L1Resolvent(0.1))
+                   L1ShiftedProx(0.1))
 
 
 def test_embedding_reproduces_engine_equations():
@@ -500,7 +501,7 @@ def test_classical_fixed_point_solves_inclusion():
 def test_resolvent_nonexpansiveness():
     rng = np.random.default_rng(15)
     m = rng.standard_normal((5, 5))
-    maps = [L1Resolvent(0.7), AffineOperator(m @ m.T)]
+    maps = [L1ShiftedProx(0.7), AffineOperator(m @ m.T)]
     for res in maps:
         for _ in range(50):
             u, up = rng.standard_normal(5), rng.standard_normal(5)

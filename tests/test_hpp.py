@@ -17,7 +17,8 @@ import irsplit as ir
 from irsplit.errors import ParameterError
 from irsplit.hpp import _extrapolate, _s_bound, rho_bar_of_beta
 from irsplit.operators import (AffineOperator, CGBProcedure, ExactBProcedure,
-                               L1Resolvent, PerturbedBProcedure)
+                               PerturbedBProcedure)
+from irsplit.problems import L1ShiftedProx
 
 import reference
 from conftest import Collector, accepted_certificate_sampler, engine_steps
@@ -69,9 +70,9 @@ NAN_MAT = [[math.nan, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("build, error, match", [
-    (lambda: L1Resolvent(-1.0), ParameterError, "kappa"),
-    (lambda: L1Resolvent(math.nan), ParameterError, "kappa"),
-    (lambda: L1Resolvent(math.inf), ParameterError, "kappa"),
+    (lambda: L1ShiftedProx(-1.0), ParameterError, r"\bnu\b"),
+    (lambda: L1ShiftedProx(math.nan), ParameterError, r"\bnu\b"),
+    (lambda: L1ShiftedProx(math.inf), ParameterError, r"\bnu\b"),
     (lambda: AffineOperator(NAN_MAT), ValueError, "mat"),
     (lambda: AffineOperator(np.eye(2), [math.inf, 0.0]), ValueError, "shift"),
     (lambda: AffineOperator(-np.eye(2)), ParameterError, "semidefinite"),
@@ -84,10 +85,10 @@ NAN_MAT = [[math.nan, 0.0], [0.0, 1.0]]
         "affine_inf_shift", "affine_not_monotone", "cg_nan_mat", "cg_inf_shift",
         "cg_not_monotone", "cg_not_symmetric"])
 def test_catalog_refuses_bad_data_when_built(build, error, match):
-    """An operator or procedure of the catalog refuses a negative, NaN or
-    infinite weight, a non-finite matrix or shift, and a matrix that is
-    not monotone or, for CG, not symmetric, when it is built, not in a run
-    that promises a status: a NaN passes the PSD check, the l1 resolvent
+    """A resolvent or procedure refuses a negative, NaN or infinite l1
+    weight nu, a non-finite matrix or shift, and a matrix that is not
+    monotone or, for CG, not symmetric, when it is built, not in a run
+    that promises a status: a NaN passes the PSD check, the l1 map
     checked its weight only inside the loop, and CG ran on with a
     non-monotone Q + c I that was still SPD, or stalled on a
     non-symmetric one."""
